@@ -17,6 +17,7 @@
 
 #include "core/plan_context.h"
 #include "cost/comm_batch.h"
+#include "sharding/enumerate.h"
 
 namespace tap::core {
 
@@ -31,6 +32,42 @@ struct FamilyScore {
     if (comm > other.comm * (1.0 + 1e-9)) return false;
     return weight_bytes < other.weight_bytes;
   }
+};
+
+class FamilySearchContext;
+
+/// Everything staging a candidate of one family needs that does not
+/// depend on the candidate: the members' visit order and exit member,
+/// their backward-compute window terms, and each weighted member's weight
+/// bytes per pattern. A policy builds it once per family search — so a
+/// family-cache hit never builds one — and every stage() call reads it,
+/// which keeps a candidate at O(members) work with no sorting, no op_time
+/// calls and no allocation (Table 2's per-candidate cost).
+class FamilyScope {
+ public:
+  FamilyScope(const FamilySearchContext& ctx,
+              const pruning::SubgraphFamily& family);
+
+  const pruning::SubgraphFamily& family() const { return family_; }
+  const sharding::SubgraphScope& routing() const { return routing_; }
+  const cost::BackwardWindowTerms& window() const { return window_; }
+
+  /// Local per-device bytes of the members' weights under `plan`'s member
+  /// choices (dp replicas never shard weights; only the tp layout
+  /// matters). `plan` must route, so every member choice is in range.
+  std::int64_t weight_bytes(const sharding::ShardingPlan& plan) const;
+
+ private:
+  struct WeightedMember {
+    ir::GraphNodeId id;
+    std::size_t first;  ///< bytes_[first + pattern index]
+  };
+
+  const pruning::SubgraphFamily& family_;
+  sharding::SubgraphScope routing_;
+  cost::BackwardWindowTerms window_;
+  std::vector<WeightedMember> weighted_;
+  std::vector<std::int64_t> bytes_;
 };
 
 /// Read-only scoring facilities shared by every policy, bound to one
@@ -58,15 +95,22 @@ class FamilySearchContext {
              const pruning::SubgraphFamily& family, FamilyScore* out,
              SearchStats* stats) const;
 
-  /// Batched scoring, phase 1: routes `plan` restricted to `family`
-  /// (replicated-boundary probe, then the steady-state route, both
+  /// Batched scoring, phase 1: routes `plan` restricted to the scope's
+  /// family (replicated-boundary probe, then the steady-state route, both
   /// through `arena`'s reusable buffers — no per-candidate vector churn)
   /// and stages the routed candidate as the next lane of `arena->batch`.
   /// The caller owns phase 2: once the batch is full (or enumeration
   /// ends), cost::comm_cost_batch reduces all staged lanes in one kernel
   /// pass. Returns false — staging nothing — when the candidate does not
   /// route; on success `*weight_bytes` receives the tie-break memory
-  /// term for FamilyScore. Precondition: !arena->batch.full().
+  /// term for FamilyScore. Only the members' choices in `plan` are read.
+  /// Precondition: !arena->batch.full().
+  bool stage(const sharding::ShardingPlan& plan, const FamilyScope& scope,
+             cost::CostArena* arena, std::int64_t* weight_bytes,
+             SearchStats* stats) const;
+
+  /// stage() for callers without a FamilyScope: builds one per call, so
+  /// it pays the per-family set-up on every candidate.
   bool stage(const sharding::ShardingPlan& plan,
              const pruning::SubgraphFamily& family, cost::CostArena* arena,
              std::int64_t* weight_bytes, SearchStats* stats) const;
@@ -78,11 +122,6 @@ class FamilySearchContext {
                            SearchStats* stats) const;
 
  private:
-  /// Local per-device bytes of the primary weights under the candidate
-  /// (dp replicas never shard weights; only the tp layout matters).
-  std::int64_t weight_bytes(const pruning::SubgraphFamily& family,
-                            const sharding::ShardingPlan& plan) const;
-
   const ir::TapGraph& tg_;
   const TapOptions& opts_;
   const sharding::PatternTable& table_;
@@ -142,6 +181,12 @@ class ExhaustivePolicy final : public FamilySearchPolicy {
   FamilySearchOutcome search(const FamilySearchContext& ctx,
                              const pruning::SubgraphFamily& family,
                              const sharding::ShardingPlan& base) const override;
+  /// search() over an enumerator the caller already built for `family`
+  /// (AutoPolicy sizes the space with it first).
+  FamilySearchOutcome search(const FamilySearchContext& ctx,
+                             const pruning::SubgraphFamily& family,
+                             const sharding::ShardingPlan& base,
+                             sharding::FamilyPlanEnumerator enumerator) const;
 };
 
 /// Greedy fallback: optimize one member at a time.

@@ -133,6 +133,9 @@ struct PlanContext {
   pruning::PruneResult pruning;                 ///< Prune
   sharding::ShardingPlan plan;                  ///< FamilySearch
   sharding::RoutedPlan routed;                  ///< GlobalRefine
+  /// Full-graph backward-window terms of the plan's mesh: GlobalRefine
+  /// builds them once, FinalizeCost reuses them.
+  std::optional<cost::BackwardWindowTerms> window_terms;
   cost::PlanCost cost;                          ///< FinalizeCost
   SearchStats stats;
   std::vector<PassTiming> timings;

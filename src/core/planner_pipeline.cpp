@@ -17,15 +17,23 @@ namespace {
 using pruning::SubgraphFamily;
 using sharding::ShardingPlan;
 
+/// The context's full-graph backward-window terms, built on first use.
+const cost::BackwardWindowTerms& full_graph_terms(PlanContext& ctx) {
+  if (!ctx.window_terms.has_value()) {
+    ctx.window_terms.emplace(ctx.graph(), nullptr, ctx.opts.num_shards,
+                             ctx.plan.dp_replicas, ctx.opts.cluster);
+  }
+  return *ctx.window_terms;
+}
+
 /// Full-graph cost with the overlap window computed over the whole model.
-double global_cost(const ir::TapGraph& tg, const sharding::RoutedPlan& routed,
-                   const TapOptions& opts,
-                   const sharding::PatternTable& table) {
+cost::PlanCost global_cost(const sharding::RoutedPlan& routed,
+                           const TapOptions& opts,
+                           const sharding::PatternTable& table,
+                           const cost::BackwardWindowTerms& terms) {
   cost::CostOptions copts = opts.cost;
-  copts.overlap_window_s = cost::backward_compute_window(
-      tg, routed, nullptr, opts.num_shards, opts.cluster, &table);
-  return cost::comm_cost(routed, opts.num_shards, opts.cluster, copts)
-      .total();
+  copts.overlap_window_s = terms.window(routed, table);
+  return cost::comm_cost(routed, opts.num_shards, opts.cluster, copts);
 }
 
 bool family_is_weighted(const ir::TapGraph& tg, const SubgraphFamily& f) {
@@ -157,11 +165,6 @@ void FamilySearchPass::run(PlanContext& ctx) const {
   ctx.families_total += static_cast<std::int64_t>(families.size());
   if (families.empty()) return;
 
-  // Warm the TapGraph's lazily-built topo/consumer caches before fanning
-  // out: route_subgraph reads them, and the first build must not race.
-  (void)tg.cached_topo_order();
-  (void)tg.consumers(families.front()->member_nodes.front());
-
   FamilySearchContext fctx(tg, ctx.opts, *ctx.table);
   std::vector<FamilySearchOutcome> outcomes(families.size());
   // searched[i] records whether family i's checkpoint let it run; a
@@ -225,12 +228,19 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
   TAP_CHECK(ctx.plan.choice.size() == tg.num_nodes())
       << "GlobalRefine requires FamilySearch";
   const sharding::PatternTable& table = *ctx.table;
+  const cost::BackwardWindowTerms& terms = full_graph_terms(ctx);
+  // Every route of the pass goes through one scratch; a probe that wins
+  // swaps buffers with ctx.plan/ctx.routed instead of copying them.
+  sharding::RoutingScratch scratch;
+  sharding::RoutedPlan routed;
+  ShardingPlan reverted;
+  std::vector<int> zeros;
 
-  ctx.routed = sharding::route_plan(tg, ctx.plan, &table);
+  sharding::route_plan_into(tg, ctx.plan, &table, &scratch, &ctx.routed);
   ctx.stats.nodes_visited += static_cast<std::int64_t>(tg.num_nodes());
-  double current_cost = ctx.routed.valid
-                            ? global_cost(tg, ctx.routed, ctx.opts, table)
-                            : kInvalidPlanCost;
+  double current_cost =
+      ctx.routed.valid ? global_cost(ctx.routed, ctx.opts, table, terms).total()
+                       : kInvalidPlanCost;
   ++ctx.stats.cost_queries;
   for (const SubgraphFamily& family : ctx.pruning.families) {
     if (!family_is_weighted(tg, family)) continue;
@@ -243,18 +253,18 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
       ctx.cancelled = true;
       break;
     }
-    ShardingPlan reverted = ctx.plan;
-    sharding::apply_family_choice(
-        family, std::vector<int>(family.member_nodes.size(), 0), &reverted);
-    auto routed = sharding::route_plan(tg, reverted, &table);
+    reverted = ctx.plan;
+    zeros.assign(family.member_nodes.size(), 0);
+    sharding::apply_family_choice(family, zeros, &reverted);
+    sharding::route_plan_into(tg, reverted, &table, &scratch, &routed);
     ctx.stats.nodes_visited += static_cast<std::int64_t>(tg.num_nodes());
     if (!routed.valid) continue;
     ++ctx.stats.cost_queries;
-    const double c = global_cost(tg, routed, ctx.opts, table);
+    const double c = global_cost(routed, ctx.opts, table, terms).total();
     if (c < current_cost) {
       current_cost = c;
-      ctx.plan = std::move(reverted);
-      ctx.routed = std::move(routed);
+      std::swap(ctx.plan, reverted);
+      std::swap(ctx.routed, routed);
     }
   }
   if (!ctx.routed.valid) {
@@ -267,15 +277,10 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
 }
 
 void FinalizeCostPass::run(PlanContext& ctx) const {
-  const ir::TapGraph& tg = ctx.graph();
   TAP_CHECK(ctx.table.has_value() && ctx.routed.valid)
       << "FinalizeCost requires GlobalRefine";
-  cost::CostOptions copts = ctx.opts.cost;
-  copts.overlap_window_s = cost::backward_compute_window(
-      tg, ctx.routed, nullptr, ctx.opts.num_shards, ctx.opts.cluster,
-      &*ctx.table);
-  ctx.cost = cost::comm_cost(ctx.routed, ctx.opts.num_shards,
-                             ctx.opts.cluster, copts);
+  ctx.cost = global_cost(ctx.routed, ctx.opts, *ctx.table,
+                         full_graph_terms(ctx));
   ++ctx.stats.cost_queries;
 }
 

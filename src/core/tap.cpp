@@ -130,11 +130,6 @@ TapResult auto_parallel_best_mesh(const ir::TapGraph& tg,
           weighted_family_count(tg, shared_pruning)) +
       1;
 
-  // Warm the TapGraph's lazily-built caches before fanning out (the
-  // per-mesh pipelines read them concurrently).
-  (void)tg.cached_topo_order();
-  if (tg.num_nodes() > 0) (void)tg.consumers(tg.nodes().front().id);
-
   // The factorizations are the parallel axis; each inner pipeline runs its
   // family search sequentially to avoid nested oversubscription. A
   // single-factorization world keeps the inner parallelism instead.

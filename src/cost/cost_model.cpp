@@ -77,7 +77,6 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
       le.seconds = t;
       // Overlappable entries get their share of the discount below.
       le.exposed_seconds = e.overlappable ? 0.0 : t;
-      le.reason = e.reason;
       ledger->entries.push_back(std::move(le));
     }
   }
@@ -136,6 +135,51 @@ double backward_compute_window(const ir::TapGraph& tg,
     for (ir::GraphNodeId id : *members) add(id);
   } else {
     for (const auto& n : tg.nodes()) add(n.id);
+  }
+  return window;
+}
+
+BackwardWindowTerms::BackwardWindowTerms(
+    const ir::TapGraph& tg, const std::vector<ir::GraphNodeId>* members,
+    int num_shards, int dp_replicas, const ClusterSpec& cluster)
+    : dp_replicas_(dp_replicas) {
+  const Graph& g = *tg.source();
+  // The shrinks exactly as backward_compute_window forms them.
+  const double dp = static_cast<double>(std::max(1, dp_replicas));
+  const double replicated = dp * 1.0;
+  const double split = dp * static_cast<double>(num_shards);
+  auto add = [&](ir::GraphNodeId id) {
+    Cluster c{id, replicated_.size(), 0};
+    for (NodeId op : tg.node(id).ops) {
+      const double bf = backward_factor(g.node(op).kind);
+      replicated_.push_back(op_time(g.node(op), g, cluster, replicated) * bf);
+      split_.push_back(op_time(g.node(op), g, cluster, split) * bf);
+    }
+    c.end = replicated_.size();
+    clusters_.push_back(c);
+  };
+  if (members != nullptr) {
+    clusters_.reserve(members->size());
+    for (ir::GraphNodeId id : *members) add(id);
+  } else {
+    clusters_.reserve(tg.num_nodes());
+    for (const auto& n : tg.nodes()) add(n.id);
+  }
+}
+
+double BackwardWindowTerms::window(const sharding::RoutedPlan& routed,
+                                   const sharding::PatternTable& table) const {
+  TAP_CHECK(routed.valid);
+  TAP_CHECK_EQ(routed.dp_replicas, dp_replicas_);
+  double window = 0.0;
+  for (const Cluster& c : clusters_) {
+    const auto i = static_cast<std::size_t>(c.id);
+    const auto& pat = table.at(c.id)[static_cast<std::size_t>(
+        routed.pattern_index[i])];
+    const bool is_split =
+        routed.output_spec[i].is_split() || pat.weight.is_split();
+    const double* terms = is_split ? split_.data() : replicated_.data();
+    for (std::size_t k = c.begin; k < c.end; ++k) window += terms[k];
   }
   return window;
 }

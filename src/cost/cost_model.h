@@ -62,11 +62,12 @@ struct CommLedgerEntry {
   std::int64_t bytes = 0;  ///< logical bytes over all `count` launches
   double seconds = 0.0;
   double exposed_seconds = 0.0;
-  std::string reason;  ///< routing reason ("reshard ...", "pattern ...")
 };
 
 /// The per-collective breakdown comm_cost() optionally fills: one entry
-/// per routed CommEvent plus the overlap discount actually applied. This
+/// per routed CommEvent, in routed.comms order (entry i's routing reason
+/// is sharding::comm_reason(tg, routed, routed.comms[i])), plus the
+/// overlap discount actually applied. This
 /// is the single source of truth for cost attribution — PlanReport,
 /// core::visualize_plan and bench_fig14 all read it instead of recosting
 /// events ad hoc.
@@ -104,6 +105,40 @@ double backward_compute_window(const ir::TapGraph& tg,
                                const std::vector<ir::GraphNodeId>* members,
                                int num_shards, const ClusterSpec& cluster,
                                const sharding::PatternTable* table = nullptr);
+
+/// backward_compute_window as table reads. A cluster's backward time
+/// depends on the candidate only through one bit — whether it runs
+/// split (shrink dp·tp) or replicated (shrink dp) — so each op's
+/// op_time × backward_factor is computed once per shrink, when the terms
+/// are built, and window() adds the chosen terms in backward_compute_window's
+/// order: the result is bit-identical at O(ops) additions per call. The
+/// FamilySearch pass builds one per family search; GlobalRefine builds
+/// one full-graph set that FinalizeCost reuses.
+class BackwardWindowTerms {
+ public:
+  /// Terms for the clusters in `members`, in that order (nullptr = every
+  /// cluster in node order), at a `num_shards` x `dp_replicas` mesh.
+  BackwardWindowTerms(const ir::TapGraph& tg,
+                      const std::vector<ir::GraphNodeId>* members,
+                      int num_shards, int dp_replicas,
+                      const ClusterSpec& cluster);
+
+  /// == backward_compute_window(tg, routed, members, num_shards, cluster,
+  /// &table) for the construction arguments. Reads `routed` only at the
+  /// members, so a reused subgraph route (route_subgraph_into) is fine.
+  double window(const sharding::RoutedPlan& routed,
+                const sharding::PatternTable& table) const;
+
+ private:
+  struct Cluster {
+    ir::GraphNodeId id;
+    std::size_t begin, end;  ///< its ops' terms: [begin, end)
+  };
+  int dp_replicas_ = 1;
+  std::vector<Cluster> clusters_;
+  std::vector<double> replicated_;  ///< per op, shrink dp
+  std::vector<double> split_;       ///< per op, shrink dp·tp
+};
 
 // ---------------------------------------------------------------------------
 // Training-technique options (§4.8: AMP / recomputation / ZeRO are

@@ -34,12 +34,6 @@ NodeId Graph::add(std::string name, OpKind kind, std::vector<NodeId> inputs,
   return add_node(std::move(n));
 }
 
-const Node& Graph::node(NodeId id) const {
-  TAP_CHECK(id >= 0 && id < static_cast<NodeId>(nodes_.size()))
-      << "node id " << id << " out of range";
-  return nodes_[static_cast<std::size_t>(id)];
-}
-
 Node& Graph::mutable_node(NodeId id) {
   TAP_CHECK(id >= 0 && id < static_cast<NodeId>(nodes_.size()))
       << "node id " << id << " out of range";

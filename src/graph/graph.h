@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "graph/node.h"
+#include "util/check.h"
 
 namespace tap {
 
@@ -31,7 +32,11 @@ class Graph {
              TensorSpec output);
 
   std::size_t num_nodes() const { return nodes_.size(); }
-  const Node& node(NodeId id) const;
+  const Node& node(NodeId id) const {
+    TAP_CHECK(id >= 0 && id < static_cast<NodeId>(nodes_.size()))
+        << "node id " << id << " out of range";
+    return nodes_[static_cast<std::size_t>(id)];
+  }
   Node& mutable_node(NodeId id);
   const std::vector<Node>& nodes() const { return nodes_; }
 

@@ -17,12 +17,6 @@ void TensorShape::set_dim(int i, std::int64_t v) {
   dims_[normalize_axis(i)] = v;
 }
 
-std::int64_t TensorShape::num_elements() const {
-  std::int64_t n = 1;
-  for (std::int64_t d : dims_) n *= d;
-  return n;
-}
-
 bool TensorShape::valid() const {
   for (std::int64_t d : dims_)
     if (d < 1) return false;
@@ -37,13 +31,6 @@ TensorShape TensorShape::sharded(int axis, int parts) const {
   TensorShape out = *this;
   out.dims_[a] = dims_[a] / parts;
   return out;
-}
-
-bool TensorShape::divisible(int axis, int parts) const {
-  if (rank() == 0) return false;
-  int a = axis < 0 ? axis + rank() : axis;
-  if (a < 0 || a >= rank()) return false;
-  return parts >= 1 && dims_[a] % parts == 0;
 }
 
 std::string TensorShape::to_string() const {

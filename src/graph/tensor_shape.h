@@ -34,7 +34,11 @@ class TensorShape {
   const std::vector<std::int64_t>& dims() const { return dims_; }
 
   /// Product of all dimensions; 1 for a scalar.
-  std::int64_t num_elements() const;
+  std::int64_t num_elements() const {
+    std::int64_t n = 1;
+    for (std::int64_t d : dims_) n *= d;
+    return n;
+  }
 
   /// True when every dimension is >= 1.
   bool valid() const;
@@ -44,7 +48,12 @@ class TensorShape {
   TensorShape sharded(int axis, int parts) const;
 
   /// True iff dim(axis) is divisible by `parts`.
-  bool divisible(int axis, int parts) const;
+  bool divisible(int axis, int parts) const {
+    if (rank() == 0) return false;
+    const int a = axis < 0 ? axis + rank() : axis;
+    if (a < 0 || a >= rank()) return false;
+    return parts >= 1 && dims_[static_cast<std::size_t>(a)] % parts == 0;
+  }
 
   std::string to_string() const;  // e.g. "[16, 512, 1024]"
 

@@ -18,15 +18,20 @@ GraphNodeId TapGraph::add_node(GraphNode n) {
   }
   n.id = static_cast<GraphNodeId>(nodes_.size());
   by_name_.emplace(n.name, n.id);
+  consumers_.emplace_back();
+  for (GraphNodeId in : n.inputs)
+    consumers_[static_cast<std::size_t>(in)].push_back(n.id);
   nodes_.push_back(std::move(n));
-  consumers_valid_ = false;
-  topo_valid_ = false;
+  finalized_ = false;
   return nodes_.back().id;
 }
 
-const GraphNode& TapGraph::node(GraphNodeId id) const {
-  TAP_CHECK(id >= 0 && id < static_cast<GraphNodeId>(nodes_.size()));
-  return nodes_[static_cast<std::size_t>(id)];
+void TapGraph::finalize() {
+  topo_order_ = topo_order();
+  topo_pos_.assign(nodes_.size(), -1);
+  for (std::size_t i = 0; i < topo_order_.size(); ++i)
+    topo_pos_[static_cast<std::size_t>(topo_order_[i])] = static_cast<int>(i);
+  finalized_ = true;
 }
 
 std::size_t TapGraph::num_edges() const {
@@ -40,17 +45,7 @@ GraphNodeId TapGraph::find(std::string_view name) const {
   return it == by_name_.end() ? kInvalidGraphNode : it->second;
 }
 
-void TapGraph::ensure_consumers() const {
-  if (consumers_valid_) return;
-  consumers_.assign(nodes_.size(), {});
-  for (const auto& n : nodes_)
-    for (GraphNodeId in : n.inputs)
-      consumers_[static_cast<std::size_t>(in)].push_back(n.id);
-  consumers_valid_ = true;
-}
-
 const std::vector<GraphNodeId>& TapGraph::consumers(GraphNodeId id) const {
-  ensure_consumers();
   TAP_CHECK(id >= 0 && id < static_cast<GraphNodeId>(nodes_.size()));
   return consumers_[static_cast<std::size_t>(id)];
 }
@@ -63,7 +58,6 @@ std::vector<GraphNodeId> TapGraph::roots() const {
 }
 
 std::vector<GraphNodeId> TapGraph::leaves() const {
-  ensure_consumers();
   std::vector<GraphNodeId> out;
   for (const auto& n : nodes_)
     if (consumers_[static_cast<std::size_t>(n.id)].empty())
@@ -72,7 +66,6 @@ std::vector<GraphNodeId> TapGraph::leaves() const {
 }
 
 std::vector<GraphNodeId> TapGraph::topo_order() const {
-  ensure_consumers();
   std::vector<int> indegree(nodes_.size());
   for (const auto& n : nodes_)
     indegree[static_cast<std::size_t>(n.id)] =
@@ -94,19 +87,12 @@ std::vector<GraphNodeId> TapGraph::topo_order() const {
 }
 
 const std::vector<GraphNodeId>& TapGraph::cached_topo_order() const {
-  if (!topo_valid_) {
-    topo_cache_ = topo_order();
-    topo_pos_.assign(nodes_.size(), -1);
-    for (std::size_t i = 0; i < topo_cache_.size(); ++i)
-      topo_pos_[static_cast<std::size_t>(topo_cache_[i])] =
-          static_cast<int>(i);
-    topo_valid_ = true;
-  }
-  return topo_cache_;
+  TAP_CHECK(finalized_) << "TapGraph::finalize() was not called";
+  return topo_order_;
 }
 
 int TapGraph::topo_position(GraphNodeId id) const {
-  cached_topo_order();
+  TAP_CHECK(finalized_) << "TapGraph::finalize() was not called";
   TAP_CHECK(id >= 0 && id < static_cast<GraphNodeId>(nodes_.size()));
   return topo_pos_[static_cast<std::size_t>(id)];
 }

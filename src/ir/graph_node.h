@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "util/check.h"
 
 namespace tap::ir {
 
@@ -51,11 +52,21 @@ class TapGraph {
   TapGraph() = default;
   explicit TapGraph(const Graph* source) : source_(source) {}
 
-  /// Appends a node, assigning its id. Inputs must already exist.
+  /// Appends a node, assigning its id. Inputs must already exist. The
+  /// consumer lists grow with every add; the topological order is stale
+  /// until the next finalize().
   GraphNodeId add_node(GraphNode n);
 
+  /// Computes the topological order and positions once the graph is
+  /// complete (ir::lower calls it last). Every const accessor is then a
+  /// plain read, so a finished graph can be shared between threads.
+  void finalize();
+
   const std::vector<GraphNode>& nodes() const { return nodes_; }
-  const GraphNode& node(GraphNodeId id) const;
+  const GraphNode& node(GraphNodeId id) const {
+    TAP_CHECK(id >= 0 && id < static_cast<GraphNodeId>(nodes_.size()));
+    return nodes_[static_cast<std::size_t>(id)];
+  }
   std::size_t num_nodes() const { return nodes_.size(); }
   std::size_t num_edges() const;
 
@@ -66,9 +77,10 @@ class TapGraph {
   std::vector<GraphNodeId> leaves() const;
   std::vector<GraphNodeId> topo_order() const;
 
-  /// Cached topological order / positions (rebuilt after mutation). The
-  /// planner routes thousands of candidate subgraphs; recomputing Kahn
-  /// per candidate would make the search linear in model size again.
+  /// topo_order() as computed by finalize(), and each node's index in
+  /// it. The planner routes thousands of candidate subgraphs; recomputing
+  /// Kahn per candidate would make the search linear in model size again.
+  /// The graph must be finalized.
   const std::vector<GraphNodeId>& cached_topo_order() const;
   int topo_position(GraphNodeId id) const;
 
@@ -81,16 +93,13 @@ class TapGraph {
   std::string to_string(std::size_t max_nodes = 50) const;
 
  private:
-  void ensure_consumers() const;
-
   const Graph* source_ = nullptr;
   std::vector<GraphNode> nodes_;
   std::unordered_map<std::string, GraphNodeId> by_name_;
-  mutable std::vector<std::vector<GraphNodeId>> consumers_;
-  mutable bool consumers_valid_ = false;
-  mutable std::vector<GraphNodeId> topo_cache_;
-  mutable std::vector<int> topo_pos_;
-  mutable bool topo_valid_ = false;
+  std::vector<std::vector<GraphNodeId>> consumers_;
+  std::vector<GraphNodeId> topo_order_;  ///< set by finalize()
+  std::vector<int> topo_pos_;
+  bool finalized_ = false;
 };
 
 }  // namespace tap::ir

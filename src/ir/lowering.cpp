@@ -385,6 +385,7 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
     stats->graph_nodes = tg.num_nodes();
     stats->weight_variables = weight_vars;
   }
+  tg.finalize();
   return tg;
 }
 

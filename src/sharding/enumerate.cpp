@@ -16,6 +16,21 @@ FamilyPlanEnumerator::FamilyPlanEnumerator(
   current_.assign(counts_.size(), 0);
 }
 
+FamilyPlanEnumerator::FamilyPlanEnumerator(
+    const PatternTable& table, const ir::TapGraph& tg,
+    const pruning::SubgraphFamily& family) {
+  counts_.reserve(family.member_nodes.size());
+  for (ir::GraphNodeId id : family.member_nodes) {
+    const bool same_catalog =
+        table.dp_replicas() == 1 || !tg.node(id).has_weight();
+    counts_.push_back(static_cast<int>(
+        same_catalog ? table.at(id).size()
+                     : patterns_for(tg, id, table.num_shards()).size()));
+    TAP_CHECK_GE(counts_.back(), 1);
+  }
+  current_.assign(counts_.size(), 0);
+}
+
 std::int64_t FamilyPlanEnumerator::total_plans() const {
   std::int64_t total = 1;
   for (int c : counts_) total *= c;

@@ -1,7 +1,8 @@
 #include "sharding/routing.h"
 
 #include <algorithm>
-#include <sstream>
+#include <initializer_list>
+#include <string_view>
 
 #include "util/check.h"
 
@@ -16,7 +17,7 @@ using ir::TapGraph;
 struct Router {
   const TapGraph& tg;
   const ShardingPlan& plan;
-  const std::vector<GraphNodeId>* members;  // nullptr = all
+  const SubgraphScope* scope;  // nullptr = the whole graph
   ShardSpec boundary;
   const PatternTable* table;  // optional precomputed patterns
   // Working state lives in caller-owned buffers so repeated candidate
@@ -31,23 +32,28 @@ struct Router {
   RoutingScratch& scratch;
   RoutedPlan& out;
 
-  bool fail(const GraphNode& n, const std::string& why) {
-    std::ostringstream os;
-    os << "invalid at '" << n.name << "': " << why;
-    out.error = os.str();
+  /// Records "invalid at '<node>': <why...>", appending the pieces into
+  /// out.error's reused capacity (an invalid candidate allocates nothing
+  /// either, short of an unusually long shape string).
+  bool fail(const GraphNode& n, std::initializer_list<std::string_view> why) {
+    out.error = "invalid at '";
+    out.error += n.name;
+    out.error += "': ";
+    for (std::string_view piece : why) out.error += piece;
     out.valid = false;
     return false;
   }
 
-  void emit(Collective kind, std::int64_t bytes, int count,
-            CommEvent::Phase phase, bool overlappable, GraphNodeId node,
-            std::string reason,
-            GraphNodeId src = ir::kInvalidGraphNode, int group = 0,
-            bool cross_node = false) {
-    if (kind == Collective::kNone || bytes <= 0) return;
+  /// Appends a collective; returns it, or nullptr when it moves no bytes
+  /// (nothing to send, or a group of one device).
+  CommEvent* emit(Collective kind, std::int64_t bytes, int count,
+                  CommEvent::Phase phase, bool overlappable, GraphNodeId node,
+                  CommReason why, GraphNodeId src = ir::kInvalidGraphNode,
+                  int group = 0, bool cross_node = false) {
+    if (kind == Collective::kNone || bytes <= 0) return nullptr;
     if (group == 0) group = plan.num_shards;
-    if (group <= 1) return;  // degenerate group: no wire traffic
-    CommEvent e;
+    if (group <= 1) return nullptr;  // degenerate group: no wire traffic
+    CommEvent& e = out.comms.emplace_back();
     e.kind = kind;
     e.bytes = bytes;
     e.count = count;
@@ -57,8 +63,23 @@ struct Router {
     e.src = src;
     e.group = group;
     e.cross_node = cross_node;
-    e.reason = std::move(reason);
-    out.comms.push_back(std::move(e));
+    e.why = why;
+    return &e;
+  }
+
+  /// A layout conversion and its gradient-path mirror.
+  void emit_reshard(Collective fwd, Collective bwd, std::int64_t bytes,
+                    GraphNodeId consumer, GraphNodeId producer,
+                    const ShardSpec& from, const ShardSpec& to) {
+    auto leg = [&](Collective kind, CommEvent::Phase phase, CommReason why) {
+      if (CommEvent* e =
+              emit(kind, bytes, 1, phase, false, consumer, why, producer)) {
+        e->from_spec = from;
+        e->to_spec = to;
+      }
+    };
+    leg(fwd, CommEvent::Phase::kForward, CommReason::kReshard);
+    leg(bwd, CommEvent::Phase::kBackward, CommReason::kReshardGrad);
   }
 
   /// Per-replica bytes of an activation tensor: the batch is pre-split
@@ -75,8 +96,8 @@ struct Router {
     int rank = tensor.shape.rank();
     if (have.same_layout(want, rank)) return true;
     if (want.is_split() && !want.fits(tensor.shape, plan.num_shards)) {
-      return fail(consumer, "cannot re-shard " + tensor.shape.to_string() +
-                                " to " + want.to_string());
+      return fail(consumer, {"cannot re-shard ", tensor.shape.to_string(),
+                             " to ", want.to_string()});
     }
     if (have.is_replicate()) {
       // replicate -> split: local slice, free.
@@ -98,46 +119,41 @@ struct Router {
       if (layouts.empty()) scratch.materialized_touched.push_back(producer);
       layouts.push_back(want);
     }
-    const std::size_t before = out.comms.size();
     if (want.is_replicate()) {
-      emit(Collective::kAllGather, act_bytes(tensor.size_bytes()), 1,
-           CommEvent::Phase::kForward, false, consumer.id,
-           "reshard " + have.to_string() + "->R", producer);
-      if (out.comms.size() > before) {
-        out.comms.back().from_spec = have;
-        out.comms.back().to_spec = want;
-      }
-      emit(Collective::kReduceScatter, act_bytes(tensor.size_bytes()), 1,
-           CommEvent::Phase::kBackward, false, consumer.id,
-           "grad of reshard " + have.to_string() + "->R", producer);
-      return true;
+      emit_reshard(Collective::kAllGather, Collective::kReduceScatter,
+                   act_bytes(tensor.size_bytes()), consumer.id, producer,
+                   have, want);
+    } else {  // split(a) -> split(b)
+      emit_reshard(Collective::kAllToAll, Collective::kAllToAll,
+                   act_bytes(tensor.size_bytes()), consumer.id, producer,
+                   have, want);
     }
-    // split(a) -> split(b)
-    emit(Collective::kAllToAll, act_bytes(tensor.size_bytes()), 1,
-         CommEvent::Phase::kForward, false, consumer.id,
-         "reshard " + have.to_string() + "->" + want.to_string(), producer);
-    if (out.comms.size() > before) {
-      out.comms.back().from_spec = have;
-      out.comms.back().to_spec = want;
-    }
-    emit(Collective::kAllToAll, act_bytes(tensor.size_bytes()), 1,
-         CommEvent::Phase::kBackward, false, consumer.id,
-         "grad of reshard " + have.to_string() + "->" + want.to_string(),
-         producer);
     return true;
   }
 
   bool run() {
     const int parts = plan.num_shards;
+    const std::size_t num_nodes = tg.num_nodes();
     out.valid = false;
     out.error.clear();
     out.num_shards = plan.num_shards;
     out.dp_replicas = plan.dp_replicas;
+    out.pattern_dp_replicas = table != nullptr ? table->dp_replicas() : 1;
     out.comms.clear();
     out.edge_conversions.clear();
-    out.output_spec.assign(tg.num_nodes(), boundary);
-    out.pattern_index.assign(tg.num_nodes(), 0);
-    TAP_CHECK_EQ(plan.choice.size(), tg.num_nodes());
+    TAP_CHECK_EQ(plan.choice.size(), num_nodes);
+    // A subgraph route into buffers already sized for this graph resets
+    // only what it reads (route_subgraph_into docs): O(members), not O(V).
+    if (scope != nullptr && out.output_spec.size() == num_nodes &&
+        out.pattern_index.size() == num_nodes) {
+      for (GraphNodeId id : scope->reads)
+        out.output_spec[static_cast<std::size_t>(id)] = boundary;
+      for (GraphNodeId id : scope->order)
+        out.pattern_index[static_cast<std::size_t>(id)] = 0;
+    } else {
+      out.output_spec.assign(num_nodes, boundary);
+      out.pattern_index.assign(num_nodes, 0);
+    }
 
     // Reset reused scratch in O(entries the previous route touched).
     for (GraphNodeId id : scratch.igrad_touched)
@@ -148,29 +164,21 @@ struct Router {
     scratch.materialized_touched.clear();
 
     // Visit order: the whole graph topologically, or just the subgraph
-    // members sorted by cached topological position — candidate
+    // members in the scope's precomputed topological order — candidate
     // evaluation must cost O(members), not O(V) (Table 2).
-    if (members != nullptr) {
-      scratch.sorted_members.assign(members->begin(), members->end());
-      std::sort(scratch.sorted_members.begin(), scratch.sorted_members.end(),
-                [&](GraphNodeId a, GraphNodeId b) {
-                  return tg.topo_position(a) < tg.topo_position(b);
-                });
-    }
-    const std::vector<GraphNodeId>& scope =
-        members == nullptr ? tg.cached_topo_order() : scratch.sorted_members;
+    const std::vector<GraphNodeId>& order =
+        scope == nullptr ? tg.cached_topo_order() : scope->order;
 
     // Algorithm 3 walks the DAG from roots to leaves; a topological order
     // visits each node exactly once with all producers resolved.
-    for (GraphNodeId id : scope) {
+    for (GraphNodeId id : order) {
       const GraphNode& n = tg.node(id);
       const std::vector<ShardingPattern>& pats =
           table != nullptr ? table->at(id) : scratch.patterns =
                                                  patterns_for(tg, id, parts);
       int c = plan.choice[static_cast<std::size_t>(id)];
       if (c < 0 || c >= static_cast<int>(pats.size())) {
-        return fail(n, "no sharding pattern with index " +
-                           std::to_string(c));
+        return fail(n, {"no sharding pattern with index ", std::to_string(c)});
       }
       const ShardingPattern& pat = pats[static_cast<std::size_t>(c)];
       out.pattern_index[static_cast<std::size_t>(id)] = c;
@@ -225,8 +233,8 @@ struct Router {
         if (n.output.shape.rank() == 0) {
           produced = ShardSpec::replicate();  // scalar losses collapse
         } else if (!produced.fits(n.output.shape, parts)) {
-          return fail(n, "output " + n.output.shape.to_string() +
-                             " not divisible under " + produced.to_string());
+          return fail(n, {"output ", n.output.shape.to_string(),
+                          " not divisible under ", produced.to_string()});
         }
       }
       out.output_spec[static_cast<std::size_t>(id)] = produced;
@@ -235,12 +243,12 @@ struct Router {
       if (pat.forward_comm != Collective::kNone) {
         emit(pat.forward_comm, act_bytes(n.output.size_bytes()),
              pat.forward_comm_count, CommEvent::Phase::kForward, false, id,
-             "pattern:" + pat.name);
+             CommReason::kPattern);
         if (pat.forward_comm == Collective::kAllToAll) {
           // Expert dispatch/combine repeats on the gradient path.
           emit(pat.forward_comm, act_bytes(n.output.size_bytes()),
                pat.forward_comm_count, CommEvent::Phase::kBackward, false,
-               id, "grad:" + pat.name);
+               id, CommReason::kPatternGrad);
         }
       }
       if (n.has_weight()) {
@@ -267,7 +275,7 @@ struct Router {
             if (w.trainable) wbytes += w.weight->size_bytes();
           }
           emit(Collective::kAllReduce, wbytes, 1, CommEvent::Phase::kBackward,
-               true, id, "wgrad:" + pat.name, ir::kInvalidGraphNode,
+               true, id, CommReason::kWeightGrad, ir::kInvalidGraphNode,
                replicated_group, /*cross_node=*/dp > 1);
         } else {
           // Primary weight is split (its gradients stay local); secondary
@@ -290,7 +298,8 @@ struct Router {
             }
           }
           emit(Collective::kAllReduce, wbytes, 1,
-               CommEvent::Phase::kBackward, true, id, "wgrad:secondary",
+               CommEvent::Phase::kBackward, true, id,
+               CommReason::kSecondaryWeightGrad,
                ir::kInvalidGraphNode, replicated_group,
                /*cross_node=*/dp > 1);
           if (dp > 1 && primary_bytes > 0) {
@@ -298,7 +307,7 @@ struct Router {
             // shard across the dp replicas.
             emit(Collective::kAllReduce, primary_bytes / plan.num_shards, 1,
                  CommEvent::Phase::kBackward, true, id,
-                 "wgrad:dp-shard:" + pat.name, ir::kInvalidGraphNode, dp,
+                 CommReason::kShardWeightGrad, ir::kInvalidGraphNode, dp,
                  /*cross_node=*/true);
           }
         }
@@ -308,14 +317,14 @@ struct Router {
           // AllReduce per producer tensor, shared by all split consumers.
           const std::size_t p =
               static_cast<std::size_t>(n.inputs.front());
-          if (scratch.igrad_emitted.size() < tg.num_nodes())
-            scratch.igrad_emitted.resize(tg.num_nodes(), 0);
+          if (scratch.igrad_emitted.size() < num_nodes)
+            scratch.igrad_emitted.resize(num_nodes, 0);
           if (!scratch.igrad_emitted[p]) {
             scratch.igrad_emitted[p] = 1;
             scratch.igrad_touched.push_back(n.inputs.front());
             emit(pat.backward_comm, act_bytes(in_tensor->size_bytes()), 1,
                  CommEvent::Phase::kBackward, false, id,
-                 "igrad:" + pat.name, n.inputs.front());
+                 CommReason::kInputGrad, n.inputs.front());
           }
         }
       }
@@ -368,16 +377,17 @@ RoutedPlan route_subgraph(const ir::TapGraph& tg, const ShardingPlan& plan,
                           const PatternTable* table) {
   RoutedPlan out;
   RoutingScratch scratch;
-  route_subgraph_into(tg, plan, members, boundary, table, &scratch, &out);
+  route_subgraph_into(tg, plan, SubgraphScope(tg, members), boundary, table,
+                      &scratch, &out);
   return out;
 }
 
 void route_subgraph_into(const ir::TapGraph& tg, const ShardingPlan& plan,
-                         const std::vector<ir::GraphNodeId>& members,
+                         const SubgraphScope& scope,
                          const ShardSpec& boundary, const PatternTable* table,
                          RoutingScratch* scratch, RoutedPlan* out) {
   TAP_CHECK(scratch != nullptr && out != nullptr);
-  Router r{tg, plan, &members, boundary, table, *scratch, *out};
+  Router r{tg, plan, &scope, boundary, table, *scratch, *out};
   r.run();
 }
 
@@ -389,28 +399,83 @@ void route_plan_into(const ir::TapGraph& tg, const ShardingPlan& plan,
   r.run();
 }
 
-ShardSpec subgraph_exit_spec(const ir::TapGraph& tg, const RoutedPlan& routed,
+SubgraphScope::SubgraphScope(const ir::TapGraph& tg,
                              const std::vector<ir::GraphNodeId>& members) {
-  if (members.empty()) return ShardSpec::replicate();
-  // O(members): find the member with the highest topo position that feeds
-  // a consumer outside the set (membership tested via sorted ids).
-  std::vector<GraphNodeId> sorted = members;
-  std::sort(sorted.begin(), sorted.end());
-  auto in_set = [&](GraphNodeId id) {
-    return std::binary_search(sorted.begin(), sorted.end(), id);
+  auto by_position = [&](GraphNodeId a, GraphNodeId b) {
+    return tg.topo_position(a) < tg.topo_position(b);
   };
-  GraphNodeId exit = ir::kInvalidGraphNode;
+  order.assign(members.begin(), members.end());
+  std::sort(order.begin(), order.end(), by_position);
+  reads.assign(members.begin(), members.end());
+  for (GraphNodeId id : members)
+    for (GraphNodeId p : tg.node(id).inputs) reads.push_back(p);
+  std::sort(reads.begin(), reads.end());
+  reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
+
+  // Exit: the member with the highest topological position that feeds a
+  // consumer outside the set (membership by binary search over `order`).
+  auto is_member = [&](GraphNodeId id) {
+    return std::binary_search(order.begin(), order.end(), id, by_position);
+  };
+  exit = members.empty() ? ir::kInvalidGraphNode : members.back();
   int best_pos = -1;
   for (GraphNodeId id : members) {
     bool external = tg.consumers(id).empty();
-    for (GraphNodeId c : tg.consumers(id)) external |= !in_set(c);
+    for (GraphNodeId c : tg.consumers(id)) external |= !is_member(c);
     if (external && tg.topo_position(id) > best_pos) {
       best_pos = tg.topo_position(id);
       exit = id;
     }
   }
-  if (exit == ir::kInvalidGraphNode) exit = members.back();
-  return routed.output_spec[static_cast<std::size_t>(exit)];
+}
+
+ShardSpec subgraph_exit_spec(const RoutedPlan& routed,
+                             const SubgraphScope& scope) {
+  if (scope.exit == ir::kInvalidGraphNode) return ShardSpec::replicate();
+  return routed.output_spec[static_cast<std::size_t>(scope.exit)];
+}
+
+std::string comm_reason(const ir::TapGraph& tg, const RoutedPlan& routed,
+                        const CommEvent& e) {
+  // Appends only (no operator+ chains), as in ShardingPattern::to_string.
+  auto text = [](const char* prefix, const std::string& rest) {
+    std::string s = prefix;
+    s += rest;
+    return s;
+  };
+  auto pattern = [&]() -> std::string {
+    const std::vector<ShardingPattern> pats = patterns_for(
+        tg, e.node, routed.num_shards, routed.pattern_dp_replicas);
+    return pats[static_cast<std::size_t>(
+                    routed.pattern_index[static_cast<std::size_t>(e.node)])]
+        .name;
+  };
+  auto reshard = [&](const char* prefix) {
+    std::string s = prefix;
+    s += e.from_spec.to_string();
+    s += "->";
+    s += e.to_spec.to_string();
+    return s;
+  };
+  switch (e.why) {
+    case CommReason::kPattern:
+      return text("pattern:", pattern());
+    case CommReason::kPatternGrad:
+      return text("grad:", pattern());
+    case CommReason::kReshard:
+      return reshard("reshard ");
+    case CommReason::kReshardGrad:
+      return reshard("grad of reshard ");
+    case CommReason::kWeightGrad:
+      return text("wgrad:", pattern());
+    case CommReason::kSecondaryWeightGrad:
+      return "wgrad:secondary";
+    case CommReason::kShardWeightGrad:
+      return text("wgrad:dp-shard:", pattern());
+    case CommReason::kInputGrad:
+      return text("igrad:", pattern());
+  }
+  return {};
 }
 
 }  // namespace tap::sharding

@@ -20,6 +20,20 @@
 
 namespace tap::sharding {
 
+/// Why the router emitted a collective. comm_reason() renders it as the
+/// text sim traces show; <p> below is the name of the pattern the event's
+/// node chose.
+enum class CommReason : std::uint8_t {
+  kPattern,              ///< "pattern:<p>": the pattern's forward collective
+  kPatternGrad,          ///< "grad:<p>": its repeat on the gradient path
+  kReshard,              ///< "reshard <from>-><to>": a layout conversion
+  kReshardGrad,          ///< "grad of reshard <from>-><to>": its mirror
+  kWeightGrad,           ///< "wgrad:<p>": replicated-weight gradients
+  kSecondaryWeightGrad,  ///< "wgrad:secondary": a split node's other weights
+  kShardWeightGrad,      ///< "wgrad:dp-shard:<p>": a tp shard across dp
+  kInputGrad,            ///< "igrad:<p>": partial input gradients
+};
+
 /// One collective the routed plan requires.
 struct CommEvent {
   enum class Phase : std::uint8_t { kForward, kBackward };
@@ -45,10 +59,13 @@ struct CommEvent {
   ir::GraphNodeId node = ir::kInvalidGraphNode;
   /// For reshard events: the producer cluster of the converted edge.
   ir::GraphNodeId src = ir::kInvalidGraphNode;
-  /// For reshard events: the layouts being converted between.
+  /// For reshard events (both directions): the layouts being converted
+  /// between.
   ShardSpec from_spec = ShardSpec::replicate();
   ShardSpec to_spec = ShardSpec::replicate();
-  std::string reason;
+  /// Kept as a tag, not text, so a candidate route allocates nothing;
+  /// comm_reason() renders it.
+  CommReason why = CommReason::kPattern;
 };
 
 /// One edge whose tensor must change layout between producer and consumer
@@ -68,9 +85,17 @@ struct RoutedPlan {
   /// The mesh the plan was routed for (copied from the ShardingPlan).
   int num_shards = 1;
   int dp_replicas = 1;
-  /// Resolved output layout per GraphNode.
+  /// dp_replicas of the catalog `pattern_index` indexes: the
+  /// PatternTable's when routed with one, else 1 (the router's table-less
+  /// patterns_for call).
+  int pattern_dp_replicas = 1;
+  /// Resolved output layout per GraphNode. A subgraph route into a reused
+  /// RoutedPlan defines only the members' and their producers' entries
+  /// (see route_subgraph_into); every other route defines all of them.
   std::vector<ShardSpec> output_spec;
-  /// Resolved pattern per GraphNode (index into patterns_for).
+  /// Resolved pattern per GraphNode (index into patterns_for), with the
+  /// same coverage as output_spec (members only, for a reused subgraph
+  /// route).
   std::vector<int> pattern_index;
   std::vector<CommEvent> comms;
   /// Layout changes per edge (see EdgeConversion).
@@ -82,6 +107,25 @@ struct RoutedPlan {
   std::int64_t overlappable_comm_bytes() const;
 };
 
+/// What routing one subgraph visits and reads. It depends only on the
+/// graph and the member set, so the planner builds it once per family
+/// and every candidate route over that family reuses it: a candidate then
+/// costs O(members) with no sorting.
+struct SubgraphScope {
+  SubgraphScope(const ir::TapGraph& tg,
+                const std::vector<ir::GraphNodeId>& members);
+
+  /// Members by topological position: the router's visit order.
+  std::vector<ir::GraphNodeId> order;
+  /// Members and their producers, each once: the output_spec entries a
+  /// route reads, which it resets to the boundary layout first.
+  std::vector<ir::GraphNodeId> reads;
+  /// The member whose layout the subgraph hands downstream: the last one
+  /// in topological order with a consumer outside the members or none at
+  /// all, else the last member listed. Invalid when there are no members.
+  ir::GraphNodeId exit = ir::kInvalidGraphNode;
+};
+
 /// Reusable working buffers for the router. One route allocates them; a
 /// second route through the same scratch reuses the capacity, touching
 /// only the entries the previous route dirtied — this is what makes the
@@ -89,7 +133,6 @@ struct RoutedPlan {
 /// (cost::CostArena holds one per search thread). Default-constructed
 /// scratch is valid for any graph.
 struct RoutingScratch {
-  std::vector<ir::GraphNodeId> sorted_members;
   /// Producers whose partial input-gradient AllReduce is already emitted,
   /// indexed by GraphNodeId; `igrad_touched` lists the set entries so the
   /// next route clears them in O(touched), not O(V).
@@ -122,12 +165,21 @@ RoutedPlan route_subgraph(
     const PatternTable* table = nullptr);
 
 /// route_subgraph into caller-owned buffers: `out`'s vectors and
-/// `scratch` are cleared and reused instead of reallocated, so repeated
-/// candidate evaluation (FamilySearchContext::stage) allocates nothing
-/// once capacities warm up. `out` must not alias a RoutedPlan reachable
-/// from `scratch`. Results are identical to route_subgraph.
+/// `scratch` are reused instead of reallocated, so repeated candidate
+/// evaluation (FamilySearchContext::stage) allocates nothing once
+/// capacities warm up. `out` must not alias a RoutedPlan reachable from
+/// `scratch`.
+///
+/// When `out` already holds vectors sized for `tg` (an earlier route into
+/// it), only the entries this route reads are reset — the scope's
+/// `reads` in output_spec and its members in pattern_index — so the route
+/// costs O(members), not O(V). What it defines then matches
+/// route_subgraph: valid/error, comms, edge_conversions, and output_spec
+/// and pattern_index at every member (output_spec also at every producer
+/// of a member). Other entries keep what earlier routes left. A fresh or
+/// differently sized `out` is filled completely, as route_subgraph does.
 void route_subgraph_into(const ir::TapGraph& tg, const ShardingPlan& plan,
-                         const std::vector<ir::GraphNodeId>& members,
+                         const SubgraphScope& scope,
                          const ShardSpec& boundary, const PatternTable* table,
                          RoutingScratch* scratch, RoutedPlan* out);
 
@@ -138,9 +190,14 @@ void route_plan_into(const ir::TapGraph& tg, const ShardingPlan& plan,
                      RoutedPlan* out);
 
 /// Layout a routed subgraph hands to downstream consumers: the output spec
-/// of the last member (in topological order) with a consumer outside
-/// `members` (or the last member overall).
-ShardSpec subgraph_exit_spec(const ir::TapGraph& tg, const RoutedPlan& routed,
-                             const std::vector<ir::GraphNodeId>& members);
+/// of `scope.exit` (replicated for an empty scope).
+ShardSpec subgraph_exit_spec(const RoutedPlan& routed,
+                             const SubgraphScope& scope);
+
+/// The text of `e.why` ("pattern:split_col", "reshard S(0)->R",
+/// "wgrad:dp-shard:split_row", ...) for an event of `routed`. Built on
+/// demand — sim traces and tests call it; the search never does.
+std::string comm_reason(const ir::TapGraph& tg, const RoutedPlan& routed,
+                        const CommEvent& e);
 
 }  // namespace tap::sharding

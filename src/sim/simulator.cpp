@@ -171,6 +171,14 @@ StepBreakdown simulate_step(const ir::TapGraph& tg,
     if (e.cross_node) args["cross_node"] = "1";
     return args;
   };
+  // Trace event name of a collective — also built only with a trace.
+  auto comm_name = [&](const ir::GraphNode& n, const CommEvent& e) {
+    if (s.trace == nullptr) return std::string();
+    std::string name = n.name;
+    name += ':';
+    name += sharding::comm_reason(tg, routed, e);
+    return name;
+  };
   auto compute_args = [&](const ir::GraphNode& n) {
     Streams::Args args;
     if (s.trace == nullptr) return args;
@@ -193,9 +201,9 @@ StepBreakdown simulate_step(const ir::TapGraph& tg,
     // collectives right after.
     Done t = ready;
     for (const CommEvent* e : fwd_comm[static_cast<std::size_t>(id)]) {
-      if (e->reason.rfind("reshard", 0) != 0) continue;
-      t = s.run_comm(t, comm_time(*e), /*blocking=*/true,
-                     n.name + ":" + e->reason, comm_args(*e));
+      if (e->why != sharding::CommReason::kReshard) continue;
+      t = s.run_comm(t, comm_time(*e), /*blocking=*/true, comm_name(n, *e),
+                     comm_args(*e));
       out.comm_s += comm_time(*e);
       ++out.comm_messages;
     }
@@ -203,9 +211,9 @@ StepBreakdown simulate_step(const ir::TapGraph& tg,
                       n.name + ":fwd", compute_args(n));
     out.forward_compute_s += fwd_dur[static_cast<std::size_t>(id)];
     for (const CommEvent* e : fwd_comm[static_cast<std::size_t>(id)]) {
-      if (e->reason.rfind("reshard", 0) == 0) continue;
-      t = s.run_comm(t, comm_time(*e), /*blocking=*/true,
-                     n.name + ":" + e->reason, comm_args(*e));
+      if (e->why == sharding::CommReason::kReshard) continue;
+      t = s.run_comm(t, comm_time(*e), /*blocking=*/true, comm_name(n, *e),
+                     comm_args(*e));
       out.comm_s += comm_time(*e);
       ++out.comm_messages;
     }
@@ -226,7 +234,7 @@ StepBreakdown simulate_step(const ir::TapGraph& tg,
     out.backward_compute_s += bwd_dur[static_cast<std::size_t>(id)];
     for (const CommEvent* e : bwd_blocking[static_cast<std::size_t>(id)]) {
       t = s.run_comm(t, comm_time(*e), /*blocking=*/true,
-                     tg.node(id).name + ":" + e->reason, comm_args(*e));
+                     comm_name(tg.node(id), *e), comm_args(*e));
       out.comm_s += comm_time(*e);
       ++out.comm_messages;
     }

@@ -1,0 +1,341 @@
+// Per-candidate staging (FamilySearchContext::stage over a FamilyScope):
+// the precomputed pieces must reproduce what they replace exactly —
+// backward-window terms bit for bit, reused-scratch subgraph routes entry
+// for entry, on-demand reason text byte for byte — and the plans served
+// for a few zoo specs must keep the bytes recorded before staging was
+// made O(members).
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "core/family_search.h"
+#include "core/tap.h"
+#include "cost/cost_model.h"
+#include "ir/lowering.h"
+#include "models/models.h"
+#include "pruning/prune.h"
+#include "service/fingerprint.h"
+#include "service/wire.h"
+#include "sharding/enumerate.h"
+#include "sharding/routing.h"
+#include "util/hash.h"
+
+namespace tap {
+namespace {
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// Tensor-parallel sizes of a `world`-device sweep, as the planner forms
+/// them.
+std::vector<int> mesh_tps(int world) {
+  std::vector<int> tps;
+  for (int tp = 1; tp <= world; ++tp)
+    if (world % tp == 0) tps.push_back(tp);
+  return tps;
+}
+
+bool weighted(const ir::TapGraph& tg, const pruning::SubgraphFamily& f) {
+  for (ir::GraphNodeId id : f.member_nodes)
+    if (tg.node(id).has_weight()) return true;
+  return false;
+}
+
+/// Every `stride`-th candidate of `family` (about `samples` of them,
+/// always including the first), with its member choices written into a
+/// copy of `base`.
+std::vector<sharding::ShardingPlan> sample_candidates(
+    const ir::TapGraph& tg, const sharding::PatternTable& table,
+    const pruning::SubgraphFamily& family,
+    const sharding::ShardingPlan& base, std::int64_t samples) {
+  sharding::FamilyPlanEnumerator e(table, tg, family);
+  const std::int64_t stride = std::max<std::int64_t>(
+      1, e.total_plans() / std::max<std::int64_t>(1, samples));
+  std::vector<sharding::ShardingPlan> out;
+  std::vector<int> choice;
+  for (std::int64_t i = 0; e.next(&choice); ++i) {
+    if (i % stride != 0) continue;
+    out.push_back(base);
+    sharding::apply_family_choice(family, choice, &out.back());
+  }
+  return out;
+}
+
+TEST(CandidateStaging, WindowTermsMatchBackwardComputeWindowAcrossZoo) {
+  const cost::ClusterSpec cluster = cost::ClusterSpec::v100_cluster(2);
+  int checked = 0;
+  for (const models::ZooEntry& entry : models::table1_zoo()) {
+    SCOPED_TRACE(entry.model);
+    const Graph g = entry.build();
+    const ir::TapGraph tg = ir::lower(g);
+    const pruning::PruneResult pr = pruning::prune_graph(tg);
+    for (int tp : mesh_tps(cluster.world())) {
+      const int dp = cluster.world() / tp;
+      SCOPED_TRACE("tp=" + std::to_string(tp));
+      const sharding::PatternTable table(tg, tp, dp);
+      const sharding::ShardingPlan base = sharding::default_plan(tg, tp, dp);
+
+      const sharding::RoutedPlan whole = sharding::route_plan(tg, base, &table);
+      ASSERT_TRUE(whole.valid) << whole.error;
+      EXPECT_EQ(cost::BackwardWindowTerms(tg, nullptr, tp, dp, cluster)
+                    .window(whole, table),
+                cost::backward_compute_window(tg, whole, nullptr, tp, cluster,
+                                              &table));
+
+      for (const pruning::SubgraphFamily& fam : pr.families) {
+        if (!weighted(tg, fam)) continue;
+        const cost::BackwardWindowTerms terms(tg, &fam.member_nodes, tp, dp,
+                                              cluster);
+        for (const auto& plan :
+             sample_candidates(tg, table, fam, base, /*samples=*/6)) {
+          const sharding::RoutedPlan routed = sharding::route_subgraph(
+              tg, plan, fam.member_nodes, sharding::ShardSpec::replicate(),
+              &table);
+          if (!routed.valid) continue;
+          EXPECT_EQ(terms.window(routed, table),
+                    cost::backward_compute_window(tg, routed,
+                                                  &fam.member_nodes, tp,
+                                                  cluster, &table))
+              << fam.representative;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 500);
+}
+
+TEST(CandidateStaging, TableEnumeratorCountsMatchPatternsFor) {
+  const cost::ClusterSpec cluster = cost::ClusterSpec::v100_cluster(2);
+  for (const models::ZooEntry& entry : models::table1_zoo()) {
+    SCOPED_TRACE(entry.model);
+    const Graph g = entry.build();
+    const ir::TapGraph tg = ir::lower(g);
+    const pruning::PruneResult pr = pruning::prune_graph(tg);
+    for (int tp : mesh_tps(cluster.world())) {
+      const sharding::PatternTable table(tg, tp, cluster.world() / tp);
+      for (const pruning::SubgraphFamily& fam : pr.families) {
+        sharding::FamilyPlanEnumerator from_table(table, tg, fam);
+        sharding::FamilyPlanEnumerator from_catalog(tg, fam, tp);
+        ASSERT_EQ(from_table.total_plans(), from_catalog.total_plans())
+            << fam.representative << " tp=" << tp;
+      }
+    }
+  }
+}
+
+/// Member entries, comms and edge conversions of two routes of one
+/// subgraph.
+void expect_same_subgraph_route(const sharding::RoutedPlan& a,
+                                const sharding::RoutedPlan& b,
+                                const std::vector<ir::GraphNodeId>& members) {
+  ASSERT_EQ(a.valid, b.valid) << b.error;
+  EXPECT_EQ(a.error, b.error);
+  if (!b.valid) return;
+  for (ir::GraphNodeId id : members) {
+    const auto i = static_cast<std::size_t>(id);
+    EXPECT_EQ(a.output_spec[i], b.output_spec[i]) << "node " << id;
+    EXPECT_EQ(a.pattern_index[i], b.pattern_index[i]) << "node " << id;
+  }
+  ASSERT_EQ(a.comms.size(), b.comms.size());
+  for (std::size_t k = 0; k < b.comms.size(); ++k) {
+    const sharding::CommEvent& x = a.comms[k];
+    const sharding::CommEvent& y = b.comms[k];
+    EXPECT_EQ(x.kind, y.kind);
+    EXPECT_EQ(x.bytes, y.bytes);
+    EXPECT_EQ(x.count, y.count);
+    EXPECT_EQ(x.phase, y.phase);
+    EXPECT_EQ(x.group, y.group);
+    EXPECT_EQ(x.cross_node, y.cross_node);
+    EXPECT_EQ(x.overlappable, y.overlappable);
+    EXPECT_EQ(x.node, y.node);
+    EXPECT_EQ(x.src, y.src);
+    EXPECT_EQ(x.from_spec, y.from_spec);
+    EXPECT_EQ(x.to_spec, y.to_spec);
+    EXPECT_EQ(x.why, y.why);
+  }
+  ASSERT_EQ(a.edge_conversions.size(), b.edge_conversions.size());
+  for (std::size_t k = 0; k < b.edge_conversions.size(); ++k) {
+    EXPECT_EQ(a.edge_conversions[k].src, b.edge_conversions[k].src);
+    EXPECT_EQ(a.edge_conversions[k].dst, b.edge_conversions[k].dst);
+    EXPECT_EQ(a.edge_conversions[k].from, b.edge_conversions[k].from);
+    EXPECT_EQ(a.edge_conversions[k].to, b.edge_conversions[k].to);
+  }
+}
+
+TEST(CandidateStaging, ReusedScratchRoutesMatchFreshRoutesAcrossFamilies) {
+  // One scratch and one output buffer carry a sequence of different
+  // families, candidates and boundaries, as a search thread's CostArena
+  // does; each route must define what a fresh route_subgraph defines.
+  const Graph g = models::build_transformer(models::t5_with_layers(2));
+  const ir::TapGraph tg = ir::lower(g);
+  const pruning::PruneResult pr = pruning::prune_graph(tg);
+  // dp = 4: the batch of 16 no longer splits 32 ways, so the table drops
+  // the batch-split pattern the enumerator still counts and some
+  // candidates fail to route.
+  const sharding::PatternTable table(tg, 8, 4);
+  const sharding::ShardingPlan base = sharding::default_plan(tg, 8, 4);
+  const sharding::ShardSpec boundaries[] = {sharding::ShardSpec::replicate(),
+                                            sharding::ShardSpec::split(0),
+                                            sharding::ShardSpec::split(-1)};
+  sharding::RoutingScratch scratch;
+  sharding::RoutedPlan reused;
+  int routes = 0, valid = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (const pruning::SubgraphFamily& fam : pr.families) {
+      const sharding::SubgraphScope scope(tg, fam.member_nodes);
+      for (const auto& plan :
+           sample_candidates(tg, table, fam, base, /*samples=*/5)) {
+        for (const sharding::ShardSpec& boundary : boundaries) {
+          sharding::route_subgraph_into(tg, plan, scope, boundary, &table,
+                                        &scratch, &reused);
+          const sharding::RoutedPlan fresh = sharding::route_subgraph(
+              tg, plan, fam.member_nodes, boundary, &table);
+          expect_same_subgraph_route(reused, fresh, fam.member_nodes);
+          EXPECT_EQ(sharding::subgraph_exit_spec(reused, scope),
+                    sharding::subgraph_exit_spec(fresh, scope));
+          ++routes;
+          valid += fresh.valid ? 1 : 0;
+        }
+      }
+    }
+  }
+  // The sequence must exercise both outcomes and resharding.
+  EXPECT_GT(valid, 0);
+  EXPECT_LT(valid, routes);
+}
+
+TEST(CandidateStaging, ScopeStageMatchesFamilyStage) {
+  // The planner's stage(plan, FamilyScope) and the scope-less overload
+  // stage identical lanes.
+  const Graph g = models::build_transformer(models::t5_with_layers(2));
+  const ir::TapGraph tg = ir::lower(g);
+  const pruning::PruneResult pr = pruning::prune_graph(tg);
+  core::TapOptions opts;
+  opts.cluster = cost::ClusterSpec::v100_cluster(2);
+  opts.num_shards = 8;
+  opts.dp_replicas = 2;
+  const sharding::PatternTable table(tg, 8, 2);
+  const core::FamilySearchContext ctx(tg, opts, table);
+  const sharding::ShardingPlan base = sharding::default_plan(tg, 8, 2);
+  for (const pruning::SubgraphFamily& fam : pr.families) {
+    if (!weighted(tg, fam)) continue;
+    const core::FamilyScope scope(ctx, fam);
+    for (const auto& plan :
+         sample_candidates(tg, table, fam, base, /*samples=*/8)) {
+      cost::CostArena a, b;
+      std::int64_t wa = -1, wb = -1;
+      core::SearchStats sa, sb;
+      const bool ok_a = ctx.stage(plan, scope, &a, &wa, &sa);
+      const bool ok_b = ctx.stage(plan, fam, &b, &wb, &sb);
+      ASSERT_EQ(ok_a, ok_b);
+      EXPECT_EQ(sa.nodes_visited, sb.nodes_visited);
+      EXPECT_EQ(sa.cost_queries, sb.cost_queries);
+      if (!ok_a) continue;
+      EXPECT_EQ(wa, wb);
+      cost::comm_cost_batch(a.batch, opts.cluster, a.results);
+      cost::comm_cost_batch(b.batch, opts.cluster, b.results);
+      EXPECT_EQ(a.results[0].total(), b.results[0].total());
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Recorded bytes
+// ---------------------------------------------------------------------------
+
+/// FNV-1a digest of the reason text of every event of `r`, in order.
+std::string reason_digest(const ir::TapGraph& tg,
+                          const sharding::RoutedPlan& r) {
+  std::uint64_t h = util::kFnvOffset;
+  for (const sharding::CommEvent& e : r.comms) {
+    h = util::hash_str(sharding::comm_reason(tg, r, e), h);
+    h = util::hash_str("\n", h);
+  }
+  return hex64(h);
+}
+
+TEST(CandidateStaging, ReasonTextMatchesRecordedText) {
+  // Digests of the reason strings the router built before reasons became
+  // tags, over the planner's plan for T5, MoE and BERT on several meshes.
+  // The last two are meshes where the dp = 1 catalog of a table-less
+  // route differs from the planner's table (the batch-split pattern).
+  struct Case {
+    std::string model;
+    int nodes, tp, dp;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {"t5", 2, 8, 2, "626df70d59d064ab626df70d59d064ab"},
+      {"moe", 2, 8, 2, "d85149baaae2c3cfd85149baaae2c3cf"},
+      {"t5", 1, 8, 1, "0f11a4d8d377c67e0f11a4d8d377c67e"},
+      {"t5", 4, 8, 4, "97b9ce7934fe3163fa87b1ff4e2453c0"},
+      {"bert", 2, 1, 16, "eff2a35c2d4a444c7c9cd2f4886418e3"},
+  };
+  for (const Case& c : cases) {
+    service::ModelSpec spec;
+    spec.model = c.model;
+    spec.layers = 2;
+    spec.nodes = c.nodes;
+    const Graph g = service::build_spec_model(spec);
+    const ir::TapGraph tg = ir::lower(g);
+    core::TapOptions opts = service::options_for_spec(spec, 1);
+    opts.num_shards = c.tp;
+    opts.dp_replicas = c.dp;
+    const core::TapResult r = core::auto_parallel(tg, opts);
+    ASSERT_TRUE(r.routed.valid);
+    // A table-less route too: its catalog is the dp = 1 one.
+    const sharding::RoutedPlan tableless =
+        sharding::route_plan(tg, r.best_plan);
+    ASSERT_TRUE(tableless.valid);
+    EXPECT_EQ(reason_digest(tg, r.routed) + reason_digest(tg, tableless),
+              c.digest)
+        << c.model << " " << c.dp << "x" << c.tp;
+  }
+}
+
+TEST(CandidateStaging, PlanResponseBytesMatchRecordedDigests) {
+  // plan_response_json digests recorded before per-candidate staging was
+  // made O(members): the plan, cost and search statistics must not move.
+  struct Case {
+    std::string model;
+    int layers, dp, tp;  // dp = tp = 0: mesh sweep
+    const char* digest;
+  };
+  const Case cases[] = {
+      {"t5", 4, 0, 0, "2b4b0175f6d14535"},
+      {"bert", 4, 0, 0, "1078889059166177"},
+      {"moe", 4, 0, 0, "5e3daa1f37896afa"},
+      {"gpt3", 4, 2, 8, "ef21edd31e7e7c2b"},
+      {"t5", 6, 4, 4, "7f883330f04d3e3c"},
+      {"resnet50", 50, 0, 0, "706f280cd35349af"},
+  };
+  for (const Case& c : cases) {
+    service::ModelSpec spec;
+    spec.model = c.model;
+    spec.layers = c.layers;
+    spec.dp = c.dp;
+    spec.tp = c.tp;
+    const Graph g = service::build_spec_model(spec);
+    const ir::TapGraph tg = ir::lower(g);
+    const core::TapOptions opts = service::options_for_spec(spec, 1);
+    const core::TapResult r = spec.sweep()
+                                  ? core::auto_parallel_best_mesh(tg, opts)
+                                  : core::auto_parallel(tg, opts);
+    const std::string bytes = service::plan_response_json(
+        tg, service::make_plan_key(tg, opts, spec.sweep()), r);
+    EXPECT_EQ(hex64(util::hash_str(bytes)), c.digest)
+        << c.model << " layers=" << c.layers << " mesh=" << c.dp << "x"
+        << c.tp;
+  }
+}
+
+}  // namespace
+}  // namespace tap

@@ -2,6 +2,8 @@
 // the quantitative backbone of every cost/simulation result.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "cost/collectives.h"
 
 namespace tap::cost {
@@ -9,10 +11,17 @@ namespace {
 
 using sharding::Collective;
 
+// gtest prints a parameter type that has no printer as its raw bytes, and
+// that text becomes part of the CTest test name. The padding after `kind`
+// is spelled out and zeroed so the name does not pick up stack garbage and
+// stays the same from one build or run to the next.
 struct SweepCase {
+  SweepCase(Collective k, int g) : kind(k), group(g) {}
   Collective kind;
+  std::uint8_t pad[3] = {};
   int group;
 };
+static_assert(sizeof(SweepCase) == 8);
 
 class CollectiveSweep : public ::testing::TestWithParam<SweepCase> {};
 

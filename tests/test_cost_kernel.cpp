@@ -297,7 +297,7 @@ TEST(CostKernel, RouteIntoReusedScratchMatchesFreshRoute) {
     EXPECT_EQ(reused.output_spec, fresh.output_spec);
     EXPECT_EQ(reused.pattern_index, fresh.pattern_index);
 
-    sharding::route_subgraph_into(tg, plan, all,
+    sharding::route_subgraph_into(tg, plan, sharding::SubgraphScope(tg, all),
                                   sharding::ShardSpec::split(0), &table,
                                   &scratch, &reused);
     sharding::RoutedPlan fresh_sub = sharding::route_subgraph(

@@ -62,12 +62,13 @@ TEST(Mesh, HybridMegatronSplitsCommAcrossGroups) {
   ASSERT_TRUE(routed.valid) << routed.error;
   bool saw_tp_fwd = false, saw_dp_shard_sync = false;
   for (const auto& e : routed.comms) {
-    if (e.reason.rfind("pattern:", 0) == 0) {
+    const std::string reason = sharding::comm_reason(f.tg, routed, e);
+    if (reason.rfind("pattern:", 0) == 0) {
       EXPECT_EQ(e.group, 8);
       EXPECT_FALSE(e.cross_node);
       saw_tp_fwd = true;
     }
-    if (e.reason.rfind("wgrad:dp-shard", 0) == 0) {
+    if (reason.rfind("wgrad:dp-shard", 0) == 0) {
       EXPECT_EQ(e.group, 2);
       EXPECT_TRUE(e.cross_node);
       saw_dp_shard_sync = true;
@@ -87,10 +88,10 @@ TEST(Mesh, ActivationBytesScaleWithDp) {
   ASSERT_TRUE(r1.valid && r2.valid);
   // The forward AllReduce of the same block moves half the bytes when the
   // batch is pre-split across 2 replicas.
-  auto fwd_bytes = [](const sharding::RoutedPlan& r) {
+  auto fwd_bytes = [&](const sharding::RoutedPlan& r) {
     std::int64_t b = 0;
     for (const auto& e : r.comms)
-      if (e.reason.rfind("pattern:", 0) == 0 &&
+      if (sharding::comm_reason(f.tg, r, e).rfind("pattern:", 0) == 0 &&
           e.phase == sharding::CommEvent::Phase::kForward)
         b += e.bytes;
     return b;
@@ -107,7 +108,8 @@ TEST(Mesh, PureReplicationNeedsNoGradientSync) {
   auto routed = sharding::route_plan(f.tg, plan);
   ASSERT_TRUE(routed.valid);
   for (const auto& e : routed.comms) {
-    if (e.reason.rfind("wgrad:replicate", 0) == 0) {
+    if (sharding::comm_reason(f.tg, routed, e).rfind("wgrad:replicate", 0) ==
+        0) {
       // Any surviving replicate-pattern sync must be on divergent data.
       EXPECT_GT(e.group, 1);
     }

@@ -76,7 +76,7 @@ TEST(Routing, MegatronStyleAttentionHasTwoAllReducesPerBlock) {
   for (const auto& e : r.comms) {
     if (e.phase == CommEvent::Phase::kForward &&
         e.kind == Collective::kAllReduce &&
-        e.reason.rfind("pattern:", 0) == 0 &&
+        comm_reason(f.tg, r, e).rfind("pattern:", 0) == 0 &&
         f.tg.node(e.node).name.find("block_0") != std::string::npos) {
       ++fwd_pattern_allreduce;
     }
@@ -95,12 +95,13 @@ TEST(Routing, SplitColFeedsSplitRowWithoutReshard) {
   // input: no reshard at the activation (ffn#1) or at wo. (Resharding at
   // wi's *entry* is expected — the surrounding plan is data parallel.)
   for (const auto& e : r.comms) {
-    if (e.reason.rfind("reshard", 0) == 0) {
+    const std::string reason = comm_reason(f.tg, r, e);
+    if (reason.rfind("reshard", 0) == 0) {
       const std::string& where = f.tg.node(e.node).name;
       EXPECT_EQ(where.find("ffn/wo"), std::string::npos)
-          << e.reason << " at " << where;
+          << reason << " at " << where;
       EXPECT_EQ(where.find("ffn#1"), std::string::npos)
-          << e.reason << " at " << where;
+          << reason << " at " << where;
     }
   }
 }
@@ -115,7 +116,7 @@ TEST(Routing, LoneSplitColTriggersGatherAtNormBoundary) {
   ASSERT_TRUE(r.valid) << r.error;
   bool reshard_seen = false;
   for (const auto& e : r.comms)
-    reshard_seen |= e.reason.rfind("reshard", 0) == 0;
+    reshard_seen |= comm_reason(f.tg, r, e).rfind("reshard", 0) == 0;
   EXPECT_TRUE(reshard_seen);
 }
 
@@ -156,7 +157,7 @@ TEST(Routing, CommEventsCarryReasonsAndBytes) {
   RoutedPlan r = route_plan(f.tg, plan);
   for (const auto& e : r.comms) {
     EXPECT_GT(e.bytes, 0);
-    EXPECT_FALSE(e.reason.empty());
+    EXPECT_FALSE(comm_reason(f.tg, r, e).empty());
     EXPECT_NE(e.node, ir::kInvalidGraphNode);
   }
 }
