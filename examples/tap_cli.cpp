@@ -42,12 +42,6 @@
 //                                             stop the search after N
 //                                             checkpoints (reproducible at
 //                                             any --threads)
-//           [--incremental on|off]            graph-delta warm starts for
-//                                             cache-missing service
-//                                             searches (default on; the
-//                                             result is bit-identical
-//                                             either way — off just
-//                                             forces a cold search)
 //           [--fault SPEC]                    install a fault injector,
 //                                             e.g. cache.disk.read=throw:0.5
 //                                             (seed via TAP_FAULT_SEED)
@@ -120,7 +114,6 @@ struct Args {
   int pipeline = 1;
   bool amp = false, recompute = false, zero1 = false, xla = false, viz = false;
   bool no_cache = false, explain = false;
-  bool incremental = true;
   int topk = 10;
   std::int64_t deadline_ms = 0;
   std::int64_t max_checkpoints = -1;
@@ -226,16 +219,6 @@ bool parse(int argc, char** argv, Args* a) {
       i64(f, need_value(i), &a->deadline_ms);
     } else if (!std::strcmp(f, "--max-checkpoints")) {
       i64(f, need_value(i), &a->max_checkpoints);
-    } else if (!std::strcmp(f, "--incremental") && (v = need_value(i))) {
-      if (!std::strcmp(v, "on")) {
-        a->incremental = true;
-      } else if (!std::strcmp(v, "off")) {
-        a->incremental = false;
-      } else {
-        std::cerr << "bad value for --incremental: '" << v
-                  << "' (want on | off)\n";
-        return false;
-      }
     } else if (!std::strcmp(f, "--fault") && (v = need_value(i))) {
       a->fault_spec = v;
     } else if (!std::strcmp(f, "--serve-url") && (v = need_value(i))) {
@@ -537,7 +520,6 @@ int main(int argc, char** argv) {
       // to the Megatron fallback instead of an error.
       service::ServiceOptions sopts;
       sopts.cache.disk_dir = args.cache_dir;
-      sopts.incremental = args.incremental;
       service::PlannerService svc(sopts);
       result = svc.plan({&tg, opts, sweep});
       const auto cs = svc.cache_stats();
@@ -578,13 +560,6 @@ int main(int argc, char** argv) {
                 p.deadline_hit ? ", deadline hit" : "",
                 p.fallback_reason.empty() ? "" : ", reason: ",
                 p.fallback_reason.c_str());
-  } else if (result.provenance.incremental()) {
-    const core::PlanProvenance& p = result.provenance;
-    std::printf("provenance: %s (%lld/%lld families pinned from the "
-                "nearest cached plan)\n",
-                core::plan_provenance_label(p),
-                static_cast<long long>(p.families_pinned),
-                static_cast<long long>(p.families_total));
   }
 
   if (args.viz) {

@@ -19,10 +19,6 @@
 //                                              searches (default 1.0 =
 //                                              classless shedding)
 //             [--drain-ms MS]                  SIGTERM drain budget
-//             [--incremental on|off]           graph-delta warm starts for
-//                                              cache-missing searches
-//                                              (default on; bit-identical
-//                                              results either way)
 //             [--access-log FILE]              structured JSON access log,
 //                                              one line per sampled
 //                                              request ("-" = stdout)
@@ -77,7 +73,6 @@ struct Args {
   std::int64_t max_pending = 0;
   double batch_admission = 1.0;
   std::int64_t drain_ms = 5000;
-  bool incremental = true;
   std::string access_log;
   std::int64_t log_sample = 1;
   std::int64_t slow_ms = 250;
@@ -158,17 +153,6 @@ bool parse(int argc, char** argv, Args* a) {
       if (!as_int(&a->slow_ms)) return false;
     } else if (!std::strcmp(f, "--flight-capacity")) {
       if (!as_int(&a->flight_capacity)) return false;
-    } else if (!std::strcmp(f, "--incremental")) {
-      const char* v = value();
-      if (v != nullptr && !std::strcmp(v, "on")) {
-        a->incremental = true;
-      } else if (v != nullptr && !std::strcmp(v, "off")) {
-        a->incremental = false;
-      } else {
-        std::cerr << "bad or missing value for --incremental (want on | "
-                     "off)\n";
-        return false;
-      }
     } else {
       std::cerr << "unknown flag: " << f << "\n";
       return false;
@@ -202,7 +186,6 @@ int main(int argc, char** argv) {
   sopts.request_threads = args.request_threads;
   sopts.max_pending = static_cast<std::size_t>(args.max_pending);
   sopts.batch_admission = args.batch_admission;
-  sopts.incremental = args.incremental;
   service::PlannerService svc(sopts);
 
   std::unique_ptr<obs::AccessLogger> access_log;
@@ -277,13 +260,12 @@ int main(int argc, char** argv) {
                       ->value()),
               static_cast<unsigned long long>(ss.shed_by_class));
   std::printf("tap_serve: served %llu requests (%llu plans, %llu cache "
-              "hits, %llu coalesced, %llu incremental, %llu shed); "
+              "hits, %llu coalesced, %llu shed); "
               "exiting 0\n",
               static_cast<unsigned long long>(server.requests_served()),
               static_cast<unsigned long long>(ss.requests),
               static_cast<unsigned long long>(ss.cache_hits),
               static_cast<unsigned long long>(ss.coalesced),
-              static_cast<unsigned long long>(ss.incremental_hits),
               static_cast<unsigned long long>(ss.shed));
   return 0;
 }

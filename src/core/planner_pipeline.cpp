@@ -173,23 +173,10 @@ void FamilySearchPass::run(PlanContext& ctx) const {
   // index (plus the sweep's per-mesh base), so under a deterministic
   // checkpoint limit the searched set is identical at any thread count.
   std::vector<char> searched(families.size(), 0);
-  // pinned[i]: family i was answered by ctx.warm_start instead of the
-  // policy (incremental replanning). A pinned outcome is by contract
-  // bit-identical to what the policy would return — choice and stats —
-  // so the deterministic join below treats it exactly like a search.
-  std::vector<char> pinned(families.size(), 0);
   util::ThreadPool pool(families.size() > 1 ? ctx.opts.threads : 1);
   pool.parallel_for(families.size(), [&](std::size_t i) {
     if (ctx.cancel.checkpoint(ctx.checkpoint_base + i)) return;
     TAP_FAULT_POINT("planner.family");
-    if (ctx.warm_start != nullptr) {
-      if (auto pin = ctx.warm_start->pinned(tg, ctx.opts, *families[i])) {
-        outcomes[i] = *std::move(pin);
-        searched[i] = 1;
-        pinned[i] = 1;
-        return;
-      }
-    }
     TAP_SPAN(families[i]->representative, "planner.family");
     outcomes[i] = policy_->search(fctx, *families[i], ctx.plan);
     searched[i] = 1;
@@ -198,11 +185,9 @@ void FamilySearchPass::run(PlanContext& ctx) const {
   // Deterministic join: merge stats and replay winners in family order.
   SearchStats pass_stats;
   std::size_t num_searched = 0;
-  std::size_t num_pinned = 0;
   for (std::size_t i = 0; i < families.size(); ++i) {
     if (!searched[i]) continue;
     ++num_searched;
-    if (pinned[i]) ++num_pinned;
     pass_stats.merge(outcomes[i].stats);
     if (outcomes[i].found) {
       sharding::apply_family_choice(*families[i], outcomes[i].choice,
@@ -210,12 +195,10 @@ void FamilySearchPass::run(PlanContext& ctx) const {
     }
   }
   ctx.families_searched += static_cast<std::int64_t>(num_searched);
-  ctx.families_pinned += static_cast<std::int64_t>(num_pinned);
   if (num_searched < families.size()) ctx.cancelled = true;
   ctx.stats.merge(pass_stats);
   obs::MetricsRegistry& reg = obs::registry();
   reg.counter("planner.family.searched")->add(num_searched);
-  reg.counter("planner.family.pinned")->add(num_pinned);
   reg.counter("planner.family.candidates")
       ->add(static_cast<std::uint64_t>(pass_stats.candidate_plans));
   reg.counter("planner.family.valid_plans")

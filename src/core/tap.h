@@ -50,27 +50,13 @@ struct PlanProvenance {
   std::int64_t families_total = 0;
   std::int64_t meshes_searched = 0;  ///< 1/1 for fixed-mesh auto_parallel
   std::int64_t meshes_total = 0;
-  /// Families answered by an incremental warm start (FamilyWarmStart pin)
-  /// instead of a fresh enumeration; counted inside families_searched.
-  /// Serving metadata only: a pinned family's outcome is bit-identical to
-  /// searching it, so families_pinned is deliberately EXCLUDED from plan
-  /// and report JSON — incremental results serialize byte-for-byte like
-  /// cold complete searches. Surfaced via tap_cli's provenance line and
-  /// the service.incremental.* metrics.
-  std::int64_t families_pinned = 0;
   /// True when a wall-clock deadline (not a checkpoint limit) tripped.
   bool deadline_hit = false;
   /// Human-readable cause for kFallback results ("deadline", ...).
   std::string fallback_reason;
 
   bool complete() const { return source == PlanSource::kComplete; }
-  /// Complete result derived via the graph-delta warm start.
-  bool incremental() const { return complete() && families_pinned > 0; }
 };
-
-/// "incremental" for warm-started complete results, plan_source_name
-/// otherwise — the label tap_cli and tap_serve print.
-const char* plan_provenance_label(const PlanProvenance& p);
 
 struct TapResult {
   sharding::ShardingPlan best_plan;
@@ -105,14 +91,10 @@ util::CancellationToken cancellation_for(const TapOptions& opts);
 /// `cancel` makes the search *anytime*: families whose checkpoint trips
 /// keep their data-parallel default and the result is marked kAnytime.
 /// An inert token (the default) is replaced by cancellation_for(opts).
-/// `warm` is the incremental-replanning entry point: when non-null, the
-/// FamilySearch pass pins any family it answers (see FamilyWarmStart for
-/// the bit-identity contract) and the result records families_pinned.
 TapResult auto_parallel(const ir::TapGraph& tg, const TapOptions& opts,
                         std::shared_ptr<const FamilySearchPolicy> policy =
                             nullptr,
-                        util::CancellationToken cancel = {},
-                        const FamilyWarmStart* warm = nullptr);
+                        util::CancellationToken cancel = {});
 
 /// Runs auto_parallel over every (dp, tp) factorization of
 /// `opts.cluster.world()` and returns the cheapest — the mesh sweep behind
@@ -128,12 +110,10 @@ TapResult auto_parallel(const ir::TapGraph& tg, const TapOptions& opts,
 /// the same meshes/families at any thread count. If every factorization
 /// was skipped, throws util::CancelledError instead of CheckError so the
 /// service can distinguish "cancelled before any work" from a planner bug.
-/// `warm` as in auto_parallel — every factorization shares the hook.
 TapResult auto_parallel_best_mesh(const ir::TapGraph& tg,
                                   const TapOptions& opts,
                                   std::shared_ptr<const FamilySearchPolicy>
                                       policy = nullptr,
-                                  util::CancellationToken cancel = {},
-                                  const FamilyWarmStart* warm = nullptr);
+                                  util::CancellationToken cancel = {});
 
 }  // namespace tap::core

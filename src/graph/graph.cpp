@@ -19,8 +19,10 @@ NodeId Graph::add_node(Node node) {
   }
   node.id = static_cast<NodeId>(nodes_.size());
   by_name_.emplace(node.name, node.id);
+  consumers_.emplace_back();
+  for (NodeId in : node.inputs)
+    consumers_[static_cast<std::size_t>(in)].push_back(node.id);
   nodes_.push_back(std::move(node));
-  consumers_valid_ = false;
   return nodes_.back().id;
 }
 
@@ -34,31 +36,12 @@ NodeId Graph::add(std::string name, OpKind kind, std::vector<NodeId> inputs,
   return add_node(std::move(n));
 }
 
-Node& Graph::mutable_node(NodeId id) {
-  TAP_CHECK(id >= 0 && id < static_cast<NodeId>(nodes_.size()))
-      << "node id " << id << " out of range";
-  consumers_valid_ = false;
-  return nodes_[static_cast<std::size_t>(id)];
-}
-
 NodeId Graph::find(std::string_view name) const {
   auto it = by_name_.find(std::string(name));
   return it == by_name_.end() ? kInvalidNode : it->second;
 }
 
-void Graph::ensure_consumers() const {
-  if (consumers_valid_) return;
-  consumers_.assign(nodes_.size(), {});
-  for (const Node& n : nodes_) {
-    for (NodeId in : n.inputs) {
-      consumers_[static_cast<std::size_t>(in)].push_back(n.id);
-    }
-  }
-  consumers_valid_ = true;
-}
-
 const std::vector<NodeId>& Graph::consumers(NodeId id) const {
-  ensure_consumers();
   TAP_CHECK(id >= 0 && id < static_cast<NodeId>(nodes_.size()));
   return consumers_[static_cast<std::size_t>(id)];
 }
@@ -71,7 +54,6 @@ std::vector<NodeId> Graph::roots() const {
 }
 
 std::vector<NodeId> Graph::leaves() const {
-  ensure_consumers();
   std::vector<NodeId> out;
   for (const Node& n : nodes_)
     if (consumers_[static_cast<std::size_t>(n.id)].empty()) out.push_back(n.id);
@@ -79,7 +61,6 @@ std::vector<NodeId> Graph::leaves() const {
 }
 
 std::vector<NodeId> Graph::topo_order() const {
-  ensure_consumers();
   std::vector<int> indegree(nodes_.size(), 0);
   for (const Node& n : nodes_)
     indegree[static_cast<std::size_t>(n.id)] =

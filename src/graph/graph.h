@@ -37,7 +37,6 @@ class Graph {
         << "node id " << id << " out of range";
     return nodes_[static_cast<std::size_t>(id)];
   }
-  Node& mutable_node(NodeId id);
   const std::vector<Node>& nodes() const { return nodes_; }
 
   /// Id of the node named `name`, or kInvalidNode.
@@ -46,8 +45,8 @@ class Graph {
     return find(name) != kInvalidNode;
   }
 
-  /// Consumer adjacency (node -> nodes that read its output). Rebuilt
-  /// lazily after mutation.
+  /// Consumer adjacency (node -> nodes that read its output), grown by
+  /// add_node; const accessors never write, so concurrent reads are safe.
   const std::vector<NodeId>& consumers(NodeId id) const;
 
   /// Nodes with no inputs (Placeholders/Consts/roots).
@@ -79,13 +78,10 @@ class Graph {
   std::string to_string(std::size_t max_nodes = 50) const;
 
  private:
-  void ensure_consumers() const;
-
   std::string name_;
   std::vector<Node> nodes_;
   std::unordered_map<std::string, NodeId> by_name_;
-  mutable std::vector<std::vector<NodeId>> consumers_;
-  mutable bool consumers_valid_ = false;
+  std::vector<std::vector<NodeId>> consumers_;
 };
 
 }  // namespace tap

@@ -51,7 +51,7 @@ struct FlightRecord {
   float search_ms = 0.0f;  ///< planner search wall time (0 on cache hits)
   char route[16] = {};          ///< "plan", "explain", "metrics", ...
   char served[12] = {};         ///< "searched|memory|disk|coalesced|..."
-  char provenance[12] = {};     ///< "complete|anytime|fallback|incr"
+  char provenance[12] = {};     ///< "complete|anytime|fallback"
   char deadline_class[12] = {};
   char reason[24] = {};  ///< shed/fallback/reject reason, "" when none
 

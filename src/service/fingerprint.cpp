@@ -1,6 +1,5 @@
 #include "service/fingerprint.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <unordered_map>
 
@@ -140,46 +139,6 @@ std::string PlanKey::to_hex() const {
                 static_cast<unsigned long long>(options.lo),
                 sweep_mesh ? 's' : 'f');
   return buf;
-}
-
-std::size_t GraphSketch::weighted_count() const {
-  std::size_t n = 0;
-  for (const FamilySubprint& f : families)
-    if (f.weighted) ++n;
-  return n;
-}
-
-GraphSketch make_sketch(const ir::TapGraph& tg,
-                        const pruning::PruneResult& pruning) {
-  GraphSketch sketch;
-  sketch.families.reserve(pruning.families.size());
-  for (const pruning::SubgraphFamily& fam : pruning.families) {
-    FamilySubprint sub;
-    sub.fp = family_fingerprint(tg, fam);
-    sub.multiplicity = fam.multiplicity();
-    sub.weighted = !fam.weighted_members(tg).empty();
-    sketch.families.push_back(sub);
-  }
-  std::sort(sketch.families.begin(), sketch.families.end(),
-            [](const FamilySubprint& a, const FamilySubprint& b) {
-              if (a.fp.hi != b.fp.hi) return a.fp.hi < b.fp.hi;
-              return a.fp.lo < b.fp.lo;
-            });
-  // Merge duplicate fingerprints (families that prune distinctly but hash
-  // identically — e.g. singleton blocks with equal structure) so the
-  // sketch is a true multiset keyed by fingerprint.
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < sketch.families.size(); ++i) {
-    if (out > 0 && sketch.families[out - 1].fp == sketch.families[i].fp) {
-      sketch.families[out - 1].multiplicity +=
-          sketch.families[i].multiplicity;
-      sketch.families[out - 1].weighted |= sketch.families[i].weighted;
-    } else {
-      sketch.families[out++] = sketch.families[i];
-    }
-  }
-  sketch.families.resize(out);
-  return sketch;
 }
 
 PlanKey make_plan_key(const ir::TapGraph& tg, const core::TapOptions& opts,

@@ -32,8 +32,6 @@ struct CacheMetrics {
   obs::Counter* disk_writes = obs::registry().counter("cache.disk.writes");
   obs::Counter* retries = obs::registry().counter("cache.retry");
   obs::Counter* quarantined = obs::registry().counter("cache.quarantined");
-  obs::Counter* sim_hits = obs::registry().counter("cache.sim.hits");
-  obs::Counter* sim_misses = obs::registry().counter("cache.sim.misses");
 };
 
 CacheMetrics& cache_metrics() {
@@ -108,122 +106,6 @@ void PlanCache::memory_insert(const PlanKey& key,
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.insertions;
   stats_.evictions += evicted;
-}
-
-void PlanCache::memory_touch(const PlanKey& key) {
-  Stripe& s = stripe_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.index.find(key);
-  if (it != s.index.end()) s.lru.splice(s.lru.begin(), s.lru, it->second);
-}
-
-void PlanCache::unindex_sketch(const PlanKey& key,
-                               const GraphSketch& sketch) {
-  for (const FamilySubprint& f : sketch.families) {
-    if (!f.weighted) continue;
-    auto it = sketch_index_.find(f.fp.digest());
-    if (it == sketch_index_.end()) continue;
-    std::vector<PlanKey>& keys = it->second;
-    keys.erase(std::remove(keys.begin(), keys.end(), key), keys.end());
-    if (keys.empty()) sketch_index_.erase(it);
-  }
-}
-
-void PlanCache::record_sketch(const PlanKey& key,
-                              const GraphSketch& sketch) {
-  if (opts_.sketch_capacity == 0) return;
-  std::lock_guard<std::mutex> lock(sketch_mu_);
-  auto it = sketches_.find(key);
-  if (it != sketches_.end()) {
-    unindex_sketch(key, it->second.sketch);
-    it->second.sketch = sketch;
-    sketch_order_.splice(sketch_order_.begin(), sketch_order_,
-                         it->second.pos);
-  } else {
-    sketch_order_.push_front(key);
-    sketches_.emplace(key, SketchEntry{sketch, sketch_order_.begin()});
-    while (sketch_order_.size() > opts_.sketch_capacity) {
-      const PlanKey victim = sketch_order_.back();
-      auto vit = sketches_.find(victim);
-      if (vit != sketches_.end()) {
-        unindex_sketch(victim, vit->second.sketch);
-        sketches_.erase(vit);
-      }
-      sketch_order_.pop_back();
-    }
-    it = sketches_.find(key);
-  }
-  for (const FamilySubprint& f : it->second.sketch.families) {
-    if (!f.weighted) continue;
-    std::vector<PlanKey>& keys = sketch_index_[f.fp.digest()];
-    if (std::find(keys.begin(), keys.end(), key) == keys.end())
-      keys.push_back(key);
-  }
-}
-
-std::optional<SimilarityMatch> PlanCache::find_similar(
-    const PlanKey& request, const GraphSketch& sketch) {
-  if (opts_.sketch_capacity == 0) return std::nullopt;
-  std::optional<SimilarityMatch> match;
-  {
-    std::lock_guard<std::mutex> lock(sketch_mu_);
-    // Count shared weighted sub-fingerprints per candidate through the
-    // inverted index. Candidacy requires identical options fingerprint
-    // and sweep flag: family outcomes only transfer under identical
-    // options (service/fingerprint.h invariant).
-    std::unordered_map<PlanKey, std::size_t, PlanKeyHash> shared;
-    for (const FamilySubprint& f : sketch.families) {
-      if (!f.weighted) continue;
-      auto it = sketch_index_.find(f.fp.digest());
-      if (it == sketch_index_.end()) continue;
-      for (const PlanKey& cand : it->second) {
-        if (cand == request) continue;
-        if (!(cand.options == request.options) ||
-            cand.sweep_mesh != request.sweep_mesh) {
-          continue;
-        }
-        ++shared[cand];
-      }
-    }
-    // Winner: max shared count, ties to the smallest hex spelling —
-    // deterministic regardless of hash-map iteration order.
-    const PlanKey* best = nullptr;
-    std::size_t best_shared = 0;
-    std::string best_hex;
-    for (const auto& [cand, n] : shared) {
-      const std::string hex = cand.to_hex();
-      if (best == nullptr || n > best_shared ||
-          (n == best_shared && hex < best_hex)) {
-        best = &cand;
-        best_shared = n;
-        best_hex = hex;
-      }
-    }
-    if (best != nullptr) {
-      auto it = sketches_.find(*best);
-      if (it != sketches_.end()) {
-        match.emplace();
-        match->key = *best;
-        match->delta = diff_sketches(sketch, it->second.sketch);
-        sketch_order_.splice(sketch_order_.begin(), sketch_order_,
-                             it->second.pos);
-      }
-    }
-  }
-  if (match) {
-    // Touch the donor's record in the exact memory tier — and only the
-    // donor's: candidates that were probed but lost must keep their LRU
-    // position, or heavy similarity traffic would starve exact hits.
-    memory_touch(match->key);
-    cache_metrics().sim_hits->add(1);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.similarity_hits;
-  } else {
-    cache_metrics().sim_misses->add(1);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.similarity_misses;
-  }
-  return match;
 }
 
 std::string PlanCache::disk_path(const PlanKey& key) const {

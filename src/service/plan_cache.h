@@ -21,14 +21,6 @@
 // is never re-parsed; stale `*.tmp` files from a crashed writer are swept
 // at construction. Every degradation leaves the cache fully usable — the
 // worst case is a re-search.
-//
-// Similarity tier (ISSUE 8): next to the exact tiers the cache keeps a
-// GraphSketch per inserted key (its own LRU, sketch_capacity entries) and
-// an inverted index from weighted family sub-fingerprint to keys.
-// find_similar answers "which cached planning problem is nearest to this
-// request" so the PlannerService can warm-start an incremental replan; a
-// match touches the donor's memory-tier entry — and ONLY the donor's, so
-// probed-but-rejected candidates never starve exact-hit recency.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +34,6 @@
 
 #include "core/serialize.h"
 #include "service/fingerprint.h"
-#include "service/graph_delta.h"
 
 namespace tap::service {
 
@@ -59,10 +50,6 @@ struct PlanCacheOptions {
   int io_retries = 2;
   /// Backoff before retry k is k * retry_backoff_ms.
   double retry_backoff_ms = 1.0;
-  /// Entries of the similarity tier's sketch store (its own LRU,
-  /// independent of the record LRU — a warm start only needs the donor's
-  /// FamilySearch outcomes, not its PlanRecord). 0 disables the tier.
-  std::size_t sketch_capacity = 256;
 };
 
 struct PlanCacheStats {
@@ -76,15 +63,6 @@ struct PlanCacheStats {
   std::uint64_t disk_writes = 0;
   std::uint64_t retries = 0;      ///< disk I/O retry attempts
   std::uint64_t quarantined = 0;  ///< bad files renamed to *.quarantine
-  std::uint64_t similarity_hits = 0;    ///< find_similar returned a donor
-  std::uint64_t similarity_misses = 0;  ///< no candidate shared a family
-};
-
-/// A find_similar answer: the nearest cached key and its weighted-family
-/// delta against the request.
-struct SimilarityMatch {
-  PlanKey key;
-  GraphDelta delta;
 };
 
 class PlanCache {
@@ -110,23 +88,6 @@ class PlanCache {
   void insert(const PlanKey& key, const core::PlanRecord& record,
               const ir::TapGraph& tg);
 
-  /// Records `key`'s similarity sketch. Called on insert by the service
-  /// (only complete results are inserted, so only complete results ever
-  /// donate warm starts). Evicts the least-recently-matched sketch beyond
-  /// sketch_capacity. No-op when the tier is disabled.
-  void record_sketch(const PlanKey& key, const GraphSketch& sketch);
-
-  /// Nearest cached key to `sketch`: the candidate sharing the most
-  /// weighted family sub-fingerprints, ties broken by smallest key hex
-  /// (deterministic under any insertion interleaving). Only keys with the
-  /// same options fingerprint and sweep flag are candidates — family
-  /// outcomes transfer only under identical options — and `request`
-  /// itself is excluded. A match touches the donor's memory-tier LRU
-  /// entry and sketch recency; probed candidates that lose the tie are
-  /// NOT touched (similarity probes must not starve exact-hit recency).
-  std::optional<SimilarityMatch> find_similar(const PlanKey& request,
-                                              const GraphSketch& sketch);
-
   PlanCacheStats stats() const;
 
   /// Disk-tier file of `key`, or "" when the cache is memory-only.
@@ -146,22 +107,10 @@ class PlanCache {
         index;
   };
 
-  /// One sketch-store entry; `pos` points into sketch_order_ (front =
-  /// most recently recorded or matched).
-  struct SketchEntry {
-    GraphSketch sketch;
-    std::list<PlanKey>::iterator pos;
-  };
-
   Stripe& stripe_for(const PlanKey& key);
   /// Counts one retry (stats + cache.retry metric) and sleeps the linear
   /// backoff for `attempt`.
   void count_retry(int attempt);
-  /// Splices `key` to the front of its stripe's LRU if present (the
-  /// donor-only touch of find_similar).
-  void memory_touch(const PlanKey& key);
-  /// Drops `key`'s inverted-index postings. Caller holds sketch_mu_.
-  void unindex_sketch(const PlanKey& key, const GraphSketch& sketch);
   std::optional<core::PlanRecord> memory_lookup(const PlanKey& key);
   void memory_insert(const PlanKey& key, const core::PlanRecord& record);
   std::optional<core::PlanRecord> disk_lookup(const PlanKey& key,
@@ -172,14 +121,6 @@ class PlanCache {
   PlanCacheOptions opts_;
   std::size_t stripe_capacity_ = 0;
   std::vector<Stripe> stripes_;
-
-  // Similarity tier. One mutex (not striped): sketches are touched once
-  // per cache-missing request, never on the exact-hit fast path.
-  std::mutex sketch_mu_;
-  std::list<PlanKey> sketch_order_;  ///< front = most recent
-  std::unordered_map<PlanKey, SketchEntry, PlanKeyHash> sketches_;
-  /// Weighted family sub-fingerprint digest -> keys whose sketch has it.
-  std::unordered_map<std::uint64_t, std::vector<PlanKey>> sketch_index_;
 
   mutable std::mutex stats_mu_;
   PlanCacheStats stats_;

@@ -33,17 +33,20 @@ struct ServiceMetrics {
   obs::Counter* shed = obs::registry().counter("service.shed");
   obs::Counter* shed_by_class =
       obs::registry().counter("service.admission.shed_by_class");
-  obs::Counter* incr_attempts =
-      obs::registry().counter("service.incremental.attempts");
-  obs::Counter* incr_hits =
-      obs::registry().counter("service.incremental.hits");
-  obs::Counter* incr_pinned =
-      obs::registry().counter("service.incremental.pinned");
 };
 
 ServiceMetrics& service_metrics() {
   static ServiceMetrics m;
   return m;
+}
+
+/// The FamilyResultCache key of one (family, options) pair: family
+/// fingerprint x options fingerprint.
+Fingerprint family_result_key(const ir::TapGraph& tg,
+                              const pruning::SubgraphFamily& family,
+                              const core::TapOptions& opts) {
+  return util::hash128_combine(family_fingerprint(tg, family),
+                               options_fingerprint(opts));
 }
 
 }  // namespace
@@ -78,12 +81,12 @@ FamilyResultCache::FamilyResultCache(int stripes) {
 }
 
 std::optional<core::FamilySearchOutcome> FamilyResultCache::lookup(
-    const Fingerprint& key, bool count_miss) {
+    const Fingerprint& key) {
   Stripe& s = stripes_[key.digest() % stripes_.size()];
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.map.find(key);
   if (it == s.map.end()) {
-    if (count_miss) misses_.fetch_add(1);
+    misses_.fetch_add(1);
     return std::nullopt;
   }
   hits_.fetch_add(1);
@@ -95,39 +98,6 @@ void FamilyResultCache::insert(const Fingerprint& key,
   Stripe& s = stripes_[key.digest() % stripes_.size()];
   std::lock_guard<std::mutex> lock(s.mu);
   s.map.emplace(key, outcome);  // first writer wins; equal key => equal value
-}
-
-// ---------------------------------------------------------------------------
-// FamilyCacheWarmStart
-// ---------------------------------------------------------------------------
-
-Fingerprint family_result_key(const ir::TapGraph& tg,
-                              const pruning::SubgraphFamily& family,
-                              const core::TapOptions& opts) {
-  return util::hash128_combine(family_fingerprint(tg, family),
-                               options_fingerprint(opts));
-}
-
-FamilyCacheWarmStart::FamilyCacheWarmStart(
-    std::shared_ptr<FamilyResultCache> cache)
-    : cache_(std::move(cache)) {
-  TAP_CHECK(cache_ != nullptr);
-}
-
-std::optional<core::FamilySearchOutcome> FamilyCacheWarmStart::pinned(
-    const ir::TapGraph& tg, const core::TapOptions& opts,
-    const pruning::SubgraphFamily& family) const {
-  const Fingerprint key = family_result_key(tg, family, opts);
-  // A warm-probe miss is not counted: the CachingFamilyPolicy lookup that
-  // follows re-counts it, and the hit ratio should reflect policy-level
-  // reuse, not probe duplication.
-  auto hit = cache_->lookup(key, /*count_miss=*/false);
-  if (!hit) return std::nullopt;
-  // Same collision guard as CachingFamilyPolicy: a cached choice that
-  // does not fit the family falls through to a real search.
-  if (hit->found && hit->choice.size() != family.member_nodes.size())
-    return std::nullopt;
-  return hit;
 }
 
 // ---------------------------------------------------------------------------
@@ -214,7 +184,6 @@ core::TapResult PlannerService::materialize(
 }
 
 core::TapResult PlannerService::run_search(const PlanRequest& req,
-                                           const PlanKey& key,
                                            util::CancellationToken cancel) {
   // Fault site for the whole search ("the planner worker died"): a throw
   // here propagates through the request future exactly like a real
@@ -224,50 +193,11 @@ core::TapResult PlannerService::run_search(const PlanRequest& req,
   std::shared_ptr<const core::FamilySearchPolicy> policy;
   if (opts_.family_cache)
     policy = std::make_shared<CachingFamilyPolicy>(families_, nullptr);
-
-  // Incremental replanning: look for the nearest cached donor and, when
-  // one shares weighted families, warm-start the search so unaffected
-  // families pin to their memoized outcomes. Skipped for cancellable
-  // requests — pinning changes which checkpoint ordinals carry work, and
-  // the anytime degradation contract assumes the cold order (non-complete
-  // results are never cached anyway, so there is nothing to save). The
-  // warm start needs the family cache: that is where donor outcomes live.
-  std::unique_ptr<FamilyCacheWarmStart> warm;
-  if (opts_.incremental && opts_.family_cache && !cancel.can_cancel()) {
-    // Pruning is deterministic and cheap next to the family search; the
-    // sketch decides whether a near-duplicate was planned before any
-    // search work starts.
-    const GraphSketch sketch = make_sketch(
-        *req.tg, pruning::prune_graph(*req.tg, req.opts.prune));
-    service_metrics().incr_attempts->add(1);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.incremental_attempts;
-    }
-    if (auto match = cache_.find_similar(key, sketch);
-        match && match->delta.warm_startable()) {
-      if (obs::TraceSession* s = obs::active_session())
-        s->instant("service.incremental", "service");
-      warm = std::make_unique<FamilyCacheWarmStart>(families_);
-    }
-  }
-
-  core::TapResult result =
-      req.sweep_mesh
-          ? core::auto_parallel_best_mesh(*req.tg, req.opts, policy,
-                                          std::move(cancel), warm.get())
-          : core::auto_parallel(*req.tg, req.opts, policy, std::move(cancel),
-                                warm.get());
-  if (warm != nullptr && result.provenance.families_pinned > 0) {
-    service_metrics().incr_hits->add(1);
-    service_metrics().incr_pinned->add(
-        static_cast<std::uint64_t>(result.provenance.families_pinned));
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.incremental_hits;
-    stats_.families_pinned +=
-        static_cast<std::uint64_t>(result.provenance.families_pinned);
-  }
-  return result;
+  return req.sweep_mesh
+             ? core::auto_parallel_best_mesh(*req.tg, req.opts, policy,
+                                             std::move(cancel))
+             : core::auto_parallel(*req.tg, req.opts, policy,
+                                   std::move(cancel));
 }
 
 core::TapResult PlannerService::fallback_result(const PlanRequest& req,
@@ -421,19 +351,12 @@ std::shared_future<core::TapResult> PlannerService::submit(
     const bool traced = obs::tracing_enabled();
     const double t_start_us = traced ? obs::steady_now_us() : 0.0;
     try {
-      core::TapResult result = run_search(task_req, key, cancel);
+      core::TapResult result = run_search(task_req, cancel);
       // Only COMPLETE plans enter the cache: an anytime plan reflects
       // where a particular deadline happened to land, and caching it
       // would serve that degraded plan to undeadlined requests forever.
-      // Incremental results ARE complete (pins are bit-identical to
-      // searches), so they cache under their own exact key — and their
-      // sketch makes them donors for the next near-duplicate.
-      if (result.provenance.complete()) {
+      if (result.provenance.complete())
         cache_.insert(key, record_of(result), *task_req.tg);
-        if (opts_.incremental)
-          cache_.record_sketch(key,
-                               make_sketch(*task_req.tg, result.pruning));
-      }
       {
         std::lock_guard<std::mutex> lock(mu_);
         inflight_.erase(key);

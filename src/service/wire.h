@@ -81,12 +81,9 @@ inline constexpr int kPlanResponseVersion = 1;
 ///            "overlappable_comm_s":..,"comm_bytes":..,"total_s":..},
 ///    "stats":{"candidate_plans":..,"valid_plans":..,
 ///             "nodes_visited":..,"cost_queries":..}}
-/// Incremental (warm-started) results spell "complete" here on purpose:
-/// families_pinned is serving metadata, and pinned outcomes are
-/// bit-identical to searched ones, so the response bytes for a key must
-/// not depend on whether a warm start happened to fire. The zoo-wide
-/// differential test (tests/test_delta.cpp) compares these bytes between
-/// incremental and cold searches.
+/// The bytes do not depend on which families the family cache answered:
+/// the zoo-wide differential test (tests/test_delta.cpp) compares them
+/// between a search through a warmed service and a cold search.
 std::string plan_response_json(const ir::TapGraph& tg, const PlanKey& key,
                                const core::TapResult& result);
 

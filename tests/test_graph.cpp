@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/check.h"
 
@@ -125,6 +128,42 @@ TEST(Graph, MutationInvalidatesConsumers) {
   (void)g.consumers(g.find("a"));
   g.add("e", OpKind::kRelu, {g.find("d")}, f32({4, 4}));
   EXPECT_EQ(g.consumers(g.find("d")).size(), 1u);
+}
+
+Graph ladder(int rungs) {
+  // A chain of diamonds: every node but the last has consumers.
+  Graph g("ladder");
+  NodeId prev = g.add("in", OpKind::kPlaceholder, {}, f32({4, 4}));
+  for (int i = 0; i < rungs; ++i) {
+    const std::string p = "r" + std::to_string(i) + "/";
+    NodeId b = g.add(p + "b", OpKind::kRelu, {prev}, f32({4, 4}));
+    NodeId c = g.add(p + "c", OpKind::kGelu, {prev}, f32({4, 4}));
+    prev = g.add(p + "d", OpKind::kAdd, {b, c}, f32({4, 4}));
+  }
+  return g;
+}
+
+TEST(Graph, ConcurrentConstReadsAreSafe) {
+  // The const accessors must not fill a cache on first use: threads that
+  // share a freshly built graph read it with no synchronization (a TSan
+  // build reports any write).
+  const Graph reference = ladder(64);
+  const std::vector<NodeId> want_order = reference.topo_order();
+  const std::vector<NodeId> want_leaves = reference.leaves();
+
+  const Graph g = ladder(64);
+  std::vector<char> ok(4, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < ok.size(); ++t) {
+    threads.emplace_back([&, t] {
+      bool same = g.topo_order() == want_order && g.leaves() == want_leaves;
+      for (NodeId id = 0; id < static_cast<NodeId>(g.num_nodes()); ++id)
+        same = same && g.consumers(id) == reference.consumers(id);
+      ok[t] = same ? 1 : 0;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (char v : ok) EXPECT_EQ(v, 1);
 }
 
 TEST(Graph, ToStringMentionsCounts) {
