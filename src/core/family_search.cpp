@@ -13,16 +13,7 @@ using sharding::ShardingPlan;
 
 namespace {
 
-/// Arena backing score() / evaluate_full_graph(). Deliberately distinct
-/// from cost::tls_cost_arena(): the policies keep a partially staged
-/// batch in the shared arena across stage() calls, and a stray score()
-/// call (baseline policies mix both) must not clobber it.
-cost::CostArena& score_arena() {
-  static thread_local cost::CostArena arena;
-  return arena;
-}
-
-/// Writes a candidate's member choices into `plan`. Staging reads only
+/// Writes a candidate's member choices into `plan`. Scoring reads only
 /// the members, so the other instances wait for apply_family_choice when
 /// the pass replays the winner: O(members) per candidate, not
 /// O(members x instances).
@@ -114,16 +105,25 @@ bool FamilySearchContext::stage(const ShardingPlan& plan,
                stats);
 }
 
-bool FamilySearchContext::score(const ShardingPlan& plan,
-                                const SubgraphFamily& family,
-                                FamilyScore* out, SearchStats* stats) const {
-  cost::CostArena& arena = score_arena();
-  arena.batch.reset();
-  std::int64_t wb = 0;
-  if (!stage(plan, family, &arena, &wb, stats)) return false;
-  cost::comm_cost_batch(arena.batch, opts_.cluster, arena.results);
-  out->comm = arena.results[0].total();
-  out->weight_bytes = wb;
+void FamilySearchContext::bind(const FamilyScope& scope,
+                               cost::FamilyCandidateEvaluator* eval) const {
+  eval->bind(tg_, table_, scope.routing(), scope.window(), opts_.cluster,
+             opts_.cost);
+}
+
+bool FamilySearchContext::evaluate(const ShardingPlan& plan,
+                                   const FamilyScope& scope,
+                                   cost::FamilyCandidateEvaluator* eval,
+                                   FamilyScore* out, SearchStats* stats) const {
+  // Counted as stage() counts: every member is visited once per
+  // candidate, however much of the route the evaluator reuses.
+  stats->nodes_visited +=
+      static_cast<std::int64_t>(scope.family().member_nodes.size());
+  cost::PlanCost cost;
+  if (!eval->evaluate(plan, &cost)) return false;
+  ++stats->cost_queries;
+  out->comm = cost.total();
+  out->weight_bytes = scope.weight_bytes(plan);
   return true;
 }
 
@@ -131,7 +131,7 @@ bool FamilySearchContext::evaluate_full_graph(const ShardingPlan& plan,
                                               double* cost,
                                               SearchStats* stats) const {
   stats->nodes_visited += static_cast<std::int64_t>(tg_.num_nodes());
-  cost::CostArena& arena = score_arena();
+  cost::CostArena& arena = cost::tls_cost_arena();
   sharding::route_plan_into(tg_, plan, &table_, &arena.routing,
                             &arena.routed);
   if (!arena.routed.valid) return false;
@@ -154,51 +154,25 @@ FamilySearchOutcome ExhaustivePolicy::search(
     const ShardingPlan& base, FamilyPlanEnumerator enumerator) const {
   FamilySearchOutcome out;
   const FamilyScope scope(ctx, family);
+  cost::FamilyCandidateEvaluator& eval = cost::tls_cost_arena().candidates;
+  ctx.bind(scope, &eval);
   ShardingPlan scratch = base;
-  cost::CostArena& arena = cost::tls_cost_arena();
-  arena.batch.reset();
-
-  // Candidates are staged into the batch in enumeration order and the
-  // winner is updated lane by lane at each flush, so the selected choice
-  // (ties break toward the earliest candidate, as better_than is strict)
-  // is identical to the old score-one-at-a-time loop. The lane slots
-  // keep their choice buffers across batches: no per-candidate allocation.
-  struct Staged {
-    std::vector<int> choice;
-    std::int64_t weight_bytes = 0;
-  };
-  Staged staged[cost::kCostBatchWidth];
+  // Ties break toward the earliest candidate in enumeration order, as
+  // better_than is strict.
   FamilyScore best;
-
-  auto flush = [&] {
-    if (arena.batch.empty()) return;
-    cost::comm_cost_batch(arena.batch, ctx.options().cluster, arena.results);
-    for (int l = 0; l < arena.batch.lanes(); ++l) {
-      FamilyScore s;
-      s.comm = arena.results[l].total();
-      s.weight_bytes = staged[l].weight_bytes;
-      if (!out.found || s.better_than(best)) {
-        out.found = true;
-        best = s;
-        out.choice = staged[l].choice;
-      }
-    }
-    arena.batch.reset();
-  };
-
   std::vector<int> choice;
   while (enumerator.next(&choice)) {
     ++out.stats.candidate_plans;
     set_member_choices(family, choice, &scratch);
-    std::int64_t wb = 0;
-    if (!ctx.stage(scratch, scope, &arena, &wb, &out.stats)) continue;
+    FamilyScore s;
+    if (!ctx.evaluate(scratch, scope, &eval, &s, &out.stats)) continue;
     ++out.stats.valid_plans;
-    Staged& slot = staged[arena.batch.lanes() - 1];
-    slot.choice = choice;
-    slot.weight_bytes = wb;
-    if (arena.batch.full()) flush();
+    if (!out.found || s.better_than(best)) {
+      out.found = true;
+      best = s;
+      out.choice = choice;
+    }
   }
-  flush();
   return out;
 }
 
@@ -207,47 +181,28 @@ FamilySearchOutcome GreedyPolicy::search(const FamilySearchContext& ctx,
                                          const ShardingPlan& base) const {
   FamilySearchOutcome out;
   const FamilyScope scope(ctx, family);
+  cost::FamilyCandidateEvaluator& eval = cost::tls_cost_arena().candidates;
+  ctx.bind(scope, &eval);
   ShardingPlan scratch = base;
-  cost::CostArena& arena = cost::tls_cost_arena();
-  arena.batch.reset();
   std::vector<int> choice(family.member_nodes.size(), 0);
-  std::pair<int, std::int64_t> staged[cost::kCostBatchWidth];  // (k, bytes)
   for (std::size_t j = 0; j < family.member_nodes.size(); ++j) {
     int best_k = 0;
     FamilyScore best_local;
     bool have_local = false;
-
-    auto flush = [&] {
-      if (arena.batch.empty()) return;
-      cost::comm_cost_batch(arena.batch, ctx.options().cluster,
-                            arena.results);
-      for (int l = 0; l < arena.batch.lanes(); ++l) {
-        FamilyScore s;
-        s.comm = arena.results[l].total();
-        s.weight_bytes = staged[l].second;
-        if (!have_local || s.better_than(best_local)) {
-          have_local = true;
-          best_local = s;
-          best_k = staged[l].first;
-        }
-      }
-      arena.batch.reset();
-    };
-
     const auto& pats = ctx.table().at(family.member_nodes[j]);
     for (std::size_t k = 0; k < pats.size(); ++k) {
       choice[j] = static_cast<int>(k);
       ++out.stats.candidate_plans;
       set_member_choices(family, choice, &scratch);
-      std::int64_t wb = 0;
-      if (!ctx.stage(scratch, scope, &arena, &wb, &out.stats)) continue;
+      FamilyScore s;
+      if (!ctx.evaluate(scratch, scope, &eval, &s, &out.stats)) continue;
       ++out.stats.valid_plans;
-      staged[arena.batch.lanes() - 1] = {static_cast<int>(k), wb};
-      if (arena.batch.full()) flush();
+      if (!have_local || s.better_than(best_local)) {
+        have_local = true;
+        best_local = s;
+        best_k = static_cast<int>(k);
+      }
     }
-    // The member's winner must be known before the next member's
-    // candidates build on it: drain the batch at each member boundary.
-    flush();
     choice[j] = best_k;
     out.found = out.found || have_local;
   }

@@ -36,13 +36,14 @@ struct FamilyScore {
 
 class FamilySearchContext;
 
-/// Everything staging a candidate of one family needs that does not
+/// Everything scoring a candidate of one family needs that does not
 /// depend on the candidate: the members' visit order and exit member,
 /// their backward-compute window terms, and each weighted member's weight
 /// bytes per pattern. A policy builds it once per family search — so a
-/// family-cache hit never builds one — and every stage() call reads it,
-/// which keeps a candidate at O(members) work with no sorting, no op_time
-/// calls and no allocation (Table 2's per-candidate cost).
+/// family-cache hit never builds one — and every evaluate() and stage()
+/// call reads it, which keeps a candidate at O(members) work with no
+/// sorting, no op_time calls and no allocation (Table 2's per-candidate
+/// cost).
 class FamilyScope {
  public:
   FamilyScope(const FamilySearchContext& ctx,
@@ -84,18 +85,26 @@ class FamilySearchContext {
   const TapOptions& options() const { return opts_; }
   const sharding::PatternTable& table() const { return table_; }
 
-  /// Steady-state subgraph score of `plan` restricted to `family`
-  /// (Algorithm 3 over the members only: route once with a replicated
-  /// boundary to learn the exit layout, then score with boundary = exit).
-  /// Returns false when the candidate does not route. Equivalent to
-  /// stage() + a one-lane comm_cost_batch flush, which is how it is
-  /// implemented (over a thread-local arena separate from
-  /// cost::tls_cost_arena, so calling score mid-batch is safe).
-  bool score(const sharding::ShardingPlan& plan,
-             const pruning::SubgraphFamily& family, FamilyScore* out,
-             SearchStats* stats) const;
+  /// Binds `eval` to the family of `scope` under this context's graph,
+  /// table, cluster and cost options: O(members).
+  void bind(const FamilyScope& scope,
+            cost::FamilyCandidateEvaluator* eval) const;
 
-  /// Batched scoring, phase 1: routes `plan` restricted to the scope's
+  /// Steady-state subgraph score of `plan` restricted to the family `eval`
+  /// was bound to (Algorithm 3 over the members only: route once with a
+  /// replicated boundary to learn the exit layout, then score with
+  /// boundary = exit). Returns false when the candidate does not route.
+  /// The validity, score and `stats` equal those of stage() followed by
+  /// comm_cost_batch, but the routes and the cost resume from the first
+  /// visited member whose choice changed since the evaluator's last
+  /// candidate (cost::FamilyCandidateEvaluator). Only the members'
+  /// choices in `plan` are read.
+  bool evaluate(const sharding::ShardingPlan& plan, const FamilyScope& scope,
+                cost::FamilyCandidateEvaluator* eval, FamilyScore* out,
+                SearchStats* stats) const;
+
+  /// Batched scoring (perfbench's cost probe; the policies call
+  /// evaluate()), phase 1: routes `plan` restricted to the scope's
   /// family (replicated-boundary probe, then the steady-state route, both
   /// through `arena`'s reusable buffers — no per-candidate vector churn)
   /// and stages the routed candidate as the next lane of `arena->batch`.

@@ -6,22 +6,11 @@
 #include <sstream>
 
 #include "util/check.h"
+#include "util/json.h"
 
 namespace tap::core {
 
 namespace {
-
-/// Escapes the characters our names can legally contain (they are
-/// '/'-separated identifiers, but be safe about quotes/backslashes).
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 /// Minimal recursive-descent parser for the subset we emit.
 class Parser {
@@ -44,12 +33,14 @@ class Parser {
     return false;
   }
 
+  /// A string body as util::json_escape writes it: \" \\ \b \f \n \r
+  /// \t, and \u00XX for the other control characters.
   std::string string_value() {
     expect('"');
     std::string out;
     while (pos_ < text_.size() && text_[pos_] != '"') {
       char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) c = text_[pos_++];
+      if (c == '\\' && pos_ < text_.size()) c = unescape(text_[pos_++]);
       out.push_back(c);
     }
     TAP_CHECK(pos_ < text_.size()) << "plan JSON: unterminated string";
@@ -93,6 +84,35 @@ class Parser {
   }
 
  private:
+  /// The character escape sequence `\<c>...` stands for (consuming a
+  /// \u escape's four hex digits).
+  char unescape(char c) {
+    switch (c) {
+      case 'b':
+        return '\b';
+      case 'f':
+        return '\f';
+      case 'n':
+        return '\n';
+      case 'r':
+        return '\r';
+      case 't':
+        return '\t';
+      case 'u': {
+        TAP_CHECK(pos_ + 4 <= text_.size()) << "plan JSON: short \\u escape";
+        const std::string hex = text_.substr(pos_, 4);
+        char* end = nullptr;
+        const long code = std::strtol(hex.c_str(), &end, 16);
+        TAP_CHECK(end == hex.c_str() + 4 && code >= 0 && code < 0x80)
+            << "plan JSON: unsupported escape \\u" << hex;
+        pos_ += 4;
+        return static_cast<char>(code);
+      }
+      default:  // '"', '\\', '/'
+        return c;
+    }
+  }
+
   void skip_ws() {
     while (pos_ < text_.size() &&
            std::isspace(static_cast<unsigned char>(text_[pos_])))
@@ -120,8 +140,8 @@ std::string plan_to_json(const ir::TapGraph& tg,
         << "plan has no valid pattern for '" << n.name << "'";
     if (!first) os << ",\n";
     first = false;
-    os << "    \"" << escape(n.name) << "\": \""
-       << escape(pats[static_cast<std::size_t>(c)].name) << "\"";
+    os << "    \"" << util::json_escape(n.name) << "\": \""
+       << util::json_escape(pats[static_cast<std::size_t>(c)].name) << "\"";
   }
   os << "\n  }\n}\n";
   return os.str();
@@ -221,7 +241,7 @@ std::string plan_record_to_json(const ir::TapGraph& tg,
      << ", " << record.stats.nodes_visited << ", "
      << record.stats.cost_queries << "],\n  \"timings\": [";
   for (std::size_t i = 0; i < record.timings.size(); ++i) {
-    os << (i ? ", " : "") << "[\"" << escape(record.timings[i].pass)
+    os << (i ? ", " : "") << "[\"" << util::json_escape(record.timings[i].pass)
        << "\", " << exact(record.timings[i].seconds) << "]";
   }
   os << "],\n  \"search_seconds\": " << exact(record.search_seconds)

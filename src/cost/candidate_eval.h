@@ -1,0 +1,79 @@
+// Incremental FamilySearch candidate costing (§4.4, Table 2's
+// per-candidate term).
+//
+// Algorithm 2 enumerates a family's candidates as a mixed-radix product,
+// so consecutive candidates share most of their member choices, and
+// Algorithm 3 visits the members in topological order, so the members
+// visited before the first changed choice route to the same layouts and
+// collectives as last time. FamilyCandidateEvaluator keeps the routes of
+// the previous candidates (sharding::RouteCursor) and the partial sums of
+// their costs (CommCostPrefix), and redoes only the part past the first
+// change. The result is the same as routing and costing every candidate
+// from scratch, bit for bit.
+#pragma once
+
+#include <vector>
+
+#include "cost/cost_model.h"
+#include "sharding/routing.h"
+
+namespace tap::cost {
+
+/// Scores the candidates of one family search the way
+/// core::FamilySearchContext::stage and comm_cost_batch do:
+///   1. a probe route with a replicated boundary, to learn the exit
+///      layout the subgraph hands downstream;
+///   2. the steady-state route with that exit layout as the boundary (the
+///      probe itself when the exit layout is replicated);
+///   3. comm_cost of the steady-state route, its overlap window from the
+///      family's backward-window terms.
+/// The probe and each exit layout's steady-state route have their own
+/// cursor and cost prefix, so a candidate whose exit layout alternates
+/// with the previous one's still resumes from that layout's last route.
+/// Allocation-free once the capacities have grown; binding to a family
+/// costs O(members).
+class FamilyCandidateEvaluator {
+ public:
+  /// Binds to one family search. Every argument must outlive the
+  /// candidates evaluated under this binding.
+  void bind(const ir::TapGraph& tg, const sharding::PatternTable& table,
+            const sharding::SubgraphScope& scope,
+            const BackwardWindowTerms& window, const ClusterSpec& cluster,
+            const CostOptions& opts);
+
+  /// Routes and costs `plan`'s member choices. Returns false when the
+  /// probe or the steady-state route fails; otherwise `*cost` is
+  /// bit-identical to comm_cost of a fresh steady-state route.
+  bool evaluate(const sharding::ShardingPlan& plan, PlanCost* cost);
+
+  /// The steady-state route of the last evaluate() that returned true.
+  const sharding::RoutedPlan& routed() const;
+
+ private:
+  struct Lane {
+    sharding::RouteCursor route;
+    CommCostPrefix cost;
+  };
+
+  /// Routes `plan` through `lane`; false when the route fails.
+  static bool route(Lane& lane, const sharding::ShardingPlan& plan);
+  /// The steady-state lane of exit layout `exit`, bound on first use.
+  Lane& steady_lane(const sharding::ShardSpec& exit);
+
+  const ir::TapGraph* tg_ = nullptr;
+  const sharding::PatternTable* table_ = nullptr;
+  const sharding::SubgraphScope* scope_ = nullptr;
+  const BackwardWindowTerms* window_ = nullptr;
+  const ClusterSpec* cluster_ = nullptr;
+  CostOptions opts_;
+  Lane probe_;
+  /// Steady-state lanes of the non-replicated exit layouts seen since
+  /// bind(); the first `steady_bound_` are bound, the rest keep capacity.
+  std::vector<Lane> steady_;
+  std::size_t steady_bound_ = 0;
+  /// The lane routed() reads: -1 for the probe, else a steady_
+  /// index (an index, as steady_ may grow); -2 before any.
+  std::ptrdiff_t last_ = -2;
+};
+
+}  // namespace tap::cost

@@ -1,6 +1,8 @@
-// Batched candidate costing (ISSUE 6): the planner's hottest loop —
-// cost::comm_cost over thousands of routed candidates per family and per
-// (dp, tp) mesh point — rewritten as a structure-of-arrays pipeline.
+// Batched candidate costing: cost::comm_cost over many routed
+// candidates at once, as a structure-of-arrays pipeline.
+// FamilySearchContext::stage fills it; the planner's own family search
+// no longer does, as it costs candidates incrementally with
+// FamilyCandidateEvaluator (cost/candidate_eval.h).
 //
 // A CommEventBatch collects the comm events of up to kCostBatchWidth
 // routed candidates into parallel arrays (bytes, group, efficiency,
@@ -13,15 +15,15 @@
 // each candidate's accumulation order — and therefore every plan byte,
 // cache key, and report — is unchanged.
 //
-// CostArena is the per-thread scratch that makes the fill allocation-free
-// in steady state: reusable routing buffers (probe + exit-spec route, the
-// satellite fix for FamilySearchContext::score's per-candidate vector
-// churn) plus the batch and its result slots. Policies obtain one via
-// tls_cost_arena().
+// CostArena is the per-thread scratch that makes candidate evaluation
+// allocation-free in steady state: the incremental evaluator, reusable
+// routing buffers (probe + exit-spec route) and the batch with its result
+// slots. Policies obtain one via tls_cost_arena().
 #pragma once
 
 #include <optional>
 
+#include "cost/candidate_eval.h"
 #include "cost/comm_kernel.h"
 #include "cost/cost_model.h"
 #include "sharding/routing.h"
@@ -109,10 +111,11 @@ void comm_cost_batch_with(CostKernel kernel, const CommEventBatch& batch,
                           const ClusterSpec& cluster,
                           PlanCost out[kCostBatchWidth]);
 
-/// Per-thread scratch for batched candidate evaluation: the routing
-/// buffers score/stage reuse across candidates (no RoutedPlan vector
-/// churn) plus the event batch and its result slots.
+/// Per-thread scratch for candidate evaluation: the FamilySearch
+/// policies' incremental evaluator, plus the routing buffers and event
+/// batch FamilySearchContext::stage fills (no RoutedPlan vector churn).
 struct CostArena {
+  FamilyCandidateEvaluator candidates;
   sharding::RoutingScratch routing;
   sharding::RoutedPlan probe;   ///< replicated-boundary probe route
   sharding::RoutedPlan routed;  ///< steady-state (exit-spec) route

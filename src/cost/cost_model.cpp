@@ -42,6 +42,36 @@ void CommLedger::per_node(std::size_t num_nodes,
   }
 }
 
+double comm_event_time(const CommEvent& e, int num_shards,
+                       const ClusterSpec& cluster) {
+  const int group = e.group > 0 ? e.group : num_shards;
+  return collective_time(e.kind, e.bytes, group, cluster, e.cross_node) *
+         e.count;
+}
+
+namespace {
+
+/// Adds one event's time `t` to the accumulator of its class.
+void add_event(const CommEvent& e, double t, PlanCost* cost) {
+  cost->comm_bytes += e.bytes * e.count;
+  if (e.overlappable) {
+    cost->overlappable_comm_s += t;
+  } else if (e.phase == CommEvent::Phase::kForward) {
+    cost->forward_comm_s += t;
+  } else {
+    cost->backward_comm_s += t;
+  }
+}
+
+/// The overlappable time left exposed under `opts`.
+double exposed_overlap(double overlappable_s, const CostOptions& opts) {
+  if (opts.overlap_window_s >= 0.0)
+    return std::max(0.0, overlappable_s - opts.overlap_window_s);
+  return overlappable_s * opts.exposed_overlap_fraction;
+}
+
+}  // namespace
+
 PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
                    const ClusterSpec& cluster, const CostOptions& opts,
                    CommLedger* ledger) {
@@ -52,18 +82,8 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
     ledger->entries.reserve(routed.comms.size());
   }
   for (const CommEvent& e : routed.comms) {
-    const int group = e.group > 0 ? e.group : num_shards;
-    const double t =
-        collective_time(e.kind, e.bytes, group, cluster, e.cross_node) *
-        e.count;
-    cost.comm_bytes += e.bytes * e.count;
-    if (e.overlappable) {
-      cost.overlappable_comm_s += t;
-    } else if (e.phase == CommEvent::Phase::kForward) {
-      cost.forward_comm_s += t;
-    } else {
-      cost.backward_comm_s += t;
-    }
+    const double t = comm_event_time(e, num_shards, cluster);
+    add_event(e, t, &cost);
     if (ledger != nullptr) {
       CommLedgerEntry le;
       le.node = e.node;
@@ -72,7 +92,7 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
       le.overlappable = e.overlappable;
       le.cross_node = e.cross_node;
       le.count = e.count;
-      le.group = group;
+      le.group = e.group > 0 ? e.group : num_shards;
       le.bytes = e.bytes * e.count;
       le.seconds = t;
       // Overlappable entries get their share of the discount below.
@@ -80,23 +100,38 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
       ledger->entries.push_back(std::move(le));
     }
   }
-  double exposed_overlap;
-  if (opts.overlap_window_s >= 0.0) {
-    exposed_overlap =
-        std::max(0.0, cost.overlappable_comm_s - opts.overlap_window_s);
-  } else {
-    exposed_overlap =
-        cost.overlappable_comm_s * opts.exposed_overlap_fraction;
-  }
-  cost.backward_comm_s += exposed_overlap;
+  const double exposed = exposed_overlap(cost.overlappable_comm_s, opts);
+  cost.backward_comm_s += exposed;
   if (ledger != nullptr) {
     const double frac = cost.overlappable_comm_s > 0.0
-                            ? exposed_overlap / cost.overlappable_comm_s
+                            ? exposed / cost.overlappable_comm_s
                             : 0.0;
     ledger->exposed_fraction = frac;
     for (CommLedgerEntry& le : ledger->entries)
       if (le.overlappable) le.exposed_seconds = le.seconds * frac;
   }
+  return cost;
+}
+
+void CommCostPrefix::truncate(std::size_t events) {
+  kept_ = std::min(kept_, events);
+}
+
+PlanCost CommCostPrefix::cost(const sharding::RoutedPlan& routed,
+                              int num_shards, const ClusterSpec& cluster,
+                              const CostOptions& opts) {
+  TAP_CHECK(routed.valid) << "cannot cost an invalid plan: " << routed.error;
+  const std::size_t n = routed.comms.size();
+  kept_ = std::min(kept_, n);
+  if (sums_.size() < n + 1) sums_.resize(n + 1);
+  for (std::size_t i = kept_; i < n; ++i) {
+    const CommEvent& e = routed.comms[i];
+    sums_[i + 1] = sums_[i];
+    add_event(e, comm_event_time(e, num_shards, cluster), &sums_[i + 1]);
+  }
+  kept_ = n;
+  PlanCost cost = sums_[n];
+  cost.backward_comm_s += exposed_overlap(cost.overlappable_comm_s, opts);
   return cost;
 }
 

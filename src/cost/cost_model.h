@@ -97,6 +97,34 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
                    const ClusterSpec& cluster, const CostOptions& opts = {},
                    CommLedger* ledger = nullptr);
 
+/// Busy time of one routed collective, count included: the per-event
+/// term comm_cost sums. A group of 0 means the plan's `num_shards`.
+double comm_event_time(const sharding::CommEvent& e, int num_shards,
+                       const ClusterSpec& cluster);
+
+/// comm_cost for a sequence of routes that share a prefix of events (a
+/// sharding::RouteCursor's). Keeps the (forward, backward, overlappable,
+/// bytes) partial sums after each event, so a route that changed only
+/// past event k costs only its events from k on. They are added in
+/// comm_cost's order from the same partial sums, so the doubles are
+/// bit-identical to comm_cost's.
+class CommCostPrefix {
+ public:
+  /// Forgets the sums past the first `events` events: the route changed
+  /// there (RouteCursor::resumed_comms); truncate(0) forgets all of them.
+  void truncate(std::size_t events);
+
+  /// == comm_cost(routed, num_shards, cluster, opts) when every event
+  /// kept since the last truncate(0) is unchanged in `routed`, and
+  /// `num_shards` and `cluster` are those of the earlier calls.
+  PlanCost cost(const sharding::RoutedPlan& routed, int num_shards,
+                const ClusterSpec& cluster, const CostOptions& opts);
+
+ private:
+  std::vector<PlanCost> sums_{1};  ///< sums_[i]: after the first i events
+  std::size_t kept_ = 0;           ///< events whose sums are current
+};
+
 /// Backward-pass compute time of the clusters in `members` (nullptr = the
 /// whole graph) under the routed plan's sharding — the overlap window fed
 /// into CostOptions::overlap_window_s.

@@ -14,6 +14,43 @@ using ir::GraphNode;
 using ir::GraphNodeId;
 using ir::TapGraph;
 
+/// Undoes the scratch writes past the first `igrad` igrad and
+/// `materialized` materialized log entries, newest first.
+void rollback_scratch(RoutingScratch& scratch, std::size_t igrad,
+                      std::size_t materialized) {
+  std::vector<GraphNodeId>& igrad_log = scratch.igrad_touched;
+  for (; igrad_log.size() > igrad; igrad_log.pop_back())
+    scratch.igrad_emitted[static_cast<std::size_t>(igrad_log.back())] = 0;
+  std::vector<GraphNodeId>& layout_log = scratch.materialized_touched;
+  for (; layout_log.size() > materialized; layout_log.pop_back()) {
+    const auto producer = static_cast<std::size_t>(layout_log.back());
+    scratch.materialized[producer].pop_back();
+  }
+}
+
+/// Resets what a route over `scope` (nullptr = the whole graph) reads:
+/// the routed events, the scratch logs, and the output layouts and
+/// patterns. A subgraph route into buffers already sized for this graph
+/// resets only the scope's entries (route_subgraph_into docs):
+/// O(members), not O(V).
+void reset_route(std::size_t num_nodes, const SubgraphScope* scope,
+                 const ShardSpec& boundary, RoutingScratch& scratch,
+                 RoutedPlan& out) {
+  out.comms.clear();
+  out.edge_conversions.clear();
+  rollback_scratch(scratch, 0, 0);
+  if (scope != nullptr && out.output_spec.size() == num_nodes &&
+      out.pattern_index.size() == num_nodes) {
+    for (GraphNodeId id : scope->reads)
+      out.output_spec[static_cast<std::size_t>(id)] = boundary;
+    for (GraphNodeId id : scope->order)
+      out.pattern_index[static_cast<std::size_t>(id)] = 0;
+  } else {
+    out.output_spec.assign(num_nodes, boundary);
+    out.pattern_index.assign(num_nodes, 0);
+  }
+}
+
 struct Router {
   const TapGraph& tg;
   const ShardingPlan& plan;
@@ -116,8 +153,8 @@ struct Router {
       for (const ShardSpec& ready : layouts) {
         if (ready.same_layout(want, rank)) return true;  // already paid
       }
-      if (layouts.empty()) scratch.materialized_touched.push_back(producer);
       layouts.push_back(want);
+      scratch.materialized_touched.push_back(producer);
     }
     if (want.is_replicate()) {
       emit_reshard(Collective::kAllGather, Collective::kReduceScatter,
@@ -131,205 +168,182 @@ struct Router {
     return true;
   }
 
-  bool run() {
-    const int parts = plan.num_shards;
-    const std::size_t num_nodes = tg.num_nodes();
+  /// A whole route: resets the outputs and the scratch this route reads,
+  /// then steps through `order`.
+  void run(const std::vector<GraphNodeId>& order) {
+    TAP_CHECK_EQ(plan.choice.size(), tg.num_nodes());
     out.valid = false;
     out.error.clear();
     out.num_shards = plan.num_shards;
     out.dp_replicas = plan.dp_replicas;
     out.pattern_dp_replicas = table != nullptr ? table->dp_replicas() : 1;
-    out.comms.clear();
-    out.edge_conversions.clear();
-    TAP_CHECK_EQ(plan.choice.size(), num_nodes);
-    // A subgraph route into buffers already sized for this graph resets
-    // only what it reads (route_subgraph_into docs): O(members), not O(V).
-    if (scope != nullptr && out.output_spec.size() == num_nodes &&
-        out.pattern_index.size() == num_nodes) {
-      for (GraphNodeId id : scope->reads)
-        out.output_spec[static_cast<std::size_t>(id)] = boundary;
-      for (GraphNodeId id : scope->order)
-        out.pattern_index[static_cast<std::size_t>(id)] = 0;
-    } else {
-      out.output_spec.assign(num_nodes, boundary);
-      out.pattern_index.assign(num_nodes, 0);
-    }
-
-    // Reset reused scratch in O(entries the previous route touched).
-    for (GraphNodeId id : scratch.igrad_touched)
-      scratch.igrad_emitted[static_cast<std::size_t>(id)] = 0;
-    scratch.igrad_touched.clear();
-    for (GraphNodeId id : scratch.materialized_touched)
-      scratch.materialized[static_cast<std::size_t>(id)].clear();
-    scratch.materialized_touched.clear();
-
-    // Visit order: the whole graph topologically, or just the subgraph
-    // members in the scope's precomputed topological order — candidate
-    // evaluation must cost O(members), not O(V) (Table 2).
-    const std::vector<GraphNodeId>& order =
-        scope == nullptr ? tg.cached_topo_order() : scope->order;
-
-    // Algorithm 3 walks the DAG from roots to leaves; a topological order
-    // visits each node exactly once with all producers resolved.
-    for (GraphNodeId id : order) {
-      const GraphNode& n = tg.node(id);
-      const std::vector<ShardingPattern>& pats =
-          table != nullptr ? table->at(id) : scratch.patterns =
-                                                 patterns_for(tg, id, parts);
-      int c = plan.choice[static_cast<std::size_t>(id)];
-      if (c < 0 || c >= static_cast<int>(pats.size())) {
-        return fail(n, {"no sharding pattern with index ", std::to_string(c)});
-      }
-      const ShardingPattern& pat = pats[static_cast<std::size_t>(c)];
-      out.pattern_index[static_cast<std::size_t>(id)] = c;
-
-      // Incoming layout from the primary producer (roots see replicated
-      // feeds).
-      ShardSpec incoming = ShardSpec::replicate();
-      const TensorSpec* in_tensor = nullptr;
-      if (!n.inputs.empty()) {
-        GraphNodeId p = n.inputs.front();
-        incoming = out.output_spec[static_cast<std::size_t>(p)];
-        in_tensor = &tg.node(p).output;
-      }
-
-      // Effective input layout after honoring the pattern's requirement.
-      ShardSpec effective = incoming;
-      if (pat.input.has_value() && in_tensor != nullptr) {
-        if (!convert(n, *in_tensor, incoming, *pat.input, n.inputs.front()))
-          return false;
-        effective = *pat.input;
-      }
-      // Ops that reduce over the last axis cannot consume a last-axis
-      // split; gather it back.
-      if (!pat.input.has_value() && in_tensor != nullptr &&
-          effective.is_split() &&
-          rejects_last_axis_split(n.primary_kind) &&
-          effective.resolved_axis(in_tensor->shape.rank()) ==
-              in_tensor->shape.rank() - 1) {
-        if (!convert(n, *in_tensor, effective, ShardSpec::replicate(),
-                     n.inputs.front()))
-          return false;
-        effective = ShardSpec::replicate();
-      }
-      // Secondary inputs must arrive in the same layout (residual adds,
-      // attention memories); convert them.
-      for (std::size_t i = 1; i < n.inputs.size(); ++i) {
-        GraphNodeId p = n.inputs[i];
-        const TensorSpec& t = tg.node(p).output;
-        ShardSpec have = out.output_spec[static_cast<std::size_t>(p)];
-        // Only meaningful when shapes are compatible; smaller side tensors
-        // (labels, router probs) just need *a* consistent layout — treat
-        // mismatched ranks as replicated requirements.
-        ShardSpec want = effective;
-        if (t.shape.rank() != (in_tensor ? in_tensor->shape.rank() : 0))
-          want = ShardSpec::replicate();
-        if (!convert(n, t, have, want, p)) return false;
-      }
-
-      // Output layout.
-      ShardSpec produced = pat.output.has_value() ? *pat.output : effective;
-      if (produced.is_split()) {
-        if (n.output.shape.rank() == 0) {
-          produced = ShardSpec::replicate();  // scalar losses collapse
-        } else if (!produced.fits(n.output.shape, parts)) {
-          return fail(n, {"output ", n.output.shape.to_string(),
-                          " not divisible under ", produced.to_string()});
-        }
-      }
-      out.output_spec[static_cast<std::size_t>(id)] = produced;
-
-      // Pattern collectives.
-      if (pat.forward_comm != Collective::kNone) {
-        emit(pat.forward_comm, act_bytes(n.output.size_bytes()),
-             pat.forward_comm_count, CommEvent::Phase::kForward, false, id,
-             CommReason::kPattern);
-        if (pat.forward_comm == Collective::kAllToAll) {
-          // Expert dispatch/combine repeats on the gradient path.
-          emit(pat.forward_comm, act_bytes(n.output.size_bytes()),
-               pat.forward_comm_count, CommEvent::Phase::kBackward, false,
-               id, CommReason::kPatternGrad);
-        }
-      }
-      if (n.has_weight()) {
-        const Graph& g = *tg.source();
-        const int dp = std::max(1, plan.dp_replicas);
-        // A replicated weight needs its gradients synchronized across
-        // every device that saw *different data*: always the dp replicas,
-        // plus the tp group whenever the activation stream is split within
-        // it (batch-split dp pattern or any sharded layout flowing
-        // through). A weight computed from fully replicated data yields
-        // identical gradients — no communication.
-        const bool data_diverges_in_tp =
-            pat.name == "dp" || effective.is_split() ||
-            (pat.output.has_value() && pat.output->is_split());
-        const int replicated_group =
-            data_diverges_in_tp ? dp * plan.num_shards : dp;
-        if (pat.replicates_weight()) {
-          // Every weight in the cluster stays replicated: one gradient
-          // AllReduce over all of them; overlappable with backward compute
-          // and foldable by gradient packing (§4.6).
-          std::int64_t wbytes = 0;
-          for (NodeId wid : n.weight_ops) {
-            const Node& w = g.node(wid);
-            if (w.trainable) wbytes += w.weight->size_bytes();
-          }
-          emit(Collective::kAllReduce, wbytes, 1, CommEvent::Phase::kBackward,
-               true, id, CommReason::kWeightGrad, ir::kInvalidGraphNode,
-               replicated_group, /*cross_node=*/dp > 1);
-        } else {
-          // Primary weight is split (its gradients stay local); secondary
-          // weights (norm gains, biases inside the cluster) remain
-          // replicated and still need their gradient AllReduce.
-          const Node* primary = nullptr;
-          for (NodeId wid : n.weight_ops) {
-            const Node& w = g.node(wid);
-            if (!primary || w.weight_params() > primary->weight_params())
-              primary = &w;
-          }
-          std::int64_t wbytes = 0;
-          std::int64_t primary_bytes = 0;
-          for (NodeId wid : n.weight_ops) {
-            const Node& w = g.node(wid);
-            if (&w == primary) {
-              if (w.trainable) primary_bytes = w.weight->size_bytes();
-            } else if (w.trainable) {
-              wbytes += w.weight->size_bytes();
-            }
-          }
-          emit(Collective::kAllReduce, wbytes, 1,
-               CommEvent::Phase::kBackward, true, id,
-               CommReason::kSecondaryWeightGrad,
-               ir::kInvalidGraphNode, replicated_group,
-               /*cross_node=*/dp > 1);
-          if (dp > 1 && primary_bytes > 0) {
-            // The tp-sharded primary weight still synchronizes its local
-            // shard across the dp replicas.
-            emit(Collective::kAllReduce, primary_bytes / plan.num_shards, 1,
-                 CommEvent::Phase::kBackward, true, id,
-                 CommReason::kShardWeightGrad, ir::kInvalidGraphNode, dp,
-                 /*cross_node=*/true);
-          }
-        }
-        if (pat.backward_subject == BwdSubject::kInputGrad &&
-            pat.backward_comm != Collective::kNone && in_tensor != nullptr) {
-          // Partial input gradients block the backward chain. One
-          // AllReduce per producer tensor, shared by all split consumers.
-          const std::size_t p =
-              static_cast<std::size_t>(n.inputs.front());
-          if (scratch.igrad_emitted.size() < num_nodes)
-            scratch.igrad_emitted.resize(num_nodes, 0);
-          if (!scratch.igrad_emitted[p]) {
-            scratch.igrad_emitted[p] = 1;
-            scratch.igrad_touched.push_back(n.inputs.front());
-            emit(pat.backward_comm, act_bytes(in_tensor->size_bytes()), 1,
-                 CommEvent::Phase::kBackward, false, id,
-                 CommReason::kInputGrad, n.inputs.front());
-          }
-        }
-      }
-    }
+    reset_route(tg.num_nodes(), scope, boundary, scratch, out);
+    for (GraphNodeId id : order)
+      if (!step(id)) return;
     out.valid = true;
+  }
+
+  /// Routes node `id` (Algorithm 3's visit of one node) given its
+  /// producers' layouts. Returns false, with out.error set, when the
+  /// node's pattern cannot be honored.
+  bool step(GraphNodeId id) {
+    const int parts = plan.num_shards;
+    const GraphNode& n = tg.node(id);
+    const std::vector<ShardingPattern>& pats =
+        table != nullptr ? table->at(id) : scratch.patterns =
+                                               patterns_for(tg, id, parts);
+    int c = plan.choice[static_cast<std::size_t>(id)];
+    if (c < 0 || c >= static_cast<int>(pats.size())) {
+      return fail(n, {"no sharding pattern with index ", std::to_string(c)});
+    }
+    const ShardingPattern& pat = pats[static_cast<std::size_t>(c)];
+    out.pattern_index[static_cast<std::size_t>(id)] = c;
+
+    // Incoming layout from the primary producer (roots see replicated
+    // feeds).
+    ShardSpec incoming = ShardSpec::replicate();
+    const TensorSpec* in_tensor = nullptr;
+    if (!n.inputs.empty()) {
+      GraphNodeId p = n.inputs.front();
+      incoming = out.output_spec[static_cast<std::size_t>(p)];
+      in_tensor = &tg.node(p).output;
+    }
+
+    // Effective input layout after honoring the pattern's requirement.
+    ShardSpec effective = incoming;
+    if (pat.input.has_value() && in_tensor != nullptr) {
+      if (!convert(n, *in_tensor, incoming, *pat.input, n.inputs.front()))
+        return false;
+      effective = *pat.input;
+    }
+    // Ops that reduce over the last axis cannot consume a last-axis
+    // split; gather it back.
+    if (!pat.input.has_value() && in_tensor != nullptr &&
+        effective.is_split() &&
+        rejects_last_axis_split(n.primary_kind) &&
+        effective.resolved_axis(in_tensor->shape.rank()) ==
+            in_tensor->shape.rank() - 1) {
+      if (!convert(n, *in_tensor, effective, ShardSpec::replicate(),
+                   n.inputs.front()))
+        return false;
+      effective = ShardSpec::replicate();
+    }
+    // Secondary inputs must arrive in the same layout (residual adds,
+    // attention memories); convert them.
+    for (std::size_t i = 1; i < n.inputs.size(); ++i) {
+      GraphNodeId p = n.inputs[i];
+      const TensorSpec& t = tg.node(p).output;
+      ShardSpec have = out.output_spec[static_cast<std::size_t>(p)];
+      // Only meaningful when shapes are compatible; smaller side tensors
+      // (labels, router probs) just need *a* consistent layout — treat
+      // mismatched ranks as replicated requirements.
+      ShardSpec want = effective;
+      if (t.shape.rank() != (in_tensor ? in_tensor->shape.rank() : 0))
+        want = ShardSpec::replicate();
+      if (!convert(n, t, have, want, p)) return false;
+    }
+
+    // Output layout.
+    ShardSpec produced = pat.output.has_value() ? *pat.output : effective;
+    if (produced.is_split()) {
+      if (n.output.shape.rank() == 0) {
+        produced = ShardSpec::replicate();  // scalar losses collapse
+      } else if (!produced.fits(n.output.shape, parts)) {
+        return fail(n, {"output ", n.output.shape.to_string(),
+                        " not divisible under ", produced.to_string()});
+      }
+    }
+    out.output_spec[static_cast<std::size_t>(id)] = produced;
+
+    // Pattern collectives.
+    if (pat.forward_comm != Collective::kNone) {
+      emit(pat.forward_comm, act_bytes(n.output.size_bytes()),
+           pat.forward_comm_count, CommEvent::Phase::kForward, false, id,
+           CommReason::kPattern);
+      if (pat.forward_comm == Collective::kAllToAll) {
+        // Expert dispatch/combine repeats on the gradient path.
+        emit(pat.forward_comm, act_bytes(n.output.size_bytes()),
+             pat.forward_comm_count, CommEvent::Phase::kBackward, false,
+             id, CommReason::kPatternGrad);
+      }
+    }
+    if (n.has_weight()) {
+      const Graph& g = *tg.source();
+      const int dp = std::max(1, plan.dp_replicas);
+      // A replicated weight needs its gradients synchronized across
+      // every device that saw *different data*: always the dp replicas,
+      // plus the tp group whenever the activation stream is split within
+      // it (batch-split dp pattern or any sharded layout flowing
+      // through). A weight computed from fully replicated data yields
+      // identical gradients — no communication.
+      const bool data_diverges_in_tp =
+          pat.name == "dp" || effective.is_split() ||
+          (pat.output.has_value() && pat.output->is_split());
+      const int replicated_group =
+          data_diverges_in_tp ? dp * plan.num_shards : dp;
+      if (pat.replicates_weight()) {
+        // Every weight in the cluster stays replicated: one gradient
+        // AllReduce over all of them; overlappable with backward compute
+        // and foldable by gradient packing (§4.6).
+        std::int64_t wbytes = 0;
+        for (NodeId wid : n.weight_ops) {
+          const Node& w = g.node(wid);
+          if (w.trainable) wbytes += w.weight->size_bytes();
+        }
+        emit(Collective::kAllReduce, wbytes, 1, CommEvent::Phase::kBackward,
+             true, id, CommReason::kWeightGrad, ir::kInvalidGraphNode,
+             replicated_group, /*cross_node=*/dp > 1);
+      } else {
+        // Primary weight is split (its gradients stay local); secondary
+        // weights (norm gains, biases inside the cluster) remain
+        // replicated and still need their gradient AllReduce.
+        const Node* primary = nullptr;
+        for (NodeId wid : n.weight_ops) {
+          const Node& w = g.node(wid);
+          if (!primary || w.weight_params() > primary->weight_params())
+            primary = &w;
+        }
+        std::int64_t wbytes = 0;
+        std::int64_t primary_bytes = 0;
+        for (NodeId wid : n.weight_ops) {
+          const Node& w = g.node(wid);
+          if (&w == primary) {
+            if (w.trainable) primary_bytes = w.weight->size_bytes();
+          } else if (w.trainable) {
+            wbytes += w.weight->size_bytes();
+          }
+        }
+        emit(Collective::kAllReduce, wbytes, 1,
+             CommEvent::Phase::kBackward, true, id,
+             CommReason::kSecondaryWeightGrad,
+             ir::kInvalidGraphNode, replicated_group,
+             /*cross_node=*/dp > 1);
+        if (dp > 1 && primary_bytes > 0) {
+          // The tp-sharded primary weight still synchronizes its local
+          // shard across the dp replicas.
+          emit(Collective::kAllReduce, primary_bytes / plan.num_shards, 1,
+               CommEvent::Phase::kBackward, true, id,
+               CommReason::kShardWeightGrad, ir::kInvalidGraphNode, dp,
+               /*cross_node=*/true);
+        }
+      }
+      if (pat.backward_subject == BwdSubject::kInputGrad &&
+          pat.backward_comm != Collective::kNone && in_tensor != nullptr) {
+        // Partial input gradients block the backward chain. One
+        // AllReduce per producer tensor, shared by all split consumers.
+        const std::size_t p =
+            static_cast<std::size_t>(n.inputs.front());
+        if (scratch.igrad_emitted.size() < tg.num_nodes())
+          scratch.igrad_emitted.resize(tg.num_nodes(), 0);
+        if (!scratch.igrad_emitted[p]) {
+          scratch.igrad_emitted[p] = 1;
+          scratch.igrad_touched.push_back(n.inputs.front());
+          emit(pat.backward_comm, act_bytes(in_tensor->size_bytes()), 1,
+               CommEvent::Phase::kBackward, false, id,
+               CommReason::kInputGrad, n.inputs.front());
+        }
+      }
+    }
     return true;
   }
 };
@@ -388,7 +402,7 @@ void route_subgraph_into(const ir::TapGraph& tg, const ShardingPlan& plan,
                          RoutingScratch* scratch, RoutedPlan* out) {
   TAP_CHECK(scratch != nullptr && out != nullptr);
   Router r{tg, plan, &scope, boundary, table, *scratch, *out};
-  r.run();
+  r.run(scope.order);
 }
 
 void route_plan_into(const ir::TapGraph& tg, const ShardingPlan& plan,
@@ -396,7 +410,71 @@ void route_plan_into(const ir::TapGraph& tg, const ShardingPlan& plan,
                      RoutedPlan* out) {
   TAP_CHECK(scratch != nullptr && out != nullptr);
   Router r{tg, plan, nullptr, ShardSpec::replicate(), table, *scratch, *out};
-  r.run();
+  // Algorithm 3 walks the DAG from roots to leaves; a topological order
+  // visits each node exactly once with all producers resolved.
+  r.run(tg.cached_topo_order());
+}
+
+void RouteCursor::bind(const ir::TapGraph& tg, const SubgraphScope& scope,
+                       const ShardSpec& boundary, const PatternTable& table) {
+  tg_ = &tg;
+  scope_ = &scope;
+  table_ = &table;
+  boundary_ = boundary;
+  reset_route(tg.num_nodes(), &scope, boundary, scratch_, out_);
+  out_.valid = false;
+  out_.error.clear();
+  out_.num_shards = 0;  // no route yet: the first one starts at position 0
+  out_.pattern_dp_replicas = table.dp_replicas();
+  choice_.resize(scope.order.size());
+  checkpoints_.resize(scope.order.size() + 1);
+  checkpoints_[0] = Checkpoint{};
+  routed_ = 0;
+  resumed_comms_ = 0;
+}
+
+const RoutedPlan& RouteCursor::route(const ShardingPlan& plan) {
+  TAP_CHECK(scope_ != nullptr) << "RouteCursor::route before bind";
+  TAP_CHECK_EQ(plan.choice.size(), tg_->num_nodes());
+  const std::vector<GraphNodeId>& order = scope_->order;
+  std::size_t k = 0;
+  if (plan.num_shards == out_.num_shards &&
+      plan.dp_replicas == out_.dp_replicas) {
+    while (k < routed_ && choice_[k] == choice_at(plan, k)) ++k;
+  }
+  out_.num_shards = plan.num_shards;
+  out_.dp_replicas = plan.dp_replicas;
+  if (k == order.size()) {  // same choices as the last, complete route
+    resumed_comms_ = out_.comms.size();
+    out_.valid = true;
+    return out_;
+  }
+  // Roll back to the state before position k was routed: the logs are
+  // append-only, so truncating them undoes positions k and later.
+  const Checkpoint& c = checkpoints_[k];
+  out_.comms.resize(c.comms);
+  out_.edge_conversions.resize(c.edges);
+  rollback_scratch(scratch_, c.igrad, c.materialized);
+  resumed_comms_ = c.comms;
+  out_.valid = false;
+  out_.error.clear();
+  Router r{*tg_, plan, scope_, boundary_, table_, scratch_, out_};
+  for (routed_ = k; routed_ < order.size(); ++routed_) {
+    Checkpoint& next = checkpoints_[routed_];
+    next.comms = out_.comms.size();
+    next.edges = out_.edge_conversions.size();
+    next.igrad = scratch_.igrad_touched.size();
+    next.materialized = scratch_.materialized_touched.size();
+    choice_[routed_] = choice_at(plan, routed_);
+    if (!r.step(order[routed_])) return out_;  // valid up to routed_
+  }
+  out_.valid = true;
+  return out_;
+}
+
+int RouteCursor::choice_at(const ShardingPlan& plan,
+                           std::size_t position) const {
+  return plan.choice[static_cast<std::size_t>(scope_->order[position])];
 }
 
 SubgraphScope::SubgraphScope(const ir::TapGraph& tg,

@@ -129,17 +129,18 @@ struct SubgraphScope {
 /// Reusable working buffers for the router. One route allocates them; a
 /// second route through the same scratch reuses the capacity, touching
 /// only the entries the previous route dirtied — this is what makes the
-/// planner's per-candidate routing allocation-free in steady state
-/// (cost::CostArena holds one per search thread). Default-constructed
-/// scratch is valid for any graph.
+/// planner's per-candidate routing allocation-free in steady state.
+/// Default-constructed scratch is valid for any graph.
 struct RoutingScratch {
   /// Producers whose partial input-gradient AllReduce is already emitted,
-  /// indexed by GraphNodeId; `igrad_touched` lists the set entries so the
-  /// next route clears them in O(touched), not O(V).
+  /// indexed by GraphNodeId. `igrad_touched` logs every entry set, in
+  /// order, so the next route clears them in O(touched), not O(V), and a
+  /// RouteCursor undoes a suffix of them by truncating the log.
   std::vector<char> igrad_emitted;
   std::vector<ir::GraphNodeId> igrad_touched;
-  /// Layouts already materialized per producer (AllGather dedup), with
-  /// the same touched-list reset discipline.
+  /// Layouts already materialized per producer (AllGather dedup).
+  /// `materialized_touched` logs the producer of every layout appended,
+  /// in order, with the same reset and roll-back discipline.
   std::vector<std::vector<ShardSpec>> materialized;
   std::vector<ir::GraphNodeId> materialized_touched;
   /// Pattern storage for table-less routing.
@@ -188,6 +189,63 @@ void route_subgraph_into(const ir::TapGraph& tg, const ShardingPlan& plan,
 void route_plan_into(const ir::TapGraph& tg, const ShardingPlan& plan,
                      const PatternTable* table, RoutingScratch* scratch,
                      RoutedPlan* out);
+
+/// Routes a sequence of candidate plans over one subgraph, boundary and
+/// pattern table, re-routing each from the first visited member whose
+/// choice differs from the previous route's. Family enumeration changes
+/// few member choices between consecutive candidates, so most of a
+/// candidate's route — the members visited before the first change — is
+/// shared with the last one and is not repeated.
+///
+/// Per visit position the cursor keeps the choice routed there and a
+/// checkpoint: the lengths of `comms`, `edge_conversions` and the
+/// scratch's igrad and materialized logs before that member was routed.
+/// Every one of them only grows during a route, so truncating them to a
+/// checkpoint restores the state before that position exactly. A route
+/// that fails at position k leaves positions before k valid.
+///
+/// route() defines what route_subgraph_into with the same arguments
+/// defines: valid/error, comms, edge_conversions, and output_spec and
+/// pattern_index at every member (for a valid route). Allocation-free
+/// once the capacities have grown.
+class RouteCursor {
+ public:
+  /// Binds to a subgraph: O(scope reads) once the buffers are sized for
+  /// `tg`. `tg`, `scope` and `table` must outlive the routes.
+  void bind(const ir::TapGraph& tg, const SubgraphScope& scope,
+            const ShardSpec& boundary, const PatternTable& table);
+
+  /// Routes `plan`'s member choices (the rest of `plan` is not read).
+  const RoutedPlan& route(const ShardingPlan& plan);
+
+  const RoutedPlan& routed() const { return out_; }
+  const ShardSpec& boundary() const { return boundary_; }
+  /// comms.size() at the position the last route() resumed from: the
+  /// events before it are those of the route before.
+  std::size_t resumed_comms() const { return resumed_comms_; }
+
+ private:
+  struct Checkpoint {
+    std::size_t comms = 0;
+    std::size_t edges = 0;
+    std::size_t igrad = 0;
+    std::size_t materialized = 0;
+  };
+
+  /// `plan`'s choice for the member at visit position `position`.
+  int choice_at(const ShardingPlan& plan, std::size_t position) const;
+
+  const ir::TapGraph* tg_ = nullptr;
+  const SubgraphScope* scope_ = nullptr;
+  const PatternTable* table_ = nullptr;
+  ShardSpec boundary_;
+  std::vector<int> choice_;              ///< per visit position
+  std::vector<Checkpoint> checkpoints_;  ///< per visit position
+  std::size_t routed_ = 0;               ///< positions routed by the last route
+  std::size_t resumed_comms_ = 0;
+  RoutingScratch scratch_;
+  RoutedPlan out_;
+};
 
 /// Layout a routed subgraph hands to downstream consumers: the output spec
 /// of `scope.exit` (replicated for an empty scope).

@@ -128,6 +128,12 @@ std::atomic<FaultInjector*>& injector_slot() {
   return slot;
 }
 
+/// fault_hit() calls between their count-in and count-out.
+std::atomic<int>& hits_in_flight() {
+  static std::atomic<int> n{0};
+  return n;
+}
+
 /// TAP_FAULT / TAP_FAULT_SEED environment install, run once before main()
 /// so CI can put a whole test binary under injection without code changes.
 /// A malformed spec is reported and ignored rather than aborting startup.
@@ -155,8 +161,28 @@ FaultInjector* fault_injector() {
   return injector_slot().load(std::memory_order_relaxed);
 }
 
+bool fault_hit(const char* site) {
+  // Count in, then load the pointer (both seq_cst, as is the exchange and
+  // the count read in install_fault_injector). Either this load comes
+  // after an install's exchange and sees the new injector, or the
+  // install's wait sees this hit in flight and outlasts it.
+  hits_in_flight().fetch_add(1, std::memory_order_seq_cst);
+  struct CountOut {
+    ~CountOut() { hits_in_flight().fetch_sub(1, std::memory_order_release); }
+  } count_out;  // also when hit() throws
+  FaultInjector* fi = injector_slot().load(std::memory_order_seq_cst);
+  return fi != nullptr && fi->hit(site);
+}
+
 FaultInjector* install_fault_injector(FaultInjector* fi) {
-  return injector_slot().exchange(fi, std::memory_order_acq_rel);
+  FaultInjector* prev = injector_slot().exchange(fi, std::memory_order_seq_cst);
+  if (prev == nullptr) return prev;  // nothing for a hit to outlive
+  // Hits that loaded `prev` are still counted in; later ones load `fi`.
+  // The wait also covers hits on `fi` that overlap it: sites are hit
+  // sparsely, so the count drains.
+  while (hits_in_flight().load(std::memory_order_seq_cst) != 0)
+    std::this_thread::yield();
+  return prev;
 }
 
 }  // namespace tap::util

@@ -29,10 +29,15 @@
 // Off-by-default hot path: TAP_FAULT_POINT compiles to ONE relaxed
 // atomic load of the process-global injector pointer (mirroring the
 // TAP_SPAN gate in obs/trace.h), so the sites stay compiled into
-// production builds. The injector is installed explicitly
-// (install_fault_injector / ScopedFaultInjector, tap_cli --fault) or from
-// the TAP_FAULT / TAP_FAULT_SEED environment variables at process start
-// (how CI runs whole suites under injected faults).
+// production builds. Past that gate, fault_hit() counts itself in flight
+// before it loads the pointer again, and install_fault_injector waits for
+// the in-flight count to drain: once install returns, no thread is inside
+// (or about to enter) the previous injector's hit(), so the caller may
+// destroy it even while server threads keep hitting sites. The injector
+// is installed explicitly (install_fault_injector / ScopedFaultInjector,
+// tap_cli --fault) or from the TAP_FAULT / TAP_FAULT_SEED environment
+// variables at process start (how CI runs whole suites under injected
+// faults).
 #pragma once
 
 #include <atomic>
@@ -101,11 +106,19 @@ class FaultInjector {
 };
 
 /// The process-global injector, or nullptr (the default). One relaxed
-/// atomic load — THE disabled fast path.
+/// atomic load — THE disabled fast path. Dereferencing the result is
+/// only safe while the caller keeps that injector installed; sites go
+/// through fault_hit().
 FaultInjector* fault_injector();
 
+/// Calls hit(site) on the installed injector, if any, and keeps that
+/// injector alive until hit() returns (or throws). What the macros call
+/// once the fast path has seen an injector.
+bool fault_hit(const char* site);
+
 /// Installs `fi` as the global injector (nullptr disables); returns the
-/// previous one. The caller keeps ownership; uninstall before destroying.
+/// previous one once no thread is inside its hit() any more, so the
+/// caller, which keeps ownership, may then destroy it.
 FaultInjector* install_fault_injector(FaultInjector* fi);
 
 /// RAII install/restore for tests. The spec constructor owns its
@@ -133,8 +146,7 @@ class ScopedFaultInjector {
 
 /// TAP_FAULT_FAIL helper: one gate load, then the site draw.
 inline bool fault_fail(const char* site) {
-  FaultInjector* fi = fault_injector();
-  return fi != nullptr && fi->hit(site);
+  return fault_injector() != nullptr && fault_hit(site);
 }
 
 }  // namespace tap::util
@@ -143,9 +155,8 @@ inline bool fault_fail(const char* site) {
 /// otherwise. Place at seams where an exception models the failure.
 #define TAP_FAULT_POINT(site)                                          \
   do {                                                                 \
-    if (::tap::util::FaultInjector* tap_fi_ =                          \
-            ::tap::util::fault_injector())                             \
-      tap_fi_->hit(site);                                              \
+    if (::tap::util::fault_injector() != nullptr)                      \
+      ::tap::util::fault_hit(site);                                    \
   } while (0)
 
 /// Expression fault point for "return an error" sites: true = the caller

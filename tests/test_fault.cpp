@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/check.h"
@@ -135,6 +139,39 @@ TEST(FaultInjector, DelayActionDoesNotAlterControlFlow) {
   FaultInjector fi("s=delay:1");
   EXPECT_FALSE(fi.hit("s"));  // sleeps, returns false, never throws
   EXPECT_EQ(fi.injected("s"), 1u);
+}
+
+TEST(FaultInjector, UninstallWaitsForInFlightHits) {
+  // Four threads hit a delay site (each hit sleeps inside hit()) while the
+  // injector is uninstalled and destroyed. Uninstall must return only
+  // once no thread is inside or entering its hit(): the hit count is then
+  // final, and destroying the injector races with nothing (ASan/TSan
+  // check the latter).
+  ScopedFaultInjector shield(nullptr);
+  auto fi = std::make_unique<FaultInjector>("s=delay:1");
+  std::atomic<bool> stop{false};
+  std::atomic<int> returned{0};
+  std::vector<std::thread> threads;
+  install_fault_injector(fi.get());
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        TAP_FAULT_POINT("s");
+        returned.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  while (returned.load() < 16) std::this_thread::yield();
+  EXPECT_EQ(install_fault_injector(nullptr), fi.get());
+  const std::uint64_t hits = fi->hits("s");
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(fi->hits("s"), hits);  // nobody entered hit() after uninstall
+  fi.reset();
+  const int before = returned.load();
+  while (returned.load() < before + 16) std::this_thread::yield();
+  stop = true;
+  for (std::thread& t : threads) t.join();
+  EXPECT_GE(hits, 16u);
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 
 #include "baselines/expert_plans.h"
 #include "core/tap.h"
+#include "graph/graph_builder.h"
 #include "ir/lowering.h"
 #include "models/models.h"
 #include "util/check.h"
+#include "util/json.h"
 
 namespace tap::core {
 namespace {
@@ -53,6 +55,34 @@ TEST(Serialize, RoundTripsSearchedPlan) {
   std::string json = plan_to_json(f.tg, r.best_plan);
   auto back = plan_from_json(f.tg, json);
   EXPECT_EQ(back.choice, r.best_plan.choice);
+}
+
+TEST(Serialize, ControlCharactersInNamesStayValidJson) {
+  // An op name with a newline and a raw control byte: the plan JSON must
+  // still parse as JSON, give the name back, and read back as the plan.
+  GraphBuilder b("g");
+  const NodeId x = b.placeholder("x", {16, 32});
+  b.matmul("odd\nname\x01/proj", x, 64);
+  const Graph g = b.take();
+  const ir::TapGraph tg = ir::lower(g);
+  sharding::ShardingPlan plan = sharding::default_plan(tg, 4);
+  std::string name;  // the weighted cluster's
+  for (const ir::GraphNode& n : tg.nodes()) {
+    if (!n.has_weight()) continue;
+    name = n.name;
+    plan.choice[static_cast<std::size_t>(n.id)] = 1;
+  }
+  ASSERT_NE(name.find('\n'), std::string::npos) << name;
+  ASSERT_NE(name.find('\x01'), std::string::npos) << name;
+
+  const std::string json = plan_to_json(tg, plan);
+  // JSON strings may not hold raw control characters.
+  EXPECT_EQ(json.find('\x01'), std::string::npos) << json;
+  EXPECT_NE(json.find("\"odd\\nname\\u0001\""), std::string::npos) << json;
+  const util::JsonValue parsed = util::JsonValue::parse(json);
+  const util::JsonValue& assignments = parsed.at("assignments");
+  ASSERT_NE(assignments.find(name), nullptr) << json;
+  EXPECT_EQ(plan_from_json(tg, json).choice, plan.choice);
 }
 
 TEST(Serialize, JsonMentionsMeshAndPatterns) {
