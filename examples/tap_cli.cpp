@@ -437,8 +437,7 @@ int main(int argc, char** argv) {
       }
       served_plan_body = resp.body;
       const util::JsonValue doc = util::JsonValue::parse(resp.body);
-      result.best_plan =
-          core::plan_from_json(tg, doc.at("plan").dump());
+      result.best_plan = core::plan_from_json(tg, doc.at("plan"));
       const std::string source = doc.at("provenance").as_string();
       result.provenance.source = source == "anytime"
                                      ? core::PlanSource::kAnytime
@@ -670,8 +669,8 @@ int main(int argc, char** argv) {
     }
   }
   if (!args.save_plan.empty()) {
-    if (!write_file(args.save_plan, core::plan_to_json(tg, result.best_plan),
-                    "plan"))
+    if (!write_file(args.save_plan,
+                    core::plan_to_json(tg, result.best_plan) + "\n", "plan"))
       return 1;
     std::printf("plan saved to %s\n", args.save_plan.c_str());
   }

@@ -1,136 +1,54 @@
 #include "core/serialize.h"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <climits>
+#include <iterator>
+#include <utility>
 
 #include "util/check.h"
-#include "util/json.h"
 
 namespace tap::core {
 
+using util::JsonValue;
+
 namespace {
 
-/// Minimal recursive-descent parser for the subset we emit.
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
+int int_value(const JsonValue& v, const char* what) {
+  const std::int64_t i = v.as_int();
+  TAP_CHECK(i >= INT_MIN && i <= INT_MAX)
+      << what << " value " << i << " is out of range";
+  return static_cast<int>(i);
+}
 
-  void expect(char c) {
-    skip_ws();
-    TAP_CHECK(pos_ < text_.size() && text_[pos_] == c)
-        << "plan JSON: expected '" << c << "' at offset " << pos_;
-    ++pos_;
-  }
+/// The elements of an array that must hold exactly `n` of them.
+const std::vector<JsonValue>& fixed_items(const JsonValue& v, std::size_t n,
+                                          const char* what) {
+  const std::vector<JsonValue>& items = v.items();
+  TAP_CHECK_EQ(items.size(), n) << what << " must have " << n << " entries";
+  return items;
+}
 
-  bool try_consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
+JsonValue mesh_json(const sharding::ShardingPlan& plan) {
+  JsonValue mesh = JsonValue::array();
+  mesh.push_back(JsonValue::number(plan.dp_replicas));
+  mesh.push_back(JsonValue::number(plan.num_shards));
+  return mesh;
+}
 
-  /// A string body as util::json_escape writes it: \" \\ \b \f \n \r
-  /// \t, and \u00XX for the other control characters.
-  std::string string_value() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) c = unescape(text_[pos_++]);
-      out.push_back(c);
-    }
-    TAP_CHECK(pos_ < text_.size()) << "plan JSON: unterminated string";
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  long long int_value() {
-    skip_ws();
-    std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
-      ++pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-    TAP_CHECK(pos_ > start) << "plan JSON: expected integer at " << start;
-    return std::stoll(text_.substr(start, pos_ - start));
-  }
-
-  double double_value() {
-    skip_ws();
-    std::size_t start = pos_;
-    auto is_num_char = [](char c) {
-      return std::isdigit(static_cast<unsigned char>(c)) || c == '-' ||
-             c == '+' || c == '.' || c == 'e' || c == 'E' || c == 'i' ||
-             c == 'n' || c == 'f';  // inf: kInvalidPlanCost round-trips
-    };
-    while (pos_ < text_.size() && is_num_char(text_[pos_])) ++pos_;
-    TAP_CHECK(pos_ > start) << "plan JSON: expected number at " << start;
-    const std::string tok = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    TAP_CHECK(end == tok.c_str() + tok.size())
-        << "plan JSON: bad number '" << tok << "'";
-    return v;
-  }
-
-  void done() {
-    skip_ws();
-    TAP_CHECK_EQ(pos_, text_.size()) << "plan JSON: trailing content";
-  }
-
- private:
-  /// The character escape sequence `\<c>...` stands for (consuming a
-  /// \u escape's four hex digits).
-  char unescape(char c) {
-    switch (c) {
-      case 'b':
-        return '\b';
-      case 'f':
-        return '\f';
-      case 'n':
-        return '\n';
-      case 'r':
-        return '\r';
-      case 't':
-        return '\t';
-      case 'u': {
-        TAP_CHECK(pos_ + 4 <= text_.size()) << "plan JSON: short \\u escape";
-        const std::string hex = text_.substr(pos_, 4);
-        char* end = nullptr;
-        const long code = std::strtol(hex.c_str(), &end, 16);
-        TAP_CHECK(end == hex.c_str() + 4 && code >= 0 && code < 0x80)
-            << "plan JSON: unsupported escape \\u" << hex;
-        pos_ += 4;
-        return static_cast<char>(code);
-      }
-      default:  // '"', '\\', '/'
-        return c;
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+/// Reads [dp, tp] (both >= 1) into `plan`.
+void read_mesh(const JsonValue& v, sharding::ShardingPlan* plan) {
+  const std::vector<JsonValue>& dims = fixed_items(v, 2, "mesh");
+  plan->dp_replicas = int_value(dims[0], "mesh");
+  plan->num_shards = int_value(dims[1], "mesh");
+  TAP_CHECK_GE(plan->dp_replicas, 1);
+  TAP_CHECK_GE(plan->num_shards, 1);
+}
 
 }  // namespace
 
-std::string plan_to_json(const ir::TapGraph& tg,
-                         const sharding::ShardingPlan& plan) {
+JsonValue plan_json(const ir::TapGraph& tg,
+                    const sharding::ShardingPlan& plan) {
   TAP_CHECK_EQ(plan.choice.size(), tg.num_nodes());
-  std::ostringstream os;
-  os << "{\n  \"mesh\": [" << plan.dp_replicas << ", " << plan.num_shards
-     << "],\n  \"assignments\": {\n";
-  bool first = true;
+  JsonValue assignments = JsonValue::object();
   for (const auto& n : tg.nodes()) {
     if (!n.has_weight()) continue;
     auto pats = sharding::patterns_for(tg, n.id, plan.num_shards,
@@ -138,209 +56,158 @@ std::string plan_to_json(const ir::TapGraph& tg,
     int c = plan.choice[static_cast<std::size_t>(n.id)];
     TAP_CHECK(c >= 0 && c < static_cast<int>(pats.size()))
         << "plan has no valid pattern for '" << n.name << "'";
-    if (!first) os << ",\n";
-    first = false;
-    os << "    \"" << util::json_escape(n.name) << "\": \""
-       << util::json_escape(pats[static_cast<std::size_t>(c)].name) << "\"";
+    const std::string& pattern = pats[static_cast<std::size_t>(c)].name;
+    assignments.set(n.name, JsonValue::string(pattern));
   }
-  os << "\n  }\n}\n";
-  return os.str();
+  JsonValue doc = JsonValue::object();
+  doc.set("mesh", mesh_json(plan));
+  doc.set("assignments", std::move(assignments));
+  return doc;
+}
+
+std::string plan_to_json(const ir::TapGraph& tg,
+                         const sharding::ShardingPlan& plan) {
+  return plan_json(tg, plan).dump();
+}
+
+sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
+                                      const JsonValue& doc) {
+  const JsonValue* mesh = nullptr;
+  const JsonValue* assignments = nullptr;
+  for (const auto& [key, value] : doc.members()) {
+    const JsonValue** slot = nullptr;
+    if (key == "mesh") slot = &mesh;
+    if (key == "assignments") slot = &assignments;
+    TAP_CHECK(slot != nullptr) << "plan JSON: unknown key '" << key << "'";
+    TAP_CHECK(*slot == nullptr) << "plan JSON: duplicate key '" << key << "'";
+    *slot = &value;
+  }
+  TAP_CHECK(mesh != nullptr) << "plan JSON: missing \"mesh\"";
+  TAP_CHECK(assignments != nullptr) << "plan JSON: missing \"assignments\"";
+
+  sharding::ShardingPlan plan;
+  read_mesh(*mesh, &plan);
+  plan.choice.assign(tg.num_nodes(), 0);
+  for (const auto& [node, value] : assignments->members()) {
+    const std::string& pattern = value.as_string();
+    ir::GraphNodeId id = tg.find(node);
+    TAP_CHECK(id != ir::kInvalidGraphNode)
+        << "plan references unknown GraphNode '" << node << "'";
+    auto pats =
+        sharding::patterns_for(tg, id, plan.num_shards, plan.dp_replicas);
+    bool resolved = false;
+    for (std::size_t i = 0; i < pats.size(); ++i) {
+      if (pats[i].name == pattern) {
+        plan.choice[static_cast<std::size_t>(id)] = static_cast<int>(i);
+        resolved = true;
+      }
+    }
+    TAP_CHECK(resolved) << "pattern '" << pattern << "' not applicable to '"
+                        << node << "' under mesh " << plan.mesh().to_string();
+  }
+  return plan;
 }
 
 sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
                                       const std::string& json) {
-  Parser p(json);
-  p.expect('{');
-
-  sharding::ShardingPlan plan;
-  bool have_mesh = false;
-  bool first_key = true;
-  while (true) {
-    if (!first_key && !p.try_consume(',')) break;
-    first_key = false;
-    std::string key = p.string_value();
-    p.expect(':');
-    if (key == "mesh") {
-      p.expect('[');
-      plan.dp_replicas = static_cast<int>(p.int_value());
-      p.expect(',');
-      plan.num_shards = static_cast<int>(p.int_value());
-      p.expect(']');
-      TAP_CHECK_GE(plan.dp_replicas, 1);
-      TAP_CHECK_GE(plan.num_shards, 1);
-      have_mesh = true;
-      plan.choice.assign(tg.num_nodes(), 0);
-    } else if (key == "assignments") {
-      TAP_CHECK(have_mesh) << "plan JSON: \"mesh\" must precede "
-                              "\"assignments\"";
-      p.expect('{');
-      bool first_entry = true;
-      while (true) {
-        if (first_entry ? p.try_consume('}') : !p.try_consume(',')) break;
-        first_entry = false;
-        std::string node = p.string_value();
-        p.expect(':');
-        std::string pattern = p.string_value();
-        ir::GraphNodeId id = tg.find(node);
-        TAP_CHECK(id != ir::kInvalidGraphNode)
-            << "plan references unknown GraphNode '" << node << "'";
-        auto pats = sharding::patterns_for(tg, id, plan.num_shards,
-                                           plan.dp_replicas);
-        bool resolved = false;
-        for (std::size_t i = 0; i < pats.size(); ++i) {
-          if (pats[i].name == pattern) {
-            plan.choice[static_cast<std::size_t>(id)] =
-                static_cast<int>(i);
-            resolved = true;
-          }
-        }
-        TAP_CHECK(resolved) << "pattern '" << pattern
-                            << "' not applicable to '" << node
-                            << "' under mesh " << plan.mesh().to_string();
-      }
-      if (first_entry) continue;  // consumed '}' of an empty object
-      p.expect('}');
-    } else {
-      TAP_CHECK(false) << "plan JSON: unknown key '" << key << "'";
-    }
-  }
-  p.expect('}');
-  p.done();
-  TAP_CHECK(have_mesh) << "plan JSON: missing \"mesh\"";
-  TAP_CHECK(!plan.choice.empty()) << "plan JSON: missing \"assignments\"";
-  return plan;
+  return plan_from_json(tg, JsonValue::parse(json));
 }
-
-namespace {
-
-/// Shortest exact representation: 17 significant digits round-trip every
-/// finite double bit-identically through strtod.
-std::string exact(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string plan_record_to_json(const ir::TapGraph& tg,
                                 const PlanRecord& record) {
   TAP_CHECK_EQ(record.plan.choice.size(), tg.num_nodes())
       << "record does not cover the graph";
-  std::ostringstream os;
-  os << "{\n  \"version\": " << kPlanRecordVersion << ",\n  \"mesh\": ["
-     << record.plan.dp_replicas << ", " << record.plan.num_shards
-     << "],\n  \"choice\": [";
-  for (std::size_t i = 0; i < record.plan.choice.size(); ++i)
-    os << (i ? ", " : "") << record.plan.choice[i];
-  os << "],\n  \"cost\": [" << exact(record.cost.forward_comm_s) << ", "
-     << exact(record.cost.backward_comm_s) << ", "
-     << exact(record.cost.overlappable_comm_s) << ", "
-     << record.cost.comm_bytes << "],\n  \"stats\": ["
-     << record.stats.candidate_plans << ", " << record.stats.valid_plans
-     << ", " << record.stats.nodes_visited << ", "
-     << record.stats.cost_queries << "],\n  \"timings\": [";
-  for (std::size_t i = 0; i < record.timings.size(); ++i) {
-    os << (i ? ", " : "") << "[\"" << util::json_escape(record.timings[i].pass)
-       << "\", " << exact(record.timings[i].seconds) << "]";
+  auto array = [](std::initializer_list<double> values) {
+    JsonValue a = JsonValue::array();
+    for (double v : values) a.push_back(JsonValue::number(v));
+    return a;
+  };
+  JsonValue choice = JsonValue::array();
+  for (int c : record.plan.choice) choice.push_back(JsonValue::number(c));
+  JsonValue timings = JsonValue::array();
+  for (const PassTiming& t : record.timings) {
+    JsonValue entry = JsonValue::array();
+    entry.push_back(JsonValue::string(t.pass));
+    entry.push_back(JsonValue::number(t.seconds));
+    timings.push_back(std::move(entry));
   }
-  os << "],\n  \"search_seconds\": " << exact(record.search_seconds)
-     << "\n}\n";
-  return os.str();
+  const SearchStats& s = record.stats;
+  JsonValue doc = JsonValue::object();
+  doc.set("version", JsonValue::number(kPlanRecordVersion));
+  doc.set("mesh", mesh_json(record.plan));
+  doc.set("choice", std::move(choice));
+  doc.set("cost", array({record.cost.forward_comm_s,
+                         record.cost.backward_comm_s,
+                         record.cost.overlappable_comm_s,
+                         static_cast<double>(record.cost.comm_bytes)}));
+  doc.set("stats", array({static_cast<double>(s.candidate_plans),
+                          static_cast<double>(s.valid_plans),
+                          static_cast<double>(s.nodes_visited),
+                          static_cast<double>(s.cost_queries)}));
+  doc.set("timings", std::move(timings));
+  doc.set("search_seconds", JsonValue::number(record.search_seconds));
+  return doc.dump();
 }
 
 PlanRecord plan_record_from_json(const ir::TapGraph& tg,
                                  const std::string& json) {
-  Parser p(json);
-  PlanRecord record;
-  p.expect('{');
+  const JsonValue doc = JsonValue::parse(json);
+  const auto& members = doc.members();
 
-  // Version gate FIRST: a mismatch (or any malformation before it) must
-  // reject the payload before anything else is interpreted.
-  TAP_CHECK(p.string_value() == "version")
+  // Version gate FIRST: a mismatch must reject the payload before any
+  // other member is interpreted.
+  TAP_CHECK(!members.empty() && members[0].first == "version")
       << "plan record: \"version\" must be the first key";
-  p.expect(':');
-  const long long version = p.int_value();
-  TAP_CHECK_EQ(version, kPlanRecordVersion)
+  TAP_CHECK_EQ(members[0].second.as_int(), kPlanRecordVersion)
       << "plan record written by incompatible code";
 
-  auto key = [&](const char* want) {
-    p.expect(',');
-    TAP_CHECK(p.string_value() == want)
-        << "plan record: expected key \"" << want << "\"";
-    p.expect(':');
+  // Exactly these members, in this order: none missing, none extra.
+  static constexpr const char* kKeys[] = {
+      "version", "mesh",    "choice",         "cost",
+      "stats",   "timings", "search_seconds",
   };
-
-  key("mesh");
-  p.expect('[');
-  record.plan.dp_replicas = static_cast<int>(p.int_value());
-  p.expect(',');
-  record.plan.num_shards = static_cast<int>(p.int_value());
-  p.expect(']');
-  TAP_CHECK_GE(record.plan.dp_replicas, 1);
-  TAP_CHECK_GE(record.plan.num_shards, 1);
-
-  key("choice");
-  p.expect('[');
-  if (!p.try_consume(']')) {
-    do {
-      record.plan.choice.push_back(static_cast<int>(p.int_value()));
-    } while (p.try_consume(','));
-    p.expect(']');
+  for (std::size_t i = 1; i < std::size(kKeys); ++i) {
+    TAP_CHECK(i < members.size() && members[i].first == kKeys[i])
+        << "plan record: expected key \"" << kKeys[i] << "\"";
   }
-  TAP_CHECK_EQ(record.plan.choice.size(), tg.num_nodes())
-      << "plan record does not match the graph";
+  TAP_CHECK_EQ(members.size(), std::size(kKeys))
+      << "plan record: unexpected key \"" << members.back().first << "\"";
+
+  PlanRecord record;
+  read_mesh(doc.at("mesh"), &record.plan);
+
+  const std::vector<JsonValue>& choice =
+      fixed_items(doc.at("choice"), tg.num_nodes(), "plan record choice");
+  record.plan.choice.assign(tg.num_nodes(), 0);
   for (const auto& n : tg.nodes()) {
-    const int c = record.plan.choice[static_cast<std::size_t>(n.id)];
+    const auto id = static_cast<std::size_t>(n.id);
+    const std::int64_t c = choice[id].as_int();
     const auto pats = sharding::patterns_for(
         tg, n.id, record.plan.num_shards, record.plan.dp_replicas);
-    TAP_CHECK(c >= 0 && c < static_cast<int>(pats.size()))
+    TAP_CHECK(c >= 0 && c < static_cast<std::int64_t>(pats.size()))
         << "plan record: choice " << c << " out of range for '" << n.name
         << "'";
+    record.plan.choice[id] = static_cast<int>(c);
   }
 
-  key("cost");
-  p.expect('[');
-  record.cost.forward_comm_s = p.double_value();
-  p.expect(',');
-  record.cost.backward_comm_s = p.double_value();
-  p.expect(',');
-  record.cost.overlappable_comm_s = p.double_value();
-  p.expect(',');
-  record.cost.comm_bytes = p.int_value();
-  p.expect(']');
+  const std::vector<JsonValue>& cost = fixed_items(doc.at("cost"), 4, "cost");
+  record.cost.forward_comm_s = cost[0].as_number();
+  record.cost.backward_comm_s = cost[1].as_number();
+  record.cost.overlappable_comm_s = cost[2].as_number();
+  record.cost.comm_bytes = cost[3].as_int();
 
-  key("stats");
-  p.expect('[');
-  record.stats.candidate_plans = p.int_value();
-  p.expect(',');
-  record.stats.valid_plans = p.int_value();
-  p.expect(',');
-  record.stats.nodes_visited = p.int_value();
-  p.expect(',');
-  record.stats.cost_queries = p.int_value();
-  p.expect(']');
+  const std::vector<JsonValue>& stats =
+      fixed_items(doc.at("stats"), 4, "stats");
+  record.stats.candidate_plans = stats[0].as_int();
+  record.stats.valid_plans = stats[1].as_int();
+  record.stats.nodes_visited = stats[2].as_int();
+  record.stats.cost_queries = stats[3].as_int();
 
-  key("timings");
-  p.expect('[');
-  if (!p.try_consume(']')) {
-    do {
-      p.expect('[');
-      PassTiming t;
-      t.pass = p.string_value();
-      p.expect(',');
-      t.seconds = p.double_value();
-      p.expect(']');
-      record.timings.push_back(std::move(t));
-    } while (p.try_consume(','));
-    p.expect(']');
+  for (const JsonValue& entry : doc.at("timings").items()) {
+    const std::vector<JsonValue>& t = fixed_items(entry, 2, "timing");
+    record.timings.push_back({t[0].as_string(), t[1].as_number()});
   }
-
-  key("search_seconds");
-  record.search_seconds = p.double_value();
-
-  p.expect('}');
-  p.done();
+  record.search_seconds = doc.at("search_seconds").as_number();
   return record;
 }
 

@@ -4,30 +4,38 @@
 // reference GraphNodes and patterns *by name*, so any identically-built
 // model accepts them regardless of internal ids.
 //
-// Format: a single JSON object,
-//   {
-//     "mesh": [dp, tp],
-//     "assignments": { "<graphnode name>": "<pattern name>", ... }
-//   }
-// Only weighted GraphNodes are listed (glue always follows). The parser
-// accepts exactly what the writer emits (plus arbitrary whitespace) and
-// throws CheckError on malformed input, unknown nodes, or patterns
-// inapplicable under the given mesh.
+// Format: a single compact JSON object,
+//   {"mesh":[dp,tp],"assignments":{"<graphnode name>":"<pattern name>",...}}
+// Only weighted GraphNodes are listed (glue always follows). Plans and
+// plan records are written and read through util::JsonValue, the repo's
+// one JSON codec; a plan reads back from any valid JSON spelling
+// (whitespace and key order are free). The reader throws CheckError on
+// malformed input, a missing, unknown or duplicate key, unknown nodes, or
+// patterns inapplicable under the given mesh.
 #pragma once
 
 #include <string>
 
 #include "core/plan_context.h"
 #include "sharding/plan.h"
+#include "util/json.h"
 
 namespace tap::core {
 
-/// Serializes `plan` against `tg`.
+/// The plan document for `plan` against `tg`: {"mesh":..,"assignments":..}.
+util::JsonValue plan_json(const ir::TapGraph& tg,
+                          const sharding::ShardingPlan& plan);
+
+/// plan_json(tg, plan).dump().
 std::string plan_to_json(const ir::TapGraph& tg,
                          const sharding::ShardingPlan& plan);
 
-/// Parses a plan and resolves it against `tg`. Unlisted weighted nodes get
+/// Resolves a plan document against `tg`. Unlisted weighted nodes get
 /// pattern 0 (the data-parallel/replicate default).
+sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
+                                      const util::JsonValue& doc);
+
+/// Parses `json` and resolves it as above.
 sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
                                       const std::string& json);
 
@@ -44,15 +52,22 @@ sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
 // cache hit already guarantees a structurally identical graph with
 // identical deterministic node ids, and positional storage keeps renamed
 // but structurally equal graphs servable. Doubles are written with 17
-// significant digits, so every value round-trips exactly.
+// significant digits (infinity as inf), so every value round-trips
+// exactly. The record is one compact JSON object:
+//   {"version":2,"mesh":[dp,tp],"choice":[..],
+//    "cost":[forward_s,backward_s,overlappable_s,comm_bytes],
+//    "stats":[candidate_plans,valid_plans,nodes_visited,cost_queries],
+//    "timings":[["<pass>",seconds],..],"search_seconds":..}
 //
 // The format is versioned: `version` is the FIRST key and readers reject
 // any mismatch before touching the rest of the payload, so cache files
-// written by older code are discarded, never misinterpreted.
+// written by older code are discarded, never misinterpreted. The other
+// keys must follow in exactly the order above.
 
 /// Bump whenever PlanRecord's layout OR any planning semantics change
 /// (pattern catalog, cost model, search order) — stale plans must miss.
-inline constexpr int kPlanRecordVersion = 1;
+/// Version 2: compact JSON written through util::JsonValue.
+inline constexpr int kPlanRecordVersion = 2;
 
 struct PlanRecord {
   sharding::ShardingPlan plan;

@@ -5,23 +5,16 @@
 #include <sstream>
 
 #include "util/check.h"
+#include "util/json.h"
 
 namespace tap::obs {
 
 namespace {
 
+using util::json_escape;
+
 std::atomic<TraceSession*> g_active{nullptr};
 std::atomic<std::uint64_t> g_epoch{0};
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 }  // namespace
 

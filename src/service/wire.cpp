@@ -1,5 +1,6 @@
 #include "service/wire.h"
 
+#include <climits>
 #include <cstdio>
 #include <utility>
 
@@ -27,6 +28,17 @@ std::int64_t parse_wire_int(const std::string& field,
   TAP_CHECK(pos == value.size())
       << "bad value for '" << field << "': '" << value << "'";
   return static_cast<std::int64_t>(v);
+}
+
+/// `v` as an int; out-of-range values throw instead of wrapping.
+int narrow_wire_int(const std::string& field, std::int64_t v) {
+  TAP_CHECK(v >= INT_MIN && v <= INT_MAX)
+      << "'" << field << "' is out of range: " << v;
+  return static_cast<int>(v);
+}
+
+int parse_wire_int32(const std::string& field, const std::string& value) {
+  return narrow_wire_int(field, parse_wire_int(field, value));
 }
 
 void parse_mesh_string(const std::string& mesh, ModelSpec* spec) {
@@ -75,19 +87,22 @@ ModelSpec model_spec_from_json(const std::string& json) {
         << "'" << key << "' must be a number";
     return v.as_int();
   };
+  auto as_int32 = [&](const std::string& key, const util::JsonValue& v) {
+    return narrow_wire_int(key, as_int(key, v));
+  };
   for (const auto& [key, value] : doc.members()) {
     if (key == "model") {
       spec.model = value.as_string();
     } else if (key == "layers") {
-      spec.layers = static_cast<int>(as_int(key, value));
+      spec.layers = as_int32(key, value);
     } else if (key == "classes") {
       spec.classes = as_int(key, value);
     } else if (key == "batch") {
       spec.batch = as_int(key, value);
     } else if (key == "nodes") {
-      spec.nodes = static_cast<int>(as_int(key, value));
+      spec.nodes = as_int32(key, value);
     } else if (key == "gpus") {
-      spec.gpus = static_cast<int>(as_int(key, value));
+      spec.gpus = as_int32(key, value);
     } else if (key == "deadline_ms") {
       spec.deadline_ms = as_int(key, value);
     } else if (key == "mesh") {
@@ -97,8 +112,8 @@ ModelSpec model_spec_from_json(const std::string& json) {
         TAP_CHECK(value.kind() == util::JsonValue::Kind::kArray &&
                   value.items().size() == 2)
             << "'mesh' must be \"auto\", \"DPxTP\", or [dp, tp]";
-        spec.dp = static_cast<int>(as_int(key, value.items()[0]));
-        spec.tp = static_cast<int>(as_int(key, value.items()[1]));
+        spec.dp = as_int32(key, value.items()[0]);
+        spec.tp = as_int32(key, value.items()[1]);
       }
     } else {
       // Strict by design: a typo'd knob must fail loudly, not silently
@@ -115,15 +130,15 @@ ModelSpec model_spec_from_query(std::string_view target) {
   auto param = [&](const char* key) { return net::query_param(target, key); };
   if (std::string v = param("model"); !v.empty()) spec.model = v;
   if (std::string v = param("layers"); !v.empty())
-    spec.layers = static_cast<int>(parse_wire_int("layers", v));
+    spec.layers = parse_wire_int32("layers", v);
   if (std::string v = param("classes"); !v.empty())
     spec.classes = parse_wire_int("classes", v);
   if (std::string v = param("batch"); !v.empty())
     spec.batch = parse_wire_int("batch", v);
   if (std::string v = param("nodes"); !v.empty())
-    spec.nodes = static_cast<int>(parse_wire_int("nodes", v));
+    spec.nodes = parse_wire_int32("nodes", v);
   if (std::string v = param("gpus"); !v.empty())
-    spec.gpus = static_cast<int>(parse_wire_int("gpus", v));
+    spec.gpus = parse_wire_int32("gpus", v);
   if (std::string v = param("deadline_ms"); !v.empty())
     spec.deadline_ms = parse_wire_int("deadline_ms", v);
   if (std::string v = param("mesh"); !v.empty()) parse_mesh_string(v, &spec);
@@ -210,8 +225,7 @@ std::string plan_response_json(const ir::TapGraph& tg, const PlanKey& key,
   doc.set("provenance",
           util::JsonValue::string(
               core::plan_source_name(result.provenance.source)));
-  doc.set("plan", util::JsonValue::parse(
-                      core::plan_to_json(tg, result.best_plan)));
+  doc.set("plan", core::plan_json(tg, result.best_plan));
   util::JsonValue cost = util::JsonValue::object();
   cost.set("forward_comm_s",
            util::JsonValue::number(result.cost.forward_comm_s));

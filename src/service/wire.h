@@ -49,7 +49,8 @@ struct ModelSpec {
 bool known_model(const std::string& model);
 
 /// Parses the POST /plan body. Strict: unknown keys, unknown models,
-/// non-positive dimensions, and malformed mesh values all throw
+/// non-positive dimensions, non-integral numbers, int fields (layers,
+/// nodes, gpus, mesh) outside int, and malformed mesh values all throw
 /// util::CheckError (the handler answers 400).
 ModelSpec model_spec_from_json(const std::string& json);
 
@@ -76,11 +77,13 @@ inline constexpr int kPlanResponseVersion = 1;
 /// bytes on every shard and transport:
 ///   {"version":1,"key":"v1-...","mesh":[dp,tp],
 ///    "provenance":"complete|anytime|fallback",
-///    "plan":{...core::plan_to_json...},
+///    "plan":{...core::plan_json...},
 ///    "cost":{"forward_comm_s":..,"backward_comm_s":..,
 ///            "overlappable_comm_s":..,"comm_bytes":..,"total_s":..},
 ///    "stats":{"candidate_plans":..,"valid_plans":..,
 ///             "nodes_visited":..,"cost_queries":..}}
+/// The "plan" member is core::plan_json's document, set in place (no text
+/// round trip), so it dumps to exactly core::plan_to_json's bytes.
 /// The bytes do not depend on which families the family cache answered:
 /// the zoo-wide differential test (tests/test_delta.cpp) compares them
 /// between a search through a warmed service and a cold search.

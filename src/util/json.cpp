@@ -3,7 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <limits>
 
 #include "util/check.h"
 
@@ -57,7 +57,13 @@ double JsonValue::as_number() const {
 }
 
 std::int64_t JsonValue::as_int() const {
-  return static_cast<std::int64_t>(as_number());
+  // 2^53: every integer up to it is exact in a double, and the bound keeps
+  // the cast below defined.
+  const double v = as_number();
+  TAP_CHECK(std::isfinite(v) && v == std::trunc(v) &&
+            std::abs(v) <= 9007199254740992.0)
+      << "JSON number " << v << " is not an integer within 2^53";
+  return static_cast<std::int64_t>(v);
 }
 
 const std::string& JsonValue::as_string() const {
@@ -178,6 +184,13 @@ class Parser {
 
   JsonValue number() {
     const std::size_t start = pos_;
+    // dump() spells +-infinity "inf" / "-inf" (%.17g); read them back.
+    const std::size_t sign = text_[pos_] == '-' ? 1 : 0;
+    if (text_.substr(pos_ + sign, 3) == "inf") {
+      pos_ += sign + 3;
+      const double inf = std::numeric_limits<double>::infinity();
+      return JsonValue::number(sign ? -inf : inf);
+    }
     auto digits = [&] {
       while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
         ++pos_;
@@ -313,23 +326,19 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-std::string number_repr(double v) {
+void append_number(double v, std::string& out) {
+  char buf[64];
+  int n = 0;
   // Exact integers (every count/bytes field) print without a fraction.
   if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 9.007199e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
+    n = std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+  } else {
+    n = std::snprintf(buf, sizeof(buf), "%.17g", v);
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  out.append(buf, static_cast<std::size_t>(n));
 }
 
-}  // namespace
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+void append_escaped(std::string_view s, std::string& out) {
   for (char c : s) {
     switch (c) {
       case '"':
@@ -364,6 +373,20 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
+}
+
+void append_quoted(std::string_view s, std::string& out) {
+  out.push_back('"');
+  append_escaped(s, out);
+  out.push_back('"');
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(s, out);
   return out;
 }
 
@@ -372,44 +395,44 @@ JsonValue JsonValue::parse(std::string_view text) {
 }
 
 std::string JsonValue::dump() const {
-  std::ostringstream os;
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void JsonValue::append_to(std::string& out) const {
   switch (kind_) {
     case Kind::kNull:
-      os << "null";
+      out += "null";
       break;
     case Kind::kBool:
-      os << (bool_ ? "true" : "false");
+      out += bool_ ? "true" : "false";
       break;
     case Kind::kNumber:
-      os << number_repr(num_);
+      append_number(num_, out);
       break;
     case Kind::kString:
-      os << "\"" << json_escape(str_) << "\"";
+      append_quoted(str_, out);
       break;
-    case Kind::kArray: {
-      os << "[";
-      bool first = true;
-      for (const JsonValue& v : items_) {
-        if (!first) os << ",";
-        first = false;
-        os << v.dump();
+    case Kind::kArray:
+      out.push_back('[');
+      for (std::size_t i = 0; i < items_.size(); ++i) {
+        if (i > 0) out.push_back(',');
+        items_[i].append_to(out);
       }
-      os << "]";
+      out.push_back(']');
       break;
-    }
-    case Kind::kObject: {
-      os << "{";
-      bool first = true;
-      for (const auto& [k, v] : members_) {
-        if (!first) os << ",";
-        first = false;
-        os << "\"" << json_escape(k) << "\":" << v.dump();
+    case Kind::kObject:
+      out.push_back('{');
+      for (std::size_t i = 0; i < members_.size(); ++i) {
+        if (i > 0) out.push_back(',');
+        append_quoted(members_[i].first, out);
+        out.push_back(':');
+        members_[i].second.append_to(out);
       }
-      os << "}";
+      out.push_back('}');
       break;
-    }
   }
-  return os.str();
 }
 
 }  // namespace tap::util

@@ -1,10 +1,12 @@
 // Minimal JSON document model: parse + compact dump with order-preserving
-// objects. The report subsystem uses it to round-trip PlanReport JSON
-// (report::from_json) and the tests use it to validate emitted documents.
-// Deliberately small: numbers are doubles (exact for |v| < 2^53, which
+// objects. It is the repo's one JSON codec: plans and plan records
+// (core/serialize), the wire protocol, reports, the flight recorder and
+// the logs all read and write through it.
+// Deliberately small: numbers are doubles (exact for |v| <= 2^53, which
 // covers every integer the repo serializes), object key lookup is linear,
 // and the parser accepts standard JSON (escapes incl. \uXXXX, decoded to
-// UTF-8) throwing util::CheckError on malformed input.
+// UTF-8) plus the inf / -inf that dump() writes for infinities, throwing
+// util::CheckError on malformed input.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +20,9 @@ namespace tap::util {
 /// JSON string-body escaping (no surrounding quotes): `"` and `\` are
 /// backslash-escaped and control characters become \b \f \n \r \t or
 /// \u00XX, so the result is always a legal JSON string body. Everything
-/// the repo writes by hand (JsonValue::dump, bench::BenchReporter)
-/// funnels through this; ad-hoc emitters should too.
+/// the repo writes (JsonValue::dump, bench::BenchReporter,
+/// obs::chrome_trace_json) funnels through this; ad-hoc emitters should
+/// too.
 std::string json_escape(std::string_view s);
 
 class JsonValue {
@@ -50,7 +53,9 @@ class JsonValue {
   // Typed accessors; requesting the wrong kind throws CheckError.
   bool as_bool() const;
   double as_number() const;
-  std::int64_t as_int() const;  ///< as_number(), truncated
+  /// as_number() as an integer; throws unless it is finite, integral and
+  /// within +-2^53.
+  std::int64_t as_int() const;
   const std::string& as_string() const;
   const std::vector<JsonValue>& items() const;  ///< array elements
   const std::vector<std::pair<std::string, JsonValue>>& members()
@@ -66,10 +71,12 @@ class JsonValue {
 
   /// Compact serialization. Doubles that hold an exact integer print
   /// without a fraction; everything else uses %.17g (bit-exact
-  /// round-trip).
+  /// round-trip; +-infinity prints as inf / -inf, which parse() accepts).
   std::string dump() const;
 
  private:
+  void append_to(std::string& out) const;  ///< dump() into one buffer
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double num_ = 0.0;

@@ -32,6 +32,7 @@
 #include "obs/trace.h"
 #include "service/planner_service.h"
 #include "service/wire.h"
+#include "util/check.h"
 #include "util/hash.h"
 #include "util/json.h"
 
@@ -532,6 +533,18 @@ TEST(Wire, ModelSpecJsonRoundTripAndStrictness) {
   EXPECT_THROW(service::model_spec_from_json(R"({"layers":0})"),
                std::exception);
   EXPECT_THROW(service::model_spec_from_json("not json"), std::exception);
+  // Numbers must be integers that fit the field: no truncation, no
+  // wrapping past int, no float->int overflow.
+  const char* const kBadNumbers[] = {
+      R"({"model":"t5","layers":4294967297})",
+      R"({"model":"t5","layers":2.5})",
+      R"({"model":"t5","layers":1e300})",
+      R"({"model":"t5","gpus":4294967304})",
+      R"({"model":"t5","nodes":-4294967295})",
+      R"({"model":"t5","mesh":[4294967298,4]})",
+  };
+  for (const char* body : kBadNumbers)
+    EXPECT_THROW(service::model_spec_from_json(body), CheckError) << body;
 }
 
 TEST(Wire, QuerySpecMatchesJsonSpec) {
@@ -541,6 +554,10 @@ TEST(Wire, QuerySpecMatchesJsonSpec) {
       R"({"model":"t5","layers":2,"nodes":1,"gpus":8,"mesh":"2x4"})");
   EXPECT_EQ(service::model_spec_to_json(from_query),
             service::model_spec_to_json(from_json));
+  // Same strictness: an int field past int throws instead of wrapping.
+  EXPECT_THROW(
+      service::model_spec_from_query("/explain?model=t5&layers=4294967297"),
+      CheckError);
 }
 
 /// One small fixed-mesh problem the end-to-end tests share (fixed mesh

@@ -7,6 +7,7 @@
 #include "graph/graph_builder.h"
 #include "ir/lowering.h"
 #include "models/models.h"
+#include "service/wire.h"
 #include "util/check.h"
 #include "util/json.h"
 
@@ -57,6 +58,21 @@ TEST(Serialize, RoundTripsSearchedPlan) {
   EXPECT_EQ(back.choice, r.best_plan.choice);
 }
 
+TEST(Serialize, PlanResponseCarriesPlanToJsonBytes) {
+  // One writer: the served "plan" member is plan_json's document, so it
+  // dumps to exactly the bytes plan_to_json writes.
+  Fixture f(2);
+  TapOptions opts;
+  opts.cluster = cost::ClusterSpec::v100_cluster(2);
+  opts.num_shards = 8;
+  opts.dp_replicas = 2;
+  const TapResult r = auto_parallel(f.tg, opts);
+  const service::PlanKey key = service::make_plan_key(f.tg, opts, false);
+  const std::string response = service::plan_response_json(f.tg, key, r);
+  EXPECT_EQ(plan_to_json(f.tg, r.best_plan),
+            util::JsonValue::parse(response).at("plan").dump());
+}
+
 TEST(Serialize, ControlCharactersInNamesStayValidJson) {
   // An op name with a newline and a raw control byte: the plan JSON must
   // still parse as JSON, give the name back, and read back as the plan.
@@ -89,7 +105,7 @@ TEST(Serialize, JsonMentionsMeshAndPatterns) {
   Fixture f(1);
   auto plan = baselines::megatron_plan(f.tg, 8);
   std::string json = plan_to_json(f.tg, plan);
-  EXPECT_NE(json.find("\"mesh\": [1, 8]"), std::string::npos);
+  EXPECT_NE(json.find("\"mesh\":[1,8]"), std::string::npos);
   EXPECT_NE(json.find("split_col"), std::string::npos);
   EXPECT_NE(json.find("mha/q"), std::string::npos);
 }
@@ -119,6 +135,13 @@ TEST(Serialize, MalformedInputRejected) {
   EXPECT_THROW(plan_from_json(f.tg, "{\"mesh\": [0, 8], \"assignments\""
                                     ": {}}"),
                CheckError);
+  EXPECT_THROW(plan_from_json(f.tg, "{\"mesh\": [1, 8]}"), CheckError);
+  EXPECT_THROW(plan_from_json(f.tg, "{\"mesh\": [1, 8.5], \"assignments\""
+                                    ": {}}"),
+               CheckError);
+  EXPECT_THROW(plan_from_json(f.tg, "{\"mesh\": [1, 8], \"mesh\": [1, 8], "
+                                    "\"assignments\": {}}"),
+               CheckError);
 }
 
 TEST(Serialize, UnlistedNodesDefaultToPatternZero) {
@@ -135,6 +158,9 @@ TEST(Serialize, WhitespaceTolerant) {
       "  {  \"mesh\"  :  [ 1 , 8 ] ,\n \"assignments\" : { } }  ";
   auto plan = plan_from_json(f.tg, json);
   EXPECT_EQ(plan.num_shards, 8);
+  // Key order is free too.
+  plan = plan_from_json(f.tg, "{\"assignments\": {}, \"mesh\": [1, 4]}");
+  EXPECT_EQ(plan.num_shards, 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -208,11 +234,11 @@ TEST(PlanRecord, VersionIsFirstKeyAndMismatchRejected) {
   ASSERT_LT(json.find("\"version\""), json.find("\"mesh\""));
 
   // Same payload claiming a future version must be rejected up front.
-  std::string vkey = "\"version\": 1";
+  std::string vkey = "\"version\":2";
   auto pos = json.find(vkey);
   ASSERT_NE(pos, std::string::npos);
   std::string future = json;
-  future.replace(pos, vkey.size(), "\"version\": 2");
+  future.replace(pos, vkey.size(), "\"version\":3");
   EXPECT_THROW(plan_record_from_json(f.tg, future), CheckError);
 }
 
@@ -227,6 +253,27 @@ TEST(PlanRecord, MalformedAndMismatchedInputRejected) {
   rec.plan = sharding::default_plan(big.tg, 8);
   std::string json = plan_record_to_json(big.tg, rec);
   EXPECT_THROW(plan_record_from_json(f.tg, json), CheckError);
+
+  // A valid record edited: an extra key, a dropped key, a choice index out
+  // of range, a zero mesh dimension, trailing content.
+  const std::string good = plan_record_to_json(big.tg, rec);
+  ASSERT_NO_THROW(plan_record_from_json(big.tg, good));
+  auto edited = [&](const std::string& from, const std::string& to) {
+    std::string s = good;
+    const auto pos = s.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    return s.replace(pos, from.size(), to);
+  };
+  const std::string bad[] = {
+      edited("\"search_seconds\"", "\"extra\":0,\"search_seconds\""),
+      edited("\"timings\":[],", ""),
+      edited("\"choice\":[0", "\"choice\":[99"),
+      edited("\"mesh\":[1,8]", "\"mesh\":[0,8]"),
+      good + "{}",
+  };
+  for (const std::string& json_bad : bad)
+    EXPECT_THROW(plan_record_from_json(big.tg, json_bad), CheckError)
+        << json_bad;
 }
 
 }  // namespace

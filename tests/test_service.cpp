@@ -16,10 +16,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/serialize.h"
 #include "core/tap.h"
 #include "ir/lowering.h"
 #include "models/models.h"
 #include "util/check.h"
+#include "util/json.h"
 
 namespace tap::service {
 namespace {
@@ -451,10 +453,10 @@ TEST(PlannerService, VersionMismatchedDiskFileIsRejected) {
     buf << in.rdbuf();
   }
   std::string payload = buf.str();
-  const std::string vkey = "\"version\": 1";
+  const std::string vkey = "\"version\":2";
   const auto pos = payload.find(vkey);
   ASSERT_NE(pos, std::string::npos);
-  payload.replace(pos, vkey.size(), "\"version\": 999");
+  payload.replace(pos, vkey.size(), "\"version\":999");
   {
     std::ofstream out(file, std::ios::trunc);
     out << payload;
@@ -465,6 +467,54 @@ TEST(PlannerService, VersionMismatchedDiskFileIsRejected) {
   EXPECT_TRUE(r.routed.valid);
   EXPECT_EQ(svc.cache_stats().disk_rejects, 1u);
   EXPECT_EQ(svc.stats().searches, 1u);
+}
+
+TEST(PlannerService, VersionOneDiskRecordIsQuarantinedAndRewritten) {
+  Graph g = models::build_transformer(models::t5_with_layers(1));
+  ir::TapGraph tg = ir::lower(g);
+  core::TapOptions opts = small_cluster_opts();
+  const PlanRequest req{&tg, opts, false};
+
+  TempDir dir("version1");
+  ServiceOptions sopts;
+  sopts.cache.disk_dir = dir.path;
+  sopts.request_threads = 1;
+
+  std::string file;
+  {
+    PlannerService svc(sopts);
+    svc.plan(req);
+    file = svc.cache().disk_path(svc.key_for(req));
+  }
+  // A record as the version-1 writer spelled it.
+  {
+    std::ofstream out(file, std::ios::trunc);
+    out << "{\n  \"version\": 1,\n  \"mesh\": [2, 8],\n  \"choice\": [],\n"
+           "  \"cost\": [0, 0, 0, 0],\n  \"stats\": [0, 0, 0, 0],\n"
+           "  \"timings\": [],\n  \"search_seconds\": 0\n}\n";
+  }
+  {
+    PlannerService svc(sopts);
+    EXPECT_TRUE(svc.plan(req).routed.valid);
+    EXPECT_EQ(svc.cache_stats().disk_rejects, 1u);
+    EXPECT_EQ(svc.cache_stats().quarantined, 1u);
+    EXPECT_EQ(svc.stats().searches, 1u);
+  }
+  EXPECT_TRUE(fs::exists(file + ".quarantine"));
+  std::stringstream buf;
+  {
+    std::ifstream in(file);
+    buf << in.rdbuf();
+  }
+  const util::JsonValue record = util::JsonValue::parse(buf.str());
+  EXPECT_EQ(record.members().front().first, "version");
+  EXPECT_EQ(record.at("version").as_int(), core::kPlanRecordVersion);
+
+  // The rewritten record serves the next process from disk.
+  PlannerService svc(sopts);
+  EXPECT_TRUE(svc.plan(req).routed.valid);
+  EXPECT_EQ(svc.cache_stats().disk_hits, 1u);
+  EXPECT_EQ(svc.stats().searches, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,16 @@ TEST(Trace, ChromeJsonWellFormed) {
   EXPECT_NE(json.find("\\\"x\\\""), std::string::npos);  // escaped quote
 }
 
+TEST(Trace, ControlCharactersInEventNamesStayValidJson) {
+  // Sim event names carry graph op names, which may hold control bytes.
+  Trace t;
+  t.add("a\nb\x01", "forward", 0.001, 0.002, 0);
+  const std::string json = t.to_chrome_json();
+  EXPECT_NE(json.find("\"a\\nb\\u0001\""), std::string::npos) << json;
+  EXPECT_EQ(json.find('\x01'), std::string::npos) << json;
+  EXPECT_EQ(json.find("a\nb"), std::string::npos) << json;
+}
+
 TEST(Trace, LaneBusyTimes) {
   Trace t;
   t.add("a", "forward", 0, 1.0, 0);

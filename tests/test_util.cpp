@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include <fstream>
 
 #include "bench/bench_common.h"
+#include "util/check.h"
 #include "util/hash.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -40,6 +42,32 @@ TEST(JsonEscape, DumpedStringsRoundTripThroughTheParser) {
   ASSERT_EQ(parsed.members().size(), 1u);
   EXPECT_EQ(parsed.members()[0].first, nasty);
   EXPECT_EQ(parsed.members()[0].second.as_string(), nasty);
+}
+
+TEST(JsonValue, EveryDumpedNumberRoundTripsThroughTheParser) {
+  // dump() spells infinities inf / -inf; parse() must read them back.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double d : {inf, -inf, 0.1, 1.0 / 3.0, 6.02214076e23, 5e-324}) {
+    JsonValue v = JsonValue::array();
+    v.push_back(JsonValue::number(d));
+    const std::string text = v.dump();
+    EXPECT_EQ(JsonValue::parse(text).items()[0].as_number(), d) << text;
+  }
+  EXPECT_EQ(JsonValue::number(inf).dump(), "inf");
+  EXPECT_EQ(JsonValue::parse("-inf").as_number(), -inf);
+  EXPECT_THROW(JsonValue::parse("in"), CheckError);
+  EXPECT_THROW(JsonValue::parse("infinity"), CheckError);
+}
+
+TEST(JsonValue, AsIntIsStrict) {
+  EXPECT_EQ(JsonValue::parse("42").as_int(), 42);
+  EXPECT_EQ(JsonValue::parse("-9007199254740992").as_int(),
+            -9007199254740992LL);
+  const char* const kNotInts[] = {
+      "2.5", "1e300", "-1e300", "inf", "-inf", "9007199254740994", "\"7\"",
+  };
+  for (const char* text : kNotInts)
+    EXPECT_THROW(JsonValue::parse(text).as_int(), CheckError) << text;
 }
 
 TEST(BenchReporter, RecordSurvivesHostileNotesAndParses) {
