@@ -25,6 +25,7 @@
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "util/json.h"
+#include "util/stopwatch.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -114,6 +115,38 @@ inline std::string ms(double seconds) {
   return util::fmt("%.1f", seconds * 1e3);
 }
 
+/// Wall-time summary of repeated runs of one call, in ms.
+struct RepeatStats {
+  int runs = 0;
+  double min_ms = 0.0;
+  double median_ms = 0.0;
+  double p90_ms = 0.0;  ///< nearest rank
+};
+
+/// Runs `fn` once to warm up, then `runs` timed times, and summarizes
+/// the timed runs. One run of a shared host can be off by several times;
+/// a median of several is the figure to compare.
+template <typename Fn>
+RepeatStats repeat_ms(int runs, Fn&& fn) {
+  fn();
+  std::vector<double> t;
+  t.reserve(static_cast<std::size_t>(std::max(1, runs)));
+  for (int i = 0; i < std::max(1, runs); ++i) {
+    util::Stopwatch sw;
+    fn();
+    t.push_back(sw.elapsed_seconds() * 1e3);
+  }
+  std::sort(t.begin(), t.end());
+  RepeatStats s;
+  s.runs = static_cast<int>(t.size());
+  s.min_ms = t.front();
+  s.median_ms = t.size() % 2 == 1
+                    ? t[t.size() / 2]
+                    : 0.5 * (t[t.size() / 2 - 1] + t[t.size() / 2]);
+  s.p90_ms = t[(t.size() * 9 + 9) / 10 - 1];
+  return s;
+}
+
 inline void header(const std::string& what, const std::string& paper_ref) {
   std::cout << "=== " << what << " (" << paper_ref << ") ===\n";
 }
@@ -131,6 +164,12 @@ class BenchReporter {
 
   void add(const std::string& key, double value) {
     figures_.emplace_back(key, value);
+  }
+  /// `key`_min_ms, `key`_median_ms and `key`_p90_ms.
+  void add(const std::string& key, const RepeatStats& s) {
+    add(key + "_min_ms", s.min_ms);
+    add(key + "_median_ms", s.median_ms);
+    add(key + "_p90_ms", s.p90_ms);
   }
   void note(const std::string& key, const std::string& value) {
     notes_.emplace_back(key, value);

@@ -6,8 +6,23 @@
 #include "baselines/alpa_like.h"
 #include "bench_common.h"
 #include "obs/trace.h"
+#include "pruning/prune.h"
+#include "sharding/pattern.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
+
+namespace {
+
+/// Timed runs per repeated figure (after one warm-up run).
+constexpr int kRuns = 7;
+/// The threads=1 sweep may grow at most this much from T5-8L to T5-48L:
+/// folding makes the family search flat in depth, so only the O(V)
+/// whole-graph passes may grow.
+constexpr double kMaxSweepDepthRatio = 2.5;
+/// T5-8L/T5-48L sweep pairs behind the gate's median ratio.
+constexpr int kGatePairs = 15;
+
+}  // namespace
 
 int main() {
   using namespace tap;
@@ -25,6 +40,8 @@ int main() {
     topts.num_shards = cluster.world();
     topts.cluster = cluster;
     auto tap = core::auto_parallel(w.tg, topts);
+    const bench::RepeatStats tap_t =
+        bench::repeat_ms(kRuns, [&] { core::auto_parallel(w.tg, topts); });
 
     baselines::AlpaOptions al;
     al.num_shards = cluster.world();
@@ -34,25 +51,29 @@ int main() {
     table.add_row(
         {std::to_string(layers),
          util::human_count(static_cast<double>(w.graph.total_params())),
-         util::fmt("%.1f", tap.search_seconds * 1e3),
+         util::fmt("%.2f", tap_t.median_ms),
          std::to_string(tap.candidate_plans),
          util::fmt("%.1f", alpa.search_seconds * 1e3),
          util::fmt("%.1f", alpa.search_seconds +
                                alpa.simulated_profiling_seconds),
-         util::fmt("%.0fx", alpa.search_seconds / tap.search_seconds),
+         util::fmt("%.0fx", alpa.search_seconds * 1e3 / tap_t.median_ms),
          util::fmt("%.0fx", (alpa.search_seconds +
-                             alpa.simulated_profiling_seconds) /
-                                tap.search_seconds)});
+                             alpa.simulated_profiling_seconds) *
+                                1e3 / tap_t.median_ms)});
 
     const std::string prefix = "t5_" + std::to_string(layers) + "l.";
-    report.add(prefix + "tap_ms", tap.search_seconds * 1e3);
+    report.add(prefix + "tap_ms", tap_t.median_ms);
+    report.add(prefix + "tap", tap_t);
     report.add(prefix + "tap_candidates",
                static_cast<double>(tap.candidate_plans));
     report.add(prefix + "alpa_ms", alpa.search_seconds * 1e3);
     report.add(prefix + "speedup_wall",
-               alpa.search_seconds / tap.search_seconds);
+               alpa.search_seconds * 1e3 / tap_t.median_ms);
   }
   table.print(std::cout);
+  std::printf("(TAP ms: median of %d runs after a warm-up; Alpa-like: one "
+              "run)\n",
+              kRuns);
   std::cout << "\nTAP examines ~777 candidates regardless of depth (one "
                "folded block); the Alpa-like search re-profiles and "
                "re-partitions the whole op-level graph, so its time grows "
@@ -69,30 +90,68 @@ int main() {
               util::ThreadPool::resolve(0) == 1
                   ? " (single core: expect 1.0x, identity still holds)"
                   : "");
-  util::Table tt({"layers", "threads=1 ms", "threads=auto ms", "speedup",
-                  "identical"});
-  for (int layers : {8, 24}) {
+  util::Table tt({"layers", "threads=1 ms (min/med/p90)", "threads=auto ms",
+                  "speedup", "identical"});
+  for (int layers : {8, 24, 48}) {
     bench::Workload w = bench::t5_workload(layers);
     core::TapOptions seq;
     seq.cluster = cluster;
     seq.threads = 1;
     auto r1 = core::auto_parallel_best_mesh(w.tg, seq);
+    const bench::RepeatStats t1 = bench::repeat_ms(
+        kRuns, [&] { core::auto_parallel_best_mesh(w.tg, seq); });
     core::TapOptions par = seq;
     par.threads = 0;  // hardware_concurrency
     auto rn = core::auto_parallel_best_mesh(w.tg, par);
+    const bench::RepeatStats tn = bench::repeat_ms(
+        kRuns, [&] { core::auto_parallel_best_mesh(w.tg, par); });
     const bool same = r1.best_plan.choice == rn.best_plan.choice &&
                       r1.cost.total() == rn.cost.total() &&
                       r1.candidate_plans == rn.candidate_plans;
-    tt.add_row({std::to_string(layers), bench::ms(r1.search_seconds),
-                bench::ms(rn.search_seconds),
-                util::fmt("%.1fx", r1.search_seconds / rn.search_seconds),
+    tt.add_row({std::to_string(layers),
+                util::fmt("%.2f", t1.min_ms) + " / " +
+                    util::fmt("%.2f", t1.median_ms) + " / " +
+                    util::fmt("%.2f", t1.p90_ms),
+                util::fmt("%.2f", tn.median_ms),
+                util::fmt("%.1fx", t1.median_ms / tn.median_ms),
                 same ? "yes" : "NO"});
     const std::string prefix = "sweep_t5_" + std::to_string(layers) + "l.";
-    report.add(prefix + "threads1_ms", r1.search_seconds * 1e3);
-    report.add(prefix + "threads_auto_ms", rn.search_seconds * 1e3);
+    report.add(prefix + "threads1_ms", t1.median_ms);
+    report.add(prefix + "threads1", t1);
+    report.add(prefix + "threads_auto_ms", tn.median_ms);
     report.add(prefix + "identical", same ? 1.0 : 0.0);
   }
   tt.print(std::cout);
+
+  // The depth gate times T5-8L and T5-48L sweeps in alternation, so a
+  // shared host's drift hits both depths alike, and takes the median of
+  // the per-pair ratios.
+  double depth_ratio = 0.0;
+  {
+    const bench::Workload shallow = bench::t5_workload(8);
+    const bench::Workload deep = bench::t5_workload(48);
+    core::TapOptions seq;
+    seq.cluster = cluster;
+    seq.threads = 1;
+    auto sweep_ms = [&](const bench::Workload& w) {
+      util::Stopwatch sw;
+      core::auto_parallel_best_mesh(w.tg, seq);
+      return sw.elapsed_seconds() * 1e3;
+    };
+    sweep_ms(shallow);  // warm-up
+    sweep_ms(deep);
+    std::vector<double> ratios;
+    for (int i = 0; i < kGatePairs; ++i) {
+      const double shallow_ms = sweep_ms(shallow);
+      ratios.push_back(sweep_ms(deep) / shallow_ms);
+    }
+    std::sort(ratios.begin(), ratios.end());
+    depth_ratio = ratios[ratios.size() / 2];
+  }
+  report.add("sweep_t5_48l_over_8l", depth_ratio);
+  std::printf("threads=1 sweep, T5-48L / T5-8L (median of %d alternating "
+              "pairs): %.2fx (gate: <= %.1fx)\n",
+              kGatePairs, depth_ratio, kMaxSweepDepthRatio);
 
   // --- Fig. 6-style per-pass breakdown of one pipeline run ---------------
   {
@@ -105,10 +164,21 @@ int main() {
                  "---\n";
     for (const auto& t : r.pass_timings)
       std::printf("  %-18s %7.2f ms\n", t.pass.c_str(), t.seconds * 1e3);
-    std::cout << "(Prune is mesh-independent and hoisted out of the sweep; "
-                 "BuildPatternTable is rebuilt per mesh — patterns_for "
-                 "filters by divisibility against num_shards and gates the "
-                 "dp pattern on the global batch.)\n";
+    // Prune is mesh-independent, so the sweep runs it once; the pattern
+    // table depends on the mesh (divisibility against num_shards, the dp
+    // pattern's global batch), so the sweep builds one per mesh.
+    bench::Workload deep = bench::t5_workload(48);
+    const bench::RepeatStats prune_t = bench::repeat_ms(
+        kRuns, [&] { pruning::prune_graph(deep.tg, topts.prune); });
+    const bench::RepeatStats table_t = bench::repeat_ms(kRuns, [&] {
+      for (int tp = 1; tp <= cluster.world(); tp *= 2)
+        sharding::PatternTable(deep.tg, tp, cluster.world() / tp);
+    });
+    std::printf("(T5-48L sweep, medians of %d runs: Prune once %.2f ms, "
+                "BuildPatternTable for all 5 meshes %.2f ms.)\n",
+                kRuns, prune_t.median_ms, table_t.median_ms);
+    report.add("t5_48l.prune", prune_t);
+    report.add("t5_48l.pattern_tables", table_t);
   }
 
   // --- observability overhead: identical search, tracing off vs on -------
@@ -138,6 +208,12 @@ int main() {
     report.add("obs.tracing_off_ms", off_s * 1e3);
     report.add("obs.tracing_on_ms", on_s * 1e3);
     report.add("obs.events", static_cast<double>(session.events().size()));
+  }
+  if (depth_ratio > kMaxSweepDepthRatio) {
+    std::fprintf(stderr,
+                 "FAIL: threads=1 sweep T5-48L/T5-8L = %.2fx > %.1fx\n",
+                 depth_ratio, kMaxSweepDepthRatio);
+    return 1;
   }
   return 0;
 }

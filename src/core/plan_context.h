@@ -85,6 +85,10 @@ inline const char* deadline_class_name(std::int64_t deadline_ms) {
 struct SearchStats {
   std::int64_t candidate_plans = 0;
   std::int64_t valid_plans = 0;
+  /// Nodes the search would route from scratch. Pinned by the plan bytes
+  /// (the wire and the plan record carry it): GlobalRefine still counts V
+  /// per revert probe, skipped or resumed, though it routes far fewer
+  /// (planner.refine.nodes_routed counts those).
   std::int64_t nodes_visited = 0;
   std::int64_t cost_queries = 0;
 

@@ -42,6 +42,15 @@ bool family_is_weighted(const ir::TapGraph& tg, const SubgraphFamily& f) {
   return false;
 }
 
+/// True when every instance node of `family` already has pattern 0 in
+/// `plan`, so reverting the family would leave the plan unchanged.
+bool family_is_reverted(const SubgraphFamily& f, const ShardingPlan& plan) {
+  for (const std::vector<ir::GraphNodeId>& instance : f.instance_nodes)
+    for (ir::GraphNodeId id : instance)
+      if (plan.choice[static_cast<std::size_t>(id)] != 0) return false;
+  return true;
+}
+
 /// "BuildPatternTable" -> "planner.pass.build_pattern_table_ms".
 std::string pass_metric_name(const std::string& pass) {
   std::string out = "planner.pass.";
@@ -212,18 +221,35 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
       << "GlobalRefine requires FamilySearch";
   const sharding::PatternTable& table = *ctx.table;
   const cost::BackwardWindowTerms& terms = full_graph_terms(ctx);
-  // Every route of the pass goes through one scratch; a probe that wins
-  // swaps buffers with ctx.plan/ctx.routed instead of copying them.
-  sharding::RoutingScratch scratch;
-  sharding::RoutedPlan routed;
+  // Every route of the pass goes through one whole-graph cursor and one
+  // cost prefix, so a probe re-routes and re-costs only from the first
+  // node (in visit order) whose choice differs from the route before it.
+  const sharding::SubgraphScope whole(tg);
+  sharding::RouteCursor cursor;
+  cursor.bind(tg, whole, sharding::ShardSpec::replicate(), table);
+  cost::CommCostPrefix prefix;
+  // Routes and costs `plan`: kInvalidPlanCost when it does not route.
+  auto route_cost = [&](const ShardingPlan& plan, bool* valid) {
+    const sharding::RoutedPlan& routed = cursor.route(plan);
+    prefix.truncate(cursor.resumed_comms());
+    *valid = routed.valid;
+    if (!routed.valid) return kInvalidPlanCost;
+    cost::CostOptions copts = ctx.opts.cost;
+    copts.overlap_window_s = terms.window(routed, table);
+    return prefix.cost(routed, ctx.opts.num_shards, ctx.opts.cluster, copts)
+        .total();
+  };
+  const auto num_nodes = static_cast<std::int64_t>(tg.num_nodes());
+  std::uint64_t probes = 0, skipped = 0;
   ShardingPlan reverted;
   std::vector<int> zeros;
 
-  sharding::route_plan_into(tg, ctx.plan, &table, &scratch, &ctx.routed);
-  ctx.stats.nodes_visited += static_cast<std::int64_t>(tg.num_nodes());
-  double current_cost =
-      ctx.routed.valid ? global_cost(ctx.routed, ctx.opts, table, terms).total()
-                       : kInvalidPlanCost;
+  // ctx.routed keeps a copy of the current plan's route, taken whenever
+  // the current plan changes: a copy is cheaper than routing it again.
+  bool current_valid = false;
+  double current_cost = route_cost(ctx.plan, &current_valid);
+  if (current_valid) ctx.routed = cursor.routed();
+  ctx.stats.nodes_visited += num_nodes;
   ++ctx.stats.cost_queries;
   for (const SubgraphFamily& family : ctx.pruning.families) {
     if (!family_is_weighted(tg, family)) continue;
@@ -236,27 +262,42 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
       ctx.cancelled = true;
       break;
     }
+    ++probes;
+    // The counters are part of the plan bytes, so every probe counts as
+    // a whole-graph route (and a cost query when it routes).
+    ctx.stats.nodes_visited += num_nodes;
+    if (family_is_reverted(family, ctx.plan)) {
+      // Reverting changes nothing: the probe would re-route the current
+      // plan, whose cost cannot beat itself.
+      ++skipped;
+      if (current_valid) ++ctx.stats.cost_queries;
+      continue;
+    }
     reverted = ctx.plan;
     zeros.assign(family.member_nodes.size(), 0);
     sharding::apply_family_choice(family, zeros, &reverted);
-    sharding::route_plan_into(tg, reverted, &table, &scratch, &routed);
-    ctx.stats.nodes_visited += static_cast<std::int64_t>(tg.num_nodes());
-    if (!routed.valid) continue;
+    bool valid = false;
+    const double c = route_cost(reverted, &valid);
+    if (!valid) continue;
     ++ctx.stats.cost_queries;
-    const double c = global_cost(routed, ctx.opts, table, terms).total();
     if (c < current_cost) {
       current_cost = c;
+      current_valid = true;
       std::swap(ctx.plan, reverted);
-      std::swap(ctx.routed, routed);
+      ctx.routed = cursor.routed();
     }
   }
-  if (!ctx.routed.valid) {
+  if (!current_valid) {
     // Assembly never produced a routable plan: fall back to pure DP.
     ctx.plan = sharding::default_plan(tg, ctx.opts.num_shards,
                                       ctx.opts.dp_replicas);
     ctx.routed = sharding::route_plan(tg, ctx.plan, &table);
   }
   TAP_CHECK(ctx.routed.valid) << ctx.routed.error;
+  obs::MetricsRegistry& reg = obs::registry();
+  reg.counter("planner.refine.probes")->add(probes);
+  reg.counter("planner.refine.skipped_probes")->add(skipped);
+  reg.counter("planner.refine.nodes_routed")->add(cursor.steps());
 }
 
 void FinalizeCostPass::run(PlanContext& ctx) const {

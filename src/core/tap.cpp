@@ -103,10 +103,11 @@ TapResult auto_parallel_best_mesh(const ir::TapGraph& tg,
   // structure), so run it ONCE and share it across factorizations. The
   // PatternTable, by contrast, must be rebuilt per mesh: patterns_for
   // filters by divisibility against num_shards and gates the batch-split
-  // "dp" pattern on batch % (dp·tp) == 0. The per-pass timers
-  // (TapResult::pass_timings) confirm the split: Prune dominates table
-  // construction by an order of magnitude on the T5 workloads, so the
-  // sweep now pays it once instead of |factorizations| times.
+  // "dp" pattern on batch % (dp·tp) == 0. Both are O(V) per call and of
+  // the same order (bench_fig9 prints them for T5-48L), so hoisting Prune
+  // saves |factorizations| - 1 of its calls. Everything else the meshes
+  // share — the op costs behind the backward-window terms — is stored on
+  // the TapGraph at lowering.
   const pruning::PruneResult shared_pruning =
       pruning::prune_graph(tg, opts.prune);
 

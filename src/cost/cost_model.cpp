@@ -178,7 +178,6 @@ BackwardWindowTerms::BackwardWindowTerms(
     const ir::TapGraph& tg, const std::vector<ir::GraphNodeId>* members,
     int num_shards, int dp_replicas, const ClusterSpec& cluster)
     : dp_replicas_(dp_replicas) {
-  const Graph& g = *tg.source();
   // The shrinks exactly as backward_compute_window forms them.
   const double dp = static_cast<double>(std::max(1, dp_replicas));
   const double replicated = dp * 1.0;
@@ -186,9 +185,10 @@ BackwardWindowTerms::BackwardWindowTerms(
   auto add = [&](ir::GraphNodeId id) {
     Cluster c{id, replicated_.size(), 0};
     for (NodeId op : tg.node(id).ops) {
-      const double bf = backward_factor(g.node(op).kind);
-      replicated_.push_back(op_time(g.node(op), g, cluster, replicated) * bf);
-      split_.push_back(op_time(g.node(op), g, cluster, split) * bf);
+      const OpWork& work = tg.op_work(op);
+      const double bf = backward_factor(work.kind);
+      replicated_.push_back(op_time(work, cluster, replicated) * bf);
+      split_.push_back(op_time(work, cluster, split) * bf);
     }
     c.end = replicated_.size();
     clusters_.push_back(c);

@@ -138,8 +138,10 @@ double backward_compute_window(const ir::TapGraph& tg,
 /// depends on the candidate only through one bit — whether it runs
 /// split (shrink dp·tp) or replicated (shrink dp) — so each op's
 /// op_time × backward_factor is computed once per shrink, when the terms
-/// are built, and window() adds the chosen terms in backward_compute_window's
-/// order: the result is bit-identical at O(ops) additions per call. The
+/// are built, from the op_work the TapGraph stored at finalize() (the
+/// FLOP and byte counts are not recounted per mesh). window() adds the
+/// chosen terms in backward_compute_window's order: the result is
+/// bit-identical at O(ops) additions per call. The
 /// FamilySearch pass builds one per family search; GlobalRefine builds
 /// one full-graph set that FinalizeCost reuses.
 class BackwardWindowTerms {

@@ -4,64 +4,30 @@
 
 namespace tap::cost {
 
-double op_flops(const Node& n) {
-  const auto out = static_cast<double>(n.output.num_elements());
-  switch (n.kind) {
-    case OpKind::kMatMul: {
-      if (n.weight) {
-        const TensorShape& w = n.weight->shape;
-        // 2D dense [K,N] or 3D expert bank [E,K,N]: out already includes
-        // the E and N axes, so multiply by the contraction K.
-        std::int64_t k = w.rank() == 3 ? w.dim(1) : w.dim(0);
-        return 2.0 * out * static_cast<double>(k);
-      }
-      // Weightless matmul (e.g. CLIP similarity): contraction inferred
-      // conservatively from the output row size.
-      return 2.0 * out * static_cast<double>(
-                             std::max<std::int64_t>(n.output.shape.dim(-1), 1));
-    }
-    case OpKind::kBatchMatMul:
-      // Contraction dim is not stored; attention uses d_head or seq — use
-      // the last output dim as a proxy (exact enough for ranking).
-      return 2.0 * out * static_cast<double>(n.output.shape.dim(-1));
-    case OpKind::kConv2D: {
-      const TensorShape& w = n.weight->shape;  // [kh, kw, cin, cout]
-      return 2.0 * out *
-             static_cast<double>(w.dim(0) * w.dim(1) * w.dim(2));
-    }
-    case OpKind::kSoftmax:
-    case OpKind::kLayerNorm:
-    case OpKind::kBatchNorm:
-      return 6.0 * out;
-    case OpKind::kGelu:
-    case OpKind::kTanh:
-    case OpKind::kSigmoid:
-    case OpKind::kErf:
-      return 8.0 * out;
-    case OpKind::kCrossEntropy:
-      return 5.0 * out;
-    default:
-      return is_elementwise(n.kind) ? out : 2.0 * out;
-  }
+namespace {
+
+/// Ops the roofline charges nothing for.
+bool untimed(OpKind kind) {
+  return is_aux(kind) || is_comm(kind) || kind == OpKind::kPlaceholder ||
+         kind == OpKind::kConst;
 }
 
-std::int64_t op_bytes_touched(const Node& n, const Graph& g) {
-  std::int64_t bytes = n.output.size_bytes();
-  for (NodeId in : n.inputs) bytes += g.node(in).output.size_bytes();
-  if (n.weight) bytes += n.weight->size_bytes();
-  return bytes;
+}  // namespace
+
+double op_time(const OpWork& work, const ClusterSpec& cluster, double shrink,
+               bool fused) {
+  if (untimed(work.kind)) return 0.0;
+  const double s = std::max(shrink, 1.0);
+  const double compute = work.flops / s / cluster.effective_flops();
+  const double memory = static_cast<double>(work.bytes) / s / cluster.mem_bw;
+  return std::max(compute, memory) +
+         (fused ? 0.0 : cluster.kernel_launch_overhead);
 }
 
 double op_time(const Node& n, const Graph& g, const ClusterSpec& cluster,
                double shrink, bool fused) {
-  if (is_aux(n.kind) || is_comm(n.kind)) return 0.0;
-  if (n.kind == OpKind::kPlaceholder || n.kind == OpKind::kConst) return 0.0;
-  const double s = std::max(shrink, 1.0);
-  const double compute = op_flops(n) / s / cluster.effective_flops();
-  const double memory =
-      static_cast<double>(op_bytes_touched(n, g)) / s / cluster.mem_bw;
-  return std::max(compute, memory) +
-         (fused ? 0.0 : cluster.kernel_launch_overhead);
+  if (untimed(n.kind)) return 0.0;  // not worth counting its work
+  return op_time(op_work(n, g), cluster, shrink, fused);
 }
 
 double backward_factor(OpKind kind) {

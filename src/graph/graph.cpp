@@ -1,7 +1,6 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
 
 #include "util/check.h"
@@ -61,23 +60,19 @@ std::vector<NodeId> Graph::leaves() const {
 }
 
 std::vector<NodeId> Graph::topo_order() const {
+  // Kahn's algorithm with `order` as its FIFO queue: ready nodes are
+  // appended, and `head` walks them in the order they became ready.
   std::vector<int> indegree(nodes_.size(), 0);
-  for (const Node& n : nodes_)
-    indegree[static_cast<std::size_t>(n.id)] =
-        static_cast<int>(n.inputs.size());
-
-  std::deque<NodeId> ready;
-  for (const Node& n : nodes_)
-    if (n.inputs.empty()) ready.push_back(n.id);
-
   std::vector<NodeId> order;
   order.reserve(nodes_.size());
-  while (!ready.empty()) {
-    NodeId id = ready.front();
-    ready.pop_front();
-    order.push_back(id);
-    for (NodeId c : consumers_[static_cast<std::size_t>(id)]) {
-      if (--indegree[static_cast<std::size_t>(c)] == 0) ready.push_back(c);
+  for (const Node& n : nodes_) {
+    indegree[static_cast<std::size_t>(n.id)] =
+        static_cast<int>(n.inputs.size());
+    if (n.inputs.empty()) order.push_back(n.id);
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (NodeId c : consumers_[static_cast<std::size_t>(order[head])]) {
+      if (--indegree[static_cast<std::size_t>(c)] == 0) order.push_back(c);
     }
   }
   TAP_CHECK_EQ(order.size(), nodes_.size()) << "graph contains a cycle";

@@ -1,6 +1,5 @@
 #include "ir/graph_node.h"
 
-#include <deque>
 #include <sstream>
 
 #include "util/check.h"
@@ -8,16 +7,21 @@
 
 namespace tap::ir {
 
+void TapGraph::reserve(std::size_t num_nodes) {
+  nodes_.reserve(num_nodes);
+  consumers_.reserve(num_nodes);
+  by_name_.reserve(num_nodes);
+}
+
 GraphNodeId TapGraph::add_node(GraphNode n) {
   TAP_CHECK(!n.name.empty());
-  TAP_CHECK(by_name_.find(n.name) == by_name_.end())
-      << "duplicate GraphNode '" << n.name << "'";
   for (GraphNodeId in : n.inputs) {
     TAP_CHECK(in >= 0 && in < static_cast<GraphNodeId>(nodes_.size()))
         << "GraphNode '" << n.name << "' has unknown input " << in;
   }
   n.id = static_cast<GraphNodeId>(nodes_.size());
-  by_name_.emplace(n.name, n.id);
+  TAP_CHECK(by_name_.try_emplace(n.name, n.id).second)
+      << "duplicate GraphNode '" << n.name << "'";
   consumers_.emplace_back();
   for (GraphNodeId in : n.inputs)
     consumers_[static_cast<std::size_t>(in)].push_back(n.id);
@@ -31,6 +35,14 @@ void TapGraph::finalize() {
   topo_pos_.assign(nodes_.size(), -1);
   for (std::size_t i = 0; i < topo_order_.size(); ++i)
     topo_pos_[static_cast<std::size_t>(topo_order_[i])] = static_cast<int>(i);
+  op_work_.clear();
+  if (source_ != nullptr) {
+    op_work_.resize(source_->num_nodes());
+    for (const GraphNode& n : nodes_)
+      for (NodeId op : n.ops)
+        op_work_[static_cast<std::size_t>(op)] =
+            tap::op_work(source_->node(op), *source_);
+  }
   finalized_ = true;
 }
 
@@ -66,21 +78,18 @@ std::vector<GraphNodeId> TapGraph::leaves() const {
 }
 
 std::vector<GraphNodeId> TapGraph::topo_order() const {
+  // Kahn's algorithm with `order` as its FIFO queue (Graph::topo_order).
   std::vector<int> indegree(nodes_.size());
-  for (const auto& n : nodes_)
-    indegree[static_cast<std::size_t>(n.id)] =
-        static_cast<int>(n.inputs.size());
-  std::deque<GraphNodeId> ready;
-  for (const auto& n : nodes_)
-    if (n.inputs.empty()) ready.push_back(n.id);
   std::vector<GraphNodeId> order;
   order.reserve(nodes_.size());
-  while (!ready.empty()) {
-    GraphNodeId id = ready.front();
-    ready.pop_front();
-    order.push_back(id);
-    for (GraphNodeId c : consumers_[static_cast<std::size_t>(id)])
-      if (--indegree[static_cast<std::size_t>(c)] == 0) ready.push_back(c);
+  for (const auto& n : nodes_) {
+    indegree[static_cast<std::size_t>(n.id)] =
+        static_cast<int>(n.inputs.size());
+    if (n.inputs.empty()) order.push_back(n.id);
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (GraphNodeId c : consumers_[static_cast<std::size_t>(order[head])])
+      if (--indegree[static_cast<std::size_t>(c)] == 0) order.push_back(c);
   }
   TAP_CHECK_EQ(order.size(), nodes_.size()) << "TapGraph contains a cycle";
   return order;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/op_work.h"
 #include "util/check.h"
 
 namespace tap::ir {
@@ -52,14 +53,18 @@ class TapGraph {
   TapGraph() = default;
   explicit TapGraph(const Graph* source) : source_(source) {}
 
+  /// Capacity for `num_nodes` nodes (an optional hint before add_node).
+  void reserve(std::size_t num_nodes);
+
   /// Appends a node, assigning its id. Inputs must already exist. The
   /// consumer lists grow with every add; the topological order is stale
   /// until the next finalize().
   GraphNodeId add_node(GraphNode n);
 
-  /// Computes the topological order and positions once the graph is
-  /// complete (ir::lower calls it last). Every const accessor is then a
-  /// plain read, so a finished graph can be shared between threads.
+  /// Computes the topological order and positions, and the op_work of
+  /// every member op, once the graph is complete (ir::lower calls it
+  /// last). Every const accessor is then a plain read, so a finished graph
+  /// can be shared between threads.
   void finalize();
 
   const std::vector<GraphNode>& nodes() const { return nodes_; }
@@ -84,6 +89,15 @@ class TapGraph {
   const std::vector<GraphNodeId>& cached_topo_order() const;
   int topo_position(GraphNodeId id) const;
 
+  /// op_work(source op, source graph) of a member op, as computed by
+  /// finalize(): mesh-independent, so the per-mesh backward-window terms
+  /// read it instead of recounting FLOPs and bytes at every mesh. The
+  /// graph must be finalized and have a source.
+  const OpWork& op_work(NodeId op) const {
+    TAP_CHECK(op >= 0 && static_cast<std::size_t>(op) < op_work_.size());
+    return op_work_[static_cast<std::size_t>(op)];
+  }
+
   /// Clusters carrying at least one weight tensor.
   std::vector<GraphNodeId> weight_nodes() const;
 
@@ -99,6 +113,7 @@ class TapGraph {
   std::vector<std::vector<GraphNodeId>> consumers_;
   std::vector<GraphNodeId> topo_order_;  ///< set by finalize()
   std::vector<int> topo_pos_;
+  std::vector<OpWork> op_work_;  ///< per source NodeId, set by finalize()
   bool finalized_ = false;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <numeric>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 
 #include "util/check.h"
@@ -76,9 +78,9 @@ std::vector<int> tarjan_scc(const std::vector<std::vector<int>>& adj,
     int v;
     std::size_t child;
   };
+  std::vector<Frame> call;
   for (int start = 0; start < n; ++start) {
     if (index[static_cast<std::size_t>(start)] != -1) continue;
-    std::vector<Frame> call;
     call.push_back({start, 0});
     index[static_cast<std::size_t>(start)] =
         low[static_cast<std::size_t>(start)] = next_index++;
@@ -130,10 +132,10 @@ std::vector<int> tarjan_scc(const std::vector<std::vector<int>>& adj,
 }  // namespace
 
 std::uint64_t op_fingerprint(const Node& n, std::string_view scope) {
-  std::string rel = n.name;
-  if (!scope.empty() && util::starts_with(n.name, scope) &&
-      n.name.size() > scope.size() && n.name[scope.size()] == '/') {
-    rel = n.name.substr(scope.size() + 1);
+  std::string_view rel = n.name;
+  if (!scope.empty() && util::starts_with(rel, scope) &&
+      rel.size() > scope.size() && rel[scope.size()] == '/') {
+    rel.remove_prefix(scope.size() + 1);
   }
   std::uint64_t h = util::hash_u64(static_cast<std::uint64_t>(n.kind));
   h = util::hash_combine(h, util::hash_str(rel));
@@ -171,12 +173,17 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
   }
 
   // 2. Initial clustering: by parent name scope (or per-op when disabled).
-  std::unordered_map<std::string, int> scope_ids;
+  // Scope keys are views into the op names, which `g` owns.
+  std::unordered_map<std::string_view, int> scope_ids;
   std::vector<int> scope_of(g.num_nodes(), -1);
-  std::vector<std::string> scope_names;
+  std::vector<std::string_view> scope_names;
   for (const Node& n : g.nodes()) {
     if (!kept[static_cast<std::size_t>(n.id)]) continue;
-    std::string key = opts.cluster_by_scope ? util::path_parent(n.name) : n.name;
+    std::string_view key = n.name;
+    if (opts.cluster_by_scope) {
+      const std::size_t slash = key.rfind('/');  // the parent scope
+      if (slash != std::string_view::npos) key = key.substr(0, slash);
+    }
     if (key.empty()) key = n.name;
     auto [it, inserted] =
         scope_ids.emplace(key, static_cast<int>(scope_names.size()));
@@ -197,24 +204,18 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
       }
     }
   }
-  // Component id per kept node: (scope, union-find root) pairs.
-  std::unordered_map<std::uint64_t, int> comp_ids;
+  // Component id per kept node, numbered in topo order of first member.
+  // Only same-scope ops are united, so the union-find root alone names
+  // the (scope, component) pair.
+  std::vector<int> comp_of_root(g.num_nodes(), -1);
   std::vector<int> comp_of(g.num_nodes(), -1);
-  std::vector<int> comp_scope;
+  int num_comps = 0;
   for (NodeId id : topo) {
     if (!kept[static_cast<std::size_t>(id)]) continue;
-    std::uint64_t key =
-        (static_cast<std::uint64_t>(
-             scope_of[static_cast<std::size_t>(id)])
-         << 32) |
-        static_cast<std::uint64_t>(uf.find(static_cast<std::size_t>(id)));
-    auto [it, inserted] =
-        comp_ids.emplace(key, static_cast<int>(comp_scope.size()));
-    if (inserted)
-      comp_scope.push_back(scope_of[static_cast<std::size_t>(id)]);
-    comp_of[static_cast<std::size_t>(id)] = it->second;
+    int& comp = comp_of_root[uf.find(static_cast<std::size_t>(id))];
+    if (comp < 0) comp = num_comps++;
+    comp_of[static_cast<std::size_t>(id)] = comp;
   }
-  int num_comps = static_cast<int>(comp_scope.size());
 
   // 4. Component-level edges, then SCC condensation (safety net).
   std::vector<std::vector<int>> adj(static_cast<std::size_t>(num_comps));
@@ -228,14 +229,18 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
     }
   }
   int num_groups = 0;
-  std::vector<int> scc_of = tarjan_scc(adj, &num_groups);
+  const std::vector<int> scc_of = tarjan_scc(adj, &num_groups);
+  // Final group per op (-1 for trimmed ops).
+  std::vector<int> group_of(g.num_nodes(), -1);
+  for (std::size_t id = 0; id < group_of.size(); ++id)
+    if (kept[id]) group_of[id] = scc_of[static_cast<std::size_t>(comp_of[id])];
 
   // 5. Assemble final groups (ops in topo order inside each group).
   std::vector<std::vector<NodeId>> group_ops(
       static_cast<std::size_t>(num_groups));
   for (NodeId id : topo) {
-    if (!kept[static_cast<std::size_t>(id)]) continue;
-    int grp = scc_of[static_cast<std::size_t>(comp_of[static_cast<std::size_t>(id)])];
+    const int grp = group_of[static_cast<std::size_t>(id)];
+    if (grp < 0) continue;
     group_ops[static_cast<std::size_t>(grp)].push_back(id);
   }
 
@@ -251,100 +256,147 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
                group_ops[static_cast<std::size_t>(b)].front())];
   });
 
-  // Kahn over the condensed DAG so add_node sees inputs first.
-  std::vector<std::vector<int>> gadj(static_cast<std::size_t>(num_groups));
-  std::vector<int> gindeg(static_cast<std::size_t>(num_groups), 0);
-  {
-    std::vector<std::unordered_map<int, bool>> seen(
-        static_cast<std::size_t>(num_groups));
-    for (const Node& n : g.nodes()) {
-      if (!kept[static_cast<std::size_t>(n.id)]) continue;
-      int dst = scc_of[static_cast<std::size_t>(
-          comp_of[static_cast<std::size_t>(n.id)])];
-      for (NodeId in : n.inputs) {
-        if (!kept[static_cast<std::size_t>(in)]) continue;
-        int src = scc_of[static_cast<std::size_t>(
-            comp_of[static_cast<std::size_t>(in)])];
-        if (src == dst) continue;
-        if (!seen[static_cast<std::size_t>(src)].emplace(dst, true).second)
-          continue;
-        gadj[static_cast<std::size_t>(src)].push_back(dst);
-        ++gindeg[static_cast<std::size_t>(dst)];
-      }
+  // Kahn over the condensed DAG so add_node sees inputs first. Group
+  // edges are kept flat (CSR by source, each source's targets in
+  // first-seen order, duplicates dropped with a per-target stamp).
+  std::vector<std::pair<int, int>> gedges;  // (src, dst), first-seen order
+  for (const Node& n : g.nodes()) {
+    const int dst = group_of[static_cast<std::size_t>(n.id)];
+    if (dst < 0) continue;
+    for (NodeId in : n.inputs) {
+      const int src = group_of[static_cast<std::size_t>(in)];
+      if (src >= 0 && src != dst) gedges.emplace_back(src, dst);
     }
   }
-  std::deque<int> ready;
-  for (int gi : group_order)
-    if (gindeg[static_cast<std::size_t>(gi)] == 0) ready.push_back(gi);
+  const auto groups = static_cast<std::size_t>(num_groups);
+  std::vector<std::size_t> gadj_begin(groups + 1, 0);
+  for (const auto& [src, dst] : gedges)
+    ++gadj_begin[static_cast<std::size_t>(src) + 1];
+  for (std::size_t i = 1; i < gadj_begin.size(); ++i)
+    gadj_begin[i] += gadj_begin[i - 1];
+  std::vector<int> gadj(gedges.size());
+  {
+    std::vector<std::size_t> fill(gadj_begin.begin(), gadj_begin.end() - 1);
+    for (const auto& [src, dst] : gedges)
+      gadj[fill[static_cast<std::size_t>(src)]++] = dst;
+  }
+  std::vector<std::size_t> gadj_end(groups);
+  std::vector<int> gindeg(groups, 0);
+  {
+    std::vector<int> stamp(groups, -1);
+    for (int src = 0; src < num_groups; ++src) {
+      const auto s = static_cast<std::size_t>(src);
+      std::size_t out = gadj_begin[s];
+      for (std::size_t i = gadj_begin[s]; i < gadj_begin[s + 1]; ++i) {
+        const int dst = gadj[i];
+        if (stamp[static_cast<std::size_t>(dst)] == src) continue;
+        stamp[static_cast<std::size_t>(dst)] = src;
+        gadj[out++] = dst;
+        ++gindeg[static_cast<std::size_t>(dst)];
+      }
+      gadj_end[s] = out;
+    }
+  }
+  // emit_order doubles as Kahn's FIFO queue.
   std::vector<int> emit_order;
-  while (!ready.empty()) {
-    int gi = ready.front();
-    ready.pop_front();
-    emit_order.push_back(gi);
-    for (int c : gadj[static_cast<std::size_t>(gi)])
-      if (--gindeg[static_cast<std::size_t>(c)] == 0) ready.push_back(c);
+  emit_order.reserve(group_order.size());
+  for (int gi : group_order)
+    if (gindeg[static_cast<std::size_t>(gi)] == 0) emit_order.push_back(gi);
+  for (std::size_t head = 0; head < emit_order.size(); ++head) {
+    const auto s = static_cast<std::size_t>(emit_order[head]);
+    for (std::size_t i = gadj_begin[s]; i < gadj_end[s]; ++i) {
+      const int c = gadj[i];
+      if (--gindeg[static_cast<std::size_t>(c)] == 0) emit_order.push_back(c);
+    }
   }
   TAP_CHECK_EQ(emit_order.size(), group_order.size())
       << "condensed cluster graph is not a DAG";
 
   // 6. Name groups and materialize GraphNodes.
   TapGraph tg(&g);
-  std::unordered_map<std::string, int> name_uses;
+  tg.reserve(emit_order.size());
+  // Group names as views: into `g`'s op names, or into merged_bases for
+  // the rare group whose SCC merged several scopes.
+  std::deque<std::string> merged_bases;
+  std::unordered_map<std::string_view, int> name_uses;
   std::vector<GraphNodeId> group_to_node(static_cast<std::size_t>(num_groups),
                                          kInvalidGraphNode);
   std::size_t weight_vars = 0;
   for (int gi : emit_order) {
-    const auto& ops = group_ops[static_cast<std::size_t>(gi)];
-    // Scope name: the scope of the first member component; if the SCC
-    // merged several scopes, use their longest common prefix.
-    std::vector<std::string> scopes;
-    for (NodeId id : ops) {
-      const std::string& s = scope_names[static_cast<std::size_t>(
-          scope_of[static_cast<std::size_t>(id)])];
-      if (scopes.empty() || scopes.back() != s) scopes.push_back(s);
-    }
-    std::string base = scopes.size() == 1 ? scopes.front()
-                                          : util::longest_common_prefix(scopes);
-    if (base.empty()) base = scopes.front();
-    int uses = name_uses[base]++;
-    std::string name =
-        uses == 0 ? base : base + "#" + std::to_string(uses);
-
     GraphNode node;
-    node.name = name;
-    node.ops = ops;
+    node.ops = std::move(group_ops[static_cast<std::size_t>(gi)]);
+    const std::vector<NodeId>& ops = node.ops;
+    // Scope name: the scope of the first member component; if the SCC
+    // merged several scopes, use their longest common prefix (folded over
+    // the members' scopes in order).
+    int last_scope = scope_of[static_cast<std::size_t>(ops.front())];
+    const std::string_view first_scope =
+        scope_names[static_cast<std::size_t>(last_scope)];
+    std::string_view base = first_scope;
+    std::optional<std::string> merged;
+    for (NodeId id : ops) {
+      const int scope = scope_of[static_cast<std::size_t>(id)];
+      if (scope == last_scope) continue;
+      last_scope = scope;
+      if (!merged.has_value()) merged.emplace(first_scope);
+      if (!merged->empty())
+        *merged = util::longest_common_prefix(
+            *merged, scope_names[static_cast<std::size_t>(scope)]);
+    }
+    if (merged.has_value() && !merged->empty())
+      base = merged_bases.emplace_back(std::move(*merged));
+    const int uses = name_uses[base]++;
+    node.name = base;
+    if (uses > 0) {
+      node.name += '#';
+      node.name += std::to_string(uses);
+    }
+
+    // One pass over the members: weights, the primary-kind candidates,
+    // the fingerprint (an order-independent mix of member op fingerprints,
+    // relative to the group scope) and the producer groups (first-seen
+    // order, deduplicated).
+    // The weighted op with the most params, and the op of highest
+    // kind_weight_rank; the first one on ties.
+    const Node* heaviest_weight = nullptr;
+    const Node* heaviest_op = nullptr;
+    std::uint64_t fp = util::kFnvOffset;
     for (NodeId id : ops) {
       const Node& n = g.node(id);
       if (n.has_weight()) {
         node.weight_ops.push_back(id);
         if (n.trainable) node.params += n.weight_params();
         ++weight_vars;
+        if (heaviest_weight == nullptr ||
+            n.weight_params() > heaviest_weight->weight_params())
+          heaviest_weight = &n;
+      }
+      if (heaviest_op == nullptr ||
+          kind_weight_rank(n.kind) > kind_weight_rank(heaviest_op->kind))
+        heaviest_op = &n;
+      fp = util::hash_mix_unordered(fp, op_fingerprint(n, base));
+      for (NodeId in : n.inputs) {
+        const int src = group_of[static_cast<std::size_t>(in)];
+        if (src < 0 || src == gi) continue;  // trimmed, or a member
+        GraphNodeId pid = group_to_node[static_cast<std::size_t>(src)];
+        TAP_CHECK(pid != kInvalidGraphNode);
+        if (std::find(node.inputs.begin(), node.inputs.end(), pid) ==
+            node.inputs.end())
+          node.inputs.push_back(pid);
       }
     }
+    node.fingerprint = util::hash_combine(fp, ops.size());
     // Primary kind: weighted op with most params, else heaviest compute op.
-    if (!node.weight_ops.empty()) {
-      NodeId best = node.weight_ops.front();
-      for (NodeId id : node.weight_ops)
-        if (g.node(id).weight_params() > g.node(best).weight_params())
-          best = id;
-      node.primary_kind = g.node(best).kind;
-    } else {
-      NodeId best = ops.front();
-      for (NodeId id : ops)
-        if (kind_weight_rank(g.node(id).kind) >
-            kind_weight_rank(g.node(best).kind))
-          best = id;
-      node.primary_kind = g.node(best).kind;
-    }
+    node.primary_kind =
+        (heaviest_weight != nullptr ? heaviest_weight : heaviest_op)->kind;
     // Output: the last member (topo order) whose output leaves the group or
     // that has no consumer.
     NodeId out_op = ops.back();
     for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
       bool external = g.consumers(*it).empty();
       for (NodeId c : g.consumers(*it)) {
-        if (!kept[static_cast<std::size_t>(c)]) continue;
-        if (scc_of[static_cast<std::size_t>(
-                comp_of[static_cast<std::size_t>(c)])] != gi) {
+        const int dst = group_of[static_cast<std::size_t>(c)];
+        if (dst >= 0 && dst != gi) {
           external = true;
           break;
         }
@@ -355,27 +407,6 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
       }
     }
     node.output = g.node(out_op).output;
-    // Fingerprint: order-independent mix of member op fingerprints,
-    // relative to the group scope.
-    std::uint64_t fp = util::kFnvOffset;
-    for (NodeId id : ops)
-      fp = util::hash_mix_unordered(fp, op_fingerprint(g.node(id), base));
-    fp = util::hash_combine(fp, ops.size());
-    node.fingerprint = fp;
-    // Inputs: producer groups, first-seen order, deduplicated.
-    for (NodeId id : ops) {
-      for (NodeId in : g.node(id).inputs) {
-        if (!kept[static_cast<std::size_t>(in)]) continue;
-        int src = scc_of[static_cast<std::size_t>(
-            comp_of[static_cast<std::size_t>(in)])];
-        if (src == gi) continue;
-        GraphNodeId pid = group_to_node[static_cast<std::size_t>(src)];
-        TAP_CHECK(pid != kInvalidGraphNode);
-        if (std::find(node.inputs.begin(), node.inputs.end(), pid) ==
-            node.inputs.end())
-          node.inputs.push_back(pid);
-      }
-    }
     group_to_node[static_cast<std::size_t>(gi)] = tg.add_node(std::move(node));
   }
 

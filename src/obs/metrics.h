@@ -14,6 +14,9 @@
 //
 //   planner.pass.prune_ms       histogram, wall ms of one Prune pass
 //   planner.family.candidates   counter, candidate plans enumerated
+//   planner.refine.probes       counter, GlobalRefine revert probes
+//   planner.refine.skipped_probes  counter, probes whose revert was a no-op
+//   planner.refine.nodes_routed counter, nodes the probes actually routed
 //   cache.mem.hits              counter, PlanCache memory-tier hits
 //   service.coalesced           counter, single-flight joins
 //   pool.queue_depth            gauge, submit() tasks waiting

@@ -1,6 +1,7 @@
 #include "sharding/pattern.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "util/check.h"
 
@@ -216,26 +217,14 @@ bool rejects_last_axis_split(OpKind kind) {
   }
 }
 
-PatternTable::PatternTable(const ir::TapGraph& tg, int num_shards,
-                           int dp_replicas)
-    : num_shards_(num_shards), dp_replicas_(dp_replicas) {
-  table_.reserve(tg.num_nodes());
-  for (const auto& n : tg.nodes())
-    table_.push_back(patterns_for(tg, n.id, num_shards, dp_replicas));
-}
+namespace {
 
-std::vector<ShardingPattern> patterns_for(const ir::TapGraph& tg,
-                                          ir::GraphNodeId id,
-                                          int num_shards, int dp_replicas) {
-  TAP_CHECK_GE(num_shards, 1);
-  TAP_CHECK_GE(dp_replicas, 1);
-  const GraphNode& gn = tg.node(id);
-  if (!gn.has_weight()) return {follow_pattern()};
-
-  const Node* w = primary_weight_op(tg, gn);
-  TAP_CHECK(w != nullptr);
-  const TensorShape* in = primary_input_shape(tg, gn);
-
+/// patterns_for of a weighted node, from everything it reads of the node:
+/// its primary weight op `w` and its primary input shape `in`.
+std::vector<ShardingPattern> weighted_patterns(const Node& w,
+                                               const TensorShape* in,
+                                               int num_shards,
+                                               int dp_replicas) {
   std::vector<ShardingPattern> out;
   if (num_shards == 1) {
     // Pure data parallelism (tp = 1): batch split if it divides, else
@@ -249,20 +238,20 @@ std::vector<ShardingPattern> patterns_for(const ir::TapGraph& tg,
   }
 
   const bool is_expert_bank =
-      w->kind == OpKind::kMatMul && w->weight->shape.rank() == 3;
-  switch (w->kind) {
+      w.kind == OpKind::kMatMul && w.weight->shape.rank() == 3;
+  switch (w.kind) {
     case OpKind::kMatMul:
       if (is_expert_bank) {
-        add_expert_bank(&out, *w, in, num_shards, dp_replicas);
+        add_expert_bank(&out, w, in, num_shards, dp_replicas);
       } else {
-        add_matmul2d(&out, *w, in, num_shards, dp_replicas);
+        add_matmul2d(&out, w, in, num_shards, dp_replicas);
       }
       break;
     case OpKind::kConv2D:
-      add_conv2d(&out, *w, in, num_shards, dp_replicas);
+      add_conv2d(&out, w, in, num_shards, dp_replicas);
       break;
     case OpKind::kEmbedding:
-      add_embedding(&out, *w, in, num_shards, dp_replicas);
+      add_embedding(&out, w, in, num_shards, dp_replicas);
       break;
     case OpKind::kLayerNorm:
     case OpKind::kBatchNorm:
@@ -279,6 +268,83 @@ std::vector<ShardingPattern> patterns_for(const ir::TapGraph& tg,
     out.push_back(replicate_only_pattern());
   }
   return out;
+}
+
+/// What weighted_patterns reads of a node: equal keys, equal rows.
+struct RowKey {
+  const Node* weight_op;
+  const TensorShape* input;  ///< nullptr for a root
+
+  bool operator==(const RowKey& o) const {
+    if (weight_op->kind != o.weight_op->kind ||
+        !(weight_op->weight->shape == o.weight_op->weight->shape))
+      return false;
+    if (input == nullptr || o.input == nullptr) return input == o.input;
+    return *input == *o.input;
+  }
+  /// A cheap multiplicative mix: equal hashes are checked with ==.
+  std::uint64_t hash() const {
+    auto mix = [](std::uint64_t h, std::uint64_t v) {
+      return (h ^ v) * 0x9e3779b97f4a7c15ull;
+    };
+    std::uint64_t h = mix(0, static_cast<std::uint64_t>(weight_op->kind));
+    for (std::int64_t d : weight_op->weight->shape.dims())
+      h = mix(h, static_cast<std::uint64_t>(d));
+    if (input == nullptr) return mix(h, ~0ull);
+    for (std::int64_t d : input->dims())
+      h = mix(h, static_cast<std::uint64_t>(d));
+    return mix(h, static_cast<std::uint64_t>(input->rank()));
+  }
+};
+
+}  // namespace
+
+PatternTable::PatternTable(const ir::TapGraph& tg, int num_shards,
+                           int dp_replicas)
+    : num_shards_(num_shards), dp_replicas_(dp_replicas) {
+  TAP_CHECK_GE(num_shards, 1);
+  TAP_CHECK_GE(dp_replicas, 1);
+  // Row 0 is the follow row every unweighted node shares; a weighted node
+  // shares the row of the first node with an equal RowKey.
+  rows_.push_back({follow_pattern()});
+  row_of_.assign(tg.num_nodes(), 0);
+  std::vector<RowKey> keys{RowKey{nullptr, nullptr}};  // aligned with rows_
+  std::unordered_multimap<std::uint64_t, std::uint32_t> by_hash;
+  for (const GraphNode& gn : tg.nodes()) {
+    if (!gn.has_weight()) continue;
+    const RowKey key{primary_weight_op(tg, gn), primary_input_shape(tg, gn)};
+    TAP_CHECK(key.weight_op != nullptr);
+    const std::uint64_t h = key.hash();
+    std::uint32_t row = 0;
+    for (auto [it, end] = by_hash.equal_range(h); it != end; ++it) {
+      if (keys[it->second] == key) {
+        row = it->second;
+        break;
+      }
+    }
+    if (row == 0) {
+      row = static_cast<std::uint32_t>(rows_.size());
+      rows_.push_back(weighted_patterns(*key.weight_op, key.input,
+                                        num_shards, dp_replicas));
+      keys.push_back(key);
+      by_hash.emplace(h, row);
+    }
+    row_of_[static_cast<std::size_t>(gn.id)] = row;
+  }
+}
+
+std::vector<ShardingPattern> patterns_for(const ir::TapGraph& tg,
+                                          ir::GraphNodeId id,
+                                          int num_shards, int dp_replicas) {
+  TAP_CHECK_GE(num_shards, 1);
+  TAP_CHECK_GE(dp_replicas, 1);
+  const GraphNode& gn = tg.node(id);
+  if (!gn.has_weight()) return {follow_pattern()};
+
+  const Node* w = primary_weight_op(tg, gn);
+  TAP_CHECK(w != nullptr);
+  return weighted_patterns(*w, primary_input_shape(tg, gn), num_shards,
+                           dp_replicas);
 }
 
 }  // namespace tap::sharding

@@ -70,21 +70,29 @@ ShardingPattern follow_pattern();
 /// Precomputed pattern lists for every GraphNode at a fixed group size.
 /// The planner routes tens of thousands of candidate subgraphs; building
 /// the (string-heavy) pattern vectors once instead of per candidate keeps
-/// the search sub-linear in practice.
+/// the search sub-linear in practice. Rows are interned: every unweighted
+/// node shares one follow row, and weighted nodes share a row when
+/// everything patterns_for reads of them is equal (primary weight op kind
+/// and shape, primary input shape), so repeated layers cost one row and
+/// the table O(V) lookups plus O(distinct layers) rows per mesh.
 class PatternTable {
  public:
   PatternTable(const ir::TapGraph& tg, int num_shards, int dp_replicas = 1);
 
+  /// == patterns_for(tg, id, num_shards(), dp_replicas()).
   const std::vector<ShardingPattern>& at(ir::GraphNodeId id) const {
-    return table_[static_cast<std::size_t>(id)];
+    return rows_[row_of_[static_cast<std::size_t>(id)]];
   }
   int num_shards() const { return num_shards_; }
   int dp_replicas() const { return dp_replicas_; }
+  /// Distinct rows (the follow row included).
+  std::size_t num_rows() const { return rows_.size(); }
 
  private:
   int num_shards_;
   int dp_replicas_;
-  std::vector<std::vector<ShardingPattern>> table_;
+  std::vector<std::vector<ShardingPattern>> rows_;
+  std::vector<std::uint32_t> row_of_;  ///< per GraphNodeId
 };
 
 /// True when `kind` computes along the last axis and therefore cannot

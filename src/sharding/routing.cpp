@@ -431,6 +431,7 @@ void RouteCursor::bind(const ir::TapGraph& tg, const SubgraphScope& scope,
   checkpoints_[0] = Checkpoint{};
   routed_ = 0;
   resumed_comms_ = 0;
+  steps_ = 0;
 }
 
 const RoutedPlan& RouteCursor::route(const ShardingPlan& plan) {
@@ -466,6 +467,7 @@ const RoutedPlan& RouteCursor::route(const ShardingPlan& plan) {
     next.igrad = scratch_.igrad_touched.size();
     next.materialized = scratch_.materialized_touched.size();
     choice_[routed_] = choice_at(plan, routed_);
+    ++steps_;
     if (!r.step(order[routed_])) return out_;  // valid up to routed_
   }
   out_.valid = true;
@@ -503,6 +505,21 @@ SubgraphScope::SubgraphScope(const ir::TapGraph& tg,
     if (external && tg.topo_position(id) > best_pos) {
       best_pos = tg.topo_position(id);
       exit = id;
+    }
+  }
+}
+
+SubgraphScope::SubgraphScope(const ir::TapGraph& tg)
+    : order(tg.cached_topo_order()) {
+  reads.resize(tg.num_nodes());
+  for (std::size_t i = 0; i < reads.size(); ++i)
+    reads[i] = static_cast<GraphNodeId>(i);
+  // Every consumer is a member, so the exit is the last leaf in
+  // topological order (the members constructor's rule).
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    if (tg.consumers(*it).empty()) {
+      exit = *it;
+      break;
     }
   }
 }

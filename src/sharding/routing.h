@@ -114,6 +114,10 @@ struct RoutedPlan {
 struct SubgraphScope {
   SubgraphScope(const ir::TapGraph& tg,
                 const std::vector<ir::GraphNodeId>& members);
+  /// The whole graph in O(V): order = tg.cached_topo_order() (the visit
+  /// order of route_plan_into), reads = every node. Equal to the scope
+  /// over every node id.
+  explicit SubgraphScope(const ir::TapGraph& tg);
 
   /// Members by topological position: the router's visit order.
   std::vector<ir::GraphNodeId> order;
@@ -223,6 +227,9 @@ class RouteCursor {
   /// comms.size() at the position the last route() resumed from: the
   /// events before it are those of the route before.
   std::size_t resumed_comms() const { return resumed_comms_; }
+  /// Nodes routed (Router steps taken) since bind(): what the routes
+  /// actually cost, against scope.order.size() per route from scratch.
+  std::size_t steps() const { return steps_; }
 
  private:
   struct Checkpoint {
@@ -243,6 +250,7 @@ class RouteCursor {
   std::vector<Checkpoint> checkpoints_;  ///< per visit position
   std::size_t routed_ = 0;               ///< positions routed by the last route
   std::size_t resumed_comms_ = 0;
+  std::size_t steps_ = 0;
   RoutingScratch scratch_;
   RoutedPlan out_;
 };

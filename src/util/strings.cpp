@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "util/check.h"
-
 namespace tap::util {
 
 std::vector<std::string> split(std::string_view s, char sep) {
@@ -48,23 +46,6 @@ std::size_t path_depth(std::string_view path) {
          1;
 }
 
-std::string path_prefix(std::string_view path, std::size_t depth) {
-  if (depth == 0) return "";
-  std::size_t seen = 0;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    if (path[i] == '/') {
-      if (++seen == depth) return std::string(path.substr(0, i));
-    }
-  }
-  return std::string(path);
-}
-
-std::string path_parent(std::string_view path) {
-  std::size_t pos = path.rfind('/');
-  if (pos == std::string_view::npos) return "";
-  return std::string(path.substr(0, pos));
-}
-
 std::string path_leaf(std::string_view path) {
   std::size_t pos = path.rfind('/');
   if (pos == std::string_view::npos) return std::string(path);
@@ -96,22 +77,6 @@ std::string longest_common_prefix(const std::vector<std::string>& paths) {
     acc = longest_common_prefix(acc, paths[i]);
   }
   return acc;
-}
-
-std::string replace_path_prefix(std::string_view path,
-                                std::string_view old_prefix,
-                                std::string_view new_prefix) {
-  if (old_prefix.empty()) {
-    if (new_prefix.empty()) return std::string(path);
-    return std::string(new_prefix) + "/" + std::string(path);
-  }
-  TAP_CHECK(starts_with(path, old_prefix))
-      << "path '" << path << "' does not start with '" << old_prefix << "'";
-  std::string_view rest = path.substr(old_prefix.size());
-  TAP_CHECK(rest.empty() || rest.front() == '/')
-      << "prefix '" << old_prefix << "' splits a component of '" << path
-      << "'";
-  return std::string(new_prefix) + std::string(rest);
 }
 
 std::string human_bytes(double bytes) {

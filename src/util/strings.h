@@ -27,13 +27,6 @@ bool ends_with(std::string_view s, std::string_view suffix);
 /// Number of '/'-separated components in a path ("a/b/c" -> 3, "" -> 0).
 std::size_t path_depth(std::string_view path);
 
-/// First `depth` components of `path` ("a/b/c", 2 -> "a/b"). If `depth`
-/// exceeds the path depth, the whole path is returned.
-std::string path_prefix(std::string_view path, std::size_t depth);
-
-/// Parent scope of a path ("a/b/c" -> "a/b", "a" -> "").
-std::string path_parent(std::string_view path);
-
 /// Last component of a path ("a/b/c" -> "c").
 std::string path_leaf(std::string_view path);
 
@@ -43,12 +36,6 @@ std::string longest_common_prefix(std::string_view a, std::string_view b);
 
 /// Longest common prefix over a set of paths, component-wise.
 std::string longest_common_prefix(const std::vector<std::string>& paths);
-
-/// Replaces the leading `old_prefix` of `path` with `new_prefix`.
-/// Precondition: `path` starts with `old_prefix` as whole components.
-std::string replace_path_prefix(std::string_view path,
-                                std::string_view old_prefix,
-                                std::string_view new_prefix);
 
 /// Human-readable byte count ("1.5 GiB").
 std::string human_bytes(double bytes);

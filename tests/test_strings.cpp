@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/check.h"
-
 namespace tap::util {
 namespace {
 
@@ -43,16 +41,7 @@ TEST(PathDepth, CountsComponents) {
   EXPECT_EQ(path_depth("a/b/c"), 3u);
 }
 
-TEST(PathPrefix, TruncatesAtComponentBoundary) {
-  EXPECT_EQ(path_prefix("a/b/c", 2), "a/b");
-  EXPECT_EQ(path_prefix("a/b/c", 3), "a/b/c");
-  EXPECT_EQ(path_prefix("a/b/c", 9), "a/b/c");
-  EXPECT_EQ(path_prefix("a/b/c", 0), "");
-}
-
 TEST(PathParentLeaf, Basics) {
-  EXPECT_EQ(path_parent("a/b/c"), "a/b");
-  EXPECT_EQ(path_parent("a"), "");
   EXPECT_EQ(path_leaf("a/b/c"), "c");
   EXPECT_EQ(path_leaf("a"), "a");
 }
@@ -76,17 +65,6 @@ TEST(LongestCommonPrefix, SetVersion) {
   EXPECT_EQ(longest_common_prefix(std::vector<std::string>{}), "");
   EXPECT_EQ(longest_common_prefix(std::vector<std::string>{"solo/x"}),
             "solo/x");
-}
-
-TEST(ReplacePathPrefix, Replaces) {
-  EXPECT_EQ(replace_path_prefix("a/b/c", "a/b", "z"), "z/c");
-  EXPECT_EQ(replace_path_prefix("a/b", "a/b", "z"), "z");
-  EXPECT_EQ(replace_path_prefix("a/b", "", "z"), "z/a/b");
-}
-
-TEST(ReplacePathPrefix, RejectsComponentSplit) {
-  EXPECT_THROW(replace_path_prefix("abc/d", "ab", "z"), CheckError);
-  EXPECT_THROW(replace_path_prefix("a/b", "x", "z"), CheckError);
 }
 
 TEST(HumanBytes, Scales) {
