@@ -1,9 +1,12 @@
 #include "core/family_search.h"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "sharding/enumerate.h"
 #include "sharding/routing.h"
+#include "util/check.h"
 
 namespace tap::core {
 
@@ -21,6 +24,19 @@ void set_member_choices(const SubgraphFamily& family,
                         const std::vector<int>& choice, ShardingPlan* plan) {
   for (std::size_t j = 0; j < choice.size(); ++j)
     plan->choice[static_cast<std::size_t>(family.member_nodes[j])] = choice[j];
+}
+
+/// ExhaustivePolicy's per-thread buffers, reused across families.
+struct WalkBuffers {
+  RouteOrderWalk walk;
+  std::vector<std::size_t> positions;  ///< per member
+  std::vector<FamilyScore> scores;     ///< by Algorithm 2 rank
+  std::vector<char> valid;             ///< by Algorithm 2 rank
+};
+
+WalkBuffers& tls_walk_buffers() {
+  thread_local WalkBuffers buffers;
+  return buffers;
 }
 
 }  // namespace
@@ -149,6 +165,51 @@ FamilySearchOutcome ExhaustivePolicy::search(
                 FamilyPlanEnumerator(ctx.table(), ctx.graph(), family));
 }
 
+void RouteOrderWalk::reset(const std::vector<int>& counts,
+                           const std::vector<std::size_t>& positions) {
+  TAP_CHECK_EQ(counts.size(), positions.size());
+  digits_.clear();
+  total_ = 1;
+  rank_ = 0;
+  for (std::size_t j = 0; j < counts.size(); ++j) {
+    TAP_CHECK_GE(counts[j], 1);
+    TAP_CHECK_LE(total_, std::numeric_limits<std::int64_t>::max() / counts[j])
+        << "the candidate space overflows a 64-bit rank";
+    if (counts[j] > 1)
+      digits_.push_back({j, positions[j], counts[j], total_, 0});
+    total_ *= counts[j];
+  }
+  std::sort(digits_.begin(), digits_.end(),
+            [](const Digit& a, const Digit& b) {
+              return a.position > b.position;
+            });
+}
+
+std::int64_t RouteOrderWalk::skip_after(std::size_t position) {
+  std::int64_t skipped = 0, block = 1;
+  for (Digit& d : digits_) {
+    if (d.position <= position) break;
+    skipped += (d.count - 1 - d.value) * block;
+    rank_ += (d.count - 1 - d.value) * d.stride;
+    d.value = d.count - 1;
+    block *= d.count;
+  }
+  return skipped;
+}
+
+std::int64_t first_best_rank(std::span<const FamilyScore> scores,
+                             std::span<const char> valid) {
+  TAP_CHECK_EQ(scores.size(), valid.size());
+  std::int64_t best = -1;
+  for (std::size_t r = 0; r < scores.size(); ++r) {
+    if (valid[r] &&
+        (best < 0 ||
+         scores[r].better_than(scores[static_cast<std::size_t>(best)])))
+      best = static_cast<std::int64_t>(r);
+  }
+  return best;
+}
+
 FamilySearchOutcome ExhaustivePolicy::search(
     const FamilySearchContext& ctx, const SubgraphFamily& family,
     const ShardingPlan& base, FamilyPlanEnumerator enumerator) const {
@@ -156,21 +217,61 @@ FamilySearchOutcome ExhaustivePolicy::search(
   const FamilyScope scope(ctx, family);
   cost::FamilyCandidateEvaluator& eval = cost::tls_cost_arena().candidates;
   ctx.bind(scope, &eval);
+  const ir::TapGraph& tg = ctx.graph();
+  const std::vector<ir::GraphNodeId>& members = family.member_nodes;
+  const std::vector<ir::GraphNodeId>& order = scope.routing().order;
+  const std::vector<int>& counts = enumerator.counts();
+  WalkBuffers& buf = tls_walk_buffers();
+  buf.positions.clear();
+  for (ir::GraphNodeId id : members) {
+    const auto at = std::lower_bound(
+        order.begin(), order.end(), id,
+        [&](ir::GraphNodeId a, ir::GraphNodeId b) {
+          return tg.topo_position(a) < tg.topo_position(b);
+        });
+    buf.positions.push_back(static_cast<std::size_t>(at - order.begin()));
+  }
+  RouteOrderWalk& walk = buf.walk;
+  walk.reset(counts, buf.positions);
+  const auto total = static_cast<std::size_t>(walk.total());
+  buf.scores.resize(total);
+  buf.valid.assign(total, 0);
+
   ShardingPlan scratch = base;
-  // Ties break toward the earliest candidate in enumeration order, as
-  // better_than is strict.
-  FamilyScore best;
-  std::vector<int> choice;
-  while (enumerator.next(&choice)) {
+  for (ir::GraphNodeId id : members)
+    scratch.choice[static_cast<std::size_t>(id)] = 0;
+  const auto set_choice = [&](std::size_t member, int choice) {
+    scratch.choice[static_cast<std::size_t>(members[member])] = choice;
+  };
+  const auto num_members = static_cast<std::int64_t>(members.size());
+  do {
     ++out.stats.candidate_plans;
-    set_member_choices(family, choice, &scratch);
     FamilyScore s;
-    if (!ctx.evaluate(scratch, scope, &eval, &s, &out.stats)) continue;
-    ++out.stats.valid_plans;
-    if (!out.found || s.better_than(best)) {
-      out.found = true;
-      best = s;
-      out.choice = choice;
+    const auto rank = static_cast<std::size_t>(walk.rank());
+    if (ctx.evaluate(scratch, scope, &eval, &s, &out.stats)) {
+      ++out.stats.valid_plans;
+      buf.scores[rank] = s;
+      buf.valid[rank] = 1;
+      continue;
+    }
+    // A failed probe fails every candidate that keeps the choices up to
+    // its failing position: count them as visited, invalid candidates.
+    // After a steady-state failure the position is past every member, so
+    // nothing is skipped.
+    const std::int64_t skipped = walk.skip_after(eval.probe_failed_at());
+    out.stats.candidate_plans += skipped;
+    out.stats.nodes_visited += skipped * num_members;
+    out.work.skipped_candidates += skipped;
+  } while (walk.next(set_choice));
+  out.work.nodes_routed = static_cast<std::int64_t>(eval.nodes_routed());
+
+  std::int64_t best = first_best_rank(buf.scores, buf.valid);
+  if (best >= 0) {
+    out.found = true;
+    out.choice.resize(members.size());
+    for (std::size_t j = 0; j < members.size(); ++j) {
+      out.choice[j] = static_cast<int>(best % counts[j]);
+      best /= counts[j];
     }
   }
   return out;
@@ -207,6 +308,7 @@ FamilySearchOutcome GreedyPolicy::search(const FamilySearchContext& ctx,
     out.found = out.found || have_local;
   }
   out.choice = choice;
+  out.work.nodes_routed = static_cast<std::int64_t>(eval.nodes_routed());
   return out;
 }
 

@@ -5,7 +5,8 @@
 // family; the pass replays the winner onto every instance of the family.
 // TAP ships three policies:
 //   * ExhaustivePolicy — the full Cartesian product of member patterns
-//     (729 candidates for a T5 encoder block, §6.3.1);
+//     (729 candidates for a T5 encoder block, §6.3.1), walked in routing
+//     order with Algorithm 2's winner;
 //   * GreedyPolicy     — optimize one member at a time, O(Σ patterns);
 //   * AutoPolicy       — exhaustive while the product fits
 //     TapOptions::max_plans_per_family, greedy beyond (the default).
@@ -14,6 +15,8 @@
 // same pipeline, so "which search strategy" is a plug-in decision, not a
 // fork of the planner.
 #pragma once
+
+#include <span>
 
 #include "core/plan_context.h"
 #include "cost/comm_batch.h"
@@ -136,13 +139,86 @@ class FamilySearchContext {
   const sharding::PatternTable& table_;
 };
 
+/// Routing work one family search did, beyond the SearchStats the plan
+/// bytes pin: a cached outcome replayed without searching did none.
+struct FamilySearchWork {
+  /// Nodes the candidates actually routed (the evaluator's
+  /// RouteCursor::steps() over its lanes); SearchStats::nodes_visited
+  /// counts every member of every candidate.
+  std::int64_t nodes_routed = 0;
+  /// Candidates counted without being routed: completions of a prefix
+  /// whose probe route already failed (ExhaustivePolicy).
+  std::int64_t skipped_candidates = 0;
+};
+
 /// Result of one family search.
 struct FamilySearchOutcome {
   bool found = false;
   /// Winning pattern choice, aligned with family.member_nodes.
   std::vector<int> choice;
   SearchStats stats;
+  FamilySearchWork work;
 };
+
+/// The route-order walk over one family's candidates: a mixed-radix
+/// count over the members with more than one pattern, the member latest
+/// in the routing visit order changing fastest. It keeps the current
+/// candidate's Algorithm 2 rank, its index in FamilyPlanEnumerator's
+/// order (member 0 changing fastest), up to date from the digits.
+class RouteOrderWalk {
+ public:
+  /// Starts at the all-zeros candidate, rank 0. `counts` (patterns per
+  /// member, each >= 1) and `positions` (distinct visit positions) are
+  /// aligned with family.member_nodes.
+  void reset(const std::vector<int>& counts,
+             const std::vector<std::size_t>& positions);
+
+  /// Candidates in the space: the product of the counts.
+  std::int64_t total() const { return total_; }
+  /// Algorithm 2 rank of the current candidate.
+  std::int64_t rank() const { return rank_; }
+
+  /// Moves to the next candidate, calling `set(member, choice)` for each
+  /// member whose choice changes. Returns false past the last candidate.
+  template <typename SetChoice>
+  bool next(SetChoice&& set) {
+    for (Digit& d : digits_) {
+      const bool carry = ++d.value == d.count;
+      if (carry) d.value = 0;
+      rank_ += carry ? -(d.count - 1) * d.stride : d.stride;
+      set(d.member, d.value);
+      if (!carry) return true;
+    }
+    return false;
+  }
+
+  /// Passes over every candidate after the current one that keeps the
+  /// choices of the members at visit positions <= `position`: the rest
+  /// of the block of faster digits. Returns how many that is. The digits
+  /// it moves are not reported to `set`; the next next() carries past
+  /// them and resets each to 0.
+  std::int64_t skip_after(std::size_t position);
+
+ private:
+  struct Digit {
+    std::size_t member;
+    std::size_t position;
+    int count;
+    std::int64_t stride;  ///< weight in the Algorithm 2 rank
+    int value;
+  };
+  std::vector<Digit> digits_;  ///< fastest first
+  std::int64_t total_ = 1;
+  std::int64_t rank_ = 0;
+};
+
+/// Algorithm 2's winner: the rank a first-best scan of `scores` in rank
+/// order keeps, where the scan starts at the first valid rank and moves
+/// to every later valid one better_than the rank it holds. better_than
+/// has a tolerance, so the scan order decides near-ties. Returns -1 when
+/// no rank is valid.
+std::int64_t first_best_rank(std::span<const FamilyScore> scores,
+                             std::span<const char> valid);
 
 class FamilySearchPolicy {
  public:
@@ -160,15 +236,31 @@ class FamilySearchPolicy {
       const sharding::ShardingPlan& base) const = 0;
 };
 
-/// Full Cartesian-product enumeration (Algorithm 2's inner loop).
+/// Full Cartesian-product search (Algorithm 2's inner loop), with
+/// Algorithm 2's winner and counters.
+///
+/// The candidates are walked in route order (RouteOrderWalk over the
+/// visit order FamilyScope::routing().order), so consecutive candidates
+/// differ near the family's exit and the evaluator's probe and
+/// steady-state lanes re-route a few members each. When a candidate's
+/// probe route fails at visit position p, every completion that keeps
+/// the choices at positions <= p fails there too (the probe's boundary
+/// is replicated): the walk counts them as invalid candidates without
+/// routing them (RouteOrderWalk::skip_after, FamilySearchWork).
+///
+/// Each candidate's score and validity are stored at its Algorithm 2
+/// rank and the winner is first_best_rank over them, so it is the
+/// winner of a scan in Algorithm 2's order. The score buffer is per
+/// thread and reused across families, so candidates allocate nothing.
 class ExhaustivePolicy final : public FamilySearchPolicy {
  public:
   std::string name() const override { return "exhaustive"; }
   FamilySearchOutcome search(const FamilySearchContext& ctx,
                              const pruning::SubgraphFamily& family,
                              const sharding::ShardingPlan& base) const override;
-  /// search() over an enumerator the caller already built for `family`
-  /// (AutoPolicy sizes the space with it first).
+  /// search() over the per-member counts of an enumerator the caller
+  /// already built for `family` (AutoPolicy sizes the space with it
+  /// first).
   FamilySearchOutcome search(const FamilySearchContext& ctx,
                              const pruning::SubgraphFamily& family,
                              const sharding::ShardingPlan& base,
@@ -184,8 +276,9 @@ class GreedyPolicy final : public FamilySearchPolicy {
                              const sharding::ShardingPlan& base) const override;
 };
 
-/// The default strategy: exhaustive when the family's candidate count fits
-/// TapOptions::max_plans_per_family, greedy beyond.
+/// The default strategy: ExhaustivePolicy's route-order walk when the
+/// family's candidate count fits TapOptions::max_plans_per_family, so the
+/// walk's score buffer holds at most that many entries; greedy beyond.
 class AutoPolicy final : public FamilySearchPolicy {
  public:
   std::string name() const override { return "auto"; }

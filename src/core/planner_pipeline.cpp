@@ -193,11 +193,14 @@ void FamilySearchPass::run(PlanContext& ctx) const {
 
   // Deterministic join: merge stats and replay winners in family order.
   SearchStats pass_stats;
+  FamilySearchWork work;
   std::size_t num_searched = 0;
   for (std::size_t i = 0; i < families.size(); ++i) {
     if (!searched[i]) continue;
     ++num_searched;
     pass_stats.merge(outcomes[i].stats);
+    work.nodes_routed += outcomes[i].work.nodes_routed;
+    work.skipped_candidates += outcomes[i].work.skipped_candidates;
     if (outcomes[i].found) {
       sharding::apply_family_choice(*families[i], outcomes[i].choice,
                                     &ctx.plan);
@@ -212,6 +215,10 @@ void FamilySearchPass::run(PlanContext& ctx) const {
       ->add(static_cast<std::uint64_t>(pass_stats.candidate_plans));
   reg.counter("planner.family.valid_plans")
       ->add(static_cast<std::uint64_t>(pass_stats.valid_plans));
+  reg.counter("planner.family.nodes_routed")
+      ->add(static_cast<std::uint64_t>(work.nodes_routed));
+  reg.counter("planner.family.skipped_candidates")
+      ->add(static_cast<std::uint64_t>(work.skipped_candidates));
 }
 
 void GlobalRefinePass::run(PlanContext& ctx) const {

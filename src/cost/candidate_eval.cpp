@@ -65,6 +65,13 @@ bool FamilyCandidateEvaluator::evaluate(const sharding::ShardingPlan& plan,
   return true;
 }
 
+std::size_t FamilyCandidateEvaluator::nodes_routed() const {
+  std::size_t steps = probe_.route.steps();
+  for (std::size_t i = 0; i < steady_bound_; ++i)
+    steps += steady_[i].route.steps();
+  return steps;
+}
+
 const sharding::RoutedPlan& FamilyCandidateEvaluator::routed() const {
   TAP_CHECK(last_ != -2) << "no candidate evaluated since bind";
   if (last_ == -1) return probe_.route.routed();

@@ -1,15 +1,18 @@
 // Incremental FamilySearch candidate costing (§4.4, Table 2's
 // per-candidate term).
 //
-// Algorithm 2 enumerates a family's candidates as a mixed-radix product,
-// so consecutive candidates share most of their member choices, and
-// Algorithm 3 visits the members in topological order, so the members
-// visited before the first changed choice route to the same layouts and
-// collectives as last time. FamilyCandidateEvaluator keeps the routes of
-// the previous candidates (sharding::RouteCursor) and the partial sums of
-// their costs (CommCostPrefix), and redoes only the part past the first
-// change. The result is the same as routing and costing every candidate
-// from scratch, bit for bit.
+// Algorithm 3 visits a family's members in topological order, so the
+// members visited before the first choice that changed since the last
+// candidate route to the same layouts and collectives as last time.
+// FamilyCandidateEvaluator keeps the routes of the previous candidates
+// (sharding::RouteCursor) and the partial sums of their costs
+// (CommCostPrefix), and redoes only the part past the first change. The
+// result is the same as routing and costing every candidate from
+// scratch, bit for bit, whatever order the candidates come in.
+// core::ExhaustivePolicy exploits that: it walks a family's candidates
+// with the last-visited member changing fastest, so consecutive
+// candidates differ near the family's exit and re-route only a few
+// members each.
 #pragma once
 
 #include <vector>
@@ -48,6 +51,17 @@ class FamilyCandidateEvaluator {
 
   /// The steady-state route of the last evaluate() that returned true.
   const sharding::RoutedPlan& routed() const;
+
+  /// The visit position (in the scope's order) at which the last
+  /// evaluate()'s probe route failed, or the number of members when the
+  /// probe routed (the candidate may still fail its steady-state route).
+  /// The probe's boundary is always replicated, so every candidate with
+  /// the same choices at positions up to this one fails there too.
+  std::size_t probe_failed_at() const { return probe_.route.failed_at(); }
+
+  /// Nodes routed since bind(): RouteCursor::steps() summed over the
+  /// probe and steady-state lanes.
+  std::size_t nodes_routed() const;
 
  private:
   struct Lane {

@@ -43,6 +43,26 @@ void TapGraph::finalize() {
         op_work_[static_cast<std::size_t>(op)] =
             tap::op_work(source_->node(op), *source_);
   }
+  route_bytes_.assign(nodes_.size(), RouteBytes{});
+  for (const GraphNode& n : nodes_) {
+    RouteBytes& b = route_bytes_[static_cast<std::size_t>(n.id)];
+    b.output = n.output.size_bytes();
+    if (!n.has_weight()) continue;
+    TAP_CHECK(source_ != nullptr) << "weighted GraphNode without a source";
+    const Node* primary = nullptr;
+    for (NodeId wid : n.weight_ops) {
+      const Node& w = source_->node(wid);
+      if (!primary || w.weight_params() > primary->weight_params())
+        primary = &w;
+    }
+    for (NodeId wid : n.weight_ops) {
+      const Node& w = source_->node(wid);
+      if (!w.trainable) continue;
+      const std::int64_t bytes = w.weight->size_bytes();
+      b.weight_grad += bytes;
+      (&w == primary ? b.primary_grad : b.secondary_grad) += bytes;
+    }
+  }
   finalized_ = true;
 }
 

@@ -48,6 +48,20 @@ struct GraphNode {
   bool has_weight() const { return !weight_ops.empty(); }
 };
 
+/// The byte counts the router reads per node, stored by
+/// TapGraph::finalize() so a route step reads them instead of multiplying
+/// out shapes and rescanning weight_ops.
+struct RouteBytes {
+  /// output.size_bytes().
+  std::int64_t output = 0;
+  /// Trainable weight bytes of a weighted node: all of its weight ops,
+  /// every one but the primary (the weight op with the most parameters,
+  /// the first of equals), and the primary alone. Zero when unweighted.
+  std::int64_t weight_grad = 0;
+  std::int64_t secondary_grad = 0;
+  std::int64_t primary_grad = 0;
+};
+
 class TapGraph {
  public:
   TapGraph() = default;
@@ -61,10 +75,10 @@ class TapGraph {
   /// until the next finalize().
   GraphNodeId add_node(GraphNode n);
 
-  /// Computes the topological order and positions, and the op_work of
-  /// every member op, once the graph is complete (ir::lower calls it
-  /// last). Every const accessor is then a plain read, so a finished graph
-  /// can be shared between threads.
+  /// Computes the topological order and positions, the op_work of every
+  /// member op and every node's route_bytes, once the graph is complete
+  /// (ir::lower calls it last). Every const accessor is then a plain
+  /// read, so a finished graph can be shared between threads.
   void finalize();
 
   const std::vector<GraphNode>& nodes() const { return nodes_; }
@@ -98,6 +112,14 @@ class TapGraph {
     return op_work_[static_cast<std::size_t>(op)];
   }
 
+  /// route_bytes of node `id`, as computed by finalize(). The graph must
+  /// be finalized; weight bytes need a source.
+  const RouteBytes& route_bytes(GraphNodeId id) const {
+    TAP_CHECK(id >= 0 &&
+              static_cast<std::size_t>(id) < route_bytes_.size());
+    return route_bytes_[static_cast<std::size_t>(id)];
+  }
+
   /// Clusters carrying at least one weight tensor.
   std::vector<GraphNodeId> weight_nodes() const;
 
@@ -114,6 +136,7 @@ class TapGraph {
   std::vector<GraphNodeId> topo_order_;  ///< set by finalize()
   std::vector<int> topo_pos_;
   std::vector<OpWork> op_work_;  ///< per source NodeId, set by finalize()
+  std::vector<RouteBytes> route_bytes_;  ///< per node, set by finalize()
   bool finalized_ = false;
 };
 

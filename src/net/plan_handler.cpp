@@ -281,7 +281,7 @@ HttpMessage PlanHandler::handle_plan(const HttpMessage& req,
     // plan() owns degradation: a tripped deadline degrades to
     // anytime/fallback instead of throwing. Only load shedding escapes.
     service::PlanTelemetry telem;
-    const core::TapResult result = svc_->plan(plan_req, &telem);
+    const core::TapResult result = svc_->plan(plan_req, key, &telem);
     rec.queue_ms = static_cast<float>(telem.queue_ms);
     rec.search_ms = static_cast<float>(telem.search_ms);
     obs::set_record_field(rec.served, sizeof rec.served,
@@ -345,7 +345,8 @@ HttpMessage PlanHandler::handle_explain(const HttpMessage& req,
     return make_response(421, "application/json", doc.dump());
   }
   try {
-    std::shared_ptr<const report::PlanReport> rep = svc_->explain(plan_req);
+    std::shared_ptr<const report::PlanReport> rep =
+        svc_->explain(plan_req, key);
     return make_response(200, "application/json", report::to_json(*rep));
   } catch (const service::OverloadedError& e) {
     metrics().overloaded->add();

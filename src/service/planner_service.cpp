@@ -126,8 +126,10 @@ core::FamilySearchOutcome CachingFamilyPolicy::search(
   const Fingerprint key =
       family_result_key(ctx.graph(), family, ctx.options());
   if (auto hit = cache_->lookup(key)) {
-    if (!hit->found || hit->choice.size() == family.member_nodes.size())
+    if (!hit->found || hit->choice.size() == family.member_nodes.size()) {
+      hit->work = {};  // replayed, not searched
       return *hit;
+    }
   }
   core::FamilySearchOutcome out = inner_->search(ctx, family, base);
   cache_->insert(key, out);
@@ -234,7 +236,11 @@ core::TapResult PlannerService::fallback_result(const PlanRequest& req,
 
 std::shared_future<core::TapResult> PlannerService::submit(
     const PlanRequest& req, PlanTelemetry* telem) {
-  const PlanKey key = key_for(req);
+  return submit(req, key_for(req), telem);
+}
+
+std::shared_future<core::TapResult> PlannerService::submit(
+    const PlanRequest& req, const PlanKey& key, PlanTelemetry* telem) {
   service_metrics().requests->add(1);
 
   // The deadline clock starts now — queue wait behind other searches
@@ -382,6 +388,12 @@ std::shared_future<core::TapResult> PlannerService::submit(
 
 core::TapResult PlannerService::plan(const PlanRequest& req,
                                      PlanTelemetry* telem) {
+  return plan(req, key_for(req), telem);
+}
+
+core::TapResult PlannerService::plan(const PlanRequest& req,
+                                     const PlanKey& key,
+                                     PlanTelemetry* telem) {
   // Timing in the blocking wrapper only: submit()'s future may resolve on
   // another thread at any time, so the synchronous caller is the one
   // place a queue/search split can be measured without racing. search_ms
@@ -404,7 +416,7 @@ core::TapResult PlannerService::plan(const PlanRequest& req,
   // propagate to the caller (tests rely on this; there is no silent
   // degradation unless the caller opted into a latency budget).
   if (req.opts.deadline_ms <= 0) {
-    core::TapResult r = submit(req, telem).get();
+    core::TapResult r = submit(req, key, telem).get();
     finish(r);
     return r;
   }
@@ -426,7 +438,7 @@ core::TapResult PlannerService::plan(const PlanRequest& req,
 
   std::shared_future<core::TapResult> fut;
   try {
-    fut = submit(req, telem);
+    fut = submit(req, key, telem);
   } catch (const OverloadedError&) {
     // A deadlined plan() never throws: shedding degrades to the expert
     // fallback (submit already counted service.shed).
@@ -468,7 +480,11 @@ core::TapResult PlannerService::plan(const PlanRequest& req,
 
 std::shared_ptr<const report::PlanReport> PlannerService::explain(
     const PlanRequest& req) {
-  const PlanKey key = key_for(req);
+  return explain(req, key_for(req));
+}
+
+std::shared_ptr<const report::PlanReport> PlannerService::explain(
+    const PlanRequest& req, const PlanKey& key) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = reports_.find(key);
@@ -482,7 +498,7 @@ std::shared_ptr<const report::PlanReport> PlannerService::explain(
   // to hold the service lock across. Reports are deterministic, so if two
   // explains race here, both builds produce identical content and the
   // first insert wins.
-  core::TapResult result = plan(req);
+  core::TapResult result = plan(req, key);
   auto built = std::make_shared<const report::PlanReport>(
       report::build_report(*req.tg, result, req.opts, opts_.report));
   if (!result.provenance.complete()) {

@@ -248,6 +248,12 @@ class PlannerService {
   /// timing fields stay zero — only the blocking plan() owns a clock.
   std::shared_future<core::TapResult> submit(const PlanRequest& req,
                                              PlanTelemetry* telem = nullptr);
+  /// submit() under `key`, which must be key_for(req): a caller that
+  /// already holds the key (the HTTP handler routes by it) saves hashing
+  /// the graph again. The overload above computes the key and calls this.
+  std::shared_future<core::TapResult> submit(const PlanRequest& req,
+                                             const PlanKey& key,
+                                             PlanTelemetry* telem = nullptr);
 
   /// Blocking wrapper. Without a deadline (opts.deadline_ms <= 0) this is
   /// submit().get() — exceptions propagate. WITH a deadline it is the
@@ -261,6 +267,9 @@ class PlannerService {
   /// recorder and access log report.
   core::TapResult plan(const PlanRequest& req,
                        PlanTelemetry* telem = nullptr);
+  /// plan() under `key`, which must be key_for(req) (see submit()).
+  core::TapResult plan(const PlanRequest& req, const PlanKey& key,
+                       PlanTelemetry* telem = nullptr);
 
   /// Plans `req` (through the normal submit path: coalesced / cached) and
   /// returns its explainability report. Reports are deterministic
@@ -268,6 +277,9 @@ class PlannerService {
   /// a repeated explain() returns the SAME shared report instance
   /// (ServiceStats::report_hits) without re-simulating.
   std::shared_ptr<const report::PlanReport> explain(const PlanRequest& req);
+  /// explain() under `key`, which must be key_for(req) (see submit()).
+  std::shared_ptr<const report::PlanReport> explain(const PlanRequest& req,
+                                                    const PlanKey& key);
 
   /// The cache key `req` would be served under (exposed for tests and the
   /// CLI's cache-stats output).

@@ -33,12 +33,17 @@ class FamilyPlanEnumerator {
   FamilyPlanEnumerator(const PatternTable& table, const ir::TapGraph& tg,
                        const pruning::SubgraphFamily& family);
 
+  /// Patterns enumerated per member, aligned with family.member_nodes.
+  const std::vector<int>& counts() const { return counts_; }
+
   /// Product of per-member pattern counts.
   std::int64_t total_plans() const;
 
-  /// Advances to the next candidate. `member_choice` is aligned with
-  /// family.member_nodes (glue members always 0). Returns false when the
-  /// space is exhausted; the first call yields the all-zeros plan.
+  /// Advances to the next candidate in Algorithm 2's order, a mixed-radix
+  /// count with member_nodes[0] changing fastest. `member_choice` is
+  /// aligned with family.member_nodes (glue members always 0). Returns
+  /// false when the space is exhausted; the first call yields the
+  /// all-zeros plan.
   bool next(std::vector<int>* member_choice);
 
   /// Restarts the enumeration.

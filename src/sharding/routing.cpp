@@ -125,11 +125,12 @@ struct Router {
     return full / std::max(1, plan.dp_replicas);
   }
 
-  /// Converts the layout flowing along an edge to `want`. Returns false on
-  /// an impossible conversion (indivisible target axis).
-  bool convert(const GraphNode& consumer, const TensorSpec& tensor,
-               const ShardSpec& have, const ShardSpec& want,
-               GraphNodeId producer = ir::kInvalidGraphNode) {
+  /// Converts the layout of `producer`'s output, flowing into `consumer`,
+  /// to `want`. Returns false on an impossible conversion (indivisible
+  /// target axis).
+  bool convert(const GraphNode& consumer, GraphNodeId producer,
+               const ShardSpec& have, const ShardSpec& want) {
+    const TensorSpec& tensor = tg.node(producer).output;
     int rank = tensor.shape.rank();
     if (have.same_layout(want, rank)) return true;
     if (want.is_split() && !want.fits(tensor.shape, plan.num_shards)) {
@@ -142,28 +143,22 @@ struct Router {
     }
     // Record the edge even when the collective below is deduplicated —
     // the rewriter must wire EVERY consumer through the conversion node.
-    if (producer != ir::kInvalidGraphNode) {
-      out.edge_conversions.push_back({producer, consumer.id, have, want});
+    out.edge_conversions.push_back({producer, consumer.id, have, want});
+    if (scratch.materialized.size() < tg.num_nodes())
+      scratch.materialized.resize(tg.num_nodes());
+    auto& layouts = scratch.materialized[static_cast<std::size_t>(producer)];
+    for (const ShardSpec& ready : layouts) {
+      if (ready.same_layout(want, rank)) return true;  // already paid
     }
-    if (producer != ir::kInvalidGraphNode) {
-      if (scratch.materialized.size() < tg.num_nodes())
-        scratch.materialized.resize(tg.num_nodes());
-      auto& layouts =
-          scratch.materialized[static_cast<std::size_t>(producer)];
-      for (const ShardSpec& ready : layouts) {
-        if (ready.same_layout(want, rank)) return true;  // already paid
-      }
-      layouts.push_back(want);
-      scratch.materialized_touched.push_back(producer);
-    }
+    layouts.push_back(want);
+    scratch.materialized_touched.push_back(producer);
+    const std::int64_t bytes = act_bytes(tg.route_bytes(producer).output);
     if (want.is_replicate()) {
-      emit_reshard(Collective::kAllGather, Collective::kReduceScatter,
-                   act_bytes(tensor.size_bytes()), consumer.id, producer,
-                   have, want);
+      emit_reshard(Collective::kAllGather, Collective::kReduceScatter, bytes,
+                   consumer.id, producer, have, want);
     } else {  // split(a) -> split(b)
-      emit_reshard(Collective::kAllToAll, Collective::kAllToAll,
-                   act_bytes(tensor.size_bytes()), consumer.id, producer,
-                   have, want);
+      emit_reshard(Collective::kAllToAll, Collective::kAllToAll, bytes,
+                   consumer.id, producer, have, want);
     }
     return true;
   }
@@ -212,8 +207,7 @@ struct Router {
     // Effective input layout after honoring the pattern's requirement.
     ShardSpec effective = incoming;
     if (pat.input.has_value() && in_tensor != nullptr) {
-      if (!convert(n, *in_tensor, incoming, *pat.input, n.inputs.front()))
-        return false;
+      if (!convert(n, n.inputs.front(), incoming, *pat.input)) return false;
       effective = *pat.input;
     }
     // Ops that reduce over the last axis cannot consume a last-axis
@@ -223,8 +217,7 @@ struct Router {
         rejects_last_axis_split(n.primary_kind) &&
         effective.resolved_axis(in_tensor->shape.rank()) ==
             in_tensor->shape.rank() - 1) {
-      if (!convert(n, *in_tensor, effective, ShardSpec::replicate(),
-                   n.inputs.front()))
+      if (!convert(n, n.inputs.front(), effective, ShardSpec::replicate()))
         return false;
       effective = ShardSpec::replicate();
     }
@@ -240,7 +233,7 @@ struct Router {
       ShardSpec want = effective;
       if (t.shape.rank() != (in_tensor ? in_tensor->shape.rank() : 0))
         want = ShardSpec::replicate();
-      if (!convert(n, t, have, want, p)) return false;
+      if (!convert(n, p, have, want)) return false;
     }
 
     // Output layout.
@@ -256,19 +249,18 @@ struct Router {
     out.output_spec[static_cast<std::size_t>(id)] = produced;
 
     // Pattern collectives.
+    const ir::RouteBytes& bytes = tg.route_bytes(id);
     if (pat.forward_comm != Collective::kNone) {
-      emit(pat.forward_comm, act_bytes(n.output.size_bytes()),
-           pat.forward_comm_count, CommEvent::Phase::kForward, false, id,
-           CommReason::kPattern);
+      emit(pat.forward_comm, act_bytes(bytes.output), pat.forward_comm_count,
+           CommEvent::Phase::kForward, false, id, CommReason::kPattern);
       if (pat.forward_comm == Collective::kAllToAll) {
         // Expert dispatch/combine repeats on the gradient path.
-        emit(pat.forward_comm, act_bytes(n.output.size_bytes()),
+        emit(pat.forward_comm, act_bytes(bytes.output),
              pat.forward_comm_count, CommEvent::Phase::kBackward, false,
              id, CommReason::kPatternGrad);
       }
     }
     if (n.has_weight()) {
-      const Graph& g = *tg.source();
       const int dp = std::max(1, plan.dp_replicas);
       // A replicated weight needs its gradients synchronized across
       // every device that saw *different data*: always the dp replicas,
@@ -285,44 +277,23 @@ struct Router {
         // Every weight in the cluster stays replicated: one gradient
         // AllReduce over all of them; overlappable with backward compute
         // and foldable by gradient packing (§4.6).
-        std::int64_t wbytes = 0;
-        for (NodeId wid : n.weight_ops) {
-          const Node& w = g.node(wid);
-          if (w.trainable) wbytes += w.weight->size_bytes();
-        }
-        emit(Collective::kAllReduce, wbytes, 1, CommEvent::Phase::kBackward,
-             true, id, CommReason::kWeightGrad, ir::kInvalidGraphNode,
-             replicated_group, /*cross_node=*/dp > 1);
+        emit(Collective::kAllReduce, bytes.weight_grad, 1,
+             CommEvent::Phase::kBackward, true, id, CommReason::kWeightGrad,
+             ir::kInvalidGraphNode, replicated_group, /*cross_node=*/dp > 1);
       } else {
         // Primary weight is split (its gradients stay local); secondary
         // weights (norm gains, biases inside the cluster) remain
         // replicated and still need their gradient AllReduce.
-        const Node* primary = nullptr;
-        for (NodeId wid : n.weight_ops) {
-          const Node& w = g.node(wid);
-          if (!primary || w.weight_params() > primary->weight_params())
-            primary = &w;
-        }
-        std::int64_t wbytes = 0;
-        std::int64_t primary_bytes = 0;
-        for (NodeId wid : n.weight_ops) {
-          const Node& w = g.node(wid);
-          if (&w == primary) {
-            if (w.trainable) primary_bytes = w.weight->size_bytes();
-          } else if (w.trainable) {
-            wbytes += w.weight->size_bytes();
-          }
-        }
-        emit(Collective::kAllReduce, wbytes, 1,
+        emit(Collective::kAllReduce, bytes.secondary_grad, 1,
              CommEvent::Phase::kBackward, true, id,
              CommReason::kSecondaryWeightGrad,
              ir::kInvalidGraphNode, replicated_group,
              /*cross_node=*/dp > 1);
-        if (dp > 1 && primary_bytes > 0) {
+        if (dp > 1 && bytes.primary_grad > 0) {
           // The tp-sharded primary weight still synchronizes its local
           // shard across the dp replicas.
-          emit(Collective::kAllReduce, primary_bytes / plan.num_shards, 1,
-               CommEvent::Phase::kBackward, true, id,
+          emit(Collective::kAllReduce, bytes.primary_grad / plan.num_shards,
+               1, CommEvent::Phase::kBackward, true, id,
                CommReason::kShardWeightGrad, ir::kInvalidGraphNode, dp,
                /*cross_node=*/true);
         }
@@ -338,7 +309,8 @@ struct Router {
         if (!scratch.igrad_emitted[p]) {
           scratch.igrad_emitted[p] = 1;
           scratch.igrad_touched.push_back(n.inputs.front());
-          emit(pat.backward_comm, act_bytes(in_tensor->size_bytes()), 1,
+          emit(pat.backward_comm,
+               act_bytes(tg.route_bytes(n.inputs.front()).output), 1,
                CommEvent::Phase::kBackward, false, id,
                CommReason::kInputGrad, n.inputs.front());
         }

@@ -196,10 +196,10 @@ void route_plan_into(const ir::TapGraph& tg, const ShardingPlan& plan,
 
 /// Routes a sequence of candidate plans over one subgraph, boundary and
 /// pattern table, re-routing each from the first visited member whose
-/// choice differs from the previous route's. Family enumeration changes
-/// few member choices between consecutive candidates, so most of a
-/// candidate's route — the members visited before the first change — is
-/// shared with the last one and is not repeated.
+/// choice differs from the previous route's. The exhaustive family search
+/// walks its candidates with the last-visited member changing fastest, so
+/// most of a candidate's route — the members visited before the first
+/// change — is shared with the last one and is not repeated.
 ///
 /// Per visit position the cursor keeps the choice routed there and a
 /// checkpoint: the lengths of `comms`, `edge_conversions` and the
@@ -230,6 +230,11 @@ class RouteCursor {
   /// Nodes routed (Router steps taken) since bind(): what the routes
   /// actually cost, against scope.order.size() per route from scratch.
   std::size_t steps() const { return steps_; }
+  /// The visit position the last route() failed at, or scope.order.size()
+  /// when it was valid. A route at this boundary up to a position reads
+  /// only the choices at and before it, so every plan with the same
+  /// choices there fails at the same position.
+  std::size_t failed_at() const { return routed_; }
 
  private:
   struct Checkpoint {

@@ -5,9 +5,11 @@
 // and the rest of the suite keeps the sanitizers' allocator checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "core/family_search.h"
@@ -108,6 +110,46 @@ TEST(FamilyCandidateEvaluator, CandidatesAllocateNothingAfterWarmUp) {
     }
   }
   EXPECT_GT(candidates, 5000);
+}
+
+TEST(ExhaustivePolicy, WarmSearchAllocatesPerFamilyNotPerCandidate) {
+  // The route-order walk keeps its digits and score buffer per thread:
+  // once they have grown, an exhaustive search over a built enumerator
+  // (as AutoPolicy passes it) allocates only its per-family set-up (the
+  // FamilyScope, the scratch plan, the winner). So it allocates no more
+  // than a greedy search of the same family, which has the same set-up
+  // and scores far fewer candidates.
+  service::ModelSpec spec;
+  spec.model = "t5";
+  const Graph g = service::build_spec_model(spec);
+  const ir::TapGraph tg = ir::lower(g);
+  const pruning::PruneResult pr = pruning::prune_graph(tg);
+  core::TapOptions opts = service::options_for_spec(spec, 1);
+  const int dp = opts.cluster.world() / 8;
+  opts.num_shards = 8;
+  opts.dp_replicas = dp;
+  const sharding::PatternTable table(tg, 8, dp);
+  const core::FamilySearchContext ctx(tg, opts, table);
+  const sharding::ShardingPlan base = sharding::default_plan(tg, 8, dp);
+  const core::ExhaustivePolicy exhaustive;
+  const core::GreedyPolicy greedy;
+  std::int64_t largest = 0;
+  for (const pruning::SubgraphFamily& fam : pr.families) {
+    sharding::FamilyPlanEnumerator e(table, tg, fam);
+    if (e.total_plans() > opts.max_plans_per_family) continue;
+    exhaustive.search(ctx, fam, base, e);
+    greedy.search(ctx, fam, base);
+    core::FamilySearchOutcome out;
+    const std::int64_t walked = count_allocations(
+        [&] { out = exhaustive.search(ctx, fam, base, std::move(e)); });
+    const std::int64_t greedy_allocations =
+        count_allocations([&] { greedy.search(ctx, fam, base); });
+    EXPECT_LE(walked, greedy_allocations)
+        << fam.representative << ": " << out.stats.candidate_plans
+        << " candidates";
+    largest = std::max(largest, out.stats.candidate_plans);
+  }
+  EXPECT_GE(largest, 729);
 }
 
 }  // namespace

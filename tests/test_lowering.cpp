@@ -140,5 +140,46 @@ TEST(TapGraph, RootsLeavesAndStringification) {
   EXPECT_NE(tg.to_string().find("GraphNodes"), std::string::npos);
 }
 
+TEST(TapGraph, RouteBytesMatchSourceGraph) {
+  // The bytes finalize() stores for the router equal the ones it used to
+  // count per route step from the source graph: the output tensor's, and
+  // the trainable weights' — all, all but the primary (the most
+  // parameters, the first of equals), and the primary's.
+  int weighted = 0, with_secondary = 0;
+  for (const models::ZooEntry& entry : models::table1_zoo()) {
+    SCOPED_TRACE(entry.model);
+    const Graph g = entry.build();
+    const TapGraph tg = lower(g);
+    for (const GraphNode& n : tg.nodes()) {
+      const RouteBytes& b = tg.route_bytes(n.id);
+      ASSERT_EQ(b.output, n.output.size_bytes()) << n.name;
+      std::int64_t all = 0, secondary = 0, primary_bytes = 0;
+      const Node* primary = nullptr;
+      for (NodeId wid : n.weight_ops) {
+        const Node& w = g.node(wid);
+        if (!primary || w.weight_params() > primary->weight_params())
+          primary = &w;
+      }
+      for (NodeId wid : n.weight_ops) {
+        const Node& w = g.node(wid);
+        if (!w.trainable) continue;
+        all += w.weight->size_bytes();
+        if (&w == primary) {
+          primary_bytes = w.weight->size_bytes();
+        } else {
+          secondary += w.weight->size_bytes();
+        }
+      }
+      ASSERT_EQ(b.weight_grad, all) << n.name;
+      ASSERT_EQ(b.secondary_grad, secondary) << n.name;
+      ASSERT_EQ(b.primary_grad, primary_bytes) << n.name;
+      weighted += n.has_weight() ? 1 : 0;
+      with_secondary += secondary > 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(weighted, 1000);
+  EXPECT_GT(with_secondary, 0);
+}
+
 }  // namespace
 }  // namespace tap::ir
