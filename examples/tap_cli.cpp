@@ -82,7 +82,6 @@
 
 #include "core/pipeline.h"
 #include "core/serialize.h"
-#include "cost/comm_batch.h"
 #include "core/tap.h"
 #include "core/visualize.h"
 #include "ir/lowering.h"
@@ -543,11 +542,6 @@ int main(int argc, char** argv) {
               result.best_plan.mesh().to_string().c_str(),
               static_cast<long long>(result.candidate_plans),
               result.search_seconds * 1e3, result.cost.total() * 1e3);
-  {
-    const cost::CostKernel k = cost::active_cost_kernel();
-    std::printf("cost kernel: %s (width %d)\n", cost::cost_kernel_name(k),
-                cost::cost_kernel_width(k));
-  }
   if (!result.provenance.complete()) {
     const core::PlanProvenance& p = result.provenance;
     std::printf("provenance: %s (%lld/%lld families, %lld/%lld meshes%s%s%s)\n",

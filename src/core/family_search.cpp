@@ -79,16 +79,13 @@ std::int64_t FamilyScope::weight_bytes(const ShardingPlan& plan) const {
 }
 
 bool FamilySearchContext::stage(const ShardingPlan& plan,
-                                const FamilyScope& scope,
+                                const SubgraphFamily& family,
                                 cost::CostArena* arena,
                                 std::int64_t* weight_bytes_out,
                                 SearchStats* stats) const {
-  const SubgraphFamily& family = scope.family();
+  const FamilyScope scope(*this, family);
   stats->nodes_visited +=
       static_cast<std::int64_t>(family.member_nodes.size());
-  // Probe and steady-state route share the arena's routing scratch and
-  // reset only the entries they read, so a candidate costs O(members)
-  // and zero allocations once capacities settle.
   sharding::route_subgraph_into(tg_, plan, scope.routing(),
                                 sharding::ShardSpec::replicate(), &table_,
                                 &arena->routing, &arena->probe);
@@ -107,18 +104,9 @@ bool FamilySearchContext::stage(const ShardingPlan& plan,
   ++stats->cost_queries;
   cost::CostOptions copts = opts_.cost;
   copts.overlap_window_s = scope.window().window(arena->routed, table_);
-  arena->batch.add_candidate(arena->routed, plan.num_shards, copts);
+  arena->batch.add_candidate(&arena->routed, plan.num_shards, copts);
   *weight_bytes_out = scope.weight_bytes(plan);
   return true;
-}
-
-bool FamilySearchContext::stage(const ShardingPlan& plan,
-                                const SubgraphFamily& family,
-                                cost::CostArena* arena,
-                                std::int64_t* weight_bytes_out,
-                                SearchStats* stats) const {
-  return stage(plan, FamilyScope(*this, family), arena, weight_bytes_out,
-               stats);
 }
 
 void FamilySearchContext::bind(const FamilyScope& scope,
@@ -131,8 +119,8 @@ bool FamilySearchContext::evaluate(const ShardingPlan& plan,
                                    const FamilyScope& scope,
                                    cost::FamilyCandidateEvaluator* eval,
                                    FamilyScore* out, SearchStats* stats) const {
-  // Counted as stage() counts: every member is visited once per
-  // candidate, however much of the route the evaluator reuses.
+  // Every member is visited once per candidate, however much of the
+  // route the evaluator reuses.
   stats->nodes_visited +=
       static_cast<std::int64_t>(scope.family().member_nodes.size());
   cost::PlanCost cost;

@@ -43,10 +43,9 @@ class FamilySearchContext;
 /// depend on the candidate: the members' visit order and exit member,
 /// their backward-compute window terms, and each weighted member's weight
 /// bytes per pattern. A policy builds it once per family search — so a
-/// family-cache hit never builds one — and every evaluate() and stage()
-/// call reads it, which keeps a candidate at O(members) work with no
-/// sorting, no op_time calls and no allocation (Table 2's per-candidate
-/// cost).
+/// family-cache hit never builds one — and every evaluate() call reads
+/// it, which keeps a candidate at O(members) work with no sorting, no
+/// op_time calls and no allocation (Table 2's per-candidate cost).
 class FamilyScope {
  public:
   FamilyScope(const FamilySearchContext& ctx,
@@ -96,33 +95,25 @@ class FamilySearchContext {
   /// Steady-state subgraph score of `plan` restricted to the family `eval`
   /// was bound to (Algorithm 3 over the members only: route once with a
   /// replicated boundary to learn the exit layout, then score with
-  /// boundary = exit). Returns false when the candidate does not route.
-  /// The validity, score and `stats` equal those of stage() followed by
-  /// comm_cost_batch, but the routes and the cost resume from the first
-  /// visited member whose choice changed since the evaluator's last
+  /// boundary = exit, costed by cost::comm_cost). Returns false when the
+  /// candidate does not route. The routes and the cost resume from the
+  /// first visited member whose choice changed since the evaluator's last
   /// candidate (cost::FamilyCandidateEvaluator). Only the members'
   /// choices in `plan` are read.
   bool evaluate(const sharding::ShardingPlan& plan, const FamilyScope& scope,
                 cost::FamilyCandidateEvaluator* eval, FamilyScore* out,
                 SearchStats* stats) const;
 
-  /// Batched scoring (perfbench's cost probe; the policies call
-  /// evaluate()), phase 1: routes `plan` restricted to the scope's
-  /// family (replicated-boundary probe, then the steady-state route, both
-  /// through `arena`'s reusable buffers — no per-candidate vector churn)
-  /// and stages the routed candidate as the next lane of `arena->batch`.
-  /// The caller owns phase 2: once the batch is full (or enumeration
-  /// ends), cost::comm_cost_batch reduces all staged lanes in one kernel
-  /// pass. Returns false — staging nothing — when the candidate does not
-  /// route; on success `*weight_bytes` receives the tie-break memory
-  /// term for FamilyScore. Only the members' choices in `plan` are read.
+  /// perfbench's cost probe; the policies call evaluate(). Builds a
+  /// FamilyScope for `family`, routes `plan` restricted to it (the
+  /// replicated-boundary probe, then the steady-state route, both through
+  /// `arena`'s routing buffers) and adds the steady-state route as the
+  /// next lane of `arena->batch`, for cost::comm_cost_batch to cost.
+  /// Returns false, adding nothing, when the candidate does not route; on
+  /// success `*weight_bytes` receives FamilyScore's tie-break term. The
+  /// validity, `*weight_bytes`, `stats` and the lane's comm_cost equal
+  /// what evaluate() gives. Only the members' choices in `plan` are read.
   /// Precondition: !arena->batch.full().
-  bool stage(const sharding::ShardingPlan& plan, const FamilyScope& scope,
-             cost::CostArena* arena, std::int64_t* weight_bytes,
-             SearchStats* stats) const;
-
-  /// stage() for callers without a FamilyScope: builds one per call, so
-  /// it pays the per-family set-up on every candidate.
   bool stage(const sharding::ShardingPlan& plan,
              const pruning::SubgraphFamily& family, cost::CostArena* arena,
              std::int64_t* weight_bytes, SearchStats* stats) const;

@@ -22,8 +22,8 @@
 
 namespace tap::cost {
 
-/// Scores the candidates of one family search the way
-/// core::FamilySearchContext::stage and comm_cost_batch do:
+/// Scores the candidates of one family search in Algorithm 3's steady
+/// state:
 ///   1. a probe route with a replicated boundary, to learn the exit
 ///      layout the subgraph hands downstream;
 ///   2. the steady-state route with that exit layout as the boundary (the

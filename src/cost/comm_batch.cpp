@@ -1,291 +1,29 @@
 #include "cost/comm_batch.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <string_view>
+#include <utility>
 
-#include "cost/collectives.h"
-#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace tap::cost {
 
-using sharding::Collective;
-using sharding::CommEvent;
-
-// ---------------------------------------------------------------------------
-// Scalar reference kernel
-// ---------------------------------------------------------------------------
-
-// Replays, per lane, the exact floating-point operation sequence of
-// cost::comm_cost over cost::collective_time. Every expression below is
-// shape-for-shape the one in collectives.cpp/cost_model.cpp (left-assoc,
-// no reordering, no FMA) — the 1.0 * (p - 1.0) of the non-AllReduce wire
-// factor is an exact identity, so the multiplier tables cost nothing in
-// precision. CostKernelTest.* assert bitwise equality against comm_cost
-// and against the AVX2 kernel.
-void comm_cost_kernel_scalar(const CommBatchView& v, CommBatchResult* out) {
-  for (int l = 0; l < kCostBatchWidth; ++l) {
-    double fwd = 0.0;
-    double bwd = 0.0;
-    double ovl = 0.0;
-    std::int64_t bytes = 0;
-    const std::size_t rows = v.lane_rows[l];
-    for (std::size_t r = 0; r < rows; ++r) {
-      const std::size_t i = r * kCostBatchWidth + static_cast<std::size_t>(l);
-      bytes += v.bytes_count[i];
-      double t = 0.0;
-      if (v.m_active[i] != 0) {
-        const double p = v.group_d[i];
-        const double b = v.bytes_d[i];
-        const double wire =
-            v.m_broadcast[i] != 0 ? b : v.wire_mul[i] * (p - 1.0) / p * b;
-        const bool inter = v.m_cross[i] != 0 && v.spans_nodes;
-        const double raw_bw =
-            inter ? v.inter_bw
-                  : (p <= v.gpus_per_node_d ? v.intra_bw : v.inter_bw);
-        const double bw = raw_bw * v.eff[i];
-        const double lat =
-            inter ? v.inter_latency
-                  : (p <= v.gpus_per_node_d ? v.intra_latency
-                                            : v.inter_latency);
-        const double steps = v.steps_mul[i] * (p - 1.0);
-        t = (steps * lat + wire / bw) * v.count_d[i];
-      }
-      if (v.m_overlap[i] != 0) {
-        ovl += t;
-      } else if (v.m_backward[i] != 0) {
-        bwd += t;
-      } else {
-        fwd += t;
-      }
-    }
-    double exposed;
-    if (v.window[l] >= 0.0) {
-      exposed = std::max(0.0, ovl - v.window[l]);
-    } else {
-      exposed = ovl * v.frac[l];
-    }
-    bwd += exposed;
-    out->forward_s[l] = fwd;
-    out->backward_s[l] = bwd;
-    out->overlappable_s[l] = ovl;
-    out->bytes[l] = bytes;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// CommEventBatch
-// ---------------------------------------------------------------------------
-
-void CommEventBatch::reset() {
-  lanes_ = 0;
-  rows_ = 0;
-  lane_events_.assign(kCostBatchWidth, 0);
-  for (int l = 0; l < kCostBatchWidth; ++l) {
-    window_[l] = -1.0;  // unused lanes cost exactly zero in every kernel
-    frac_[l] = 0.0;
-  }
-}
-
-void CommEventBatch::ensure_rows(std::size_t rows) {
-  if (rows <= row_cap_) return;
-  std::size_t cap = std::max<std::size_t>(row_cap_ * 2, 64);
-  cap = std::max(cap, rows);
-  const std::size_t n = cap * kCostBatchWidth;
-  bytes_d_.resize(n, 0.0);
-  count_d_.resize(n, 0.0);
-  group_d_.resize(n, 0.0);
-  eff_.resize(n, 0.0);
-  wire_mul_.resize(n, 0.0);
-  steps_mul_.resize(n, 0.0);
-  m_active_.resize(n, 0);
-  m_overlap_.resize(n, 0);
-  m_backward_.resize(n, 0);
-  m_cross_.resize(n, 0);
-  m_broadcast_.resize(n, 0);
-  bytes_count_.resize(n, 0);
-  row_cap_ = cap;
-}
-
-int CommEventBatch::add_candidate(const sharding::RoutedPlan& routed,
+void CommEventBatch::add_candidate(sharding::RoutedPlan* routed,
                                   int num_shards, const CostOptions& opts) {
   TAP_CHECK(!full()) << "CommEventBatch already holds " << kCostBatchWidth
                      << " candidates";
-  TAP_CHECK(routed.valid) << "cannot batch an invalid plan: " << routed.error;
-  if (lane_events_.size() != kCostBatchWidth) reset();
-  const int lane = lanes_++;
-  window_[lane] = opts.overlap_window_s;
-  frac_[lane] = opts.exposed_overlap_fraction;
-
-  const std::size_t n = routed.comms.size();
-  ensure_rows(std::max(rows_, n));
-  lane_events_[static_cast<std::size_t>(lane)] = n;
-
-  auto zero_slot = [&](std::size_t i) {
-    bytes_d_[i] = count_d_[i] = group_d_[i] = eff_[i] = 0.0;
-    wire_mul_[i] = steps_mul_[i] = 0.0;
-    m_active_[i] = m_overlap_[i] = m_backward_[i] = 0;
-    m_cross_[i] = m_broadcast_[i] = 0;
-    bytes_count_[i] = 0;
-  };
-  // The arrays are reused across batches, so any slot this batch exposes
-  // to the kernels must be rewritten: rows this lane does not reach are
-  // zeroed (+0.0 contributions), and rows beyond every previous lane's
-  // depth are zeroed across all lanes before this lane's events land.
-  if (n > rows_) {
-    for (std::size_t r = rows_; r < n; ++r)
-      for (int l = 0; l < kCostBatchWidth; ++l)
-        zero_slot(r * kCostBatchWidth + static_cast<std::size_t>(l));
-    rows_ = n;
-  } else {
-    for (std::size_t r = n; r < rows_; ++r)
-      zero_slot(r * kCostBatchWidth + static_cast<std::size_t>(lane));
-  }
-
-  for (std::size_t j = 0; j < n; ++j) {
-    const CommEvent& e = routed.comms[j];
-    const std::size_t i = j * kCostBatchWidth + static_cast<std::size_t>(lane);
-    const int group = e.group > 0 ? e.group : num_shards;
-    bytes_d_[i] = static_cast<double>(e.bytes);
-    count_d_[i] = static_cast<double>(e.count);
-    group_d_[i] = static_cast<double>(group);
-    eff_[i] = collective_efficiency(e.kind);
-    const double ar_mul = e.kind == Collective::kAllReduce ? 2.0 : 1.0;
-    wire_mul_[i] = ar_mul;
-    steps_mul_[i] = ar_mul;
-    m_active_[i] =
-        (e.kind != Collective::kNone && group > 1 && e.bytes > 0) ? ~0ull : 0;
-    m_overlap_[i] = e.overlappable ? ~0ull : 0;
-    m_backward_[i] = e.phase == CommEvent::Phase::kBackward ? ~0ull : 0;
-    m_cross_[i] = e.cross_node ? ~0ull : 0;
-    m_broadcast_[i] = e.kind == Collective::kBroadcast ? ~0ull : 0;
-    bytes_count_[i] = e.bytes * e.count;
-  }
-  return lane;
-}
-
-CommBatchView CommEventBatch::view(const ClusterSpec& cluster) const {
-  TAP_CHECK(lane_events_.size() == kCostBatchWidth)
-      << "CommEventBatch::view before reset()";
-  CommBatchView v;
-  v.bytes_d = bytes_d_.data();
-  v.count_d = count_d_.data();
-  v.group_d = group_d_.data();
-  v.eff = eff_.data();
-  v.wire_mul = wire_mul_.data();
-  v.steps_mul = steps_mul_.data();
-  v.m_active = m_active_.data();
-  v.m_overlap = m_overlap_.data();
-  v.m_backward = m_backward_.data();
-  v.m_cross = m_cross_.data();
-  v.m_broadcast = m_broadcast_.data();
-  v.bytes_count = bytes_count_.data();
-  v.window = window_;
-  v.frac = frac_;
-  v.lane_rows = lane_events_.data();
-  v.rows = rows_;
-  v.intra_bw = cluster.intra_bw;
-  v.inter_bw = cluster.inter_bw;
-  v.intra_latency = cluster.intra_latency;
-  v.inter_latency = cluster.inter_latency;
-  v.gpus_per_node_d = static_cast<double>(cluster.gpus_per_node);
-  v.spans_nodes = cluster.spans_nodes();
-  return v;
-}
-
-// ---------------------------------------------------------------------------
-// Kernel dispatch
-// ---------------------------------------------------------------------------
-
-const char* cost_kernel_name(CostKernel k) {
-  switch (k) {
-    case CostKernel::kScalar:
-      return "scalar";
-    case CostKernel::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-int cost_kernel_width(CostKernel k) {
-  return k == CostKernel::kAvx2 ? kCostBatchWidth : 1;
-}
-
-namespace {
-
-bool cpu_has_avx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-bool avx2_usable() { return avx2_kernel_compiled() && cpu_has_avx2(); }
-
-CostKernel detect_kernel() {
-  const char* env = std::getenv("TAP_FORCE_SCALAR");
-  if (env != nullptr && *env != '\0' && std::string_view(env) != "0")
-    return CostKernel::kScalar;
-  return avx2_usable() ? CostKernel::kAvx2 : CostKernel::kScalar;
-}
-
-std::optional<CostKernel>& forced_kernel() {
-  static std::optional<CostKernel> forced;
-  return forced;
-}
-
-void publish_kernel_width(CostKernel k) {
-  obs::registry().gauge("cost.kernel_width")->set(cost_kernel_width(k));
-}
-
-}  // namespace
-
-CostKernel active_cost_kernel() {
-  if (forced_kernel().has_value()) return *forced_kernel();
-  static const CostKernel detected = [] {
-    const CostKernel k = detect_kernel();
-    publish_kernel_width(k);
-    return k;
-  }();
-  return detected;
-}
-
-void set_cost_kernel_for_testing(std::optional<CostKernel> k) {
-  if (k.has_value() && *k == CostKernel::kAvx2) {
-    TAP_CHECK(avx2_usable()) << "AVX2 cost kernel unavailable on this host";
-  }
-  forced_kernel() = k;
-  publish_kernel_width(active_cost_kernel());
-}
-
-void comm_cost_batch_with(CostKernel kernel, const CommEventBatch& batch,
-                          const ClusterSpec& cluster,
-                          PlanCost out[kCostBatchWidth]) {
-  const CommBatchView v = batch.view(cluster);
-  CommBatchResult res;
-  if (kernel == CostKernel::kAvx2) {
-    comm_cost_kernel_avx2(v, &res);
-  } else {
-    comm_cost_kernel_scalar(v, &res);
-  }
-  for (int l = 0; l < batch.lanes(); ++l) {
-    out[l].forward_comm_s = res.forward_s[l];
-    out[l].backward_comm_s = res.backward_s[l];
-    out[l].overlappable_comm_s = res.overlappable_s[l];
-    out[l].comm_bytes = res.bytes[l];
-  }
+  TAP_CHECK(routed->valid) << "cannot batch an invalid plan: "
+                           << routed->error;
+  Lane& lane = lane_[lanes_++];
+  std::swap(lane.routed, *routed);
+  lane.num_shards = num_shards;
+  lane.opts = opts;
 }
 
 void comm_cost_batch(const CommEventBatch& batch, const ClusterSpec& cluster,
                      PlanCost out[kCostBatchWidth]) {
-  static obs::Counter* batches = obs::registry().counter("cost.batches");
-  static obs::Counter* candidates =
-      obs::registry().counter("cost.candidates_batched");
-  batches->add(1);
-  candidates->add(static_cast<std::uint64_t>(batch.lanes()));
-  comm_cost_batch_with(active_cost_kernel(), batch, cluster, out);
+  for (int l = 0; l < batch.lanes(); ++l) {
+    const CommEventBatch::Lane& lane = batch.lane(l);
+    out[l] = comm_cost(lane.routed, lane.num_shards, cluster, lane.opts);
+  }
 }
 
 CostArena& tls_cost_arena() {

@@ -1,19 +1,11 @@
-// Batched candidate costing: cost::comm_cost over many routed
-// candidates at once, as a structure-of-arrays pipeline.
-// FamilySearchContext::stage fills it; the planner's own family search
-// no longer does, as it costs candidates incrementally with
-// FamilyCandidateEvaluator (cost/candidate_eval.h).
+// Per-thread candidate-costing scratch, and the small candidate batch
+// perfbench's cost probe fills through FamilySearchContext::stage.
 //
-// A CommEventBatch collects the comm events of up to kCostBatchWidth
-// routed candidates into parallel arrays (bytes, group, efficiency,
-// phase/overlap masks, ...), one lane per candidate, zero-padded to the
-// deepest lane. comm_cost_batch() then reduces all lanes in one pass
-// through either the scalar reference kernel or the AVX2 SPMD kernel
-// (cost/comm_kernel.h), selected once per process by CPU capability and
-// overridable with TAP_FORCE_SCALAR=1. Both kernels produce bit-identical
-// cost doubles: vectorization is across independent candidates only, so
-// each candidate's accumulation order — and therefore every plan byte,
-// cache key, and report — is unchanged.
+// cost::comm_cost is the only implementation of the comm-cost math
+// (§4.6). The planner's family search costs candidates incrementally with
+// FamilyCandidateEvaluator (cost/candidate_eval.h); a CommEventBatch just
+// holds up to kCostBatchWidth routed candidates, and comm_cost_batch
+// costs each of them with comm_cost.
 //
 // CostArena is the per-thread scratch that makes candidate evaluation
 // allocation-free in steady state: the incremental evaluator, reusable
@@ -21,95 +13,47 @@
 // slots. Policies obtain one via tls_cost_arena().
 #pragma once
 
-#include <optional>
-
 #include "cost/candidate_eval.h"
-#include "cost/comm_kernel.h"
 #include "cost/cost_model.h"
 #include "sharding/routing.h"
 
 namespace tap::cost {
 
-/// Which kernel serves comm_cost_batch() calls.
-enum class CostKernel : std::uint8_t { kScalar, kAvx2 };
+/// Candidates one CommEventBatch holds.
+inline constexpr int kCostBatchWidth = 8;
 
-const char* cost_kernel_name(CostKernel k);
-
-/// Candidate lanes the kernel evaluates per pass: kCostBatchWidth for the
-/// AVX2 kernel, 1 for the scalar reference (it walks lanes one by one).
-int cost_kernel_width(CostKernel k);
-
-/// The process-wide kernel decision, made once on first use: AVX2 when
-/// the binary carries the kernel and the CPU supports it, unless
-/// TAP_FORCE_SCALAR is set to anything but "0". Also publishes the
-/// cost.kernel_width gauge.
-CostKernel active_cost_kernel();
-
-/// Test hook: force the kernel for subsequent comm_cost_batch() calls
-/// (nullopt restores the environment/CPU decision). Requesting kAvx2 on a
-/// host without the kernel throws. Not thread-safe; call from test setup
-/// only.
-void set_cost_kernel_for_testing(std::optional<CostKernel> k);
-
-/// SoA batch of the comm events of up to kCostBatchWidth routed
-/// candidates. Event slot (row r, lane l) lives at index
-/// r * kCostBatchWidth + l; lanes shorter than rows() are zero-padded, so
-/// padding rows cost +0.0 in every kernel.
+/// Up to kCostBatchWidth routed candidates, each with the mesh size and
+/// cost options comm_cost needs. Lanes keep their buffers across reset(),
+/// so a refilled batch reuses their capacity.
 class CommEventBatch {
  public:
-  /// Drops all lanes; keeps the row capacity (steady-state reuse).
-  void reset();
+  struct Lane {
+    sharding::RoutedPlan routed;
+    int num_shards = 1;
+    CostOptions opts;
+  };
+
+  /// Drops all lanes; keeps their buffers.
+  void reset() { lanes_ = 0; }
 
   int lanes() const { return lanes_; }
   bool empty() const { return lanes_ == 0; }
   bool full() const { return lanes_ == kCostBatchWidth; }
-  std::size_t rows() const { return rows_; }
+  const Lane& lane(int l) const { return lane_[l]; }
 
-  /// Copies `routed`'s comm events into the next lane, resolving each
-  /// event's collective group against `num_shards` (comm_cost's rule) and
-  /// recording the candidate's overlap options. Returns the lane index.
-  /// Precondition: !full() and routed.valid.
-  int add_candidate(const sharding::RoutedPlan& routed, int num_shards,
-                    const CostOptions& opts);
-
-  /// Read-only kernel view over the current contents bound to `cluster`'s
-  /// uniform scalars. Valid until the next add_candidate/reset.
-  CommBatchView view(const ClusterSpec& cluster) const;
+  /// Swaps `*routed` into the next lane, so `*routed` receives that
+  /// lane's previous buffers. Precondition: !full() and routed->valid.
+  void add_candidate(sharding::RoutedPlan* routed, int num_shards,
+                     const CostOptions& opts);
 
  private:
-  void ensure_rows(std::size_t rows);
-
   int lanes_ = 0;
-  std::size_t rows_ = 0;      ///< deepest lane's event count
-  std::size_t row_cap_ = 0;   ///< allocated rows
-  std::vector<std::size_t> lane_events_;  ///< events per lane
-
-  // Event slots, row-major (see class comment). Masks are all-ones /
-  // all-zeros 64-bit patterns the AVX2 kernel loads directly as blends.
-  std::vector<double> bytes_d_, count_d_, group_d_, eff_, wire_mul_,
-      steps_mul_;
-  std::vector<std::uint64_t> m_active_, m_overlap_, m_backward_, m_cross_,
-      m_broadcast_;
-  std::vector<std::int64_t> bytes_count_;
-
-  // Per-lane overlap options.
-  double window_[kCostBatchWidth] = {};
-  double frac_[kCostBatchWidth] = {};
+  Lane lane_[kCostBatchWidth];
 };
 
-/// Costs every lane of `batch` on `cluster` with the active kernel,
-/// writing one PlanCost per lane into out[0 .. batch.lanes()). Each
-/// lane's doubles are bit-identical to
-/// comm_cost(routed, num_shards, cluster, opts) for the candidate that
-/// filled it. Bumps cost.batches / cost.candidates_batched.
+/// out[l] = comm_cost of lane l, for every lane of `batch`.
 void comm_cost_batch(const CommEventBatch& batch, const ClusterSpec& cluster,
                      PlanCost out[kCostBatchWidth]);
-
-/// comm_cost_batch with an explicit kernel — the differential tests and
-/// the microbench drive both implementations over identical batches.
-void comm_cost_batch_with(CostKernel kernel, const CommEventBatch& batch,
-                          const ClusterSpec& cluster,
-                          PlanCost out[kCostBatchWidth]);
 
 /// Per-thread scratch for candidate evaluation: the FamilySearch
 /// policies' incremental evaluator, plus the routing buffers and event

@@ -21,9 +21,6 @@
 //   service.coalesced           counter, single-flight joins
 //   pool.queue_depth            gauge, submit() tasks waiting
 //   pool.task_wait_ms           histogram, submit() queue latency
-//   cost.kernel_width           gauge, lanes per batch-cost pass (8=AVX2)
-//   cost.batches                counter, comm_cost_batch kernel passes
-//   cost.candidates_batched     counter, candidate lanes costed
 //
 // Labels (ISSUE 9): a name may carry Prometheus labels after a '|' —
 // "net.http.request_ms|route=plan" or "...|route=plan,shard=0". The

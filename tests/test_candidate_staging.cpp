@@ -1,5 +1,5 @@
-// Per-candidate staging (FamilySearchContext::stage over a FamilyScope):
-// the precomputed pieces must reproduce what they replace exactly —
+// Per-candidate staging (FamilyScope, FamilySearchContext::stage): the
+// precomputed pieces must reproduce what they replace exactly —
 // backward-window terms bit for bit, reused-scratch subgraph routes entry
 // for entry, on-demand reason text byte for byte — and the plans served
 // for a few zoo specs must keep the bytes recorded before staging was
@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -212,39 +214,87 @@ TEST(CandidateStaging, ReusedScratchRoutesMatchFreshRoutesAcrossFamilies) {
   EXPECT_LT(valid, routes);
 }
 
-TEST(CandidateStaging, ScopeStageMatchesFamilyStage) {
-  // The planner's stage(plan, FamilyScope) and the scope-less overload
-  // stage identical lanes.
-  const Graph g = models::build_transformer(models::t5_with_layers(2));
-  const ir::TapGraph tg = ir::lower(g);
-  const pruning::PruneResult pr = pruning::prune_graph(tg);
-  core::TapOptions opts;
-  opts.cluster = cost::ClusterSpec::v100_cluster(2);
-  opts.num_shards = 8;
-  opts.dp_replicas = 2;
-  const sharding::PatternTable table(tg, 8, 2);
-  const core::FamilySearchContext ctx(tg, opts, table);
-  const sharding::ShardingPlan base = sharding::default_plan(tg, 8, 2);
-  for (const pruning::SubgraphFamily& fam : pr.families) {
-    if (!weighted(tg, fam)) continue;
-    const core::FamilyScope scope(ctx, fam);
-    for (const auto& plan :
-         sample_candidates(tg, table, fam, base, /*samples=*/8)) {
-      cost::CostArena a, b;
-      std::int64_t wa = -1, wb = -1;
-      core::SearchStats sa, sb;
-      const bool ok_a = ctx.stage(plan, scope, &a, &wa, &sa);
-      const bool ok_b = ctx.stage(plan, fam, &b, &wb, &sb);
-      ASSERT_EQ(ok_a, ok_b);
-      EXPECT_EQ(sa.nodes_visited, sb.nodes_visited);
-      EXPECT_EQ(sa.cost_queries, sb.cost_queries);
-      if (!ok_a) continue;
-      EXPECT_EQ(wa, wb);
-      cost::comm_cost_batch(a.batch, opts.cluster, a.results);
-      cost::comm_cost_batch(b.batch, opts.cluster, b.results);
-      EXPECT_EQ(a.results[0].total(), b.results[0].total());
+TEST(CandidateStaging, StagedBatchMatchesEvaluate) {
+  // perfbench's probe path, stage() + comm_cost_batch, against the
+  // planner's evaluate(): same validity, comm bits, weight bytes and
+  // SearchStats. One arena carries every family, so batches are refilled
+  // after reset() with lanes of every depth, and each family's last
+  // batch is partial.
+  auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  cost::CostArena arena;
+  cost::FamilyCandidateEvaluator eval;
+  int full = 0, partial = 0, lanes = 0;
+  for (const char* model : {"t5", "bert", "gpt3"}) {
+    for (int dp : {1, 2}) {
+      SCOPED_TRACE(std::string(model) + " dp=" + std::to_string(dp));
+      service::ModelSpec spec;
+      spec.model = model;
+      spec.layers = 2;
+      spec.nodes = dp;
+      spec.dp = dp;
+      spec.tp = 8;
+      const Graph g = service::build_spec_model(spec);
+      const ir::TapGraph tg = ir::lower(g);
+      const pruning::PruneResult pr = pruning::prune_graph(tg);
+      const core::TapOptions opts = service::options_for_spec(spec, 1);
+      const sharding::PatternTable table(tg, 8, dp);
+      const core::FamilySearchContext ctx(tg, opts, table);
+      const sharding::ShardingPlan base = sharding::default_plan(tg, 8, dp);
+      for (const pruning::SubgraphFamily& fam : pr.families) {
+        if (!weighted(tg, fam)) continue;
+        const core::FamilyScope scope(ctx, fam);
+        ctx.bind(scope, &eval);
+        std::vector<core::FamilyScore> expected;
+        auto flush = [&] {
+          ASSERT_EQ(arena.batch.lanes(), static_cast<int>(expected.size()));
+          if (arena.batch.empty()) return;
+          (arena.batch.full() ? full : partial) += 1;
+          cost::comm_cost_batch(arena.batch, opts.cluster, arena.results);
+          for (int l = 0; l < arena.batch.lanes(); ++l) {
+            EXPECT_EQ(bits(arena.results[l].total()),
+                      bits(expected[static_cast<std::size_t>(l)].comm))
+                << fam.representative << " lane " << l;
+          }
+          lanes += arena.batch.lanes();
+          arena.batch.reset();
+          expected.clear();
+        };
+        for (const auto& plan :
+             sample_candidates(tg, table, fam, base, /*samples=*/20)) {
+          core::FamilyScore score;
+          core::SearchStats se, ss;
+          std::int64_t weight_bytes = -1;
+          const bool ok_e = ctx.evaluate(plan, scope, &eval, &score, &se);
+          const bool ok_s = ctx.stage(plan, fam, &arena, &weight_bytes, &ss);
+          ASSERT_EQ(ok_e, ok_s) << fam.representative;
+          EXPECT_EQ(se.candidate_plans, ss.candidate_plans);
+          EXPECT_EQ(se.valid_plans, ss.valid_plans);
+          EXPECT_EQ(se.nodes_visited, ss.nodes_visited);
+          EXPECT_EQ(se.cost_queries, ss.cost_queries);
+          if (!ok_s) continue;
+          EXPECT_EQ(weight_bytes, score.weight_bytes);
+          expected.push_back(score);
+          if (arena.batch.full()) flush();
+        }
+        flush();
+      }
     }
   }
+  EXPECT_GT(full, 0);
+  EXPECT_GT(partial, 0);
+
+  // An event-free candidate is a legal lane costing exactly zero, also
+  // in a batch whose lanes held deep routes before reset().
+  sharding::RoutedPlan empty;
+  empty.valid = true;
+  arena.batch.add_candidate(&empty, 8, {});
+  EXPECT_EQ(arena.batch.lanes(), 1);
+  cost::comm_cost_batch(arena.batch, cost::ClusterSpec{}, arena.results);
+  EXPECT_EQ(bits(arena.results[0].forward_comm_s), bits(0.0));
+  EXPECT_EQ(bits(arena.results[0].backward_comm_s), bits(0.0));
+  EXPECT_EQ(bits(arena.results[0].overlappable_comm_s), bits(0.0));
+  EXPECT_EQ(arena.results[0].comm_bytes, 0);
+  EXPECT_GT(lanes, 100);
 }
 
 // ---------------------------------------------------------------------------

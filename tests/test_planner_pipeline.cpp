@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cctype>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
+#include "core/serialize.h"
 #include "core/tap.h"
 #include "models/models.h"
 
@@ -187,6 +192,51 @@ TEST(ParallelSearch, AutoThreadsMatchSequentialToo) {
   par.threads = 0;  // hardware_concurrency
   expect_identical(auto_parallel(f.tg, seq), auto_parallel(f.tg, par));
 }
+
+class ZooThreadIdentity : public ::testing::TestWithParam<int> {};
+
+TEST_P(ZooThreadIdentity, PlansAreByteIdentical) {
+  // Every Table 1 model at 8 shards x dp 2: threads=1 and threads=4 must
+  // give the same plan bytes, cost bits and search statistics.
+  const models::ZooEntry entry =
+      models::table1_zoo()[static_cast<std::size_t>(GetParam())];
+  SCOPED_TRACE(entry.model);
+  Graph g = entry.build();
+  ir::TapGraph tg = ir::lower(g);
+  TapOptions opts;
+  opts.cluster = cost::ClusterSpec::v100_cluster(2);
+  opts.num_shards = 8;
+  opts.dp_replicas = 2;
+  opts.threads = 1;
+  const TapResult seq = auto_parallel(tg, opts);
+  opts.threads = 4;
+  const TapResult par = auto_parallel(tg, opts);
+
+  ASSERT_TRUE(seq.routed.valid) << seq.routed.error;
+  ASSERT_TRUE(par.routed.valid) << par.routed.error;
+  EXPECT_EQ(plan_to_json(tg, seq.best_plan), plan_to_json(tg, par.best_plan));
+  auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  EXPECT_EQ(bits(seq.cost.forward_comm_s), bits(par.cost.forward_comm_s));
+  EXPECT_EQ(bits(seq.cost.backward_comm_s), bits(par.cost.backward_comm_s));
+  EXPECT_EQ(bits(seq.cost.overlappable_comm_s),
+            bits(par.cost.overlappable_comm_s));
+  EXPECT_EQ(seq.cost.comm_bytes, par.cost.comm_bytes);
+  EXPECT_EQ(seq.candidate_plans, par.candidate_plans);
+  EXPECT_EQ(seq.valid_plans, par.valid_plans);
+  EXPECT_EQ(seq.cost_queries, par.cost_queries);
+}
+
+std::string zoo_test_name(const ::testing::TestParamInfo<int>& info) {
+  const std::string model =
+      models::table1_zoo()[static_cast<std::size_t>(info.param)].model;
+  std::string out;
+  for (char c : model)
+    if (std::isalnum(static_cast<unsigned char>(c))) out.push_back(c);
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTable1Models, ZooThreadIdentity,
+                         ::testing::Range(0, 10), zoo_test_name);
 
 TEST(InvalidCost, SentinelOrdersAfterEveryRealCost) {
   EXPECT_TRUE(std::isinf(kInvalidPlanCost));

@@ -217,6 +217,42 @@ TEST(Routing, FamilyChoiceAppliesToAllInstances) {
   }
 }
 
+TEST(Routing, RouteIntoReusedScratchMatchesFreshRoute) {
+  Graph g = models::build_transformer(models::t5_with_layers(1));
+  ir::TapGraph tg = ir::lower(g);
+  sharding::PatternTable table(tg, 8, 1);
+  sharding::ShardingPlan plan = sharding::default_plan(tg, 8);
+
+  sharding::RoutingScratch scratch;
+  sharding::RoutedPlan reused;
+  // Alternate whole-graph and per-boundary routes through ONE scratch;
+  // every result must match a fresh, scratch-free route.
+  const std::vector<ir::GraphNodeId> all = tg.cached_topo_order();
+  for (int round = 0; round < 3; ++round) {
+    sharding::route_plan_into(tg, plan, &table, &scratch, &reused);
+    sharding::RoutedPlan fresh = sharding::route_plan(tg, plan, &table);
+    ASSERT_EQ(reused.valid, fresh.valid) << fresh.error;
+    ASSERT_EQ(reused.comms.size(), fresh.comms.size());
+    for (std::size_t i = 0; i < fresh.comms.size(); ++i) {
+      EXPECT_EQ(reused.comms[i].kind, fresh.comms[i].kind);
+      EXPECT_EQ(reused.comms[i].bytes, fresh.comms[i].bytes);
+      EXPECT_EQ(reused.comms[i].group, fresh.comms[i].group);
+      EXPECT_EQ(reused.comms[i].node, fresh.comms[i].node);
+    }
+    EXPECT_EQ(reused.output_spec, fresh.output_spec);
+    EXPECT_EQ(reused.pattern_index, fresh.pattern_index);
+
+    sharding::route_subgraph_into(tg, plan, sharding::SubgraphScope(tg, all),
+                                  sharding::ShardSpec::split(0), &table,
+                                  &scratch, &reused);
+    sharding::RoutedPlan fresh_sub = sharding::route_subgraph(
+        tg, plan, all, sharding::ShardSpec::split(0), &table);
+    ASSERT_EQ(reused.valid, fresh_sub.valid);
+    EXPECT_EQ(reused.comms.size(), fresh_sub.comms.size());
+    EXPECT_EQ(reused.output_spec, fresh_sub.output_spec);
+  }
+}
+
 TEST(Enumerate, CountsAndExhaustion) {
   Fixture f = t5(1);
   pruning::PruneResult pr = pruning::prune_graph(f.tg);
