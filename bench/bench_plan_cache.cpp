@@ -1,9 +1,15 @@
 // PlannerService plan-cache bench: cold search vs warm memory-tier hit vs
 // warm disk-tier hit vs N concurrent duplicate requests (single-flight),
-// on the T5 / MoE / ResNet workloads. The acceptance bar is a >= 10x
-// warm-over-cold speedup on T5 — a cache hit skips the family search
-// entirely and pays only fingerprinting + deterministic prune/route.
-// The bar is enforced by the exit code (CI's bench-smoke job fails on a
+// on the T5 / MoE / ResNet workloads.
+//
+// The gate is on the hit's own work, not on the search it skips: warm,
+// disk and duplicate requests must return the cold search's response
+// bytes, hits must run no search, and a warm memory hit (median of
+// repeat_ms runs) may cost at most kHitBar times the steps a hit is
+// documented to run — key, prune, pattern table and route — timed the
+// same way in the same process. Warm-over-cold speedup is reported, not
+// gated: it divides by the search, which other changes make faster.
+// The exit code enforces the gate (CI's bench-smoke job fails on a
 // regression), and the figures land in BENCH_plan_cache.json when
 // TAP_BENCH_JSON is set.
 #include <filesystem>
@@ -11,7 +17,12 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "pruning/prune.h"
+#include "service/fingerprint.h"
 #include "service/planner_service.h"
+#include "service/wire.h"
+#include "sharding/pattern.h"
+#include "sharding/routing.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -24,6 +35,11 @@ struct CacheCase {
 };
 
 }  // namespace
+
+/// A warm hit may cost at most this many times its documented steps.
+constexpr double kHitBar = 2.0;
+/// Timed runs per repeat_ms figure.
+constexpr int kRuns = 15;
 
 int main() {
   using namespace tap;
@@ -56,31 +72,49 @@ int main() {
       (fs::temp_directory_path() / "tap_bench_plan_cache").string();
   fs::remove_all(disk_dir);
 
-  util::Table table({"model", "cold ms", "warm ms", "disk ms",
-                     "8x dup ms", "speedup", "searches"});
+  util::Table table({"model", "cold ms", "warm ms", "steps ms", "hit/steps",
+                     "disk ms", "8x dup ms", "warm/cold", "searches"});
   bench::BenchReporter report("plan_cache");
-  double t5_speedup = 0.0;
+  std::vector<std::string> failures;
 
   for (const CacheCase& c : cases) {
     bench::Workload workload(c.build());
+    const ir::TapGraph& tg = workload.tg;
     service::ServiceOptions sopts;
     sopts.cache.disk_dir = disk_dir;
     sopts.request_threads = 1;
     service::PlannerService svc(sopts);
-    const service::PlanRequest req{&workload.tg, opts, false};
+    const service::PlanRequest req{&tg, opts, false};
+    const service::PlanKey key = svc.key_for(req);
+    auto bytes = [&](const core::TapResult& r) {
+      return service::plan_response_json(tg, key, r);
+    };
 
     util::Stopwatch sw;
-    svc.plan(req);
+    const std::string cold = bytes(svc.plan(req));
     const double cold_s = sw.elapsed_seconds();
 
-    sw.restart();
-    svc.plan(req);
-    const double warm_s = sw.elapsed_seconds();
+    // Memory-tier hits, then the steps a hit runs, timed the same way.
+    core::TapResult hit;
+    const bench::RepeatStats warm_ms =
+        bench::repeat_ms(kRuns, [&] { hit = svc.plan(req); });
+    const std::string warm = bytes(hit);
+    const std::uint64_t searches = svc.stats().searches;
+    const sharding::ShardingPlan& plan = hit.best_plan;
+    bool steps_routed = true;
+    const bench::RepeatStats steps_ms = bench::repeat_ms(kRuns, [&] {
+      service::make_plan_key(tg, opts, false);
+      pruning::prune_graph(tg, opts.prune);
+      const sharding::PatternTable patterns(tg, plan.num_shards,
+                                            plan.dp_replicas);
+      steps_routed &= sharding::route_plan(tg, plan, &patterns).valid;
+    });
+    const double hit_over_steps = warm_ms.median_ms / steps_ms.median_ms;
 
     // Fresh service over the same directory: disk tier only.
     service::PlannerService svc_disk(sopts);
     sw.restart();
-    svc_disk.plan(req);
+    const std::string disk = bytes(svc_disk.plan(req));
     const double disk_s = sw.elapsed_seconds();
 
     // 8 concurrent duplicates against an empty cache: single-flight means
@@ -88,50 +122,63 @@ int main() {
     service::ServiceOptions mem_opts;
     mem_opts.request_threads = 2;
     service::PlannerService svc_dup(mem_opts);
+    std::vector<std::string> dup(8);
     sw.restart();
     {
       std::vector<std::thread> clients;
       for (int i = 0; i < 8; ++i)
-        clients.emplace_back([&] { svc_dup.plan(req); });
+        clients.emplace_back([&, i] { dup[i] = bytes(svc_dup.plan(req)); });
       for (std::thread& t : clients) t.join();
     }
     const double dup_s = sw.elapsed_seconds();
 
-    const double speedup = warm_s > 0.0 ? cold_s / warm_s : 0.0;
-    if (c.label.rfind("T5", 0) == 0) t5_speedup = speedup;
-    table.add_row({c.label, bench::ms(cold_s), bench::ms(warm_s),
-                   bench::ms(disk_s), bench::ms(dup_s),
-                   util::fmt("%.0fx", speedup),
+    const double warm_over_cold = warm_ms.median_ms / (cold_s * 1e3);
+    table.add_row({c.label, bench::ms(cold_s),
+                   util::fmt("%.3f", warm_ms.median_ms),
+                   util::fmt("%.3f", steps_ms.median_ms),
+                   util::fmt("%.2fx", hit_over_steps), bench::ms(disk_s),
+                   bench::ms(dup_s), util::fmt("%.3f", warm_over_cold),
                    std::to_string(svc_dup.stats().searches)});
+
+    auto check = [&](bool ok, const std::string& what) {
+      if (!ok) failures.push_back(c.label + ": " + what);
+    };
+    check(warm == cold, "warm hit bytes differ from the cold search");
+    check(disk == cold, "disk hit bytes differ from the cold search");
+    for (const std::string& d : dup)
+      check(d == cold, "a duplicate's bytes differ from the cold search");
+    check(searches == 1, "memory hits ran a search");
+    check(svc_disk.stats().searches == 0, "the disk hit ran a search");
+    check(svc_dup.stats().searches == 1, "duplicates ran more than one search");
+    check(steps_routed, "the stored plan does not route");
+    check(hit_over_steps <= kHitBar, "a warm hit costs over the bar");
 
     const std::string slug =
         c.label.rfind("T5", 0) == 0      ? "t5"
         : c.label.rfind("Wide", 0) == 0  ? "moe"
                                          : "resnet50";
     report.add(slug + ".cold_ms", cold_s * 1e3);
-    report.add(slug + ".warm_ms", warm_s * 1e3);
+    report.add(slug + ".warm", warm_ms);
+    report.add(slug + ".hit_steps", steps_ms);
+    report.add(slug + ".hit_over_steps", hit_over_steps);
     report.add(slug + ".disk_ms", disk_s * 1e3);
     report.add(slug + ".dup8_ms", dup_s * 1e3);
-    report.add(slug + ".warm_speedup", speedup);
+    report.add(slug + ".warm_over_cold", warm_over_cold);
     report.add(slug + ".searches",
                static_cast<double>(svc_dup.stats().searches));
   }
   table.print(std::cout);
-  report.add("t5.speedup_bar", 10.0);
-  report.note("gate", "exit 1 when t5.warm_speedup < 10");
+  report.add("hit_over_steps_bar", kHitBar);
+  report.note("gate",
+              "exit 1 unless warm, disk and duplicate bytes equal the cold "
+              "search's, hits run no search, and each warm hit costs at "
+              "most hit_over_steps_bar x its key+prune+table+route steps");
 
   std::cout << "\nA warm hit skips the family search and pays only "
-               "fingerprint + prune + route; 8 duplicates coalesce into "
-               "the single search shown in the last column."
-            << (t5_speedup >= 10.0
-                    ? util::fmt(" T5 warm speedup %.0fx meets the >=10x "
-                                "bar.\n",
-                                t5_speedup)
-                    : util::fmt(" WARNING: T5 warm speedup %.1fx is below "
-                                "the 10x bar.\n",
-                                t5_speedup));
+               "key + prune + pattern table + route (the steps column); 8 "
+               "duplicates coalesce into the single search shown in the "
+               "last column.\n";
+  for (const std::string& f : failures) std::cout << "FAIL: " << f << "\n";
   fs::remove_all(disk_dir);
-  // The 10x bar is the CI gate: bench-smoke fails when a cache-path
-  // regression erodes the warm-hit speedup.
-  return t5_speedup >= 10.0 ? 0 : 1;
+  return failures.empty() ? 0 : 1;
 }

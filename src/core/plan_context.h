@@ -131,9 +131,10 @@ struct PlanContext {
   pruning::PruneResult pruning;                 ///< Prune
   sharding::ShardingPlan plan;                  ///< FamilySearch
   sharding::RoutedPlan routed;                  ///< GlobalRefine
-  /// Full-graph backward-window terms of the plan's mesh: GlobalRefine
-  /// builds them once, FinalizeCost reuses them.
-  std::optional<cost::BackwardWindowTerms> window_terms;
+  /// GlobalRefine: the full-graph cost of `routed`, which FinalizeCost
+  /// takes instead of costing the route again. Unset when `routed` was
+  /// set some other way; FinalizeCost then costs it.
+  std::optional<cost::PlanCost> routed_cost;
   cost::PlanCost cost;                          ///< FinalizeCost
   SearchStats stats;
   std::vector<PassTiming> timings;

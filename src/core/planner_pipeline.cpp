@@ -17,15 +17,6 @@ namespace {
 using pruning::SubgraphFamily;
 using sharding::ShardingPlan;
 
-/// The context's full-graph backward-window terms, built on first use.
-const cost::BackwardWindowTerms& full_graph_terms(PlanContext& ctx) {
-  if (!ctx.window_terms.has_value()) {
-    ctx.window_terms.emplace(ctx.graph(), nullptr, ctx.opts.num_shards,
-                             ctx.plan.dp_replicas, ctx.opts.cluster);
-  }
-  return *ctx.window_terms;
-}
-
 /// Full-graph cost with the overlap window computed over the whole model.
 cost::PlanCost global_cost(const sharding::RoutedPlan& routed,
                            const TapOptions& opts,
@@ -34,6 +25,12 @@ cost::PlanCost global_cost(const sharding::RoutedPlan& routed,
   cost::CostOptions copts = opts.cost;
   copts.overlap_window_s = terms.window(routed, table);
   return cost::comm_cost(routed, opts.num_shards, opts.cluster, copts);
+}
+
+/// The full-graph backward-window terms of the context's mesh.
+cost::BackwardWindowTerms full_graph_terms(const PlanContext& ctx) {
+  return cost::BackwardWindowTerms(ctx.graph(), nullptr, ctx.opts.num_shards,
+                                   ctx.plan.dp_replicas, ctx.opts.cluster);
 }
 
 bool family_is_weighted(const ir::TapGraph& tg, const SubgraphFamily& f) {
@@ -227,35 +224,43 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
   TAP_CHECK(ctx.plan.choice.size() == tg.num_nodes())
       << "GlobalRefine requires FamilySearch";
   const sharding::PatternTable& table = *ctx.table;
-  const cost::BackwardWindowTerms& terms = full_graph_terms(ctx);
+  const cost::BackwardWindowTerms terms = full_graph_terms(ctx);
   // Every route of the pass goes through one whole-graph cursor and one
   // cost prefix, so a probe re-routes and re-costs only from the first
   // node (in visit order) whose choice differs from the route before it.
+  // The current plan's route is their reference: once a probe has routed
+  // every node its revert changes and its router state agrees with the
+  // current route's, it takes the current route's tail and the tail
+  // events' times (RouteCursor docs).
   const sharding::SubgraphScope whole(tg);
   sharding::RouteCursor cursor;
   cursor.bind(tg, whole, sharding::ShardSpec::replicate(), table);
   cost::CommCostPrefix prefix;
-  // Routes and costs `plan`: kInvalidPlanCost when it does not route.
-  auto route_cost = [&](const ShardingPlan& plan, bool* valid) {
+  // Routes and costs `plan`; false when it does not route.
+  auto route_cost = [&](const ShardingPlan& plan, cost::PlanCost* cost) {
     const sharding::RoutedPlan& routed = cursor.route(plan);
     prefix.truncate(cursor.resumed_comms());
-    *valid = routed.valid;
-    if (!routed.valid) return kInvalidPlanCost;
+    if (!routed.valid) return false;
     cost::CostOptions copts = ctx.opts.cost;
     copts.overlap_window_s = terms.window(routed, table);
-    return prefix.cost(routed, ctx.opts.num_shards, ctx.opts.cluster, copts)
-        .total();
+    *cost = prefix.cost(routed, ctx.opts.num_shards, ctx.opts.cluster, copts,
+                        cursor.spliced_comms(),
+                        cursor.reference_comms_at_splice());
+    return true;
+  };
+  auto keep_current = [&] {
+    cursor.keep_reference();
+    prefix.keep_reference();
   };
   const auto num_nodes = static_cast<std::int64_t>(tg.num_nodes());
   std::uint64_t probes = 0, skipped = 0;
   ShardingPlan reverted;
   std::vector<int> zeros;
 
-  // ctx.routed keeps a copy of the current plan's route, taken whenever
-  // the current plan changes: a copy is cheaper than routing it again.
-  bool current_valid = false;
-  double current_cost = route_cost(ctx.plan, &current_valid);
-  if (current_valid) ctx.routed = cursor.routed();
+  cost::PlanCost current;
+  const bool assembled = route_cost(ctx.plan, &current);
+  double current_cost = assembled ? current.total() : kInvalidPlanCost;
+  if (assembled) keep_current();
   ctx.stats.nodes_visited += num_nodes;
   ++ctx.stats.cost_queries;
   for (const SubgraphFamily& family : ctx.pruning.families) {
@@ -277,30 +282,33 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
       // Reverting changes nothing: the probe would re-route the current
       // plan, whose cost cannot beat itself.
       ++skipped;
-      if (current_valid) ++ctx.stats.cost_queries;
+      if (current_cost != kInvalidPlanCost) ++ctx.stats.cost_queries;
       continue;
     }
     reverted = ctx.plan;
     zeros.assign(family.member_nodes.size(), 0);
     sharding::apply_family_choice(family, zeros, &reverted);
-    bool valid = false;
-    const double c = route_cost(reverted, &valid);
-    if (!valid) continue;
+    cost::PlanCost c;
+    if (!route_cost(reverted, &c)) continue;
     ++ctx.stats.cost_queries;
-    if (c < current_cost) {
-      current_cost = c;
-      current_valid = true;
+    if (c.total() < current_cost) {
+      current = c;
+      current_cost = c.total();
       std::swap(ctx.plan, reverted);
-      ctx.routed = cursor.routed();
+      keep_current();
     }
   }
-  if (!current_valid) {
+  if (current_cost == kInvalidPlanCost) {
     // Assembly never produced a routable plan: fall back to pure DP.
     ctx.plan = sharding::default_plan(tg, ctx.opts.num_shards,
                                       ctx.opts.dp_replicas);
     ctx.routed = sharding::route_plan(tg, ctx.plan, &table);
+    TAP_CHECK(ctx.routed.valid) << ctx.routed.error;
+    current = global_cost(ctx.routed, ctx.opts, table, terms);
+  } else {
+    ctx.routed = cursor.release_reference();
   }
-  TAP_CHECK(ctx.routed.valid) << ctx.routed.error;
+  ctx.routed_cost = current;
   obs::MetricsRegistry& reg = obs::registry();
   reg.counter("planner.refine.probes")->add(probes);
   reg.counter("planner.refine.skipped_probes")->add(skipped);
@@ -310,8 +318,12 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
 void FinalizeCostPass::run(PlanContext& ctx) const {
   TAP_CHECK(ctx.table.has_value() && ctx.routed.valid)
       << "FinalizeCost requires GlobalRefine";
-  ctx.cost = global_cost(ctx.routed, ctx.opts, *ctx.table,
-                         full_graph_terms(ctx));
+  if (ctx.routed_cost.has_value()) {
+    ctx.cost = *ctx.routed_cost;
+  } else {
+    ctx.cost = global_cost(ctx.routed, ctx.opts, *ctx.table,
+                           full_graph_terms(ctx));
+  }
   ++ctx.stats.cost_queries;
 }
 

@@ -9,7 +9,8 @@
 //                      FamilySearchPolicy; independent families run on a
 //                      util::ThreadPool with deterministic merging
 //   GlobalRefine       full-graph assembly + per-family revert-to-DP check
-//   FinalizeCost       final routing cost with the global overlap window
+//   FinalizeCost       final cost with the global overlap window
+//                      (GlobalRefine's, when it costed the final route)
 //
 // Each pass is a small class with name()/run(PlanContext&); the pipeline
 // records per-pass wall time (PlanContext::timings), and benches/tests can
@@ -118,14 +119,19 @@ class FamilySearchPass final : public PlannerPass {
 /// AllGather at the loss), so refine: for every family, keep its local
 /// winner only if the FULL-graph cost agrees; otherwise revert that family
 /// to the universal data-parallel fallback. O(families) global routes —
-/// still independent of the per-family candidate counts.
+/// still independent of the per-family candidate counts — each of which
+/// routes only from its first changed node to where it rejoins the
+/// current plan's route. Leaves the final route's cost in
+/// PlanContext::routed_cost.
 class GlobalRefinePass final : public PlannerPass {
  public:
   std::string name() const override { return "GlobalRefine"; }
   void run(PlanContext& ctx) const override;
 };
 
-/// Final full-graph communication cost with the model-wide overlap window.
+/// Final full-graph communication cost with the model-wide overlap window:
+/// PlanContext::routed_cost when GlobalRefine left it, else the routed
+/// plan costed here.
 class FinalizeCostPass final : public PlannerPass {
  public:
   std::string name() const override { return "FinalizeCost"; }

@@ -1,6 +1,9 @@
 #include "cost/cost_model.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <span>
 
 #include "cost/flops.h"
 #include "util/check.h"
@@ -119,20 +122,34 @@ void CommCostPrefix::truncate(std::size_t events) {
 
 PlanCost CommCostPrefix::cost(const sharding::RoutedPlan& routed,
                               int num_shards, const ClusterSpec& cluster,
-                              const CostOptions& opts) {
+                              const CostOptions& opts, std::size_t spliced,
+                              std::size_t reference_from) {
   TAP_CHECK(routed.valid) << "cannot cost an invalid plan: " << routed.error;
   const std::size_t n = routed.comms.size();
+  TAP_CHECK_LE(spliced, n);
+  if (spliced < n) {
+    TAP_CHECK_EQ(reference_from + (n - spliced), reference_times_.size())
+        << "the spliced tail is not the reference's";
+  }
   kept_ = std::min(kept_, n);
   if (sums_.size() < n + 1) sums_.resize(n + 1);
+  if (times_.size() < n) times_.resize(n);
   for (std::size_t i = kept_; i < n; ++i) {
     const CommEvent& e = routed.comms[i];
+    times_[i] = i < spliced ? comm_event_time(e, num_shards, cluster)
+                            : reference_times_[reference_from + (i - spliced)];
     sums_[i + 1] = sums_[i];
-    add_event(e, comm_event_time(e, num_shards, cluster), &sums_[i + 1]);
+    add_event(e, times_[i], &sums_[i + 1]);
   }
   kept_ = n;
   PlanCost cost = sums_[n];
   cost.backward_comm_s += exposed_overlap(cost.overlappable_comm_s, opts);
   return cost;
+}
+
+void CommCostPrefix::keep_reference() {
+  reference_times_.assign(times_.begin(),
+                          times_.begin() + static_cast<std::ptrdiff_t>(kept_));
 }
 
 double backward_compute_window(const ir::TapGraph& tg,
@@ -182,16 +199,25 @@ BackwardWindowTerms::BackwardWindowTerms(
   const double dp = static_cast<double>(std::max(1, dp_replicas));
   const double replicated = dp * 1.0;
   const double split = dp * static_cast<double>(num_shards);
+  // Ops of one work class have equal terms: each class is timed once per
+  // shrink, on first use (NaN = not yet).
+  constexpr double kUntimed = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> class_replicated(tg.num_work_classes(), kUntimed);
+  std::vector<double> class_split(tg.num_work_classes(), kUntimed);
   auto add = [&](ir::GraphNodeId id) {
-    Cluster c{id, replicated_.size(), 0};
-    for (NodeId op : tg.node(id).ops) {
-      const OpWork& work = tg.op_work(op);
-      const double bf = backward_factor(work.kind);
-      replicated_.push_back(op_time(work, cluster, replicated) * bf);
-      split_.push_back(op_time(work, cluster, split) * bf);
+    const std::span<const std::uint32_t> classes = tg.op_classes(id);
+    clusters_.push_back(
+        {id, replicated_.size(), replicated_.size() + classes.size()});
+    for (const std::uint32_t k : classes) {
+      if (std::isnan(class_replicated[k])) {
+        const OpWork& work = tg.class_work(k);
+        const double bf = backward_factor(work.kind);
+        class_replicated[k] = op_time(work, cluster, replicated) * bf;
+        class_split[k] = op_time(work, cluster, split) * bf;
+      }
+      replicated_.push_back(class_replicated[k]);
+      split_.push_back(class_split[k]);
     }
-    c.end = replicated_.size();
-    clusters_.push_back(c);
   };
   if (members != nullptr) {
     clusters_.reserve(members->size());

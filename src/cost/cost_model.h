@@ -107,7 +107,9 @@ double comm_event_time(const sharding::CommEvent& e, int num_shards,
 /// bytes) partial sums after each event, so a route that changed only
 /// past event k costs only its events from k on. They are added in
 /// comm_cost's order from the same partial sums, so the doubles are
-/// bit-identical to comm_cost's.
+/// bit-identical to comm_cost's. It also keeps each event's time, so a
+/// route whose tail is a reference route's (RouteCursor::keep_reference)
+/// adds the reference's times for the tail instead of recomputing them.
 class CommCostPrefix {
  public:
   /// Forgets the sums past the first `events` events: the route changed
@@ -118,11 +120,24 @@ class CommCostPrefix {
   /// kept since the last truncate(0) is unchanged in `routed`, and
   /// `num_shards` and `cluster` are those of the earlier calls.
   PlanCost cost(const sharding::RoutedPlan& routed, int num_shards,
-                const ClusterSpec& cluster, const CostOptions& opts);
+                const ClusterSpec& cluster, const CostOptions& opts) {
+    return cost(routed, num_shards, cluster, opts, routed.comms.size(), 0);
+  }
+  /// cost() of a route whose events from `spliced` on are the reference's
+  /// from `reference_from` on (RouteCursor::spliced_comms and
+  /// reference_comms_at_splice): their times are read, not recomputed.
+  PlanCost cost(const sharding::RoutedPlan& routed, int num_shards,
+                const ClusterSpec& cluster, const CostOptions& opts,
+                std::size_t spliced, std::size_t reference_from);
+
+  /// Makes the event times of the route costed last the reference's.
+  void keep_reference();
 
  private:
-  std::vector<PlanCost> sums_{1};  ///< sums_[i]: after the first i events
-  std::size_t kept_ = 0;           ///< events whose sums are current
+  std::vector<PlanCost> sums_{1};        ///< sums_[i]: after the first i events
+  std::vector<double> times_;            ///< times_[i]: of event i
+  std::vector<double> reference_times_;  ///< of the reference's events
+  std::size_t kept_ = 0;                 ///< events whose sums are current
 };
 
 /// Backward-pass compute time of the clusters in `members` (nullptr = the
@@ -137,13 +152,13 @@ double backward_compute_window(const ir::TapGraph& tg,
 /// backward_compute_window as table reads. A cluster's backward time
 /// depends on the candidate only through one bit — whether it runs
 /// split (shrink dp·tp) or replicated (shrink dp) — so each op's
-/// op_time × backward_factor is computed once per shrink, when the terms
-/// are built, from the op_work the TapGraph stored at finalize() (the
-/// FLOP and byte counts are not recounted per mesh). window() adds the
-/// chosen terms in backward_compute_window's order: the result is
-/// bit-identical at O(ops) additions per call. The
-/// FamilySearch pass builds one per family search; GlobalRefine builds
-/// one full-graph set that FinalizeCost reuses.
+/// op_time × backward_factor is looked up, when the terms are built,
+/// from a per-shrink value computed once per work class of the TapGraph
+/// (ops with equal op_work, classed at finalize(); the FLOP and byte
+/// counts are not recounted per mesh). window() adds the chosen terms in
+/// backward_compute_window's order: the result is bit-identical at O(ops)
+/// additions per call. The FamilySearch pass builds one per family
+/// search; GlobalRefine builds one full-graph set.
 class BackwardWindowTerms {
  public:
   /// Terms for the clusters in `members`, in that order (nullptr = every

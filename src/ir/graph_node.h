@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -76,9 +77,10 @@ class TapGraph {
   GraphNodeId add_node(GraphNode n);
 
   /// Computes the topological order and positions, the op_work of every
-  /// member op and every node's route_bytes, once the graph is complete
-  /// (ir::lower calls it last). Every const accessor is then a plain
-  /// read, so a finished graph can be shared between threads.
+  /// member op and its work class, every node's route_bytes and pattern
+  /// row, once the graph is complete (ir::lower calls it last). Every
+  /// const accessor is then a plain read, so a finished graph can be
+  /// shared between threads.
   void finalize();
 
   const std::vector<GraphNode>& nodes() const { return nodes_; }
@@ -108,8 +110,41 @@ class TapGraph {
   /// read it instead of recounting FLOPs and bytes at every mesh. The
   /// graph must be finalized and have a source.
   const OpWork& op_work(NodeId op) const {
-    TAP_CHECK(op >= 0 && static_cast<std::size_t>(op) < op_work_.size());
-    return op_work_[static_cast<std::size_t>(op)];
+    TAP_CHECK(op >= 0 && static_cast<std::size_t>(op) < op_class_.size());
+    return work_classes_[op_class_[static_cast<std::size_t>(op)]];
+  }
+
+  /// The work classes of node `id`'s member ops, in `ops` order, as
+  /// computed by finalize(). Member ops share a class exactly when their
+  /// op_work is equal (kind, FLOP bits and bytes), so a per-mesh function
+  /// of the work is computed once per class; class_work(c) is that
+  /// op_work. Classes are numbered from 0 in first-seen op order.
+  std::span<const std::uint32_t> op_classes(GraphNodeId id) const {
+    TAP_CHECK(id >= 0 && static_cast<std::size_t>(id) + 1 < node_ops_.size());
+    const std::size_t i = static_cast<std::size_t>(id);
+    return {node_op_classes_.data() + node_ops_[i],
+            node_op_classes_.data() + node_ops_[i + 1]};
+  }
+  std::size_t num_work_classes() const { return work_classes_.size(); }
+  const OpWork& class_work(std::uint32_t c) const {
+    TAP_CHECK_LT(c, work_classes_.size());
+    return work_classes_[c];
+  }
+
+  /// The pattern row of node `id`, as computed by finalize(): 0 for
+  /// every unweighted node, else one row per distinct value of what
+  /// sharding::patterns_for reads of a weighted node (its primary weight
+  /// op's kind and weight shape, and its primary input shape), numbered
+  /// from 1 in node order. Nodes of one row have equal pattern lists at
+  /// every mesh, so a pattern table builds one list per row.
+  const std::vector<std::uint32_t>& pattern_rows() const {
+    return pattern_row_;
+  }
+  std::size_t num_pattern_rows() const { return row_nodes_.size(); }
+  /// The first node of row `row` (kInvalidGraphNode for row 0).
+  GraphNodeId pattern_row_node(std::uint32_t row) const {
+    TAP_CHECK_LT(row, row_nodes_.size());
+    return row_nodes_[row];
   }
 
   /// route_bytes of node `id`, as computed by finalize(). The graph must
@@ -135,8 +170,15 @@ class TapGraph {
   std::vector<std::vector<GraphNodeId>> consumers_;
   std::vector<GraphNodeId> topo_order_;  ///< set by finalize()
   std::vector<int> topo_pos_;
-  std::vector<OpWork> op_work_;  ///< per source NodeId, set by finalize()
-  std::vector<RouteBytes> route_bytes_;  ///< per node, set by finalize()
+  // Set by finalize(). Node i's op classes are node_op_classes_ from
+  // node_ops_[i] to node_ops_[i + 1].
+  std::vector<OpWork> work_classes_;            ///< per work class
+  std::vector<std::uint32_t> op_class_;         ///< per source NodeId
+  std::vector<std::uint32_t> node_op_classes_;  ///< in node order
+  std::vector<std::size_t> node_ops_;           ///< per node, and end
+  std::vector<RouteBytes> route_bytes_;         ///< per node
+  std::vector<std::uint32_t> pattern_row_;      ///< per node
+  std::vector<GraphNodeId> row_nodes_;          ///< per pattern row
   bool finalized_ = false;
 };
 

@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "obs/trace.h"
+#include "sharding/pattern.h"
 #include "sharding/routing.h"
 #include "util/check.h"
 #include "util/fault.h"
@@ -169,10 +170,14 @@ core::TapResult PlannerService::materialize(
   core::TapResult r;
   r.best_plan = record.plan;
   // Pruning and routing are deterministic functions of (graph, options) and
-  // (graph, plan) — recomputing them reproduces the cold result exactly,
-  // and route_plan re-validates the cached choices against the live graph.
+  // (graph, plan, pattern catalog) — recomputing them with the catalog the
+  // search used, the plan's own mesh's, reproduces the cold result
+  // exactly, and route_plan re-validates the cached choices against the
+  // live graph.
   r.pruning = pruning::prune_graph(*req.tg, req.opts.prune);
-  r.routed = sharding::route_plan(*req.tg, record.plan);
+  const sharding::PatternTable table(*req.tg, record.plan.num_shards,
+                                     record.plan.dp_replicas);
+  r.routed = sharding::route_plan(*req.tg, record.plan, &table);
   TAP_CHECK(r.routed.valid)
       << "cached plan does not route: " << r.routed.error;
   r.cost = record.cost;

@@ -1,7 +1,6 @@
 #include "sharding/pattern.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/check.h"
 
@@ -270,66 +269,24 @@ std::vector<ShardingPattern> weighted_patterns(const Node& w,
   return out;
 }
 
-/// What weighted_patterns reads of a node: equal keys, equal rows.
-struct RowKey {
-  const Node* weight_op;
-  const TensorShape* input;  ///< nullptr for a root
-
-  bool operator==(const RowKey& o) const {
-    if (weight_op->kind != o.weight_op->kind ||
-        !(weight_op->weight->shape == o.weight_op->weight->shape))
-      return false;
-    if (input == nullptr || o.input == nullptr) return input == o.input;
-    return *input == *o.input;
-  }
-  /// A cheap multiplicative mix: equal hashes are checked with ==.
-  std::uint64_t hash() const {
-    auto mix = [](std::uint64_t h, std::uint64_t v) {
-      return (h ^ v) * 0x9e3779b97f4a7c15ull;
-    };
-    std::uint64_t h = mix(0, static_cast<std::uint64_t>(weight_op->kind));
-    for (std::int64_t d : weight_op->weight->shape.dims())
-      h = mix(h, static_cast<std::uint64_t>(d));
-    if (input == nullptr) return mix(h, ~0ull);
-    for (std::int64_t d : input->dims())
-      h = mix(h, static_cast<std::uint64_t>(d));
-    return mix(h, static_cast<std::uint64_t>(input->rank()));
-  }
-};
-
 }  // namespace
 
 PatternTable::PatternTable(const ir::TapGraph& tg, int num_shards,
                            int dp_replicas)
-    : num_shards_(num_shards), dp_replicas_(dp_replicas) {
+    : num_shards_(num_shards),
+      dp_replicas_(dp_replicas),
+      row_of_(tg.pattern_rows()) {
   TAP_CHECK_GE(num_shards, 1);
   TAP_CHECK_GE(dp_replicas, 1);
-  // Row 0 is the follow row every unweighted node shares; a weighted node
-  // shares the row of the first node with an equal RowKey.
+  // One list per pattern row of the graph (finalize() interned them); row
+  // 0 is the follow row every unweighted node shares.
+  rows_.reserve(tg.num_pattern_rows());
   rows_.push_back({follow_pattern()});
-  row_of_.assign(tg.num_nodes(), 0);
-  std::vector<RowKey> keys{RowKey{nullptr, nullptr}};  // aligned with rows_
-  std::unordered_multimap<std::uint64_t, std::uint32_t> by_hash;
-  for (const GraphNode& gn : tg.nodes()) {
-    if (!gn.has_weight()) continue;
-    const RowKey key{primary_weight_op(tg, gn), primary_input_shape(tg, gn)};
-    TAP_CHECK(key.weight_op != nullptr);
-    const std::uint64_t h = key.hash();
-    std::uint32_t row = 0;
-    for (auto [it, end] = by_hash.equal_range(h); it != end; ++it) {
-      if (keys[it->second] == key) {
-        row = it->second;
-        break;
-      }
-    }
-    if (row == 0) {
-      row = static_cast<std::uint32_t>(rows_.size());
-      rows_.push_back(weighted_patterns(*key.weight_op, key.input,
-                                        num_shards, dp_replicas));
-      keys.push_back(key);
-      by_hash.emplace(h, row);
-    }
-    row_of_[static_cast<std::size_t>(gn.id)] = row;
+  for (std::uint32_t row = 1; row < tg.num_pattern_rows(); ++row) {
+    const GraphNode& gn = tg.node(tg.pattern_row_node(row));
+    rows_.push_back(weighted_patterns(*primary_weight_op(tg, gn),
+                                      primary_input_shape(tg, gn), num_shards,
+                                      dp_replicas));
   }
 }
 

@@ -70,11 +70,11 @@ ShardingPattern follow_pattern();
 /// Precomputed pattern lists for every GraphNode at a fixed group size.
 /// The planner routes tens of thousands of candidate subgraphs; building
 /// the (string-heavy) pattern vectors once instead of per candidate keeps
-/// the search sub-linear in practice. Rows are interned: every unweighted
+/// the search sub-linear in practice. Rows are the graph's pattern rows
+/// (TapGraph::pattern_rows, interned once per lowering): every unweighted
 /// node shares one follow row, and weighted nodes share a row when
-/// everything patterns_for reads of them is equal (primary weight op kind
-/// and shape, primary input shape), so repeated layers cost one row and
-/// the table O(V) lookups plus O(distinct layers) rows per mesh.
+/// everything patterns_for reads of them is equal, so a mesh builds one
+/// list per distinct layer and copies the node-to-row index.
 class PatternTable {
  public:
   PatternTable(const ir::TapGraph& tg, int num_shards, int dp_replicas = 1);

@@ -208,6 +208,20 @@ void route_plan_into(const ir::TapGraph& tg, const ShardingPlan& plan,
 /// checkpoint restores the state before that position exactly. A route
 /// that fails at position k leaves positions before k valid.
 ///
+/// A cursor may also keep one valid route as its reference
+/// (keep_reference). A later route that has routed every position whose
+/// choice differs from the reference's stops at the first position p
+/// where the router state agrees with the reference's at every live
+/// producer (a member before p, or a read node outside the members, with
+/// a member consumer at p or later): the same output layout, the same
+/// materialized layouts and the same igrad_emitted flag. Routing a
+/// position reads only its choice and its producers' state, and the
+/// state of a producer changes only when one of its consumers is routed,
+/// so from p on the route would repeat the reference's step for step. It
+/// takes the reference's tail instead — events, conversions, layouts,
+/// patterns, checkpoints and router-state log entries — and ends in the
+/// state routing the tail would have left.
+///
 /// route() defines what route_subgraph_into with the same arguments
 /// defines: valid/error, comms, edge_conversions, and output_spec and
 /// pattern_index at every member (for a valid route). Allocation-free
@@ -215,20 +229,36 @@ void route_plan_into(const ir::TapGraph& tg, const ShardingPlan& plan,
 class RouteCursor {
  public:
   /// Binds to a subgraph: O(scope reads) once the buffers are sized for
-  /// `tg`. `tg`, `scope` and `table` must outlive the routes.
+  /// `tg`. `tg`, `scope` and `table` must outlive the routes. Drops the
+  /// reference.
   void bind(const ir::TapGraph& tg, const SubgraphScope& scope,
             const ShardSpec& boundary, const PatternTable& table);
 
   /// Routes `plan`'s member choices (the rest of `plan` is not read).
   const RoutedPlan& route(const ShardingPlan& plan);
 
+  /// Makes the last route, which must be valid, the reference later
+  /// routes splice onto. O(V + members + events).
+  void keep_reference();
+  /// The reference route (after keep_reference()).
+  const RoutedPlan& reference() const { return ref_.out; }
+  /// Moves the reference route out: the cursor keeps no reference.
+  RoutedPlan release_reference();
+
   const RoutedPlan& routed() const { return out_; }
   const ShardSpec& boundary() const { return boundary_; }
   /// comms.size() at the position the last route() resumed from: the
   /// events before it are those of the route before.
   std::size_t resumed_comms() const { return resumed_comms_; }
+  /// Where the last route() took the reference's tail: the index in
+  /// routed().comms from which the events are the reference's events
+  /// from reference_comms_at_splice() on. comms.size() (and no events)
+  /// when it took no tail.
+  std::size_t spliced_comms() const { return spliced_comms_; }
+  std::size_t reference_comms_at_splice() const { return ref_comms_at_splice_; }
   /// Nodes routed (Router steps taken) since bind(): what the routes
   /// actually cost, against scope.order.size() per route from scratch.
+  /// Positions taken from the reference are not routed.
   std::size_t steps() const { return steps_; }
   /// The visit position the last route() failed at, or scope.order.size()
   /// when it was valid. A route at this boundary up to a position reads
@@ -243,21 +273,59 @@ class RouteCursor {
     std::size_t igrad = 0;
     std::size_t materialized = 0;
   };
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  /// A layout in a producer's materialized list, and the visit position
+  /// whose route appended it.
+  struct Materialized {
+    std::size_t position;
+    ShardSpec layout;
+  };
+  /// The reference route and what a splice check or a splice reads of
+  /// it.
+  struct Reference {
+    bool kept = false;
+    RoutedPlan out;
+    std::vector<int> choice;              ///< per visit position
+    std::vector<Checkpoint> checkpoints;  ///< per visit position, and end
+    /// The scratch logs of the route.
+    std::vector<ir::GraphNodeId> igrad_log, materialized_log;
+    /// Per node: the visit position whose route set igrad_emitted (kNone
+    /// for none), and the materialized list.
+    std::vector<std::size_t> igrad_position;
+    std::vector<std::vector<Materialized>> materialized;
+  };
 
   /// `plan`'s choice for the member at visit position `position`.
   int choice_at(const ShardingPlan& plan, std::size_t position) const;
+  /// True when the router state before position `p` (routed_ == p) agrees
+  /// with the reference's at every node of `live_`.
+  bool matches_reference(std::size_t p) const;
+  /// Takes the reference's tail from position routed_ on.
+  void splice();
+  /// live_ = the live producers before position `p`.
+  void collect_live(std::size_t p);
+  /// live_ before position `p` + 1, from live_ before `p`.
+  void advance_live(std::size_t p);
 
   const ir::TapGraph* tg_ = nullptr;
   const SubgraphScope* scope_ = nullptr;
   const PatternTable* table_ = nullptr;
   ShardSpec boundary_;
   std::vector<int> choice_;              ///< per visit position
-  std::vector<Checkpoint> checkpoints_;  ///< per visit position
+  std::vector<Checkpoint> checkpoints_;  ///< per visit position, and end
   std::size_t routed_ = 0;               ///< positions routed by the last route
   std::size_t resumed_comms_ = 0;
+  std::size_t spliced_comms_ = 0;
+  std::size_t ref_comms_at_splice_ = 0;
   std::size_t steps_ = 0;
   RoutingScratch scratch_;
   RoutedPlan out_;
+  Reference ref_;
+  /// Per node, built with the first reference after bind(): its visit
+  /// position (-1 outside the members) and the last position of a member
+  /// consumer (-1 for none).
+  std::vector<std::ptrdiff_t> position_, last_use_;
+  std::vector<ir::GraphNodeId> live_;
 };
 
 /// Layout a routed subgraph hands to downstream consumers: the output spec

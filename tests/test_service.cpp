@@ -14,13 +14,16 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/serialize.h"
 #include "core/tap.h"
 #include "ir/lowering.h"
 #include "models/models.h"
+#include "sharding/routing.h"
 #include "util/check.h"
+#include "util/hash.h"
 #include "util/json.h"
 
 namespace tap::service {
@@ -243,6 +246,76 @@ INSTANTIATE_TEST_SUITE_P(Zoo, ServiceIdentity, ::testing::Range(0, 4),
                                                      info.param)]
                                .label;
                          });
+
+/// Every routed event's reason text, hashed in event order.
+std::uint64_t reason_digest(const ir::TapGraph& tg,
+                            const sharding::RoutedPlan& routed) {
+  std::uint64_t h = util::kFnvOffset;
+  for (const sharding::CommEvent& e : routed.comms)
+    h = util::hash_str(sharding::comm_reason(tg, routed, e), h);
+  return h;
+}
+
+/// Everything a routed event carries.
+auto event_fields(const sharding::CommEvent& e) {
+  return std::tie(e.kind, e.bytes, e.count, e.phase, e.group, e.cross_node,
+                  e.overlappable, e.node, e.src, e.from_spec, e.to_spec,
+                  e.why);
+}
+
+void expect_same_routing(const ir::TapGraph& tg, const sharding::RoutedPlan& a,
+                         const sharding::RoutedPlan& b) {
+  ASSERT_TRUE(a.valid && b.valid);
+  EXPECT_EQ(a.pattern_dp_replicas, b.pattern_dp_replicas);
+  EXPECT_EQ(a.pattern_index, b.pattern_index);
+  EXPECT_TRUE(a.output_spec == b.output_spec);
+  ASSERT_EQ(a.comms.size(), b.comms.size());
+  for (std::size_t i = 0; i < a.comms.size(); ++i)
+    EXPECT_TRUE(event_fields(a.comms[i]) == event_fields(b.comms[i])) << i;
+  EXPECT_EQ(a.edge_conversions.size(), b.edge_conversions.size());
+  EXPECT_EQ(reason_digest(tg, a), reason_digest(tg, b));
+}
+
+TEST(PlannerService, HitsRouteWithTheSearchedCatalogAtEveryMesh) {
+  // A hit re-routes the stored plan with the pattern catalog of the
+  // plan's own mesh, the one the search used, so a memory or disk hit
+  // reports the cold search's events and reason texts at every 16-GPU
+  // mesh of the zoo (at dp > 1 the dp = 1 catalog can differ).
+  int meshes = 0;
+  for (const models::ZooEntry& entry : models::table1_zoo()) {
+    SCOPED_TRACE(entry.model);
+    const Graph g = entry.build();
+    const ir::TapGraph tg = ir::lower(g);
+    for (int tp : {1, 2, 4, 8, 16}) {
+      SCOPED_TRACE("tp=" + std::to_string(tp));
+      core::TapOptions opts = small_cluster_opts();
+      opts.num_shards = tp;
+      opts.dp_replicas = 16 / tp;
+      const core::TapResult cold = core::auto_parallel(tg, opts);
+      ASSERT_TRUE(cold.routed.valid);
+
+      TempDir dir("hit_routing_" + std::to_string(meshes));
+      ServiceOptions sopts;
+      sopts.cache.disk_dir = dir.path;
+      sopts.request_threads = 1;
+      const PlanRequest req{&tg, opts, false};
+      PlannerService svc(sopts);
+      svc.plan(req);
+      const core::TapResult memory_hit = svc.plan(req);
+      EXPECT_EQ(svc.stats().searches, 1u);
+      EXPECT_EQ(svc.cache_stats().memory_hits, 1u);
+      PlannerService svc2(sopts);
+      const core::TapResult disk_hit = svc2.plan(req);
+      EXPECT_EQ(svc2.stats().searches, 0u);
+      EXPECT_EQ(svc2.cache_stats().disk_hits, 1u);
+
+      expect_same_routing(tg, cold.routed, memory_hit.routed);
+      expect_same_routing(tg, cold.routed, disk_hit.routed);
+      ++meshes;
+    }
+  }
+  EXPECT_EQ(meshes, 5 * static_cast<int>(models::table1_zoo().size()));
+}
 
 TEST(PlannerService, RenamedModelServedFromCache) {
   // The positional PlanRecord must apply to a structurally equal graph
