@@ -22,14 +22,15 @@ int main() {
       block = &f;
   if (block == nullptr) return 1;
 
-  sharding::FamilyPlanEnumerator e(w.tg, *block, cluster.world());
+  const sharding::PatternTable table(w.tg, cluster.world(), 1);
+  sharding::FamilyPlanEnumerator e(table, *block);
   std::vector<double> comm, simt;
   std::vector<int> choice;
   while (e.next(&choice)) {
     sharding::ShardingPlan plan =
         sharding::default_plan(w.tg, cluster.world());
     sharding::apply_family_choice(*block, choice, &plan);
-    auto routed = sharding::route_plan(w.tg, plan);
+    auto routed = sharding::route_plan(w.tg, plan, &table);
     if (!routed.valid) continue;
     cost::CostOptions copts;
     copts.overlap_window_s = cost::backward_compute_window(

@@ -26,7 +26,8 @@ int main() {
   core::TapResult r = core::auto_parallel(tg, opts);
 
   auto moe = tg.find("m6_moe_100b/encoder/block_0/moe");
-  auto pats = sharding::patterns_for(tg, moe, opts.num_shards);
+  auto pats = sharding::patterns_for(tg, moe, opts.num_shards,
+                                     opts.dp_replicas);
   std::printf("MoE layer sharded as: %s (searched %lld candidates in %.0f "
               "ms)\n",
               pats[static_cast<std::size_t>(

@@ -84,6 +84,7 @@
 #include "core/serialize.h"
 #include "core/tap.h"
 #include "core/visualize.h"
+#include "cost/cost_model.h"
 #include "ir/lowering.h"
 #include "models/models.h"
 #include "baselines/expert_plans.h"
@@ -351,6 +352,18 @@ std::string explain_target(const tap::service::ModelSpec& spec) {
   return t;
 }
 
+/// The cost FinalizeCost gives a routed plan: `opts.cost` with the
+/// full-graph backward-compute overlap window, so a served or loaded plan
+/// prints the comm cost its search printed.
+tap::cost::PlanCost finalize_cost(const tap::ir::TapGraph& tg,
+                                  const tap::sharding::RoutedPlan& routed,
+                                  const tap::core::TapOptions& opts) {
+  tap::cost::CostOptions copts = opts.cost;
+  copts.overlap_window_s = tap::cost::backward_compute_window(
+      tg, routed, nullptr, routed.num_shards, opts.cluster);
+  return tap::cost::comm_cost(routed, routed.num_shards, opts.cluster, copts);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -460,8 +473,7 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    result.cost = cost::comm_cost(result.routed, result.best_plan.num_shards,
-                                  opts.cluster);
+    result.cost = finalize_cost(tg, result.routed, opts);
   } else if (!args.load_plan.empty()) {
     std::ifstream in(args.load_plan);
     if (!in) {
@@ -483,8 +495,7 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    result.cost = cost::comm_cost(result.routed,
-                                  result.best_plan.num_shards, opts.cluster);
+    result.cost = finalize_cost(tg, result.routed, opts);
     std::printf("loaded plan from %s (mesh %s)\n", args.load_plan.c_str(),
                 result.best_plan.mesh().to_string().c_str());
   } else if (args.pipeline > 1) {

@@ -87,7 +87,7 @@ bool FamilySearchContext::stage(const ShardingPlan& plan,
   stats->nodes_visited +=
       static_cast<std::int64_t>(family.member_nodes.size());
   sharding::route_subgraph_into(tg_, plan, scope.routing(),
-                                sharding::ShardSpec::replicate(), &table_,
+                                sharding::ShardSpec::replicate(), table_,
                                 &arena->routing, &arena->probe);
   if (!arena->probe.valid) return false;
   const auto exit_spec =
@@ -98,7 +98,7 @@ bool FamilySearchContext::stage(const ShardingPlan& plan,
     std::swap(arena->probe, arena->routed);
   } else {
     sharding::route_subgraph_into(tg_, plan, scope.routing(), exit_spec,
-                                  &table_, &arena->routing, &arena->routed);
+                                  table_, &arena->routing, &arena->routed);
     if (!arena->routed.valid) return false;
   }
   ++stats->cost_queries;
@@ -136,7 +136,7 @@ bool FamilySearchContext::evaluate_full_graph(const ShardingPlan& plan,
                                               SearchStats* stats) const {
   stats->nodes_visited += static_cast<std::int64_t>(tg_.num_nodes());
   cost::CostArena& arena = cost::tls_cost_arena();
-  sharding::route_plan_into(tg_, plan, &table_, &arena.routing,
+  sharding::route_plan_into(tg_, plan, table_, &arena.routing,
                             &arena.routed);
   if (!arena.routed.valid) return false;
   ++stats->cost_queries;
@@ -149,8 +149,7 @@ bool FamilySearchContext::evaluate_full_graph(const ShardingPlan& plan,
 FamilySearchOutcome ExhaustivePolicy::search(
     const FamilySearchContext& ctx, const SubgraphFamily& family,
     const ShardingPlan& base) const {
-  return search(ctx, family, base,
-                FamilyPlanEnumerator(ctx.table(), ctx.graph(), family));
+  return search(ctx, family, base, FamilyPlanEnumerator(ctx.table(), family));
 }
 
 void RouteOrderWalk::reset(const std::vector<int>& counts,
@@ -303,7 +302,7 @@ FamilySearchOutcome GreedyPolicy::search(const FamilySearchContext& ctx,
 FamilySearchOutcome AutoPolicy::search(const FamilySearchContext& ctx,
                                        const SubgraphFamily& family,
                                        const ShardingPlan& base) const {
-  FamilyPlanEnumerator enumerator(ctx.table(), ctx.graph(), family);
+  FamilyPlanEnumerator enumerator(ctx.table(), family);
   if (enumerator.total_plans() <= ctx.options().max_plans_per_family) {
     return exhaustive_.search(ctx, family, base, std::move(enumerator));
   }

@@ -66,8 +66,10 @@ sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
 
 /// Bump whenever PlanRecord's layout OR any planning semantics change
 /// (pattern catalog, cost model, search order) — stale plans must miss.
-/// Version 2: compact JSON written through util::JsonValue.
-inline constexpr int kPlanRecordVersion = 2;
+/// Version 2: compact JSON written through util::JsonValue. Version 3:
+/// the search enumerates each mesh's own pattern catalog (candidate
+/// statistics changed).
+inline constexpr int kPlanRecordVersion = 3;
 
 struct PlanRecord {
   sharding::ShardingPlan plan;

@@ -93,10 +93,7 @@ TapResult auto_parallel_best_mesh(const ir::TapGraph& tg,
   util::Stopwatch sw;
   if (!cancel.can_cancel()) cancel = cancellation_for(opts);
   const int world = opts.cluster.world();
-  std::vector<int> tps;
-  for (int tp = 1; tp <= world; ++tp) {
-    if (world % tp == 0) tps.push_back(tp);
-  }
+  const std::vector<int> tps = sweep_tps(world);
   TAP_CHECK(!tps.empty());
 
   // Pruning is mesh-independent (Algorithm 1 only inspects names and
@@ -193,6 +190,14 @@ TapResult auto_parallel_best_mesh(const ir::TapGraph& tg,
   best.search_seconds = sw.elapsed_seconds();
   best.provenance = prov;
   return best;
+}
+
+std::vector<int> sweep_tps(int world) {
+  std::vector<int> tps;
+  for (int tp = 1; tp <= world; ++tp) {
+    if (world % tp == 0) tps.push_back(tp);
+  }
+  return tps;
 }
 
 }  // namespace tap::core

@@ -21,6 +21,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/family_search.h"
 #include "core/plan_context.h"
@@ -115,5 +116,9 @@ TapResult auto_parallel_best_mesh(const ir::TapGraph& tg,
                                   std::shared_ptr<const FamilySearchPolicy>
                                       policy = nullptr,
                                   util::CancellationToken cancel = {});
+
+/// The tp of every factorization auto_parallel_best_mesh sweeps: the
+/// divisors of `world`, ascending.
+std::vector<int> sweep_tps(int world);
 
 }  // namespace tap::core

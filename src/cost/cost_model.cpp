@@ -155,20 +155,14 @@ void CommCostPrefix::keep_reference() {
 double backward_compute_window(const ir::TapGraph& tg,
                                const sharding::RoutedPlan& routed,
                                const std::vector<ir::GraphNodeId>* members,
-                               int num_shards, const ClusterSpec& cluster,
-                               const sharding::PatternTable* table) {
+                               int num_shards, const ClusterSpec& cluster) {
   TAP_CHECK(routed.valid);
   const Graph& g = *tg.source();
   double window = 0.0;
-  std::vector<sharding::ShardingPattern> patterns_storage;
   auto add = [&](ir::GraphNodeId id) {
     const auto& n = tg.node(id);
-    const auto& pats =
-        table != nullptr
-            ? table->at(id)
-            : patterns_storage =
-                  sharding::patterns_for(tg, id, num_shards,
-                                         routed.dp_replicas);
+    const std::vector<sharding::ShardingPattern> pats =
+        sharding::patterns_for(tg, id, num_shards, routed.dp_replicas);
     const auto& pat = pats[static_cast<std::size_t>(
         routed.pattern_index[static_cast<std::size_t>(id)])];
     const sharding::ShardSpec& ospec =

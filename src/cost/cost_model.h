@@ -146,8 +146,7 @@ class CommCostPrefix {
 double backward_compute_window(const ir::TapGraph& tg,
                                const sharding::RoutedPlan& routed,
                                const std::vector<ir::GraphNodeId>* members,
-                               int num_shards, const ClusterSpec& cluster,
-                               const sharding::PatternTable* table = nullptr);
+                               int num_shards, const ClusterSpec& cluster);
 
 /// backward_compute_window as table reads. A cluster's backward time
 /// depends on the candidate only through one bit — whether it runs
@@ -168,9 +167,10 @@ class BackwardWindowTerms {
                       int num_shards, int dp_replicas,
                       const ClusterSpec& cluster);
 
-  /// == backward_compute_window(tg, routed, members, num_shards, cluster,
-  /// &table) for the construction arguments. Reads `routed` only at the
-  /// members, so a reused subgraph route (route_subgraph_into) is fine.
+  /// == backward_compute_window(tg, routed, members, num_shards, cluster)
+  /// for the construction arguments, `table` being their mesh's. Reads
+  /// `routed` only at the members, so a reused subgraph route
+  /// (route_subgraph_into) is fine.
   double window(const sharding::RoutedPlan& routed,
                 const sharding::PatternTable& table) const;
 

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "sharding/enumerate.h"
 #include "sharding/pattern.h"
 #include "util/check.h"
 #include "util/json.h"
@@ -234,9 +235,10 @@ std::vector<CommContributor> aggregate_contributors(
   return all;
 }
 
-PruningAttribution attribute_pruning(const ir::TapGraph& tg,
-                                     const pruning::PruneResult& pruning,
-                                     int num_shards) {
+/// Candidate counts per family, from the pattern table of the plan's mesh
+/// (the catalog the search enumerated).
+PruningAttribution attribute_pruning(const sharding::PatternTable& table,
+                                     const pruning::PruneResult& pruning) {
   PruningAttribution a;
   a.fold_depth = pruning.fold_depth;
   a.families = static_cast<std::int64_t>(pruning.families.size());
@@ -244,7 +246,8 @@ PruningAttribution attribute_pruning(const ir::TapGraph& tg,
     const int m = f.multiplicity();
     if (m > 1) ++a.folded_families;
     a.duplicate_instances += m - 1;
-    const std::int64_t plans = sharding::family_plan_count(tg, f, num_shards);
+    const std::int64_t plans =
+        sharding::FamilyPlanEnumerator(table, f).total_plans();
     a.plans_with_pruning += plans;
     a.plans_without_pruning += plans * m;
   }
@@ -308,7 +311,8 @@ PlanReport build_report(const ir::TapGraph& tg,
   r.exposed_fraction = ledger.exposed_fraction;
   r.contributors = aggregate_contributors(tg, result.pruning, ledger,
                                           ropts.top_k, &r.contributor_scopes);
-  r.pruning = attribute_pruning(tg, result.pruning, r.num_shards);
+  r.pruning = attribute_pruning(
+      sharding::PatternTable(tg, r.num_shards, r.dp_replicas), result.pruning);
 
   sim::Trace trace;
   sim::SimOptions sopts = ropts.sim;

@@ -8,6 +8,7 @@
 
 #include "baselines/expert_plans.h"
 #include "core/plan_context.h"
+#include "core/planner_pipeline.h"
 #include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "obs/trace.h"
@@ -170,16 +171,21 @@ core::TapResult PlannerService::materialize(
   core::TapResult r;
   r.best_plan = record.plan;
   // Pruning and routing are deterministic functions of (graph, options) and
-  // (graph, plan, pattern catalog) — recomputing them with the catalog the
-  // search used, the plan's own mesh's, reproduces the cold result
-  // exactly, and route_plan re-validates the cached choices against the
-  // live graph.
+  // (graph, plan) — recomputing them reproduces the cold result exactly,
+  // and route_plan re-validates the cached choices against the live graph.
   r.pruning = pruning::prune_graph(*req.tg, req.opts.prune);
-  const sharding::PatternTable table(*req.tg, record.plan.num_shards,
-                                     record.plan.dp_replicas);
-  r.routed = sharding::route_plan(*req.tg, record.plan, &table);
+  r.routed = sharding::route_plan(*req.tg, record.plan);
   TAP_CHECK(r.routed.valid)
       << "cached plan does not route: " << r.routed.error;
+  // Only complete plans are cached: the search covered every weighted
+  // family of every mesh the request names, as a cold search reports.
+  const std::size_t families = core::weighted_family_count(*req.tg, r.pruning);
+  core::PlanProvenance& prov = r.provenance;
+  prov.meshes_total = static_cast<std::int64_t>(
+      req.sweep_mesh ? core::sweep_tps(req.opts.cluster.world()).size() : 1);
+  prov.meshes_searched = prov.meshes_total;
+  prov.families_total = prov.meshes_total * static_cast<std::int64_t>(families);
+  prov.families_searched = prov.families_total;
   r.cost = record.cost;
   r.candidate_plans = record.stats.candidate_plans;
   r.valid_plans = record.stats.valid_plans;

@@ -69,13 +69,15 @@ Graph build_spec_model(const ModelSpec& spec);
 /// server's worker knob — bit-identity-neutral, never part of the spec.
 core::TapOptions options_for_spec(const ModelSpec& spec, int threads);
 
-/// Bump when the response layout changes; readers check it first.
-inline constexpr int kPlanResponseVersion = 1;
+/// Bump when the response layout or its planning semantics change;
+/// readers check it first. Version 2: candidate statistics count each
+/// mesh's own pattern catalog.
+inline constexpr int kPlanResponseVersion = 2;
 
 /// Canonical plan-response JSON for a result planned under `key` —
 /// deterministic fields only, so complete plans serialize to identical
 /// bytes on every shard and transport:
-///   {"version":1,"key":"v1-...","mesh":[dp,tp],
+///   {"version":2,"key":"v1-...","mesh":[dp,tp],
 ///    "provenance":"complete|anytime|fallback",
 ///    "plan":{...core::plan_json...},
 ///    "cost":{"forward_comm_s":..,"backward_comm_s":..,

@@ -5,27 +5,20 @@
 namespace tap::sharding {
 
 FamilyPlanEnumerator::FamilyPlanEnumerator(
+    const PatternTable& table, const pruning::SubgraphFamily& family) {
+  counts_.reserve(family.member_nodes.size());
+  for (ir::GraphNodeId id : family.member_nodes)
+    counts_.push_back(static_cast<int>(table.at(id).size()));
+  current_.assign(counts_.size(), 0);
+}
+
+FamilyPlanEnumerator::FamilyPlanEnumerator(
     const ir::TapGraph& tg, const pruning::SubgraphFamily& family,
     int num_shards) {
   counts_.reserve(family.member_nodes.size());
   for (ir::GraphNodeId id : family.member_nodes) {
     counts_.push_back(
-        static_cast<int>(patterns_for(tg, id, num_shards).size()));
-    TAP_CHECK_GE(counts_.back(), 1);
-  }
-  current_.assign(counts_.size(), 0);
-}
-
-FamilyPlanEnumerator::FamilyPlanEnumerator(
-    const PatternTable& table, const ir::TapGraph& tg,
-    const pruning::SubgraphFamily& family) {
-  counts_.reserve(family.member_nodes.size());
-  for (ir::GraphNodeId id : family.member_nodes) {
-    const bool same_catalog =
-        table.dp_replicas() == 1 || !tg.node(id).has_weight();
-    counts_.push_back(static_cast<int>(
-        same_catalog ? table.at(id).size()
-                     : patterns_for(tg, id, table.num_shards()).size()));
+        static_cast<int>(patterns_for(tg, id, num_shards, 1).size()));
     TAP_CHECK_GE(counts_.back(), 1);
   }
   current_.assign(counts_.size(), 0);

@@ -14,24 +14,19 @@
 
 namespace tap::sharding {
 
-/// The per-member counts are those of patterns_for(tg, id, num_shards) —
-/// its dp_replicas = 1 catalog — at every mesh. A dp > 1 PatternTable can
-/// differ by the batch-split "dp" pattern: it lacks it when the batch
-/// divides by tp but not by dp·tp (the extra index fails to route and
-/// counts as an invalid candidate), and at tp = 1 it has it where the
-/// dp = 1 catalog does not (its last pattern is never enumerated).
-/// Changing the counts would change candidate statistics, which are part
-/// of the plan bytes.
+/// The per-member counts are those of the mesh's PatternTable, the catalog
+/// the router reads every plan index against, so every enumerated index
+/// names a pattern the route can resolve.
 class FamilyPlanEnumerator {
  public:
+  FamilyPlanEnumerator(const PatternTable& table,
+                       const pruning::SubgraphFamily& family);
+
+  /// Counts from patterns_for(tg, id, num_shards, 1), the dp = 1 catalog,
+  /// whatever the mesh's dp. Kept only for the benchmark's cost probe; no
+  /// code under src/ may call it (use the table constructor).
   FamilyPlanEnumerator(const ir::TapGraph& tg,
                        const pruning::SubgraphFamily& family, int num_shards);
-
-  /// The same counts, read from `table` wherever its catalog is the
-  /// dp_replicas = 1 one (dp = 1 tables, unweighted members); only
-  /// weighted members under a dp > 1 table call patterns_for.
-  FamilyPlanEnumerator(const PatternTable& table, const ir::TapGraph& tg,
-                       const pruning::SubgraphFamily& family);
 
   /// Patterns enumerated per member, aligned with family.member_nodes.
   const std::vector<int>& counts() const { return counts_; }

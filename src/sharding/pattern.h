@@ -62,7 +62,7 @@ struct ShardingPattern {
 /// single "follow" pattern.
 std::vector<ShardingPattern> patterns_for(const ir::TapGraph& tg,
                                           ir::GraphNodeId id, int num_shards,
-                                          int dp_replicas = 1);
+                                          int dp_replicas);
 
 /// The "follow" pattern used for glue nodes.
 ShardingPattern follow_pattern();

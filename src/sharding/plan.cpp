@@ -49,16 +49,4 @@ std::string describe_plan(const ir::TapGraph& tg, const ShardingPlan& plan,
   return os.str();
 }
 
-std::int64_t family_plan_count(const ir::TapGraph& tg,
-                               const pruning::SubgraphFamily& family,
-                               int num_shards) {
-  std::int64_t count = 1;
-  for (ir::GraphNodeId id : family.member_nodes) {
-    if (!tg.node(id).has_weight()) continue;
-    count *= static_cast<std::int64_t>(
-        patterns_for(tg, id, num_shards).size());
-  }
-  return count;
-}
-
 }  // namespace tap::sharding

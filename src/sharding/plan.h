@@ -2,7 +2,9 @@
 // "a set of subgraphs with sharding patterns connecting them").
 //
 // The plan stores one pattern index per GraphNode, indexing into
-// patterns_for(node). Glue nodes always use index 0 (the follow pattern).
+// patterns_for(node, num_shards, dp_replicas) — the node's row of the
+// PatternTable of the plan's own mesh. Glue nodes always use index 0 (the
+// follow pattern).
 // Plans are produced per subgraph family by the enumerator and replayed
 // onto every instance with apply_family_choice — that replay is what makes
 // the search cost independent of model depth.
@@ -43,11 +45,5 @@ void apply_family_choice(const pruning::SubgraphFamily& family,
 /// Human-readable summary: pattern name per weighted GraphNode.
 std::string describe_plan(const ir::TapGraph& tg, const ShardingPlan& plan,
                           std::size_t max_nodes = 64);
-
-/// Number of candidate plans a family contributes (product of its weighted
-/// members' applicable-pattern counts).
-std::int64_t family_plan_count(const ir::TapGraph& tg,
-                               const pruning::SubgraphFamily& family,
-                               int num_shards);
 
 }  // namespace tap::sharding

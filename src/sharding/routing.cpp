@@ -57,7 +57,7 @@ struct Router {
   const ShardingPlan& plan;
   const SubgraphScope* scope;  // nullptr = the whole graph
   ShardSpec boundary;
-  const PatternTable* table;  // optional precomputed patterns
+  const PatternTable& table;  // the plan's mesh's catalog
   // Working state lives in caller-owned buffers so repeated candidate
   // routes reuse capacity instead of reallocating (RoutingScratch docs).
   // scratch.igrad_emitted: producers whose partial input-gradient
@@ -172,7 +172,9 @@ struct Router {
     out.error.clear();
     out.num_shards = plan.num_shards;
     out.dp_replicas = plan.dp_replicas;
-    out.pattern_dp_replicas = table != nullptr ? table->dp_replicas() : 1;
+    TAP_CHECK(table.num_shards() == plan.num_shards &&
+              table.dp_replicas() == plan.dp_replicas)
+        << "the pattern table is not the plan's mesh's";
     reset_route(tg.num_nodes(), scope, boundary, scratch, out);
     for (GraphNodeId id : order)
       if (!step(id)) return;
@@ -185,9 +187,7 @@ struct Router {
   bool step(GraphNodeId id) {
     const int parts = plan.num_shards;
     const GraphNode& n = tg.node(id);
-    const std::vector<ShardingPattern>& pats =
-        table != nullptr ? table->at(id) : scratch.patterns =
-                                               patterns_for(tg, id, parts);
+    const std::vector<ShardingPattern>& pats = table.at(id);
     int c = plan.choice[static_cast<std::size_t>(id)];
     if (c < 0 || c >= static_cast<int>(pats.size())) {
       return fail(n, {"no sharding pattern with index ", std::to_string(c)});
@@ -352,9 +352,13 @@ std::int64_t RoutedPlan::overlappable_comm_bytes() const {
 
 RoutedPlan route_plan(const ir::TapGraph& tg, const ShardingPlan& plan,
                       const PatternTable* table) {
+  if (table == nullptr) {
+    const PatternTable own(tg, plan.num_shards, plan.dp_replicas);
+    return route_plan(tg, plan, &own);
+  }
   RoutedPlan out;
   RoutingScratch scratch;
-  route_plan_into(tg, plan, table, &scratch, &out);
+  route_plan_into(tg, plan, *table, &scratch, &out);
   return out;
 }
 
@@ -362,16 +366,20 @@ RoutedPlan route_subgraph(const ir::TapGraph& tg, const ShardingPlan& plan,
                           const std::vector<ir::GraphNodeId>& members,
                           const ShardSpec& boundary,
                           const PatternTable* table) {
+  if (table == nullptr) {
+    const PatternTable own(tg, plan.num_shards, plan.dp_replicas);
+    return route_subgraph(tg, plan, members, boundary, &own);
+  }
   RoutedPlan out;
   RoutingScratch scratch;
-  route_subgraph_into(tg, plan, SubgraphScope(tg, members), boundary, table,
+  route_subgraph_into(tg, plan, SubgraphScope(tg, members), boundary, *table,
                       &scratch, &out);
   return out;
 }
 
 void route_subgraph_into(const ir::TapGraph& tg, const ShardingPlan& plan,
                          const SubgraphScope& scope,
-                         const ShardSpec& boundary, const PatternTable* table,
+                         const ShardSpec& boundary, const PatternTable& table,
                          RoutingScratch* scratch, RoutedPlan* out) {
   TAP_CHECK(scratch != nullptr && out != nullptr);
   Router r{tg, plan, &scope, boundary, table, *scratch, *out};
@@ -379,7 +387,7 @@ void route_subgraph_into(const ir::TapGraph& tg, const ShardingPlan& plan,
 }
 
 void route_plan_into(const ir::TapGraph& tg, const ShardingPlan& plan,
-                     const PatternTable* table, RoutingScratch* scratch,
+                     const PatternTable& table, RoutingScratch* scratch,
                      RoutedPlan* out) {
   TAP_CHECK(scratch != nullptr && out != nullptr);
   Router r{tg, plan, nullptr, ShardSpec::replicate(), table, *scratch, *out};
@@ -398,7 +406,6 @@ void RouteCursor::bind(const ir::TapGraph& tg, const SubgraphScope& scope,
   out_.valid = false;
   out_.error.clear();
   out_.num_shards = 0;  // no route yet: the first one starts at position 0
-  out_.pattern_dp_replicas = table.dp_replicas();
   choice_.resize(scope.order.size());
   checkpoints_.resize(scope.order.size() + 1);
   checkpoints_[0] = Checkpoint{};
@@ -447,7 +454,7 @@ const RoutedPlan& RouteCursor::route(const ShardingPlan& plan) {
   resumed_comms_ = c.comms;
   out_.valid = false;
   out_.error.clear();
-  Router r{*tg_, plan, scope_, boundary_, table_, scratch_, out_};
+  Router r{*tg_, plan, scope_, boundary_, *table_, scratch_, out_};
   for (routed_ = k; routed_ < n; ++routed_) {
     Checkpoint& next = checkpoints_[routed_];
     next.comms = out_.comms.size();
@@ -685,8 +692,8 @@ std::string comm_reason(const ir::TapGraph& tg, const RoutedPlan& routed,
     return s;
   };
   auto pattern = [&]() -> std::string {
-    const std::vector<ShardingPattern> pats = patterns_for(
-        tg, e.node, routed.num_shards, routed.pattern_dp_replicas);
+    const std::vector<ShardingPattern> pats =
+        patterns_for(tg, e.node, routed.num_shards, routed.dp_replicas);
     return pats[static_cast<std::size_t>(
                     routed.pattern_index[static_cast<std::size_t>(e.node)])]
         .name;

@@ -85,16 +85,13 @@ struct RoutedPlan {
   /// The mesh the plan was routed for (copied from the ShardingPlan).
   int num_shards = 1;
   int dp_replicas = 1;
-  /// dp_replicas of the catalog `pattern_index` indexes: the
-  /// PatternTable's when routed with one, else 1 (the router's table-less
-  /// patterns_for call).
-  int pattern_dp_replicas = 1;
   /// Resolved output layout per GraphNode. A subgraph route into a reused
   /// RoutedPlan defines only the members' and their producers' entries
   /// (see route_subgraph_into); every other route defines all of them.
   std::vector<ShardSpec> output_spec;
-  /// Resolved pattern per GraphNode (index into patterns_for), with the
-  /// same coverage as output_spec (members only, for a reused subgraph
+  /// Resolved pattern per GraphNode (index into the mesh's PatternTable,
+  /// == patterns_for(tg, id, num_shards, dp_replicas)), with the same
+  /// coverage as output_spec (members only, for a reused subgraph
   /// route).
   std::vector<int> pattern_index;
   std::vector<CommEvent> comms;
@@ -147,12 +144,13 @@ struct RoutingScratch {
   /// in order, with the same reset and roll-back discipline.
   std::vector<std::vector<ShardSpec>> materialized;
   std::vector<ir::GraphNodeId> materialized_touched;
-  /// Pattern storage for table-less routing.
-  std::vector<ShardingPattern> patterns;
 };
 
-/// Routes `plan` over the whole TapGraph. Always returns a RoutedPlan;
-/// check `valid` / `error`.
+/// Routes `plan` over the whole TapGraph, reading its pattern indices
+/// against `table`, which must be the PatternTable of the plan's mesh; a
+/// null `table` builds PatternTable(tg, plan.num_shards,
+/// plan.dp_replicas). Always returns a RoutedPlan; check `valid` /
+/// `error`.
 RoutedPlan route_plan(const ir::TapGraph& tg, const ShardingPlan& plan,
                       const PatternTable* table = nullptr);
 
@@ -162,7 +160,7 @@ RoutedPlan route_plan(const ir::TapGraph& tg, const ShardingPlan& plan,
 /// evaluation O(E / 2CL) (Table 2): the 729 T5-block candidates each touch
 /// one block, not the whole model. For chained blocks, evaluate in steady
 /// state: route once with a replicated boundary to learn the exit layout,
-/// then score with boundary = exit layout.
+/// then score with boundary = exit layout. `table` as for route_plan.
 RoutedPlan route_subgraph(
     const ir::TapGraph& tg, const ShardingPlan& plan,
     const std::vector<ir::GraphNodeId>& members,
@@ -185,13 +183,13 @@ RoutedPlan route_subgraph(
 /// differently sized `out` is filled completely, as route_subgraph does.
 void route_subgraph_into(const ir::TapGraph& tg, const ShardingPlan& plan,
                          const SubgraphScope& scope,
-                         const ShardSpec& boundary, const PatternTable* table,
+                         const ShardSpec& boundary, const PatternTable& table,
                          RoutingScratch* scratch, RoutedPlan* out);
 
 /// route_plan into caller-owned buffers (same contract as
 /// route_subgraph_into).
 void route_plan_into(const ir::TapGraph& tg, const ShardingPlan& plan,
-                     const PatternTable* table, RoutingScratch* scratch,
+                     const PatternTable& table, RoutingScratch* scratch,
                      RoutedPlan* out);
 
 /// Routes a sequence of candidate plans over one subgraph, boundary and

@@ -29,7 +29,7 @@ TEST(ExpertPlans, MegatronShardsAllSixProjections) {
   auto check = [&](const char* node, const char* want) {
     auto id = f.tg.find(node);
     ASSERT_NE(id, ir::kInvalidGraphNode) << node;
-    auto pats = sharding::patterns_for(f.tg, id, 8);
+    auto pats = sharding::patterns_for(f.tg, id, 8, 1);
     EXPECT_EQ(pats[static_cast<std::size_t>(
                   plan.choice[static_cast<std::size_t>(id)])].name,
               std::string(want))
@@ -50,7 +50,7 @@ TEST(ExpertPlans, MhaOnlyAndFfnOnlyArePartial) {
   auto ffn = ffn_only_plan(f.tg, 8);
   auto pattern_of = [&](const sharding::ShardingPlan& p, const char* node) {
     auto id = f.tg.find(node);
-    auto pats = sharding::patterns_for(f.tg, id, 8);
+    auto pats = sharding::patterns_for(f.tg, id, 8, 1);
     return pats[static_cast<std::size_t>(
                     p.choice[static_cast<std::size_t>(id)])].name;
   };

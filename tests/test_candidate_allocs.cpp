@@ -81,7 +81,7 @@ TEST(FamilyCandidateEvaluator, CandidatesAllocateNothingAfterWarmUp) {
       const core::FamilySearchContext ctx(tg, opts, table);
       for (const pruning::SubgraphFamily& fam : pr.families) {
         const core::FamilyScope scope(ctx, fam);
-        sharding::FamilyPlanEnumerator e(table, tg, fam);
+        sharding::FamilyPlanEnumerator e(table, fam);
         std::vector<sharding::ShardingPlan> plans;
         sharding::ShardingPlan plan =
             sharding::default_plan(tg, tp, world / tp);
@@ -135,7 +135,7 @@ TEST(ExhaustivePolicy, WarmSearchAllocatesPerFamilyNotPerCandidate) {
   const core::GreedyPolicy greedy;
   std::int64_t largest = 0;
   for (const pruning::SubgraphFamily& fam : pr.families) {
-    sharding::FamilyPlanEnumerator e(table, tg, fam);
+    sharding::FamilyPlanEnumerator e(table, fam);
     if (e.total_plans() > opts.max_plans_per_family) continue;
     exhaustive.search(ctx, fam, base, e);
     greedy.search(ctx, fam, base);

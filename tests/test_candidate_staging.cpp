@@ -35,15 +35,6 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-/// Tensor-parallel sizes of a `world`-device sweep, as the planner forms
-/// them.
-std::vector<int> mesh_tps(int world) {
-  std::vector<int> tps;
-  for (int tp = 1; tp <= world; ++tp)
-    if (world % tp == 0) tps.push_back(tp);
-  return tps;
-}
-
 bool weighted(const ir::TapGraph& tg, const pruning::SubgraphFamily& f) {
   for (ir::GraphNodeId id : f.member_nodes)
     if (tg.node(id).has_weight()) return true;
@@ -54,10 +45,9 @@ bool weighted(const ir::TapGraph& tg, const pruning::SubgraphFamily& f) {
 /// always including the first), with its member choices written into a
 /// copy of `base`.
 std::vector<sharding::ShardingPlan> sample_candidates(
-    const ir::TapGraph& tg, const sharding::PatternTable& table,
-    const pruning::SubgraphFamily& family,
+    const sharding::PatternTable& table, const pruning::SubgraphFamily& family,
     const sharding::ShardingPlan& base, std::int64_t samples) {
-  sharding::FamilyPlanEnumerator e(table, tg, family);
+  sharding::FamilyPlanEnumerator e(table, family);
   const std::int64_t stride = std::max<std::int64_t>(
       1, e.total_plans() / std::max<std::int64_t>(1, samples));
   std::vector<sharding::ShardingPlan> out;
@@ -78,7 +68,7 @@ TEST(CandidateStaging, WindowTermsMatchBackwardComputeWindowAcrossZoo) {
     const Graph g = entry.build();
     const ir::TapGraph tg = ir::lower(g);
     const pruning::PruneResult pr = pruning::prune_graph(tg);
-    for (int tp : mesh_tps(cluster.world())) {
+    for (int tp : core::sweep_tps(cluster.world())) {
       const int dp = cluster.world() / tp;
       SCOPED_TRACE("tp=" + std::to_string(tp));
       const sharding::PatternTable table(tg, tp, dp);
@@ -88,15 +78,14 @@ TEST(CandidateStaging, WindowTermsMatchBackwardComputeWindowAcrossZoo) {
       ASSERT_TRUE(whole.valid) << whole.error;
       EXPECT_EQ(cost::BackwardWindowTerms(tg, nullptr, tp, dp, cluster)
                     .window(whole, table),
-                cost::backward_compute_window(tg, whole, nullptr, tp, cluster,
-                                              &table));
+                cost::backward_compute_window(tg, whole, nullptr, tp, cluster));
 
       for (const pruning::SubgraphFamily& fam : pr.families) {
         if (!weighted(tg, fam)) continue;
         const cost::BackwardWindowTerms terms(tg, &fam.member_nodes, tp, dp,
                                               cluster);
         for (const auto& plan :
-             sample_candidates(tg, table, fam, base, /*samples=*/6)) {
+             sample_candidates(table, fam, base, /*samples=*/6)) {
           const sharding::RoutedPlan routed = sharding::route_subgraph(
               tg, plan, fam.member_nodes, sharding::ShardSpec::replicate(),
               &table);
@@ -104,7 +93,7 @@ TEST(CandidateStaging, WindowTermsMatchBackwardComputeWindowAcrossZoo) {
           EXPECT_EQ(terms.window(routed, table),
                     cost::backward_compute_window(tg, routed,
                                                   &fam.member_nodes, tp,
-                                                  cluster, &table))
+                                                  cluster))
               << fam.representative;
           ++checked;
         }
@@ -115,19 +104,29 @@ TEST(CandidateStaging, WindowTermsMatchBackwardComputeWindowAcrossZoo) {
 }
 
 TEST(CandidateStaging, TableEnumeratorCountsMatchPatternsFor) {
-  const cost::ClusterSpec cluster = cost::ClusterSpec::v100_cluster(2);
-  for (const models::ZooEntry& entry : models::table1_zoo()) {
-    SCOPED_TRACE(entry.model);
-    const Graph g = entry.build();
-    const ir::TapGraph tg = ir::lower(g);
-    const pruning::PruneResult pr = pruning::prune_graph(tg);
-    for (int tp : mesh_tps(cluster.world())) {
-      const sharding::PatternTable table(tg, tp, cluster.world() / tp);
-      for (const pruning::SubgraphFamily& fam : pr.families) {
-        sharding::FamilyPlanEnumerator from_table(table, tg, fam);
-        sharding::FamilyPlanEnumerator from_catalog(tg, fam, tp);
-        ASSERT_EQ(from_table.total_plans(), from_catalog.total_plans())
-            << fam.representative << " tp=" << tp;
+  // The enumerator counts each member's row of the mesh's PatternTable,
+  // which is patterns_for at the mesh's own tp and dp: the catalog every
+  // route reads the plan's indices against.
+  for (int nodes : {2, 4}) {
+    const cost::ClusterSpec cluster = cost::ClusterSpec::v100_cluster(nodes);
+    for (const models::ZooEntry& entry : models::table1_zoo()) {
+      SCOPED_TRACE(entry.model);
+      const Graph g = entry.build();
+      const ir::TapGraph tg = ir::lower(g);
+      const pruning::PruneResult pr = pruning::prune_graph(tg);
+      for (int tp : core::sweep_tps(cluster.world())) {
+        const int dp = cluster.world() / tp;
+        const sharding::PatternTable table(tg, tp, dp);
+        for (const pruning::SubgraphFamily& fam : pr.families) {
+          const sharding::FamilyPlanEnumerator e(table, fam);
+          ASSERT_EQ(e.counts().size(), fam.member_nodes.size());
+          for (std::size_t j = 0; j < e.counts().size(); ++j) {
+            const ir::GraphNodeId id = fam.member_nodes[j];
+            const auto want = sharding::patterns_for(tg, id, tp, dp).size();
+            ASSERT_EQ(static_cast<std::size_t>(e.counts()[j]), want)
+                << fam.representative << " " << dp << "x" << tp;
+          }
+        }
       }
     }
   }
@@ -176,14 +175,12 @@ TEST(CandidateStaging, ReusedScratchRoutesMatchFreshRoutesAcrossFamilies) {
   // One scratch and one output buffer carry a sequence of different
   // families, candidates and boundaries, as a search thread's CostArena
   // does; each route must define what a fresh route_subgraph defines.
-  const Graph g = models::build_transformer(models::t5_with_layers(2));
+  // CLIP-Base at 2x8: some of its candidates fail to route.
+  const Graph g = models::table1_zoo()[1].build();  // CLIP-Base
   const ir::TapGraph tg = ir::lower(g);
   const pruning::PruneResult pr = pruning::prune_graph(tg);
-  // dp = 4: the batch of 16 no longer splits 32 ways, so the table drops
-  // the batch-split pattern the enumerator still counts and some
-  // candidates fail to route.
-  const sharding::PatternTable table(tg, 8, 4);
-  const sharding::ShardingPlan base = sharding::default_plan(tg, 8, 4);
+  const sharding::PatternTable table(tg, 8, 2);
+  const sharding::ShardingPlan base = sharding::default_plan(tg, 8, 2);
   const sharding::ShardSpec boundaries[] = {sharding::ShardSpec::replicate(),
                                             sharding::ShardSpec::split(0),
                                             sharding::ShardSpec::split(-1)};
@@ -194,9 +191,9 @@ TEST(CandidateStaging, ReusedScratchRoutesMatchFreshRoutesAcrossFamilies) {
     for (const pruning::SubgraphFamily& fam : pr.families) {
       const sharding::SubgraphScope scope(tg, fam.member_nodes);
       for (const auto& plan :
-           sample_candidates(tg, table, fam, base, /*samples=*/5)) {
+           sample_candidates(table, fam, base, /*samples=*/5)) {
         for (const sharding::ShardSpec& boundary : boundaries) {
-          sharding::route_subgraph_into(tg, plan, scope, boundary, &table,
+          sharding::route_subgraph_into(tg, plan, scope, boundary, table,
                                         &scratch, &reused);
           const sharding::RoutedPlan fresh = sharding::route_subgraph(
               tg, plan, fam.member_nodes, boundary, &table);
@@ -260,7 +257,7 @@ TEST(CandidateStaging, StagedBatchMatchesEvaluate) {
           expected.clear();
         };
         for (const auto& plan :
-             sample_candidates(tg, table, fam, base, /*samples=*/20)) {
+             sample_candidates(table, fam, base, /*samples=*/20)) {
           core::FamilyScore score;
           core::SearchStats se, ss;
           std::int64_t weight_bytes = -1;
@@ -314,9 +311,11 @@ std::string reason_digest(const ir::TapGraph& tg,
 
 TEST(CandidateStaging, ReasonTextMatchesRecordedText) {
   // Digests of the reason strings the router built before reasons became
-  // tags, over the planner's plan for T5, MoE and BERT on several meshes.
-  // The last two are meshes where the dp = 1 catalog of a table-less
-  // route differs from the planner's table (the batch-split pattern).
+  // tags, over the planner's plan for T5, MoE and BERT on several meshes,
+  // each followed by the digest of a table-less route of the same plan.
+  // The two halves are equal: a table-less route builds the table of the
+  // plan's own mesh, the catalog the search used. The last two are meshes
+  // where the batch-split pattern's gate depends on dp.
   struct Case {
     std::string model;
     int nodes, tp, dp;
@@ -326,8 +325,8 @@ TEST(CandidateStaging, ReasonTextMatchesRecordedText) {
       {"t5", 2, 8, 2, "626df70d59d064ab626df70d59d064ab"},
       {"moe", 2, 8, 2, "d85149baaae2c3cfd85149baaae2c3cf"},
       {"t5", 1, 8, 1, "0f11a4d8d377c67e0f11a4d8d377c67e"},
-      {"t5", 4, 8, 4, "97b9ce7934fe3163fa87b1ff4e2453c0"},
-      {"bert", 2, 1, 16, "eff2a35c2d4a444c7c9cd2f4886418e3"},
+      {"t5", 4, 8, 4, "daeaf4cf813ec709daeaf4cf813ec709"},
+      {"bert", 2, 1, 16, "eff2a35c2d4a444ceff2a35c2d4a444c"},
   };
   for (const Case& c : cases) {
     service::ModelSpec spec;
@@ -341,7 +340,6 @@ TEST(CandidateStaging, ReasonTextMatchesRecordedText) {
     opts.dp_replicas = c.dp;
     const core::TapResult r = core::auto_parallel(tg, opts);
     ASSERT_TRUE(r.routed.valid);
-    // A table-less route too: its catalog is the dp = 1 one.
     const sharding::RoutedPlan tableless =
         sharding::route_plan(tg, r.best_plan);
     ASSERT_TRUE(tableless.valid);
@@ -352,22 +350,31 @@ TEST(CandidateStaging, ReasonTextMatchesRecordedText) {
 }
 
 TEST(CandidateStaging, PlanResponseBytesMatchRecordedDigests) {
-  // plan_response_json digests recorded before per-candidate staging was
-  // made O(members): the plan, cost and search statistics must not move.
+  // plan_response_json digests recorded at response version 2, when each
+  // mesh's search began to enumerate its own pattern catalog: the sweeps
+  // kept their plans and costs, and only their candidate statistics
+  // moved. The fixed meshes' plan, cost and statistics did not move:
+  // with the version field set back to 1, their bytes give the digests
+  // recorded before per-candidate staging was made O(members).
   struct Case {
     std::string model;
     int layers, dp, tp;  // dp = tp = 0: mesh sweep
     const char* digest;
+    const char* v1_digest;  ///< fixed meshes only
   };
   const Case cases[] = {
-      {"t5", 4, 0, 0, "2b4b0175f6d14535"},
-      {"bert", 4, 0, 0, "1078889059166177"},
-      {"moe", 4, 0, 0, "5e3daa1f37896afa"},
-      {"gpt3", 4, 2, 8, "ef21edd31e7e7c2b"},
-      {"t5", 6, 4, 4, "7f883330f04d3e3c"},
-      {"resnet50", 50, 0, 0, "706f280cd35349af"},
+      {"t5", 4, 0, 0, "9c1191c692e1132b", nullptr},
+      {"bert", 4, 0, 0, "86308baa04eda8d8", nullptr},
+      {"moe", 4, 0, 0, "9f3724c40d425365", nullptr},
+      {"gpt3", 4, 2, 8, "69249ffbdf18242a", "ef21edd31e7e7c2b"},
+      {"t5", 6, 4, 4, "6d4ead51cb78140d", "7f883330f04d3e3c"},
+      {"resnet50", 50, 0, 0, "12f4f051c4991b0f", nullptr},
   };
+  const std::string version =
+      "{\"version\":" + std::to_string(service::kPlanResponseVersion) + ",";
   for (const Case& c : cases) {
+    SCOPED_TRACE(c.model + " layers=" + std::to_string(c.layers) + " mesh=" +
+                 std::to_string(c.dp) + "x" + std::to_string(c.tp));
     service::ModelSpec spec;
     spec.model = c.model;
     spec.layers = c.layers;
@@ -379,11 +386,13 @@ TEST(CandidateStaging, PlanResponseBytesMatchRecordedDigests) {
     const core::TapResult r = spec.sweep()
                                   ? core::auto_parallel_best_mesh(tg, opts)
                                   : core::auto_parallel(tg, opts);
-    const std::string bytes = service::plan_response_json(
+    std::string bytes = service::plan_response_json(
         tg, service::make_plan_key(tg, opts, spec.sweep()), r);
-    EXPECT_EQ(hex64(util::hash_str(bytes)), c.digest)
-        << c.model << " layers=" << c.layers << " mesh=" << c.dp << "x"
-        << c.tp;
+    EXPECT_EQ(hex64(util::hash_str(bytes)), c.digest);
+    if (c.v1_digest == nullptr) continue;
+    ASSERT_EQ(bytes.rfind(version, 0), 0u);
+    bytes.replace(0, version.size(), "{\"version\":1,");
+    EXPECT_EQ(hex64(util::hash_str(bytes)), c.v1_digest);
   }
 }
 

@@ -43,7 +43,7 @@ FamilySearchOutcome reference_search(const FamilySearchContext& ctx,
   const FamilyScope scope(ctx, family);
   cost::FamilyCandidateEvaluator& eval = cost::tls_cost_arena().candidates;
   ctx.bind(scope, &eval);
-  sharding::FamilyPlanEnumerator enumerator(ctx.table(), ctx.graph(), family);
+  sharding::FamilyPlanEnumerator enumerator(ctx.table(), family);
   sharding::ShardingPlan scratch = base;
   FamilyScore best;
   std::vector<int> choice;
@@ -98,7 +98,7 @@ void compare_mesh(const ir::TapGraph& tg, const pruning::PruneResult& pr,
       sharding::default_plan(tg, tp, opts.dp_replicas);
   for (const pruning::SubgraphFamily& fam : pr.families) {
     if (!weighted(tg, fam)) continue;
-    if (sharding::FamilyPlanEnumerator(table, tg, fam).total_plans() >
+    if (sharding::FamilyPlanEnumerator(table, fam).total_plans() >
         max_candidates)
       continue;
     SCOPED_TRACE(fam.representative);
@@ -142,9 +142,9 @@ TEST(ExhaustivePolicy, RouteOrderMatchesMixedRadixReference) {
 }
 
 TEST(ExhaustivePolicy, MostlyFailingCandidatesAreSkippedExactly) {
-  // GPT-3 at tp <= 4: most candidates fail their probe route, and the
+  // CLIP-Base at tp <= 4: most candidates fail their probe route, and the
   // walk passes over their completions without routing them.
-  const Graph g = models::table1_zoo()[8].build();  // GPT-3
+  const Graph g = models::table1_zoo()[1].build();  // CLIP-Base
   const ir::TapGraph tg = ir::lower(g);
   const pruning::PruneResult pr = pruning::prune_graph(tg);
   const cost::ClusterSpec cluster = cost::ClusterSpec::v100_cluster(2);
@@ -162,7 +162,7 @@ TEST(ExhaustivePolicy, PassCountsTheWorkASearchDid) {
   // The FamilySearch pass adds each search's routed nodes and skipped
   // candidates to the registry; a family-cache hit replays an outcome
   // without routing, so it reports none.
-  const Graph g = models::table1_zoo()[8].build();  // GPT-3
+  const Graph g = models::table1_zoo()[1].build();  // CLIP-Base
   const ir::TapGraph tg = ir::lower(g);
   TapOptions opts;
   opts.cluster = cost::ClusterSpec::v100_cluster(2);

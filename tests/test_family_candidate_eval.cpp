@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/family_search.h"
@@ -76,7 +77,7 @@ FreshScore fresh_score(const core::FamilySearchContext& ctx,
     sharding::RoutingScratch scratch;
     sharding::RoutedPlan routed;
     sharding::route_subgraph_into(tg, plan, scope.routing(), boundary,
-                                  &ctx.table(), &scratch, &routed);
+                                  ctx.table(), &scratch, &routed);
     return routed;
   };
   const sharding::RoutedPlan probe = route(sharding::ShardSpec::replicate());
@@ -181,20 +182,28 @@ std::string check_candidate(const core::FamilySearchContext& ctx,
 }
 
 TEST(FamilyCandidateEvaluator, EveryZooCandidateMatchesFreshRouteAndCost) {
-  // Every candidate of every weighted family of the plan_cold zoo at all
-  // five meshes of 16 GPUs, in enumeration order, through one evaluator
-  // (the calling thread's arena) re-bound per family. Families past
-  // max_plans_per_family (the T5 decoder block's 3^10), which the planner
-  // searches greedily, are walked for their first max_plans_per_family
-  // candidates.
+  // Every candidate of every weighted family of the plan_cold zoo, and of
+  // CLIP-Base (whose candidates fail to route at tp >= 2; the zoo's all
+  // route), at all meshes of 16 GPUs, in enumeration order, through one
+  // evaluator (the calling thread's arena) re-bound per family. Families
+  // past max_plans_per_family (the T5 decoder block's 3^10), which the
+  // planner searches greedily, are walked for their first
+  // max_plans_per_family candidates.
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (const service::ModelSpec& spec : zoo_specs()) {
+    graphs.emplace_back(spec.model + " " + std::to_string(spec.layers),
+                        service::build_spec_model(spec));
+  }
+  graphs.emplace_back("CLIP-Base", models::table1_zoo()[1].build());
   cost::FamilyCandidateEvaluator& eval = cost::tls_cost_arena().candidates;
   std::int64_t checked = 0, invalid = 0;
-  for (const service::ModelSpec& spec : zoo_specs()) {
-    SCOPED_TRACE(spec.model + " " + std::to_string(spec.layers));
-    const Graph g = service::build_spec_model(spec);
+  for (const auto& [name, g] : graphs) {
+    SCOPED_TRACE(name);
     const ir::TapGraph tg = ir::lower(g);
     const pruning::PruneResult pr = pruning::prune_graph(tg);
-    core::TapOptions opts = service::options_for_spec(spec, 1);
+    core::TapOptions opts;
+    opts.cluster = cost::ClusterSpec::v100_cluster(2);
+    opts.threads = 1;
     const int world = opts.cluster.world();
     for (int tp = 1; tp <= world; ++tp) {
       if (world % tp != 0) continue;
@@ -208,7 +217,7 @@ TEST(FamilyCandidateEvaluator, EveryZooCandidateMatchesFreshRouteAndCost) {
         if (!weighted(tg, fam)) continue;
         const core::FamilyScope scope(ctx, fam);
         ctx.bind(scope, &eval);
-        sharding::FamilyPlanEnumerator e(table, tg, fam);
+        sharding::FamilyPlanEnumerator e(table, fam);
         std::vector<int> choice;
         for (std::int64_t n = 0;
              n < opts.max_plans_per_family && e.next(&choice); ++n) {
@@ -321,7 +330,7 @@ TEST(FamilyCandidateEvaluator, ExitLayoutsAlternateAcrossSteadyStateLanes) {
   cost::FamilyCandidateEvaluator eval;
   int alternations = 0;
   for (const pruning::SubgraphFamily& fam : pr.families) {
-    sharding::FamilyPlanEnumerator e(table, tg, fam);
+    sharding::FamilyPlanEnumerator e(table, fam);
     // The encoder block: 3^6 candidates over 13 members.
     if (fam.member_nodes.size() < 10 || e.total_plans() > 1000) continue;
     const core::FamilyScope scope(ctx, fam);
@@ -413,13 +422,15 @@ void expect_plan_digest(const char* model, int layers, std::int64_t max_plans,
 }
 
 TEST(FamilyCandidateEvaluator, GreedyPlanResponseBytesMatchRecordedDigests) {
-  // plan_response_json digests recorded before candidate evaluation became
-  // incremental, with max_plans_per_family small enough that every
-  // multi-candidate family searches greedily (GreedyPolicy).
-  expect_plan_digest("t5", 6, 8, "14ce539c730d6883");
-  expect_plan_digest("moe", 4, 8, "47e32939afba3f2d");
+  // plan_response_json digests with max_plans_per_family small enough
+  // that every multi-candidate family searches greedily (GreedyPolicy),
+  // recorded at response version 2: the plans and costs are those
+  // recorded before candidate evaluation became incremental, and only the
+  // candidate statistics moved (each mesh enumerates its own catalog).
+  expect_plan_digest("t5", 6, 8, "40251572e8220b7a");
+  expect_plan_digest("moe", 4, 8, "99673b8bdf83147b");
   // Greedy for the 729-candidate encoder block, exhaustive below.
-  expect_plan_digest("t5", 6, 100, "0a985e5760744c40");
+  expect_plan_digest("t5", 6, 100, "5ba672a794418cc5");
 }
 
 }  // namespace

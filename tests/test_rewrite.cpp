@@ -22,7 +22,7 @@ struct Fixture {
     if (!node.empty()) {
       auto id = tg.find(node);
       TAP_CHECK(id != ir::kInvalidGraphNode) << node;
-      auto pats = sharding::patterns_for(tg, id, shards);
+      auto pats = sharding::patterns_for(tg, id, shards, 1);
       for (std::size_t i = 0; i < pats.size(); ++i)
         if (pats[i].name == pattern)
           plan.choice[static_cast<std::size_t>(id)] = static_cast<int>(i);

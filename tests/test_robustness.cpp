@@ -61,7 +61,7 @@ TEST(Robustness, PrimeDimensionsFallBackToReplication) {
 
   auto dense = tg.find("dense");
   ASSERT_NE(dense, ir::kInvalidGraphNode);
-  auto pats = sharding::patterns_for(tg, dense, 8);
+  auto pats = sharding::patterns_for(tg, dense, 8, 1);
   ASSERT_EQ(pats.size(), 1u);
   EXPECT_EQ(pats[0].name, "replicate");
 

@@ -5,6 +5,7 @@
 #include "ir/lowering.h"
 #include "models/models.h"
 #include "sharding/enumerate.h"
+#include "util/check.h"
 
 namespace tap::sharding {
 namespace {
@@ -26,7 +27,7 @@ void set_pattern(const TapGraph& tg, ShardingPlan* plan,
                  const std::string& node, const std::string& pattern) {
   auto id = tg.find(node);
   ASSERT_NE(id, ir::kInvalidGraphNode) << node;
-  auto pats = patterns_for(tg, id, plan->num_shards);
+  auto pats = patterns_for(tg, id, plan->num_shards, plan->dp_replicas);
   for (std::size_t i = 0; i < pats.size(); ++i) {
     if (pats[i].name == pattern) {
       plan->choice[static_cast<std::size_t>(id)] = static_cast<int>(i);
@@ -46,6 +47,30 @@ TEST(Routing, DefaultDataParallelPlanIsValid) {
   EXPECT_EQ(r.forward_comm_bytes(), 0);
   EXPECT_GT(r.backward_comm_bytes(), 0);
   EXPECT_EQ(r.backward_comm_bytes(), r.overlappable_comm_bytes());
+}
+
+TEST(Routing, TablelessRouteReadsThePlansOwnMeshCatalog) {
+  // At 4x8 the batch of 16 does not split 32 ways, so the mesh's catalog
+  // lacks the batch-split pattern the 1x8 catalog leads with, and index 0
+  // of a weighted node names different patterns in the two. A route
+  // without a table reads the plan's own mesh's catalog; a table of
+  // another mesh is refused.
+  Fixture f = t5();
+  const ShardingPlan plan = default_plan(f.tg, 8, 4);
+  const PatternTable own(f.tg, 8, 4), dp1(f.tg, 8, 1);
+  const ir::GraphNodeId q = f.tg.find("t5_1l/encoder/block_0/mha/q");
+  ASSERT_NE(q, ir::kInvalidGraphNode);
+  ASSERT_NE(own.at(q)[0].name, dp1.at(q)[0].name);
+  const RoutedPlan tableless = route_plan(f.tg, plan);
+  const RoutedPlan with_table = route_plan(f.tg, plan, &own);
+  ASSERT_TRUE(tableless.valid && with_table.valid) << tableless.error;
+  EXPECT_EQ(tableless.pattern_index, with_table.pattern_index);
+  ASSERT_EQ(tableless.comms.size(), with_table.comms.size());
+  for (std::size_t i = 0; i < tableless.comms.size(); ++i) {
+    EXPECT_EQ(comm_reason(f.tg, tableless, tableless.comms[i]),
+              comm_reason(f.tg, with_table, with_table.comms[i]));
+  }
+  EXPECT_THROW(route_plan(f.tg, plan, &dp1), CheckError);
 }
 
 TEST(Routing, DpGradientBytesEqualModelSize) {
@@ -174,14 +199,15 @@ TEST(Routing, EveryEnumeratedT5BlockPlanRoutes) {
         fam.representative.find("encoder/block_0") != std::string::npos)
       block = &fam;
   ASSERT_NE(block, nullptr);
-  FamilyPlanEnumerator e(f.tg, *block, 8);
+  const PatternTable table(f.tg, 8, 1);
+  FamilyPlanEnumerator e(table, *block);
   EXPECT_EQ(e.total_plans(), 729);
   std::vector<int> choice;
   int valid = 0, total = 0;
   while (e.next(&choice)) {
     ShardingPlan plan = default_plan(f.tg, 8);
     apply_family_choice(*block, choice, &plan);
-    RoutedPlan r = route_plan(f.tg, plan);
+    RoutedPlan r = route_plan(f.tg, plan, &table);
     ++total;
     valid += r.valid ? 1 : 0;
   }
@@ -201,7 +227,7 @@ TEST(Routing, FamilyChoiceAppliesToAllInstances) {
   // Set a non-default on the first weighted member.
   for (std::size_t j = 0; j < block->member_nodes.size(); ++j) {
     if (f.tg.node(block->member_nodes[j]).has_weight() &&
-        patterns_for(f.tg, block->member_nodes[j], 8).size() > 1) {
+        patterns_for(f.tg, block->member_nodes[j], 8, 1).size() > 1) {
       choice[j] = 1;
       break;
     }
@@ -229,7 +255,7 @@ TEST(Routing, RouteIntoReusedScratchMatchesFreshRoute) {
   // every result must match a fresh, scratch-free route.
   const std::vector<ir::GraphNodeId> all = tg.cached_topo_order();
   for (int round = 0; round < 3; ++round) {
-    sharding::route_plan_into(tg, plan, &table, &scratch, &reused);
+    sharding::route_plan_into(tg, plan, table, &scratch, &reused);
     sharding::RoutedPlan fresh = sharding::route_plan(tg, plan, &table);
     ASSERT_EQ(reused.valid, fresh.valid) << fresh.error;
     ASSERT_EQ(reused.comms.size(), fresh.comms.size());
@@ -243,7 +269,7 @@ TEST(Routing, RouteIntoReusedScratchMatchesFreshRoute) {
     EXPECT_EQ(reused.pattern_index, fresh.pattern_index);
 
     sharding::route_subgraph_into(tg, plan, sharding::SubgraphScope(tg, all),
-                                  sharding::ShardSpec::split(0), &table,
+                                  sharding::ShardSpec::split(0), table,
                                   &scratch, &reused);
     sharding::RoutedPlan fresh_sub = sharding::route_subgraph(
         tg, plan, all, sharding::ShardSpec::split(0), &table);
@@ -257,8 +283,9 @@ TEST(Enumerate, CountsAndExhaustion) {
   Fixture f = t5(1);
   pruning::PruneResult pr = pruning::prune_graph(f.tg);
   std::int64_t encoder_block = 0, decoder_block = 0;
+  const PatternTable table(f.tg, 8, 1);
   for (const auto& fam : pr.families) {
-    FamilyPlanEnumerator e(f.tg, fam, 8);
+    FamilyPlanEnumerator e(table, fam);
     std::int64_t n = 0;
     std::vector<int> c;
     while (e.next(&c)) ++n;

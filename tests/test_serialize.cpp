@@ -234,11 +234,12 @@ TEST(PlanRecord, VersionIsFirstKeyAndMismatchRejected) {
   ASSERT_LT(json.find("\"version\""), json.find("\"mesh\""));
 
   // Same payload claiming a future version must be rejected up front.
-  std::string vkey = "\"version\":2";
+  std::string vkey = "\"version\":" + std::to_string(kPlanRecordVersion);
   auto pos = json.find(vkey);
   ASSERT_NE(pos, std::string::npos);
   std::string future = json;
-  future.replace(pos, vkey.size(), "\"version\":3");
+  future.replace(pos, vkey.size(),
+                 "\"version\":" + std::to_string(kPlanRecordVersion + 1));
   EXPECT_THROW(plan_record_from_json(f.tg, future), CheckError);
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
@@ -19,8 +20,10 @@
 
 #include "core/serialize.h"
 #include "core/tap.h"
+#include "cost/cost_model.h"
 #include "ir/lowering.h"
 #include "models/models.h"
+#include "report/report.h"
 #include "sharding/routing.h"
 #include "util/check.h"
 #include "util/hash.h"
@@ -266,7 +269,7 @@ auto event_fields(const sharding::CommEvent& e) {
 void expect_same_routing(const ir::TapGraph& tg, const sharding::RoutedPlan& a,
                          const sharding::RoutedPlan& b) {
   ASSERT_TRUE(a.valid && b.valid);
-  EXPECT_EQ(a.pattern_dp_replicas, b.pattern_dp_replicas);
+  EXPECT_EQ(a.dp_replicas, b.dp_replicas);
   EXPECT_EQ(a.pattern_index, b.pattern_index);
   EXPECT_TRUE(a.output_spec == b.output_spec);
   ASSERT_EQ(a.comms.size(), b.comms.size());
@@ -315,6 +318,67 @@ TEST(PlannerService, HitsRouteWithTheSearchedCatalogAtEveryMesh) {
     }
   }
   EXPECT_EQ(meshes, 5 * static_cast<int>(models::table1_zoo().size()));
+}
+
+/// True when the two costs hold the same doubles, bit for bit, and bytes.
+bool same_cost(const cost::PlanCost& a, const cost::PlanCost& b) {
+  auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  return bits(a.forward_comm_s) == bits(b.forward_comm_s) &&
+         bits(a.backward_comm_s) == bits(b.backward_comm_s) &&
+         bits(a.overlappable_comm_s) == bits(b.overlappable_comm_s) &&
+         a.comm_bytes == b.comm_bytes;
+}
+
+TEST(PlannerService, SavedAndCachedPlansReadTheSearchedCatalogAtEverySweep) {
+  // Every table1_zoo() model swept over 16 and 32 GPUs. A saved plan,
+  // reloaded and routed without a table (route_plan builds the table of
+  // the plan's own mesh), gives the cold search's events and reason texts,
+  // and FinalizeCost's recipe gives its cost bit for bit. A memory hit's
+  // and a disk hit's routing and /explain report equal the cold search's.
+  int cases = 0;
+  for (const models::ZooEntry& entry : models::table1_zoo()) {
+    const Graph g = entry.build();
+    const ir::TapGraph tg = ir::lower(g);
+    for (int nodes : {2, 4}) {
+      core::TapOptions opts;
+      opts.cluster = cost::ClusterSpec::v100_cluster(nodes);
+      opts.threads = 1;
+      const int world = opts.cluster.world();
+      SCOPED_TRACE(entry.model + " on " + std::to_string(world) + " GPUs");
+      TempDir dir("round_trip_" + std::to_string(cases));
+      ServiceOptions sopts;
+      sopts.cache.disk_dir = dir.path;
+      sopts.request_threads = 1;
+      const PlanRequest req{&tg, opts, /*sweep_mesh=*/true};
+      PlannerService svc(sopts);
+      const core::TapResult cold = svc.plan(req);
+      ASSERT_TRUE(cold.routed.valid);
+
+      const sharding::ShardingPlan reloaded = core::plan_from_json(
+          tg, core::plan_to_json(tg, cold.best_plan));
+      const sharding::RoutedPlan routed = sharding::route_plan(tg, reloaded);
+      expect_same_routing(tg, cold.routed, routed);
+      cost::CostOptions copts = opts.cost;
+      copts.overlap_window_s = cost::backward_compute_window(
+          tg, routed, nullptr, reloaded.num_shards, opts.cluster);
+      const cost::PlanCost c =
+          cost::comm_cost(routed, reloaded.num_shards, opts.cluster, copts);
+      EXPECT_TRUE(same_cost(c, cold.cost));
+
+      const std::string cold_report = report::to_json(
+          report::build_report(tg, cold, opts, sopts.report));
+      expect_same_routing(tg, cold.routed, svc.plan(req).routed);
+      EXPECT_EQ(report::to_json(*svc.explain(req)), cold_report);
+      EXPECT_EQ(svc.stats().searches, 1u);
+      PlannerService svc2(sopts);
+      expect_same_routing(tg, cold.routed, svc2.plan(req).routed);
+      EXPECT_EQ(svc2.cache_stats().disk_hits, 1u);
+      EXPECT_EQ(report::to_json(*svc2.explain(req)), cold_report);
+      EXPECT_EQ(svc2.stats().searches, 0u);
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 2 * static_cast<int>(models::table1_zoo().size()));
 }
 
 TEST(PlannerService, RenamedModelServedFromCache) {
@@ -526,7 +590,8 @@ TEST(PlannerService, VersionMismatchedDiskFileIsRejected) {
     buf << in.rdbuf();
   }
   std::string payload = buf.str();
-  const std::string vkey = "\"version\":2";
+  const std::string vkey =
+      "\"version\":" + std::to_string(core::kPlanRecordVersion);
   const auto pos = payload.find(vkey);
   ASSERT_NE(pos, std::string::npos);
   payload.replace(pos, vkey.size(), "\"version\":999");

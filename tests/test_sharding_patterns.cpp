@@ -49,7 +49,7 @@ TEST(Patterns, MatMulHasThreeOptions) {
   Fixture f = t5_fixture();
   auto q = f.tg.find("t5_1l/encoder/block_0/mha/q");
   ASSERT_NE(q, ir::kInvalidGraphNode);
-  auto pats = patterns_for(f.tg, q, 8);
+  auto pats = patterns_for(f.tg, q, 8, 1);
   ASSERT_EQ(pats.size(), 3u);  // the "3^V" of §2.3.3
   EXPECT_NE(find_pattern(pats, "dp"), nullptr);
   EXPECT_NE(find_pattern(pats, "split_row"), nullptr);
@@ -59,7 +59,7 @@ TEST(Patterns, MatMulHasThreeOptions) {
 TEST(Patterns, SplitRowRequiresAllReduce) {
   Fixture f = t5_fixture();
   auto q = f.tg.find("t5_1l/encoder/block_0/mha/q");
-  auto pats = patterns_for(f.tg, q, 8);
+  auto pats = patterns_for(f.tg, q, 8, 1);
   const auto* row = find_pattern(pats, "split_row");
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->forward_comm, Collective::kAllReduce);
@@ -73,7 +73,7 @@ TEST(Patterns, SplitRowRequiresAllReduce) {
 TEST(Patterns, SplitColShardsOutputNoForwardComm) {
   Fixture f = t5_fixture();
   auto q = f.tg.find("t5_1l/encoder/block_0/mha/q");
-  auto pats = patterns_for(f.tg, q, 8);
+  auto pats = patterns_for(f.tg, q, 8, 1);
   const auto* col = find_pattern(pats, "split_col");
   ASSERT_NE(col, nullptr);
   EXPECT_EQ(col->forward_comm, Collective::kNone);
@@ -85,7 +85,7 @@ TEST(Patterns, SplitColShardsOutputNoForwardComm) {
 TEST(Patterns, DpReplicatesWeightAndAllReducesGrads) {
   Fixture f = t5_fixture();
   auto q = f.tg.find("t5_1l/encoder/block_0/mha/q");
-  auto pats = patterns_for(f.tg, q, 8);
+  auto pats = patterns_for(f.tg, q, 8, 1);
   const auto* dp = find_pattern(pats, "dp");
   ASSERT_NE(dp, nullptr);
   EXPECT_TRUE(dp->replicates_weight());
@@ -98,7 +98,7 @@ TEST(Patterns, LayerNormIsReplicateOnly) {
   auto ln = f.tg.find("t5_1l/encoder/block_0/mha");  // cluster holding the LN
   ASSERT_NE(ln, ir::kInvalidGraphNode);
   ASSERT_TRUE(f.tg.node(ln).has_weight());
-  auto pats = patterns_for(f.tg, ln, 8);
+  auto pats = patterns_for(f.tg, ln, 8, 1);
   ASSERT_EQ(pats.size(), 1u);
   EXPECT_EQ(pats[0].name, "replicate");
 }
@@ -108,7 +108,7 @@ TEST(Patterns, GlueNodesFollow) {
   // The scores/softmax/context chain is unweighted glue.
   for (const auto& n : f.tg.nodes()) {
     if (n.has_weight()) continue;
-    auto pats = patterns_for(f.tg, n.id, 8);
+    auto pats = patterns_for(f.tg, n.id, 8, 1);
     ASSERT_EQ(pats.size(), 1u);
     EXPECT_EQ(pats[0].name, "follow");
   }
@@ -121,7 +121,7 @@ TEST(Patterns, DivisibilityFiltersOptions) {
   TapGraph tg = ir::lower(g);
   auto fc = tg.find("resnet50/head/fc");
   ASSERT_NE(fc, ir::kInvalidGraphNode);
-  auto pats = patterns_for(tg, fc, 16);
+  auto pats = patterns_for(tg, fc, 16, 1);
   EXPECT_EQ(find_pattern(pats, "split_col"), nullptr);
   EXPECT_NE(find_pattern(pats, "split_row"), nullptr);
 }
@@ -129,7 +129,7 @@ TEST(Patterns, DivisibilityFiltersOptions) {
 TEST(Patterns, SingleShardDegeneratesToReplicate) {
   Fixture f = t5_fixture();
   auto q = f.tg.find("t5_1l/encoder/block_0/mha/q");
-  auto pats = patterns_for(f.tg, q, 1);
+  auto pats = patterns_for(f.tg, q, 1, 1);
   ASSERT_EQ(pats.size(), 1u);
   EXPECT_EQ(pats[0].name, "replicate");
 }
@@ -138,7 +138,7 @@ TEST(Patterns, EmbeddingOptions) {
   Fixture f = t5_fixture();
   auto emb = f.tg.find("t5_1l/encoder/embed");
   ASSERT_NE(emb, ir::kInvalidGraphNode);
-  auto pats = patterns_for(f.tg, emb, 8);
+  auto pats = patterns_for(f.tg, emb, 8, 1);
   EXPECT_NE(find_pattern(pats, "split_vocab"), nullptr);
   EXPECT_NE(find_pattern(pats, "split_hidden"), nullptr);
   const auto* v = find_pattern(pats, "split_vocab");
@@ -150,7 +150,7 @@ TEST(Patterns, ConvOptions) {
   TapGraph tg = ir::lower(g);
   auto conv = tg.find("resnet50/stage_1/block_1/conv_2");
   ASSERT_NE(conv, ir::kInvalidGraphNode);
-  auto pats = patterns_for(tg, conv, 8);
+  auto pats = patterns_for(tg, conv, 8, 1);
   EXPECT_NE(find_pattern(pats, "dp"), nullptr);
   EXPECT_NE(find_pattern(pats, "split_cout"), nullptr);
   EXPECT_NE(find_pattern(pats, "split_cin"), nullptr);
@@ -164,7 +164,7 @@ TEST(Patterns, MoeExpertParallelUsesAllToAll) {
   TapGraph tg = ir::lower(g);
   auto moe = tg.find("widenet/encoder/block_0/moe");
   ASSERT_NE(moe, ir::kInvalidGraphNode);
-  auto pats = patterns_for(tg, moe, 8);
+  auto pats = patterns_for(tg, moe, 8, 1);
   const auto* ep = find_pattern(pats, "expert_parallel");
   ASSERT_NE(ep, nullptr);
   EXPECT_EQ(ep->forward_comm, Collective::kAllToAll);
@@ -183,7 +183,7 @@ TEST(Patterns, RejectsLastAxisSplitPredicates) {
 TEST(Patterns, ToStringMentionsComms) {
   Fixture f = t5_fixture();
   auto q = f.tg.find("t5_1l/encoder/block_0/mha/q");
-  auto pats = patterns_for(f.tg, q, 8);
+  auto pats = patterns_for(f.tg, q, 8, 1);
   const auto* row = find_pattern(pats, "split_row");
   EXPECT_NE(row->to_string().find("AllReduce"), std::string::npos);
 }

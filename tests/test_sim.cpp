@@ -26,7 +26,7 @@ struct Fixture {
   sharding::RoutedPlan megatron(int shards) {
     sharding::ShardingPlan plan = sharding::default_plan(tg, shards);
     for (const auto& n : tg.nodes()) {
-      auto pats = sharding::patterns_for(tg, n.id, shards);
+      auto pats = sharding::patterns_for(tg, n.id, shards, 1);
       auto pick = [&](const char* name) {
         for (std::size_t i = 0; i < pats.size(); ++i)
           if (pats[i].name == name)

@@ -152,7 +152,7 @@ TEST(SpmdInterpreter, CnnPlansMatchSerial) {
   for (const char* pattern : {"split_cout", "split_cin"}) {
     auto plan = sharding::default_plan(h.tg, 2);
     auto id = h.tg.find("cnn/stage");
-    auto pats = sharding::patterns_for(h.tg, id, 2);
+    auto pats = sharding::patterns_for(h.tg, id, 2, 1);
     for (std::size_t i = 0; i < pats.size(); ++i)
       if (pats[i].name == pattern)
         plan.choice[static_cast<std::size_t>(id)] = static_cast<int>(i);
@@ -164,7 +164,7 @@ TEST(SpmdInterpreter, VocabSplitEmbeddingMatchesSerial) {
   Harness h(models::build_transformer(tiny_transformer()));
   auto plan = sharding::default_plan(h.tg, 2);
   auto id = h.tg.find("tiny/encoder/embed");
-  auto pats = sharding::patterns_for(h.tg, id, 2);
+  auto pats = sharding::patterns_for(h.tg, id, 2, 1);
   for (std::size_t i = 0; i < pats.size(); ++i)
     if (pats[i].name == "split_vocab")
       plan.choice[static_cast<std::size_t>(id)] = static_cast<int>(i);
@@ -197,7 +197,7 @@ TEST(SpmdInterpreter, RandomValidPlansMatchSerial) {
     sharding::ShardingPlan plan = sharding::default_plan(h.tg, 2);
     for (const auto& n : h.tg.nodes()) {
       if (!n.has_weight()) continue;
-      auto pats = sharding::patterns_for(h.tg, n.id, 2);
+      auto pats = sharding::patterns_for(h.tg, n.id, 2, 1);
       plan.choice[static_cast<std::size_t>(n.id)] =
           static_cast<int>(rng.next_below(pats.size()));
     }

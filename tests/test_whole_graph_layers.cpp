@@ -212,8 +212,8 @@ TEST(WholeGraphLayers, StoredOpWorkTermsEqualBackwardComputeWindow) {
             sharding::route_plan(tg, plan, &table);
         if (!routed.valid) continue;
         const double got = whole.window(routed, table);
-        const double want = cost::backward_compute_window(tg, routed, nullptr,
-                                                          tp, cluster, &table);
+        const double want =
+            cost::backward_compute_window(tg, routed, nullptr, tp, cluster);
         EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
             << got << " vs " << want;
         for (const pruning::SubgraphFamily& f : pr.families) {
@@ -221,7 +221,7 @@ TEST(WholeGraphLayers, StoredOpWorkTermsEqualBackwardComputeWindow) {
                                                        dp, cluster)
                                  .window(routed, table);
           const double fam_want = cost::backward_compute_window(
-              tg, routed, &f.member_nodes, tp, cluster, &table);
+              tg, routed, &f.member_nodes, tp, cluster);
           EXPECT_EQ(std::memcmp(&fam, &fam_want, sizeof fam), 0);
         }
         ++checked;
