@@ -74,8 +74,9 @@ int main() {
   std::printf("(TAP ms: median of %d runs after a warm-up; Alpa-like: one "
               "run)\n",
               kRuns);
-  std::cout << "\nTAP examines ~777 candidates regardless of depth (one "
-               "folded block); the Alpa-like search re-profiles and "
+  std::cout << "\nTAP searches the same candidates exactly at every depth "
+               "(one folded block per family); the Alpa-like search "
+               "re-profiles and "
                "re-partitions the whole op-level graph, so its time grows "
                "superlinearly (paper: 21x-67x; see EXPERIMENTS.md for our "
                "measured band).\n";

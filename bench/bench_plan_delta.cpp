@@ -61,10 +61,6 @@ int main() {
   opts.num_shards = 8;
   opts.dp_replicas = 2;
   opts.threads = 1;
-  // Exhaustive budget: lets the T5 decoder block (3^10 candidates)
-  // enumerate instead of going greedy, so the bench measures the real
-  // cost of the family search the family cache skips.
-  opts.max_plans_per_family = 100000;
 
   constexpr int kIters = 3;  // best-of-N against scheduler noise
   util::Table table({"edit", "cold ms", "warm ms", "speedup", "family hits"});

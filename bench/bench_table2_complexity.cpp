@@ -8,10 +8,13 @@
 // every family candidate plus the whole graph per GlobalRefine probe.
 // "TAP family routed" and "TAP refine routed" are what the router
 // actually stepped through in FamilySearch (planner.family.nodes_routed)
-// and in GlobalRefine (planner.refine.nodes_routed): candidates and
-// probes resume from their first changed node, candidates of a prefix
-// whose probe failed are not routed at all, and a probe stops where it
-// rejoins the current plan's route.
+// and in GlobalRefine (planner.refine.nodes_routed). A family is decided
+// by a DP over router frontier states: "TAP DP steps"
+// (planner.family.dp_steps) are its (state, choice) steps, each routing
+// one member from a restored state; the rest of the family count is the
+// few candidates its winner step scores exactly. A GlobalRefine probe
+// resumes from its first changed node and stops where it rejoins the
+// current plan's route.
 #include "baselines/alpa_like.h"
 #include "baselines/flexflow_like.h"
 #include "bench_common.h"
@@ -22,11 +25,12 @@ int main() {
 
   util::Table table({"layers", "ops (V)", "FlexFlow ops", "Alpa ops",
                      "TAP nodes visited", "TAP family routed",
-                     "TAP refine routed", "TAP candidates"});
+                     "TAP DP steps", "TAP refine routed", "TAP candidates"});
   bench::BenchReporter report("table2_complexity");
   obs::MetricsRegistry& reg = obs::registry();
   obs::Counter* family_routed = reg.counter("planner.family.nodes_routed");
   obs::Counter* refine_routed = reg.counter("planner.refine.nodes_routed");
+  obs::Counter* dp_steps = reg.counter("planner.family.dp_steps");
   cost::ClusterSpec cluster = cost::ClusterSpec::v100_node();
 
   std::int64_t first_alpa = 0, first_tap = 0, last_alpa = 0, last_tap = 0;
@@ -50,8 +54,10 @@ int main() {
     topts.cluster = cluster;
     const std::uint64_t family_before = family_routed->value();
     const std::uint64_t refine_before = refine_routed->value();
+    const std::uint64_t steps_before = dp_steps->value();
     auto tr = core::auto_parallel(w.tg, topts);
     const std::uint64_t family = family_routed->value() - family_before;
+    const std::uint64_t steps = dp_steps->value() - steps_before;
     const std::uint64_t refine = refine_routed->value() - refine_before;
 
     if (first_alpa == 0) {
@@ -65,10 +71,12 @@ int main() {
                    std::to_string(ffr.ops_visited),
                    std::to_string(alr.ops_visited),
                    std::to_string(tr.nodes_visited), std::to_string(family),
-                   std::to_string(refine), std::to_string(tr.candidate_plans)});
+                   std::to_string(steps), std::to_string(refine),
+                   std::to_string(tr.candidate_plans)});
     const std::string key = "t5_" + std::to_string(layers) + "l_";
     report.add(key + "nodes_visited", static_cast<double>(tr.nodes_visited));
     report.add(key + "family_nodes_routed", static_cast<double>(family));
+    report.add(key + "dp_steps", static_cast<double>(steps));
     report.add(key + "refine_nodes_routed", static_cast<double>(refine));
     report.add(key + "candidates", static_cast<double>(tr.candidate_plans));
   }

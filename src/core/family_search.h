@@ -3,13 +3,14 @@
 //
 // A policy picks the best member-pattern assignment for ONE subgraph
 // family; the pass replays the winner onto every instance of the family.
-// TAP ships three policies:
-//   * ExhaustivePolicy — the full Cartesian product of member patterns
-//     (729 candidates for a T5 encoder block, §6.3.1), walked in routing
-//     order with Algorithm 2's winner;
-//   * GreedyPolicy     — optimize one member at a time, O(Σ patterns);
-//   * AutoPolicy       — exhaustive while the product fits
-//     TapOptions::max_plans_per_family, greedy beyond (the default).
+// TAP ships two policies:
+//   * FrontierDpPolicy — the default: Algorithm 2's exact answer over the
+//     full Cartesian product of member patterns, found by a dynamic
+//     program over router frontier states instead of by scoring every
+//     candidate;
+//   * ExhaustivePolicy — scores every candidate (729 for a T5 encoder
+//     block, §6.3.1), walked in routing order with Algorithm 2's winner;
+//     the reference the DP is tested against.
 // The Alpa-like and FlexFlow-like baselines implement the same interface
 // with whole-graph mutation policies (src/baselines/*.cpp) and drive the
 // same pipeline, so "which search strategy" is a plug-in decision, not a
@@ -54,22 +55,27 @@ class FamilyScope {
   const pruning::SubgraphFamily& family() const { return family_; }
   const sharding::SubgraphScope& routing() const { return routing_; }
   const cost::BackwardWindowTerms& window() const { return window_; }
+  /// Per member (aligned with family.member_nodes): its position in the
+  /// routing visit order routing().order.
+  const std::vector<std::size_t>& positions() const { return positions_; }
 
   /// Local per-device bytes of the members' weights under `plan`'s member
   /// choices (dp replicas never shard weights; only the tp layout
   /// matters). `plan` must route, so every member choice is in range.
   std::int64_t weight_bytes(const sharding::ShardingPlan& plan) const;
+  /// Member `j`'s share of weight_bytes() under pattern `choice` (0 for
+  /// a member without weights).
+  std::int64_t weight_bytes(std::size_t j, int choice) const;
 
  private:
-  struct WeightedMember {
-    ir::GraphNodeId id;
-    std::size_t first;  ///< bytes_[first + pattern index]
-  };
+  static constexpr std::size_t kUnweighted = static_cast<std::size_t>(-1);
 
   const pruning::SubgraphFamily& family_;
   sharding::SubgraphScope routing_;
   cost::BackwardWindowTerms window_;
-  std::vector<WeightedMember> weighted_;
+  std::vector<std::size_t> positions_;
+  /// Per member: bytes_[first_[j] + pattern index], or kUnweighted.
+  std::vector<std::size_t> first_;
   std::vector<std::int64_t> bytes_;
 };
 
@@ -133,12 +139,16 @@ class FamilySearchContext {
 /// Routing work one family search did, beyond the SearchStats the plan
 /// bytes pin: a cached outcome replayed without searching did none.
 struct FamilySearchWork {
-  /// Nodes the candidates actually routed (the evaluator's
-  /// RouteCursor::steps() over its lanes); SearchStats::nodes_visited
-  /// counts every member of every candidate.
+  /// Nodes the search actually routed: Router steps over every lane;
+  /// SearchStats::nodes_visited counts every member of every candidate.
   std::int64_t nodes_routed = 0;
-  /// Candidates counted without being routed: completions of a prefix
-  /// whose probe route already failed (ExhaustivePolicy).
+  /// FrontierDpPolicy: the frontier-state steps of its DP (also in
+  /// nodes_routed), and the candidates it then scored exactly to pick
+  /// Algorithm 2's winner.
+  std::int64_t dp_steps = 0;
+  std::int64_t band_candidates = 0;
+  /// ExhaustivePolicy: candidates counted without being routed, the
+  /// completions of a prefix whose probe route already failed.
   std::int64_t skipped_candidates = 0;
 };
 
@@ -211,6 +221,16 @@ class RouteOrderWalk {
 std::int64_t first_best_rank(std::span<const FamilyScore> scores,
                              std::span<const char> valid);
 
+/// FrontierDpPolicy's band edge. `comms` are ascending scores that
+/// include every candidate scoring at most `cover` (higher ones may be
+/// listed too). Returns the least listed score A with A * (1 + 4e-9) <=
+/// `cover` and no listed score in (A, A * (1 + 4e-9)], or -1 when there
+/// is none. Then every candidate at or below A is better_than every
+/// candidate above it, and none above it is better_than one at or below
+/// it, so first_best_rank over the candidates at or below A returns the
+/// winner of first_best_rank over them all.
+double band_edge(std::span<const double> comms, double cover);
+
 class FamilySearchPolicy {
  public:
   virtual ~FamilySearchPolicy() = default;
@@ -227,8 +247,65 @@ class FamilySearchPolicy {
       const sharding::ShardingPlan& base) const = 0;
 };
 
+/// The default policy: Algorithm 2's winner and counters over the full
+/// Cartesian product, found by a forward dynamic program over router
+/// frontier states (sharding::FrontierState) instead of by scoring every
+/// candidate.
+///
+/// A candidate's score is the steady-state route's comm_cost with the
+/// family's window: Σ exposed + max(0, Σ overlappable − Σ window) over
+/// its members' steps (cost::StepScore). Its exit layout L comes from the
+/// probe route (replicated boundary), and the steady-state route has
+/// boundary L. So the policy runs one DP per exit layout L over the joint
+/// state of two lanes, the probe and the steady state at L (one lane when
+/// L is replicated). Each DP step restores a state and routes one member
+/// with one choice. Equal joint states have equal futures, so they merge.
+/// A prefix whose probe hands the exit member a layout other than L is
+/// dropped. Each state keeps:
+///   * the number of prefixes that reach it, so the counters are exact
+///     path counts. `candidate_plans` is the product of the counts,
+///     `valid_plans` = `cost_queries` is the number of valid paths, and
+///     `nodes_visited` is members × candidates;
+///   * the least weight bytes over them;
+///   * bounds over its completions, from a backward pass.
+/// The score is monotone in Σ exposed and Σ (overlappable − window), so
+/// Pareto labels over the two give the least score m. A label travels
+/// forward only until its state's completion bounds fix the sign of the
+/// final excess, which settles its best score at once.
+/// Lane steps are memoized per (state, choice), so the probe lane is
+/// shared by every exit layout's DP.
+///
+/// Algorithm 2's winner is a first-best scan in rank order with a 1e-9
+/// tolerance and a weight-bytes tie-break (first_best_rank), not a DP
+/// objective. It is found in two ways:
+///   1. The plateau rule. When rank 0, the all-zeros candidate, is valid,
+///      the scan starts there. If no candidate scores below its tolerance
+///      band (m's lower bound says so) and none has fewer weight bytes
+///      (the least weight bytes say so), then no candidate is better_than
+///      it, and it wins. Only it is scored exactly. This is the case when
+///      every candidate ties (tp = 1).
+///   2. The band. Otherwise, a walk in route order, pruned by a per-state
+///      cost-to-go bound, scores exactly (FamilyCandidateEvaluator) every
+///      candidate up to a threshold near m. A band edge A is chosen so
+///      that no candidate scores in (A, A(1 + 4e-9)]. Then every candidate
+///      at or below A is better_than every candidate above it, and none
+///      above it is better_than one at or below it. So the scan's holder,
+///      once it reaches the band, never leaves it, and the scan over the
+///      band alone keeps the same winner.
+/// Every DP sum is a reordering of comm_cost's, and the thresholds carry
+/// a bound on that rounding. Allocation-free per DP step and per label
+/// once the per-thread buffers have grown.
+class FrontierDpPolicy final : public FamilySearchPolicy {
+ public:
+  std::string name() const override { return "frontier-dp"; }
+  FamilySearchOutcome search(const FamilySearchContext& ctx,
+                             const pruning::SubgraphFamily& family,
+                             const sharding::ShardingPlan& base) const override;
+};
+
 /// Full Cartesian-product search (Algorithm 2's inner loop), with
-/// Algorithm 2's winner and counters.
+/// Algorithm 2's winner and counters: the reference FrontierDpPolicy is
+/// tested against.
 ///
 /// The candidates are walked in route order (RouteOrderWalk over the
 /// visit order FamilyScope::routing().order), so consecutive candidates
@@ -249,37 +326,6 @@ class ExhaustivePolicy final : public FamilySearchPolicy {
   FamilySearchOutcome search(const FamilySearchContext& ctx,
                              const pruning::SubgraphFamily& family,
                              const sharding::ShardingPlan& base) const override;
-  /// search() over the per-member counts of an enumerator the caller
-  /// already built for `family` (AutoPolicy sizes the space with it
-  /// first).
-  FamilySearchOutcome search(const FamilySearchContext& ctx,
-                             const pruning::SubgraphFamily& family,
-                             const sharding::ShardingPlan& base,
-                             sharding::FamilyPlanEnumerator enumerator) const;
-};
-
-/// Greedy fallback: optimize one member at a time.
-class GreedyPolicy final : public FamilySearchPolicy {
- public:
-  std::string name() const override { return "greedy"; }
-  FamilySearchOutcome search(const FamilySearchContext& ctx,
-                             const pruning::SubgraphFamily& family,
-                             const sharding::ShardingPlan& base) const override;
-};
-
-/// The default strategy: ExhaustivePolicy's route-order walk when the
-/// family's candidate count fits TapOptions::max_plans_per_family, so the
-/// walk's score buffer holds at most that many entries; greedy beyond.
-class AutoPolicy final : public FamilySearchPolicy {
- public:
-  std::string name() const override { return "auto"; }
-  FamilySearchOutcome search(const FamilySearchContext& ctx,
-                             const pruning::SubgraphFamily& family,
-                             const sharding::ShardingPlan& base) const override;
-
- private:
-  ExhaustivePolicy exhaustive_;
-  GreedyPolicy greedy_;
 };
 
 }  // namespace tap::core

@@ -38,11 +38,6 @@ struct TapOptions {
   cost::ClusterSpec cluster = cost::ClusterSpec::v100_node();
   pruning::PruneOptions prune;
   cost::CostOptions cost;
-  /// Families whose Cartesian product exceeds this fall back to per-node
-  /// greedy selection. A T5 encoder block enumerates 3^6 = 729 exhaustive
-  /// candidates (§6.3.1); a decoder block (10 projections, 3^10) switches
-  /// to greedy, keeping the total "hundreds of plans" like the paper.
-  std::int64_t max_plans_per_family = 2000;
   /// Worker threads for the independent family searches and the (dp, tp)
   /// factorizations of the mesh sweep. <= 0 selects
   /// hardware_concurrency(); 1 forces the sequential order. Results are

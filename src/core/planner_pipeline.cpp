@@ -106,7 +106,7 @@ void PlannerPipeline::run_prefix(PlanContext& ctx, std::size_t n) const {
 
 PlannerPipeline PlannerPipeline::standard(
     std::shared_ptr<const FamilySearchPolicy> policy) {
-  if (policy == nullptr) policy = std::make_shared<AutoPolicy>();
+  if (policy == nullptr) policy = std::make_shared<FrontierDpPolicy>();
   PlannerPipeline p;
   p.add(std::make_unique<BuildPatternTablePass>())
       .add(std::make_unique<PrunePass>())
@@ -197,7 +197,8 @@ void FamilySearchPass::run(PlanContext& ctx) const {
     ++num_searched;
     pass_stats.merge(outcomes[i].stats);
     work.nodes_routed += outcomes[i].work.nodes_routed;
-    work.skipped_candidates += outcomes[i].work.skipped_candidates;
+    work.dp_steps += outcomes[i].work.dp_steps;
+    work.band_candidates += outcomes[i].work.band_candidates;
     if (outcomes[i].found) {
       sharding::apply_family_choice(*families[i], outcomes[i].choice,
                                     &ctx.plan);
@@ -214,8 +215,10 @@ void FamilySearchPass::run(PlanContext& ctx) const {
       ->add(static_cast<std::uint64_t>(pass_stats.valid_plans));
   reg.counter("planner.family.nodes_routed")
       ->add(static_cast<std::uint64_t>(work.nodes_routed));
-  reg.counter("planner.family.skipped_candidates")
-      ->add(static_cast<std::uint64_t>(work.skipped_candidates));
+  reg.counter("planner.family.dp_steps")
+      ->add(static_cast<std::uint64_t>(work.dp_steps));
+  reg.counter("planner.family.band_candidates")
+      ->add(static_cast<std::uint64_t>(work.band_candidates));
 }
 
 void GlobalRefinePass::run(PlanContext& ctx) const {

@@ -59,8 +59,8 @@ class PlannerPipeline {
   /// executing pipeline prefixes.
   void run_prefix(PlanContext& ctx, std::size_t n) const;
 
-  /// The standard five-pass TAP pipeline. `policy` defaults to AutoPolicy
-  /// (exhaustive under max_plans_per_family, greedy beyond).
+  /// The standard five-pass TAP pipeline. `policy` defaults to
+  /// FrontierDpPolicy.
   static PlannerPipeline standard(
       std::shared_ptr<const FamilySearchPolicy> policy = nullptr);
 

@@ -68,8 +68,8 @@ sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
 /// (pattern catalog, cost model, search order) — stale plans must miss.
 /// Version 2: compact JSON written through util::JsonValue. Version 3:
 /// the search enumerates each mesh's own pattern catalog (candidate
-/// statistics changed).
-inline constexpr int kPlanRecordVersion = 3;
+/// statistics changed). Version 4: every family is searched exactly.
+inline constexpr int kPlanRecordVersion = 4;
 
 struct PlanRecord {
   sharding::ShardingPlan plan;

@@ -87,7 +87,7 @@ util::CancellationToken cancellation_for(const TapOptions& opts);
 
 /// Derives the best tensor/data parallel plan for `tg` (Algorithm 2).
 /// `policy` selects the family-search strategy for the standard pipeline;
-/// nullptr = the default AutoPolicy. The PlannerService passes its
+/// nullptr = the default FrontierDpPolicy. The PlannerService passes its
 /// family-memoizing policy here (src/service/planner_service.h).
 /// `cancel` makes the search *anytime*: families whose checkpoint trips
 /// keep their data-parallel default and the result is marked kAnytime.

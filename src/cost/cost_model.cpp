@@ -239,6 +239,14 @@ double BackwardWindowTerms::window(const sharding::RoutedPlan& routed,
   return window;
 }
 
+double BackwardWindowTerms::term(std::size_t i, bool split) const {
+  const Cluster& c = clusters_[i];
+  const double* terms = split ? split_.data() : replicated_.data();
+  double sum = 0.0;
+  for (std::size_t k = c.begin; k < c.end; ++k) sum += terms[k];
+  return sum;
+}
+
 MemoryEstimate estimate_memory(const ir::TapGraph& tg,
                                const sharding::RoutedPlan& routed,
                                int num_shards,

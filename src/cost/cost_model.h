@@ -174,6 +174,12 @@ class BackwardWindowTerms {
   double window(const sharding::RoutedPlan& routed,
                 const sharding::PatternTable& table) const;
 
+  /// The clusters, in construction order.
+  std::size_t size() const { return clusters_.size(); }
+  /// Cluster `i`'s share of window(): the sum of its ops' terms, split or
+  /// replicated.
+  double term(std::size_t i, bool split) const;
+
  private:
   struct Cluster {
     ir::GraphNodeId id;

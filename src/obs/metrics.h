@@ -14,6 +14,11 @@
 //
 //   planner.pass.prune_ms       histogram, wall ms of one Prune pass
 //   planner.family.candidates   counter, candidate plans enumerated
+//   planner.family.nodes_routed counter, nodes the family searches routed
+//   planner.family.dp_steps     counter, frontier-state steps of the
+//                               family DPs (FrontierDpPolicy)
+//   planner.family.band_candidates  counter, candidates the DPs' winner
+//                               step scored exactly
 //   planner.refine.probes       counter, GlobalRefine revert probes
 //   planner.refine.skipped_probes  counter, probes whose revert was a no-op
 //   planner.refine.nodes_routed counter, nodes the probes actually routed

@@ -96,7 +96,6 @@ Fingerprint options_fingerprint(const core::TapOptions& opts) {
 
   u64(static_cast<std::uint64_t>(opts.num_shards));
   u64(static_cast<std::uint64_t>(opts.dp_replicas));
-  u64(static_cast<std::uint64_t>(opts.max_plans_per_family));
   u64(static_cast<std::uint64_t>(opts.prune.min_duplicate));
   f64(opts.cost.exposed_overlap_fraction);
   f64(opts.cost.overlap_window_s);

@@ -50,15 +50,16 @@ Fingerprint family_fingerprint(const ir::TapGraph& tg,
                                const pruning::SubgraphFamily& family);
 
 /// The planning-relevant subset of TapOptions: mesh (num_shards,
-/// dp_replicas), the full ClusterSpec, pruning threshold, cost options and
-/// max_plans_per_family. Excludes `threads` — results are bit-identical at
-/// every thread count, so it must not split the key space.
+/// dp_replicas), the full ClusterSpec, pruning threshold and cost options.
+/// Excludes `threads` — results are bit-identical at every thread count,
+/// so it must not split the key space.
 Fingerprint options_fingerprint(const core::TapOptions& opts);
 
 /// Cache-key version: bump together with core::kPlanRecordVersion when
 /// fingerprint inputs change meaning (e.g. a new TapOptions field joins
-/// options_fingerprint), so old keys can never alias new ones.
-inline constexpr std::uint32_t kPlanKeyVersion = 1;
+/// options_fingerprint), so old keys can never alias new ones. Version 2:
+/// the per-family candidate cutoff left the options.
+inline constexpr std::uint32_t kPlanKeyVersion = 2;
 
 /// The complete cache key of one plan request.
 struct PlanKey {

@@ -111,7 +111,7 @@ CachingFamilyPolicy::CachingFamilyPolicy(
     std::shared_ptr<const core::FamilySearchPolicy> inner)
     : cache_(std::move(cache)), inner_(std::move(inner)) {
   TAP_CHECK(cache_ != nullptr);
-  if (!inner_) inner_ = std::make_shared<core::AutoPolicy>();
+  if (!inner_) inner_ = std::make_shared<core::FrontierDpPolicy>();
 }
 
 std::string CachingFamilyPolicy::name() const {

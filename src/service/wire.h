@@ -71,13 +71,15 @@ core::TapOptions options_for_spec(const ModelSpec& spec, int threads);
 
 /// Bump when the response layout or its planning semantics change;
 /// readers check it first. Version 2: candidate statistics count each
-/// mesh's own pattern catalog.
-inline constexpr int kPlanResponseVersion = 2;
+/// mesh's own pattern catalog. Version 3: every family is searched
+/// exactly (FrontierDpPolicy), so families past the old greedy cutoff
+/// get better plans and exact counters.
+inline constexpr int kPlanResponseVersion = 3;
 
 /// Canonical plan-response JSON for a result planned under `key` —
 /// deterministic fields only, so complete plans serialize to identical
 /// bytes on every shard and transport:
-///   {"version":2,"key":"v1-...","mesh":[dp,tp],
+///   {"version":3,"key":"v2-...","mesh":[dp,tp],
 ///    "provenance":"complete|anytime|fallback",
 ///    "plan":{...core::plan_json...},
 ///    "cost":{"forward_comm_s":..,"backward_comm_s":..,

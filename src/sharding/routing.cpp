@@ -1,11 +1,13 @@
 #include "sharding/routing.h"
 
 #include <algorithm>
+#include <climits>
 #include <initializer_list>
 #include <string_view>
 #include <utility>
 
 #include "util/check.h"
+#include "util/hash.h"
 
 namespace tap::sharding {
 
@@ -396,6 +398,171 @@ void route_plan_into(const ir::TapGraph& tg, const ShardingPlan& plan,
   r.run(tg.cached_topo_order());
 }
 
+namespace {
+
+/// One 32-bit word per layout: replicated, or the split axis.
+constexpr std::int32_t kReplicatedWord = INT32_MIN;
+
+std::int32_t layout_word(const ShardSpec& spec) {
+  return spec.is_split() ? spec.axis : kReplicatedWord;
+}
+
+ShardSpec word_layout(std::int32_t word) {
+  return word == kReplicatedWord ? ShardSpec::replicate()
+                                 : ShardSpec::split(word);
+}
+
+}  // namespace
+
+void FrontierState::add_producer(GraphNodeId id, const ShardSpec& layout,
+                                 bool igrad_emitted) {
+  const std::size_t at = words_.size();
+  words_.resize(at + 4);
+  std::int32_t* w = words_.data() + at;
+  w[0] = static_cast<std::int32_t>(id);
+  w[1] = layout_word(layout);
+  w[2] = igrad_emitted ? 1 : 0;
+  w[3] = 0;
+  open_ = at + 3;
+}
+
+void FrontierState::add_materialized(const ShardSpec& layout) {
+  TAP_CHECK_LT(open_, words_.size())
+      << "a materialized layout needs a producer";
+  ++words_[open_];
+  words_.push_back(layout_word(layout));
+}
+
+void FrontierState::snapshot(std::span<const GraphNodeId> live,
+                             const RoutedPlan& routed,
+                             const RoutingScratch& scratch) {
+  clear();
+  for (GraphNodeId q : live) {
+    const auto i = static_cast<std::size_t>(q);
+    add_producer(q, routed.output_spec[i],
+                 i < scratch.igrad_emitted.size() && scratch.igrad_emitted[i]);
+    if (i < scratch.materialized.size())
+      for (const ShardSpec& layout : scratch.materialized[i])
+        add_materialized(layout);
+  }
+}
+
+void FrontierState::restore(RoutedPlan* routed,
+                            RoutingScratch* scratch) const {
+  const std::size_t num_nodes = routed->output_spec.size();
+  if (scratch->igrad_emitted.size() < num_nodes)
+    scratch->igrad_emitted.resize(num_nodes, 0);
+  if (scratch->materialized.size() < num_nodes)
+    scratch->materialized.resize(num_nodes);
+  for (std::size_t w = 0; w < words_.size();) {
+    const auto id = static_cast<GraphNodeId>(words_[w]);
+    const auto i = static_cast<std::size_t>(id);
+    routed->output_spec[i] = word_layout(words_[w + 1]);
+    if (words_[w + 2] != 0) {
+      scratch->igrad_emitted[i] = 1;
+      scratch->igrad_touched.push_back(id);
+    }
+    const auto k = static_cast<std::size_t>(words_[w + 3]);
+    for (std::size_t t = 0; t < k; ++t) {
+      scratch->materialized[i].push_back(word_layout(words_[w + 4 + t]));
+      scratch->materialized_touched.push_back(id);
+    }
+    w += 4 + k;
+  }
+}
+
+std::uint64_t FrontierState::hash() const {
+  // Two words per multiply, finished by splitmix64.
+  std::uint64_t h = words_.size();
+  std::size_t w = 0;
+  for (; w + 1 < words_.size(); w += 2) {
+    h = (h ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(words_[w]))
+              << 32 |
+              static_cast<std::uint32_t>(words_[w + 1]))) *
+        0x9e3779b97f4a7c15ull;
+  }
+  if (w < words_.size())
+    h = (h ^ static_cast<std::uint32_t>(words_[w])) * 0x9e3779b97f4a7c15ull;
+  return util::splitmix64(h);
+}
+
+void FrontierRouter::bind(const ir::TapGraph& tg, const SubgraphScope& scope,
+                          const ShardSpec& boundary,
+                          const PatternTable& table) {
+  tg_ = &tg;
+  scope_ = &scope;
+  table_ = &table;
+  boundary_ = boundary;
+  steps_ = 0;
+  out_.num_shards = plan_.num_shards = table.num_shards();
+  out_.dp_replicas = plan_.dp_replicas = table.dp_replicas();
+  if (plan_.choice.size() != tg.num_nodes())
+    plan_.choice.assign(tg.num_nodes(), 0);
+  reset_route(tg.num_nodes(), &scope, boundary, scratch_, out_);
+
+  // Each read node is live from just after its own position (-1 outside
+  // the members) up to its last member consumer.
+  const std::vector<GraphNodeId>& reads = scope.reads;
+  const std::size_t n = scope.order.size();
+  auto read_index = [&](GraphNodeId id) {
+    return static_cast<std::size_t>(
+        std::lower_bound(reads.begin(), reads.end(), id) - reads.begin());
+  };
+  std::vector<std::ptrdiff_t>& first = first_;
+  std::vector<std::ptrdiff_t>& last = last_;
+  first.assign(reads.size(), -1);
+  last.assign(reads.size(), -1);
+  for (std::size_t p = 0; p < n; ++p) {
+    const GraphNodeId id = scope.order[p];
+    first[read_index(id)] = static_cast<std::ptrdiff_t>(p);
+    for (GraphNodeId q : tg.node(id).inputs)
+      last[read_index(q)] = static_cast<std::ptrdiff_t>(p);
+  }
+  // Bucket each read into the positions it is live before, in read order.
+  live_begin_.assign(n + 2, 0);
+  for (std::size_t k = 0; k < reads.size(); ++k)
+    for (std::ptrdiff_t p = first[k] + 1; p <= last[k]; ++p)
+      ++live_begin_[static_cast<std::size_t>(p) + 1];
+  for (std::size_t p = 0; p <= n; ++p) live_begin_[p + 1] += live_begin_[p];
+  live_.resize(live_begin_[n + 1]);
+  fill_.assign(live_begin_.begin(), live_begin_.end() - 1);
+  for (std::size_t k = 0; k < reads.size(); ++k)
+    for (std::ptrdiff_t p = first[k] + 1; p <= last[k]; ++p)
+      live_[fill_[static_cast<std::size_t>(p)]++] = reads[k];
+  initial_.snapshot(std::span(live_).first(live_begin_[1]), out_, scratch_);
+}
+
+void FrontierRouter::restore(const FrontierState& from, std::size_t p) {
+  TAP_CHECK(scope_ != nullptr) << "FrontierRouter::restore before bind";
+  TAP_CHECK_LT(p, scope_->order.size());
+  rollback_scratch(scratch_, 0, 0);
+  from.restore(&out_, &scratch_);
+  position_ = p;
+  igrad_ = scratch_.igrad_touched.size();
+  materialized_ = scratch_.materialized_touched.size();
+}
+
+bool FrontierRouter::step(int choice, FrontierState* next) {
+  // Undo the last step: the restored state's own entries stay. A step
+  // writes the member's output layout, which no step at its position
+  // reads.
+  rollback_scratch(scratch_, igrad_, materialized_);
+  out_.comms.clear();
+  out_.edge_conversions.clear();
+  const std::size_t p = position_;
+  const GraphNodeId id = scope_->order[p];
+  plan_.choice[static_cast<std::size_t>(id)] = choice;
+  Router r{*tg_, plan_, scope_, boundary_, *table_, scratch_, out_};
+  ++steps_;
+  if (!r.step(id)) return false;
+  layout_ = out_.output_spec[static_cast<std::size_t>(id)];
+  next->snapshot(std::span(live_).subspan(live_begin_[p + 1],
+                                          live_begin_[p + 2] -
+                                              live_begin_[p + 1]),
+                 out_, scratch_);
+  return true;
+}
+
 void RouteCursor::bind(const ir::TapGraph& tg, const SubgraphScope& scope,
                        const ShardSpec& boundary, const PatternTable& table) {
   tg_ = &tg;
@@ -534,25 +701,27 @@ RoutedPlan RouteCursor::release_reference() {
   return std::move(ref_.out);
 }
 
-bool RouteCursor::matches_reference(std::size_t p) const {
+bool RouteCursor::matches_reference(std::size_t p) {
+  // Most probes differ from the reference in a layout: see that first.
   for (GraphNodeId q : live_) {
     const auto i = static_cast<std::size_t>(q);
     if (!(out_.output_spec[i] == ref_.out.output_spec[i])) return false;
-    const bool emitted =
-        i < scratch_.igrad_emitted.size() && scratch_.igrad_emitted[i];
-    if (emitted != (ref_.igrad_position[i] < p)) return false;
-    // The reference's list before p is the prefix of entries appended
-    // before p.
-    const std::vector<Materialized>& want = ref_.materialized[i];
-    const std::size_t m =
-        i < scratch_.materialized.size() ? scratch_.materialized[i].size() : 0;
-    if (m > want.size() || (m > 0 && want[m - 1].position >= p) ||
-        (m < want.size() && want[m].position < p))
-      return false;
-    for (std::size_t t = 0; t < m; ++t)
-      if (!(scratch_.materialized[i][t] == want[t].layout)) return false;
   }
-  return true;
+  state_.snapshot(live_, out_, scratch_);
+  // The reference's state before p: its layouts, the igrad flags it set
+  // before p and the layouts it materialized before p (its lists are in
+  // position order).
+  reference_state_.clear();
+  for (GraphNodeId q : live_) {
+    const auto i = static_cast<std::size_t>(q);
+    reference_state_.add_producer(q, ref_.out.output_spec[i],
+                                  ref_.igrad_position[i] < p);
+    for (const Materialized& m : ref_.materialized[i]) {
+      if (m.position >= p) break;
+      reference_state_.add_materialized(m.layout);
+    }
+  }
+  return state_ == reference_state_;
 }
 
 void RouteCursor::splice() {

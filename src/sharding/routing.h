@@ -13,6 +13,8 @@
 // the FALSE branch of Algorithm 3.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -192,6 +194,108 @@ void route_plan_into(const ir::TapGraph& tg, const ShardingPlan& plan,
                      const PatternTable& table, RoutingScratch* scratch,
                      RoutedPlan* out);
 
+/// The router state the rest of a route reads before one visit position.
+/// It holds, for every live producer, its output layout, its materialized
+/// layouts in the order they were appended and its igrad_emitted flag. A
+/// producer is live before position p when it is a member visited before
+/// p, or a read node outside the members, and has a member consumer at p
+/// or later. Routing a position reads only its choice and its producers'
+/// state, and a producer's state changes only when one of its consumers
+/// is routed. So two routes of one subgraph and boundary that reach a
+/// position in equal states route every suffix of choices the same,
+/// event for event.
+///
+/// Producers keep the order they were added in. Two states built over the
+/// same live list compare equal exactly when every producer's entries do.
+/// Copying, comparing and hashing cost O(state size) and reuse capacity.
+class FrontierState {
+ public:
+  void clear() {
+    words_.clear();
+    open_ = 0;
+  }
+  /// Appends producer `id`. The materialized layouts added next are its.
+  void add_producer(ir::GraphNodeId id, const ShardSpec& layout,
+                    bool igrad_emitted);
+  void add_materialized(const ShardSpec& layout);
+
+  /// clear(), then the producers in `live` as `routed` and `scratch` hold
+  /// them.
+  void snapshot(std::span<const ir::GraphNodeId> live,
+                const RoutedPlan& routed, const RoutingScratch& scratch);
+  /// Writes the state into a route's buffers: each producer's output
+  /// layout into `routed->output_spec`, and its materialized layouts and
+  /// igrad flag into `scratch`, logged as the router logs its own writes.
+  /// `scratch` must hold no entry of these producers (roll it back
+  /// first); `routed->output_spec` must cover every node.
+  void restore(RoutedPlan* routed, RoutingScratch* scratch) const;
+
+  std::uint64_t hash() const;
+  friend bool operator==(const FrontierState& a, const FrontierState& b) {
+    return a.words_ == b.words_;
+  }
+
+ private:
+  /// Per producer: id, layout, igrad flag, count k, then k layouts.
+  std::vector<std::int32_t> words_;
+  std::size_t open_ = 0;  ///< index of the last producer's count
+};
+
+/// Routes one member of a subgraph at a time from a restored
+/// FrontierState: the step of a search over frontier states
+/// (core::FrontierDpPolicy). restore() loads the state before a
+/// position; each step() then routes the member there with one choice,
+/// with the router route_subgraph_into runs, from that same state, and
+/// snapshots the state before the next position. It never re-routes a
+/// prefix. Allocation-free once the capacities have grown.
+class FrontierRouter {
+ public:
+  /// Binds to a subgraph and boundary: O(reads + Σ producer lifetimes).
+  /// `tg`, `scope` and `table` must outlive the steps.
+  void bind(const ir::TapGraph& tg, const SubgraphScope& scope,
+            const ShardSpec& boundary, const PatternTable& table);
+
+  /// The state before position 0: the members' outside producers, at the
+  /// boundary layout.
+  const FrontierState& initial() const { return initial_; }
+
+  /// Loads `from`, the state before visit position `p`: the next steps
+  /// route the member at `p`, each from this state.
+  void restore(const FrontierState& from, std::size_t p);
+  /// Routes the member at the restored position with pattern `choice`.
+  /// Returns false when it does not route. Otherwise events() are the
+  /// events the step emitted, layout() is the member's output layout, and
+  /// `*next` is the state before the next position.
+  bool step(int choice, FrontierState* next);
+  std::span<const CommEvent> events() const { return out_.comms; }
+  /// The output layout of the member the last step routed.
+  const ShardSpec& layout() const { return layout_; }
+  /// Steps taken since bind().
+  std::size_t steps() const { return steps_; }
+
+ private:
+  const ir::TapGraph* tg_ = nullptr;
+  const SubgraphScope* scope_ = nullptr;
+  const PatternTable* table_ = nullptr;
+  ShardSpec boundary_;
+  ShardSpec layout_;
+  ShardingPlan plan_;
+  RoutingScratch scratch_;
+  RoutedPlan out_;
+  /// live_[live_begin_[p] .. live_begin_[p + 1]): the live producers
+  /// before position p, in the scope's read order.
+  std::vector<ir::GraphNodeId> live_;
+  std::vector<std::size_t> live_begin_;
+  /// bind()'s per-read positions: its own (-1 outside the members) and
+  /// its last member consumer's.
+  std::vector<std::ptrdiff_t> first_, last_;
+  std::vector<std::size_t> fill_;
+  FrontierState initial_;
+  std::size_t position_ = 0;  ///< the restored position
+  std::size_t igrad_ = 0, materialized_ = 0;  ///< log lengths it left
+  std::size_t steps_ = 0;
+};
+
 /// Routes a sequence of candidate plans over one subgraph, boundary and
 /// pattern table, re-routing each from the first visited member whose
 /// choice differs from the previous route's. The exhaustive family search
@@ -209,13 +313,8 @@ void route_plan_into(const ir::TapGraph& tg, const ShardingPlan& plan,
 /// A cursor may also keep one valid route as its reference
 /// (keep_reference). A later route that has routed every position whose
 /// choice differs from the reference's stops at the first position p
-/// where the router state agrees with the reference's at every live
-/// producer (a member before p, or a read node outside the members, with
-/// a member consumer at p or later): the same output layout, the same
-/// materialized layouts and the same igrad_emitted flag. Routing a
-/// position reads only its choice and its producers' state, and the
-/// state of a producer changes only when one of its consumers is routed,
-/// so from p on the route would repeat the reference's step for step. It
+/// where its FrontierState equals the reference's there. From p on the
+/// route would repeat the reference's step for step (FrontierState). It
 /// takes the reference's tail instead — events, conversions, layouts,
 /// patterns, checkpoints and router-state log entries — and ends in the
 /// state routing the tail would have left.
@@ -295,9 +394,9 @@ class RouteCursor {
 
   /// `plan`'s choice for the member at visit position `position`.
   int choice_at(const ShardingPlan& plan, std::size_t position) const;
-  /// True when the router state before position `p` (routed_ == p) agrees
-  /// with the reference's at every node of `live_`.
-  bool matches_reference(std::size_t p) const;
+  /// True when the FrontierState before position `p` (routed_ == p), over
+  /// the producers in `live_`, equals the reference's there.
+  bool matches_reference(std::size_t p);
   /// Takes the reference's tail from position routed_ on.
   void splice();
   /// live_ = the live producers before position `p`.
@@ -324,6 +423,7 @@ class RouteCursor {
   /// consumer (-1 for none).
   std::vector<std::ptrdiff_t> position_, last_use_;
   std::vector<ir::GraphNodeId> live_;
+  FrontierState state_, reference_state_;  ///< matches_reference's buffers
 };
 
 /// Layout a routed subgraph hands to downstream consumers: the output spec

@@ -51,6 +51,24 @@ std::int64_t count_allocations(Fn&& fn) {
   return t_allocations - before;
 }
 
+/// Candidates per family the evaluator test walks (the first ones in
+/// Algorithm 2's order).
+constexpr std::int64_t kMaxCandidates = 2000;
+
+/// What a family search allocates once per family whatever its policy:
+/// the FamilyScope, the per-member counts, the scratch plan and the
+/// winner's choice.
+std::int64_t family_setup_allocations(const core::FamilySearchContext& ctx,
+                                      const pruning::SubgraphFamily& fam,
+                                      const sharding::ShardingPlan& base) {
+  return count_allocations([&] {
+    const core::FamilyScope scope(ctx, fam);
+    const sharding::FamilyPlanEnumerator e(ctx.table(), fam);
+    const sharding::ShardingPlan scratch = base;
+    const std::vector<int> choice(fam.member_nodes.size());
+  });
+}
+
 TEST(FamilyCandidateEvaluator, CandidatesAllocateNothingAfterWarmUp) {
   // T5 and MoE blocks, GPT-3's mostly failing candidates at tp <= 4, and
   // ResNet's conv blocks, at every mesh of 16 GPUs: a first pass over
@@ -86,8 +104,7 @@ TEST(FamilyCandidateEvaluator, CandidatesAllocateNothingAfterWarmUp) {
         sharding::ShardingPlan plan =
             sharding::default_plan(tg, tp, world / tp);
         std::vector<int> choice;
-        for (std::int64_t n = 0;
-             n < opts.max_plans_per_family && e.next(&choice); ++n) {
+        for (std::int64_t n = 0; n < kMaxCandidates && e.next(&choice); ++n) {
           sharding::apply_family_choice(fam, choice, &plan);
           plans.push_back(plan);
         }
@@ -114,11 +131,9 @@ TEST(FamilyCandidateEvaluator, CandidatesAllocateNothingAfterWarmUp) {
 
 TEST(ExhaustivePolicy, WarmSearchAllocatesPerFamilyNotPerCandidate) {
   // The route-order walk keeps its digits and score buffer per thread:
-  // once they have grown, an exhaustive search over a built enumerator
-  // (as AutoPolicy passes it) allocates only its per-family set-up (the
-  // FamilyScope, the scratch plan, the winner). So it allocates no more
-  // than a greedy search of the same family, which has the same set-up
-  // and scores far fewer candidates.
+  // once they have grown, an exhaustive search allocates only its
+  // per-family set-up (the FamilyScope, the counts, the scratch plan,
+  // the winner), however many candidates it scores.
   service::ModelSpec spec;
   spec.model = "t5";
   const Graph g = service::build_spec_model(spec);
@@ -132,24 +147,58 @@ TEST(ExhaustivePolicy, WarmSearchAllocatesPerFamilyNotPerCandidate) {
   const core::FamilySearchContext ctx(tg, opts, table);
   const sharding::ShardingPlan base = sharding::default_plan(tg, 8, dp);
   const core::ExhaustivePolicy exhaustive;
-  const core::GreedyPolicy greedy;
   std::int64_t largest = 0;
   for (const pruning::SubgraphFamily& fam : pr.families) {
-    sharding::FamilyPlanEnumerator e(table, fam);
-    if (e.total_plans() > opts.max_plans_per_family) continue;
-    exhaustive.search(ctx, fam, base, e);
-    greedy.search(ctx, fam, base);
+    exhaustive.search(ctx, fam, base);
     core::FamilySearchOutcome out;
-    const std::int64_t walked = count_allocations(
-        [&] { out = exhaustive.search(ctx, fam, base, std::move(e)); });
-    const std::int64_t greedy_allocations =
-        count_allocations([&] { greedy.search(ctx, fam, base); });
-    EXPECT_LE(walked, greedy_allocations)
+    const std::int64_t walked =
+        count_allocations([&] { out = exhaustive.search(ctx, fam, base); });
+    EXPECT_LE(walked, family_setup_allocations(ctx, fam, base))
         << fam.representative << ": " << out.stats.candidate_plans
         << " candidates";
     largest = std::max(largest, out.stats.candidate_plans);
   }
-  EXPECT_GE(largest, 729);
+  EXPECT_GE(largest, 59049);
+}
+
+TEST(FrontierDpPolicy, WarmSearchAllocatesPerFamilyNotPerStep) {
+  // The DP keeps its lanes, states, transitions, nodes, edges, labels and
+  // winner-step buffers per thread: once they have grown, a search
+  // allocates only its per-family set-up, however many DP steps and
+  // labels it takes. T5 and MoE at every mesh of 16 GPUs.
+  const core::FrontierDpPolicy policy;
+  std::int64_t most_steps = 0, families = 0;
+  for (const char* model : {"t5", "moe"}) {
+    service::ModelSpec spec;
+    spec.model = model;
+    const Graph g = service::build_spec_model(spec);
+    const ir::TapGraph tg = ir::lower(g);
+    const pruning::PruneResult pr = pruning::prune_graph(tg);
+    core::TapOptions opts = service::options_for_spec(spec, 1);
+    const int world = opts.cluster.world();
+    for (int tp = 1; tp <= world; ++tp) {
+      if (world % tp != 0) continue;
+      opts.num_shards = tp;
+      opts.dp_replicas = world / tp;
+      const sharding::PatternTable table(tg, tp, world / tp);
+      const core::FamilySearchContext ctx(tg, opts, table);
+      const sharding::ShardingPlan base =
+          sharding::default_plan(tg, tp, world / tp);
+      for (const pruning::SubgraphFamily& fam : pr.families) {
+        policy.search(ctx, fam, base);
+        core::FamilySearchOutcome out;
+        const std::int64_t n =
+            count_allocations([&] { out = policy.search(ctx, fam, base); });
+        EXPECT_LE(n, family_setup_allocations(ctx, fam, base))
+            << model << " tp=" << tp << " " << fam.representative << ": "
+            << out.work.dp_steps << " DP steps";
+        most_steps = std::max(most_steps, out.work.dp_steps);
+        ++families;
+      }
+    }
+  }
+  EXPECT_GT(families, 10);
+  EXPECT_GE(most_steps, 1000);
 }
 
 }  // namespace

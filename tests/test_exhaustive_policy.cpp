@@ -159,9 +159,9 @@ TEST(ExhaustivePolicy, MostlyFailingCandidatesAreSkippedExactly) {
 }
 
 TEST(ExhaustivePolicy, PassCountsTheWorkASearchDid) {
-  // The FamilySearch pass adds each search's routed nodes and skipped
-  // candidates to the registry; a family-cache hit replays an outcome
-  // without routing, so it reports none.
+  // The FamilySearch pass adds each search's routed nodes, DP steps and
+  // exactly scored candidates to the registry; a family-cache hit
+  // replays an outcome without routing, so it reports none.
   const Graph g = models::table1_zoo()[1].build();  // CLIP-Base
   const ir::TapGraph tg = ir::lower(g);
   TapOptions opts;
@@ -169,15 +169,19 @@ TEST(ExhaustivePolicy, PassCountsTheWorkASearchDid) {
   opts.num_shards = 2;
   opts.dp_replicas = 8;
   obs::Counter* routed = obs::registry().counter("planner.family.nodes_routed");
-  obs::Counter* skipped =
-      obs::registry().counter("planner.family.skipped_candidates");
+  obs::Counter* steps = obs::registry().counter("planner.family.dp_steps");
+  obs::Counter* band =
+      obs::registry().counter("planner.family.band_candidates");
   const std::uint64_t routed_before = routed->value();
-  const std::uint64_t skipped_before = skipped->value();
+  const std::uint64_t steps_before = steps->value();
+  const std::uint64_t band_before = band->value();
   const TapResult r = auto_parallel(tg, opts);
   EXPECT_GT(routed->value(), routed_before);
   EXPECT_LT(routed->value() - routed_before,
             static_cast<std::uint64_t>(r.nodes_visited));
-  EXPECT_GT(skipped->value(), skipped_before);
+  EXPECT_GT(steps->value(), steps_before);
+  EXPECT_LE(steps->value() - steps_before, routed->value() - routed_before);
+  EXPECT_GT(band->value(), band_before);
 
   const pruning::PruneResult pr = pruning::prune_graph(tg);
   const sharding::PatternTable table(tg, 2, 8);
@@ -191,7 +195,8 @@ TEST(ExhaustivePolicy, PassCountsTheWorkASearchDid) {
     const FamilySearchOutcome hit = caching.search(ctx, fam, base);
     EXPECT_GT(searched.work.nodes_routed, 0) << fam.representative;
     EXPECT_EQ(hit.work.nodes_routed, 0) << fam.representative;
-    EXPECT_EQ(hit.work.skipped_candidates, 0) << fam.representative;
+    EXPECT_EQ(hit.work.dp_steps, 0) << fam.representative;
+    EXPECT_EQ(hit.work.band_candidates, 0) << fam.representative;
     EXPECT_EQ(hit.choice, searched.choice) << fam.representative;
   }
 }

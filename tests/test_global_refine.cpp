@@ -162,8 +162,7 @@ TEST(GlobalRefine, IncrementalProbesMatchFullRouteReference) {
   obs::Counter* probes = obs::registry().counter("planner.refine.probes");
   const std::uint64_t skipped_before = skipped->value();
   const std::uint64_t probes_before = probes->value();
-  const std::vector<std::shared_ptr<const FamilySearchPolicy>> policies = {
-      std::make_shared<AutoPolicy>(), std::make_shared<GreedyPolicy>()};
+  const auto policy = std::make_shared<FrontierDpPolicy>();
   int t5_wins = 0, configs = 0;
   for (const models::ZooEntry& entry : models::table1_zoo()) {
     SCOPED_TRACE(entry.model);
@@ -174,19 +173,16 @@ TEST(GlobalRefine, IncrementalProbesMatchFullRouteReference) {
       const cost::ClusterSpec cluster = cost::ClusterSpec::v100_cluster(nodes);
       for (int tp = 1; tp <= cluster.world(); ++tp) {
         if (cluster.world() % tp != 0) continue;
-        for (std::size_t p = 0; p < policies.size(); ++p) {
-          SCOPED_TRACE("world=" + std::to_string(cluster.world()) +
-                       " tp=" + std::to_string(tp) + " policy=" +
-                       policies[p]->name());
-          const bool won = expect_refine_matches_reference(
-              searched_context(tg, pr, cluster, tp, policies[p]));
-          if (won && entry.model == "T5-Large") ++t5_wins;
-          ++configs;
-        }
+        SCOPED_TRACE("world=" + std::to_string(cluster.world()) +
+                     " tp=" + std::to_string(tp));
+        const bool won = expect_refine_matches_reference(
+            searched_context(tg, pr, cluster, tp, policy));
+        if (won && entry.model == "T5-Large") ++t5_wins;
+        ++configs;
       }
     }
   }
-  EXPECT_GT(configs, 200);
+  EXPECT_GT(configs, 100);
   // ROADMAP's sweep: revert probes win for T5-Large, so the swap path runs.
   EXPECT_GT(t5_wins, 0);
   EXPECT_GT(skipped->value(), skipped_before);
@@ -199,7 +195,8 @@ TEST(GlobalRefine, InvalidAssemblyMatchesReference) {
   const pruning::PruneResult pr = pruning::prune_graph(tg);
   const cost::ClusterSpec cluster = cost::ClusterSpec::v100_cluster(2);
   const PlanContext searched =
-      searched_context(tg, pr, cluster, 8, std::make_shared<AutoPolicy>());
+      searched_context(tg, pr, cluster, 8,
+                       std::make_shared<FrontierDpPolicy>());
 
   // A choice no probe reverts (a node of an unweighted family) keeps every
   // probe invalid: the pass falls back to the data-parallel plan.

@@ -101,26 +101,6 @@ TEST(PlannerPipeline, SingleFamilyPassCoversWholeGraph) {
   EXPECT_EQ(ctx.pruning.families[0].instances.size(), 1u);
 }
 
-TEST(FamilySearchPolicy, GreedyFallbackWhenProductOverflowsBudget) {
-  // AutoPolicy: when a family's Cartesian product exceeds
-  // max_plans_per_family, candidate counts drop from the product to the
-  // per-member sum — and the plan must still route.
-  Fixture f = t5(2);
-  TapOptions opts;
-  opts.num_shards = 8;
-  TapResult exhaustive = auto_parallel(f.tg, opts);
-
-  TapOptions tiny = opts;
-  tiny.max_plans_per_family = 4;  // below every weighted family's product
-  TapResult greedy = auto_parallel(f.tg, tiny);
-
-  EXPECT_TRUE(greedy.routed.valid) << greedy.routed.error;
-  EXPECT_LT(greedy.candidate_plans, exhaustive.candidate_plans);
-  EXPECT_GT(greedy.candidate_plans, 0);
-  // The greedy plan can be worse, never invalid.
-  EXPECT_GT(greedy.cost.total(), 0.0);
-}
-
 TEST(FamilySearchPolicy, ExplicitPoliciesDriveTheSamePipeline) {
   Fixture f = t5(2);
   TapOptions opts;
@@ -132,16 +112,20 @@ TEST(FamilySearchPolicy, ExplicitPoliciesDriveTheSamePipeline) {
   PlannerPipeline::standard(std::make_shared<ExhaustivePolicy>()).run(ex_ctx);
   EXPECT_TRUE(ex_ctx.routed.valid);
 
-  PlanContext gr_ctx;
-  gr_ctx.tg = &f.tg;
-  gr_ctx.opts = opts;
-  PlannerPipeline::standard(std::make_shared<GreedyPolicy>()).run(gr_ctx);
-  EXPECT_TRUE(gr_ctx.routed.valid);
+  PlanContext dp_ctx;
+  dp_ctx.tg = &f.tg;
+  dp_ctx.opts = opts;
+  PlannerPipeline::standard(std::make_shared<FrontierDpPolicy>()).run(dp_ctx);
+  EXPECT_TRUE(dp_ctx.routed.valid);
 
-  // Greedy examines the per-member sum, exhaustive the product.
-  EXPECT_LT(gr_ctx.stats.candidate_plans, ex_ctx.stats.candidate_plans);
-  // Exhaustive can only be at least as good.
-  EXPECT_LE(ex_ctx.cost.total(), gr_ctx.cost.total() * (1.0 + 1e-9));
+  // The DP decides what scoring every candidate decides, with the same
+  // counters.
+  EXPECT_EQ(dp_ctx.plan.choice, ex_ctx.plan.choice);
+  EXPECT_EQ(dp_ctx.cost.total(), ex_ctx.cost.total());
+  EXPECT_EQ(dp_ctx.stats.candidate_plans, ex_ctx.stats.candidate_plans);
+  EXPECT_EQ(dp_ctx.stats.valid_plans, ex_ctx.stats.valid_plans);
+  EXPECT_EQ(dp_ctx.stats.nodes_visited, ex_ctx.stats.nodes_visited);
+  EXPECT_EQ(dp_ctx.stats.cost_queries, ex_ctx.stats.cost_queries);
 }
 
 TEST(ParallelSearch, ThreadsDoNotChangeT5Results) {

@@ -137,7 +137,7 @@ TEST(Fingerprint, OptionsKeyIgnoresThreadsButSeesMesh) {
   b.cluster.inter_bw *= 2.0;
   EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
   b = a;
-  b.max_plans_per_family = 1;
+  b.prune.min_duplicate += 1;
   EXPECT_NE(options_fingerprint(a), options_fingerprint(b));
 }
 
