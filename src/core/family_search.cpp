@@ -16,22 +16,6 @@ using pruning::SubgraphFamily;
 using sharding::FamilyPlanEnumerator;
 using sharding::ShardingPlan;
 
-namespace {
-
-/// ExhaustivePolicy's per-thread buffers, reused across families.
-struct WalkBuffers {
-  RouteOrderWalk walk;
-  std::vector<FamilyScore> scores;     ///< by Algorithm 2 rank
-  std::vector<char> valid;             ///< by Algorithm 2 rank
-};
-
-WalkBuffers& tls_walk_buffers() {
-  thread_local WalkBuffers buffers;
-  return buffers;
-}
-
-}  // namespace
-
 FamilyScope::FamilyScope(const FamilySearchContext& ctx,
                          const SubgraphFamily& family)
     : family_(family),
@@ -84,6 +68,28 @@ std::int64_t FamilyScope::weight_bytes(std::size_t j, int choice) const {
   return bytes_[first_[j] + static_cast<std::size_t>(choice)];
 }
 
+sharding::RoutedPlan* FamilySearchContext::route(const ShardingPlan& plan,
+                                                const FamilyScope& scope,
+                                                cost::CostArena* arena,
+                                                std::int64_t* routed) const {
+  const auto members =
+      static_cast<std::int64_t>(scope.family().member_nodes.size());
+  sharding::route_subgraph_into(tg_, plan, scope.routing(),
+                                sharding::ShardSpec::replicate(), table_,
+                                &arena->routing, &arena->probe);
+  *routed += members;
+  if (!arena->probe.valid) return nullptr;
+  const auto exit_spec =
+      sharding::subgraph_exit_spec(arena->probe, scope.routing());
+  // A replicated exit layout would route the probe again (same plan, same
+  // boundary): the probe is the steady state.
+  if (exit_spec == sharding::ShardSpec::replicate()) return &arena->probe;
+  sharding::route_subgraph_into(tg_, plan, scope.routing(), exit_spec, table_,
+                                &arena->routing, &arena->routed);
+  *routed += members;
+  return arena->routed.valid ? &arena->routed : nullptr;
+}
+
 bool FamilySearchContext::stage(const ShardingPlan& plan,
                                 const SubgraphFamily& family,
                                 cost::CostArena* arena,
@@ -92,47 +98,31 @@ bool FamilySearchContext::stage(const ShardingPlan& plan,
   const FamilyScope scope(*this, family);
   stats->nodes_visited +=
       static_cast<std::int64_t>(family.member_nodes.size());
-  sharding::route_subgraph_into(tg_, plan, scope.routing(),
-                                sharding::ShardSpec::replicate(), table_,
-                                &arena->routing, &arena->probe);
-  if (!arena->probe.valid) return false;
-  const auto exit_spec =
-      sharding::subgraph_exit_spec(arena->probe, scope.routing());
-  if (exit_spec == sharding::ShardSpec::replicate()) {
-    // The steady-state route would repeat the probe (same plan, same
-    // boundary): take its result instead of routing again.
-    std::swap(arena->probe, arena->routed);
-  } else {
-    sharding::route_subgraph_into(tg_, plan, scope.routing(), exit_spec,
-                                  table_, &arena->routing, &arena->routed);
-    if (!arena->routed.valid) return false;
-  }
+  std::int64_t routed = 0;
+  sharding::RoutedPlan* steady = route(plan, scope, arena, &routed);
+  if (steady == nullptr) return false;
   ++stats->cost_queries;
   cost::CostOptions copts = opts_.cost;
-  copts.overlap_window_s = scope.window().window(arena->routed, table_);
-  arena->batch.add_candidate(&arena->routed, plan.num_shards, copts);
+  copts.overlap_window_s = scope.window().window(*steady, table_);
+  arena->batch.add_candidate(steady, plan.num_shards, copts);
   *weight_bytes_out = scope.weight_bytes(plan);
   return true;
 }
 
-void FamilySearchContext::bind(const FamilyScope& scope,
-                               cost::FamilyCandidateEvaluator* eval) const {
-  eval->bind(tg_, table_, scope.routing(), scope.window(), opts_.cluster,
-             opts_.cost);
-}
-
 bool FamilySearchContext::evaluate(const ShardingPlan& plan,
-                                   const FamilyScope& scope,
-                                   cost::FamilyCandidateEvaluator* eval,
-                                   FamilyScore* out, SearchStats* stats) const {
-  // Every member is visited once per candidate, however much of the
-  // route the evaluator reuses.
+                                   const FamilyScope& scope, FamilyScore* out,
+                                   SearchStats* stats,
+                                   FamilySearchWork* work) const {
   stats->nodes_visited +=
       static_cast<std::int64_t>(scope.family().member_nodes.size());
-  cost::PlanCost cost;
-  if (!eval->evaluate(plan, &cost)) return false;
+  const sharding::RoutedPlan* steady =
+      route(plan, scope, &cost::tls_cost_arena(), &work->nodes_routed);
+  if (steady == nullptr) return false;
   ++stats->cost_queries;
-  out->comm = cost.total();
+  cost::CostOptions copts = opts_.cost;
+  copts.overlap_window_s = scope.window().window(*steady, table_);
+  out->comm =
+      cost::comm_cost(*steady, plan.num_shards, opts_.cluster, copts).total();
   out->weight_bytes = scope.weight_bytes(plan);
   return true;
 }
@@ -150,38 +140,6 @@ bool FamilySearchContext::evaluate_full_graph(const ShardingPlan& plan,
                           opts_.cost)
               .total();
   return true;
-}
-
-void RouteOrderWalk::reset(const std::vector<int>& counts,
-                           const std::vector<std::size_t>& positions) {
-  TAP_CHECK_EQ(counts.size(), positions.size());
-  digits_.clear();
-  total_ = 1;
-  rank_ = 0;
-  for (std::size_t j = 0; j < counts.size(); ++j) {
-    TAP_CHECK_GE(counts[j], 1);
-    TAP_CHECK_LE(total_, std::numeric_limits<std::int64_t>::max() / counts[j])
-        << "the candidate space overflows a 64-bit rank";
-    if (counts[j] > 1)
-      digits_.push_back({j, positions[j], counts[j], total_, 0});
-    total_ *= counts[j];
-  }
-  std::sort(digits_.begin(), digits_.end(),
-            [](const Digit& a, const Digit& b) {
-              return a.position > b.position;
-            });
-}
-
-std::int64_t RouteOrderWalk::skip_after(std::size_t position) {
-  std::int64_t skipped = 0, block = 1;
-  for (Digit& d : digits_) {
-    if (d.position <= position) break;
-    skipped += (d.count - 1 - d.value) * block;
-    rank_ += (d.count - 1 - d.value) * d.stride;
-    d.value = d.count - 1;
-    block *= d.count;
-  }
-  return skipped;
 }
 
 std::int64_t first_best_rank(std::span<const FamilyScore> scores,
@@ -202,53 +160,34 @@ FamilySearchOutcome ExhaustivePolicy::search(
     const ShardingPlan& base) const {
   FamilySearchOutcome out;
   const FamilyScope scope(ctx, family);
-  cost::FamilyCandidateEvaluator& eval = cost::tls_cost_arena().candidates;
-  ctx.bind(scope, &eval);
   const std::vector<ir::GraphNodeId>& members = family.member_nodes;
-  const FamilyPlanEnumerator enumerator(ctx.table(), family);
-  const std::vector<int>& counts = enumerator.counts();
-  WalkBuffers& buf = tls_walk_buffers();
-  RouteOrderWalk& walk = buf.walk;
-  walk.reset(counts, scope.positions());
-  const auto total = static_cast<std::size_t>(walk.total());
-  buf.scores.resize(total);
-  buf.valid.assign(total, 0);
-
+  FamilyPlanEnumerator enumerator(ctx.table(), family);
   ShardingPlan scratch = base;
-  for (ir::GraphNodeId id : members)
-    scratch.choice[static_cast<std::size_t>(id)] = 0;
-  const auto set_choice = [&](std::size_t member, int choice) {
-    scratch.choice[static_cast<std::size_t>(members[member])] = choice;
-  };
-  const auto num_members = static_cast<std::int64_t>(members.size());
-  do {
+  std::vector<int> choice;
+  FamilyScore best;
+  // The winner is kept by its Algorithm 2 rank and decoded at the end, so
+  // the candidate buffer becomes the winner's.
+  std::int64_t rank = -1, best_rank = -1;
+  while (enumerator.next(&choice)) {
+    ++rank;
     ++out.stats.candidate_plans;
+    for (std::size_t j = 0; j < members.size(); ++j)
+      scratch.choice[static_cast<std::size_t>(members[j])] = choice[j];
     FamilyScore s;
-    const auto rank = static_cast<std::size_t>(walk.rank());
-    if (ctx.evaluate(scratch, scope, &eval, &s, &out.stats)) {
-      ++out.stats.valid_plans;
-      buf.scores[rank] = s;
-      buf.valid[rank] = 1;
-      continue;
+    if (!ctx.evaluate(scratch, scope, &s, &out.stats, &out.work)) continue;
+    ++out.stats.valid_plans;
+    if (best_rank < 0 || s.better_than(best)) {
+      best = s;
+      best_rank = rank;
     }
-    // A failed probe fails every candidate that keeps the choices up to
-    // its failing position: count them as visited, invalid candidates.
-    // After a steady-state failure the position is past every member, so
-    // nothing is skipped.
-    const std::int64_t skipped = walk.skip_after(eval.probe_failed_at());
-    out.stats.candidate_plans += skipped;
-    out.stats.nodes_visited += skipped * num_members;
-    out.work.skipped_candidates += skipped;
-  } while (walk.next(set_choice));
-  out.work.nodes_routed = static_cast<std::int64_t>(eval.nodes_routed());
-
-  std::int64_t best = first_best_rank(buf.scores, buf.valid);
-  if (best >= 0) {
+  }
+  if (best_rank >= 0) {
     out.found = true;
-    out.choice.resize(members.size());
+    out.choice = std::move(choice);
+    const std::vector<int>& counts = enumerator.counts();
     for (std::size_t j = 0; j < members.size(); ++j) {
-      out.choice[j] = static_cast<int>(best % counts[j]);
-      best /= counts[j];
+      out.choice[j] = static_cast<int>(best_rank % counts[j]);
+      best_rank /= counts[j];
     }
   }
   return out;
@@ -844,17 +783,12 @@ FamilySearchOutcome FrontierDpPolicy::search(const FamilySearchContext& ctx,
   std::int64_t dp_steps = static_cast<std::int64_t>(b.probe.scorer.steps());
   for (std::size_t k = 1; k < dags; ++k)
     dp_steps += static_cast<std::int64_t>(b.steady[k - 1].scorer.steps());
-  out.work.dp_steps = dp_steps;
+  out.work.dp_steps = out.work.nodes_routed = dp_steps;
   out.stats.valid_plans = out.stats.cost_queries = summary.valid;
-  if (summary.valid == 0) {
-    out.work.nodes_routed = dp_steps;
-    return out;
-  }
+  if (summary.valid == 0) return out;
 
   // The winner step scores candidates exactly, as ExhaustivePolicy does,
   // through a plan of which only the members' choices are read.
-  cost::FamilyCandidateEvaluator& eval = cost::tls_cost_arena().candidates;
-  ctx.bind(scope, &eval);
   ShardingPlan& scratch = b.plan;
   scratch.num_shards = base.num_shards;
   scratch.dp_replicas = base.dp_replicas;
@@ -866,7 +800,7 @@ FamilySearchOutcome FrontierDpPolicy::search(const FamilySearchContext& ctx,
       scratch.choice[static_cast<std::size_t>(members[j])] =
           path[positions[j]];
     Scored s{path_rank(path, positions, counts), {}};
-    TAP_CHECK(ctx.evaluate(scratch, scope, &eval, &s.score, &scored))
+    TAP_CHECK(ctx.evaluate(scratch, scope, &s.score, &scored, &out.work))
         << "a DP path does not route";
     ++out.work.band_candidates;
     return s;
@@ -929,9 +863,6 @@ FamilySearchOutcome FrontierDpPolicy::search(const FamilySearchContext& ctx,
     TAP_CHECK_GE(best, 0);
     winner = b.band[static_cast<std::size_t>(best)].rank;
   }
-  out.work.nodes_routed =
-      dp_steps + static_cast<std::int64_t>(eval.nodes_routed());
-
   out.found = true;
   out.choice.resize(members.size());
   for (std::size_t j = 0; j < members.size(); ++j) {

@@ -8,9 +8,11 @@
 //     full Cartesian product of member patterns, found by a dynamic
 //     program over router frontier states instead of by scoring every
 //     candidate;
-//   * ExhaustivePolicy — scores every candidate (729 for a T5 encoder
-//     block, §6.3.1), walked in routing order with Algorithm 2's winner;
-//     the reference the DP is tested against.
+//   * ExhaustivePolicy — Algorithm 2's loop: scores every candidate (729
+//     for a T5 encoder block, §6.3.1) and keeps the first best; the
+//     reference the DP is tested against.
+// Both score a candidate the one way FamilySearchContext::evaluate does:
+// a fresh route of the family's members and cost::comm_cost.
 // The Alpa-like and FlexFlow-like baselines implement the same interface
 // with whole-graph mutation policies (src/baselines/*.cpp) and drive the
 // same pipeline, so "which search strategy" is a plug-in decision, not a
@@ -79,6 +81,20 @@ class FamilyScope {
   std::vector<std::int64_t> bytes_;
 };
 
+/// Routing work one family search did, beyond the SearchStats the plan
+/// bytes pin: a cached outcome replayed without searching did none.
+struct FamilySearchWork {
+  /// Nodes the search routed: the members of every route
+  /// FamilySearchContext::evaluate ran, plus FrontierDpPolicy's DP steps;
+  /// SearchStats::nodes_visited counts every member of every candidate.
+  std::int64_t nodes_routed = 0;
+  /// FrontierDpPolicy: the frontier-state steps of its DP (also in
+  /// nodes_routed), and the candidates it then scored exactly to pick
+  /// Algorithm 2's winner.
+  std::int64_t dp_steps = 0;
+  std::int64_t band_candidates = 0;
+};
+
 /// Read-only scoring facilities shared by every policy, bound to one
 /// (graph, options, pattern table) triple. All methods are const and
 /// thread-safe: the FamilySearch pass calls them concurrently for
@@ -93,33 +109,29 @@ class FamilySearchContext {
   const TapOptions& options() const { return opts_; }
   const sharding::PatternTable& table() const { return table_; }
 
-  /// Binds `eval` to the family of `scope` under this context's graph,
-  /// table, cluster and cost options: O(members).
-  void bind(const FamilyScope& scope,
-            cost::FamilyCandidateEvaluator* eval) const;
-
-  /// Steady-state subgraph score of `plan` restricted to the family `eval`
-  /// was bound to (Algorithm 3 over the members only: route once with a
-  /// replicated boundary to learn the exit layout, then score with
-  /// boundary = exit, costed by cost::comm_cost). Returns false when the
-  /// candidate does not route. The routes and the cost resume from the
-  /// first visited member whose choice changed since the evaluator's last
-  /// candidate (cost::FamilyCandidateEvaluator). Only the members'
-  /// choices in `plan` are read.
+  /// Steady-state subgraph score of `plan` restricted to the family of
+  /// `scope` (Algorithm 3 over the members only): a probe route with a
+  /// replicated boundary gives the exit layout; when that layout is not
+  /// replicated, the steady-state route at it follows (otherwise the
+  /// probe is the steady state), costed by cost::comm_cost with the
+  /// family's window. Both routes run fresh, in O(members), through the
+  /// calling thread's CostArena. Returns false when the candidate does
+  /// not route. Adds the members of each route it runs to
+  /// `work->nodes_routed`. Only the members' choices in `plan` are read.
   bool evaluate(const sharding::ShardingPlan& plan, const FamilyScope& scope,
-                cost::FamilyCandidateEvaluator* eval, FamilyScore* out,
-                SearchStats* stats) const;
+                FamilyScore* out, SearchStats* stats,
+                FamilySearchWork* work) const;
 
   /// perfbench's cost probe; the policies call evaluate(). Builds a
-  /// FamilyScope for `family`, routes `plan` restricted to it (the
-  /// replicated-boundary probe, then the steady-state route, both through
-  /// `arena`'s routing buffers) and adds the steady-state route as the
-  /// next lane of `arena->batch`, for cost::comm_cost_batch to cost.
-  /// Returns false, adding nothing, when the candidate does not route; on
-  /// success `*weight_bytes` receives FamilyScore's tie-break term. The
-  /// validity, `*weight_bytes`, `stats` and the lane's comm_cost equal
-  /// what evaluate() gives. Only the members' choices in `plan` are read.
-  /// Precondition: !arena->batch.full().
+  /// FamilyScope for `family`, routes `plan` restricted to it as
+  /// evaluate() does, through `arena`'s routing buffers, and adds the
+  /// steady-state route as the next lane of `arena->batch`, for
+  /// cost::comm_cost_batch to cost. Returns false, adding nothing, when
+  /// the candidate does not route; on success `*weight_bytes` receives
+  /// FamilyScore's tie-break term. The validity, `*weight_bytes`, `stats`
+  /// and the lane's comm_cost equal what evaluate() gives. Only the
+  /// members' choices in `plan` are read. Precondition:
+  /// !arena->batch.full().
   bool stage(const sharding::ShardingPlan& plan,
              const pruning::SubgraphFamily& family, cost::CostArena* arena,
              std::int64_t* weight_bytes, SearchStats* stats) const;
@@ -131,25 +143,18 @@ class FamilySearchContext {
                            SearchStats* stats) const;
 
  private:
+  /// The routes evaluate() and stage() share: the probe into
+  /// `arena->probe`, then, unless its exit layout is replicated, the
+  /// steady-state route into `arena->routed`. Returns the steady-state
+  /// route, or nullptr when a route fails. Adds the members of each route
+  /// it runs to `*routed`.
+  sharding::RoutedPlan* route(const sharding::ShardingPlan& plan,
+                              const FamilyScope& scope, cost::CostArena* arena,
+                              std::int64_t* routed) const;
+
   const ir::TapGraph& tg_;
   const TapOptions& opts_;
   const sharding::PatternTable& table_;
-};
-
-/// Routing work one family search did, beyond the SearchStats the plan
-/// bytes pin: a cached outcome replayed without searching did none.
-struct FamilySearchWork {
-  /// Nodes the search actually routed: Router steps over every lane;
-  /// SearchStats::nodes_visited counts every member of every candidate.
-  std::int64_t nodes_routed = 0;
-  /// FrontierDpPolicy: the frontier-state steps of its DP (also in
-  /// nodes_routed), and the candidates it then scored exactly to pick
-  /// Algorithm 2's winner.
-  std::int64_t dp_steps = 0;
-  std::int64_t band_candidates = 0;
-  /// ExhaustivePolicy: candidates counted without being routed, the
-  /// completions of a prefix whose probe route already failed.
-  std::int64_t skipped_candidates = 0;
 };
 
 /// Result of one family search.
@@ -159,58 +164,6 @@ struct FamilySearchOutcome {
   std::vector<int> choice;
   SearchStats stats;
   FamilySearchWork work;
-};
-
-/// The route-order walk over one family's candidates: a mixed-radix
-/// count over the members with more than one pattern, the member latest
-/// in the routing visit order changing fastest. It keeps the current
-/// candidate's Algorithm 2 rank, its index in FamilyPlanEnumerator's
-/// order (member 0 changing fastest), up to date from the digits.
-class RouteOrderWalk {
- public:
-  /// Starts at the all-zeros candidate, rank 0. `counts` (patterns per
-  /// member, each >= 1) and `positions` (distinct visit positions) are
-  /// aligned with family.member_nodes.
-  void reset(const std::vector<int>& counts,
-             const std::vector<std::size_t>& positions);
-
-  /// Candidates in the space: the product of the counts.
-  std::int64_t total() const { return total_; }
-  /// Algorithm 2 rank of the current candidate.
-  std::int64_t rank() const { return rank_; }
-
-  /// Moves to the next candidate, calling `set(member, choice)` for each
-  /// member whose choice changes. Returns false past the last candidate.
-  template <typename SetChoice>
-  bool next(SetChoice&& set) {
-    for (Digit& d : digits_) {
-      const bool carry = ++d.value == d.count;
-      if (carry) d.value = 0;
-      rank_ += carry ? -(d.count - 1) * d.stride : d.stride;
-      set(d.member, d.value);
-      if (!carry) return true;
-    }
-    return false;
-  }
-
-  /// Passes over every candidate after the current one that keeps the
-  /// choices of the members at visit positions <= `position`: the rest
-  /// of the block of faster digits. Returns how many that is. The digits
-  /// it moves are not reported to `set`; the next next() carries past
-  /// them and resets each to 0.
-  std::int64_t skip_after(std::size_t position);
-
- private:
-  struct Digit {
-    std::size_t member;
-    std::size_t position;
-    int count;
-    std::int64_t stride;  ///< weight in the Algorithm 2 rank
-    int value;
-  };
-  std::vector<Digit> digits_;  ///< fastest first
-  std::int64_t total_ = 1;
-  std::int64_t rank_ = 0;
 };
 
 /// Algorithm 2's winner: the rank a first-best scan of `scores` in rank
@@ -285,8 +238,8 @@ class FamilySearchPolicy {
 ///      it, and it wins. Only it is scored exactly. This is the case when
 ///      every candidate ties (tp = 1).
 ///   2. The band. Otherwise, a walk in route order, pruned by a per-state
-///      cost-to-go bound, scores exactly (FamilyCandidateEvaluator) every
-///      candidate up to a threshold near m. A band edge A is chosen so
+///      cost-to-go bound, scores exactly (FamilySearchContext::evaluate)
+///      every candidate up to a threshold near m. A band edge A is chosen so
 ///      that no candidate scores in (A, A(1 + 4e-9)]. Then every candidate
 ///      at or below A is better_than every candidate above it, and none
 ///      above it is better_than one at or below it. So the scan's holder,
@@ -303,23 +256,10 @@ class FrontierDpPolicy final : public FamilySearchPolicy {
                              const sharding::ShardingPlan& base) const override;
 };
 
-/// Full Cartesian-product search (Algorithm 2's inner loop), with
-/// Algorithm 2's winner and counters: the reference FrontierDpPolicy is
-/// tested against.
-///
-/// The candidates are walked in route order (RouteOrderWalk over the
-/// visit order FamilyScope::routing().order), so consecutive candidates
-/// differ near the family's exit and the evaluator's probe and
-/// steady-state lanes re-route a few members each. When a candidate's
-/// probe route fails at visit position p, every completion that keeps
-/// the choices at positions <= p fails there too (the probe's boundary
-/// is replicated): the walk counts them as invalid candidates without
-/// routing them (RouteOrderWalk::skip_after, FamilySearchWork).
-///
-/// Each candidate's score and validity are stored at its Algorithm 2
-/// rank and the winner is first_best_rank over them, so it is the
-/// winner of a scan in Algorithm 2's order. The score buffer is per
-/// thread and reused across families, so candidates allocate nothing.
+/// Full Cartesian-product search (Algorithm 2's inner loop): every
+/// candidate in FamilyPlanEnumerator's order through
+/// FamilySearchContext::evaluate, the first best kept as it comes. The
+/// reference FrontierDpPolicy is tested against.
 class ExhaustivePolicy final : public FamilySearchPolicy {
  public:
   std::string name() const override { return "exhaustive"; }

@@ -82,8 +82,8 @@ struct SearchStats {
   std::int64_t valid_plans = 0;
   /// Nodes the search would route from scratch. Pinned by the plan bytes
   /// (the wire and the plan record carry it), so it still counts every
-  /// member of every family candidate, skipped or resumed, and V per
-  /// GlobalRefine revert probe, though far fewer are routed
+  /// member of every family candidate, scored or counted by the DP, and V
+  /// per GlobalRefine revert probe, though far fewer are routed
   /// (planner.family.nodes_routed and planner.refine.nodes_routed count
   /// those).
   std::int64_t nodes_visited = 0;

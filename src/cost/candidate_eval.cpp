@@ -6,78 +6,6 @@ namespace tap::cost {
 
 using sharding::ShardSpec;
 
-void FamilyCandidateEvaluator::bind(const ir::TapGraph& tg,
-                                    const sharding::PatternTable& table,
-                                    const sharding::SubgraphScope& scope,
-                                    const BackwardWindowTerms& window,
-                                    const ClusterSpec& cluster,
-                                    const CostOptions& opts) {
-  tg_ = &tg;
-  table_ = &table;
-  scope_ = &scope;
-  window_ = &window;
-  cluster_ = &cluster;
-  opts_ = opts;
-  probe_.route.bind(tg, scope, ShardSpec::replicate(), table);
-  probe_.cost.truncate(0);
-  steady_bound_ = 0;
-  last_ = -2;
-}
-
-bool FamilyCandidateEvaluator::route(Lane& lane,
-                                     const sharding::ShardingPlan& plan) {
-  const bool valid = lane.route.route(plan).valid;
-  lane.cost.truncate(lane.route.resumed_comms());
-  return valid;
-}
-
-FamilyCandidateEvaluator::Lane& FamilyCandidateEvaluator::steady_lane(
-    const ShardSpec& exit) {
-  for (std::size_t i = 0; i < steady_bound_; ++i)
-    if (steady_[i].route.boundary() == exit) return steady_[i];
-  if (steady_bound_ == steady_.size()) steady_.emplace_back();
-  Lane& lane = steady_[steady_bound_++];
-  lane.route.bind(*tg_, *scope_, exit, *table_);
-  lane.cost.truncate(0);
-  return lane;
-}
-
-bool FamilyCandidateEvaluator::evaluate(const sharding::ShardingPlan& plan,
-                                        PlanCost* cost) {
-  TAP_CHECK(scope_ != nullptr) << "FamilyCandidateEvaluator before bind";
-  if (!route(probe_, plan)) return false;
-  const ShardSpec exit =
-      sharding::subgraph_exit_spec(probe_.route.routed(), *scope_);
-  // A replicated exit layout would route the probe again (same plan, same
-  // boundary): the probe is the steady state.
-  Lane* lane = &probe_;
-  std::ptrdiff_t index = -1;
-  if (exit != ShardSpec::replicate()) {
-    lane = &steady_lane(exit);
-    index = lane - steady_.data();
-    if (!route(*lane, plan)) return false;
-  }
-  CostOptions copts = opts_;
-  copts.overlap_window_s = window_->window(lane->route.routed(), *table_);
-  *cost = lane->cost.cost(lane->route.routed(), plan.num_shards, *cluster_,
-                          copts);
-  last_ = index;
-  return true;
-}
-
-std::size_t FamilyCandidateEvaluator::nodes_routed() const {
-  std::size_t steps = probe_.route.steps();
-  for (std::size_t i = 0; i < steady_bound_; ++i)
-    steps += steady_[i].route.steps();
-  return steps;
-}
-
-const sharding::RoutedPlan& FamilyCandidateEvaluator::routed() const {
-  TAP_CHECK(last_ != -2) << "no candidate evaluated since bind";
-  if (last_ == -1) return probe_.route.routed();
-  return steady_[static_cast<std::size_t>(last_)].route.routed();
-}
-
 void FamilyStepScorer::bind(const ir::TapGraph& tg,
                             const sharding::PatternTable& table,
                             const sharding::SubgraphScope& scope,

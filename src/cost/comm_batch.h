@@ -2,18 +2,17 @@
 // perfbench's cost probe fills through FamilySearchContext::stage.
 //
 // cost::comm_cost is the only implementation of the comm-cost math
-// (§4.6). The planner's family search costs candidates incrementally with
-// FamilyCandidateEvaluator (cost/candidate_eval.h); a CommEventBatch just
-// holds up to kCostBatchWidth routed candidates, and comm_cost_batch
-// costs each of them with comm_cost.
+// (§4.6). The planner's family search routes each candidate it scores
+// fresh and costs it with comm_cost (FamilySearchContext::evaluate); a
+// CommEventBatch just holds up to kCostBatchWidth routed candidates, and
+// comm_cost_batch costs each of them with comm_cost.
 //
 // CostArena is the per-thread scratch that makes candidate evaluation
-// allocation-free in steady state: the incremental evaluator, reusable
-// routing buffers (probe + exit-spec route) and the batch with its result
-// slots. Policies obtain one via tls_cost_arena().
+// allocation-free in steady state: reusable routing buffers (probe +
+// exit-spec route) and the batch with its result slots. Policies obtain
+// one via tls_cost_arena().
 #pragma once
 
-#include "cost/candidate_eval.h"
 #include "cost/cost_model.h"
 #include "sharding/routing.h"
 
@@ -55,11 +54,10 @@ class CommEventBatch {
 void comm_cost_batch(const CommEventBatch& batch, const ClusterSpec& cluster,
                      PlanCost out[kCostBatchWidth]);
 
-/// Per-thread scratch for candidate evaluation: the FamilySearch
-/// policies' incremental evaluator, plus the routing buffers and event
-/// batch FamilySearchContext::stage fills (no RoutedPlan vector churn).
+/// Per-thread scratch for candidate evaluation: the routing buffers
+/// FamilySearchContext::evaluate and stage route into, and the event
+/// batch stage fills (no RoutedPlan vector churn).
 struct CostArena {
-  FamilyCandidateEvaluator candidates;
   sharding::RoutingScratch routing;
   sharding::RoutedPlan probe;   ///< replicated-boundary probe route
   sharding::RoutedPlan routed;  ///< steady-state (exit-spec) route

@@ -296,12 +296,12 @@ class FrontierRouter {
   std::size_t steps_ = 0;
 };
 
-/// Routes a sequence of candidate plans over one subgraph, boundary and
-/// pattern table, re-routing each from the first visited member whose
-/// choice differs from the previous route's. The exhaustive family search
-/// walks its candidates with the last-visited member changing fastest, so
-/// most of a candidate's route — the members visited before the first
-/// change — is shared with the last one and is not repeated.
+/// Routes a sequence of plans over one subgraph, boundary and pattern
+/// table, re-routing each from the first visited member whose choice
+/// differs from the previous route's. GlobalRefine is its user: one
+/// cursor over the whole graph routes the revert probes, each of which
+/// changes one family's choices, so the route before the first change is
+/// shared with the last one and is not repeated.
 ///
 /// Per visit position the cursor keeps the choice routed there and a
 /// checkpoint: the lengths of `comms`, `edge_conversions` and the
@@ -343,7 +343,6 @@ class RouteCursor {
   RoutedPlan release_reference();
 
   const RoutedPlan& routed() const { return out_; }
-  const ShardSpec& boundary() const { return boundary_; }
   /// comms.size() at the position the last route() resumed from: the
   /// events before it are those of the route before.
   std::size_t resumed_comms() const { return resumed_comms_; }
@@ -357,11 +356,6 @@ class RouteCursor {
   /// actually cost, against scope.order.size() per route from scratch.
   /// Positions taken from the reference are not routed.
   std::size_t steps() const { return steps_; }
-  /// The visit position the last route() failed at, or scope.order.size()
-  /// when it was valid. A route at this boundary up to a position reads
-  /// only the choices at and before it, so every plan with the same
-  /// choices there fails at the same position.
-  std::size_t failed_at() const { return routed_; }
 
  private:
   struct Checkpoint {

@@ -1,5 +1,6 @@
-// Allocations of incremental candidate evaluation: once an evaluator has
-// seen a family's candidates, evaluating them again allocates nothing.
+// Allocations of candidate evaluation: once the thread's CostArena has
+// routed a family's candidates, evaluating them again allocates nothing,
+// and warm family searches allocate per family, not per candidate.
 // This file replaces the global operator new with a counting one, gated
 // per thread, so it builds into its own test binary (tap_alloc_tests)
 // and the rest of the suite keeps the sanitizers' allocator checks.
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "core/family_search.h"
-#include "cost/candidate_eval.h"
 #include "ir/lowering.h"
 #include "pruning/prune.h"
 #include "service/wire.h"
@@ -51,7 +51,7 @@ std::int64_t count_allocations(Fn&& fn) {
   return t_allocations - before;
 }
 
-/// Candidates per family the evaluator test walks (the first ones in
+/// Candidates per family the evaluate() test walks (the first ones in
 /// Algorithm 2's order).
 constexpr std::int64_t kMaxCandidates = 2000;
 
@@ -69,11 +69,11 @@ std::int64_t family_setup_allocations(const core::FamilySearchContext& ctx,
   });
 }
 
-TEST(FamilyCandidateEvaluator, CandidatesAllocateNothingAfterWarmUp) {
+TEST(FamilySearchContext, CandidatesAllocateNothingAfterWarmUp) {
   // T5 and MoE blocks, GPT-3's mostly failing candidates at tp <= 4, and
-  // ResNet's conv blocks, at every mesh of 16 GPUs: a first pass over
-  // the candidates grows the evaluator's buffers; a second, counted pass
-  // must not allocate.
+  // ResNet's conv blocks, at every mesh of 16 GPUs: a first pass of
+  // FamilySearchContext::evaluate over the candidates grows the thread's
+  // CostArena; a second, counted pass must not allocate.
   std::vector<char> probe;
   ASSERT_EQ(count_allocations([&] { probe.resize(64); }), 1)
       << "the counting operator new is not in use";
@@ -108,14 +108,13 @@ TEST(FamilyCandidateEvaluator, CandidatesAllocateNothingAfterWarmUp) {
           sharding::apply_family_choice(fam, choice, &plan);
           plans.push_back(plan);
         }
-        cost::FamilyCandidateEvaluator eval;
         core::FamilyScore score;
         core::SearchStats stats;
+        core::FamilySearchWork work;
         for (int pass = 0; pass < 2; ++pass) {
-          ctx.bind(scope, &eval);
           for (const sharding::ShardingPlan& p : plans) {
             const std::int64_t n = count_allocations(
-                [&] { ctx.evaluate(p, scope, &eval, &score, &stats); });
+                [&] { ctx.evaluate(p, scope, &score, &stats, &work); });
             if (pass == 1) {
               ASSERT_EQ(n, 0) << model << " tp=" << tp << " "
                               << fam.representative;
@@ -130,10 +129,10 @@ TEST(FamilyCandidateEvaluator, CandidatesAllocateNothingAfterWarmUp) {
 }
 
 TEST(ExhaustivePolicy, WarmSearchAllocatesPerFamilyNotPerCandidate) {
-  // The route-order walk keeps its digits and score buffer per thread:
-  // once they have grown, an exhaustive search allocates only its
-  // per-family set-up (the FamilyScope, the counts, the scratch plan,
-  // the winner), however many candidates it scores.
+  // Candidates route through the thread's CostArena: once it has grown,
+  // an exhaustive search allocates only its per-family set-up (the
+  // FamilyScope, the counts, the scratch plan, the winner), however many
+  // candidates it scores.
   service::ModelSpec spec;
   spec.model = "t5";
   const Graph g = service::build_spec_model(spec);

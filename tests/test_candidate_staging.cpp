@@ -219,7 +219,6 @@ TEST(CandidateStaging, StagedBatchMatchesEvaluate) {
   // batch is partial.
   auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
   cost::CostArena arena;
-  cost::FamilyCandidateEvaluator eval;
   int full = 0, partial = 0, lanes = 0;
   for (const char* model : {"t5", "bert", "gpt3"}) {
     for (int dp : {1, 2}) {
@@ -240,7 +239,6 @@ TEST(CandidateStaging, StagedBatchMatchesEvaluate) {
       for (const pruning::SubgraphFamily& fam : pr.families) {
         if (!weighted(tg, fam)) continue;
         const core::FamilyScope scope(ctx, fam);
-        ctx.bind(scope, &eval);
         std::vector<core::FamilyScore> expected;
         auto flush = [&] {
           ASSERT_EQ(arena.batch.lanes(), static_cast<int>(expected.size()));
@@ -260,8 +258,9 @@ TEST(CandidateStaging, StagedBatchMatchesEvaluate) {
              sample_candidates(table, fam, base, /*samples=*/20)) {
           core::FamilyScore score;
           core::SearchStats se, ss;
+          core::FamilySearchWork work;
           std::int64_t weight_bytes = -1;
-          const bool ok_e = ctx.evaluate(plan, scope, &eval, &score, &se);
+          const bool ok_e = ctx.evaluate(plan, scope, &score, &se, &work);
           const bool ok_s = ctx.stage(plan, fam, &arena, &weight_bytes, &ss);
           ASSERT_EQ(ok_e, ok_s) << fam.representative;
           EXPECT_EQ(se.candidate_plans, ss.candidate_plans);

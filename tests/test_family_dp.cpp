@@ -13,9 +13,12 @@
 
 #include "core/family_search.h"
 #include "core/planner_pipeline.h"
+#include "core/tap.h"
 #include "ir/lowering.h"
 #include "models/models.h"
 #include "pruning/prune.h"
+#include "service/fingerprint.h"
+#include "service/planner_service.h"
 #include "service/wire.h"
 #include "sharding/enumerate.h"
 #include "sharding/routing.h"
@@ -114,19 +117,24 @@ std::vector<std::pair<std::string, Graph>> oracle_models() {
 }
 
 TEST(FrontierDpPolicy, MatchesExhaustiveOracleOnEveryZooMesh) {
-  // Every plan_cold and table1_zoo() model at every mesh of 16 and 32
+  // Every plan_cold and table1_zoo() model at every mesh of 8, 16 and 32
   // GPUs: the plan FamilySearch picks, the refined plan, its PlanCost
   // bits and the four counters equal the oracle's. T5's 3^10 decoder
-  // block at 16 GPUs is among them.
+  // block at 16 GPUs is among them. The DP searches every model afresh;
+  // the oracle's outcomes are shared through a family cache, so a family
+  // that several models have at one mesh (the T5 blocks of T5-8/24/48L
+  // and T5-Large) is walked once there.
   const auto dp = std::make_shared<FrontierDpPolicy>();
-  const auto oracle = std::make_shared<OraclePolicy>();
+  const auto oracle = std::make_shared<service::CachingFamilyPolicy>(
+      std::make_shared<service::FamilyResultCache>(),
+      std::make_shared<OraclePolicy>());
   int meshes = 0;
   std::int64_t largest = 0;
   for (const auto& [name, g] : oracle_models()) {
     SCOPED_TRACE(name);
     const ir::TapGraph tg = ir::lower(g);
     const pruning::PruneResult pr = pruning::prune_graph(tg);
-    for (int nodes : {2, 4}) {
+    for (int nodes : {1, 2, 4}) {
       const cost::ClusterSpec cluster = cost::ClusterSpec::v100_cluster(nodes);
       for (int tp = 1; tp <= cluster.world(); ++tp) {
         if (cluster.world() % tp != 0) continue;
@@ -189,6 +197,27 @@ TEST(FrontierDpPolicy, FamilyOutcomesMatchOracle) {
     }
   }
   EXPECT_LT(dp_routed * 4, oracle_routed);
+}
+
+TEST(FrontierDpPolicy, ThreadedSearchesMatchOneThread) {
+  // Families searched concurrently, each on its thread's DP buffers and
+  // CostArena, give the bytes of a one-thread search (TSan covers the
+  // per-thread buffers).
+  for (const char* model : {"t5", "moe"}) {
+    service::ModelSpec spec;
+    spec.model = model;
+    spec.layers = 4;
+    const Graph g = service::build_spec_model(spec);
+    const ir::TapGraph tg = ir::lower(g);
+    std::string bytes[2];
+    for (int i = 0; i < 2; ++i) {
+      const TapOptions opts = service::options_for_spec(spec, i == 0 ? 1 : 4);
+      bytes[i] = service::plan_response_json(
+          tg, service::make_plan_key(tg, opts, /*sweep=*/true),
+          auto_parallel_best_mesh(tg, opts));
+    }
+    EXPECT_EQ(bytes[0], bytes[1]) << model;
+  }
 }
 
 TEST(FrontierDpPolicy, PlateauResolvesToRankZeroInsideTheDp) {
