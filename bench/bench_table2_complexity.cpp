@@ -12,9 +12,9 @@
 // by a DP over router frontier states: "TAP DP steps"
 // (planner.family.dp_steps) are its (state, choice) steps, each routing
 // one member from a restored state; the rest of the family count is the
-// few candidates its winner step scores exactly. A GlobalRefine probe
-// resumes from its first changed node and stops where it rejoins the
-// current plan's route.
+// few candidates its winner step scores exactly. GlobalRefine routes the
+// whole graph once for the assembled plan and once per revert probe whose
+// family is not already all zeros, and adds V per route.
 #include "baselines/alpa_like.h"
 #include "baselines/flexflow_like.h"
 #include "bench_common.h"

@@ -81,6 +81,7 @@
 #include <stdexcept>
 
 #include "core/pipeline.h"
+#include "core/planner_pipeline.h"
 #include "core/serialize.h"
 #include "core/tap.h"
 #include "core/visualize.h"
@@ -352,18 +353,6 @@ std::string explain_target(const tap::service::ModelSpec& spec) {
   return t;
 }
 
-/// The cost FinalizeCost gives a routed plan: `opts.cost` with the
-/// full-graph backward-compute overlap window, so a served or loaded plan
-/// prints the comm cost its search printed.
-tap::cost::PlanCost finalize_cost(const tap::ir::TapGraph& tg,
-                                  const tap::sharding::RoutedPlan& routed,
-                                  const tap::core::TapOptions& opts) {
-  tap::cost::CostOptions copts = opts.cost;
-  copts.overlap_window_s = tap::cost::backward_compute_window(
-      tg, routed, nullptr, routed.num_shards, opts.cluster);
-  return tap::cost::comm_cost(routed, routed.num_shards, opts.cluster, copts);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -473,7 +462,7 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    result.cost = finalize_cost(tg, result.routed, opts);
+    result.cost = core::finalize_cost(tg, result.routed, opts);
   } else if (!args.load_plan.empty()) {
     std::ifstream in(args.load_plan);
     if (!in) {
@@ -495,7 +484,7 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    result.cost = finalize_cost(tg, result.routed, opts);
+    result.cost = core::finalize_cost(tg, result.routed, opts);
     std::printf("loaded plan from %s (mesh %s)\n", args.load_plan.c_str(),
                 result.best_plan.mesh().to_string().c_str());
   } else if (args.pipeline > 1) {

@@ -83,9 +83,9 @@ struct SearchStats {
   /// Nodes the search would route from scratch. Pinned by the plan bytes
   /// (the wire and the plan record carry it), so it still counts every
   /// member of every family candidate, scored or counted by the DP, and V
-  /// per GlobalRefine revert probe, though far fewer are routed
-  /// (planner.family.nodes_routed and planner.refine.nodes_routed count
-  /// those).
+  /// per GlobalRefine revert probe, skipped or not. The nodes actually
+  /// routed are counted apart: planner.family.nodes_routed (far fewer)
+  /// and planner.refine.nodes_routed (V per route the pass ran).
   std::int64_t nodes_visited = 0;
   std::int64_t cost_queries = 0;
 

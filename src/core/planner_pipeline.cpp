@@ -17,20 +17,23 @@ namespace {
 using pruning::SubgraphFamily;
 using sharding::ShardingPlan;
 
-/// Full-graph cost with the overlap window computed over the whole model.
-cost::PlanCost global_cost(const sharding::RoutedPlan& routed,
-                           const TapOptions& opts,
-                           const sharding::PatternTable& table,
-                           const cost::BackwardWindowTerms& terms) {
-  cost::CostOptions copts = opts.cost;
-  copts.overlap_window_s = terms.window(routed, table);
-  return cost::comm_cost(routed, opts.num_shards, opts.cluster, copts);
-}
-
 /// The full-graph backward-window terms of the context's mesh.
 cost::BackwardWindowTerms full_graph_terms(const PlanContext& ctx) {
   return cost::BackwardWindowTerms(ctx.graph(), nullptr, ctx.opts.num_shards,
                                    ctx.plan.dp_replicas, ctx.opts.cluster);
+}
+
+/// finalize_cost with the routed plan's PatternTable and full-graph
+/// window terms already built.
+cost::PlanCost full_graph_cost(const sharding::RoutedPlan& routed,
+                               const TapOptions& opts,
+                               const sharding::PatternTable& table,
+                               const cost::BackwardWindowTerms& terms,
+                               cost::CommLedger* ledger = nullptr) {
+  cost::CostOptions copts = opts.cost;
+  copts.overlap_window_s = terms.window(routed, table);
+  return cost::comm_cost(routed, routed.num_shards, opts.cluster, copts,
+                         ledger);
 }
 
 bool family_is_weighted(const ir::TapGraph& tg, const SubgraphFamily& f) {
@@ -65,6 +68,16 @@ std::string pass_metric_name(const std::string& pass) {
 }
 
 }  // namespace
+
+cost::PlanCost finalize_cost(const ir::TapGraph& tg,
+                             const sharding::RoutedPlan& routed,
+                             const TapOptions& opts, cost::CommLedger* ledger) {
+  const sharding::PatternTable table(tg, routed.num_shards,
+                                     routed.dp_replicas);
+  const cost::BackwardWindowTerms terms(tg, nullptr, routed.num_shards,
+                                        routed.dp_replicas, opts.cluster);
+  return full_graph_cost(routed, opts, table, terms, ledger);
+}
 
 std::size_t weighted_family_count(const ir::TapGraph& tg,
                                   const pruning::PruneResult& pruning) {
@@ -228,32 +241,19 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
       << "GlobalRefine requires FamilySearch";
   const sharding::PatternTable& table = *ctx.table;
   const cost::BackwardWindowTerms terms = full_graph_terms(ctx);
-  // Every route of the pass goes through one whole-graph cursor and one
-  // cost prefix, so a probe re-routes and re-costs only from the first
-  // node (in visit order) whose choice differs from the route before it.
-  // The current plan's route is their reference: once a probe has routed
-  // every node its revert changes and its router state agrees with the
-  // current route's, it takes the current route's tail and the tail
-  // events' times (RouteCursor docs).
-  const sharding::SubgraphScope whole(tg);
-  sharding::RouteCursor cursor;
-  cursor.bind(tg, whole, sharding::ShardSpec::replicate(), table);
-  cost::CommCostPrefix prefix;
-  // Routes and costs `plan`; false when it does not route.
-  auto route_cost = [&](const ShardingPlan& plan, cost::PlanCost* cost) {
-    const sharding::RoutedPlan& routed = cursor.route(plan);
-    prefix.truncate(cursor.resumed_comms());
-    if (!routed.valid) return false;
-    cost::CostOptions copts = ctx.opts.cost;
-    copts.overlap_window_s = terms.window(routed, table);
-    *cost = prefix.cost(routed, ctx.opts.num_shards, ctx.opts.cluster, copts,
-                        cursor.spliced_comms(),
-                        cursor.reference_comms_at_splice());
+  // The current plan's route lives in ctx.routed, a probe's in `probe`;
+  // an accepted probe swaps its buffer in.
+  sharding::RoutingScratch scratch;
+  sharding::RoutedPlan probe;
+  std::uint64_t routes = 0;
+  // Routes `plan` into `*routed` and costs it; false when it does not route.
+  auto route_cost = [&](const ShardingPlan& plan, sharding::RoutedPlan* routed,
+                        cost::PlanCost* cost) {
+    sharding::route_plan_into(tg, plan, table, &scratch, routed);
+    ++routes;
+    if (!routed->valid) return false;
+    *cost = full_graph_cost(*routed, ctx.opts, table, terms);
     return true;
-  };
-  auto keep_current = [&] {
-    cursor.keep_reference();
-    prefix.keep_reference();
   };
   const auto num_nodes = static_cast<std::int64_t>(tg.num_nodes());
   std::uint64_t probes = 0, skipped = 0;
@@ -261,9 +261,9 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
   std::vector<int> zeros;
 
   cost::PlanCost current;
-  const bool assembled = route_cost(ctx.plan, &current);
-  double current_cost = assembled ? current.total() : kInvalidPlanCost;
-  if (assembled) keep_current();
+  double current_cost = route_cost(ctx.plan, &ctx.routed, &current)
+                            ? current.total()
+                            : kInvalidPlanCost;
   ctx.stats.nodes_visited += num_nodes;
   ++ctx.stats.cost_queries;
   for (const SubgraphFamily& family : ctx.pruning.families) {
@@ -292,30 +292,28 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
     zeros.assign(family.member_nodes.size(), 0);
     sharding::apply_family_choice(family, zeros, &reverted);
     cost::PlanCost c;
-    if (!route_cost(reverted, &c)) continue;
+    if (!route_cost(reverted, &probe, &c)) continue;
     ++ctx.stats.cost_queries;
     if (c.total() < current_cost) {
       current = c;
       current_cost = c.total();
       std::swap(ctx.plan, reverted);
-      keep_current();
+      std::swap(ctx.routed, probe);
     }
   }
   if (current_cost == kInvalidPlanCost) {
     // Assembly never produced a routable plan: fall back to pure DP.
     ctx.plan = sharding::default_plan(tg, ctx.opts.num_shards,
                                       ctx.opts.dp_replicas);
-    ctx.routed = sharding::route_plan(tg, ctx.plan, &table);
-    TAP_CHECK(ctx.routed.valid) << ctx.routed.error;
-    current = global_cost(ctx.routed, ctx.opts, table, terms);
-  } else {
-    ctx.routed = cursor.release_reference();
+    const bool ok = route_cost(ctx.plan, &ctx.routed, &current);
+    TAP_CHECK(ok) << ctx.routed.error;
   }
   ctx.routed_cost = current;
   obs::MetricsRegistry& reg = obs::registry();
   reg.counter("planner.refine.probes")->add(probes);
   reg.counter("planner.refine.skipped_probes")->add(skipped);
-  reg.counter("planner.refine.nodes_routed")->add(cursor.steps());
+  reg.counter("planner.refine.nodes_routed")
+      ->add(routes * static_cast<std::uint64_t>(num_nodes));
 }
 
 void FinalizeCostPass::run(PlanContext& ctx) const {
@@ -324,8 +322,8 @@ void FinalizeCostPass::run(PlanContext& ctx) const {
   if (ctx.routed_cost.has_value()) {
     ctx.cost = *ctx.routed_cost;
   } else {
-    ctx.cost = global_cost(ctx.routed, ctx.opts, *ctx.table,
-                           full_graph_terms(ctx));
+    ctx.cost = full_graph_cost(ctx.routed, ctx.opts, *ctx.table,
+                               full_graph_terms(ctx));
   }
   ++ctx.stats.cost_queries;
 }

@@ -26,6 +26,16 @@
 
 namespace tap::core {
 
+/// The cost FinalizeCost gives a routed plan: `opts.cost` with the
+/// overlap window set to the full-graph backward compute time (at the
+/// routed plan's mesh), fed into cost::comm_cost. GlobalRefine costs
+/// every route with this recipe, so a loaded, served or reported plan
+/// costs what its search did. `ledger` as for comm_cost.
+cost::PlanCost finalize_cost(const ir::TapGraph& tg,
+                             const sharding::RoutedPlan& routed,
+                             const TapOptions& opts,
+                             cost::CommLedger* ledger = nullptr);
+
 /// Number of weighted families in `pruning` — the unit count of the
 /// FamilySearch pass, and therefore the size of one mesh's checkpoint
 /// ordinal range. The mesh sweep uses it to assign disjoint, stable
@@ -118,11 +128,10 @@ class FamilySearchPass final : public PlannerPass {
 /// see cross-family resharding (e.g. a column-split LM head forcing a huge
 /// AllGather at the loss), so refine: for every family, keep its local
 /// winner only if the FULL-graph cost agrees; otherwise revert that family
-/// to the universal data-parallel fallback. O(families) global routes —
-/// still independent of the per-family candidate counts — each of which
-/// routes only from its first changed node to where it rejoins the
-/// current plan's route. Leaves the final route's cost in
-/// PlanContext::routed_cost.
+/// to the universal data-parallel fallback. O(families) full-graph
+/// routes (route_plan_into), still independent of the per-family
+/// candidate counts; a probe whose family is already all zeros is
+/// skipped. Leaves the final route's cost in PlanContext::routed_cost.
 class GlobalRefinePass final : public PlannerPass {
  public:
   std::string name() const override { return "GlobalRefine"; }

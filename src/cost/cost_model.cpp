@@ -52,29 +52,6 @@ double comm_event_time(const CommEvent& e, int num_shards,
          e.count;
 }
 
-namespace {
-
-/// Adds one event's time `t` to the accumulator of its class.
-void add_event(const CommEvent& e, double t, PlanCost* cost) {
-  cost->comm_bytes += e.bytes * e.count;
-  if (e.overlappable) {
-    cost->overlappable_comm_s += t;
-  } else if (e.phase == CommEvent::Phase::kForward) {
-    cost->forward_comm_s += t;
-  } else {
-    cost->backward_comm_s += t;
-  }
-}
-
-/// The overlappable time left exposed under `opts`.
-double exposed_overlap(double overlappable_s, const CostOptions& opts) {
-  if (opts.overlap_window_s >= 0.0)
-    return std::max(0.0, overlappable_s - opts.overlap_window_s);
-  return overlappable_s * opts.exposed_overlap_fraction;
-}
-
-}  // namespace
-
 PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
                    const ClusterSpec& cluster, const CostOptions& opts,
                    CommLedger* ledger) {
@@ -86,7 +63,14 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
   }
   for (const CommEvent& e : routed.comms) {
     const double t = comm_event_time(e, num_shards, cluster);
-    add_event(e, t, &cost);
+    cost.comm_bytes += e.bytes * e.count;
+    if (e.overlappable) {
+      cost.overlappable_comm_s += t;
+    } else if (e.phase == CommEvent::Phase::kForward) {
+      cost.forward_comm_s += t;
+    } else {
+      cost.backward_comm_s += t;
+    }
     if (ledger != nullptr) {
       CommLedgerEntry le;
       le.node = e.node;
@@ -103,7 +87,10 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
       ledger->entries.push_back(std::move(le));
     }
   }
-  const double exposed = exposed_overlap(cost.overlappable_comm_s, opts);
+  const double exposed =
+      opts.overlap_window_s >= 0.0
+          ? std::max(0.0, cost.overlappable_comm_s - opts.overlap_window_s)
+          : cost.overlappable_comm_s * opts.exposed_overlap_fraction;
   cost.backward_comm_s += exposed;
   if (ledger != nullptr) {
     const double frac = cost.overlappable_comm_s > 0.0
@@ -114,42 +101,6 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
       if (le.overlappable) le.exposed_seconds = le.seconds * frac;
   }
   return cost;
-}
-
-void CommCostPrefix::truncate(std::size_t events) {
-  kept_ = std::min(kept_, events);
-}
-
-PlanCost CommCostPrefix::cost(const sharding::RoutedPlan& routed,
-                              int num_shards, const ClusterSpec& cluster,
-                              const CostOptions& opts, std::size_t spliced,
-                              std::size_t reference_from) {
-  TAP_CHECK(routed.valid) << "cannot cost an invalid plan: " << routed.error;
-  const std::size_t n = routed.comms.size();
-  TAP_CHECK_LE(spliced, n);
-  if (spliced < n) {
-    TAP_CHECK_EQ(reference_from + (n - spliced), reference_times_.size())
-        << "the spliced tail is not the reference's";
-  }
-  kept_ = std::min(kept_, n);
-  if (sums_.size() < n + 1) sums_.resize(n + 1);
-  if (times_.size() < n) times_.resize(n);
-  for (std::size_t i = kept_; i < n; ++i) {
-    const CommEvent& e = routed.comms[i];
-    times_[i] = i < spliced ? comm_event_time(e, num_shards, cluster)
-                            : reference_times_[reference_from + (i - spliced)];
-    sums_[i + 1] = sums_[i];
-    add_event(e, times_[i], &sums_[i + 1]);
-  }
-  kept_ = n;
-  PlanCost cost = sums_[n];
-  cost.backward_comm_s += exposed_overlap(cost.overlappable_comm_s, opts);
-  return cost;
-}
-
-void CommCostPrefix::keep_reference() {
-  reference_times_.assign(times_.begin(),
-                          times_.begin() + static_cast<std::ptrdiff_t>(kept_));
 }
 
 double backward_compute_window(const ir::TapGraph& tg,

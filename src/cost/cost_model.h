@@ -102,44 +102,6 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
 double comm_event_time(const sharding::CommEvent& e, int num_shards,
                        const ClusterSpec& cluster);
 
-/// comm_cost for a sequence of routes that share a prefix of events (a
-/// sharding::RouteCursor's). Keeps the (forward, backward, overlappable,
-/// bytes) partial sums after each event, so a route that changed only
-/// past event k costs only its events from k on. They are added in
-/// comm_cost's order from the same partial sums, so the doubles are
-/// bit-identical to comm_cost's. It also keeps each event's time, so a
-/// route whose tail is a reference route's (RouteCursor::keep_reference)
-/// adds the reference's times for the tail instead of recomputing them.
-class CommCostPrefix {
- public:
-  /// Forgets the sums past the first `events` events: the route changed
-  /// there (RouteCursor::resumed_comms); truncate(0) forgets all of them.
-  void truncate(std::size_t events);
-
-  /// == comm_cost(routed, num_shards, cluster, opts) when every event
-  /// kept since the last truncate(0) is unchanged in `routed`, and
-  /// `num_shards` and `cluster` are those of the earlier calls.
-  PlanCost cost(const sharding::RoutedPlan& routed, int num_shards,
-                const ClusterSpec& cluster, const CostOptions& opts) {
-    return cost(routed, num_shards, cluster, opts, routed.comms.size(), 0);
-  }
-  /// cost() of a route whose events from `spliced` on are the reference's
-  /// from `reference_from` on (RouteCursor::spliced_comms and
-  /// reference_comms_at_splice): their times are read, not recomputed.
-  PlanCost cost(const sharding::RoutedPlan& routed, int num_shards,
-                const ClusterSpec& cluster, const CostOptions& opts,
-                std::size_t spliced, std::size_t reference_from);
-
-  /// Makes the event times of the route costed last the reference's.
-  void keep_reference();
-
- private:
-  std::vector<PlanCost> sums_{1};        ///< sums_[i]: after the first i events
-  std::vector<double> times_;            ///< times_[i]: of event i
-  std::vector<double> reference_times_;  ///< of the reference's events
-  std::size_t kept_ = 0;                 ///< events whose sums are current
-};
-
 /// Backward-pass compute time of the clusters in `members` (nullptr = the
 /// whole graph) under the routed plan's sharding — the overlap window fed
 /// into CostOptions::overlap_window_s.

@@ -21,7 +21,9 @@
 //                               step scored exactly
 //   planner.refine.probes       counter, GlobalRefine revert probes
 //   planner.refine.skipped_probes  counter, probes whose revert was a no-op
-//   planner.refine.nodes_routed counter, nodes the probes actually routed
+//   planner.refine.nodes_routed counter, V per full-graph route the
+//                               GlobalRefine pass ran (skipped probes
+//                               route nothing)
 //   cache.mem.hits              counter, PlanCache memory-tier hits
 //   service.coalesced           counter, single-flight joins
 //   pool.queue_depth            gauge, submit() tasks waiting

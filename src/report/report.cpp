@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/planner_pipeline.h"
 #include "obs/metrics.h"
 #include "sharding/enumerate.h"
 #include "sharding/pattern.h"
@@ -278,19 +279,6 @@ std::vector<LatencySummary> collect_latency() {
   return out;
 }
 
-// The FinalizeCost recipe: cost the routed plan with the full-graph
-// backward-compute overlap window, so the ledger sums match
-// TapResult::cost exactly.
-cost::PlanCost ledgered_cost(const ir::TapGraph& tg,
-                             const sharding::RoutedPlan& routed,
-                             int num_shards, const core::TapOptions& opts,
-                             cost::CommLedger* ledger) {
-  cost::CostOptions copts = opts.cost;
-  copts.overlap_window_s = cost::backward_compute_window(
-      tg, routed, nullptr, num_shards, opts.cluster);
-  return cost::comm_cost(routed, num_shards, opts.cluster, copts, ledger);
-}
-
 }  // namespace
 
 PlanReport build_report(const ir::TapGraph& tg,
@@ -307,7 +295,9 @@ PlanReport build_report(const ir::TapGraph& tg,
   r.provenance = result.provenance;
 
   cost::CommLedger ledger;
-  r.cost = ledgered_cost(tg, result.routed, r.num_shards, opts, &ledger);
+  // FinalizeCost's recipe, so the ledger sums match TapResult::cost
+  // exactly.
+  r.cost = core::finalize_cost(tg, result.routed, opts, &ledger);
   r.exposed_fraction = ledger.exposed_fraction;
   r.contributors = aggregate_contributors(tg, result.pruning, ledger,
                                           ropts.top_k, &r.contributor_scopes);
@@ -340,9 +330,9 @@ void attach_baseline_diff(PlanReport* r, const ir::TapGraph& tg,
 
   cost::CommLedger ledger_ours, ledger_theirs;
   const cost::PlanCost cost_ours =
-      ledgered_cost(tg, result.routed, ours.num_shards, opts, &ledger_ours);
-  const cost::PlanCost cost_theirs = ledgered_cost(
-      tg, routed_theirs, theirs.num_shards, opts, &ledger_theirs);
+      core::finalize_cost(tg, result.routed, opts, &ledger_ours);
+  const cost::PlanCost cost_theirs =
+      core::finalize_cost(tg, routed_theirs, opts, &ledger_theirs);
 
   std::vector<double> exposed_ours, exposed_theirs;
   std::vector<std::int64_t> bytes_ours, bytes_theirs;

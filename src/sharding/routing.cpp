@@ -4,7 +4,6 @@
 #include <climits>
 #include <initializer_list>
 #include <string_view>
-#include <utility>
 
 #include "util/check.h"
 #include "util/hash.h"
@@ -563,244 +562,6 @@ bool FrontierRouter::step(int choice, FrontierState* next) {
   return true;
 }
 
-void RouteCursor::bind(const ir::TapGraph& tg, const SubgraphScope& scope,
-                       const ShardSpec& boundary, const PatternTable& table) {
-  tg_ = &tg;
-  scope_ = &scope;
-  table_ = &table;
-  boundary_ = boundary;
-  reset_route(tg.num_nodes(), &scope, boundary, scratch_, out_);
-  out_.valid = false;
-  out_.error.clear();
-  out_.num_shards = 0;  // no route yet: the first one starts at position 0
-  choice_.resize(scope.order.size());
-  checkpoints_.resize(scope.order.size() + 1);
-  checkpoints_[0] = Checkpoint{};
-  routed_ = 0;
-  resumed_comms_ = 0;
-  spliced_comms_ = 0;
-  ref_comms_at_splice_ = 0;
-  steps_ = 0;
-  ref_.kept = false;
-  position_.clear();  // rebuilt with the first reference
-}
-
-const RoutedPlan& RouteCursor::route(const ShardingPlan& plan) {
-  TAP_CHECK(scope_ != nullptr) << "RouteCursor::route before bind";
-  TAP_CHECK_EQ(plan.choice.size(), tg_->num_nodes());
-  const std::vector<GraphNodeId>& order = scope_->order;
-  const std::size_t n = order.size();
-  std::size_t k = 0;
-  if (plan.num_shards == out_.num_shards &&
-      plan.dp_replicas == out_.dp_replicas) {
-    while (k < routed_ && choice_[k] == choice_at(plan, k)) ++k;
-  }
-  out_.num_shards = plan.num_shards;
-  out_.dp_replicas = plan.dp_replicas;
-  if (k == n) {  // same choices as the last, complete route
-    resumed_comms_ = spliced_comms_ = out_.comms.size();
-    out_.valid = true;
-    return out_;
-  }
-  // A splice may start only past the last position whose choice differs
-  // from the reference's.
-  std::size_t splice_from = kNone;
-  if (ref_.kept && plan.num_shards == ref_.out.num_shards &&
-      plan.dp_replicas == ref_.out.dp_replicas) {
-    splice_from = n;
-    while (splice_from > 0 &&
-           choice_at(plan, splice_from - 1) == ref_.choice[splice_from - 1])
-      --splice_from;
-  }
-  // Roll back to the state before position k was routed: the logs are
-  // append-only, so truncating them undoes positions k and later.
-  const Checkpoint& c = checkpoints_[k];
-  out_.comms.resize(c.comms);
-  out_.edge_conversions.resize(c.edges);
-  rollback_scratch(scratch_, c.igrad, c.materialized);
-  resumed_comms_ = c.comms;
-  out_.valid = false;
-  out_.error.clear();
-  Router r{*tg_, plan, scope_, boundary_, *table_, scratch_, out_};
-  for (routed_ = k; routed_ < n; ++routed_) {
-    Checkpoint& next = checkpoints_[routed_];
-    next.comms = out_.comms.size();
-    next.edges = out_.edge_conversions.size();
-    next.igrad = scratch_.igrad_touched.size();
-    next.materialized = scratch_.materialized_touched.size();
-    if (routed_ >= splice_from) {
-      if (routed_ == std::max(k, splice_from)) collect_live(routed_);
-      if (matches_reference(routed_)) {
-        splice();
-        return out_;
-      }
-    }
-    choice_[routed_] = choice_at(plan, routed_);
-    ++steps_;
-    if (!r.step(order[routed_])) return out_;  // valid up to routed_
-    if (routed_ >= splice_from) advance_live(routed_);
-  }
-  checkpoints_[n] = {out_.comms.size(), out_.edge_conversions.size(),
-                     scratch_.igrad_touched.size(),
-                     scratch_.materialized_touched.size()};
-  spliced_comms_ = out_.comms.size();
-  out_.valid = true;
-  return out_;
-}
-
-void RouteCursor::keep_reference() {
-  const std::size_t n = scope_ != nullptr ? scope_->order.size() : 0;
-  TAP_CHECK(out_.valid && routed_ == n) << "keep_reference needs a valid route";
-  const std::size_t num_nodes = tg_->num_nodes();
-  if (position_.size() != num_nodes) {  // the first reference since bind()
-    ref_.igrad_log.clear();
-    ref_.materialized_log.clear();
-    ref_.igrad_position.assign(num_nodes, kNone);
-    ref_.materialized.resize(num_nodes);
-    for (std::vector<Materialized>& list : ref_.materialized) list.clear();
-    position_.assign(num_nodes, -1);
-    last_use_.assign(num_nodes, -1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const GraphNodeId id = scope_->order[i];
-      position_[static_cast<std::size_t>(id)] = static_cast<std::ptrdiff_t>(i);
-      for (GraphNodeId p : tg_->node(id).inputs)
-        last_use_[static_cast<std::size_t>(p)] = static_cast<std::ptrdiff_t>(i);
-    }
-  }
-  // Forget the old reference's per-node state through its logs.
-  for (GraphNodeId q : ref_.igrad_log)
-    ref_.igrad_position[static_cast<std::size_t>(q)] = kNone;
-  for (GraphNodeId q : ref_.materialized_log)
-    ref_.materialized[static_cast<std::size_t>(q)].clear();
-
-  ref_.kept = true;
-  ref_.out = out_;
-  ref_.choice = choice_;
-  ref_.checkpoints = checkpoints_;
-  ref_.igrad_log = scratch_.igrad_touched;
-  ref_.materialized_log = scratch_.materialized_touched;
-  // Log entry j was appended while routing the position p with
-  // checkpoints[p] <= j < checkpoints[p + 1].
-  std::size_t p = 0;
-  for (std::size_t j = 0; j < ref_.igrad_log.size(); ++j) {
-    while (checkpoints_[p + 1].igrad <= j) ++p;
-    ref_.igrad_position[static_cast<std::size_t>(ref_.igrad_log[j])] = p;
-  }
-  p = 0;
-  for (std::size_t j = 0; j < ref_.materialized_log.size(); ++j) {
-    while (checkpoints_[p + 1].materialized <= j) ++p;
-    const auto q = static_cast<std::size_t>(ref_.materialized_log[j]);
-    std::vector<Materialized>& list = ref_.materialized[q];
-    list.push_back({p, scratch_.materialized[q][list.size()]});
-  }
-}
-
-RoutedPlan RouteCursor::release_reference() {
-  TAP_CHECK(ref_.kept) << "release_reference without a reference";
-  ref_.kept = false;
-  return std::move(ref_.out);
-}
-
-bool RouteCursor::matches_reference(std::size_t p) {
-  // Most probes differ from the reference in a layout: see that first.
-  for (GraphNodeId q : live_) {
-    const auto i = static_cast<std::size_t>(q);
-    if (!(out_.output_spec[i] == ref_.out.output_spec[i])) return false;
-  }
-  state_.snapshot(live_, out_, scratch_);
-  // The reference's state before p: its layouts, the igrad flags it set
-  // before p and the layouts it materialized before p (its lists are in
-  // position order).
-  reference_state_.clear();
-  for (GraphNodeId q : live_) {
-    const auto i = static_cast<std::size_t>(q);
-    reference_state_.add_producer(q, ref_.out.output_spec[i],
-                                  ref_.igrad_position[i] < p);
-    for (const Materialized& m : ref_.materialized[i]) {
-      if (m.position >= p) break;
-      reference_state_.add_materialized(m.layout);
-    }
-  }
-  return state_ == reference_state_;
-}
-
-void RouteCursor::splice() {
-  const std::vector<GraphNodeId>& order = scope_->order;
-  const std::size_t p = routed_, n = order.size();
-  const Checkpoint here = checkpoints_[p];
-  const Checkpoint& there = ref_.checkpoints[p];
-  const RoutedPlan& ref = ref_.out;
-  auto append_tail = [](const auto& from, std::size_t at, auto* to) {
-    to->insert(to->end(), from.begin() + static_cast<std::ptrdiff_t>(at),
-               from.end());
-  };
-  append_tail(ref.comms, there.comms, &out_.comms);
-  append_tail(ref.edge_conversions, there.edges, &out_.edge_conversions);
-  for (std::size_t i = p; i < n; ++i) {
-    const auto id = static_cast<std::size_t>(order[i]);
-    out_.output_spec[id] = ref.output_spec[id];
-    out_.pattern_index[id] = ref.pattern_index[id];
-    choice_[i] = ref_.choice[i];
-  }
-  for (std::size_t i = p + 1; i <= n; ++i) {
-    const Checkpoint& r = ref_.checkpoints[i];
-    Checkpoint& c = checkpoints_[i];
-    c.comms = here.comms + (r.comms - there.comms);
-    c.edges = here.edges + (r.edges - there.edges);
-    c.igrad = here.igrad + (r.igrad - there.igrad);
-    c.materialized = here.materialized + (r.materialized - there.materialized);
-  }
-  // The router state the tail's steps leave: the reference's log entries
-  // past p, appended in order. The live producers' lists agree with the
-  // reference's up to p, and every other producer of the tail starts
-  // empty, so each entry is the next one of its producer's list.
-  const std::size_t num_nodes = tg_->num_nodes();
-  if (scratch_.igrad_emitted.size() < num_nodes)
-    scratch_.igrad_emitted.resize(num_nodes, 0);
-  if (scratch_.materialized.size() < num_nodes)
-    scratch_.materialized.resize(num_nodes);
-  const std::vector<GraphNodeId>& igrad_log = ref_.igrad_log;
-  for (std::size_t j = there.igrad; j < igrad_log.size(); ++j) {
-    scratch_.igrad_emitted[static_cast<std::size_t>(igrad_log[j])] = 1;
-    scratch_.igrad_touched.push_back(igrad_log[j]);
-  }
-  const std::vector<GraphNodeId>& layout_log = ref_.materialized_log;
-  for (std::size_t j = there.materialized; j < layout_log.size(); ++j) {
-    const auto q = static_cast<std::size_t>(layout_log[j]);
-    std::vector<ShardSpec>& list = scratch_.materialized[q];
-    list.push_back(ref_.materialized[q][list.size()].layout);
-    scratch_.materialized_touched.push_back(layout_log[j]);
-  }
-  spliced_comms_ = here.comms;
-  ref_comms_at_splice_ = there.comms;
-  routed_ = n;
-  out_.valid = true;
-}
-
-void RouteCursor::collect_live(std::size_t p) {
-  const auto at = static_cast<std::ptrdiff_t>(p);
-  live_.clear();
-  for (GraphNodeId q : scope_->reads) {
-    const auto i = static_cast<std::size_t>(q);
-    if (position_[i] < at && last_use_[i] >= at) live_.push_back(q);
-  }
-}
-
-void RouteCursor::advance_live(std::size_t p) {
-  const auto at = static_cast<std::ptrdiff_t>(p);
-  std::size_t kept = 0;
-  for (GraphNodeId q : live_)
-    if (last_use_[static_cast<std::size_t>(q)] > at) live_[kept++] = q;
-  live_.resize(kept);
-  const GraphNodeId id = scope_->order[p];
-  if (last_use_[static_cast<std::size_t>(id)] > at) live_.push_back(id);
-}
-
-int RouteCursor::choice_at(const ShardingPlan& plan,
-                           std::size_t position) const {
-  return plan.choice[static_cast<std::size_t>(scope_->order[position])];
-}
-
 SubgraphScope::SubgraphScope(const ir::TapGraph& tg,
                              const std::vector<ir::GraphNodeId>& members) {
   auto by_position = [&](GraphNodeId a, GraphNodeId b) {
@@ -827,21 +588,6 @@ SubgraphScope::SubgraphScope(const ir::TapGraph& tg,
     if (external && tg.topo_position(id) > best_pos) {
       best_pos = tg.topo_position(id);
       exit = id;
-    }
-  }
-}
-
-SubgraphScope::SubgraphScope(const ir::TapGraph& tg)
-    : order(tg.cached_topo_order()) {
-  reads.resize(tg.num_nodes());
-  for (std::size_t i = 0; i < reads.size(); ++i)
-    reads[i] = static_cast<GraphNodeId>(i);
-  // Every consumer is a member, so the exit is the last leaf in
-  // topological order (the members constructor's rule).
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    if (tg.consumers(*it).empty()) {
-      exit = *it;
-      break;
     }
   }
 }

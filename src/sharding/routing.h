@@ -113,10 +113,6 @@ struct RoutedPlan {
 struct SubgraphScope {
   SubgraphScope(const ir::TapGraph& tg,
                 const std::vector<ir::GraphNodeId>& members);
-  /// The whole graph in O(V): order = tg.cached_topo_order() (the visit
-  /// order of route_plan_into), reads = every node. Equal to the scope
-  /// over every node id.
-  explicit SubgraphScope(const ir::TapGraph& tg);
 
   /// Members by topological position: the router's visit order.
   std::vector<ir::GraphNodeId> order;
@@ -138,7 +134,7 @@ struct RoutingScratch {
   /// Producers whose partial input-gradient AllReduce is already emitted,
   /// indexed by GraphNodeId. `igrad_touched` logs every entry set, in
   /// order, so the next route clears them in O(touched), not O(V), and a
-  /// RouteCursor undoes a suffix of them by truncating the log.
+  /// FrontierRouter undoes its last step by truncating the log.
   std::vector<char> igrad_emitted;
   std::vector<ir::GraphNodeId> igrad_touched;
   /// Layouts already materialized per producer (AllGather dedup).
@@ -214,10 +210,6 @@ class FrontierState {
     words_.clear();
     open_ = 0;
   }
-  /// Appends producer `id`. The materialized layouts added next are its.
-  void add_producer(ir::GraphNodeId id, const ShardSpec& layout,
-                    bool igrad_emitted);
-  void add_materialized(const ShardSpec& layout);
 
   /// clear(), then the producers in `live` as `routed` and `scratch` hold
   /// them.
@@ -236,6 +228,11 @@ class FrontierState {
   }
 
  private:
+  /// Appends producer `id`. The materialized layouts added next are its.
+  void add_producer(ir::GraphNodeId id, const ShardSpec& layout,
+                    bool igrad_emitted);
+  void add_materialized(const ShardSpec& layout);
+
   /// Per producer: id, layout, igrad flag, count k, then k layouts.
   std::vector<std::int32_t> words_;
   std::size_t open_ = 0;  ///< index of the last producer's count
@@ -294,130 +291,6 @@ class FrontierRouter {
   std::size_t position_ = 0;  ///< the restored position
   std::size_t igrad_ = 0, materialized_ = 0;  ///< log lengths it left
   std::size_t steps_ = 0;
-};
-
-/// Routes a sequence of plans over one subgraph, boundary and pattern
-/// table, re-routing each from the first visited member whose choice
-/// differs from the previous route's. GlobalRefine is its user: one
-/// cursor over the whole graph routes the revert probes, each of which
-/// changes one family's choices, so the route before the first change is
-/// shared with the last one and is not repeated.
-///
-/// Per visit position the cursor keeps the choice routed there and a
-/// checkpoint: the lengths of `comms`, `edge_conversions` and the
-/// scratch's igrad and materialized logs before that member was routed.
-/// Every one of them only grows during a route, so truncating them to a
-/// checkpoint restores the state before that position exactly. A route
-/// that fails at position k leaves positions before k valid.
-///
-/// A cursor may also keep one valid route as its reference
-/// (keep_reference). A later route that has routed every position whose
-/// choice differs from the reference's stops at the first position p
-/// where its FrontierState equals the reference's there. From p on the
-/// route would repeat the reference's step for step (FrontierState). It
-/// takes the reference's tail instead — events, conversions, layouts,
-/// patterns, checkpoints and router-state log entries — and ends in the
-/// state routing the tail would have left.
-///
-/// route() defines what route_subgraph_into with the same arguments
-/// defines: valid/error, comms, edge_conversions, and output_spec and
-/// pattern_index at every member (for a valid route). Allocation-free
-/// once the capacities have grown.
-class RouteCursor {
- public:
-  /// Binds to a subgraph: O(scope reads) once the buffers are sized for
-  /// `tg`. `tg`, `scope` and `table` must outlive the routes. Drops the
-  /// reference.
-  void bind(const ir::TapGraph& tg, const SubgraphScope& scope,
-            const ShardSpec& boundary, const PatternTable& table);
-
-  /// Routes `plan`'s member choices (the rest of `plan` is not read).
-  const RoutedPlan& route(const ShardingPlan& plan);
-
-  /// Makes the last route, which must be valid, the reference later
-  /// routes splice onto. O(V + members + events).
-  void keep_reference();
-  /// The reference route (after keep_reference()).
-  const RoutedPlan& reference() const { return ref_.out; }
-  /// Moves the reference route out: the cursor keeps no reference.
-  RoutedPlan release_reference();
-
-  const RoutedPlan& routed() const { return out_; }
-  /// comms.size() at the position the last route() resumed from: the
-  /// events before it are those of the route before.
-  std::size_t resumed_comms() const { return resumed_comms_; }
-  /// Where the last route() took the reference's tail: the index in
-  /// routed().comms from which the events are the reference's events
-  /// from reference_comms_at_splice() on. comms.size() (and no events)
-  /// when it took no tail.
-  std::size_t spliced_comms() const { return spliced_comms_; }
-  std::size_t reference_comms_at_splice() const { return ref_comms_at_splice_; }
-  /// Nodes routed (Router steps taken) since bind(): what the routes
-  /// actually cost, against scope.order.size() per route from scratch.
-  /// Positions taken from the reference are not routed.
-  std::size_t steps() const { return steps_; }
-
- private:
-  struct Checkpoint {
-    std::size_t comms = 0;
-    std::size_t edges = 0;
-    std::size_t igrad = 0;
-    std::size_t materialized = 0;
-  };
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  /// A layout in a producer's materialized list, and the visit position
-  /// whose route appended it.
-  struct Materialized {
-    std::size_t position;
-    ShardSpec layout;
-  };
-  /// The reference route and what a splice check or a splice reads of
-  /// it.
-  struct Reference {
-    bool kept = false;
-    RoutedPlan out;
-    std::vector<int> choice;              ///< per visit position
-    std::vector<Checkpoint> checkpoints;  ///< per visit position, and end
-    /// The scratch logs of the route.
-    std::vector<ir::GraphNodeId> igrad_log, materialized_log;
-    /// Per node: the visit position whose route set igrad_emitted (kNone
-    /// for none), and the materialized list.
-    std::vector<std::size_t> igrad_position;
-    std::vector<std::vector<Materialized>> materialized;
-  };
-
-  /// `plan`'s choice for the member at visit position `position`.
-  int choice_at(const ShardingPlan& plan, std::size_t position) const;
-  /// True when the FrontierState before position `p` (routed_ == p), over
-  /// the producers in `live_`, equals the reference's there.
-  bool matches_reference(std::size_t p);
-  /// Takes the reference's tail from position routed_ on.
-  void splice();
-  /// live_ = the live producers before position `p`.
-  void collect_live(std::size_t p);
-  /// live_ before position `p` + 1, from live_ before `p`.
-  void advance_live(std::size_t p);
-
-  const ir::TapGraph* tg_ = nullptr;
-  const SubgraphScope* scope_ = nullptr;
-  const PatternTable* table_ = nullptr;
-  ShardSpec boundary_;
-  std::vector<int> choice_;              ///< per visit position
-  std::vector<Checkpoint> checkpoints_;  ///< per visit position, and end
-  std::size_t routed_ = 0;               ///< positions routed by the last route
-  std::size_t resumed_comms_ = 0;
-  std::size_t spliced_comms_ = 0;
-  std::size_t ref_comms_at_splice_ = 0;
-  std::size_t steps_ = 0;
-  RoutingScratch scratch_;
-  RoutedPlan out_;
-  Reference ref_;
-  /// Per node, built with the first reference after bind(): its visit
-  /// position (-1 outside the members) and the last position of a member
-  /// consumer (-1 for none).
-  std::vector<std::ptrdiff_t> position_, last_use_;
-  std::vector<ir::GraphNodeId> live_;
-  FrontierState state_, reference_state_;  ///< matches_reference's buffers
 };
 
 /// Layout a routed subgraph hands to downstream consumers: the output spec

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/graph_builder.h"
 #include "ir/lowering.h"
 #include "models/models.h"
 #include "sharding/enumerate.h"
@@ -277,6 +278,137 @@ TEST(Routing, RouteIntoReusedScratchMatchesFreshRoute) {
     EXPECT_EQ(reused.comms.size(), fresh_sub.comms.size());
     EXPECT_EQ(reused.output_spec, fresh_sub.output_spec);
   }
+}
+
+/// x -> p -> c1 -> e -> c2 -> out, where c2 also reads p (its primary
+/// input) next to e: p stays live from c1 to c2, with e in between.
+struct Diamond {
+  Graph g;
+  TapGraph tg;
+  ir::GraphNodeId p, c2;
+
+  Diamond() {
+    GraphBuilder b("diamond");
+    const NodeId x = b.placeholder("m/x", {8, 16});
+    const NodeId pp = b.matmul("m/p/proj", x, 16);
+    const NodeId c1 = b.matmul("m/c1/proj", pp, 16);
+    const NodeId e = b.matmul("m/e/proj", c1, 16);
+    const NodeId sum = b.add("m/c2/sum", pp, e);
+    const NodeId cc2 = b.matmul("m/c2/proj", sum, 16);
+    b.relu("m/out/relu", cc2);
+    g = b.take();
+    tg = ir::lower(g);
+    p = tg.find("m/p");
+    c2 = tg.find("m/c2");
+  }
+};
+
+/// What a FrontierRouter over the whole diamond reaches under `plan`:
+/// the state before c2 and the events the c2 step emits from it.
+struct BeforeC2 {
+  FrontierState state;
+  std::vector<CommEvent> c2_events;
+};
+
+BeforeC2 route_to_c2(const Diamond& d, const PatternTable& table,
+                     const ShardingPlan& plan) {
+  std::vector<ir::GraphNodeId> all;
+  for (const ir::GraphNode& n : d.tg.nodes()) all.push_back(n.id);
+  const SubgraphScope scope(d.tg, all);
+  FrontierRouter router;
+  router.bind(d.tg, scope, ShardSpec::replicate(), table);
+  BeforeC2 out;
+  FrontierState state = router.initial(), next;
+  const auto c2 = static_cast<std::size_t>(d.tg.topo_position(d.c2));
+  for (std::size_t p = 0; p <= c2; ++p) {
+    router.restore(state, p);
+    EXPECT_TRUE(router.step(
+        plan.choice[static_cast<std::size_t>(scope.order[p])], &next));
+    if (p < c2) state = next;
+  }
+  out.state = state;
+  out.c2_events.assign(router.events().begin(), router.events().end());
+  return out;
+}
+
+/// Producer `id`'s output layout in `state` (split(3) when `state` does
+/// not hold `id`).
+ShardSpec layout_in(const FrontierState& state, const Diamond& d,
+                    ir::GraphNodeId id) {
+  RoutedPlan buffers;
+  buffers.output_spec.assign(d.tg.num_nodes(), ShardSpec::split(3));
+  RoutingScratch scratch;
+  state.restore(&buffers, &scratch);
+  return buffers.output_spec[static_cast<std::size_t>(id)];
+}
+
+/// The c2 events of `why` whose producer is p.
+int count_from_p(const Diamond& d, const BeforeC2& r, CommReason why) {
+  int n = 0;
+  for (const CommEvent& ev : r.c2_events) n += ev.why == why && ev.src == d.p;
+  return n;
+}
+
+/// Checks that `ref` and `probe` reach c2 with the same live layouts (p
+/// and e) in unequal states.
+void expect_same_layouts_unequal_states(const Diamond& d,
+                                        const BeforeC2& ref,
+                                        const BeforeC2& probe) {
+  ASSERT_EQ(d.tg.node(d.c2).inputs.front(), d.p);
+  for (const char* name : {"m/p", "m/e"}) {
+    const ir::GraphNodeId id = d.tg.find(name);
+    const ShardSpec layout = layout_in(ref.state, d, id);
+    EXPECT_FALSE(layout == ShardSpec::split(3)) << name << " is not live";
+    EXPECT_TRUE(layout == layout_in(probe.state, d, id)) << name;
+  }
+  EXPECT_FALSE(ref.state == probe.state);
+}
+
+TEST(FrontierState, IgradFlagDifferenceKeepsStatesApart) {
+  // Reference: c1 split_col emits p's input-gradient AllReduce, so c2's
+  // split_col does not. Probe: c1 split_row emits none, so c2 must. Both
+  // leave p and e replicated: before c2 the live layouts agree and only
+  // p's igrad_emitted flag differs.
+  const Diamond d;
+  const PatternTable table(d.tg, 2, 1);
+  ShardingPlan ref = default_plan(d.tg, 2, 1);
+  set_pattern(d.tg, &ref, "m/p", "split_row");
+  set_pattern(d.tg, &ref, "m/c1", "split_col");
+  set_pattern(d.tg, &ref, "m/e", "split_row");
+  set_pattern(d.tg, &ref, "m/c2", "split_col");
+  ShardingPlan probe = ref;
+  set_pattern(d.tg, &probe, "m/c1", "split_row");
+
+  const BeforeC2 a = route_to_c2(d, table, ref);
+  const BeforeC2 b = route_to_c2(d, table, probe);
+  expect_same_layouts_unequal_states(d, a, b);
+  EXPECT_EQ(count_from_p(d, a, CommReason::kInputGrad), 0);
+  EXPECT_EQ(count_from_p(d, b, CommReason::kInputGrad), 1);
+}
+
+TEST(FrontierState, MaterializedLayoutDifferenceKeepsStatesApart) {
+  // Reference: p split_col hands out S(-1); c1 dp converts it to S(0)
+  // (an AllToAll; p's materialized list gets S(0)), so c2's dp reuses it.
+  // Probe: c1 split_row reads S(-1) as is, so c2 must pay the AllToAll.
+  // Neither emits an input gradient for p: before c2 the live layouts and
+  // igrad flags agree and only p's materialized list differs.
+  const Diamond d;
+  const PatternTable table(d.tg, 2, 1);
+  ShardingPlan ref = default_plan(d.tg, 2, 1);
+  set_pattern(d.tg, &ref, "m/p", "split_col");
+  set_pattern(d.tg, &ref, "m/c1", "dp");
+  set_pattern(d.tg, &ref, "m/e", "split_row");
+  set_pattern(d.tg, &ref, "m/c2", "dp");
+  ShardingPlan probe = ref;
+  set_pattern(d.tg, &probe, "m/c1", "split_row");
+
+  const BeforeC2 a = route_to_c2(d, table, ref);
+  const BeforeC2 b = route_to_c2(d, table, probe);
+  expect_same_layouts_unequal_states(d, a, b);
+  EXPECT_EQ(count_from_p(d, a, CommReason::kInputGrad), 0);
+  EXPECT_EQ(count_from_p(d, b, CommReason::kInputGrad), 0);
+  EXPECT_EQ(count_from_p(d, a, CommReason::kReshard), 0);
+  EXPECT_EQ(count_from_p(d, b, CommReason::kReshard), 1);
 }
 
 TEST(Enumerate, CountsAndExhaustion) {
