@@ -14,7 +14,10 @@
 // one member from a restored state; the rest of the family count is the
 // few candidates its winner step scores exactly. GlobalRefine routes the
 // whole graph once for the assembled plan and once per revert probe whose
-// family is not already all zeros, and adds V per route.
+// family is not already all zeros, and adds V per route. A last section
+// counts planner.refine.nodes_routed over a whole 2x8 mesh sweep of
+// T5-8/24/48L (auto_parallel_best_mesh on two V100 nodes) and prints the
+// 48L/8L ratio; it is reported, not gated.
 #include "baselines/alpa_like.h"
 #include "baselines/flexflow_like.h"
 #include "bench_common.h"
@@ -88,5 +91,27 @@ int main() {
       static_cast<double>(last_tap) / static_cast<double>(first_tap));
   std::printf("analytic rows (paper): FlexFlow O(BV+BE); Alpa O(V^2 L (V + "
               "E^2)); TAP O((E+V)/L)\n");
+
+  // GlobalRefine's full-graph routing over a whole 2x8 mesh sweep, the
+  // depth scaling that folding identical instances would flatten.
+  std::printf("\nGlobalRefine routing per 2x8 mesh sweep (v100_cluster(2)):\n");
+  core::TapOptions sweep;
+  sweep.cluster = cost::ClusterSpec::v100_cluster(2);
+  sweep.threads = 1;
+  double shallow = 0.0, deep = 0.0;
+  for (int layers : {8, 24, 48}) {
+    bench::Workload w = bench::t5_workload(layers);
+    const std::uint64_t before = refine_routed->value();
+    core::auto_parallel_best_mesh(w.tg, sweep);
+    const auto routed = static_cast<double>(refine_routed->value() - before);
+    std::printf("  T5-%dL: %.0f nodes routed\n", layers, routed);
+    report.add("sweep_2x8_t5_" + std::to_string(layers) +
+                   "l_refine_nodes_routed",
+               routed);
+    if (layers == 8) shallow = routed;
+    if (layers == 48) deep = routed;
+  }
+  std::printf("  T5-48L/T5-8L: %.2fx\n", deep / shallow);
+  report.add("sweep_2x8_refine_nodes_routed_48l_over_8l", deep / shallow);
   return 0;
 }

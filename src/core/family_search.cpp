@@ -23,7 +23,6 @@ FamilyScope::FamilyScope(const FamilySearchContext& ctx,
       window_(ctx.graph(), &family.member_nodes, ctx.options().num_shards,
               ctx.options().dp_replicas, ctx.options().cluster) {
   const ir::TapGraph& tg = ctx.graph();
-  const Graph& g = *tg.source();
   const int shards = ctx.options().num_shards;
   const std::vector<ir::GraphNodeId>& order = routing_.order;
   for (ir::GraphNodeId id : family.member_nodes) {
@@ -41,10 +40,10 @@ FamilyScope::FamilyScope(const FamilySearchContext& ctx,
     first_.push_back(bytes_.size());
     for (const sharding::ShardingPattern& pat : ctx.table().at(id)) {
       std::int64_t total = 0;
-      for (NodeId wid : n.weight_ops) {
-        std::int64_t bytes = g.node(wid).weight->size_bytes();
+      for (const ir::WeightOp& w : tg.weights(id)) {
+        std::int64_t bytes = w.bytes;
         if (pat.weight.is_split() &&
-            pat.weight.fits(g.node(wid).weight->shape, shards)) {
+            pat.weight.fits(tg.weight_shape(w), shards)) {
           bytes /= shards;
         }
         total += bytes;

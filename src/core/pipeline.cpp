@@ -20,14 +20,13 @@ PipelineResult auto_parallel_pipelined(const ir::TapGraph& tg,
   result.microbatches = pipeline.microbatches;
 
   // --- stage partition: greedy balance of per-cluster forward compute ------
-  const Graph& g = *tg.source();
   const std::vector<ir::GraphNodeId> order = tg.cached_topo_order();
   std::vector<double> weight(order.size(), 0.0);
   double total = 0.0;
   for (std::size_t i = 0; i < order.size(); ++i) {
     const auto& n = tg.node(order[i]);
     for (NodeId op : n.ops)
-      weight[i] += cost::op_time(g.node(op), g, opts.cluster);
+      weight[i] += cost::op_time(tg.op_work(op), opts.cluster);
     total += weight[i];
   }
 

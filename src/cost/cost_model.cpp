@@ -108,7 +108,6 @@ double backward_compute_window(const ir::TapGraph& tg,
                                const std::vector<ir::GraphNodeId>* members,
                                int num_shards, const ClusterSpec& cluster) {
   TAP_CHECK(routed.valid);
-  const Graph& g = *tg.source();
   double window = 0.0;
   auto add = [&](ir::GraphNodeId id) {
     const auto& n = tg.node(id);
@@ -124,8 +123,8 @@ double backward_compute_window(const ir::TapGraph& tg,
                   ? static_cast<double>(num_shards)
                   : 1.0);
     for (NodeId op : n.ops) {
-      window += op_time(g.node(op), g, cluster, shrink) *
-                backward_factor(g.node(op).kind);
+      const OpWork& work = tg.op_work(op);
+      window += op_time(work, cluster, shrink) * backward_factor(work.kind);
     }
   };
   if (members != nullptr) {
@@ -204,7 +203,6 @@ MemoryEstimate estimate_memory(const ir::TapGraph& tg,
                                const TrainingOptions& training) {
   TAP_CHECK(routed.valid);
   MemoryEstimate mem;
-  const Graph& g = *tg.source();
   for (const auto& n : tg.nodes()) {
     // Weights: the primary weight follows the pattern's layout, secondary
     // weights stay replicated.
@@ -213,18 +211,11 @@ MemoryEstimate estimate_memory(const ir::TapGraph& tg,
                                          routed.dp_replicas);
       const auto& pat = pats[static_cast<std::size_t>(
           routed.pattern_index[static_cast<std::size_t>(n.id)])];
-      const Node* primary = nullptr;
-      for (NodeId wid : n.weight_ops) {
-        const Node& w = g.node(wid);
-        if (!primary || w.weight_params() > primary->weight_params())
-          primary = &w;
-      }
-      for (NodeId wid : n.weight_ops) {
-        const Node& w = g.node(wid);
-        std::int64_t full = w.weight->size_bytes();
+      for (const ir::WeightOp& w : tg.weights(n.id)) {
+        const std::int64_t full = w.bytes;
         std::int64_t local = full;
-        if (&w == primary && pat.weight.is_split() &&
-            pat.weight.fits(w.weight->shape, num_shards)) {
+        if (w.primary && pat.weight.is_split() &&
+            pat.weight.fits(tg.weight_shape(w), num_shards)) {
           local = full / num_shards;
         }
         // AMP keeps an fp32 master copy plus the fp16 working copy

@@ -10,14 +10,14 @@ namespace tap {
 
 NodeId Graph::add_node(Node node) {
   TAP_CHECK(!node.name.empty()) << "node name must be non-empty";
-  TAP_CHECK(by_name_.find(node.name) == by_name_.end())
+  TAP_CHECK(find(node.name) == kInvalidNode)
       << "duplicate node name '" << node.name << "'";
   for (NodeId in : node.inputs) {
     TAP_CHECK(in >= 0 && in < static_cast<NodeId>(nodes_.size()))
         << "node '" << node.name << "' references unknown input " << in;
   }
   node.id = static_cast<NodeId>(nodes_.size());
-  by_name_.emplace(node.name, node.id);
+  by_name_.insert(node.name, node.id);
   consumers_.emplace_back();
   for (NodeId in : node.inputs)
     consumers_[static_cast<std::size_t>(in)].push_back(node.id);
@@ -36,8 +36,9 @@ NodeId Graph::add(std::string name, OpKind kind, std::vector<NodeId> inputs,
 }
 
 NodeId Graph::find(std::string_view name) const {
-  auto it = by_name_.find(std::string(name));
-  return it == by_name_.end() ? kInvalidNode : it->second;
+  return by_name_.find(name, [this](NodeId id) -> std::string_view {
+    return nodes_[static_cast<std::size_t>(id)].name;
+  });
 }
 
 const std::vector<NodeId>& Graph::consumers(NodeId id) const {

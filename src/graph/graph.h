@@ -7,11 +7,11 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/node.h"
 #include "util/check.h"
+#include "util/name_index.h"
 
 namespace tap {
 
@@ -80,7 +80,7 @@ class Graph {
  private:
   std::string name_;
   std::vector<Node> nodes_;
-  std::unordered_map<std::string, NodeId> by_name_;
+  util::NameIndex by_name_;  ///< names read back from nodes_
   std::vector<std::vector<NodeId>> consumers_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <functional>
 #include <sstream>
 
 #include "util/check.h"
@@ -29,27 +30,29 @@ bool same_work(const OpWork& a, const OpWork& b) {
          std::memcmp(&a.flops, &b.flops, sizeof a.flops) == 0;
 }
 
+std::uint64_t shape_hash(const TensorShape& s) {
+  std::uint64_t h = mix(0, static_cast<std::uint64_t>(s.rank()));
+  for (std::int64_t d : s.dims()) h = mix(h, static_cast<std::uint64_t>(d));
+  return h;
+}
+
 /// What sharding::patterns_for reads of a weighted node: its primary
-/// weight op and its primary input shape (nullptr for a root).
+/// weight op's kind and interned weight shape, and its primary input
+/// shape (nullptr for a root).
 struct RowKey {
-  const Node* weight_op;
+  OpKind kind;
+  std::uint32_t weight_shape;
   const TensorShape* input;
 
   bool operator==(const RowKey& o) const {
-    if (weight_op->kind != o.weight_op->kind ||
-        !(weight_op->weight->shape == o.weight_op->weight->shape))
-      return false;
+    if (kind != o.kind || weight_shape != o.weight_shape) return false;
     if (input == nullptr || o.input == nullptr) return input == o.input;
     return *input == *o.input;
   }
   std::uint64_t hash() const {
-    std::uint64_t h = mix(0, static_cast<std::uint64_t>(weight_op->kind));
-    for (std::int64_t d : weight_op->weight->shape.dims())
-      h = mix(h, static_cast<std::uint64_t>(d));
-    if (input == nullptr) return mix(h, ~0ull);
-    for (std::int64_t d : input->dims())
-      h = mix(h, static_cast<std::uint64_t>(d));
-    return mix(h, static_cast<std::uint64_t>(input->rank()));
+    const std::uint64_t h =
+        mix(mix(0, static_cast<std::uint64_t>(kind)), weight_shape);
+    return input == nullptr ? mix(h, ~0ull) : mix(h, shape_hash(*input));
   }
 };
 
@@ -102,8 +105,9 @@ GraphNodeId TapGraph::add_node(GraphNode n) {
         << "GraphNode '" << n.name << "' has unknown input " << in;
   }
   n.id = static_cast<GraphNodeId>(nodes_.size());
-  TAP_CHECK(by_name_.try_emplace(n.name, n.id).second)
+  TAP_CHECK(find(n.name) == kInvalidGraphNode)
       << "duplicate GraphNode '" << n.name << "'";
+  by_name_.insert(n.name, n.id);
   consumers_.emplace_back();
   for (GraphNodeId in : n.inputs)
     consumers_[static_cast<std::size_t>(in)].push_back(n.id);
@@ -112,63 +116,81 @@ GraphNodeId TapGraph::add_node(GraphNode n) {
   return nodes_.back().id;
 }
 
-void TapGraph::finalize() {
+void TapGraph::finalize(const Graph& source) {
+  name_ = source.name();
   topo_order_ = topo_order();
   topo_pos_.assign(nodes_.size(), -1);
   for (std::size_t i = 0; i < topo_order_.size(); ++i)
     topo_pos_[static_cast<std::size_t>(topo_order_[i])] = static_cast<int>(i);
+  const std::size_t num_ops = source.num_nodes();
   work_classes_.clear();
-  op_class_.clear();
+  op_class_.assign(num_ops, 0);
   node_op_classes_.clear();
+  node_op_classes_.reserve(num_ops);
   node_ops_.assign(1, 0);
-  if (source_ != nullptr) {
-    op_class_.resize(source_->num_nodes());
-    node_op_classes_.reserve(source_->num_nodes());
-    Interner works(source_->num_nodes(), &work_classes_, work_hash, same_work);
-    for (const GraphNode& n : nodes_) {
-      for (NodeId op : n.ops) {
-        const std::uint32_t c =
-            works.intern(tap::op_work(source_->node(op), *source_));
-        op_class_[static_cast<std::size_t>(op)] = c;
-        node_op_classes_.push_back(c);
-      }
-      node_ops_.push_back(node_op_classes_.size());
+  Interner works(num_ops, &work_classes_, work_hash, same_work);
+  std::size_t num_weights = 0;
+  for (const GraphNode& n : nodes_) {
+    for (NodeId op : n.ops) {
+      const std::uint32_t c =
+          works.intern(tap::op_work(source.node(op), source));
+      op_class_[static_cast<std::size_t>(op)] = c;
+      node_op_classes_.push_back(c);
     }
-  } else {
-    node_ops_.resize(nodes_.size() + 1, 0);
+    node_ops_.push_back(node_op_classes_.size());
+    num_weights += n.weight_ops.size();
   }
+
+  weights_.clear();
+  weights_.reserve(num_weights);
+  node_weights_.assign(1, 0);
+  weight_shapes_.clear();
+  Interner shapes(num_weights, &weight_shapes_, shape_hash,
+                  std::equal_to<TensorShape>());
   route_bytes_.assign(nodes_.size(), RouteBytes{});
   pattern_row_.assign(nodes_.size(), 0);
   row_nodes_.assign(1, kInvalidGraphNode);
-  std::vector<RowKey> row_keys{RowKey{nullptr, nullptr}};  // row 0: unweighted
+  std::vector<RowKey> row_keys{RowKey{}};  // row 0: unweighted
   Interner rows(nodes_.size(), &row_keys,
                 [](const RowKey& k) { return k.hash(); },
                 [](const RowKey& a, const RowKey& b) { return a == b; });
   for (const GraphNode& n : nodes_) {
     RouteBytes& b = route_bytes_[static_cast<std::size_t>(n.id)];
     b.output = n.output.size_bytes();
-    if (!n.has_weight()) continue;
-    TAP_CHECK(source_ != nullptr) << "weighted GraphNode without a source";
-    const Node* primary = nullptr;
+    const std::size_t first = weights_.size();
+    std::size_t primary = first;
     for (NodeId wid : n.weight_ops) {
-      const Node& w = source_->node(wid);
-      if (!primary || w.weight_params() > primary->weight_params())
-        primary = &w;
+      const Node& w = source.node(wid);
+      if (w.weight_params() >
+          source.node(n.weight_ops[primary - first]).weight_params())
+        primary = weights_.size();
+      weights_.push_back({w.weight->size_bytes(),
+                          shapes.intern(w.weight->shape), w.kind,
+                          w.trainable, false});
     }
-    for (NodeId wid : n.weight_ops) {
-      const Node& w = source_->node(wid);
+    node_weights_.push_back(weights_.size());
+    if (!n.has_weight()) continue;
+    weights_[primary].primary = true;
+    for (const WeightOp& w : weights(n.id)) {
       if (!w.trainable) continue;
-      const std::int64_t bytes = w.weight->size_bytes();
-      b.weight_grad += bytes;
-      (&w == primary ? b.primary_grad : b.secondary_grad) += bytes;
+      b.weight_grad += w.bytes;
+      (w.primary ? b.primary_grad : b.secondary_grad) += w.bytes;
     }
     const TensorShape* input =
         n.inputs.empty() ? nullptr : &node(n.inputs.front()).output.shape;
-    const std::uint32_t row = rows.intern(RowKey{primary, input});
+    const WeightOp& p = weights_[primary];
+    const std::uint32_t row = rows.intern(RowKey{p.kind, p.shape, input});
     if (row == row_nodes_.size()) row_nodes_.push_back(n.id);
     pattern_row_[static_cast<std::size_t>(n.id)] = row;
   }
   finalized_ = true;
+}
+
+const WeightOp& TapGraph::primary_weight(GraphNodeId id) const {
+  for (const WeightOp& w : weights(id))
+    if (w.primary) return w;
+  TAP_CHECK(false) << "GraphNode " << id << " has no weight";
+  return weights_.front();
 }
 
 std::size_t TapGraph::num_edges() const {
@@ -178,8 +200,9 @@ std::size_t TapGraph::num_edges() const {
 }
 
 GraphNodeId TapGraph::find(std::string_view name) const {
-  auto it = by_name_.find(std::string(name));
-  return it == by_name_.end() ? kInvalidGraphNode : it->second;
+  return by_name_.find(name, [this](GraphNodeId id) -> std::string_view {
+    return nodes_[static_cast<std::size_t>(id)].name;
+  });
 }
 
 const std::vector<GraphNodeId>& TapGraph::consumers(GraphNodeId id) const {

@@ -12,12 +12,12 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
 #include "graph/op_work.h"
 #include "util/check.h"
+#include "util/name_index.h"
 
 namespace tap::ir {
 
@@ -63,10 +63,27 @@ struct RouteBytes {
   std::int64_t primary_grad = 0;
 };
 
+/// What the planner reads of one weight op of a GraphNode, stored by
+/// TapGraph::finalize() so no reader needs the source graph.
+struct WeightOp {
+  /// weight->size_bytes().
+  std::int64_t bytes = 0;
+  /// The weight's shape, as an index into TapGraph::weight_shape (equal
+  /// shapes share one index).
+  std::uint32_t shape = 0;
+  OpKind kind = OpKind::kNoOp;
+  bool trainable = true;
+  /// The weight op with the most parameters, the first of equals: the
+  /// subject of the node's sharding pattern.
+  bool primary = false;
+};
+
+/// The TAP IR of one model. It is self-contained: finalize() copies what
+/// the planner, cost model, simulator and report read of the source ops,
+/// so the framework graph can be freed once ir::lower returns.
 class TapGraph {
  public:
   TapGraph() = default;
-  explicit TapGraph(const Graph* source) : source_(source) {}
 
   /// Capacity for `num_nodes` nodes (an optional hint before add_node).
   void reserve(std::size_t num_nodes);
@@ -77,11 +94,12 @@ class TapGraph {
   GraphNodeId add_node(GraphNode n);
 
   /// Computes the topological order and positions, the op_work of every
-  /// member op and its work class, every node's route_bytes and pattern
-  /// row, once the graph is complete (ir::lower calls it last). Every
+  /// member op and its work class, every node's weight ops, route_bytes
+  /// and pattern row, and keeps `source`'s name, once the graph is
+  /// complete (ir::lower calls it last with the graph it lowered). Every
   /// const accessor is then a plain read, so a finished graph can be
-  /// shared between threads.
-  void finalize();
+  /// shared between threads. Nothing refers to `source` afterwards.
+  void finalize(const Graph& source);
 
   const std::vector<GraphNode>& nodes() const { return nodes_; }
   const GraphNode& node(GraphNodeId id) const {
@@ -108,7 +126,7 @@ class TapGraph {
   /// op_work(source op, source graph) of a member op, as computed by
   /// finalize(): mesh-independent, so the per-mesh backward-window terms
   /// read it instead of recounting FLOPs and bytes at every mesh. The
-  /// graph must be finalized and have a source.
+  /// graph must be finalized.
   const OpWork& op_work(NodeId op) const {
     TAP_CHECK(op >= 0 && static_cast<std::size_t>(op) < op_class_.size());
     return work_classes_[op_class_[static_cast<std::size_t>(op)]];
@@ -131,6 +149,22 @@ class TapGraph {
     return work_classes_[c];
   }
 
+  /// The weight ops of node `id`, in `weight_ops` order, as computed by
+  /// finalize(); empty when unweighted.
+  std::span<const WeightOp> weights(GraphNodeId id) const {
+    TAP_CHECK(id >= 0 &&
+              static_cast<std::size_t>(id) + 1 < node_weights_.size());
+    const std::size_t i = static_cast<std::size_t>(id);
+    return {weights_.data() + node_weights_[i],
+            weights_.data() + node_weights_[i + 1]};
+  }
+  /// The primary weight op of weighted node `id`.
+  const WeightOp& primary_weight(GraphNodeId id) const;
+  const TensorShape& weight_shape(const WeightOp& w) const {
+    TAP_CHECK_LT(w.shape, weight_shapes_.size());
+    return weight_shapes_[w.shape];
+  }
+
   /// The pattern row of node `id`, as computed by finalize(): 0 for
   /// every unweighted node, else one row per distinct value of what
   /// sharding::patterns_for reads of a weighted node (its primary weight
@@ -148,7 +182,7 @@ class TapGraph {
   }
 
   /// route_bytes of node `id`, as computed by finalize(). The graph must
-  /// be finalized; weight bytes need a source.
+  /// be finalized.
   const RouteBytes& route_bytes(GraphNodeId id) const {
     TAP_CHECK(id >= 0 &&
               static_cast<std::size_t>(id) < route_bytes_.size());
@@ -158,24 +192,31 @@ class TapGraph {
   /// Clusters carrying at least one weight tensor.
   std::vector<GraphNodeId> weight_nodes() const;
 
-  /// The original framework graph this IR was lowered from (not owned).
-  const Graph* source() const { return source_; }
+  /// The name of the framework graph this IR was lowered from.
+  const std::string& name() const { return name_; }
+  /// Ops in that graph (trimmed ones included): code that takes the
+  /// source graph again, like the rewriter, checks it against this.
+  std::size_t num_source_ops() const { return op_class_.size(); }
 
   std::string to_string(std::size_t max_nodes = 50) const;
 
  private:
-  const Graph* source_ = nullptr;
+  std::string name_;
   std::vector<GraphNode> nodes_;
-  std::unordered_map<std::string, GraphNodeId> by_name_;
+  util::NameIndex by_name_;  ///< names read back from nodes_
   std::vector<std::vector<GraphNodeId>> consumers_;
   std::vector<GraphNodeId> topo_order_;  ///< set by finalize()
   std::vector<int> topo_pos_;
   // Set by finalize(). Node i's op classes are node_op_classes_ from
-  // node_ops_[i] to node_ops_[i + 1].
+  // node_ops_[i] to node_ops_[i + 1], and its weight ops weights_ from
+  // node_weights_[i] to node_weights_[i + 1].
   std::vector<OpWork> work_classes_;            ///< per work class
   std::vector<std::uint32_t> op_class_;         ///< per source NodeId
   std::vector<std::uint32_t> node_op_classes_;  ///< in node order
   std::vector<std::size_t> node_ops_;           ///< per node, and end
+  std::vector<WeightOp> weights_;               ///< in node order
+  std::vector<std::size_t> node_weights_;       ///< per node, and end
+  std::vector<TensorShape> weight_shapes_;      ///< per distinct shape
   std::vector<RouteBytes> route_bytes_;         ///< per node
   std::vector<std::uint32_t> pattern_row_;      ///< per node
   std::vector<GraphNodeId> row_nodes_;          ///< per pattern row

@@ -313,7 +313,7 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
       << "condensed cluster graph is not a DAG";
 
   // 6. Name groups and materialize GraphNodes.
-  TapGraph tg(&g);
+  TapGraph tg;
   tg.reserve(emit_order.size());
   // Group names as views: into `g`'s op names, or into merged_bases for
   // the rare group whose SCC merged several scopes.
@@ -416,7 +416,7 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
     stats->graph_nodes = tg.num_nodes();
     stats->weight_variables = weight_vars;
   }
-  tg.finalize();
+  tg.finalize(g);
   return tg;
 }
 

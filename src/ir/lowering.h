@@ -31,7 +31,8 @@ struct LoweringStats {
   std::size_t weight_variables = 0;  ///< weighted ops surviving the trim
 };
 
-/// Lowers `g` to the TAP IR. `g` must outlive the returned TapGraph.
+/// Lowers `g` to the TAP IR. The returned TapGraph keeps no reference to
+/// `g`, which may be freed as soon as this returns.
 TapGraph lower(const Graph& g, const LoweringOptions& opts = {},
                LoweringStats* stats = nullptr);
 

@@ -26,6 +26,7 @@ struct HandlerMetrics {
   obs::Counter* misrouted;
   obs::Counter* overloaded;
   obs::Counter* failover_served;
+  obs::Gauge* models_cached;
 };
 
 HandlerMetrics& metrics() {
@@ -36,6 +37,7 @@ HandlerMetrics& metrics() {
       obs::registry().counter("net.plan.misrouted"),
       obs::registry().counter("net.plan.overloaded"),
       obs::registry().counter("net.plan.failover_served"),
+      obs::registry().gauge("net.models.cached"),
   };
   return m;
 }
@@ -213,7 +215,7 @@ HttpMessage PlanHandler::handle_debug_requests(const HttpMessage& req) const {
   return make_response(200, "application/json", recorder_.to_json(n));
 }
 
-const PlanHandler::CachedModel* PlanHandler::model_for(
+const ir::TapGraph* PlanHandler::model_for(
     const service::ModelSpec& spec) {
   // Only the architecture fields shape the graph; mesh/cluster/deadline
   // variants of the same model share one build.
@@ -224,12 +226,12 @@ const PlanHandler::CachedModel* PlanHandler::model_for(
   auto it = models_.find(key);
   if (it == models_.end()) {
     TAP_SPAN("net.build_model", "net");
-    it = models_.emplace(key,
-                         std::make_unique<CachedModel>(
-                             service::build_spec_model(spec)))
+    // The Graph is a temporary: it is freed once lowered.
+    it = models_.emplace(key, ir::lower(service::build_spec_model(spec)))
              .first;
   }
-  return it->second.get();
+  metrics().models_cached->set(static_cast<double>(models_.size()));
+  return &it->second;
 }
 
 HttpMessage PlanHandler::handle_plan(const HttpMessage& req,
@@ -244,9 +246,9 @@ HttpMessage PlanHandler::handle_plan(const HttpMessage& req,
     obs::set_record_field(rec.reason, sizeof rec.reason, "bad_spec");
     return error_response(400, e.what());
   }
-  const CachedModel* model = model_for(spec);
+  const ir::TapGraph* model = model_for(spec);
   service::PlanRequest plan_req{
-      &model->tg, service::options_for_spec(spec, opts_.search_threads),
+      model, service::options_for_spec(spec, opts_.search_threads),
       spec.sweep()};
   const service::PlanKey key = svc_->key_for(plan_req);
   rec.key_digest = key.digest();
@@ -302,7 +304,7 @@ HttpMessage PlanHandler::handle_plan(const HttpMessage& req,
     }
     HttpMessage ok = make_response(
         200, "application/json",
-        service::plan_response_json(model->tg, key, result));
+        service::plan_response_json(*model, key, result));
     if (failover) ok.set_header("x-tap-served", "failover");
     return ok;
   } catch (const service::OverloadedError& e) {
@@ -326,9 +328,9 @@ HttpMessage PlanHandler::handle_explain(const HttpMessage& req,
     obs::set_record_field(rec.reason, sizeof rec.reason, "bad_spec");
     return error_response(400, e.what());
   }
-  const CachedModel* model = model_for(spec);
+  const ir::TapGraph* model = model_for(spec);
   service::PlanRequest plan_req{
-      &model->tg, service::options_for_spec(spec, opts_.search_threads),
+      model, service::options_for_spec(spec, opts_.search_threads),
       spec.sweep()};
   const service::PlanKey key = svc_->key_for(plan_req);
   rec.key_digest = key.digest();

@@ -33,8 +33,9 @@
 // JSON bytes — serving answers stay pure functions of the PlanKey.
 //
 // The handler owns a model cache: each distinct architecture is built and
-// lowered once and kept alive for the process lifetime (PlanRequest
-// borrows the graph), so repeat requests pay only the PlannerService
+// lowered once, and only its lowered TapGraph is kept for the process
+// lifetime (PlanRequest borrows it; the framework Graph is freed as soon
+// as ir::lower returns), so repeat requests pay only the PlannerService
 // cache lookup. Placement is enforced on BOTH sides: the PlanClient
 // routes to the owning shard, and the shard rejects misrouted keys with
 // 421 naming the owner — a deterministic guard, not a redirect loop.
@@ -44,12 +45,10 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 
-#include "graph/graph.h"
 #include "ir/lowering.h"
 #include "net/http.h"
 #include "net/shard_scheme.h"
@@ -93,22 +92,15 @@ class PlanHandler {
   obs::FlightRecorder& recorder() { return recorder_; }
 
  private:
-  struct CachedModel {
-    Graph graph;
-    ir::TapGraph tg;  ///< references `graph`; lowered after it settles
-
-    explicit CachedModel(Graph g)
-        : graph(std::move(g)), tg(ir::lower(graph)) {}
-  };
-
   HttpMessage handle_plan(const HttpMessage& req, obs::FlightRecord& rec);
   HttpMessage handle_explain(const HttpMessage& req,
                              obs::FlightRecord& rec);
   HttpMessage handle_healthz() const;
   HttpMessage handle_debug_requests(const HttpMessage& req) const;
-  /// Builds (once) and returns the lowered model for `spec`; keyed by the
-  /// architecture fields only (mesh/cluster do not change the graph).
-  const CachedModel* model_for(const service::ModelSpec& spec);
+  /// Builds and lowers (once) and returns the model for `spec`; keyed by
+  /// the architecture fields only (mesh/cluster do not change the graph).
+  /// Sets the net.models.cached gauge to the number of models held.
+  const ir::TapGraph* model_for(const service::ModelSpec& spec);
 
   service::PlannerService* svc_;
   PlanHandlerOptions opts_;
@@ -118,7 +110,9 @@ class PlanHandler {
       std::chrono::steady_clock::now();
   std::atomic<std::uint64_t> served_{0};
   std::mutex mu_;
-  std::map<std::string, std::unique_ptr<CachedModel>> models_;
+  /// Lowered models by architecture; map nodes never move, so requests
+  /// borrow them.
+  std::map<std::string, const ir::TapGraph> models_;
 };
 
 }  // namespace tap::net

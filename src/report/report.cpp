@@ -287,9 +287,7 @@ PlanReport build_report(const ir::TapGraph& tg,
                         const ReportOptions& ropts) {
   TAP_CHECK(result.routed.valid) << "cannot report an invalid plan";
   PlanReport r;
-  r.model = !ropts.model_name.empty()
-                ? ropts.model_name
-                : (tg.source() != nullptr ? tg.source()->name() : "model");
+  r.model = !ropts.model_name.empty() ? ropts.model_name : tg.name();
   r.dp_replicas = result.best_plan.dp_replicas;
   r.num_shards = result.best_plan.num_shards;
   r.provenance = result.provenance;

@@ -139,7 +139,7 @@ struct ReportOptions {
   /// Simulation settings for the critical-path section (`trace` is
   /// ignored: the builder records its own).
   sim::SimOptions sim;
-  std::string model_name;  ///< default: the source Graph's name
+  std::string model_name;  ///< default: TapGraph::name()
   /// Include the process-wide obs latency quantiles in to_text(). Never
   /// part of the JSON (wall clock is non-deterministic).
   bool latency_section = true;

@@ -34,7 +34,8 @@ RewriteResult rewrite_graph(const Graph& src, const ir::TapGraph& tg,
                             int num_shards, bool restore_aux) {
   TAP_CHECK(routed.valid) << "cannot rewrite an invalid plan: "
                           << routed.error;
-  TAP_CHECK(tg.source() == &src) << "TapGraph was lowered from another graph";
+  TAP_CHECK_EQ(tg.num_source_ops(), src.num_nodes())
+      << "TapGraph was lowered from another graph";
 
   RewriteResult result;
   result.parallel.set_name(src.name() + "@x" + std::to_string(num_shards));

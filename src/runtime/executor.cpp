@@ -240,7 +240,8 @@ ShardedExecutor::ShardedExecutor(const Graph& g, const ir::TapGraph& tg,
                                  int num_shards, std::uint64_t seed)
     : Executor(g, seed), tg_(tg), num_shards_(num_shards) {
   TAP_CHECK(routed.valid) << routed.error;
-  TAP_CHECK(tg.source() == &g);
+  TAP_CHECK_EQ(tg.num_source_ops(), g.num_nodes())
+      << "TapGraph was lowered from another graph";
   for (const auto& gn : tg.nodes()) {
     if (!gn.has_weight()) continue;
     auto pats =

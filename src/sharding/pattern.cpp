@@ -11,17 +11,6 @@ namespace {
 using ir::GraphNode;
 using ir::TapGraph;
 
-/// The weighted op whose weight is largest — the pattern's subject.
-const Node* primary_weight_op(const TapGraph& tg, const GraphNode& gn) {
-  const Graph& g = *tg.source();
-  const Node* best = nullptr;
-  for (NodeId id : gn.weight_ops) {
-    const Node& n = g.node(id);
-    if (!best || n.weight_params() > best->weight_params()) best = &n;
-  }
-  return best;
-}
-
 /// Primary input activation spec of the cluster (the first external
 /// producer's output). Used only for divisibility checks.
 const TensorShape* primary_input_shape(const TapGraph& tg,
@@ -64,9 +53,10 @@ ShardingPattern replicate_only_pattern() {
   return p;
 }
 
-void add_matmul2d(std::vector<ShardingPattern>* out, const Node& w,
-                  const TensorShape* in, int parts, int dp) {
-  const TensorShape& ws = w.weight->shape;  // [K, N]
+/// `ws` is the weight shape, [K, N].
+void add_matmul2d(std::vector<ShardingPattern>* out,
+                  const TensorShape& ws, const TensorShape* in, int parts,
+                  int dp) {
   if (batch_divisible(in, full_batch_parts(parts, dp)))
     out->push_back(dp_pattern());
   if (ws.divisible(0, parts)) {
@@ -90,9 +80,10 @@ void add_matmul2d(std::vector<ShardingPattern>* out, const Node& w,
   }
 }
 
-void add_expert_bank(std::vector<ShardingPattern>* out, const Node& w,
-                     const TensorShape* in, int parts, int dp) {
-  const TensorShape& ws = w.weight->shape;  // [E, K, N]
+/// `ws` is the weight shape, [E, K, N].
+void add_expert_bank(std::vector<ShardingPattern>* out,
+                     const TensorShape& ws, const TensorShape* in, int parts,
+                     int dp) {
   if (batch_divisible(in, full_batch_parts(parts, dp)))
     out->push_back(dp_pattern());
   if (ws.divisible(0, parts)) {
@@ -116,9 +107,10 @@ void add_expert_bank(std::vector<ShardingPattern>* out, const Node& w,
   }
 }
 
-void add_conv2d(std::vector<ShardingPattern>* out, const Node& w,
-                const TensorShape* in, int parts, int dp) {
-  const TensorShape& ws = w.weight->shape;  // [kh, kw, Cin, Cout]
+/// `ws` is the weight shape, [kh, kw, Cin, Cout].
+void add_conv2d(std::vector<ShardingPattern>* out,
+                const TensorShape& ws, const TensorShape* in, int parts,
+                int dp) {
   if (batch_divisible(in, full_batch_parts(parts, dp)))
     out->push_back(dp_pattern());
   if (ws.divisible(3, parts)) {
@@ -142,9 +134,10 @@ void add_conv2d(std::vector<ShardingPattern>* out, const Node& w,
   }
 }
 
-void add_embedding(std::vector<ShardingPattern>* out, const Node& w,
-                   const TensorShape* in, int parts, int dp) {
-  const TensorShape& ws = w.weight->shape;  // [V, H]
+/// `ws` is the weight shape, [V, H].
+void add_embedding(std::vector<ShardingPattern>* out,
+                   const TensorShape& ws, const TensorShape* in, int parts,
+                   int dp) {
   if (batch_divisible(in, full_batch_parts(parts, dp)))
     out->push_back(dp_pattern());
   if (ws.divisible(0, parts)) {
@@ -219,8 +212,10 @@ bool rejects_last_axis_split(OpKind kind) {
 namespace {
 
 /// patterns_for of a weighted node, from everything it reads of the node:
-/// its primary weight op `w` and its primary input shape `in`.
-std::vector<ShardingPattern> weighted_patterns(const Node& w,
+/// its primary weight op's kind and weight shape `ws`, and its primary
+/// input shape `in`.
+std::vector<ShardingPattern> weighted_patterns(OpKind kind,
+                                               const TensorShape& ws,
                                                const TensorShape* in,
                                                int num_shards,
                                                int dp_replicas) {
@@ -236,21 +231,19 @@ std::vector<ShardingPattern> weighted_patterns(const Node& w,
     return out;
   }
 
-  const bool is_expert_bank =
-      w.kind == OpKind::kMatMul && w.weight->shape.rank() == 3;
-  switch (w.kind) {
+  switch (kind) {
     case OpKind::kMatMul:
-      if (is_expert_bank) {
-        add_expert_bank(&out, w, in, num_shards, dp_replicas);
+      if (ws.rank() == 3) {  // an expert bank
+        add_expert_bank(&out, ws, in, num_shards, dp_replicas);
       } else {
-        add_matmul2d(&out, w, in, num_shards, dp_replicas);
+        add_matmul2d(&out, ws, in, num_shards, dp_replicas);
       }
       break;
     case OpKind::kConv2D:
-      add_conv2d(&out, w, in, num_shards, dp_replicas);
+      add_conv2d(&out, ws, in, num_shards, dp_replicas);
       break;
     case OpKind::kEmbedding:
-      add_embedding(&out, w, in, num_shards, dp_replicas);
+      add_embedding(&out, ws, in, num_shards, dp_replicas);
       break;
     case OpKind::kLayerNorm:
     case OpKind::kBatchNorm:
@@ -269,6 +262,17 @@ std::vector<ShardingPattern> weighted_patterns(const Node& w,
   return out;
 }
 
+/// weighted_patterns of weighted node `id`, read from its stored primary
+/// weight op.
+std::vector<ShardingPattern> node_patterns(const TapGraph& tg,
+                                           ir::GraphNodeId id, int num_shards,
+                                           int dp_replicas) {
+  const ir::WeightOp& w = tg.primary_weight(id);
+  return weighted_patterns(w.kind, tg.weight_shape(w),
+                           primary_input_shape(tg, tg.node(id)), num_shards,
+                           dp_replicas);
+}
+
 }  // namespace
 
 PatternTable::PatternTable(const ir::TapGraph& tg, int num_shards,
@@ -283,10 +287,8 @@ PatternTable::PatternTable(const ir::TapGraph& tg, int num_shards,
   rows_.reserve(tg.num_pattern_rows());
   rows_.push_back({follow_pattern()});
   for (std::uint32_t row = 1; row < tg.num_pattern_rows(); ++row) {
-    const GraphNode& gn = tg.node(tg.pattern_row_node(row));
-    rows_.push_back(weighted_patterns(*primary_weight_op(tg, gn),
-                                      primary_input_shape(tg, gn), num_shards,
-                                      dp_replicas));
+    rows_.push_back(node_patterns(tg, tg.pattern_row_node(row), num_shards,
+                                  dp_replicas));
   }
 }
 
@@ -295,13 +297,8 @@ std::vector<ShardingPattern> patterns_for(const ir::TapGraph& tg,
                                           int num_shards, int dp_replicas) {
   TAP_CHECK_GE(num_shards, 1);
   TAP_CHECK_GE(dp_replicas, 1);
-  const GraphNode& gn = tg.node(id);
-  if (!gn.has_weight()) return {follow_pattern()};
-
-  const Node* w = primary_weight_op(tg, gn);
-  TAP_CHECK(w != nullptr);
-  return weighted_patterns(*w, primary_input_shape(tg, gn), num_shards,
-                           dp_replicas);
+  if (!tg.node(id).has_weight()) return {follow_pattern()};
+  return node_patterns(tg, id, num_shards, dp_replicas);
 }
 
 }  // namespace tap::sharding

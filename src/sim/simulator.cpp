@@ -95,7 +95,6 @@ StepBreakdown simulate_step(const ir::TapGraph& tg,
                             int num_shards, const cost::ClusterSpec& cluster,
                             const SimOptions& opts) {
   TAP_CHECK(routed.valid) << "cannot simulate invalid plan: " << routed.error;
-  const Graph& g = *tg.source();
   const int D = num_shards;
 
   StepBreakdown out;
@@ -122,13 +121,12 @@ StepBreakdown simulate_step(const ir::TapGraph& tg,
                   ? static_cast<double>(D)
                   : 1.0);
     for (NodeId op : n.ops) {
-      const Node& node = g.node(op);
-      const bool fused = opts.xla_fusion && fusion::is_fusable(node.kind);
-      const double t =
-          cost::op_time(node, g, cluster, shrink, fused) / amp_speed;
+      const OpWork& work = tg.op_work(op);
+      const bool fused = opts.xla_fusion && fusion::is_fusable(work.kind);
+      const double t = cost::op_time(work, cluster, shrink, fused) / amp_speed;
       fwd_dur[static_cast<std::size_t>(n.id)] += t;
       bwd_dur[static_cast<std::size_t>(n.id)] +=
-          t * cost::backward_factor(node.kind) * recompute_factor;
+          t * cost::backward_factor(work.kind) * recompute_factor;
     }
   }
 

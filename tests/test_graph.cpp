@@ -33,6 +33,26 @@ TEST(Graph, AddAndLookup) {
   EXPECT_TRUE(g.contains("d"));
 }
 
+TEST(Graph, FindsEveryNameAcrossIndexGrowth) {
+  // The name index stores ids only and grows by rehashing; every name
+  // resolves to its id at every size, and a copy resolves the same.
+  Graph g;
+  for (int i = 0; i < 1000; ++i) {
+    g.add("block_" + std::to_string(i) + "/op", OpKind::kPlaceholder, {},
+          f32({1}));
+    ASSERT_EQ(g.find("block_" + std::to_string(i) + "/op"), i);
+  }
+  const Graph copy = g;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string name = "block_" + std::to_string(i) + "/op";
+    EXPECT_EQ(g.find(name), i);
+    EXPECT_EQ(copy.find(name), i);
+  }
+  EXPECT_EQ(g.find("block_1000/op"), kInvalidNode);
+  EXPECT_EQ(g.find("block_1/o"), kInvalidNode);
+  EXPECT_THROW(g.add("block_7/op", OpKind::kRelu, {0}, f32({1})), CheckError);
+}
+
 TEST(Graph, DuplicateNameThrows) {
   Graph g;
   g.add("x", OpKind::kPlaceholder, {}, f32({1}));

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "core/tap.h"
 #include "models/models.h"
+#include "report/report.h"
+#include "service/wire.h"
+#include "sim/simulator.h"
 #include "util/strings.h"
 
 namespace tap::ir {
@@ -179,6 +185,62 @@ TEST(TapGraph, RouteBytesMatchSourceGraph) {
   }
   EXPECT_GT(weighted, 1000);
   EXPECT_GT(with_secondary, 0);
+}
+
+/// What the serving tier answers for one spec: the plan bytes, the
+/// explain report bytes and the simulated step of the winning plan.
+struct Served {
+  std::string plan;
+  std::string report;
+  double step_s = 0.0;
+};
+
+Served serve(const TapGraph& tg, const service::ModelSpec& spec) {
+  const core::TapOptions o = service::options_for_spec(spec, 1);
+  const core::TapResult r = spec.sweep()
+                                ? core::auto_parallel_best_mesh(tg, o)
+                                : core::auto_parallel(tg, o);
+  Served s;
+  s.plan = service::plan_response_json(
+      tg, service::make_plan_key(tg, o, spec.sweep()), r);
+  s.report = report::to_json(report::build_report(tg, r, o));
+  s.step_s =
+      sim::simulate_step(tg, r.routed, r.best_plan.num_shards, o.cluster)
+          .iteration_s;
+  return s;
+}
+
+TEST(TapGraph, OutlivesItsSourceGraph) {
+  // The plan server frees each Graph once lowered: a TapGraph whose Graph
+  // is gone plans, reports and simulates exactly like one whose Graph is
+  // alive (and under ASan, any read of the freed Graph fails the test).
+  const struct {
+    const char* model;
+    int layers;
+  } zoo[] = {{"t5", 8},   {"t5", 24}, {"t5", 48},       {"bert", 24},
+             {"gpt3", 8}, {"moe", 8}, {"resnet50", 50}};
+  for (const auto& row : zoo) {
+    service::ModelSpec spec;  // 2 nodes x 8 GPUs
+    spec.model = row.model;
+    spec.layers = row.layers;
+    SCOPED_TRACE(spec.model + "/" + std::to_string(spec.layers));
+    auto g = std::make_unique<Graph>(service::build_spec_model(spec));
+    const std::string name = g->name();
+    const TapGraph orphan = lower(*g);
+    g.reset();
+    EXPECT_EQ(orphan.name(), name);
+    const Graph live_graph = service::build_spec_model(spec);
+    const TapGraph live = lower(live_graph);
+    for (const auto& [dp, tp] : {std::pair{0, 0}, std::pair{2, 8}}) {
+      spec.dp = dp;
+      spec.tp = tp;
+      const Served a = serve(orphan, spec);
+      const Served b = serve(live, spec);
+      EXPECT_EQ(a.plan, b.plan) << spec.dp << "x" << spec.tp;
+      EXPECT_EQ(a.report, b.report) << spec.dp << "x" << spec.tp;
+      EXPECT_EQ(a.step_s, b.step_s) << spec.dp << "x" << spec.tp;
+    }
+  }
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include "net/plan_client.h"
 #include "net/plan_handler.h"
 #include "net/shard_scheme.h"
+#include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "obs/trace.h"
 #include "service/planner_service.h"
@@ -664,6 +665,30 @@ TEST(PlanEndToEnd, HandlerRoutesAndErrors) {
   req.target = "/plan";
   req.body = "{\"model\":\"vgg\"}";
   EXPECT_EQ(handler.handle(req).status, 400);
+}
+
+TEST(PlanEndToEnd, ModelsCachedGaugeCountsArchitectures) {
+  // One lowered model per architecture: another mesh, or /explain, of the
+  // same model reuses it.
+  service::PlannerService svc;
+  PlanHandler handler(&svc, {});
+  const obs::Gauge* cached = obs::registry().gauge("net.models.cached");
+  HttpMessage plan;
+  plan.method = "POST";
+  plan.target = "/plan";
+  plan.body = "{\"model\":\"t5\",\"layers\":2,\"nodes\":1,\"gpus\":8,"
+              "\"mesh\":[2,4]}";
+  ASSERT_EQ(handler.handle(plan).status, 200);
+  EXPECT_EQ(cached->value(), 1.0);
+  HttpMessage explain;
+  explain.method = "GET";
+  explain.target = "/explain?model=t5&layers=2&nodes=1&gpus=8&mesh=1x8";
+  ASSERT_EQ(handler.handle(explain).status, 200);
+  EXPECT_EQ(cached->value(), 1.0);
+  plan.body = "{\"model\":\"t5\",\"layers\":3,\"nodes\":1,\"gpus\":8,"
+              "\"mesh\":[2,4]}";
+  ASSERT_EQ(handler.handle(plan).status, 200);
+  EXPECT_EQ(cached->value(), 2.0);
 }
 
 // ---------------------------------------------------------------------------
