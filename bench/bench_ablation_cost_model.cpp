@@ -33,10 +33,9 @@ int main() {
     auto routed = sharding::route_plan(w.tg, plan, &table);
     if (!routed.valid) continue;
     cost::CostOptions copts;
-    copts.overlap_window_s = cost::backward_compute_window(
-        w.tg, routed, nullptr, cluster.world(), cluster);
-    comm.push_back(
-        cost::comm_cost(routed, cluster.world(), cluster, copts).total());
+    copts.overlap_window_s =
+        cost::backward_compute_window(w.tg, routed, nullptr, cluster);
+    comm.push_back(cost::comm_cost(routed, cluster, copts).total());
     simt.push_back(
         sim::simulate_step(w.tg, routed, cluster.world(), cluster)
             .iteration_s);

@@ -24,7 +24,7 @@ int main() {
       // model fills — the same source --explain reports read.
       auto routed = sharding::route_plan(w.tg, plan);
       cost::CommLedger ledger;
-      cost::comm_cost(routed, cluster.world(), cluster, {}, &ledger);
+      cost::comm_cost(routed, cluster, {}, &ledger);
       // Show only the encoder block family to keep the figure readable.
       pruning::PruneResult block_only;
       for (const auto& f : pruned.families)
@@ -41,7 +41,7 @@ int main() {
     topts.cluster = cluster;
     auto tap = core::auto_parallel(w.tg, topts);
     cost::CommLedger ledger;
-    cost::comm_cost(tap.routed, cluster.world(), cluster, {}, &ledger);
+    cost::comm_cost(tap.routed, cluster, {}, &ledger);
     std::cout << "---- TAP discovered best (batch " << batch << ") ----\n";
     std::cout << core::visualize_plan(w.tg, tap.best_plan, tap.pruning,
                                       &ledger);

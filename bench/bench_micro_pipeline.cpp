@@ -1,21 +1,30 @@
-// Google-benchmark micro benches for the TAP pipeline stages: lowering,
-// pruning, per-candidate subgraph routing, full-graph routing, cost
-// queries, and one simulated training step. These quantify the per-stage
-// costs behind Table 2's complexity rows.
-#include <benchmark/benchmark.h>
+// Micro benches for the TAP pipeline stages: lowering, pruning,
+// per-candidate subgraph routing, full-graph routing, cost queries, one
+// simulated training step, the SPMD rewrite and a tiny autodiff pass.
+// These quantify the per-stage costs behind Table 2's complexity rows.
+//
+// Each figure is the time of one call. Calls are batched so a timed run
+// lasts about kRunMs, and the median of kRuns runs (bench::repeat_ms) is
+// printed; BenchReporter records min/median/p90 per call.
+#include <map>
 
-#include "core/tap.h"
-#include "ir/lowering.h"
-#include "models/models.h"
+#include "bench_common.h"
 #include "pruning/prune.h"
 #include "rewrite/rewrite.h"
 #include "runtime/autodiff.h"
-#include "runtime/spmd_interpreter.h"
-#include "sim/simulator.h"
 
 namespace {
 
 using namespace tap;
+
+constexpr int kRuns = 7;
+constexpr double kRunMs = 20.0;
+
+/// Keeps the compiler from discarding `v` and the work that made it.
+template <typename T>
+void keep(const T& v) {
+  asm volatile("" : : "g"(&v) : "memory");
+}
 
 const Graph& t5_graph(int layers) {
   static std::map<int, Graph> cache;
@@ -38,109 +47,129 @@ const ir::TapGraph& t5_ir(int layers) {
   return it->second;
 }
 
-void BM_Lowering(benchmark::State& state) {
-  const Graph& g = t5_graph(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ir::lower(g));
-  }
-}
-BENCHMARK(BM_Lowering)->Arg(4)->Arg(16)->Arg(48);
+class MicroBench {
+ public:
+  MicroBench()
+      : table_({"bench", "calls/run", "median", "min", "p90"}),
+        report_("micro_pipeline") {}
 
-void BM_Pruning(benchmark::State& state) {
-  const ir::TapGraph& tg = t5_ir(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pruning::prune_graph(tg));
+  /// Times one call of `fn` and records it as `name`.
+  template <typename Fn>
+  void run(const std::string& name, Fn&& fn) {
+    util::Stopwatch once;
+    keep(fn());
+    const double once_ms = std::max(once.elapsed_seconds() * 1e3, 1e-6);
+    const int calls = std::clamp(static_cast<int>(kRunMs / once_ms), 1,
+                                 1 << 20);
+    bench::RepeatStats s = bench::repeat_ms(kRuns, [&] {
+      for (int i = 0; i < calls; ++i) keep(fn());
+    });
+    s.min_ms /= calls;
+    s.median_ms /= calls;
+    s.p90_ms /= calls;
+    table_.add_row({name, std::to_string(calls), time(s.median_ms),
+                    time(s.min_ms), time(s.p90_ms)});
+    report_.add(name, s);
   }
-}
-BENCHMARK(BM_Pruning)->Arg(4)->Arg(16)->Arg(48);
 
-void BM_RouteSubgraph(benchmark::State& state) {
-  // The per-candidate evaluation: must be independent of model depth.
-  const ir::TapGraph& tg = t5_ir(static_cast<int>(state.range(0)));
-  pruning::PruneResult pr = pruning::prune_graph(tg);
-  const pruning::SubgraphFamily* block = nullptr;
-  for (const auto& f : pr.families)
-    if (f.representative.find("encoder/block_0") != std::string::npos)
-      block = &f;
-  sharding::PatternTable table(tg, 8);
-  sharding::ShardingPlan plan = sharding::default_plan(tg, 8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sharding::route_subgraph(
-        tg, plan, block->member_nodes, sharding::ShardSpec::replicate(),
-        &table));
-  }
-}
-BENCHMARK(BM_RouteSubgraph)->Arg(4)->Arg(16)->Arg(48);
+  void print() const { table_.print(std::cout); }
 
-void BM_RouteFullGraph(benchmark::State& state) {
-  const ir::TapGraph& tg = t5_ir(static_cast<int>(state.range(0)));
-  sharding::PatternTable table(tg, 8);
-  sharding::ShardingPlan plan = sharding::default_plan(tg, 8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sharding::route_plan(tg, plan, &table));
+ private:
+  static std::string time(double ms) {
+    return ms < 1.0 ? util::fmt("%.2f us", ms * 1e3)
+                    : util::fmt("%.3f ms", ms);
   }
-}
-BENCHMARK(BM_RouteFullGraph)->Arg(4)->Arg(16)->Arg(48);
 
-void BM_CommCost(benchmark::State& state) {
-  const ir::TapGraph& tg = t5_ir(8);
-  auto routed = sharding::route_plan(tg, sharding::default_plan(tg, 8));
-  cost::ClusterSpec cluster;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cost::comm_cost(routed, 8, cluster));
-  }
-}
-BENCHMARK(BM_CommCost);
-
-void BM_AutoParallel(benchmark::State& state) {
-  const ir::TapGraph& tg = t5_ir(static_cast<int>(state.range(0)));
-  core::TapOptions opts;
-  opts.num_shards = 8;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::auto_parallel(tg, opts));
-  }
-}
-BENCHMARK(BM_AutoParallel)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
-
-void BM_SimulateStep(benchmark::State& state) {
-  const ir::TapGraph& tg = t5_ir(8);
-  auto routed = sharding::route_plan(tg, sharding::default_plan(tg, 16));
-  cost::ClusterSpec cluster = cost::ClusterSpec::v100_cluster(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::simulate_step(tg, routed, 16, cluster));
-  }
-}
-BENCHMARK(BM_SimulateStep);
-
-void BM_RewriteGraph(benchmark::State& state) {
-  const Graph& g = t5_graph(8);
-  const ir::TapGraph& tg = t5_ir(8);
-  auto routed = sharding::route_plan(tg, sharding::default_plan(tg, 8));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rewrite::rewrite_graph(g, tg, routed, 8));
-  }
-}
-BENCHMARK(BM_RewriteGraph)->Unit(benchmark::kMillisecond);
-
-void BM_AutodiffTinyTransformer(benchmark::State& state) {
-  models::TransformerConfig cfg = models::t5_with_layers(1);
-  cfg.name = "bench_tiny";
-  cfg.encoder_decoder = false;
-  cfg.d_model = 32;
-  cfg.d_ff = 64;
-  cfg.num_heads = 2;
-  cfg.vocab = 64;
-  cfg.batch = 2;
-  cfg.seq_len = 16;
-  static Graph g = models::build_transformer(cfg);
-  runtime::GradientExecutor exec(g);
-  auto feeds = exec.make_feeds();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(exec.gradients(feeds));
-  }
-}
-BENCHMARK(BM_AutodiffTinyTransformer)->Unit(benchmark::kMillisecond);
+  util::Table table_;
+  bench::BenchReporter report_;
+};
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  bench::header("Pipeline-stage micro benches", "paper Table 2");
+  MicroBench mb;
+
+  for (int layers : {4, 16, 48}) {
+    const Graph& g = t5_graph(layers);
+    mb.run("lowering_t5_" + std::to_string(layers) + "l",
+           [&] { return ir::lower(g); });
+  }
+  for (int layers : {4, 16, 48}) {
+    const ir::TapGraph& tg = t5_ir(layers);
+    mb.run("pruning_t5_" + std::to_string(layers) + "l",
+           [&] { return pruning::prune_graph(tg); });
+  }
+  for (int layers : {4, 16, 48}) {
+    // The per-candidate evaluation: must be independent of model depth.
+    const ir::TapGraph& tg = t5_ir(layers);
+    pruning::PruneResult pr = pruning::prune_graph(tg);
+    const pruning::SubgraphFamily* block = nullptr;
+    for (const auto& f : pr.families)
+      if (f.representative.find("encoder/block_0") != std::string::npos)
+        block = &f;
+    const sharding::PatternTable table(tg, 8);
+    const sharding::ShardingPlan plan = sharding::default_plan(tg, 8);
+    mb.run("route_subgraph_t5_" + std::to_string(layers) + "l", [&] {
+      return sharding::route_subgraph(tg, plan, block->member_nodes,
+                                      sharding::ShardSpec::replicate(),
+                                      &table);
+    });
+  }
+  for (int layers : {4, 16, 48}) {
+    const ir::TapGraph& tg = t5_ir(layers);
+    const sharding::PatternTable table(tg, 8);
+    const sharding::ShardingPlan plan = sharding::default_plan(tg, 8);
+    mb.run("route_full_graph_t5_" + std::to_string(layers) + "l",
+           [&] { return sharding::route_plan(tg, plan, &table); });
+  }
+  {
+    const ir::TapGraph& tg = t5_ir(8);
+    const auto routed =
+        sharding::route_plan(tg, sharding::default_plan(tg, 8));
+    const cost::ClusterSpec cluster;
+    mb.run("comm_cost_t5_8l", [&] { return cost::comm_cost(routed, cluster); });
+  }
+  for (int layers : {4, 16}) {
+    const ir::TapGraph& tg = t5_ir(layers);
+    core::TapOptions opts;
+    opts.num_shards = 8;
+    mb.run("auto_parallel_t5_" + std::to_string(layers) + "l",
+           [&] { return core::auto_parallel(tg, opts); });
+  }
+  {
+    const ir::TapGraph& tg = t5_ir(8);
+    const auto routed =
+        sharding::route_plan(tg, sharding::default_plan(tg, 16));
+    const cost::ClusterSpec cluster = cost::ClusterSpec::v100_cluster(2);
+    mb.run("simulate_step_t5_8l", [&] {
+      return sim::simulate_step(tg, routed, routed.num_shards, cluster);
+    });
+  }
+  {
+    const Graph& g = t5_graph(8);
+    const ir::TapGraph& tg = t5_ir(8);
+    const auto routed =
+        sharding::route_plan(tg, sharding::default_plan(tg, 8));
+    mb.run("rewrite_graph_t5_8l",
+           [&] { return rewrite::rewrite_graph(g, tg, routed); });
+  }
+  {
+    models::TransformerConfig cfg = models::t5_with_layers(1);
+    cfg.name = "bench_tiny";
+    cfg.encoder_decoder = false;
+    cfg.d_model = 32;
+    cfg.d_ff = 64;
+    cfg.num_heads = 2;
+    cfg.vocab = 64;
+    cfg.batch = 2;
+    cfg.seq_len = 16;
+    const Graph g = models::build_transformer(cfg);
+    runtime::GradientExecutor exec(g);
+    const auto feeds = exec.make_feeds();
+    mb.run("autodiff_tiny_transformer",
+           [&] { return exec.gradients(feeds); });
+  }
+  mb.print();
+  return 0;
+}

@@ -74,7 +74,7 @@ int main() {
   runtime::Executor serial(model);
   auto feeds = serial.make_feeds();
   auto want = serial.run(feeds);
-  runtime::ShardedExecutor sharded(model, tg, r.routed, opts.num_shards);
+  runtime::ShardedExecutor sharded(model, tg, r.routed);
   auto got = sharded.run(feeds);
   float worst = 0.0f;
   for (const auto& [name, t] : want) {
@@ -86,8 +86,7 @@ int main() {
               static_cast<double>(worst), want.size());
 
   // --- and run the actual per-device SPMD program ----------------------------
-  auto rw = rewrite::rewrite_graph(model, tg, r.routed, opts.num_shards,
-                                   /*restore_aux=*/false);
+  auto rw = rewrite::rewrite_graph(model, tg, r.routed, /*restore_aux=*/false);
   runtime::SpmdInterpreter interp(rw.parallel, opts.num_shards);
   auto device_outs = interp.run(feeds);
   float spmd_loss =

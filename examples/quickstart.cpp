@@ -65,7 +65,7 @@ int main() {
 
   // 6. Rewrite into the per-device SPMD graph.
   rewrite::RewriteResult rw =
-      rewrite::rewrite_graph(model, tg, result.routed, opts.num_shards);
+      rewrite::rewrite_graph(model, tg, result.routed);
   std::printf("rewritten graph: %zu nodes (%zu collectives inserted, %zu "
               "aux restored)\n",
               rw.parallel.num_nodes(), rw.comm_nodes, rw.aux_restored);

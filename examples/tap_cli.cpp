@@ -439,12 +439,8 @@ int main(int argc, char** argv) {
       served_plan_body = resp.body;
       const util::JsonValue doc = util::JsonValue::parse(resp.body);
       result.best_plan = core::plan_from_json(tg, doc.at("plan"));
-      const std::string source = doc.at("provenance").as_string();
-      result.provenance.source = source == "anytime"
-                                     ? core::PlanSource::kAnytime
-                                 : source == "fallback"
-                                     ? core::PlanSource::kFallback
-                                     : core::PlanSource::kComplete;
+      result.provenance.source =
+          core::plan_source_from_name(doc.at("provenance").as_string());
       result.candidate_plans =
           doc.at("stats").at("candidate_plans").as_int();
       result.valid_plans = doc.at("stats").at("valid_plans").as_int();

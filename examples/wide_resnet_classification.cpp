@@ -52,8 +52,7 @@ int main() {
   auto report = [&](const char* name, const sharding::ShardingPlan& plan) {
     auto routed = sharding::route_plan(tg, plan);
     if (!routed.valid) return;
-    auto cost =
-        cost::comm_cost(routed, opts.num_shards, opts.cluster, opts.cost);
+    auto cost = cost::comm_cost(routed, opts.cluster, opts.cost);
     auto step =
         sim::simulate_step(tg, routed, opts.num_shards, opts.cluster);
     table.add_row({name, util::fmt("%.2f", cost.total() * 1e3),

@@ -103,7 +103,7 @@ bool FamilySearchContext::stage(const ShardingPlan& plan,
   ++stats->cost_queries;
   cost::CostOptions copts = opts_.cost;
   copts.overlap_window_s = scope.window().window(*steady, table_);
-  arena->batch.add_candidate(steady, plan.num_shards, copts);
+  arena->batch.add_candidate(steady, copts);
   *weight_bytes_out = scope.weight_bytes(plan);
   return true;
 }
@@ -120,8 +120,7 @@ bool FamilySearchContext::evaluate(const ShardingPlan& plan,
   ++stats->cost_queries;
   cost::CostOptions copts = opts_.cost;
   copts.overlap_window_s = scope.window().window(*steady, table_);
-  out->comm =
-      cost::comm_cost(*steady, plan.num_shards, opts_.cluster, copts).total();
+  out->comm = cost::comm_cost(*steady, opts_.cluster, copts).total();
   out->weight_bytes = scope.weight_bytes(plan);
   return true;
 }
@@ -135,9 +134,7 @@ bool FamilySearchContext::evaluate_full_graph(const ShardingPlan& plan,
                             &arena.routed);
   if (!arena.routed.valid) return false;
   ++stats->cost_queries;
-  *cost = cost::comm_cost(arena.routed, plan.num_shards, opts_.cluster,
-                          opts_.cost)
-              .total();
+  *cost = cost::comm_cost(arena.routed, opts_.cluster, opts_.cost).total();
   return true;
 }
 

@@ -10,7 +10,6 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -142,20 +141,6 @@ struct PlanContext {
   const ir::TapGraph& graph() const {
     TAP_CHECK(tg != nullptr) << "PlanContext has no graph";
     return *tg;
-  }
-
-  /// Seconds spent in the named pass (0 if it has not run).
-  double seconds_for(std::string_view pass) const {
-    for (const PassTiming& t : timings)
-      if (t.pass == pass) return t.seconds;
-    return 0.0;
-  }
-
-  /// Total wall time across all recorded passes.
-  double total_seconds() const {
-    double s = 0.0;
-    for (const PassTiming& t : timings) s += t.seconds;
-    return s;
   }
 };
 

@@ -32,8 +32,7 @@ cost::PlanCost full_graph_cost(const sharding::RoutedPlan& routed,
                                cost::CommLedger* ledger = nullptr) {
   cost::CostOptions copts = opts.cost;
   copts.overlap_window_s = terms.window(routed, table);
-  return cost::comm_cost(routed, routed.num_shards, opts.cluster, copts,
-                         ledger);
+  return cost::comm_cost(routed, opts.cluster, copts, ledger);
 }
 
 bool family_is_weighted(const ir::TapGraph& tg, const SubgraphFamily& f) {

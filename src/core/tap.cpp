@@ -21,6 +21,14 @@ const char* plan_source_name(PlanSource source) {
   return "unknown";
 }
 
+PlanSource plan_source_from_name(const std::string& name) {
+  for (PlanSource s : {PlanSource::kComplete, PlanSource::kAnytime,
+                       PlanSource::kFallback})
+    if (name == plan_source_name(s)) return s;
+  TAP_CHECK(false) << "unknown plan source '" << name << "'";
+  return PlanSource::kComplete;
+}
+
 util::CancellationToken cancellation_for(const TapOptions& opts) {
   if (opts.deadline_ms <= 0 && opts.max_checkpoints < 0) return {};
   util::CancellationSource src;
@@ -52,7 +60,7 @@ TapResult context_to_result(PlanContext&& ctx, double elapsed_seconds) {
   r.provenance.families_total = ctx.families_total;
   r.provenance.meshes_searched = 1;  // fixed mesh; the sweep overwrites
   r.provenance.meshes_total = 1;
-  r.provenance.deadline_hit = ctx.cancelled && ctx.cancel.deadline_expired();
+  r.provenance.deadline_hit = ctx.cancelled && ctx.cancel.cancelled();
   return r;
 }
 
@@ -173,7 +181,7 @@ TapResult auto_parallel_best_mesh(const ir::TapGraph& tg,
   }
   if (prov.meshes_searched < prov.meshes_total) {
     prov.source = PlanSource::kAnytime;
-    prov.deadline_hit = prov.deadline_hit || cancel.deadline_expired();
+    prov.deadline_hit = prov.deadline_hit || cancel.cancelled();
   }
   if (!have && cancel.can_cancel()) {
     // Distinguishable from a planner bug: the sweep was cancelled before

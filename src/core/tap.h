@@ -41,6 +41,10 @@ enum class PlanSource : std::uint8_t {
 /// reports, metrics and the CLI.
 const char* plan_source_name(PlanSource source);
 
+/// The source plan_source_name(source) == `name` names; throws CheckError
+/// for any other name.
+PlanSource plan_source_from_name(const std::string& name);
+
 /// Degradation record attached to every TapResult and surfaced through
 /// PlanReport JSON and tap_cli. Complete results have searched == total
 /// and no fallback_reason; only complete results are admitted to the

@@ -32,7 +32,7 @@ bool FamilyStepScorer::step(int choice, sharding::FrontierState* next,
   const std::size_t p = position_;
   *score = StepScore{};
   for (const sharding::CommEvent& e : router_.events()) {
-    const double t = comm_event_time(e, table_->num_shards(), *cluster_);
+    const double t = comm_event_time(e, *cluster_);
     (e.overlappable ? score->overlappable : score->exposed) += t;
   }
   const ir::GraphNodeId id = scope_->order[p];

@@ -7,14 +7,13 @@
 namespace tap::cost {
 
 void CommEventBatch::add_candidate(sharding::RoutedPlan* routed,
-                                  int num_shards, const CostOptions& opts) {
+                                   const CostOptions& opts) {
   TAP_CHECK(!full()) << "CommEventBatch already holds " << kCostBatchWidth
                      << " candidates";
   TAP_CHECK(routed->valid) << "cannot batch an invalid plan: "
                            << routed->error;
   Lane& lane = lane_[lanes_++];
   std::swap(lane.routed, *routed);
-  lane.num_shards = num_shards;
   lane.opts = opts;
 }
 
@@ -22,7 +21,7 @@ void comm_cost_batch(const CommEventBatch& batch, const ClusterSpec& cluster,
                      PlanCost out[kCostBatchWidth]) {
   for (int l = 0; l < batch.lanes(); ++l) {
     const CommEventBatch::Lane& lane = batch.lane(l);
-    out[l] = comm_cost(lane.routed, lane.num_shards, cluster, lane.opts);
+    out[l] = comm_cost(lane.routed, cluster, lane.opts);
   }
 }
 

@@ -21,14 +21,13 @@ namespace tap::cost {
 /// Candidates one CommEventBatch holds.
 inline constexpr int kCostBatchWidth = 8;
 
-/// Up to kCostBatchWidth routed candidates, each with the mesh size and
-/// cost options comm_cost needs. Lanes keep their buffers across reset(),
-/// so a refilled batch reuses their capacity.
+/// Up to kCostBatchWidth routed candidates, each with the cost options
+/// comm_cost needs. Lanes keep their buffers across reset(), so a
+/// refilled batch reuses their capacity.
 class CommEventBatch {
  public:
   struct Lane {
     sharding::RoutedPlan routed;
-    int num_shards = 1;
     CostOptions opts;
   };
 
@@ -42,8 +41,7 @@ class CommEventBatch {
 
   /// Swaps `*routed` into the next lane, so `*routed` receives that
   /// lane's previous buffers. Precondition: !full() and routed->valid.
-  void add_candidate(sharding::RoutedPlan* routed, int num_shards,
-                     const CostOptions& opts);
+  void add_candidate(sharding::RoutedPlan* routed, const CostOptions& opts);
 
  private:
   int lanes_ = 0;

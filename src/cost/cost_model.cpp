@@ -45,14 +45,12 @@ void CommLedger::per_node(std::size_t num_nodes,
   }
 }
 
-double comm_event_time(const CommEvent& e, int num_shards,
-                       const ClusterSpec& cluster) {
-  const int group = e.group > 0 ? e.group : num_shards;
-  return collective_time(e.kind, e.bytes, group, cluster, e.cross_node) *
+double comm_event_time(const CommEvent& e, const ClusterSpec& cluster) {
+  return collective_time(e.kind, e.bytes, e.group, cluster, e.cross_node) *
          e.count;
 }
 
-PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
+PlanCost comm_cost(const sharding::RoutedPlan& routed,
                    const ClusterSpec& cluster, const CostOptions& opts,
                    CommLedger* ledger) {
   TAP_CHECK(routed.valid) << "cannot cost an invalid plan: " << routed.error;
@@ -62,7 +60,7 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
     ledger->entries.reserve(routed.comms.size());
   }
   for (const CommEvent& e : routed.comms) {
-    const double t = comm_event_time(e, num_shards, cluster);
+    const double t = comm_event_time(e, cluster);
     cost.comm_bytes += e.bytes * e.count;
     if (e.overlappable) {
       cost.overlappable_comm_s += t;
@@ -79,7 +77,7 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
       le.overlappable = e.overlappable;
       le.cross_node = e.cross_node;
       le.count = e.count;
-      le.group = e.group > 0 ? e.group : num_shards;
+      le.group = e.group;
       le.bytes = e.bytes * e.count;
       le.seconds = t;
       // Overlappable entries get their share of the discount below.
@@ -106,21 +104,19 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
 double backward_compute_window(const ir::TapGraph& tg,
                                const sharding::RoutedPlan& routed,
                                const std::vector<ir::GraphNodeId>* members,
-                               int num_shards, const ClusterSpec& cluster) {
+                               const ClusterSpec& cluster) {
   TAP_CHECK(routed.valid);
   double window = 0.0;
   auto add = [&](ir::GraphNodeId id) {
     const auto& n = tg.node(id);
-    const std::vector<sharding::ShardingPattern> pats =
-        sharding::patterns_for(tg, id, num_shards, routed.dp_replicas);
-    const auto& pat = pats[static_cast<std::size_t>(
-        routed.pattern_index[static_cast<std::size_t>(id)])];
+    const sharding::ShardingPattern pat =
+        sharding::routed_pattern(tg, routed, id);
     const sharding::ShardSpec& ospec =
         routed.output_spec[static_cast<std::size_t>(id)];
     const double dp = static_cast<double>(std::max(1, routed.dp_replicas));
     const double shrink =
         dp * ((ospec.is_split() || pat.weight.is_split())
-                  ? static_cast<double>(num_shards)
+                  ? static_cast<double>(routed.num_shards)
                   : 1.0);
     for (NodeId op : n.ops) {
       const OpWork& work = tg.op_work(op);
@@ -199,18 +195,16 @@ double BackwardWindowTerms::term(std::size_t i, bool split) const {
 
 MemoryEstimate estimate_memory(const ir::TapGraph& tg,
                                const sharding::RoutedPlan& routed,
-                               int num_shards,
                                const TrainingOptions& training) {
   TAP_CHECK(routed.valid);
+  const int num_shards = routed.num_shards;
   MemoryEstimate mem;
   for (const auto& n : tg.nodes()) {
     // Weights: the primary weight follows the pattern's layout, secondary
     // weights stay replicated.
     if (n.has_weight()) {
-      auto pats = sharding::patterns_for(tg, n.id, num_shards,
-                                         routed.dp_replicas);
-      const auto& pat = pats[static_cast<std::size_t>(
-          routed.pattern_index[static_cast<std::size_t>(n.id)])];
+      const sharding::ShardingPattern pat =
+          sharding::routed_pattern(tg, routed, n.id);
       for (const ir::WeightOp& w : tg.weights(n.id)) {
         const std::int64_t full = w.bytes;
         std::int64_t local = full;

@@ -88,27 +88,27 @@ struct CommLedger {
                 std::vector<std::int64_t>* bytes) const;
 };
 
-/// Communication cost of a routed plan on `cluster`. The collective group
-/// is the whole device world (the plan's num_shards). When `ledger` is
-/// non-null it receives the per-collective attribution; the scalar result
-/// is unchanged (the hot search path passes nullptr and allocates
-/// nothing).
-PlanCost comm_cost(const sharding::RoutedPlan& routed, int num_shards,
+/// Communication cost of a routed plan on `cluster`. Each collective runs
+/// over its own event's group (the routed tp group, dp group or world).
+/// When `ledger` is non-null it receives the per-collective attribution;
+/// the scalar result is unchanged (the hot search path passes nullptr and
+/// allocates nothing).
+PlanCost comm_cost(const sharding::RoutedPlan& routed,
                    const ClusterSpec& cluster, const CostOptions& opts = {},
                    CommLedger* ledger = nullptr);
 
-/// Busy time of one routed collective, count included: the per-event
-/// term comm_cost sums. A group of 0 means the plan's `num_shards`.
-double comm_event_time(const sharding::CommEvent& e, int num_shards,
+/// Busy time of one routed collective over its group, count included: the
+/// per-event term comm_cost sums.
+double comm_event_time(const sharding::CommEvent& e,
                        const ClusterSpec& cluster);
 
 /// Backward-pass compute time of the clusters in `members` (nullptr = the
-/// whole graph) under the routed plan's sharding — the overlap window fed
-/// into CostOptions::overlap_window_s.
+/// whole graph) under the routed plan's sharding, at its own mesh — the
+/// overlap window fed into CostOptions::overlap_window_s.
 double backward_compute_window(const ir::TapGraph& tg,
                                const sharding::RoutedPlan& routed,
                                const std::vector<ir::GraphNodeId>* members,
-                               int num_shards, const ClusterSpec& cluster);
+                               const ClusterSpec& cluster);
 
 /// backward_compute_window as table reads. A cluster's backward time
 /// depends on the candidate only through one bit — whether it runs
@@ -129,8 +129,8 @@ class BackwardWindowTerms {
                       int num_shards, int dp_replicas,
                       const ClusterSpec& cluster);
 
-  /// == backward_compute_window(tg, routed, members, num_shards, cluster)
-  /// for the construction arguments, `table` being their mesh's. Reads
+  /// == backward_compute_window(tg, routed, members, cluster) for a
+  /// `routed` at the construction mesh, `table` being that mesh's. Reads
   /// `routed` only at the members, so a reused subgraph route
   /// (route_subgraph_into) is fine.
   double window(const sharding::RoutedPlan& routed,
@@ -189,11 +189,10 @@ struct MemoryEstimate {
   }
 };
 
-/// Estimates per-device training memory for a routed plan under the given
-/// training techniques.
+/// Estimates per-device training memory for a routed plan at its own
+/// mesh under the given training techniques.
 MemoryEstimate estimate_memory(const ir::TapGraph& tg,
                                const sharding::RoutedPlan& routed,
-                               int num_shards,
                                const TrainingOptions& training = {});
 
 }  // namespace tap::cost

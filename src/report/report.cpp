@@ -492,14 +492,6 @@ util::JsonValue diff_to_json(const PlanDiff& d) {
   return o;
 }
 
-core::PlanSource plan_source_from_name(const std::string& name) {
-  if (name == "complete") return core::PlanSource::kComplete;
-  if (name == "anytime") return core::PlanSource::kAnytime;
-  if (name == "fallback") return core::PlanSource::kFallback;
-  TAP_CHECK(false) << "unknown plan source '" << name << "'";
-  return core::PlanSource::kComplete;
-}
-
 }  // namespace
 
 std::string to_json(const PlanReport& r) {
@@ -563,7 +555,8 @@ PlanReport from_json(const std::string& json) {
   r.num_shards = static_cast<int>(mesh[1].as_int());
 
   const util::JsonValue& prov = doc.at("provenance");
-  r.provenance.source = plan_source_from_name(prov.at("source").as_string());
+  r.provenance.source =
+      core::plan_source_from_name(prov.at("source").as_string());
   r.provenance.families_searched = prov.at("families_searched").as_int();
   r.provenance.families_total = prov.at("families_total").as_int();
   r.provenance.meshes_searched = prov.at("meshes_searched").as_int();

@@ -31,12 +31,13 @@ OpKind comm_op_kind(Collective c) {
 
 RewriteResult rewrite_graph(const Graph& src, const ir::TapGraph& tg,
                             const sharding::RoutedPlan& routed,
-                            int num_shards, bool restore_aux) {
+                            bool restore_aux) {
   TAP_CHECK(routed.valid) << "cannot rewrite an invalid plan: "
                           << routed.error;
   TAP_CHECK_EQ(tg.num_source_ops(), src.num_nodes())
       << "TapGraph was lowered from another graph";
 
+  const int num_shards = routed.num_shards;
   RewriteResult result;
   result.parallel.set_name(src.name() + "@x" + std::to_string(num_shards));
 
@@ -51,10 +52,8 @@ RewriteResult rewrite_graph(const Graph& src, const ir::TapGraph& tg,
   std::vector<NodeId> primary_op(tg.num_nodes(), kInvalidNode);
   std::vector<ShardingPattern> pattern(tg.num_nodes());
   for (const auto& gn : tg.nodes()) {
-    auto pats =
-        sharding::patterns_for(tg, gn.id, num_shards, routed.dp_replicas);
-    pattern[static_cast<std::size_t>(gn.id)] = pats[static_cast<std::size_t>(
-        routed.pattern_index[static_cast<std::size_t>(gn.id)])];
+    pattern[static_cast<std::size_t>(gn.id)] =
+        sharding::routed_pattern(tg, routed, gn.id);
     if (gn.has_weight()) {
       NodeId best = gn.weight_ops.front();
       for (NodeId wid : gn.weight_ops)

@@ -37,9 +37,10 @@ struct RewriteResult {
 };
 
 /// Rewrites `src` (the graph `tg` was lowered from) according to a valid
-/// routed plan. `restore_aux` re-adds the trimmed auxiliary ops.
+/// routed plan, at the mesh it was routed for. `restore_aux` re-adds the
+/// trimmed auxiliary ops.
 RewriteResult rewrite_graph(const Graph& src, const ir::TapGraph& tg,
                             const sharding::RoutedPlan& routed,
-                            int num_shards, bool restore_aux = true);
+                            bool restore_aux = true);
 
 }  // namespace tap::rewrite

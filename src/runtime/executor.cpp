@@ -1,6 +1,7 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "runtime/kernels.h"
 #include "util/check.h"
@@ -237,23 +238,20 @@ std::unordered_map<std::string, Tensor> Executor::run(
 
 ShardedExecutor::ShardedExecutor(const Graph& g, const ir::TapGraph& tg,
                                  const sharding::RoutedPlan& routed,
-                                 int num_shards, std::uint64_t seed)
-    : Executor(g, seed), tg_(tg), num_shards_(num_shards) {
+                                 std::uint64_t seed)
+    : Executor(g, seed), num_shards_(routed.num_shards) {
   TAP_CHECK(routed.valid) << routed.error;
   TAP_CHECK_EQ(tg.num_source_ops(), g.num_nodes())
       << "TapGraph was lowered from another graph";
   for (const auto& gn : tg.nodes()) {
     if (!gn.has_weight()) continue;
-    auto pats =
-        sharding::patterns_for(tg, gn.id, num_shards, routed.dp_replicas);
-    const auto& pat = pats[static_cast<std::size_t>(
-        routed.pattern_index[static_cast<std::size_t>(gn.id)])];
+    sharding::ShardingPattern pat = sharding::routed_pattern(tg, routed, gn.id);
     // Only the primary weight op executes the sharded math.
     NodeId primary = gn.weight_ops.front();
     for (NodeId wid : gn.weight_ops)
       if (g.node(wid).weight_params() > g.node(primary).weight_params())
         primary = wid;
-    op_pattern_.emplace(primary, pat);
+    op_pattern_.emplace(primary, std::move(pat));
   }
 }
 

@@ -59,14 +59,13 @@ class Executor {
 class ShardedExecutor : public Executor {
  public:
   ShardedExecutor(const Graph& g, const ir::TapGraph& tg,
-                  const sharding::RoutedPlan& routed, int num_shards,
+                  const sharding::RoutedPlan& routed,
                   std::uint64_t seed = 42);
 
  protected:
   Tensor execute_weighted(const Node& n, const Tensor& input) const override;
 
  private:
-  const ir::TapGraph& tg_;
   int num_shards_;
   /// Pattern resolved per source op (empty name = run serially).
   std::unordered_map<NodeId, sharding::ShardingPattern> op_pattern_;

@@ -238,7 +238,9 @@ core::TapResult PlannerService::fallback_result(const PlanRequest& req,
   core::TapResult r;
   r.best_plan = std::move(plan);
   r.routed = std::move(routed);
-  r.cost = cost::comm_cost(r.routed, tp, req.opts.cluster, req.opts.cost);
+  // FinalizeCost's recipe, as for a searched plan, so /plan and /explain
+  // give a fallback the same cost.
+  r.cost = core::finalize_cost(tg, r.routed, req.opts);
   r.pruning = pruning::prune_graph(tg, req.opts.prune);
   r.provenance.source = core::PlanSource::kFallback;
   r.provenance.fallback_reason = reason;

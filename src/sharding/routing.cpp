@@ -4,6 +4,7 @@
 #include <climits>
 #include <initializer_list>
 #include <string_view>
+#include <utility>
 
 #include "util/check.h"
 #include "util/hash.h"
@@ -84,7 +85,8 @@ struct Router {
   }
 
   /// Appends a collective; returns it, or nullptr when it moves no bytes
-  /// (nothing to send, or a group of one device).
+  /// (nothing to send, or a group of one device). A `group` of 0 is the
+  /// plan's tp group; the event records the resolved size.
   CommEvent* emit(Collective kind, std::int64_t bytes, int count,
                   CommEvent::Phase phase, bool overlappable, GraphNodeId node,
                   CommReason why, GraphNodeId src = ir::kInvalidGraphNode,
@@ -598,6 +600,18 @@ ShardSpec subgraph_exit_spec(const RoutedPlan& routed,
   return routed.output_spec[static_cast<std::size_t>(scope.exit)];
 }
 
+ShardingPattern routed_pattern(const ir::TapGraph& tg,
+                               const RoutedPlan& routed, ir::GraphNodeId id) {
+  std::vector<ShardingPattern> pats =
+      patterns_for(tg, id, routed.num_shards, routed.dp_replicas);
+  const int k = routed.pattern_index[static_cast<std::size_t>(id)];
+  TAP_CHECK(k >= 0 && static_cast<std::size_t>(k) < pats.size())
+      << "pattern index " << k << " of '" << tg.node(id).name
+      << "' is outside its " << pats.size() << "-pattern catalog at tp "
+      << routed.num_shards << ", dp " << routed.dp_replicas;
+  return std::move(pats[static_cast<std::size_t>(k)]);
+}
+
 std::string comm_reason(const ir::TapGraph& tg, const RoutedPlan& routed,
                         const CommEvent& e) {
   // Appends only (no operator+ chains), as in ShardingPattern::to_string.
@@ -606,13 +620,7 @@ std::string comm_reason(const ir::TapGraph& tg, const RoutedPlan& routed,
     s += rest;
     return s;
   };
-  auto pattern = [&]() -> std::string {
-    const std::vector<ShardingPattern> pats =
-        patterns_for(tg, e.node, routed.num_shards, routed.dp_replicas);
-    return pats[static_cast<std::size_t>(
-                    routed.pattern_index[static_cast<std::size_t>(e.node)])]
-        .name;
-  };
+  auto pattern = [&] { return routed_pattern(tg, routed, e.node).name; };
   auto reshard = [&](const char* prefix) {
     std::string s = prefix;
     s += e.from_spec.to_string();

@@ -46,9 +46,10 @@ struct CommEvent {
   std::int64_t bytes = 0;
   int count = 1;
   Phase phase = Phase::kForward;
-  /// Devices participating in the collective (tp group for activation
-  /// collectives, dp group or the whole world for gradient sync). 0 means
-  /// "the plan's tp group" for backward compatibility.
+  /// Devices participating in the collective: the tp group (the plan's
+  /// num_shards) for activation collectives, the dp group or the whole
+  /// world for gradient sync. The router drops collectives over one
+  /// device, so every routed event has a group of at least 2.
   int group = 0;
   /// True for collectives over the dp dimension, which is laid out across
   /// nodes: the cost model must use inter-node bandwidth even when the
@@ -297,6 +298,12 @@ class FrontierRouter {
 /// of `scope.exit` (replicated for an empty scope).
 ShardSpec subgraph_exit_spec(const RoutedPlan& routed,
                              const SubgraphScope& scope);
+
+/// The pattern `routed` chose for GraphNode `id`, read from the catalog
+/// of the routed plan's own mesh (patterns_for(tg, id, routed.num_shards,
+/// routed.dp_replicas)). Checks that the chosen index is in that catalog.
+ShardingPattern routed_pattern(const ir::TapGraph& tg,
+                               const RoutedPlan& routed, ir::GraphNodeId id);
 
 /// The text of `e.why` ("pattern:split_col", "reshard S(0)->R",
 /// "wgrad:dp-shard:split_row", ...) for an event of `routed`. Built on

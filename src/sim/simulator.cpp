@@ -95,10 +95,11 @@ StepBreakdown simulate_step(const ir::TapGraph& tg,
                             int num_shards, const cost::ClusterSpec& cluster,
                             const SimOptions& opts) {
   TAP_CHECK(routed.valid) << "cannot simulate invalid plan: " << routed.error;
-  const int D = num_shards;
+  TAP_CHECK_EQ(num_shards, routed.num_shards)
+      << "simulate_step's mesh differs from the one the plan was routed for";
 
   StepBreakdown out;
-  out.memory = cost::estimate_memory(tg, routed, D, opts.training);
+  out.memory = cost::estimate_memory(tg, routed, opts.training);
   const double amp_speed =
       opts.training.amp ? opts.training.amp_compute_speedup : 1.0;
   const double amp_bytes = opts.training.amp ? 0.5 : 1.0;
@@ -110,15 +111,14 @@ StepBreakdown simulate_step(const ir::TapGraph& tg,
   std::vector<double> fwd_dur(tg.num_nodes(), 0.0);
   std::vector<double> bwd_dur(tg.num_nodes(), 0.0);
   for (const auto& n : tg.nodes()) {
-    auto pats = sharding::patterns_for(tg, n.id, D, routed.dp_replicas);
-    const auto& pat = pats[static_cast<std::size_t>(
-        routed.pattern_index[static_cast<std::size_t>(n.id)])];
+    const sharding::ShardingPattern pat =
+        sharding::routed_pattern(tg, routed, n.id);
     const sharding::ShardSpec& ospec =
         routed.output_spec[static_cast<std::size_t>(n.id)];
     const double dp = static_cast<double>(std::max(1, routed.dp_replicas));
     const double shrink =
         dp * ((ospec.is_split() || pat.weight.is_split())
-                  ? static_cast<double>(D)
+                  ? static_cast<double>(routed.num_shards)
                   : 1.0);
     for (NodeId op : n.ops) {
       const OpWork& work = tg.op_work(op);
@@ -146,10 +146,9 @@ StepBreakdown simulate_step(const ir::TapGraph& tg,
   std::reverse(wgrads.begin(), wgrads.end());  // backward order
 
   auto comm_time = [&](const CommEvent& e) {
-    const int group = e.group > 0 ? e.group : D;
     const auto bytes =
         static_cast<std::int64_t>(static_cast<double>(e.bytes) * amp_bytes);
-    return cost::collective_time(e.kind, bytes, group, cluster,
+    return cost::collective_time(e.kind, bytes, e.group, cluster,
                                  e.cross_node) *
            e.count;
   };
@@ -164,7 +163,7 @@ StepBreakdown simulate_step(const ir::TapGraph& tg,
     args["bytes"] = std::to_string(static_cast<std::int64_t>(
         static_cast<double>(e.bytes) * amp_bytes));
     args["collective"] = std::string(sharding::collective_name(e.kind));
-    args["group"] = std::to_string(e.group > 0 ? e.group : D);
+    args["group"] = std::to_string(e.group);
     if (e.count > 1) args["count"] = std::to_string(e.count);
     if (e.cross_node) args["cross_node"] = "1";
     return args;
@@ -280,8 +279,7 @@ StepBreakdown simulate_step(const ir::TapGraph& tg,
     int group = 1;
     bool cross = false;
     for (std::size_t gi : bucket.gradient_indices) {
-      group = std::max(group,
-                       wgrads[gi]->group > 0 ? wgrads[gi]->group : D);
+      group = std::max(group, wgrads[gi]->group);
       cross |= wgrads[gi]->cross_node;
     }
     const auto bucket_bytes = static_cast<std::int64_t>(

@@ -55,8 +55,11 @@ struct StepBreakdown {
 };
 
 /// Simulates one training iteration of `routed` (a valid plan for the
-/// graph `tg` was lowered from) on `cluster`. The collective group size is
-/// the plan's num_shards (== cluster.world() in the paper's experiments).
+/// graph `tg` was lowered from) on `cluster`, at the mesh the plan was
+/// routed for: each collective runs over its routed event's group.
+/// `num_shards` must equal `routed.num_shards` (checked); nothing else
+/// reads it. It stays only because the perfbench harness passes it, and
+/// goes with the next change to the benchmark.
 StepBreakdown simulate_step(const ir::TapGraph& tg,
                             const sharding::RoutedPlan& routed,
                             int num_shards, const cost::ClusterSpec& cluster,

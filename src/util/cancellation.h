@@ -8,9 +8,9 @@
 // stops taking on new units and returns the best result assembled so far.
 //
 // Two trip mechanisms, combinable:
-//   * wall clock — request_cancel() or an attached steady-clock Deadline.
-//     Inherently nondeterministic: which checkpoint observes the trip
-//     depends on timing.
+//   * wall clock — an attached steady-clock Deadline. Inherently
+//     nondeterministic: which checkpoint observes the trip depends on
+//     timing.
 //   * checkpoint ordinal — set_checkpoint_limit(n) cancels every
 //     checkpoint whose caller-assigned ordinal is >= n. Ordinals are
 //     stable properties of the work (family index, mesh index), NOT a
@@ -19,23 +19,24 @@
 //     thread count. This is the deterministic harness the anytime
 //     determinism tests (and reproducible bug reports) rely on.
 //
-// A default-constructed token is inert (never cancels) and costs one
-// null check per checkpoint, so the planner threads it unconditionally.
+// The source is configured (deadline, checkpoint limit) before it hands
+// out a token or any work starts, and nothing changes the shared state
+// afterwards, so tokens read it without synchronization. A
+// default-constructed token is inert (never cancels) and costs one null
+// check per checkpoint, so the planner threads it unconditionally.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
 namespace tap::util {
 
-/// Thrown by throw_if_cancelled(), and by planner entry points that were
-/// cancelled before producing ANY usable plan (the PlannerService turns
-/// it into an expert-baseline fallback).
+/// Thrown by planner entry points that were cancelled before producing
+/// ANY usable plan (the PlannerService turns it into an expert-baseline
+/// fallback).
 class CancelledError : public std::runtime_error {
  public:
   explicit CancelledError(const std::string& what)
@@ -60,14 +61,6 @@ class Deadline {
   bool expired() const {
     return set_ && std::chrono::steady_clock::now() >= at_;
   }
-  /// Milliseconds until expiry: +inf when unlimited, clamped at 0.
-  double remaining_ms() const {
-    if (!set_) return std::numeric_limits<double>::infinity();
-    const double ms = std::chrono::duration<double, std::milli>(
-                          at_ - std::chrono::steady_clock::now())
-                          .count();
-    return ms > 0.0 ? ms : 0.0;
-  }
 
  private:
   bool set_ = false;
@@ -75,12 +68,10 @@ class Deadline {
 };
 
 namespace internal {
-/// Shared by a source and its tokens. deadline / checkpoint_limit are
-/// configured on the source BEFORE work starts (publication to worker
-/// threads happens-before via the task handoff); only `flag` flips while
-/// tokens are live.
+/// Shared by a source and its tokens. Configured on the source BEFORE
+/// work starts (publication to worker threads happens-before via the
+/// task handoff) and read-only while tokens are live.
 struct CancelState {
-  std::atomic<bool> flag{false};
   Deadline deadline;
   std::int64_t checkpoint_limit = -1;  ///< < 0 = no limit
 };
@@ -93,15 +84,8 @@ class CancellationToken {
 
   bool can_cancel() const { return state_ != nullptr; }
 
-  /// Wall-clock trip: explicit request_cancel() or an expired deadline.
+  /// Wall-clock trip: the attached deadline (if any) has passed.
   bool cancelled() const {
-    return state_ != nullptr &&
-           (state_->flag.load(std::memory_order_relaxed) ||
-            state_->deadline.expired());
-  }
-
-  /// True when the attached deadline (if any) has passed.
-  bool deadline_expired() const {
     return state_ != nullptr && state_->deadline.expired();
   }
 
@@ -115,10 +99,6 @@ class CancellationToken {
       return true;
     }
     return cancelled();
-  }
-
-  void throw_if_cancelled(const char* what) const {
-    if (cancelled()) throw CancelledError(what);
   }
 
  private:
@@ -138,13 +118,6 @@ class CancellationSource {
   void set_deadline(Deadline d) { state_->deadline = d; }
   void set_checkpoint_limit(std::int64_t n) {
     state_->checkpoint_limit = n;
-  }
-
-  void request_cancel() {
-    state_->flag.store(true, std::memory_order_relaxed);
-  }
-  bool cancel_requested() const {
-    return state_->flag.load(std::memory_order_relaxed);
   }
 
   /// Tokens share ownership of the state: they outlive the source.

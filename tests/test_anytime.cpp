@@ -222,6 +222,34 @@ TEST(Anytime, DeadlineSearchFailureDegradesToFallback) {
   EXPECT_THROW(svc.plan({&tg, plain, true}), std::runtime_error);
 }
 
+TEST(Anytime, FallbackCostIsTheReportedCost) {
+  // A fallback plan is costed with FinalizeCost's recipe, so the cost a
+  // /plan response carries is the one its /explain report gives.
+  Graph g = models::build_transformer(models::t5_with_layers(1));
+  ir::TapGraph tg = ir::lower(g);
+
+  service::ServiceOptions sopts;
+  sopts.request_threads = 1;
+  sopts.search_override = [](const service::PlanRequest&) -> core::TapResult {
+    throw std::runtime_error("backend exploded");
+  };
+  service::PlannerService svc(sopts);
+
+  core::TapOptions opts = small_cluster_opts();
+  opts.deadline_ms = 5000;
+  for (bool sweep : {false, true}) {
+    SCOPED_TRACE(sweep ? "mesh sweep" : "fixed mesh");
+    const core::TapResult r = svc.plan({&tg, opts, sweep});
+    ASSERT_EQ(r.provenance.source, core::PlanSource::kFallback);
+    ASSERT_GT(r.cost.overlappable_comm_s, 0.0);
+    const report::PlanReport rep = report::build_report(tg, r, opts);
+    EXPECT_EQ(r.cost.forward_comm_s, rep.cost.forward_comm_s);
+    EXPECT_EQ(r.cost.backward_comm_s, rep.cost.backward_comm_s);
+    EXPECT_EQ(r.cost.overlappable_comm_s, rep.cost.overlappable_comm_s);
+    EXPECT_EQ(r.cost.comm_bytes, rep.cost.comm_bytes);
+  }
+}
+
 TEST(Anytime, AnytimeResultsAreNeverCached) {
   Graph g = models::build_transformer(models::t5_with_layers(1));
   ir::TapGraph tg = ir::lower(g);

@@ -78,7 +78,7 @@ TEST(CandidateStaging, WindowTermsMatchBackwardComputeWindowAcrossZoo) {
       ASSERT_TRUE(whole.valid) << whole.error;
       EXPECT_EQ(cost::BackwardWindowTerms(tg, nullptr, tp, dp, cluster)
                     .window(whole, table),
-                cost::backward_compute_window(tg, whole, nullptr, tp, cluster));
+                cost::backward_compute_window(tg, whole, nullptr, cluster));
 
       for (const pruning::SubgraphFamily& fam : pr.families) {
         if (!weighted(tg, fam)) continue;
@@ -92,8 +92,7 @@ TEST(CandidateStaging, WindowTermsMatchBackwardComputeWindowAcrossZoo) {
           if (!routed.valid) continue;
           EXPECT_EQ(terms.window(routed, table),
                     cost::backward_compute_window(tg, routed,
-                                                  &fam.member_nodes, tp,
-                                                  cluster))
+                                                  &fam.member_nodes, cluster))
               << fam.representative;
           ++checked;
         }
@@ -283,7 +282,8 @@ TEST(CandidateStaging, StagedBatchMatchesEvaluate) {
   // in a batch whose lanes held deep routes before reset().
   sharding::RoutedPlan empty;
   empty.valid = true;
-  arena.batch.add_candidate(&empty, 8, {});
+  empty.num_shards = 8;
+  arena.batch.add_candidate(&empty, {});
   EXPECT_EQ(arena.batch.lanes(), 1);
   cost::comm_cost_batch(arena.batch, cost::ClusterSpec{}, arena.results);
   EXPECT_EQ(bits(arena.results[0].forward_comm_s), bits(0.0));

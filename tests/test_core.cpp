@@ -66,8 +66,8 @@ TEST(AutoParallel, BeatsOrMatchesDataParallelCost) {
   // the backward-compute window cannot hide.
   cost::CostOptions copts = opts.cost;
   copts.overlap_window_s =
-      cost::backward_compute_window(f.tg, dp, nullptr, 16, opts.cluster);
-  double dp_cost = cost::comm_cost(dp, 16, opts.cluster, copts).total();
+      cost::backward_compute_window(f.tg, dp, nullptr, opts.cluster);
+  double dp_cost = cost::comm_cost(dp, opts.cluster, copts).total();
   EXPECT_LE(r.cost.total(), dp_cost * 1.0001);
 }
 
@@ -166,6 +166,14 @@ TEST(Fusion, RealModelSavesManyKernels) {
   Graph g = models::build_resnet(models::resnet50(1000));
   auto r = fusion::fuse_elementwise(g);
   EXPECT_GT(r.kernels_saved, 10u);
+}
+
+TEST(PlanSource, NamesParseBackAndUnknownNamesAreRefused) {
+  for (PlanSource s :
+       {PlanSource::kComplete, PlanSource::kAnytime, PlanSource::kFallback})
+    EXPECT_EQ(plan_source_from_name(plan_source_name(s)), s);
+  EXPECT_THROW(plan_source_from_name("partial"), CheckError);
+  EXPECT_THROW(plan_source_from_name(""), CheckError);
 }
 
 }  // namespace

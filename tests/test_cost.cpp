@@ -139,7 +139,7 @@ TEST(CostModel, DpCostIsAllOverlappableGradients) {
   auto routed = f.route(sharding::default_plan(f.tg, 16));
   ASSERT_TRUE(routed.valid) << routed.error;
   ClusterSpec c = ClusterSpec::v100_cluster(2);
-  PlanCost cost = comm_cost(routed, 16, c);
+  PlanCost cost = comm_cost(routed, c);
   EXPECT_EQ(cost.forward_comm_s, 0.0);
   EXPECT_GT(cost.backward_comm_s, 0.0);
   EXPECT_GT(cost.overlappable_comm_s, cost.backward_comm_s);
@@ -153,8 +153,8 @@ TEST(CostModel, ExposedFractionScalesDpCost) {
   lo.exposed_overlap_fraction = 0.1;
   CostOptions hi;
   hi.exposed_overlap_fraction = 0.9;
-  EXPECT_LT(comm_cost(routed, 16, c, lo).total(),
-            comm_cost(routed, 16, c, hi).total());
+  EXPECT_LT(comm_cost(routed, c, lo).total(),
+            comm_cost(routed, c, hi).total());
 }
 
 TEST(CostModel, MegatronHasForwardComm) {
@@ -162,11 +162,11 @@ TEST(CostModel, MegatronHasForwardComm) {
   auto routed = f.route(f.megatron(16));
   ASSERT_TRUE(routed.valid) << routed.error;
   ClusterSpec c = ClusterSpec::v100_cluster(2);
-  PlanCost cost = comm_cost(routed, 16, c);
+  PlanCost cost = comm_cost(routed, c);
   EXPECT_GT(cost.forward_comm_s, 0.0);
   // Megatron's block weight gradients are local; only the (large, still
   // replicated) embeddings/head remain, so the overlappable pool shrinks.
-  auto dp = comm_cost(f.route(sharding::default_plan(f.tg, 16)), 16, c);
+  auto dp = comm_cost(f.route(sharding::default_plan(f.tg, 16)), c);
   EXPECT_LT(cost.overlappable_comm_s, 0.7 * dp.overlappable_comm_s);
 }
 
@@ -177,7 +177,7 @@ TEST(CostModel, InvalidPlanRefused) {
   auto routed = f.route(plan);
   ASSERT_FALSE(routed.valid);
   ClusterSpec c;
-  EXPECT_THROW(comm_cost(routed, 8, c), tap::CheckError);
+  EXPECT_THROW(comm_cost(routed, c), tap::CheckError);
 }
 
 TEST(Memory, MegatronUsesLessWeightMemoryThanDp) {
@@ -185,8 +185,8 @@ TEST(Memory, MegatronUsesLessWeightMemoryThanDp) {
   auto dp = f.route(sharding::default_plan(f.tg, 8));
   auto mg = f.route(f.megatron(8));
   ASSERT_TRUE(dp.valid && mg.valid);
-  MemoryEstimate m_dp = estimate_memory(f.tg, dp, 8);
-  MemoryEstimate m_mg = estimate_memory(f.tg, mg, 8);
+  MemoryEstimate m_dp = estimate_memory(f.tg, dp);
+  MemoryEstimate m_mg = estimate_memory(f.tg, mg);
   EXPECT_LT(m_mg.weight_bytes, m_dp.weight_bytes);
   EXPECT_LT(m_mg.optimizer_bytes, m_dp.optimizer_bytes);
 }
@@ -196,8 +196,8 @@ TEST(Memory, DpShardsActivationsByBatch) {
   auto dp8 = f.route(sharding::default_plan(f.tg, 8));
   auto dp16 = f.route(sharding::default_plan(f.tg, 16));
   ASSERT_TRUE(dp8.valid && dp16.valid);
-  auto m8 = estimate_memory(f.tg, dp8, 8);
-  auto m16 = estimate_memory(f.tg, dp16, 16);
+  auto m8 = estimate_memory(f.tg, dp8);
+  auto m16 = estimate_memory(f.tg, dp16);
   EXPECT_GT(m8.activation_bytes, m16.activation_bytes);
   EXPECT_EQ(m8.weight_bytes, m16.weight_bytes);  // replicated either way
 }
@@ -205,7 +205,7 @@ TEST(Memory, DpShardsActivationsByBatch) {
 TEST(Memory, TotalsAddUp) {
   PlanFixture f(models::build_transformer(models::t5_with_layers(1)));
   auto routed = f.route(sharding::default_plan(f.tg, 8));
-  MemoryEstimate m = estimate_memory(f.tg, routed, 8);
+  MemoryEstimate m = estimate_memory(f.tg, routed);
   EXPECT_EQ(m.total(), m.weight_bytes + m.gradient_bytes +
                            m.optimizer_bytes + m.activation_bytes);
   EXPECT_GT(m.weight_bytes, 0);

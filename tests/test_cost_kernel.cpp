@@ -42,7 +42,8 @@ CommEvent random_event(util::Rng& rng) {
   e.kind = kKinds[rng.next_below(6)];
   e.bytes = static_cast<std::int64_t>(rng.next_below(1ull << 33));
   e.count = static_cast<int>(rng.next_below(4)) + 1;
-  e.group = static_cast<int>(rng.next_below(66));  // 0 = "whole world"
+  // A routed event's group is at least 2 (the router drops smaller ones).
+  e.group = 2 + static_cast<int>(rng.next_below(64));
   e.phase = rng.next_below(2) == 0 ? CommEvent::Phase::kForward
                                    : CommEvent::Phase::kBackward;
   e.cross_node = rng.next_below(2) == 0;
@@ -69,7 +70,8 @@ TEST(CostKernel, EmptyBatchAndEmptyLanesCostZero) {
   // An event-free candidate is a legal lane costing exactly zero.
   RoutedPlan empty;
   empty.valid = true;
-  batch.add_candidate(&empty, 8, {});
+  empty.num_shards = 8;
+  batch.add_candidate(&empty, {});
   EXPECT_EQ(batch.lanes(), 1);
   PlanCost out[kCostBatchWidth];
   comm_cost_batch(batch, ClusterSpec{}, out);
@@ -95,13 +97,14 @@ TEST(CostKernel, BatchReuseAcrossRoundsStaysBitIdentical) {
     for (int l = 0; l < lanes; ++l) {
       RoutedPlan rp;
       rp.valid = true;
+      rp.num_shards = 16;
       const std::size_t depth =
           depths[static_cast<std::size_t>((round + l) % 8)];
       for (std::size_t i = 0; i < depth; ++i)
         rp.comms.push_back(random_event(rng));
       plans.push_back(rp);
       opts.push_back(random_cost_options(rng));
-      batch.add_candidate(&rp, 16, opts.back());
+      batch.add_candidate(&rp, opts.back());
     }
     EXPECT_EQ(batch.lanes(), lanes);
     EXPECT_EQ(batch.full(), lanes == kCostBatchWidth);
@@ -110,8 +113,7 @@ TEST(CostKernel, BatchReuseAcrossRoundsStaysBitIdentical) {
     for (int l = 0; l < lanes; ++l) {
       const auto i = static_cast<std::size_t>(l);
       EXPECT_EQ(batch.lane(l).routed.comms.size(), plans[i].comms.size());
-      expect_cost_bits_eq(comm_cost(plans[i], 16, cluster, opts[i]), out[l],
-                          l);
+      expect_cost_bits_eq(comm_cost(plans[i], cluster, opts[i]), out[l], l);
     }
   }
 }

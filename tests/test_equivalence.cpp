@@ -73,7 +73,7 @@ struct Harness {
                          const std::string& what) {
     sharding::RoutedPlan routed = sharding::route_plan(tg, plan);
     ASSERT_TRUE(routed.valid) << what << ": " << routed.error;
-    ShardedExecutor sharded(g, tg, routed, plan.num_shards);
+    ShardedExecutor sharded(g, tg, routed);
     auto out = sharded.run(feeds);
     ASSERT_EQ(out.size(), serial_out.size());
     for (const auto& [name, tensor] : serial_out) {

@@ -35,8 +35,8 @@ cost::PlanCost full_cost(const PlanContext& ctx,
                          const sharding::RoutedPlan& routed) {
   cost::CostOptions copts = ctx.opts.cost;
   copts.overlap_window_s = cost::backward_compute_window(
-      ctx.graph(), routed, nullptr, ctx.opts.num_shards, ctx.opts.cluster);
-  return cost::comm_cost(routed, ctx.opts.num_shards, ctx.opts.cluster, copts);
+      ctx.graph(), routed, nullptr, ctx.opts.cluster);
+  return cost::comm_cost(routed, ctx.opts.cluster, copts);
 }
 
 /// The refine loop before incremental probes: every probe, no-op reverts

@@ -172,8 +172,8 @@ TEST(Mesh, MemoryScalesWithDp) {
   auto r1 = sharding::route_plan(f.tg, p1);
   auto r2 = sharding::route_plan(f.tg, p2);
   ASSERT_TRUE(r1.valid && r2.valid);
-  auto m1 = cost::estimate_memory(f.tg, r1, 8);
-  auto m2 = cost::estimate_memory(f.tg, r2, 8);
+  auto m1 = cost::estimate_memory(f.tg, r1);
+  auto m2 = cost::estimate_memory(f.tg, r2);
   EXPECT_EQ(m1.weight_bytes, m2.weight_bytes);      // dp never shards weights
   EXPECT_GT(m1.activation_bytes, m2.activation_bytes);  // batch pre-split
 }

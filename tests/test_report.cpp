@@ -38,7 +38,7 @@ Planned plan_t5(int layers, int num_shards) {
 TEST(CommLedger, ReproducesPlanCost) {
   Planned p = plan_t5(2, 8);
   cost::CommLedger ledger;
-  cost::PlanCost c = cost::comm_cost(p.result.routed, 8, p.opts.cluster,
+  cost::PlanCost c = cost::comm_cost(p.result.routed, p.opts.cluster,
                                      p.opts.cost, &ledger);
   ASSERT_FALSE(ledger.entries.empty());
   // Entry-wise attribution sums back to the scalar result.
@@ -53,7 +53,7 @@ TEST(CommLedger, ReproducesPlanCost) {
   }
   // The ledger is observational: passing one must not change the result.
   cost::PlanCost bare =
-      cost::comm_cost(p.result.routed, 8, p.opts.cluster, p.opts.cost);
+      cost::comm_cost(p.result.routed, p.opts.cluster, p.opts.cost);
   EXPECT_DOUBLE_EQ(bare.total(), c.total());
   EXPECT_DOUBLE_EQ(bare.backward_comm_s, c.backward_comm_s);
 }

@@ -35,7 +35,7 @@ TEST(Rewrite, DataParallelInsertsOnlyGradAllReduces) {
   Fixture f(models::build_transformer(models::t5_with_layers(1)));
   auto routed = f.route_named(8, "", "");
   ASSERT_TRUE(routed.valid);
-  RewriteResult r = rewrite_graph(f.g, f.tg, routed, 8);
+  RewriteResult r = rewrite_graph(f.g, f.tg, routed);
   // One AllReduce per trainable weight tensor, no forward collectives.
   std::size_t grad_comm = 0, fwd_comm = 0;
   for (const Node& n : r.parallel.nodes()) {
@@ -55,7 +55,7 @@ TEST(Rewrite, SplitRowInsertsForwardAllReduceAfterMatMul) {
   Fixture f(models::build_transformer(models::t5_with_layers(1)));
   auto routed = f.route_named(8, "t5_1l/encoder/block_0/ffn/wo", "split_row");
   ASSERT_TRUE(routed.valid) << routed.error;
-  RewriteResult r = rewrite_graph(f.g, f.tg, routed, 8);
+  RewriteResult r = rewrite_graph(f.g, f.tg, routed);
   NodeId comm =
       r.parallel.find("t5_1l/encoder/block_0/ffn/wo/proj/AllReduce");
   ASSERT_NE(comm, kInvalidNode);
@@ -76,7 +76,7 @@ TEST(Rewrite, ReshardInsertsConversionNode) {
   // split_col output S(-1) flowing into a dp consumer forces a reshard.
   auto routed = f.route_named(8, "t5_1l/encoder/block_0/ffn/wi", "split_col");
   ASSERT_TRUE(routed.valid) << routed.error;
-  RewriteResult r = rewrite_graph(f.g, f.tg, routed, 8);
+  RewriteResult r = rewrite_graph(f.g, f.tg, routed);
   bool reshard = false;
   for (const Node& n : r.parallel.nodes())
     reshard |= n.name.find("/reshard/") != std::string::npos;
@@ -87,7 +87,7 @@ TEST(Rewrite, ShardingAnnotationsPresent) {
   Fixture f(models::build_transformer(models::t5_with_layers(1)));
   auto routed = f.route_named(8, "t5_1l/encoder/block_0/mha/q", "split_col");
   ASSERT_TRUE(routed.valid);
-  RewriteResult r = rewrite_graph(f.g, f.tg, routed, 8);
+  RewriteResult r = rewrite_graph(f.g, f.tg, routed);
   NodeId q = r.parallel.find("t5_1l/encoder/block_0/mha/q/proj");
   ASSERT_NE(q, kInvalidNode);
   const Node& n = r.parallel.node(q);
@@ -100,8 +100,8 @@ TEST(Rewrite, ShardingAnnotationsPresent) {
 TEST(Rewrite, AuxRestoredAndOptional) {
   Fixture f(models::build_transformer(models::t5_with_layers(1)));
   auto routed = f.route_named(8, "", "");
-  RewriteResult with = rewrite_graph(f.g, f.tg, routed, 8, true);
-  RewriteResult without = rewrite_graph(f.g, f.tg, routed, 8, false);
+  RewriteResult with = rewrite_graph(f.g, f.tg, routed, true);
+  RewriteResult without = rewrite_graph(f.g, f.tg, routed, false);
   EXPECT_GT(with.aux_restored, 0u);
   EXPECT_EQ(without.aux_restored, 0u);
   EXPECT_TRUE(with.parallel.contains("save/checkpoint"));
@@ -112,7 +112,7 @@ TEST(Rewrite, ParallelGraphValidates) {
   Fixture f(models::build_transformer(models::t5_with_layers(2)));
   auto routed = f.route_named(8, "t5_2l/encoder/block_0/mha/o", "split_row");
   ASSERT_TRUE(routed.valid);
-  RewriteResult r = rewrite_graph(f.g, f.tg, routed, 8);
+  RewriteResult r = rewrite_graph(f.g, f.tg, routed);
   EXPECT_NO_THROW(r.parallel.validate());
   EXPECT_GT(r.parallel.num_nodes(), f.g.num_nodes());
 }
@@ -120,7 +120,7 @@ TEST(Rewrite, ParallelGraphValidates) {
 TEST(Rewrite, GradientsInBackwardOrder) {
   Fixture f(models::build_transformer(models::t5_with_layers(1)));
   auto routed = f.route_named(8, "", "");
-  RewriteResult r = rewrite_graph(f.g, f.tg, routed, 8);
+  RewriteResult r = rewrite_graph(f.g, f.tg, routed);
   ASSERT_GT(r.gradients.size(), 2u);
   // Backward order: the head projection's gradient materializes before the
   // encoder embedding's.
@@ -139,7 +139,7 @@ TEST(Rewrite, InvalidPlanRefused) {
   sharding::ShardingPlan plan = sharding::default_plan(f.tg, 8);
   plan.choice[0] = 77;
   auto routed = sharding::route_plan(f.tg, plan);
-  EXPECT_THROW(rewrite_graph(f.g, f.tg, routed, 8), CheckError);
+  EXPECT_THROW(rewrite_graph(f.g, f.tg, routed), CheckError);
 }
 
 // ---------------------------------------------------------------------------
@@ -208,7 +208,7 @@ TEST(Packing, RealModelReducesMessageCount) {
   Fixture f(models::build_transformer(models::t5_with_layers(4)));
   auto routed =
       sharding::route_plan(f.tg, sharding::default_plan(f.tg, 8));
-  RewriteResult r = rewrite_graph(f.g, f.tg, routed, 8);
+  RewriteResult r = rewrite_graph(f.g, f.tg, routed);
   PackingOptions opts;
   opts.fuse_threshold = 8ll << 20;  // fold the 4 MiB attention grads too
   opts.chunk_bytes = 32ll << 20;

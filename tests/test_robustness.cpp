@@ -133,7 +133,7 @@ TEST(Robustness, RewriteOnDegenerateSingleShard) {
   ir::TapGraph tg = ir::lower(g);
   auto routed = sharding::route_plan(tg, sharding::default_plan(tg, 1));
   ASSERT_TRUE(routed.valid);
-  auto rw = rewrite::rewrite_graph(g, tg, routed, 1);
+  auto rw = rewrite::rewrite_graph(g, tg, routed);
   // One device: no collectives at all.
   for (const Node& n : rw.parallel.nodes()) EXPECT_FALSE(is_comm(n.kind));
 }

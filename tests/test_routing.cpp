@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/tap.h"
 #include "graph/graph_builder.h"
 #include "ir/lowering.h"
 #include "models/models.h"
@@ -436,6 +437,54 @@ TEST(Enumerate, CountsAndExhaustion) {
   EXPECT_EQ(encoder_block, 729);
   // A decoder block adds cross-attention (4 more matmuls) = 3^10.
   EXPECT_EQ(decoder_block, 59049);
+}
+
+TEST(Routing, EveryZooEventHasAGroupOfTwoOrMore) {
+  // Every routed collective names its own group, the tp group resolved to
+  // the plan's num_shards; groups of one device are dropped. Costing and
+  // simulating a route read e.group with no mesh argument because of this.
+  const cost::ClusterSpec cluster = cost::ClusterSpec::v100_cluster(2);
+  std::size_t events = 0;
+  for (const models::ZooEntry& entry : models::table1_zoo()) {
+    SCOPED_TRACE(entry.model);
+    const Graph g = entry.build();
+    const TapGraph tg = ir::lower(g);
+    for (int tp : core::sweep_tps(cluster.world())) {
+      const int dp = cluster.world() / tp;
+      core::TapOptions opts;
+      opts.cluster = cluster;
+      opts.num_shards = tp;
+      opts.dp_replicas = dp;
+      opts.threads = 1;
+      const core::TapResult searched = core::auto_parallel(tg, opts);
+      const RoutedPlan fallback = route_plan(tg, default_plan(tg, tp, dp));
+      for (const RoutedPlan* routed : {&searched.routed, &fallback}) {
+        ASSERT_TRUE(routed->valid) << dp << "x" << tp << ": "
+                                   << routed->error;
+        EXPECT_EQ(routed->num_shards, tp);
+        EXPECT_EQ(routed->dp_replicas, dp);
+        for (const CommEvent& e : routed->comms) {
+          ASSERT_GE(e.group, 2) << dp << "x" << tp << " "
+                                << comm_reason(tg, *routed, e);
+          ++events;
+        }
+      }
+    }
+  }
+  EXPECT_GT(events, 0u);
+}
+
+TEST(Routing, RoutedPatternChecksTheIndexAgainstItsMesh) {
+  Fixture f = t5(1);
+  RoutedPlan routed = route_plan(f.tg, default_plan(f.tg, 8));
+  ASSERT_TRUE(routed.valid);
+  const ir::GraphNodeId id = f.tg.find("t5_1l/encoder/block_0/ffn/wi");
+  ASSERT_NE(id, ir::kInvalidGraphNode);
+  EXPECT_EQ(routed_pattern(f.tg, routed, id).name,
+            patterns_for(f.tg, id, 8, 1)[0].name);
+  routed.pattern_index[static_cast<std::size_t>(id)] =
+      static_cast<int>(patterns_for(f.tg, id, 8, 1).size());
+  EXPECT_THROW(routed_pattern(f.tg, routed, id), CheckError);
 }
 
 TEST(Plan, DescribePlanListsPatterns) {

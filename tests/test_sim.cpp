@@ -134,7 +134,7 @@ TEST(Simulator, MemoryMatchesCostEstimate) {
   Fixture f = t5(1);
   auto routed = f.dp(8);
   auto b = simulate_step(f.tg, routed, 8, cost::ClusterSpec::v100_node());
-  auto mem = cost::estimate_memory(f.tg, routed, 8);
+  auto mem = cost::estimate_memory(f.tg, routed);
   EXPECT_EQ(b.memory.total(), mem.total());
 }
 
@@ -146,6 +146,18 @@ TEST(Simulator, InvalidPlanThrows) {
   EXPECT_THROW(
       simulate_step(f.tg, routed, 8, cost::ClusterSpec::v100_node()),
       CheckError);
+}
+
+TEST(Simulator, RefusesAMeshOtherThanTheRoutes) {
+  // The route states its mesh; a caller's disagreeing mesh would read
+  // another mesh's pattern catalog, so it is refused.
+  Fixture f = t5(1);
+  const auto routed = f.dp(8);
+  ASSERT_TRUE(routed.valid);
+  const cost::ClusterSpec c = cost::ClusterSpec::v100_cluster(2);
+  EXPECT_NO_THROW(simulate_step(f.tg, routed, 8, c));
+  EXPECT_THROW(simulate_step(f.tg, routed, 16, c), CheckError);
+  EXPECT_THROW(simulate_step(f.tg, routed, 4, c), CheckError);
 }
 
 TEST(Simulator, DeeperModelTakesLonger) {

@@ -55,7 +55,7 @@ struct Harness {
   float spmd_loss(const sharding::ShardingPlan& plan, int D) {
     auto routed = sharding::route_plan(tg, plan);
     EXPECT_TRUE(routed.valid) << routed.error;
-    auto rw = rewrite::rewrite_graph(g, tg, routed, D, /*restore_aux=*/false);
+    auto rw = rewrite::rewrite_graph(g, tg, routed, /*restore_aux=*/false);
     SpmdInterpreter interp(rw.parallel, D);
     auto outs = interp.run(feeds);
     // Batch-sharded loss: each device holds an equal slice, so the global
@@ -92,7 +92,7 @@ TEST(SpmdInterpreter, ReplicatedDevicesAgree) {
   Harness h(models::build_transformer(tiny_transformer()));
   auto plan = baselines::megatron_plan(h.tg, 2);
   auto routed = sharding::route_plan(h.tg, plan);
-  auto rw = rewrite::rewrite_graph(h.g, h.tg, routed, 2, false);
+  auto rw = rewrite::rewrite_graph(h.g, h.tg, routed, false);
   SpmdInterpreter interp(rw.parallel, 2);
   auto outs = interp.run(h.feeds);
   const std::string ar = "tiny/encoder/block_0/mha/o/proj/AllReduce";
@@ -104,7 +104,7 @@ TEST(SpmdInterpreter, ShardedDevicesHoldDistinctSlices) {
   Harness h(models::build_transformer(tiny_transformer()));
   auto plan = baselines::megatron_plan(h.tg, 2);
   auto routed = sharding::route_plan(h.tg, plan);
-  auto rw = rewrite::rewrite_graph(h.g, h.tg, routed, 2, false);
+  auto rw = rewrite::rewrite_graph(h.g, h.tg, routed, false);
   SpmdInterpreter interp(rw.parallel, 2);
   auto outs = interp.run(h.feeds);
   // wi is column-split: local outputs are different halves.

@@ -31,10 +31,10 @@ struct Fixture {
 
 TEST(TrainingOptions, AmpShrinksActivationsAndGradsKeepsMasterWeights) {
   Fixture f;
-  auto base = cost::estimate_memory(f.tg, f.routed, 8);
+  auto base = cost::estimate_memory(f.tg, f.routed);
   cost::TrainingOptions amp;
   amp.amp = true;
-  auto m = cost::estimate_memory(f.tg, f.routed, 8, amp);
+  auto m = cost::estimate_memory(f.tg, f.routed, amp);
   EXPECT_EQ(m.activation_bytes, base.activation_bytes / 2);
   EXPECT_EQ(m.gradient_bytes, base.gradient_bytes / 2);
   // fp32 master + fp16 working copy = 1.5x weight bytes.
@@ -68,8 +68,8 @@ TEST(TrainingOptions, Zero1ShardsOptimizerAcrossDp) {
   Fixture f;
   cost::TrainingOptions z;
   z.zero1 = true;
-  auto base = cost::estimate_memory(f.tg, f.routed, 8);
-  auto m = cost::estimate_memory(f.tg, f.routed, 8, z);
+  auto base = cost::estimate_memory(f.tg, f.routed);
+  auto m = cost::estimate_memory(f.tg, f.routed, z);
   EXPECT_EQ(m.optimizer_bytes, base.optimizer_bytes / 2);  // dp = 2
   // ...but adds a weight re-gather to the step.
   auto b0 = f.run({});
@@ -83,8 +83,8 @@ TEST(TrainingOptions, Zero1NoopWithoutDpReplicas) {
   auto routed = sharding::route_plan(tg, sharding::default_plan(tg, 8));
   cost::TrainingOptions z;
   z.zero1 = true;
-  auto base = cost::estimate_memory(tg, routed, 8);
-  auto m = cost::estimate_memory(tg, routed, 8, z);
+  auto base = cost::estimate_memory(tg, routed);
+  auto m = cost::estimate_memory(tg, routed, z);
   EXPECT_EQ(m.optimizer_bytes, base.optimizer_bytes);
 }
 

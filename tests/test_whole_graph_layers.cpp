@@ -213,7 +213,7 @@ TEST(WholeGraphLayers, StoredOpWorkTermsEqualBackwardComputeWindow) {
         if (!routed.valid) continue;
         const double got = whole.window(routed, table);
         const double want =
-            cost::backward_compute_window(tg, routed, nullptr, tp, cluster);
+            cost::backward_compute_window(tg, routed, nullptr, cluster);
         EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
             << got << " vs " << want;
         for (const pruning::SubgraphFamily& f : pr.families) {
@@ -221,7 +221,7 @@ TEST(WholeGraphLayers, StoredOpWorkTermsEqualBackwardComputeWindow) {
                                                        dp, cluster)
                                  .window(routed, table);
           const double fam_want = cost::backward_compute_window(
-              tg, routed, &f.member_nodes, tp, cluster);
+              tg, routed, &f.member_nodes, cluster);
           EXPECT_EQ(std::memcmp(&fam, &fam_want, sizeof fam), 0);
         }
         ++checked;
