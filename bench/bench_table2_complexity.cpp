@@ -15,9 +15,10 @@
 // few candidates its winner step scores exactly. GlobalRefine routes the
 // whole graph once for the assembled plan and once per revert probe whose
 // family is not already all zeros, and adds V per route. A last section
-// counts planner.refine.nodes_routed over a whole 2x8 mesh sweep of
-// T5-8/24/48L (auto_parallel_best_mesh on two V100 nodes) and prints the
-// 48L/8L ratio; it is reported, not gated.
+// counts planner.refine.nodes_routed and planner.family.dp_steps over a
+// whole 2x8 mesh sweep of T5-8/24/48L (auto_parallel_best_mesh on two
+// V100 nodes) and prints the refine 48L/8L ratio; it is reported, not
+// gated.
 #include "baselines/alpa_like.h"
 #include "baselines/flexflow_like.h"
 #include "bench_common.h"
@@ -94,7 +95,7 @@ int main() {
 
   // GlobalRefine's full-graph routing over a whole 2x8 mesh sweep, the
   // depth scaling that folding identical instances would flatten.
-  std::printf("\nGlobalRefine routing per 2x8 mesh sweep (v100_cluster(2)):\n");
+  std::printf("\nGlobalRefine routing and DP steps per 2x8 mesh sweep:\n");
   core::TapOptions sweep;
   sweep.cluster = cost::ClusterSpec::v100_cluster(2);
   sweep.threads = 1;
@@ -102,12 +103,15 @@ int main() {
   for (int layers : {8, 24, 48}) {
     bench::Workload w = bench::t5_workload(layers);
     const std::uint64_t before = refine_routed->value();
+    const std::uint64_t steps_before = dp_steps->value();
     core::auto_parallel_best_mesh(w.tg, sweep);
     const auto routed = static_cast<double>(refine_routed->value() - before);
-    std::printf("  T5-%dL: %.0f nodes routed\n", layers, routed);
-    report.add("sweep_2x8_t5_" + std::to_string(layers) +
-                   "l_refine_nodes_routed",
-               routed);
+    const auto steps = static_cast<double>(dp_steps->value() - steps_before);
+    std::printf("  T5-%dL: %.0f refine routed, %.0f DP steps\n", layers,
+                routed, steps);
+    const std::string key = "sweep_2x8_t5_" + std::to_string(layers) + "l_";
+    report.add(key + "refine_nodes_routed", routed);
+    report.add(key + "dp_steps", steps);
     if (layers == 8) shallow = routed;
     if (layers == 48) deep = routed;
   }

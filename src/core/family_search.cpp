@@ -258,7 +258,7 @@ class IndexTable {
   std::uint32_t stamp_ = 1;
 };
 
-/// What one lane's step from a state with one choice leads to.
+/// What a step from a state with one choice leads to.
 struct Transition {
   static constexpr std::int32_t kUnrouted = -2;
   static constexpr std::int32_t kFailed = -1;
@@ -267,7 +267,7 @@ struct Transition {
   cost::StepScore score;
 };
 
-/// The positions' shape, shared by the lanes and the DPs of one family.
+/// The positions' shape, shared by the lane and the DPs of one family.
 struct Shape {
   std::size_t n = 0;                 ///< positions
   std::size_t exit = 0;              ///< the exit member's position
@@ -277,7 +277,8 @@ struct Shape {
   std::vector<std::int64_t> weight;  ///< weight bytes per (position, choice)
 };
 
-/// One lane's interned frontier states and memoized transitions.
+/// A family's interned frontier states and memoized transitions: one
+/// lane for the probe and every exit layout's steady state.
 struct Lane {
   cost::FamilyStepScorer scorer;
   std::vector<sharding::FrontierState> states;  ///< first `size` in use
@@ -287,18 +288,21 @@ struct Lane {
   std::vector<Transition> transitions;
   IndexTable index;
 
-  void bind(const FamilySearchContext& ctx, const FamilyScope& scope,
-            const sharding::ShardSpec& boundary, const Shape& shape) {
+  void bind(const FamilySearchContext& ctx, const FamilyScope& scope) {
     scorer.bind(ctx.graph(), ctx.table(), scope.routing(), scope.window(),
-                scope.positions(), ctx.options().cluster, boundary);
+                scope.positions(), ctx.options().cluster);
     size = 0;
     position.clear();
     first.clear();
     transitions.clear();
     index.clear();
-    if (states.empty()) states.emplace_back();
-    states[0] = scorer.initial();
-    intern(0, shape);
+  }
+
+  /// The id of the state before position 0 at `boundary`.
+  std::int32_t root(const sharding::ShardSpec& boundary, const Shape& shape) {
+    if (states.size() == size) states.emplace_back();
+    scorer.initial(boundary, &states[size]);
+    return intern(0, shape);
   }
 
   /// The id of states[size], a state before position `p`: an earlier
@@ -352,7 +356,7 @@ struct Lane {
 
 /// A joint (probe, steady-state) state of one exit layout's DP.
 struct Node {
-  std::int32_t probe = 0, steady = 0;  ///< lane state ids
+  std::int32_t probe = 0, steady = 0;  ///< the lane's state ids
   std::int64_t count = 0;              ///< prefixes that reach it
   /// Least weight bytes over them.
   std::int64_t min_weight = std::numeric_limits<std::int64_t>::max();
@@ -392,8 +396,7 @@ struct Scored {
 /// FrontierDpPolicy's per-thread buffers, reused across families.
 struct DpBuffers {
   Shape shape;
-  Lane probe;
-  std::vector<Lane> steady;  ///< one per non-replicated exit layout
+  Lane lane;
   std::vector<sharding::ShardSpec> exits;
   /// Every DP's nodes and edges. dag k's layer p is nodes
   /// [layers[k * (n + 2) + p], layers[k * (n + 2) + p + 1]).
@@ -519,18 +522,20 @@ void merge_labels(DpBuffers& b, std::size_t begin, std::size_t end,
   b.labels.swap(b.next_labels);
 }
 
-/// Runs the DP of dag `k` for exit layout `exit`: `steady` is its
-/// steady-state lane, or nullptr when the probe is the steady state.
-/// With `exits`, collects every layout a valid probe prefix gives the
-/// exit member. Adds its results into `summary`.
+/// Runs the DP of dag `k` for exit layout `exit`, from the probe root
+/// (state 0) and the root at `exit`. With `exits`, collects every layout
+/// a valid probe prefix gives the exit member. Adds into `summary`.
 void run_dp(DpBuffers& b, std::size_t k, const sharding::ShardSpec& exit,
-            Lane* steady, std::vector<sharding::ShardSpec>* exits,
-            DpSummary* summary) {
+            std::vector<sharding::ShardSpec>* exits, DpSummary* summary) {
   const Shape& shape = b.shape;
+  Lane& lane = b.lane;
   const std::size_t n = shape.n;
+  b.layers.resize((k + 1) * (n + 2));
+  b.valid.resize(k + 1);
   std::size_t* layer = &b.layers[k * (n + 2)];
   layer[0] = b.nodes.size();
   Node root;
+  root.steady = lane.root(exit, shape);
   root.count = 1;
   root.min_weight = 0;
   b.nodes.push_back(root);
@@ -542,10 +547,10 @@ void run_dp(DpBuffers& b, std::size_t k, const sharding::ShardSpec& exit,
     double step_magnitude = 0.0;
     for (std::size_t u = begin; u < end; ++u) {
       b.nodes[u].edges_begin = b.edges.size();
-      b.probe.expand(b.nodes[u].probe, shape);
-      if (steady != nullptr) steady->expand(b.nodes[u].steady, shape);
+      lane.expand(b.nodes[u].probe, shape);
+      lane.expand(b.nodes[u].steady, shape);
       for (int c = 0; c < shape.count[p]; ++c) {
-        const Transition& probe = b.probe.step(b.nodes[u].probe, c);
+        const Transition& probe = lane.step(b.nodes[u].probe, c);
         if (probe.next < 0) continue;
         if (p == shape.exit) {
           if (exits != nullptr &&
@@ -554,25 +559,24 @@ void run_dp(DpBuffers& b, std::size_t k, const sharding::ShardSpec& exit,
             exits->push_back(probe.layout);
           if (probe.layout != exit) continue;
         }
-        const Transition& lane =
-            steady != nullptr ? steady->step(b.nodes[u].steady, c) : probe;
-        if (lane.next < 0) continue;
+        const Transition& steady = lane.step(b.nodes[u].steady, c);
+        if (steady.next < 0) continue;
         const std::uint64_t hash = util::splitmix64(
             (static_cast<std::uint64_t>(probe.next) << 32) ^
-            static_cast<std::uint32_t>(lane.next));
+            static_cast<std::uint32_t>(steady.next));
         std::int32_t v = b.node_index.find(hash, [&](std::int32_t i) {
           const Node& node = b.nodes[static_cast<std::size_t>(i)];
-          return node.probe == probe.next && node.steady == lane.next;
+          return node.probe == probe.next && node.steady == steady.next;
         });
         if (v < 0) {
           v = static_cast<std::int32_t>(b.nodes.size());
           Node node;
           node.probe = probe.next;
-          node.steady = lane.next;
+          node.steady = steady.next;
           b.nodes.push_back(node);
           b.node_index.insert(hash, v);
         }
-        const cost::StepScore& score = lane.score;
+        const cost::StepScore& score = steady.score;
         const std::int64_t weight =
             shape.weight[shape.weight_first[p] + static_cast<std::size_t>(c)];
         b.edges.push_back({static_cast<std::size_t>(v), c, score.exposed,
@@ -754,32 +758,21 @@ FamilySearchOutcome FrontierDpPolicy::search(const FamilySearchContext& ctx,
       shape.weight.push_back(scope.weight_bytes(shape.member[p], c));
   }
 
-  // One DP per exit layout: the replicated one first, which also finds
-  // the others.
+  // One DP per exit layout, all over one lane: the replicated one first,
+  // which also finds the others.
   b.nodes.clear();
   b.edges.clear();
   b.exits.clear();
-  b.probe.bind(ctx, scope, sharding::ShardSpec::replicate(), shape);
+  b.lane.bind(ctx, scope);
+  b.lane.root(sharding::ShardSpec::replicate(), shape);  // the probe's: 0
   DpSummary summary;
-  b.layers.resize(shape.n + 2);
-  b.valid.resize(1);
-  run_dp(b, 0, sharding::ShardSpec::replicate(), nullptr, &b.exits,
-         &summary);
+  run_dp(b, 0, sharding::ShardSpec::replicate(), &b.exits, &summary);
   std::size_t dags = 1;
-  for (const sharding::ShardSpec& exit : b.exits) {
-    if (exit == sharding::ShardSpec::replicate()) continue;
-    if (b.steady.size() < dags) b.steady.emplace_back();
-    Lane& lane = b.steady[dags - 1];
-    lane.bind(ctx, scope, exit, shape);
-    b.layers.resize((dags + 1) * (shape.n + 2));
-    b.valid.resize(dags + 1);
-    run_dp(b, dags, exit, &lane, nullptr, &summary);
-    ++dags;
-  }
-  std::int64_t dp_steps = static_cast<std::int64_t>(b.probe.scorer.steps());
-  for (std::size_t k = 1; k < dags; ++k)
-    dp_steps += static_cast<std::int64_t>(b.steady[k - 1].scorer.steps());
-  out.work.dp_steps = out.work.nodes_routed = dp_steps;
+  for (const sharding::ShardSpec& exit : b.exits)
+    if (exit != sharding::ShardSpec::replicate())
+      run_dp(b, dags++, exit, nullptr, &summary);
+  out.work.dp_steps = out.work.nodes_routed =
+      static_cast<std::int64_t>(b.lane.scorer.steps());
   out.stats.valid_plans = out.stats.cost_queries = summary.valid;
   if (summary.valid == 0) return out;
 

@@ -210,8 +210,8 @@ class FamilySearchPolicy {
 /// its members' steps (cost::StepScore). Its exit layout L comes from the
 /// probe route (replicated boundary), and the steady-state route has
 /// boundary L. So the policy runs one DP per exit layout L over the joint
-/// state of two lanes, the probe and the steady state at L (one lane when
-/// L is replicated). Each DP step restores a state and routes one member
+/// state of two routes, the probe and the steady state at L (one when L
+/// is replicated). Each DP step restores a state and routes one member
 /// with one choice. Equal joint states have equal futures, so they merge.
 /// A prefix whose probe hands the exit member a layout other than L is
 /// dropped. Each state keeps:
@@ -225,8 +225,8 @@ class FamilySearchPolicy {
 /// Pareto labels over the two give the least score m. A label travels
 /// forward only until its state's completion bounds fix the sign of the
 /// final excess, which settles its best score at once.
-/// Lane steps are memoized per (state, choice), so the probe lane is
-/// shared by every exit layout's DP.
+/// A state's steps do not depend on its route's boundary, so one lane of
+/// states and (state, choice) steps serves every route of the family.
 ///
 /// Algorithm 2's winner is a first-best scan in rank order with a 1e-9
 /// tolerance and a weight-bytes tie-break (first_best_rank), not a DP

@@ -4,19 +4,16 @@
 
 namespace tap::cost {
 
-using sharding::ShardSpec;
-
 void FamilyStepScorer::bind(const ir::TapGraph& tg,
                             const sharding::PatternTable& table,
                             const sharding::SubgraphScope& scope,
                             const BackwardWindowTerms& window,
                             std::span<const std::size_t> positions,
-                            const ClusterSpec& cluster,
-                            const ShardSpec& boundary) {
+                            const ClusterSpec& cluster) {
   table_ = &table;
   scope_ = &scope;
   cluster_ = &cluster;
-  router_.bind(tg, scope, boundary, table);
+  router_.bind(tg, scope, table);
   TAP_CHECK_EQ(window.size(), positions.size());
   replicated_.resize(positions.size());
   split_.resize(positions.size());

@@ -27,22 +27,26 @@ struct StepScore {
   double window = 0.0;        ///< the member's backward-window term
 };
 
-/// One lane of a family search over router frontier states: a
-/// sharding::FrontierRouter over the family's members at one boundary,
-/// which also scores each step (StepScore). Allocation-free once the
-/// capacities have grown; binding costs O(members + reads).
+/// The steps of a family search over router frontier states: a
+/// sharding::FrontierRouter over the family's members, at every
+/// boundary, which also scores each step (StepScore). Allocation-free
+/// once the capacities have grown; binding costs O(members + reads).
 class FamilyStepScorer {
  public:
-  /// Binds to a family at `boundary`. Every argument must outlive the
-  /// steps. `window` holds the family's terms, one cluster per member,
-  /// and `positions` each member's visit position in `scope.order`.
+  /// Binds to a family. Every argument must outlive the steps. `window`
+  /// holds the family's terms, one cluster per member, and `positions`
+  /// each member's visit position in `scope.order`.
   void bind(const ir::TapGraph& tg, const sharding::PatternTable& table,
             const sharding::SubgraphScope& scope,
             const BackwardWindowTerms& window,
             std::span<const std::size_t> positions,
-            const ClusterSpec& cluster, const sharding::ShardSpec& boundary);
+            const ClusterSpec& cluster);
 
-  const sharding::FrontierState& initial() const { return router_.initial(); }
+  /// FrontierRouter::initial.
+  void initial(const sharding::ShardSpec& boundary,
+               sharding::FrontierState* out) {
+    router_.initial(boundary, out);
+  }
 
   /// FrontierRouter::restore.
   void restore(const sharding::FrontierState& from, std::size_t p) {

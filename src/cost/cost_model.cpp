@@ -134,7 +134,7 @@ double backward_compute_window(const ir::TapGraph& tg,
 BackwardWindowTerms::BackwardWindowTerms(
     const ir::TapGraph& tg, const std::vector<ir::GraphNodeId>* members,
     int num_shards, int dp_replicas, const ClusterSpec& cluster)
-    : dp_replicas_(dp_replicas) {
+    : num_shards_(num_shards), dp_replicas_(dp_replicas) {
   // The shrinks exactly as backward_compute_window forms them.
   const double dp = static_cast<double>(std::max(1, dp_replicas));
   const double replicated = dp * 1.0;
@@ -171,14 +171,19 @@ BackwardWindowTerms::BackwardWindowTerms(
 double BackwardWindowTerms::window(const sharding::RoutedPlan& routed,
                                    const sharding::PatternTable& table) const {
   TAP_CHECK(routed.valid);
-  TAP_CHECK_EQ(routed.dp_replicas, dp_replicas_);
+  TAP_CHECK(routed.num_shards == num_shards_ &&
+            table.num_shards() == num_shards_ &&
+            routed.dp_replicas == dp_replicas_ &&
+            table.dp_replicas() == dp_replicas_)
+      << "the route or the table is not the terms' mesh";
   double window = 0.0;
   for (const Cluster& c : clusters_) {
     const auto i = static_cast<std::size_t>(c.id);
-    const auto& pat = table.at(c.id)[static_cast<std::size_t>(
-        routed.pattern_index[i])];
+    const auto& row = table.at(c.id);
+    const auto k = static_cast<std::size_t>(routed.pattern_index[i]);
+    TAP_CHECK_LT(k, row.size()) << "a pattern index outside its catalog";
     const bool is_split =
-        routed.output_spec[i].is_split() || pat.weight.is_split();
+        routed.output_spec[i].is_split() || row[k].weight.is_split();
     const double* terms = is_split ? split_.data() : replicated_.data();
     for (std::size_t k = c.begin; k < c.end; ++k) window += terms[k];
   }

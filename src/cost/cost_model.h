@@ -130,9 +130,9 @@ class BackwardWindowTerms {
                       const ClusterSpec& cluster);
 
   /// == backward_compute_window(tg, routed, members, cluster) for a
-  /// `routed` at the construction mesh, `table` being that mesh's. Reads
-  /// `routed` only at the members, so a reused subgraph route
-  /// (route_subgraph_into) is fine.
+  /// `routed` at the construction mesh, `table` being that mesh's
+  /// (checked, as is each pattern index). Reads `routed` only at the
+  /// members, so a reused subgraph route (route_subgraph_into) is fine.
   double window(const sharding::RoutedPlan& routed,
                 const sharding::PatternTable& table) const;
 
@@ -147,7 +147,7 @@ class BackwardWindowTerms {
     ir::GraphNodeId id;
     std::size_t begin, end;  ///< its ops' terms: [begin, end)
   };
-  int dp_replicas_ = 1;
+  int num_shards_ = 1, dp_replicas_ = 1;
   std::vector<Cluster> clusters_;
   std::vector<double> replicated_;  ///< per op, shrink dp
   std::vector<double> split_;       ///< per op, shrink dp·tp

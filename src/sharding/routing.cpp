@@ -488,18 +488,16 @@ std::uint64_t FrontierState::hash() const {
 }
 
 void FrontierRouter::bind(const ir::TapGraph& tg, const SubgraphScope& scope,
-                          const ShardSpec& boundary,
                           const PatternTable& table) {
   tg_ = &tg;
   scope_ = &scope;
   table_ = &table;
-  boundary_ = boundary;
   steps_ = 0;
   out_.num_shards = plan_.num_shards = table.num_shards();
   out_.dp_replicas = plan_.dp_replicas = table.dp_replicas();
   if (plan_.choice.size() != tg.num_nodes())
     plan_.choice.assign(tg.num_nodes(), 0);
-  reset_route(tg.num_nodes(), &scope, boundary, scratch_, out_);
+  reset_route(tg.num_nodes(), &scope, ShardSpec::replicate(), scratch_, out_);
 
   // Each read node is live from just after its own position (-1 outside
   // the members) up to its last member consumer.
@@ -530,7 +528,11 @@ void FrontierRouter::bind(const ir::TapGraph& tg, const SubgraphScope& scope,
   for (std::size_t k = 0; k < reads.size(); ++k)
     for (std::ptrdiff_t p = first[k] + 1; p <= last[k]; ++p)
       live_[fill_[static_cast<std::size_t>(p)]++] = reads[k];
-  initial_.snapshot(std::span(live_).first(live_begin_[1]), out_, scratch_);
+}
+
+void FrontierRouter::initial(const ShardSpec& boundary, FrontierState* out) {
+  reset_route(tg_->num_nodes(), scope_, boundary, scratch_, out_);
+  out->snapshot(std::span(live_).first(live_begin_[1]), out_, scratch_);
 }
 
 void FrontierRouter::restore(const FrontierState& from, std::size_t p) {
@@ -553,7 +555,8 @@ bool FrontierRouter::step(int choice, FrontierState* next) {
   const std::size_t p = position_;
   const GraphNodeId id = scope_->order[p];
   plan_.choice[static_cast<std::size_t>(id)] = choice;
-  Router r{*tg_, plan_, scope_, boundary_, *table_, scratch_, out_};
+  // A step reads no boundary (only a whole route's reset does).
+  Router r{*tg_, plan_, scope_, {}, *table_, scratch_, out_};
   ++steps_;
   if (!r.step(id)) return false;
   layout_ = out_.output_spec[static_cast<std::size_t>(id)];

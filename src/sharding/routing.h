@@ -245,17 +245,18 @@ class FrontierState {
 /// position; each step() then routes the member there with one choice,
 /// with the router route_subgraph_into runs, from that same state, and
 /// snapshots the state before the next position. It never re-routes a
-/// prefix. Allocation-free once the capacities have grown.
+/// prefix. A route's boundary is only its state before position 0
+/// (initial()). Allocation-free once the capacities have grown.
 class FrontierRouter {
  public:
-  /// Binds to a subgraph and boundary: O(reads + Σ producer lifetimes).
-  /// `tg`, `scope` and `table` must outlive the steps.
+  /// Binds to a subgraph: O(reads + Σ producer lifetimes). `tg`, `scope`
+  /// and `table` must outlive the steps.
   void bind(const ir::TapGraph& tg, const SubgraphScope& scope,
-            const ShardSpec& boundary, const PatternTable& table);
+            const PatternTable& table);
 
-  /// The state before position 0: the members' outside producers, at the
-  /// boundary layout.
-  const FrontierState& initial() const { return initial_; }
+  /// The state before position 0 at `boundary` (the members' outside
+  /// producers at that layout), into `*out`. Call restore() next.
+  void initial(const ShardSpec& boundary, FrontierState* out);
 
   /// Loads `from`, the state before visit position `p`: the next steps
   /// route the member at `p`, each from this state.
@@ -275,7 +276,6 @@ class FrontierRouter {
   const ir::TapGraph* tg_ = nullptr;
   const SubgraphScope* scope_ = nullptr;
   const PatternTable* table_ = nullptr;
-  ShardSpec boundary_;
   ShardSpec layout_;
   ShardingPlan plan_;
   RoutingScratch scratch_;
@@ -288,7 +288,6 @@ class FrontierRouter {
   /// its last member consumer's.
   std::vector<std::ptrdiff_t> first_, last_;
   std::vector<std::size_t> fill_;
-  FrontierState initial_;
   std::size_t position_ = 0;  ///< the restored position
   std::size_t igrad_ = 0, materialized_ = 0;  ///< log lengths it left
   std::size_t steps_ = 0;

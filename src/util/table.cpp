@@ -28,10 +28,9 @@ void Table::print(std::ostream& os) const {
   };
 
   emit(header_);
-  for (std::size_t c = 0; c < header_.size(); ++c) {
-    os << (c == 0 ? "|" : "-|") << std::string(width[c] + 2, '-');
-  }
-  os << "-|\n";
+  for (std::size_t c = 0; c < header_.size(); ++c)
+    os << '|' << std::string(width[c] + 2, '-');
+  os << "|\n";
   for (const auto& row : rows_) emit(row);
 }
 

@@ -23,6 +23,7 @@
 #include "service/wire.h"
 #include "sharding/enumerate.h"
 #include "sharding/routing.h"
+#include "util/check.h"
 #include "util/hash.h"
 
 namespace tap {
@@ -100,6 +101,34 @@ TEST(CandidateStaging, WindowTermsMatchBackwardComputeWindowAcrossZoo) {
     }
   }
   EXPECT_GT(checked, 500);
+}
+
+TEST(CandidateStaging, WindowTermsRefuseAnotherMeshesTableOrRoute) {
+  // The terms read each member's pattern from the table's catalog row at
+  // the route's index: a table or a route of another mesh, or an index
+  // outside its row, throws instead of reading another mesh's catalog.
+  service::ModelSpec spec;
+  spec.model = "t5";
+  spec.layers = 2;
+  const Graph g = service::build_spec_model(spec);
+  const ir::TapGraph tg = ir::lower(g);
+  const cost::ClusterSpec cluster = cost::ClusterSpec::v100_cluster(2);
+  const sharding::PatternTable table(tg, 8, 2);
+  sharding::RoutedPlan routed =
+      sharding::route_plan(tg, sharding::default_plan(tg, 8, 2), &table);
+  ASSERT_TRUE(routed.valid) << routed.error;
+  const cost::BackwardWindowTerms terms(tg, nullptr, 8, 2, cluster);
+  EXPECT_EQ(terms.window(routed, table),
+            cost::backward_compute_window(tg, routed, nullptr, cluster));
+  const sharding::PatternTable tp4(tg, 4, 2), dp1(tg, 8, 1);
+  EXPECT_THROW(terms.window(routed, tp4), CheckError);
+  EXPECT_THROW(terms.window(routed, dp1), CheckError);
+  const cost::BackwardWindowTerms tp4_terms(tg, nullptr, 4, 2, cluster);
+  EXPECT_THROW(tp4_terms.window(routed, table), CheckError);
+  const ir::GraphNodeId first = tg.nodes().front().id;
+  routed.pattern_index[static_cast<std::size_t>(first)] =
+      static_cast<int>(table.at(first).size());
+  EXPECT_THROW(terms.window(routed, table), CheckError);
 }
 
 TEST(CandidateStaging, TableEnumeratorCountsMatchPatternsFor) {

@@ -16,6 +16,7 @@
 #include "core/tap.h"
 #include "ir/lowering.h"
 #include "models/models.h"
+#include "obs/metrics.h"
 #include "pruning/prune.h"
 #include "service/fingerprint.h"
 #include "service/planner_service.h"
@@ -220,6 +221,32 @@ TEST(FrontierDpPolicy, ThreadedSearchesMatchOneThread) {
   }
 }
 
+TEST(FrontierDpPolicy, OneLaneRoutesEachStateOncePerSearch) {
+  // The probe and every exit layout's steady state share one lane, so a
+  // state reached by both is routed once. The DP steps of one 2x8 sweep
+  // of each plan_cold model stay at or below the shared lane's count,
+  // and below the count of one lane per exit layout.
+  obs::Counter* steps = obs::registry().counter("planner.family.dp_steps");
+  auto expect_steps = [&](const char* model, int layers, std::uint64_t shared,
+                          std::uint64_t per_exit) {
+    service::ModelSpec spec;
+    spec.model = model;
+    spec.layers = layers;
+    const Graph g = service::build_spec_model(spec);
+    const ir::TapGraph tg = ir::lower(g);
+    const std::uint64_t before = steps->value();
+    auto_parallel_best_mesh(tg, service::options_for_spec(spec, 1));
+    const std::uint64_t taken = steps->value() - before;
+    EXPECT_LE(taken, shared) << model << "-" << layers;
+    EXPECT_LT(taken, per_exit) << model << "-" << layers;
+  };
+  for (int layers : {8, 24, 48}) expect_steps("t5", layers, 4662, 6603);
+  expect_steps("bert", 24, 1349, 1813);
+  expect_steps("gpt3", 8, 368, 456);
+  expect_steps("moe", 8, 1612, 2150);
+  expect_steps("resnet50", 50, 2391, 4427);
+}
+
 TEST(FrontierDpPolicy, PlateauResolvesToRankZeroInsideTheDp) {
   // At tp = 1 every candidate of T5's decoder block ties exactly in comm
   // and weight bytes (8192 of them at 16 GPUs). The plateau rule picks
@@ -322,7 +349,7 @@ std::vector<ir::GraphNodeId> live_before(const ir::TapGraph& tg,
 
 TEST(FrontierState, EqualStatesHashEquallyAndRestoreRoundTrips) {
   // Route random candidates of every weighted T5 family member by member
-  // through a FrontierRouter, at a replicated and a split boundary. Equal
+  // through one FrontierRouter, at a replicated and a split boundary. Equal
   // states hash equally; every state restored into fresh buffers
   // snapshots back to itself; and the steps' events, concatenated, are
   // the events route_subgraph_into emits for the same candidate.
@@ -339,10 +366,10 @@ TEST(FrontierState, EqualStatesHashEquallyAndRestoreRoundTrips) {
     if (!weighted(tg, fam)) continue;
     const sharding::SubgraphScope scope(tg, fam.member_nodes);
     const std::size_t n = scope.order.size();
+    sharding::FrontierRouter router;
+    router.bind(tg, scope, table);
     for (const sharding::ShardSpec& boundary :
          {sharding::ShardSpec::replicate(), sharding::ShardSpec::split(0)}) {
-      sharding::FrontierRouter router;
-      router.bind(tg, scope, boundary, table);
       std::vector<std::vector<sharding::FrontierState>> seen(n + 1);
       for (int trial = 0; trial < 60; ++trial) {
         sharding::ShardingPlan plan = sharding::default_plan(tg, 8, 2);
@@ -354,7 +381,8 @@ TEST(FrontierState, EqualStatesHashEquallyAndRestoreRoundTrips) {
         sharding::RoutingScratch fresh_scratch;
         sharding::route_subgraph_into(tg, plan, scope, boundary, table,
                                       &fresh_scratch, &fresh);
-        sharding::FrontierState state = router.initial(), next;
+        sharding::FrontierState state, next;
+        router.initial(boundary, &state);
         std::vector<sharding::CommEvent> events;
         bool valid = true;
         for (std::size_t p = 0; p < n && valid; ++p) {

@@ -317,9 +317,10 @@ BeforeC2 route_to_c2(const Diamond& d, const PatternTable& table,
   for (const ir::GraphNode& n : d.tg.nodes()) all.push_back(n.id);
   const SubgraphScope scope(d.tg, all);
   FrontierRouter router;
-  router.bind(d.tg, scope, ShardSpec::replicate(), table);
+  router.bind(d.tg, scope, table);
   BeforeC2 out;
-  FrontierState state = router.initial(), next;
+  FrontierState state, next;
+  router.initial(ShardSpec::replicate(), &state);
   const auto c2 = static_cast<std::size_t>(d.tg.topo_position(d.c2));
   for (std::size_t p = 0; p <= c2; ++p) {
     router.restore(state, p);

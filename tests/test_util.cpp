@@ -260,6 +260,25 @@ TEST(Table, RendersAlignedColumns) {
   EXPECT_EQ(t.num_rows(), 2u);
 }
 
+TEST(Table, EveryLineHasItsBarsAtTheSameColumns) {
+  Table t({"model", "ms", "x"});
+  t.add_row({"t5", "1.25", "wide cell"});
+  t.add_row({"resnet50", "10", ""});
+  std::ostringstream os;
+  t.print(os);
+  std::istringstream lines(os.str());
+  std::string line;
+  std::vector<std::vector<std::size_t>> bars;
+  while (std::getline(lines, line)) {
+    bars.emplace_back();
+    for (std::size_t i = 0; i < line.size(); ++i)
+      if (line[i] == '|') bars.back().push_back(i);
+  }
+  ASSERT_EQ(bars.size(), 4u);  // header, separator, two rows
+  EXPECT_EQ(bars[0].size(), 4u);
+  for (const std::vector<std::size_t>& b : bars) EXPECT_EQ(b, bars[0]);
+}
+
 TEST(Table, PadsShortRows) {
   Table t({"a", "b", "c"});
   t.add_row({"only"});
