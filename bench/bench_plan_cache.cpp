@@ -12,11 +12,16 @@
 // The exit code enforces the gate (CI's bench-smoke job fails on a
 // regression), and the figures land in BENCH_plan_cache.json when
 // TAP_BENCH_JSON is set.
+//
+// The hit path's serialization is reported, not gated: the medians of
+// plan_response_json (every /plan response) and plan_record_from_json
+// (every disk hit validates its record) for T5-4L/24L/48L at a 2x8 mesh.
 #include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/serialize.h"
 #include "pruning/prune.h"
 #include "service/fingerprint.h"
 #include "service/planner_service.h"
@@ -168,6 +173,38 @@ int main() {
                static_cast<double>(svc_dup.stats().searches));
   }
   table.print(std::cout);
+
+  // Serialization on the hit path, at the depths plan_cold plans.
+  util::Table ser({"model", "nodes", "response ms", "record parse ms"});
+  for (const int layers : {4, 24, 48}) {
+    service::ModelSpec spec;
+    spec.layers = layers;
+    spec.dp = 2;
+    spec.tp = 8;
+    bench::Workload workload(service::build_spec_model(spec));
+    const ir::TapGraph& tg = workload.tg;
+    const core::TapOptions sopts = service::options_for_spec(spec, 1);
+    const core::TapResult r = core::auto_parallel(tg, sopts);
+    const service::PlanKey key = service::make_plan_key(tg, sopts, false);
+    core::PlanRecord record;
+    record.plan = r.best_plan;
+    record.cost = r.cost;
+    record.timings = r.pass_timings;
+    const std::string json = core::plan_record_to_json(tg, record);
+    auto respond = [&] { service::plan_response_json(tg, key, r); };
+    auto parse = [&] { core::plan_record_from_json(tg, json); };
+    const bench::RepeatStats response_ms = bench::repeat_ms(kRuns, respond);
+    const bench::RepeatStats record_ms = bench::repeat_ms(kRuns, parse);
+    ser.add_row({"T5-" + std::to_string(layers) + "L",
+                 std::to_string(tg.num_nodes()),
+                 util::fmt("%.3f", response_ms.median_ms),
+                 util::fmt("%.3f", record_ms.median_ms)});
+    const std::string slug = "t5_" + std::to_string(layers) + "l";
+    report.add(slug + ".response_json", response_ms);
+    report.add(slug + ".record_from_json", record_ms);
+  }
+  std::cout << "\nHit-path serialization at 2x8 (reported, not gated):\n";
+  ser.print(std::cout);
   report.add("hit_over_steps_bar", kHitBar);
   report.note("gate",
               "exit 1 unless warm, disk and duplicate bytes equal the cold "

@@ -26,13 +26,11 @@ int main() {
   core::TapResult r = core::auto_parallel(tg, opts);
 
   auto moe = tg.find("m6_moe_100b/encoder/block_0/moe");
-  auto pats = sharding::patterns_for(tg, moe, opts.num_shards,
-                                     opts.dp_replicas);
+  const sharding::PatternTable patterns(tg, r.routed.num_shards,
+                                        r.routed.dp_replicas);
   std::printf("MoE layer sharded as: %s (searched %lld candidates in %.0f "
               "ms)\n",
-              pats[static_cast<std::size_t>(
-                       r.best_plan.choice[static_cast<std::size_t>(moe)])]
-                  .name.c_str(),
+              sharding::routed_pattern(patterns, r.routed, moe).name.c_str(),
               static_cast<long long>(r.candidate_plans),
               r.search_seconds * 1e3);
 

@@ -38,12 +38,10 @@ int main() {
 
   // How was the classifier sharded?
   auto fc_cluster = tg.find("resnet50/head/fc");
-  auto pats = sharding::patterns_for(tg, fc_cluster, opts.num_shards,
-                                     opts.dp_replicas);
+  const sharding::PatternTable patterns(tg, r.routed.num_shards,
+                                        r.routed.dp_replicas);
   std::printf("TAP shards the classifier as: %s\n",
-              pats[static_cast<std::size_t>(
-                       r.best_plan.choice[static_cast<std::size_t>(
-                           fc_cluster)])]
+              sharding::routed_pattern(patterns, r.routed, fc_cluster)
                   .to_string()
                   .c_str());
 

@@ -30,10 +30,9 @@ bool is_ffn_out(const std::string& name) {
   return name.find("/ffn/wo") != std::string::npos;
 }
 
-void pick(const ir::TapGraph& tg, ShardingPlan* plan, ir::GraphNodeId id,
-          const char* pattern) {
-  auto pats = sharding::patterns_for(tg, id, plan->num_shards,
-                                     plan->dp_replicas);
+void pick(const sharding::PatternTable& table, ShardingPlan* plan,
+          ir::GraphNodeId id, const char* pattern) {
+  const auto& pats = table.at(id);
   for (std::size_t i = 0; i < pats.size(); ++i) {
     if (pats[i].name == pattern) {
       plan->choice[static_cast<std::size_t>(id)] = static_cast<int>(i);
@@ -46,16 +45,17 @@ void pick(const ir::TapGraph& tg, ShardingPlan* plan, ir::GraphNodeId id,
 ShardingPlan transformer_plan(const ir::TapGraph& tg, int num_shards,
                               bool shard_attention, bool shard_ffn) {
   ShardingPlan plan = sharding::default_plan(tg, num_shards);
+  const sharding::PatternTable table(tg, plan.num_shards, plan.dp_replicas);
   for (const auto& n : tg.nodes()) {
     if (!n.has_weight()) continue;
     if (shard_attention && is_attention_proj_in(n.name)) {
-      pick(tg, &plan, n.id, "split_col");
+      pick(table, &plan, n.id, "split_col");
     } else if (shard_attention && is_attention_proj_out(n.name)) {
-      pick(tg, &plan, n.id, "split_row");
+      pick(table, &plan, n.id, "split_row");
     } else if (shard_ffn && is_ffn_in(n.name)) {
-      pick(tg, &plan, n.id, "split_col");
+      pick(table, &plan, n.id, "split_col");
     } else if (shard_ffn && is_ffn_out(n.name)) {
-      pick(tg, &plan, n.id, "split_row");
+      pick(table, &plan, n.id, "split_row");
     }
   }
   return plan;

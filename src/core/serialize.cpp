@@ -48,11 +48,11 @@ void read_mesh(const JsonValue& v, sharding::ShardingPlan* plan) {
 JsonValue plan_json(const ir::TapGraph& tg,
                     const sharding::ShardingPlan& plan) {
   TAP_CHECK_EQ(plan.choice.size(), tg.num_nodes());
+  const sharding::PatternTable table(tg, plan.num_shards, plan.dp_replicas);
   JsonValue assignments = JsonValue::object();
   for (const auto& n : tg.nodes()) {
     if (!n.has_weight()) continue;
-    auto pats = sharding::patterns_for(tg, n.id, plan.num_shards,
-                                       plan.dp_replicas);
+    const auto& pats = table.at(n.id);
     int c = plan.choice[static_cast<std::size_t>(n.id)];
     TAP_CHECK(c >= 0 && c < static_cast<int>(pats.size()))
         << "plan has no valid pattern for '" << n.name << "'";
@@ -87,14 +87,14 @@ sharding::ShardingPlan plan_from_json(const ir::TapGraph& tg,
 
   sharding::ShardingPlan plan;
   read_mesh(*mesh, &plan);
+  const sharding::PatternTable table(tg, plan.num_shards, plan.dp_replicas);
   plan.choice.assign(tg.num_nodes(), 0);
   for (const auto& [node, value] : assignments->members()) {
     const std::string& pattern = value.as_string();
     ir::GraphNodeId id = tg.find(node);
     TAP_CHECK(id != ir::kInvalidGraphNode)
         << "plan references unknown GraphNode '" << node << "'";
-    auto pats =
-        sharding::patterns_for(tg, id, plan.num_shards, plan.dp_replicas);
+    const auto& pats = table.at(id);
     bool resolved = false;
     for (std::size_t i = 0; i < pats.size(); ++i) {
       if (pats[i].name == pattern) {
@@ -178,13 +178,13 @@ PlanRecord plan_record_from_json(const ir::TapGraph& tg,
 
   const std::vector<JsonValue>& choice =
       fixed_items(doc.at("choice"), tg.num_nodes(), "plan record choice");
+  const sharding::PatternTable table(tg, record.plan.num_shards,
+                                     record.plan.dp_replicas);
   record.plan.choice.assign(tg.num_nodes(), 0);
   for (const auto& n : tg.nodes()) {
     const auto id = static_cast<std::size_t>(n.id);
     const std::int64_t c = choice[id].as_int();
-    const auto pats = sharding::patterns_for(
-        tg, n.id, record.plan.num_shards, record.plan.dp_replicas);
-    TAP_CHECK(c >= 0 && c < static_cast<std::int64_t>(pats.size()))
+    TAP_CHECK(c >= 0 && c < static_cast<std::int64_t>(table.at(n.id).size()))
         << "plan record: choice " << c << " out of range for '" << n.name
         << "'";
     record.plan.choice[id] = static_cast<int>(c);

@@ -17,6 +17,7 @@ std::string visualize_plan(const ir::TapGraph& tg,
   if (ledger != nullptr)
     ledger->per_node(tg.num_nodes(), &exposed_s, &bytes);
 
+  const sharding::PatternTable table(tg, plan.num_shards, plan.dp_replicas);
   std::ostringstream os;
   for (const auto& family : pruning.families) {
     bool weighted = false;
@@ -31,8 +32,7 @@ std::string visualize_plan(const ir::TapGraph& tg,
       ir::GraphNodeId id = family.member_nodes[j];
       const auto& n = tg.node(id);
       if (!n.has_weight()) continue;
-      auto pats = sharding::patterns_for(tg, id, plan.num_shards,
-                                         plan.dp_replicas);
+      const auto& pats = table.at(id);
       int c = plan.choice[static_cast<std::size_t>(id)];
       std::string pat = "?", spec = "?";
       if (c >= 0 && c < static_cast<int>(pats.size())) {

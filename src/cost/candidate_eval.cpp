@@ -33,9 +33,8 @@ bool FamilyStepScorer::step(int choice, sharding::FrontierState* next,
     (e.overlappable ? score->overlappable : score->exposed) += t;
   }
   const ir::GraphNodeId id = scope_->order[p];
-  const bool split =
-      router_.layout().is_split() ||
-      table_->at(id)[static_cast<std::size_t>(choice)].weight.is_split();
+  const bool split = sharding::computes_split(
+      table_->at(id)[static_cast<std::size_t>(choice)], router_.layout());
   score->window = split ? split_[p] : replicated_[p];
   return true;
 }

@@ -106,18 +106,16 @@ double backward_compute_window(const ir::TapGraph& tg,
                                const std::vector<ir::GraphNodeId>* members,
                                const ClusterSpec& cluster) {
   TAP_CHECK(routed.valid);
+  const sharding::PatternTable table(tg, routed.num_shards, routed.dp_replicas);
   double window = 0.0;
   auto add = [&](ir::GraphNodeId id) {
     const auto& n = tg.node(id);
-    const sharding::ShardingPattern pat =
-        sharding::routed_pattern(tg, routed, id);
-    const sharding::ShardSpec& ospec =
-        routed.output_spec[static_cast<std::size_t>(id)];
+    const bool split = sharding::computes_split(
+        sharding::routed_pattern(table, routed, id),
+        routed.output_spec[static_cast<std::size_t>(id)]);
     const double dp = static_cast<double>(std::max(1, routed.dp_replicas));
     const double shrink =
-        dp * ((ospec.is_split() || pat.weight.is_split())
-                  ? static_cast<double>(routed.num_shards)
-                  : 1.0);
+        dp * (split ? static_cast<double>(routed.num_shards) : 1.0);
     for (NodeId op : n.ops) {
       const OpWork& work = tg.op_work(op);
       window += op_time(work, cluster, shrink) * backward_factor(work.kind);
@@ -172,18 +170,13 @@ double BackwardWindowTerms::window(const sharding::RoutedPlan& routed,
                                    const sharding::PatternTable& table) const {
   TAP_CHECK(routed.valid);
   TAP_CHECK(routed.num_shards == num_shards_ &&
-            table.num_shards() == num_shards_ &&
-            routed.dp_replicas == dp_replicas_ &&
-            table.dp_replicas() == dp_replicas_)
-      << "the route or the table is not the terms' mesh";
+            routed.dp_replicas == dp_replicas_)
+      << "the route is not the terms' mesh";
   double window = 0.0;
   for (const Cluster& c : clusters_) {
-    const auto i = static_cast<std::size_t>(c.id);
-    const auto& row = table.at(c.id);
-    const auto k = static_cast<std::size_t>(routed.pattern_index[i]);
-    TAP_CHECK_LT(k, row.size()) << "a pattern index outside its catalog";
-    const bool is_split =
-        routed.output_spec[i].is_split() || row[k].weight.is_split();
+    const bool is_split = sharding::computes_split(
+        sharding::routed_pattern(table, routed, c.id),
+        routed.output_spec[static_cast<std::size_t>(c.id)]);
     const double* terms = is_split ? split_.data() : replicated_.data();
     for (std::size_t k = c.begin; k < c.end; ++k) window += terms[k];
   }
@@ -203,13 +196,14 @@ MemoryEstimate estimate_memory(const ir::TapGraph& tg,
                                const TrainingOptions& training) {
   TAP_CHECK(routed.valid);
   const int num_shards = routed.num_shards;
+  const sharding::PatternTable table(tg, num_shards, routed.dp_replicas);
   MemoryEstimate mem;
   for (const auto& n : tg.nodes()) {
     // Weights: the primary weight follows the pattern's layout, secondary
     // weights stay replicated.
     if (n.has_weight()) {
-      const sharding::ShardingPattern pat =
-          sharding::routed_pattern(tg, routed, n.id);
+      const sharding::ShardingPattern& pat =
+          sharding::routed_pattern(table, routed, n.id);
       for (const ir::WeightOp& w : tg.weights(n.id)) {
         const std::int64_t full = w.bytes;
         std::int64_t local = full;

@@ -66,7 +66,8 @@ struct CommLedgerEntry {
 
 /// The per-collective breakdown comm_cost() optionally fills: one entry
 /// per routed CommEvent, in routed.comms order (entry i's routing reason
-/// is sharding::comm_reason(tg, routed, routed.comms[i])), plus the
+/// is sharding::comm_reason(table, routed, routed.comms[i]), `table`
+/// being the PatternTable of routed's mesh), plus the
 /// overlap discount actually applied. This
 /// is the single source of truth for cost attribution — PlanReport,
 /// core::visualize_plan and bench_fig14 all read it instead of recosting
@@ -131,8 +132,9 @@ class BackwardWindowTerms {
 
   /// == backward_compute_window(tg, routed, members, cluster) for a
   /// `routed` at the construction mesh, `table` being that mesh's
-  /// (checked, as is each pattern index). Reads `routed` only at the
-  /// members, so a reused subgraph route (route_subgraph_into) is fine.
+  /// (checked, as is each pattern index, by sharding::routed_pattern).
+  /// Reads `routed` only at the members, so a reused subgraph route
+  /// (route_subgraph_into) is fine.
   double window(const sharding::RoutedPlan& routed,
                 const sharding::PatternTable& table) const;
 

@@ -344,10 +344,14 @@ void attach_baseline_diff(PlanReport* r, const ir::TapGraph& tg,
   diff.total_ours_s = cost_ours.total();
   diff.total_theirs_s = cost_theirs.total();
 
+  const sharding::PatternTable table_ours(tg, ours.num_shards,
+                                          ours.dp_replicas);
+  const sharding::PatternTable table_theirs(tg, theirs.num_shards,
+                                            theirs.dp_replicas);
   auto pattern_name = [&](ir::GraphNodeId id,
-                          const sharding::ShardingPlan& plan) -> std::string {
-    const auto pats =
-        sharding::patterns_for(tg, id, plan.num_shards, plan.dp_replicas);
+                          const sharding::ShardingPlan& plan,
+                          const sharding::PatternTable& table) -> std::string {
+    const auto& pats = table.at(id);
     const int idx = plan.choice[static_cast<std::size_t>(id)];
     if (idx < 0 || static_cast<std::size_t>(idx) >= pats.size()) return "?";
     return pats[static_cast<std::size_t>(idx)].name;
@@ -358,8 +362,8 @@ void attach_baseline_diff(PlanReport* r, const ir::TapGraph& tg,
     PlanDiffEntry e;
     e.scope = std::move(scope);
     e.multiplicity = multiplicity;
-    e.pattern_ours = pattern_name(rep, ours);
-    e.pattern_theirs = pattern_name(rep, theirs);
+    e.pattern_ours = pattern_name(rep, ours, table_ours);
+    e.pattern_theirs = pattern_name(rep, theirs, table_theirs);
     e.differs = e.pattern_ours != e.pattern_theirs;
     for (ir::GraphNodeId id : instances) {
       const auto i = static_cast<std::size_t>(id);

@@ -49,11 +49,12 @@ RewriteResult rewrite_graph(const Graph& src, const ir::TapGraph& tg,
       cluster_of[static_cast<std::size_t>(op)] = gn.id;
 
   // Primary weight op per cluster (comm insertion point) and its pattern.
+  const sharding::PatternTable table(tg, num_shards, routed.dp_replicas);
   std::vector<NodeId> primary_op(tg.num_nodes(), kInvalidNode);
-  std::vector<ShardingPattern> pattern(tg.num_nodes());
+  std::vector<const ShardingPattern*> pattern(tg.num_nodes());
   for (const auto& gn : tg.nodes()) {
     pattern[static_cast<std::size_t>(gn.id)] =
-        sharding::routed_pattern(tg, routed, gn.id);
+        &sharding::routed_pattern(table, routed, gn.id);
     if (gn.has_weight()) {
       NodeId best = gn.weight_ops.front();
       for (NodeId wid : gn.weight_ops)
@@ -140,7 +141,7 @@ RewriteResult rewrite_graph(const Graph& src, const ir::TapGraph& tg,
     }
 
     // Sharding annotations (logical shapes preserved, GSPMD-style).
-    const ShardingPattern& pat = pattern[static_cast<std::size_t>(c)];
+    const ShardingPattern& pat = *pattern[static_cast<std::size_t>(c)];
     const sharding::ShardSpec& ospec =
         routed.output_spec[static_cast<std::size_t>(c)];
     copy.attrs["group"] = num_shards;
@@ -185,7 +186,7 @@ RewriteResult rewrite_graph(const Graph& src, const ir::TapGraph& tg,
     const Node& n = src.node(*it);
     if (!n.has_weight() || !n.trainable) continue;
     GraphNodeId c = cluster_of[static_cast<std::size_t>(*it)];
-    const ShardingPattern& pat = pattern[static_cast<std::size_t>(c)];
+    const ShardingPattern& pat = *pattern[static_cast<std::size_t>(c)];
     bool is_primary = *it == primary_op[static_cast<std::size_t>(c)];
     bool replicated = !is_primary || pat.replicates_weight();
     if (!replicated) continue;  // split weights keep their grads local

@@ -243,15 +243,17 @@ ShardedExecutor::ShardedExecutor(const Graph& g, const ir::TapGraph& tg,
   TAP_CHECK(routed.valid) << routed.error;
   TAP_CHECK_EQ(tg.num_source_ops(), g.num_nodes())
       << "TapGraph was lowered from another graph";
+  const sharding::PatternTable table(tg, routed.num_shards, routed.dp_replicas);
   for (const auto& gn : tg.nodes()) {
     if (!gn.has_weight()) continue;
-    sharding::ShardingPattern pat = sharding::routed_pattern(tg, routed, gn.id);
+    const sharding::ShardingPattern& pat =
+        sharding::routed_pattern(table, routed, gn.id);
     // Only the primary weight op executes the sharded math.
     NodeId primary = gn.weight_ops.front();
     for (NodeId wid : gn.weight_ops)
       if (g.node(wid).weight_params() > g.node(primary).weight_params())
         primary = wid;
-    op_pattern_.emplace(primary, std::move(pat));
+    op_pattern_.emplace(primary, pat);
   }
 }
 

@@ -203,9 +203,7 @@ core::TapResult PlannerService::run_search(const PlanRequest& req,
   // planner failure.
   TAP_FAULT_POINT("service.search");
   if (opts_.search_override) return opts_.search_override(req);
-  std::shared_ptr<const core::FamilySearchPolicy> policy;
-  if (opts_.family_cache)
-    policy = std::make_shared<CachingFamilyPolicy>(families_, nullptr);
+  const auto policy = std::make_shared<CachingFamilyPolicy>(families_, nullptr);
   return req.sweep_mesh
              ? core::auto_parallel_best_mesh(*req.tg, req.opts, policy,
                                              std::move(cancel))

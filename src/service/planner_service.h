@@ -149,8 +149,6 @@ struct ServiceOptions {
   /// hardware_concurrency(); 1 runs searches inline on the submitting
   /// thread (futures are then always ready when submit returns).
   int request_threads = 0;
-  /// Reuse FamilySearchOutcomes across requests by family fingerprint.
-  bool family_cache = true;
   /// Test/bench hook: when set, replaces the planner invocation on a cache
   /// miss (the result is still cached and coalesced normally). Lets tests
   /// hold a search open on a latch to observe single-flight, and benches

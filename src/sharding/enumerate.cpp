@@ -1,7 +1,5 @@
 #include "sharding/enumerate.h"
 
-#include "util/check.h"
-
 namespace tap::sharding {
 
 FamilyPlanEnumerator::FamilyPlanEnumerator(
@@ -14,15 +12,8 @@ FamilyPlanEnumerator::FamilyPlanEnumerator(
 
 FamilyPlanEnumerator::FamilyPlanEnumerator(
     const ir::TapGraph& tg, const pruning::SubgraphFamily& family,
-    int num_shards) {
-  counts_.reserve(family.member_nodes.size());
-  for (ir::GraphNodeId id : family.member_nodes) {
-    counts_.push_back(
-        static_cast<int>(patterns_for(tg, id, num_shards, 1).size()));
-    TAP_CHECK_GE(counts_.back(), 1);
-  }
-  current_.assign(counts_.size(), 0);
-}
+    int num_shards)
+    : FamilyPlanEnumerator(PatternTable(tg, num_shards, 1), family) {}
 
 std::int64_t FamilyPlanEnumerator::total_plans() const {
   std::int64_t total = 1;

@@ -22,7 +22,7 @@ class FamilyPlanEnumerator {
   FamilyPlanEnumerator(const PatternTable& table,
                        const pruning::SubgraphFamily& family);
 
-  /// Counts from patterns_for(tg, id, num_shards, 1), the dp = 1 catalog,
+  /// Counts from PatternTable(tg, num_shards, 1), the dp = 1 catalog,
   /// whatever the mesh's dp. Kept only for the benchmark's cost probe; no
   /// code under src/ may call it (use the table constructor).
   FamilyPlanEnumerator(const ir::TapGraph& tg,

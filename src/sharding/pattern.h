@@ -11,11 +11,13 @@
 //     overlap with compute, §4.6) or to the input gradients (the mirror of
 //     a column split).
 //
-// patterns_for() is the registry: given a GraphNode it returns every
-// applicable pattern, pre-filtered for divisibility over `num_shards`.
-// Replicate-only ops (LayerNorm & friends) return exactly one option, which
-// is how a T5 block with 8 weighted clusters still enumerates 3^6 = 729
-// plans, matching §6.3.1.
+// PatternTable is the catalog: one row per GraphNode of every applicable
+// pattern at one mesh, pre-filtered for divisibility over `num_shards`.
+// Every reader of a plan's pattern indices — router, cost model,
+// simulator, rewriter, serialization, reports — indexes the table of the
+// plan's own mesh. Replicate-only ops (LayerNorm & friends) have exactly
+// one option, which is how a T5 block with 8 weighted clusters still
+// enumerates 3^6 = 729 plans, matching §6.3.1.
 #pragma once
 
 #include <optional>
@@ -54,12 +56,24 @@ struct ShardingPattern {
   std::string to_string() const;
 };
 
+/// The split-compute rule: a cluster computes on 1/(dp·tp) of its work
+/// when its output layout is split or its pattern splits its weight, and
+/// on 1/dp otherwise.
+inline bool computes_split(const ShardingPattern& pattern,
+                           const ShardSpec& output) {
+  return output.is_split() || pattern.weight.is_split();
+}
+
 /// All patterns applicable to GraphNode `id` over a tensor-parallel group
 /// of `num_shards` devices, with `dp_replicas` data-parallel replicas
 /// around it (batch-splitting patterns need the batch to divide across
 /// the whole dp x tp mesh). Weighted nodes get the catalog for their
 /// primary kind filtered by divisibility; unweighted (glue) nodes get a
 /// single "follow" pattern.
+///
+/// This is the per-node reference derivation that PatternTable's interned
+/// rows are tested against; it rebuilds the node's list on every call.
+/// Code reads the catalog through a PatternTable, never through this.
 std::vector<ShardingPattern> patterns_for(const ir::TapGraph& tg,
                                           ir::GraphNodeId id, int num_shards,
                                           int dp_replicas);

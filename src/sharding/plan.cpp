@@ -31,6 +31,7 @@ void apply_family_choice(const pruning::SubgraphFamily& family,
 
 std::string describe_plan(const ir::TapGraph& tg, const ShardingPlan& plan,
                           std::size_t max_nodes) {
+  const PatternTable table(tg, plan.num_shards, plan.dp_replicas);
   std::ostringstream os;
   std::size_t shown = 0;
   for (const auto& n : tg.nodes()) {
@@ -39,7 +40,7 @@ std::string describe_plan(const ir::TapGraph& tg, const ShardingPlan& plan,
       os << "  ...\n";
       break;
     }
-    auto pats = patterns_for(tg, n.id, plan.num_shards, plan.dp_replicas);
+    const auto& pats = table.at(n.id);
     int c = plan.choice[static_cast<std::size_t>(n.id)];
     std::string pat = (c >= 0 && c < static_cast<int>(pats.size()))
                           ? pats[static_cast<std::size_t>(c)].name

@@ -1,10 +1,9 @@
 // ShardingPlan: a complete pattern assignment for a TapGraph (§4.2:
 // "a set of subgraphs with sharding patterns connecting them").
 //
-// The plan stores one pattern index per GraphNode, indexing into
-// patterns_for(node, num_shards, dp_replicas) — the node's row of the
-// PatternTable of the plan's own mesh. Glue nodes always use index 0 (the
-// follow pattern).
+// The plan stores one pattern index per GraphNode, indexing into the
+// node's row of the PatternTable of the plan's own mesh. Glue nodes always
+// use index 0 (the follow pattern).
 // Plans are produced per subgraph family by the enumerator and replayed
 // onto every instance with apply_family_choice — that replay is what makes
 // the search cost independent of model depth.

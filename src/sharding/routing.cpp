@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <initializer_list>
+#include <sstream>
 #include <string_view>
 #include <utility>
 
@@ -603,27 +604,28 @@ ShardSpec subgraph_exit_spec(const RoutedPlan& routed,
   return routed.output_spec[static_cast<std::size_t>(scope.exit)];
 }
 
-ShardingPattern routed_pattern(const ir::TapGraph& tg,
-                               const RoutedPlan& routed, ir::GraphNodeId id) {
-  std::vector<ShardingPattern> pats =
-      patterns_for(tg, id, routed.num_shards, routed.dp_replicas);
-  const int k = routed.pattern_index[static_cast<std::size_t>(id)];
-  TAP_CHECK(k >= 0 && static_cast<std::size_t>(k) < pats.size())
-      << "pattern index " << k << " of '" << tg.node(id).name
-      << "' is outside its " << pats.size() << "-pattern catalog at tp "
-      << routed.num_shards << ", dp " << routed.dp_replicas;
-  return std::move(pats[static_cast<std::size_t>(k)]);
+void detail::routed_pattern_failed(const PatternTable& table,
+                                   const RoutedPlan& routed,
+                                   ir::GraphNodeId id) {
+  std::ostringstream os;
+  os << "pattern index " << routed.pattern_index[static_cast<std::size_t>(id)]
+     << " of GraphNode " << id << " read from a tp " << table.num_shards()
+     << ", dp " << table.dp_replicas() << " table (" << table.at(id).size()
+     << " patterns) for a plan routed at tp " << routed.num_shards << ", dp "
+     << routed.dp_replicas;
+  ::tap::detail::check_failed("routed_pattern", __FILE__, __LINE__, os.str());
 }
 
-std::string comm_reason(const ir::TapGraph& tg, const RoutedPlan& routed,
+std::string comm_reason(const PatternTable& table, const RoutedPlan& routed,
                         const CommEvent& e) {
+  // Read for every kind, so a table of another mesh always throws.
+  const std::string& pattern = routed_pattern(table, routed, e.node).name;
   // Appends only (no operator+ chains), as in ShardingPattern::to_string.
   auto text = [](const char* prefix, const std::string& rest) {
     std::string s = prefix;
     s += rest;
     return s;
   };
-  auto pattern = [&] { return routed_pattern(tg, routed, e.node).name; };
   auto reshard = [&](const char* prefix) {
     std::string s = prefix;
     s += e.from_spec.to_string();
@@ -633,21 +635,21 @@ std::string comm_reason(const ir::TapGraph& tg, const RoutedPlan& routed,
   };
   switch (e.why) {
     case CommReason::kPattern:
-      return text("pattern:", pattern());
+      return text("pattern:", pattern);
     case CommReason::kPatternGrad:
-      return text("grad:", pattern());
+      return text("grad:", pattern);
     case CommReason::kReshard:
       return reshard("reshard ");
     case CommReason::kReshardGrad:
       return reshard("grad of reshard ");
     case CommReason::kWeightGrad:
-      return text("wgrad:", pattern());
+      return text("wgrad:", pattern);
     case CommReason::kSecondaryWeightGrad:
       return "wgrad:secondary";
     case CommReason::kShardWeightGrad:
-      return text("wgrad:dp-shard:", pattern());
+      return text("wgrad:dp-shard:", pattern);
     case CommReason::kInputGrad:
-      return text("igrad:", pattern());
+      return text("igrad:", pattern);
   }
   return {};
 }

@@ -92,10 +92,10 @@ struct RoutedPlan {
   /// RoutedPlan defines only the members' and their producers' entries
   /// (see route_subgraph_into); every other route defines all of them.
   std::vector<ShardSpec> output_spec;
-  /// Resolved pattern per GraphNode (index into the mesh's PatternTable,
-  /// == patterns_for(tg, id, num_shards, dp_replicas)), with the same
-  /// coverage as output_spec (members only, for a reused subgraph
-  /// route).
+  /// Resolved pattern per GraphNode (index into the row of the
+  /// PatternTable at this plan's mesh; read it with routed_pattern), with
+  /// the same coverage as output_spec (members only, for a reused
+  /// subgraph route).
   std::vector<int> pattern_index;
   std::vector<CommEvent> comms;
   /// Layout changes per edge (see EdgeConversion).
@@ -298,16 +298,39 @@ class FrontierRouter {
 ShardSpec subgraph_exit_spec(const RoutedPlan& routed,
                              const SubgraphScope& scope);
 
-/// The pattern `routed` chose for GraphNode `id`, read from the catalog
-/// of the routed plan's own mesh (patterns_for(tg, id, routed.num_shards,
-/// routed.dp_replicas)). Checks that the chosen index is in that catalog.
-ShardingPattern routed_pattern(const ir::TapGraph& tg,
-                               const RoutedPlan& routed, ir::GraphNodeId id);
+namespace detail {
+/// Throws routed_pattern's CheckError. Out of line, so the inline
+/// accessor stays a few compares on BackwardWindowTerms::window's
+/// per-cluster path.
+[[noreturn]] void routed_pattern_failed(const PatternTable& table,
+                                        const RoutedPlan& routed,
+                                        ir::GraphNodeId id);
+}  // namespace detail
+
+/// The pattern `routed` chose for GraphNode `id`: an entry of `table`,
+/// which must be the PatternTable of the routed plan's own mesh. Checks
+/// that the meshes agree and that the chosen index is inside the node's
+/// row.
+inline const ShardingPattern& routed_pattern(const PatternTable& table,
+                                             const RoutedPlan& routed,
+                                             ir::GraphNodeId id) {
+  const std::vector<ShardingPattern>& row = table.at(id);
+  // A negative index wraps past any row size.
+  const auto k = static_cast<std::size_t>(
+      routed.pattern_index[static_cast<std::size_t>(id)]);
+  if (k >= row.size() || table.num_shards() != routed.num_shards ||
+      table.dp_replicas() != routed.dp_replicas) {
+    detail::routed_pattern_failed(table, routed, id);
+  }
+  return row[k];
+}
 
 /// The text of `e.why` ("pattern:split_col", "reshard S(0)->R",
-/// "wgrad:dp-shard:split_row", ...) for an event of `routed`. Built on
+/// "wgrad:dp-shard:split_row", ...) for an event of `routed`. It reads
+/// the pattern of `e.node` through routed_pattern(table, routed, ...) for
+/// every event kind, so a table of another mesh always throws. Built on
 /// demand — sim traces and tests call it; the search never does.
-std::string comm_reason(const ir::TapGraph& tg, const RoutedPlan& routed,
+std::string comm_reason(const PatternTable& table, const RoutedPlan& routed,
                         const CommEvent& e);
 
 }  // namespace tap::sharding

@@ -98,6 +98,7 @@ StepBreakdown simulate_step(const ir::TapGraph& tg,
   TAP_CHECK_EQ(num_shards, routed.num_shards)
       << "simulate_step's mesh differs from the one the plan was routed for";
 
+  const sharding::PatternTable table(tg, routed.num_shards, routed.dp_replicas);
   StepBreakdown out;
   out.memory = cost::estimate_memory(tg, routed, opts.training);
   const double amp_speed =
@@ -111,15 +112,12 @@ StepBreakdown simulate_step(const ir::TapGraph& tg,
   std::vector<double> fwd_dur(tg.num_nodes(), 0.0);
   std::vector<double> bwd_dur(tg.num_nodes(), 0.0);
   for (const auto& n : tg.nodes()) {
-    const sharding::ShardingPattern pat =
-        sharding::routed_pattern(tg, routed, n.id);
-    const sharding::ShardSpec& ospec =
-        routed.output_spec[static_cast<std::size_t>(n.id)];
+    const bool split = sharding::computes_split(
+        sharding::routed_pattern(table, routed, n.id),
+        routed.output_spec[static_cast<std::size_t>(n.id)]);
     const double dp = static_cast<double>(std::max(1, routed.dp_replicas));
     const double shrink =
-        dp * ((ospec.is_split() || pat.weight.is_split())
-                  ? static_cast<double>(routed.num_shards)
-                  : 1.0);
+        dp * (split ? static_cast<double>(routed.num_shards) : 1.0);
     for (NodeId op : n.ops) {
       const OpWork& work = tg.op_work(op);
       const bool fused = opts.xla_fusion && fusion::is_fusable(work.kind);
@@ -173,7 +171,7 @@ StepBreakdown simulate_step(const ir::TapGraph& tg,
     if (s.trace == nullptr) return std::string();
     std::string name = n.name;
     name += ':';
-    name += sharding::comm_reason(tg, routed, e);
+    name += sharding::comm_reason(table, routed, e);
     return name;
   };
   auto compute_args = [&](const ir::GraphNode& n) {

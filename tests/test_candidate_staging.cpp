@@ -329,9 +329,10 @@ TEST(CandidateStaging, StagedBatchMatchesEvaluate) {
 /// FNV-1a digest of the reason text of every event of `r`, in order.
 std::string reason_digest(const ir::TapGraph& tg,
                           const sharding::RoutedPlan& r) {
+  const sharding::PatternTable table(tg, r.num_shards, r.dp_replicas);
   std::uint64_t h = util::kFnvOffset;
   for (const sharding::CommEvent& e : r.comms) {
-    h = util::hash_str(sharding::comm_reason(tg, r, e), h);
+    h = util::hash_str(sharding::comm_reason(table, r, e), h);
     h = util::hash_str("\n", h);
   }
   return hex64(h);

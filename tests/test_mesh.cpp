@@ -60,9 +60,10 @@ TEST(Mesh, HybridMegatronSplitsCommAcrossGroups) {
   plan.dp_replicas = 2;
   auto routed = sharding::route_plan(f.tg, plan);
   ASSERT_TRUE(routed.valid) << routed.error;
+  const sharding::PatternTable table(f.tg, 8, 2);
   bool saw_tp_fwd = false, saw_dp_shard_sync = false;
   for (const auto& e : routed.comms) {
-    const std::string reason = sharding::comm_reason(f.tg, routed, e);
+    const std::string reason = sharding::comm_reason(table, routed, e);
     if (reason.rfind("pattern:", 0) == 0) {
       EXPECT_EQ(e.group, 8);
       EXPECT_FALSE(e.cross_node);
@@ -89,9 +90,10 @@ TEST(Mesh, ActivationBytesScaleWithDp) {
   // The forward AllReduce of the same block moves half the bytes when the
   // batch is pre-split across 2 replicas.
   auto fwd_bytes = [&](const sharding::RoutedPlan& r) {
+    const sharding::PatternTable table(f.tg, r.num_shards, r.dp_replicas);
     std::int64_t b = 0;
     for (const auto& e : r.comms)
-      if (sharding::comm_reason(f.tg, r, e).rfind("pattern:", 0) == 0 &&
+      if (sharding::comm_reason(table, r, e).rfind("pattern:", 0) == 0 &&
           e.phase == sharding::CommEvent::Phase::kForward)
         b += e.bytes;
     return b;
@@ -107,8 +109,9 @@ TEST(Mesh, PureReplicationNeedsNoGradientSync) {
   auto plan = baselines::megatron_plan(f.tg, 8);
   auto routed = sharding::route_plan(f.tg, plan);
   ASSERT_TRUE(routed.valid);
+  const sharding::PatternTable table(f.tg, 8, 1);
   for (const auto& e : routed.comms) {
-    if (sharding::comm_reason(f.tg, routed, e).rfind("wgrad:replicate", 0) ==
+    if (sharding::comm_reason(table, routed, e).rfind("wgrad:replicate", 0) ==
         0) {
       // Any surviving replicate-pattern sync must be on divergent data.
       EXPECT_GT(e.group, 1);

@@ -39,6 +39,12 @@ void set_pattern(const TapGraph& tg, ShardingPlan* plan,
   FAIL() << "pattern " << pattern << " not found for " << node;
 }
 
+/// comm_reason read against the PatternTable of `r`'s own mesh.
+std::string reason_of(const TapGraph& tg, const RoutedPlan& r,
+                      const CommEvent& e) {
+  return comm_reason(PatternTable(tg, r.num_shards, r.dp_replicas), r, e);
+}
+
 TEST(Routing, DefaultDataParallelPlanIsValid) {
   Fixture f = t5();
   ShardingPlan plan = default_plan(f.tg, 8);
@@ -69,8 +75,8 @@ TEST(Routing, TablelessRouteReadsThePlansOwnMeshCatalog) {
   EXPECT_EQ(tableless.pattern_index, with_table.pattern_index);
   ASSERT_EQ(tableless.comms.size(), with_table.comms.size());
   for (std::size_t i = 0; i < tableless.comms.size(); ++i) {
-    EXPECT_EQ(comm_reason(f.tg, tableless, tableless.comms[i]),
-              comm_reason(f.tg, with_table, with_table.comms[i]));
+    EXPECT_EQ(comm_reason(own, tableless, tableless.comms[i]),
+              comm_reason(own, with_table, with_table.comms[i]));
   }
   EXPECT_THROW(route_plan(f.tg, plan, &dp1), CheckError);
 }
@@ -103,7 +109,7 @@ TEST(Routing, MegatronStyleAttentionHasTwoAllReducesPerBlock) {
   for (const auto& e : r.comms) {
     if (e.phase == CommEvent::Phase::kForward &&
         e.kind == Collective::kAllReduce &&
-        comm_reason(f.tg, r, e).rfind("pattern:", 0) == 0 &&
+        reason_of(f.tg, r, e).rfind("pattern:", 0) == 0 &&
         f.tg.node(e.node).name.find("block_0") != std::string::npos) {
       ++fwd_pattern_allreduce;
     }
@@ -122,7 +128,7 @@ TEST(Routing, SplitColFeedsSplitRowWithoutReshard) {
   // input: no reshard at the activation (ffn#1) or at wo. (Resharding at
   // wi's *entry* is expected — the surrounding plan is data parallel.)
   for (const auto& e : r.comms) {
-    const std::string reason = comm_reason(f.tg, r, e);
+    const std::string reason = reason_of(f.tg, r, e);
     if (reason.rfind("reshard", 0) == 0) {
       const std::string& where = f.tg.node(e.node).name;
       EXPECT_EQ(where.find("ffn/wo"), std::string::npos)
@@ -143,7 +149,7 @@ TEST(Routing, LoneSplitColTriggersGatherAtNormBoundary) {
   ASSERT_TRUE(r.valid) << r.error;
   bool reshard_seen = false;
   for (const auto& e : r.comms)
-    reshard_seen |= comm_reason(f.tg, r, e).rfind("reshard", 0) == 0;
+    reshard_seen |= reason_of(f.tg, r, e).rfind("reshard", 0) == 0;
   EXPECT_TRUE(reshard_seen);
 }
 
@@ -184,7 +190,7 @@ TEST(Routing, CommEventsCarryReasonsAndBytes) {
   RoutedPlan r = route_plan(f.tg, plan);
   for (const auto& e : r.comms) {
     EXPECT_GT(e.bytes, 0);
-    EXPECT_FALSE(comm_reason(f.tg, r, e).empty());
+    EXPECT_FALSE(reason_of(f.tg, r, e).empty());
     EXPECT_NE(e.node, ir::kInvalidGraphNode);
   }
 }
@@ -466,7 +472,7 @@ TEST(Routing, EveryZooEventHasAGroupOfTwoOrMore) {
         EXPECT_EQ(routed->dp_replicas, dp);
         for (const CommEvent& e : routed->comms) {
           ASSERT_GE(e.group, 2) << dp << "x" << tp << " "
-                                << comm_reason(tg, *routed, e);
+                                << reason_of(tg, *routed, e);
           ++events;
         }
       }
@@ -476,16 +482,32 @@ TEST(Routing, EveryZooEventHasAGroupOfTwoOrMore) {
 }
 
 TEST(Routing, RoutedPatternChecksTheIndexAgainstItsMesh) {
+  // The 8x4 / 8x1 pair of TablelessRouteReadsThePlansOwnMeshCatalog:
+  // index 0 of mha/q names different patterns in the two tables, so a
+  // table of the wrong mesh would silently answer with the wrong pattern.
   Fixture f = t5(1);
-  RoutedPlan routed = route_plan(f.tg, default_plan(f.tg, 8));
-  ASSERT_TRUE(routed.valid);
-  const ir::GraphNodeId id = f.tg.find("t5_1l/encoder/block_0/ffn/wi");
-  ASSERT_NE(id, ir::kInvalidGraphNode);
-  EXPECT_EQ(routed_pattern(f.tg, routed, id).name,
-            patterns_for(f.tg, id, 8, 1)[0].name);
-  routed.pattern_index[static_cast<std::size_t>(id)] =
-      static_cast<int>(patterns_for(f.tg, id, 8, 1).size());
-  EXPECT_THROW(routed_pattern(f.tg, routed, id), CheckError);
+  RoutedPlan routed = route_plan(f.tg, default_plan(f.tg, 8, 4));
+  ASSERT_TRUE(routed.valid) << routed.error;
+  const PatternTable own(f.tg, 8, 4), dp1(f.tg, 8, 1);
+  const ir::GraphNodeId q = f.tg.find("t5_1l/encoder/block_0/mha/q");
+  ASSERT_NE(q, ir::kInvalidGraphNode);
+  ASSERT_EQ(routed.pattern_index[static_cast<std::size_t>(q)], 0);
+  ASSERT_NE(own.at(q)[0].name, dp1.at(q)[0].name);
+
+  // In range: the table's own entry, not a copy.
+  EXPECT_EQ(&routed_pattern(own, routed, q), &own.at(q)[0]);
+  // Another mesh's table is refused, by the accessor and by comm_reason.
+  EXPECT_THROW(routed_pattern(dp1, routed, q), CheckError);
+  ASSERT_FALSE(routed.comms.empty());
+  for (const CommEvent& e : routed.comms)
+    EXPECT_THROW(comm_reason(dp1, routed, e), CheckError);
+
+  // Out of range: one past the end of the node's row, and negative.
+  routed.pattern_index[static_cast<std::size_t>(q)] =
+      static_cast<int>(own.at(q).size());
+  EXPECT_THROW(routed_pattern(own, routed, q), CheckError);
+  routed.pattern_index[static_cast<std::size_t>(q)] = -1;
+  EXPECT_THROW(routed_pattern(own, routed, q), CheckError);
 }
 
 TEST(Plan, DescribePlanListsPatterns) {

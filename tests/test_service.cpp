@@ -253,9 +253,10 @@ INSTANTIATE_TEST_SUITE_P(Zoo, ServiceIdentity, ::testing::Range(0, 4),
 /// Every routed event's reason text, hashed in event order.
 std::uint64_t reason_digest(const ir::TapGraph& tg,
                             const sharding::RoutedPlan& routed) {
+  const sharding::PatternTable table(tg, routed.num_shards, routed.dp_replicas);
   std::uint64_t h = util::kFnvOffset;
   for (const sharding::CommEvent& e : routed.comms)
-    h = util::hash_str(sharding::comm_reason(tg, routed, e), h);
+    h = util::hash_str(sharding::comm_reason(table, routed, e), h);
   return h;
 }
 
