@@ -43,7 +43,8 @@ int main() {
     cost::CommLedger ledger;
     cost::comm_cost(tap.routed, cluster, {}, &ledger);
     std::cout << "---- TAP discovered best (batch " << batch << ") ----\n";
-    std::cout << core::visualize_plan(w.tg, tap.best_plan, tap.pruning,
+    std::cout << core::visualize_plan(w.tg, tap.best_plan,
+                                      pruning::prune_graph(w.tg, topts.prune),
                                       &ledger);
     std::printf("search: %lld candidates, %.1f ms, comm cost %.2f ms\n\n",
                 static_cast<long long>(tap.candidate_plans),

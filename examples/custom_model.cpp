@@ -68,7 +68,9 @@ int main() {
   std::printf("searched %lld candidates, comm cost %.3f ms\n",
               static_cast<long long>(r.candidate_plans),
               r.cost.total() * 1e3);
-  std::printf("%s", core::visualize_plan(tg, r.best_plan, r.pruning).c_str());
+  std::printf("%s", core::visualize_plan(tg, r.best_plan,
+                                         pruning::prune_graph(tg, opts.prune))
+                        .c_str());
 
   // --- verify p(X) = G(X) numerically ----------------------------------------
   runtime::Executor serial(model);

@@ -43,6 +43,7 @@ int main() {
   // 4. Search — sweeping every (dp, tp) device-mesh factorization (the
   //    paper's `tap.split(mesh)` front-end).
   core::TapResult result = core::auto_parallel_best_mesh(tg, opts);
+  const pruning::PruneResult pruned = pruning::prune_graph(tg, opts.prune);
   opts.num_shards = result.best_plan.num_shards;
   opts.dp_replicas = result.best_plan.dp_replicas;
   std::printf("chosen mesh [dp, tp] = %s\n",
@@ -52,16 +53,14 @@ int main() {
       "%zu unique subgraphs, fold depth %d\n",
       static_cast<long long>(result.candidate_plans),
       static_cast<long long>(result.valid_plans),
-      result.search_seconds * 1e3, result.pruning.unique_subgraphs(),
-      result.pruning.fold_depth);
+      result.search_seconds * 1e3, pruned.unique_subgraphs(),
+      pruned.fold_depth);
   std::printf("plan comm cost: %.1f ms/step (fwd %.1f + bwd %.1f)\n",
               result.cost.total() * 1e3, result.cost.forward_comm_s * 1e3,
               result.cost.backward_comm_s * 1e3);
 
   // 5. Inspect the discovered plan (Fig. 14 style).
-  std::printf("%s", core::visualize_plan(tg, result.best_plan,
-                                         result.pruning)
-                        .c_str());
+  std::printf("%s", core::visualize_plan(tg, result.best_plan, pruned).c_str());
 
   // 6. Rewrite into the per-device SPMD graph.
   rewrite::RewriteResult rw =

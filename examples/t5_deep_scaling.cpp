@@ -28,7 +28,8 @@ int main() {
         {std::to_string(layers),
          util::human_count(static_cast<double>(model.total_params())),
          std::to_string(tg.num_nodes()),
-         std::to_string(r.pruning.unique_subgraphs()),
+         std::to_string(
+             pruning::prune_graph(tg, opts.prune).unique_subgraphs()),
          std::to_string(r.candidate_plans),
          util::fmt("%.1f", r.search_seconds * 1e3),
          util::fmt("%.2f", r.cost.total() * 1e3)});

@@ -552,7 +552,8 @@ int main(int argc, char** argv) {
   }
 
   if (args.viz) {
-    std::cout << core::visualize_plan(tg, result.best_plan, result.pruning);
+    std::cout << core::visualize_plan(tg, result.best_plan,
+                                      pruning::prune_graph(tg, opts.prune));
   }
 
   sim::SimOptions sopts;

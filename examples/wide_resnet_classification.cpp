@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "baselines/expert_plans.h"
+#include "core/planner_pipeline.h"
 #include "core/tap.h"
 #include "core/visualize.h"
 #include "ir/lowering.h"
@@ -50,7 +51,8 @@ int main() {
   auto report = [&](const char* name, const sharding::ShardingPlan& plan) {
     auto routed = sharding::route_plan(tg, plan);
     if (!routed.valid) return;
-    auto cost = cost::comm_cost(routed, opts.cluster, opts.cost);
+    // The planner's own recipe, so "TAP best" prints the planner's cost.
+    auto cost = core::finalize_cost(tg, routed, opts);
     auto step =
         sim::simulate_step(tg, routed, opts.num_shards, opts.cluster);
     table.add_row({name, util::fmt("%.2f", cost.total() * 1e3),

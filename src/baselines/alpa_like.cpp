@@ -1,9 +1,9 @@
 #include "baselines/alpa_like.h"
 
 #include <algorithm>
-#include <memory>
 
-#include "core/planner_pipeline.h"
+#include "baselines/whole_graph.h"
+#include "core/plan_context.h"
 #include "cost/flops.h"
 #include "ir/lowering.h"
 #include "util/rng.h"
@@ -16,64 +16,6 @@ namespace {
 struct Candidate {
   int stages = 1;
   double balance = 0.0;  ///< bottleneck stage cost (lower = better)
-};
-
-/// Alpa's inner intra-op search as a FamilySearchPolicy: randomized
-/// single-node mutations over the whole-graph family, each trial
-/// re-routing the FULL op-level graph (the ILP surrogate). Hill-climbing
-/// on communication cost — the candidate's pipeline terms are constant per
-/// stage partition, so they drop out of the comparison. Stateful (shared
-/// Rng, best-cost bookkeeping): driven single-threaded on one family.
-class AlpaIntraOpPolicy final : public core::FamilySearchPolicy {
- public:
-  AlpaIntraOpPolicy(util::Rng* rng, int trials) : rng_(rng), trials_(trials) {}
-
-  std::string name() const override { return "alpa-intra-op"; }
-
-  core::FamilySearchOutcome search(
-      const core::FamilySearchContext& ctx,
-      const pruning::SubgraphFamily& family,
-      const sharding::ShardingPlan& base) const override {
-    core::FamilySearchOutcome out;
-    const ir::TapGraph& tg = ctx.graph();
-    sharding::ShardingPlan plan = base;
-    best_comm_ = core::kInvalidPlanCost;
-    double c0 = core::kInvalidPlanCost;
-    if (ctx.evaluate_full_graph(plan, &c0, &out.stats)) {
-      best_comm_ = c0;
-      out.found = true;
-    }
-    const std::vector<ir::GraphNodeId> weighted = tg.weight_nodes();
-    if (!weighted.empty()) {
-      for (int trial = 0; trial < trials_; ++trial) {
-        sharding::ShardingPlan mutated = plan;
-        // Mutate one random weighted op's pattern.
-        const ir::GraphNodeId pick =
-            weighted[rng_->next_below(weighted.size())];
-        const auto& pats = ctx.table().at(pick);
-        mutated.choice[static_cast<std::size_t>(pick)] =
-            static_cast<int>(rng_->next_below(pats.size()));
-        double c = core::kInvalidPlanCost;
-        if (ctx.evaluate_full_graph(mutated, &c, &out.stats) &&
-            c < best_comm_) {
-          best_comm_ = c;
-          out.found = true;
-          plan = std::move(mutated);
-        }
-      }
-    }
-    out.choice.reserve(family.member_nodes.size());
-    for (ir::GraphNodeId id : family.member_nodes)
-      out.choice.push_back(plan.choice[static_cast<std::size_t>(id)]);
-    return out;
-  }
-
-  double best_comm() const { return best_comm_; }
-
- private:
-  util::Rng* rng_;
-  int trials_;
-  mutable double best_comm_ = core::kInvalidPlanCost;
 };
 
 }  // namespace
@@ -160,48 +102,47 @@ BaselineSearchResult alpa_like_search(const Graph& g,
     candidates.resize(static_cast<std::size_t>(opts.max_candidate_plans));
 
   // --- inner loop: randomized intra-op search per candidate ----------------
-  // Each candidate partition drives the shared PlannerPipeline with the
-  // whole op-level graph as one family (no search-space reduction) and the
-  // randomized-mutation policy — the pipeline owns the pattern table,
-  // routing and cost queries the old code duplicated.
+  // Hill-climbing on communication cost over the whole op-level graph (the
+  // ILP surrogate): each trial mutates one weighted op's pattern and
+  // re-routes the FULL graph. The candidate's pipeline terms are constant
+  // per stage partition, so they drop out of the comparison. A graph with
+  // no weighted op has nothing to decide and no trial to run.
   constexpr int kMicrobatches = 8;
   for (const Candidate& cand : candidates) {
     const int group = std::max(1, opts.num_shards / cand.stages);
-    core::TapOptions topts;
-    topts.num_shards = group;
-    topts.dp_replicas = 1;
-    topts.cluster = cluster;
-    topts.cost = opts.cost;
-    topts.threads = 1;
-
-    auto policy =
-        std::make_shared<AlpaIntraOpPolicy>(&rng, opts.intra_op_trials);
-    core::PlanContext ctx;
-    ctx.tg = &tg;
-    ctx.opts = topts;
-    core::PlannerPipeline pipe;
-    pipe.add(std::make_unique<core::BuildPatternTablePass>())
-        .add(std::make_unique<core::SingleFamilyPass>())
-        .add(std::make_unique<core::FamilySearchPass>(policy));
-    pipe.run(ctx);
-    result.ops_visited += ctx.stats.nodes_visited;
-    result.cost_queries += ctx.stats.cost_queries;
+    WholeGraphScorer scorer(tg, group, cluster);
+    sharding::ShardingPlan plan = sharding::default_plan(tg, group);
+    double comm = core::kInvalidPlanCost;
+    if (!scorer.weighted().empty()) {
+      double c0 = core::kInvalidPlanCost;
+      if (scorer.evaluate(plan, &c0)) comm = c0;
+      for (int trial = 0; trial < opts.intra_op_trials; ++trial) {
+        sharding::ShardingPlan mutated = plan;
+        scorer.mutate(&mutated, &rng);
+        double c = core::kInvalidPlanCost;
+        if (scorer.evaluate(mutated, &c) && c < comm) {
+          comm = c;
+          plan = std::move(mutated);
+        }
+      }
+    }
+    result.ops_visited += scorer.ops_visited();
+    result.cost_queries += scorer.cost_queries();
 
     const double stage_compute = cand.balance / static_cast<double>(group);
     const double bubble =
         static_cast<double>(cand.stages - 1) / kMicrobatches;
-    const double best =
-        policy->best_comm() == core::kInvalidPlanCost
-            ? core::kInvalidPlanCost
-            : policy->best_comm() + stage_compute * (1.0 + bubble);
+    const double best = comm == core::kInvalidPlanCost
+                            ? core::kInvalidPlanCost
+                            : comm + stage_compute * (1.0 + bubble);
     ++result.plans_evaluated;
     result.plan_costs.push_back(best);
-    result.evaluated.push_back({ctx.plan, cand.stages, best});
+    result.evaluated.push_back({plan, cand.stages, best});
     if (!result.found || best < result.best_cost) {
       result.found = true;
       result.best_cost = best;
       result.best_stages = cand.stages;
-      result.best_plan = ctx.plan;
+      result.best_plan = std::move(plan);
     }
   }
 

@@ -45,7 +45,6 @@ struct AlpaOptions {
   /// run (the variance bands of Figs. 11/12).
   double profile_noise = 0.05;
   std::uint64_t seed = 1234;
-  cost::CostOptions cost;
 };
 
 /// One candidate the search fully evaluated (the paper's variance bands

@@ -1,87 +1,14 @@
 #include "baselines/flexflow_like.h"
 
+#include <algorithm>
 #include <cmath>
-#include <memory>
 
-#include "core/planner_pipeline.h"
+#include "baselines/whole_graph.h"
 #include "ir/lowering.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
 namespace tap::baselines {
-
-namespace {
-
-/// The MCMC chain as a FamilySearchPolicy over the whole-graph family:
-/// each trial mutates one weighted op's pattern, issues the O(V+E)
-/// full-graph cost query through the shared FamilySearchContext, and
-/// accepts by the Metropolis criterion. Stateful (chain position, Rng,
-/// result bookkeeping) — driven single-threaded on one family.
-class McmcPolicy final : public core::FamilySearchPolicy {
- public:
-  McmcPolicy(util::Rng* rng, const FlexFlowOptions* opts,
-             BaselineSearchResult* result)
-      : rng_(rng), opts_(opts), result_(result) {}
-
-  std::string name() const override { return "flexflow-mcmc"; }
-
-  core::FamilySearchOutcome search(
-      const core::FamilySearchContext& ctx,
-      const pruning::SubgraphFamily& family,
-      const sharding::ShardingPlan& base) const override {
-    core::FamilySearchOutcome out;
-    const ir::TapGraph& tg = ctx.graph();
-    const std::vector<ir::GraphNodeId> weighted = tg.weight_nodes();
-
-    sharding::ShardingPlan current = base;
-    double current_cost = 0.0;
-    if (!ctx.evaluate_full_graph(current, &current_cost, &out.stats))
-      return out;  // DP itself does not route: chain never starts
-    sharding::ShardingPlan best = current;
-    double best_cost = current_cost;
-    result_->plan_costs.push_back(current_cost);
-    ++result_->plans_evaluated;
-
-    for (int trial = 0; trial < opts_->trials; ++trial) {
-      sharding::ShardingPlan next = current;
-      const ir::GraphNodeId id = weighted[rng_->next_below(weighted.size())];
-      const auto& pats = ctx.table().at(id);
-      next.choice[static_cast<std::size_t>(id)] =
-          static_cast<int>(rng_->next_below(pats.size()));
-      double next_cost = 0.0;
-      if (!ctx.evaluate_full_graph(next, &next_cost, &out.stats)) continue;
-      ++result_->plans_evaluated;
-      result_->plan_costs.push_back(next_cost);
-      if (next_cost < best_cost) {
-        best_cost = next_cost;
-        best = next;
-      }
-      // Metropolis acceptance on relative cost. The <= 0 short-circuit
-      // keeps the seed's RNG stream: downhill moves draw no random number.
-      const double delta =
-          (next_cost - current_cost) / std::max(current_cost, 1e-12);
-      if (delta <= 0.0 ||
-          rng_->next_double() < std::exp(-delta / opts_->temperature)) {
-        current = std::move(next);
-        current_cost = next_cost;
-      }
-    }
-
-    result_->best_cost = best_cost;
-    out.found = true;
-    out.choice.reserve(family.member_nodes.size());
-    for (ir::GraphNodeId id : family.member_nodes)
-      out.choice.push_back(best.choice[static_cast<std::size_t>(id)]);
-    return out;
-  }
-
- private:
-  util::Rng* rng_;
-  const FlexFlowOptions* opts_;
-  BaselineSearchResult* result_;
-};
-
-}  // namespace
 
 BaselineSearchResult flexflow_like_search(const Graph& g,
                                           const cost::ClusterSpec& cluster,
@@ -93,36 +20,47 @@ BaselineSearchResult flexflow_like_search(const Graph& g,
   ir::LoweringOptions lop;
   lop.cluster_by_scope = false;
   ir::TapGraph tg = ir::lower(g, lop);
-  if (tg.num_nodes() == 0) return result;
   if (tg.weight_nodes().empty()) return result;
 
-  core::TapOptions topts;
-  topts.num_shards = opts.num_shards;
-  topts.dp_replicas = 1;
-  topts.cluster = cluster;
-  topts.cost = opts.cost;
-  topts.threads = 1;
+  // The chain: each trial mutates one weighted op's pattern, issues the
+  // O(V+E) full-graph cost query, and accepts by the Metropolis criterion.
+  WholeGraphScorer scorer(tg, opts.num_shards, cluster);
+  sharding::ShardingPlan current = sharding::default_plan(tg, opts.num_shards);
+  double current_cost = 0.0;
+  // When the data-parallel start does not route, the chain never starts.
+  if (scorer.evaluate(current, &current_cost)) {
+    sharding::ShardingPlan best = current;
+    double best_cost = current_cost;
+    result.plan_costs.push_back(current_cost);
+    ++result.plans_evaluated;
 
-  // The chain drives the shared PlannerPipeline: the whole op-level graph
-  // as one family (FlexFlow has no search-space reduction), the MCMC
-  // policy as the search strategy. Routing and costing live in the
-  // pipeline, not here.
-  auto policy = std::make_shared<McmcPolicy>(&rng, &opts, &result);
-  core::PlanContext ctx;
-  ctx.tg = &tg;
-  ctx.opts = topts;
-  core::PlannerPipeline pipe;
-  pipe.add(std::make_unique<core::BuildPatternTablePass>())
-      .add(std::make_unique<core::SingleFamilyPass>())
-      .add(std::make_unique<core::FamilySearchPass>(policy));
-  pipe.run(ctx);
-
-  result.ops_visited += ctx.stats.nodes_visited;
-  result.cost_queries += ctx.stats.cost_queries;
-  if (result.plans_evaluated > 0) {
+    for (int trial = 0; trial < opts.trials; ++trial) {
+      sharding::ShardingPlan next = current;
+      scorer.mutate(&next, &rng);
+      double next_cost = 0.0;
+      if (!scorer.evaluate(next, &next_cost)) continue;
+      ++result.plans_evaluated;
+      result.plan_costs.push_back(next_cost);
+      if (next_cost < best_cost) {
+        best_cost = next_cost;
+        best = next;
+      }
+      // Metropolis acceptance on relative cost. The <= 0 short-circuit
+      // keeps the seed's RNG stream: downhill moves draw no random number.
+      const double delta =
+          (next_cost - current_cost) / std::max(current_cost, 1e-12);
+      if (delta <= 0.0 ||
+          rng.next_double() < std::exp(-delta / opts.temperature)) {
+        current = std::move(next);
+        current_cost = next_cost;
+      }
+    }
     result.found = true;
-    result.best_plan = ctx.plan;
+    result.best_cost = best_cost;
+    result.best_plan = std::move(best);
   }
+  result.ops_visited = scorer.ops_visited();
+  result.cost_queries = scorer.cost_queries();
   result.search_seconds = sw.elapsed_seconds();
   return result;
 }

@@ -16,7 +16,6 @@ struct FlexFlowOptions {
   int trials = 200;  ///< B, the MCMC budget
   double temperature = 0.25;
   std::uint64_t seed = 99;
-  cost::CostOptions cost;
 };
 
 /// Runs the MCMC search over `g`. Returns an op-level plan (re-lower with

@@ -101,7 +101,7 @@ bool FamilySearchContext::stage(const ShardingPlan& plan,
   sharding::RoutedPlan* steady = route(plan, scope, arena, &routed);
   if (steady == nullptr) return false;
   ++stats->cost_queries;
-  cost::CostOptions copts = opts_.cost;
+  cost::CostOptions copts;
   copts.overlap_window_s = scope.window().window(*steady, table_);
   arena->batch.add_candidate(steady, copts);
   *weight_bytes_out = scope.weight_bytes(plan);
@@ -118,23 +118,10 @@ bool FamilySearchContext::evaluate(const ShardingPlan& plan,
       route(plan, scope, &cost::tls_cost_arena(), &work->nodes_routed);
   if (steady == nullptr) return false;
   ++stats->cost_queries;
-  cost::CostOptions copts = opts_.cost;
+  cost::CostOptions copts;
   copts.overlap_window_s = scope.window().window(*steady, table_);
   out->comm = cost::comm_cost(*steady, opts_.cluster, copts).total();
   out->weight_bytes = scope.weight_bytes(plan);
-  return true;
-}
-
-bool FamilySearchContext::evaluate_full_graph(const ShardingPlan& plan,
-                                              double* cost,
-                                              SearchStats* stats) const {
-  stats->nodes_visited += static_cast<std::int64_t>(tg_.num_nodes());
-  cost::CostArena& arena = cost::tls_cost_arena();
-  sharding::route_plan_into(tg_, plan, table_, &arena.routing,
-                            &arena.routed);
-  if (!arena.routed.valid) return false;
-  ++stats->cost_queries;
-  *cost = cost::comm_cost(arena.routed, opts_.cluster, opts_.cost).total();
   return true;
 }
 

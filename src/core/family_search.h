@@ -12,11 +12,9 @@
 //     for a T5 encoder block, §6.3.1) and keeps the first best; the
 //     reference the DP is tested against.
 // Both score a candidate the one way FamilySearchContext::evaluate does:
-// a fresh route of the family's members and cost::comm_cost.
-// The Alpa-like and FlexFlow-like baselines implement the same interface
-// with whole-graph mutation policies (src/baselines/*.cpp) and drive the
-// same pipeline, so "which search strategy" is a plug-in decision, not a
-// fork of the planner.
+// a fresh route of the family's members and cost::comm_cost with the
+// family's backward window. The service's family-memoizing policy wraps
+// them (src/service/planner_service.h).
 #pragma once
 
 #include <span>
@@ -136,12 +134,6 @@ class FamilySearchContext {
              const pruning::SubgraphFamily& family, cost::CostArena* arena,
              std::int64_t* weight_bytes, SearchStats* stats) const;
 
-  /// Full-graph communication cost of `plan` — the O(V+E) cost query the
-  /// whole-graph baseline policies issue per trial. Returns false when the
-  /// plan does not route.
-  bool evaluate_full_graph(const sharding::ShardingPlan& plan, double* cost,
-                           SearchStats* stats) const;
-
  private:
   /// The routes evaluate() and stage() share: the probe into
   /// `arena->probe`, then, unless its exit layout is replicated, the
@@ -191,10 +183,11 @@ class FamilySearchPolicy {
 
   /// Selects a member-pattern assignment for `family`, starting from
   /// `base` (subgraph scoring only reads the members' choices, so the rest
-  /// of `base` is irrelevant). Policies used by the parallel FamilySearch
-  /// pass must be safe to call concurrently — the TAP policies are
-  /// stateless; stochastic baseline policies keep internal state and are
-  /// only driven single-threaded (one whole-graph family).
+  /// of `base` is irrelevant). A policy is stateless and thread-safe: its
+  /// outcome depends only on its arguments (a memo such as the service's
+  /// CachingFamilyPolicy returns what the search would), because the
+  /// FamilySearch pass calls it concurrently for disjoint families and the
+  /// mesh sweep shares one policy across factorizations.
   virtual FamilySearchOutcome search(
       const FamilySearchContext& ctx, const pruning::SubgraphFamily& family,
       const sharding::ShardingPlan& base) const = 0;

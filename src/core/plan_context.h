@@ -36,7 +36,6 @@ struct TapOptions {
   int dp_replicas = 1;
   cost::ClusterSpec cluster = cost::ClusterSpec::v100_node();
   pruning::PruneOptions prune;
-  cost::CostOptions cost;
   /// Worker threads for the independent family searches and the (dp, tp)
   /// factorizations of the mesh sweep. <= 0 selects
   /// hardware_concurrency(); 1 forces the sequential order. Results are

@@ -26,13 +26,13 @@ cost::BackwardWindowTerms full_graph_terms(const PlanContext& ctx) {
 /// finalize_cost with the routed plan's PatternTable and full-graph
 /// window terms already built.
 cost::PlanCost full_graph_cost(const sharding::RoutedPlan& routed,
-                               const TapOptions& opts,
+                               const cost::ClusterSpec& cluster,
                                const sharding::PatternTable& table,
                                const cost::BackwardWindowTerms& terms,
                                cost::CommLedger* ledger = nullptr) {
-  cost::CostOptions copts = opts.cost;
+  cost::CostOptions copts;
   copts.overlap_window_s = terms.window(routed, table);
-  return cost::comm_cost(routed, opts.cluster, copts, ledger);
+  return cost::comm_cost(routed, cluster, copts, ledger);
 }
 
 bool family_is_weighted(const ir::TapGraph& tg, const SubgraphFamily& f) {
@@ -75,7 +75,7 @@ cost::PlanCost finalize_cost(const ir::TapGraph& tg,
                                      routed.dp_replicas);
   const cost::BackwardWindowTerms terms(tg, nullptr, routed.num_shards,
                                         routed.dp_replicas, opts.cluster);
-  return full_graph_cost(routed, opts, table, terms, ledger);
+  return full_graph_cost(routed, opts.cluster, table, terms, ledger);
 }
 
 std::size_t weighted_family_count(const ir::TapGraph& tg,
@@ -140,26 +140,6 @@ void PrunePass::run(PlanContext& ctx) const {
     return;
   }
   ctx.pruning = pruning::prune_graph(ctx.graph(), ctx.opts.prune);
-}
-
-void SingleFamilyPass::run(PlanContext& ctx) const {
-  const ir::TapGraph& tg = ctx.graph();
-  SubgraphFamily fam;
-  fam.representative = "<whole-graph>";
-  fam.instances = {fam.representative};
-  fam.member_nodes.reserve(tg.num_nodes());
-  fam.relnames.reserve(tg.num_nodes());
-  for (const auto& n : tg.nodes()) {
-    fam.member_nodes.push_back(n.id);
-    fam.relnames.push_back(n.name);
-    fam.params += n.params;
-  }
-  fam.instance_nodes = {fam.member_nodes};
-  pruning::PruneResult pr;
-  pr.fold_depth = 0;
-  pr.total_graph_nodes = tg.num_nodes();
-  pr.families.push_back(std::move(fam));
-  ctx.pruning = std::move(pr);
 }
 
 FamilySearchPass::FamilySearchPass(
@@ -251,7 +231,7 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
     sharding::route_plan_into(tg, plan, table, &scratch, routed);
     ++routes;
     if (!routed->valid) return false;
-    *cost = full_graph_cost(*routed, ctx.opts, table, terms);
+    *cost = full_graph_cost(*routed, ctx.opts.cluster, table, terms);
     return true;
   };
   const auto num_nodes = static_cast<std::int64_t>(tg.num_nodes());
@@ -321,7 +301,7 @@ void FinalizeCostPass::run(PlanContext& ctx) const {
   if (ctx.routed_cost.has_value()) {
     ctx.cost = *ctx.routed_cost;
   } else {
-    ctx.cost = full_graph_cost(ctx.routed, ctx.opts, *ctx.table,
+    ctx.cost = full_graph_cost(ctx.routed, ctx.opts.cluster, *ctx.table,
                                full_graph_terms(ctx));
   }
   ++ctx.stats.cost_queries;

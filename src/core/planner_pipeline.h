@@ -14,10 +14,9 @@
 //
 // Each pass is a small class with name()/run(PlanContext&); the pipeline
 // records per-pass wall time (PlanContext::timings), and benches/tests can
-// run prefixes (run_prefix) to isolate a stage. The Alpa-like and
-// FlexFlow-like baselines assemble their own pipelines from the same
-// passes — BuildPatternTable → SingleFamily → FamilySearch(their policy) —
-// instead of re-implementing routing/costing glue.
+// run prefixes (run_prefix) to isolate a stage. The pipeline serves TAP
+// alone: the Alpa-like and FlexFlow-like baselines mutate one whole-graph
+// plan in their own loops (src/baselines/whole_graph.h).
 #pragma once
 
 #include <memory>
@@ -26,7 +25,7 @@
 
 namespace tap::core {
 
-/// The cost FinalizeCost gives a routed plan: `opts.cost` with the
+/// The cost FinalizeCost gives a routed plan: cost::CostOptions{} with the
 /// overlap window set to the full-graph backward compute time (at the
 /// routed plan's mesh), fed into cost::comm_cost. GlobalRefine costs
 /// every route with this recipe, so a loaded, served or reported plan
@@ -56,8 +55,6 @@ class PlannerPipeline {
   PlannerPipeline(PlannerPipeline&&) = default;
   PlannerPipeline& operator=(PlannerPipeline&&) = default;
 
-  PlannerPipeline& add(std::unique_ptr<PlannerPass> pass);
-
   std::size_t size() const { return passes_.size(); }
   const PlannerPass& pass(std::size_t i) const { return *passes_[i]; }
 
@@ -75,6 +72,8 @@ class PlannerPipeline {
       std::shared_ptr<const FamilySearchPolicy> policy = nullptr);
 
  private:
+  PlannerPipeline& add(std::unique_ptr<PlannerPass> pass);
+
   std::vector<std::unique_ptr<PlannerPass>> passes_;
 };
 
@@ -94,15 +93,6 @@ class BuildPatternTablePass final : public PlannerPass {
 class PrunePass final : public PlannerPass {
  public:
   std::string name() const override { return "Prune"; }
-  void run(PlanContext& ctx) const override;
-};
-
-/// Synthesizes one family covering the whole graph — the "no search-space
-/// reduction" configuration the whole-graph baseline policies drive
-/// (Table 2 rows FlexFlow/Alpa).
-class SingleFamilyPass final : public PlannerPass {
- public:
-  std::string name() const override { return "SingleFamily"; }
   void run(PlanContext& ctx) const override;
 };
 

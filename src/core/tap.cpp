@@ -47,7 +47,6 @@ TapResult context_to_result(PlanContext&& ctx, double elapsed_seconds) {
   r.best_plan = std::move(ctx.plan);
   r.routed = std::move(ctx.routed);
   r.cost = ctx.cost;
-  r.pruning = std::move(ctx.pruning);
   r.candidate_plans = ctx.stats.candidate_plans;
   r.valid_plans = ctx.stats.valid_plans;
   r.nodes_visited = ctx.stats.nodes_visited;

@@ -67,7 +67,6 @@ struct TapResult {
   sharding::ShardingPlan best_plan;
   sharding::RoutedPlan routed;  ///< full-graph routing of the best plan
   cost::PlanCost cost;          ///< full-graph communication cost
-  pruning::PruneResult pruning;
   PlanProvenance provenance;
 
   // Search statistics (Table 2, Figs. 9/10).

@@ -239,8 +239,7 @@ MemoryEstimate estimate_memory(const ir::TapGraph& tg,
   if (training.amp) mem.activation_bytes /= 2;  // fp16 activations
   if (training.recompute) {
     mem.activation_bytes = static_cast<std::int64_t>(
-        static_cast<double>(mem.activation_bytes) *
-        training.recompute_keep_fraction);
+        static_cast<double>(mem.activation_bytes) * kRecomputeKeepFraction);
   }
   if (training.zero1 && routed.dp_replicas > 1) {
     mem.optimizer_bytes /= routed.dp_replicas;

@@ -160,18 +160,22 @@ class BackwardWindowTerms {
 // orthogonal passes TAP composes with)
 // ---------------------------------------------------------------------------
 
+/// Tensor-core speedup applied to compute under AMP (V100-era
+/// conservative figure; peak is ~8x, sustained far less).
+inline constexpr double kAmpComputeSpeedup = 3.0;
+/// Fraction of forward activations gradient checkpointing keeps.
+inline constexpr double kRecomputeKeepFraction = 0.25;
+/// Backward-time overhead of recomputation: one extra forward, amortized.
+inline constexpr double kRecomputeExtraBackward = 0.33;
+
 struct TrainingOptions {
   /// Automatic mixed precision: fp16 activations/gradients/compute with
-  /// fp32 master weights (NVIDIA AMP, §4.8 [1]).
+  /// fp32 master weights (NVIDIA AMP, §4.8 [1]); compute speeds up by
+  /// kAmpComputeSpeedup.
   bool amp = false;
-  /// Tensor-core speedup applied to compute when amp is on (V100-era
-  /// conservative figure; peak is ~8x, sustained far less).
-  double amp_compute_speedup = 3.0;
-  /// Gradient checkpointing (§4.8 [6]): keep only a fraction of forward
-  /// activations and recompute the rest during backward.
+  /// Gradient checkpointing (§4.8 [6]): keep kRecomputeKeepFraction of the
+  /// forward activations and recompute the rest during backward.
   bool recompute = false;
-  double recompute_keep_fraction = 0.25;
-  double recompute_extra_backward = 0.33;  ///< one extra forward, amortized
   /// ZeRO stage 1 (§4.8 [23,24]): shard optimizer states across the dp
   /// replicas; each step re-gathers the updated weight shards.
   bool zero1 = false;

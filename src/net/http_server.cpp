@@ -22,6 +22,14 @@ namespace tap::net {
 
 namespace {
 
+/// listen() backlog.
+constexpr int kListenBacklog = 128;
+/// Accepted-but-unserved connections held; beyond this, accept() closes
+/// immediately (connection-level load shedding).
+constexpr std::size_t kMaxPendingConnections = 128;
+/// Idle-connection poll tick; bounds how fast drain/stop is noticed.
+constexpr int kPollIntervalMs = 50;
+
 struct ServerMetrics {
   obs::Counter* accepted;
   obs::Counter* shed;
@@ -107,7 +115,7 @@ void HttpServer::start() {
     TAP_CHECK(false) << "bind(" << opts_.host << ":" << opts_.port
                      << "): " << std::strerror(err);
   }
-  if (::listen(listen_fd_, opts_.backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     const int err = errno;
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -132,7 +140,7 @@ void HttpServer::start() {
 void HttpServer::accept_loop() {
   for (;;) {
     pollfd p{listen_fd_, POLLIN, 0};
-    const int r = ::poll(&p, 1, opts_.poll_interval_ms);
+    const int r = ::poll(&p, 1, kPollIntervalMs);
     if (stopping_.load(std::memory_order_relaxed)) return;
     if (r <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -147,7 +155,7 @@ void HttpServer::accept_loop() {
     metrics().accepted->add();
     std::lock_guard<std::mutex> lk(mu_);
     if (stopping_.load(std::memory_order_relaxed) ||
-        pending_.size() >= opts_.max_pending_connections) {
+        pending_.size() >= kMaxPendingConnections) {
       // Connection-level load shedding: never queue unboundedly.
       metrics().shed->add();
       ::close(fd);
@@ -212,7 +220,7 @@ void HttpServer::serve_connection(int fd) {
   bool close_conn = false;
   while (!close_conn) {
     pollfd p{fd, POLLIN, 0};
-    const int r = ::poll(&p, 1, opts_.poll_interval_ms);
+    const int r = ::poll(&p, 1, kPollIntervalMs);
     if (r < 0) break;
     if (r == 0) {
       // Idle tick. During drain, idle keep-alive connections close here;

@@ -43,18 +43,13 @@ struct HttpServerOptions {
   std::string host = "127.0.0.1";
   /// 0 = kernel-assigned ephemeral port (see bound_port()).
   int port = 0;
-  int backlog = 128;
   /// Concurrent connections served; accepted connections beyond this wait
-  /// in a bounded queue.
+  /// in a bounded queue of 128, and accept() closes any beyond that
+  /// (connection-level load shedding).
   int connection_threads = 8;
-  /// Accepted-but-unserved connections held; beyond this, accept() closes
-  /// immediately (connection-level load shedding).
-  std::size_t max_pending_connections = 128;
   HttpLimits limits;
   /// stop(): wall budget for in-flight requests before force-close.
   double drain_deadline_ms = 5000.0;
-  /// Idle-connection poll tick; bounds how fast drain/stop is noticed.
-  int poll_interval_ms = 50;
 };
 
 class HttpServer {

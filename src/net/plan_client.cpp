@@ -278,7 +278,7 @@ HttpMessage PlanClient::send(int shard, const HttpMessage& req,
     }
     return resp;
   }
-  if (allow_failover && opts_.failover_to_nonowner && num_shards() > 1) {
+  if (allow_failover && num_shards() > 1) {
     // Degraded path: every replica of the owner is down or breaker-open.
     // Any shard can serve the key — plan bytes are a pure function of the
     // PlanKey — so ask the next slots to relax their 421 misroute guard.

@@ -58,9 +58,6 @@ struct ClientOptions {
   ShardSchemeOptions scheme;
   /// Per-replica circuit breaker thresholds.
   BreakerOptions breaker;
-  /// Allow the degraded non-owner path for plan requests when every
-  /// replica of the owning shard is unreachable.
-  bool failover_to_nonowner = true;
   /// Test hook: monotonic now() in milliseconds for breaker cooldowns.
   /// Unset uses std::chrono::steady_clock.
   std::function<double()> clock;

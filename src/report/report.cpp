@@ -8,6 +8,7 @@
 
 #include "core/planner_pipeline.h"
 #include "obs/metrics.h"
+#include "pruning/prune.h"
 #include "sharding/enumerate.h"
 #include "sharding/pattern.h"
 #include "util/check.h"
@@ -297,10 +298,13 @@ PlanReport build_report(const ir::TapGraph& tg,
   // exactly.
   r.cost = core::finalize_cost(tg, result.routed, opts, &ledger);
   r.exposed_fraction = ledger.exposed_fraction;
-  r.contributors = aggregate_contributors(tg, result.pruning, ledger,
-                                          ropts.top_k, &r.contributor_scopes);
+  // Algorithm 1 again, so a loaded or served plan reports what its search
+  // did: pruning depends only on the graph and opts.prune.
+  const pruning::PruneResult pruned = pruning::prune_graph(tg, opts.prune);
+  r.contributors = aggregate_contributors(tg, pruned, ledger, ropts.top_k,
+                                          &r.contributor_scopes);
   r.pruning = attribute_pruning(
-      sharding::PatternTable(tg, r.num_shards, r.dp_replicas), result.pruning);
+      sharding::PatternTable(tg, r.num_shards, r.dp_replicas), pruned);
 
   sim::Trace trace;
   sim::SimOptions sopts = ropts.sim;
@@ -375,8 +379,9 @@ void attach_baseline_diff(PlanReport* r, const ir::TapGraph& tg,
     diff.entries.push_back(std::move(e));
   };
 
-  if (!result.pruning.families.empty()) {
-    for (const pruning::SubgraphFamily& f : result.pruning.families) {
+  const pruning::PruneResult pruned = pruning::prune_graph(tg, opts.prune);
+  if (!pruned.families.empty()) {
+    for (const pruning::SubgraphFamily& f : pruned.families) {
       for (std::size_t j = 0; j < f.member_nodes.size(); ++j) {
         if (!tg.node(f.member_nodes[j]).has_weight()) continue;
         std::string scope = f.relnames[j] == "."

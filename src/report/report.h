@@ -170,14 +170,18 @@ struct PlanReport {
 
 /// Builds the report for `result` (a valid plan for `tg` planned under
 /// `opts`): recomputes the comm ledger, simulates one step with
-/// dependency recording, and aggregates attribution by subgraph family.
+/// dependency recording, and aggregates attribution by the subgraph
+/// families of pruning::prune_graph(tg, opts.prune). Everything is derived
+/// from (tg, plan, opts), so a loaded or served plan reports what the
+/// search that made it would.
 PlanReport build_report(const ir::TapGraph& tg,
                         const core::TapResult& result,
                         const core::TapOptions& opts,
                         const ReportOptions& ropts = {});
 
-/// Diffs result.best_plan against `theirs` (both must route on `tg`) and
-/// attaches the result to `r`.
+/// Diffs result.best_plan against `theirs` (both must route on `tg`),
+/// entry by pruned family member as in build_report, and attaches the
+/// result to `r`.
 void attach_baseline_diff(PlanReport* r, const ir::TapGraph& tg,
                           const core::TapResult& result,
                           const sharding::ShardingPlan& theirs,

@@ -4,8 +4,8 @@
 // (structure only — op kinds, shapes, dtypes, topology, weight roles and
 // scope-relative layout, never absolute node names, so `t5_a/...` and
 // `t5_b/...` builds of the same architecture share a key) combined with
-// the planning-relevant subset of TapOptions (mesh, cluster, pruning/cost
-// knobs — NOT `threads`, which is bit-identity-neutral by the ThreadPool
+// the planning-relevant subset of TapOptions (mesh, cluster, pruning
+// threshold — NOT `threads`, which is bit-identity-neutral by the ThreadPool
 // contract). Two requests with equal keys are guaranteed the same
 // deterministic planner output, which is what makes memoization safe.
 //
@@ -50,7 +50,7 @@ Fingerprint family_fingerprint(const ir::TapGraph& tg,
                                const pruning::SubgraphFamily& family);
 
 /// The planning-relevant subset of TapOptions: mesh (num_shards,
-/// dp_replicas), the full ClusterSpec, pruning threshold and cost options.
+/// dp_replicas), the full ClusterSpec and the pruning threshold.
 /// Excludes `threads` — results are bit-identical at every thread count,
 /// so it must not split the key space.
 Fingerprint options_fingerprint(const core::TapOptions& opts);

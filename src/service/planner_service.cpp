@@ -170,16 +170,16 @@ core::TapResult PlannerService::materialize(
     const PlanRequest& req, const core::PlanRecord& record) const {
   core::TapResult r;
   r.best_plan = record.plan;
-  // Pruning and routing are deterministic functions of (graph, options) and
-  // (graph, plan) — recomputing them reproduces the cold result exactly,
-  // and route_plan re-validates the cached choices against the live graph.
-  r.pruning = pruning::prune_graph(*req.tg, req.opts.prune);
+  // Routing is a deterministic function of (graph, plan): recomputing it
+  // reproduces the cold result exactly, and route_plan re-validates the
+  // cached choices against the live graph.
   r.routed = sharding::route_plan(*req.tg, record.plan);
   TAP_CHECK(r.routed.valid)
       << "cached plan does not route: " << r.routed.error;
   // Only complete plans are cached: the search covered every weighted
   // family of every mesh the request names, as a cold search reports.
-  const std::size_t families = core::weighted_family_count(*req.tg, r.pruning);
+  const std::size_t families = core::weighted_family_count(
+      *req.tg, pruning::prune_graph(*req.tg, req.opts.prune));
   core::PlanProvenance& prov = r.provenance;
   prov.meshes_total = static_cast<std::int64_t>(
       req.sweep_mesh ? core::sweep_tps(req.opts.cluster.world()).size() : 1);
@@ -239,7 +239,6 @@ core::TapResult PlannerService::fallback_result(const PlanRequest& req,
   // FinalizeCost's recipe, as for a searched plan, so /plan and /explain
   // give a fallback the same cost.
   r.cost = core::finalize_cost(tg, r.routed, req.opts);
-  r.pruning = pruning::prune_graph(tg, req.opts.prune);
   r.provenance.source = core::PlanSource::kFallback;
   r.provenance.fallback_reason = reason;
   return r;

@@ -298,8 +298,9 @@ class PlannerService {
   core::TapResult fallback_result(const PlanRequest& req,
                                   const std::string& reason);
   /// Rebuilds a full TapResult from a cached record: plan/cost/stats come
-  /// from the record; pruning and routing are recomputed (both
-  /// deterministic), so the hit is indistinguishable from a cold search.
+  /// from the record; routing and the provenance's family count are
+  /// recomputed (both deterministic), so the hit is indistinguishable from
+  /// a cold search.
   core::TapResult materialize(const PlanRequest& req,
                               const core::PlanRecord& record) const;
   static core::PlanRecord record_of(const core::TapResult& result);

@@ -101,12 +101,10 @@ StepBreakdown simulate_step(const ir::TapGraph& tg,
   const sharding::PatternTable table(tg, routed.num_shards, routed.dp_replicas);
   StepBreakdown out;
   out.memory = cost::estimate_memory(tg, routed, opts.training);
-  const double amp_speed =
-      opts.training.amp ? opts.training.amp_compute_speedup : 1.0;
+  const double amp_speed = opts.training.amp ? cost::kAmpComputeSpeedup : 1.0;
   const double amp_bytes = opts.training.amp ? 0.5 : 1.0;
   const double recompute_factor =
-      opts.training.recompute ? 1.0 + opts.training.recompute_extra_backward
-                              : 1.0;
+      opts.training.recompute ? 1.0 + cost::kRecomputeExtraBackward : 1.0;
 
   // --- per-cluster durations ------------------------------------------------
   std::vector<double> fwd_dur(tg.num_nodes(), 0.0);

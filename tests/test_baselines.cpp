@@ -2,11 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cinttypes>
+#include <cstdio>
+#include <map>
+#include <string>
+
 #include "baselines/expert_plans.h"
 #include "baselines/flexflow_like.h"
+#include "core/plan_context.h"
+#include "graph/graph_builder.h"
 #include "ir/lowering.h"
 #include "models/models.h"
+#include "obs/metrics.h"
 #include "util/check.h"
+#include "util/hash.h"
+#include "util/json.h"
 
 namespace tap::baselines {
 namespace {
@@ -156,6 +167,149 @@ TEST(FlexFlowLike, DeterministicPerSeed) {
   auto b = flexflow_like_search(f.g, cost::ClusterSpec::v100_node(), opts);
   EXPECT_EQ(a.best_cost, b.best_cost);
   EXPECT_EQ(a.plan_costs, b.plan_costs);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned results: every field a baseline search reports, as bits, for
+// fixed seeds. The values were recorded when the searches still ran
+// through the planner pipeline; any change to the search loop, its RNG
+// draws or its cost recipe shows up here. At these settings every search
+// keeps the data-parallel default as its best plan (each model's choice
+// digest is its all-zeros plan), so plan_costs, the cost of every
+// candidate, carries most of the pin.
+// ---------------------------------------------------------------------------
+
+struct Pin {
+  std::uint64_t choice = 0;      ///< digest of best_plan.choice
+  std::uint64_t best_cost = 0;   ///< bits of best_cost
+  std::uint64_t plan_costs = 0;  ///< digest of the bits of plan_costs
+  std::int64_t ops_visited = 0;
+  std::int64_t cost_queries = 0;
+  int plans_evaluated = 0;
+  std::uint64_t profiling = 0;  ///< bits of simulated_profiling_seconds
+
+  bool operator==(const Pin&) const = default;
+};
+
+std::string to_string(const Pin& p) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull, 0x%016" PRIx64
+                "ull, %" PRId64 ", %" PRId64 ", %d, 0x%016" PRIx64 "ull}",
+                p.choice, p.best_cost, p.plan_costs, p.ops_visited,
+                p.cost_queries, p.plans_evaluated, p.profiling);
+  return buf;
+}
+
+Pin pin_of(const BaselineSearchResult& r) {
+  Pin p;
+  p.choice = util::kFnvOffset;
+  for (int c : r.best_plan.choice)
+    p.choice = util::hash_u64(static_cast<std::uint64_t>(c), p.choice);
+  p.best_cost = std::bit_cast<std::uint64_t>(r.best_cost);
+  p.plan_costs = util::kFnvOffset;
+  for (double c : r.plan_costs)
+    p.plan_costs = util::hash_u64(std::bit_cast<std::uint64_t>(c),
+                                  p.plan_costs);
+  p.ops_visited = r.ops_visited;
+  p.cost_queries = r.cost_queries;
+  p.plans_evaluated = r.plans_evaluated;
+  p.profiling = std::bit_cast<std::uint64_t>(r.simulated_profiling_seconds);
+  return p;
+}
+
+AlpaOptions pinned_alpa(int num_shards, std::uint64_t seed) {
+  AlpaOptions a;
+  a.num_shards = num_shards;
+  a.max_candidate_plans = 3;
+  a.intra_op_trials = 12;
+  a.profile_repeats = 4;
+  a.seed = seed;
+  return a;
+}
+
+FlexFlowOptions pinned_flexflow(int num_shards, std::uint64_t seed) {
+  FlexFlowOptions o;
+  o.num_shards = num_shards;
+  o.trials = 40;
+  o.seed = seed;
+  return o;
+}
+
+TEST(BaselinePin, ResultsMatchRecordedBits) {
+  const cost::ClusterSpec cluster = cost::ClusterSpec::v100_node();
+  Fixture t5_1 = t5(1);
+  Fixture t5_2 = t5(2);
+  struct Case {
+    const char* name;
+    BaselineSearchResult result;
+    Pin want;
+  };
+  const Case cases[] = {
+      {"alpa t5-1l tp8 seed 1234",
+       alpa_like_search(t5_1.g, cluster, pinned_alpa(8, 1234)),
+       {0x1bb112837a4c48e5ull, 0x3fa840085ada8a6eull, 0x8a99713950a74a53ull,
+        216358, 39, 3, 0x3fe8a4a71d1a80d9ull}},
+      {"alpa t5-2l tp4 seed 7",
+       alpa_like_search(t5_2.g, cluster, pinned_alpa(4, 7)),
+       {0x4e924f81418e9dc5ull, 0x3fb9e24b22efcfc0ull, 0x22b6a025846352f8ull,
+        367579, 39, 3, 0x3ff313fa644f8b47ull}},
+      {"flexflow t5-1l tp8 seed 99",
+       flexflow_like_search(t5_1.g, cluster, pinned_flexflow(8, 99)),
+       {0x1bb112837a4c48e5ull, 0x3f9588aee3d312d9ull, 0xd5141bbf7cef7fc0ull,
+        3526, 41, 41, 0x0000000000000000ull}},
+      {"flexflow t5-2l tp4 seed 5",
+       flexflow_like_search(t5_2.g, cluster, pinned_flexflow(4, 5)),
+       {0x4e924f81418e9dc5ull, 0x3f967b8635136df7ull, 0x79f4ba1db9c2f9b8ull,
+        6601, 41, 41, 0x0000000000000000ull}},
+  };
+  for (const Case& c : cases) {
+    EXPECT_TRUE(c.result.found) << c.name;
+    EXPECT_EQ(pin_of(c.result), c.want)
+        << c.name << ": got " << to_string(pin_of(c.result));
+  }
+}
+
+TEST(BaselinePin, UnweightedGraphFindsNoCommCost) {
+  GraphBuilder b("unweighted");
+  NodeId x = b.placeholder("x", {8, 64});
+  NodeId y = b.relu("act", x);
+  b.add("sum", x, y);
+  Graph g = b.take();
+  const cost::ClusterSpec cluster = cost::ClusterSpec::v100_node();
+  const BaselineSearchResult alpa =
+      alpa_like_search(g, cluster, pinned_alpa(8, 1));
+  ASSERT_FALSE(alpa.plan_costs.empty());
+  for (double c : alpa.plan_costs) EXPECT_EQ(c, core::kInvalidPlanCost);
+  EXPECT_EQ(alpa.cost_queries, 0);
+  const BaselineSearchResult ff =
+      flexflow_like_search(g, cluster, pinned_flexflow(8, 1));
+  EXPECT_FALSE(ff.found);
+  EXPECT_EQ(ff.ops_visited, 0);
+}
+
+/// The planner's family and pass metrics, by name.
+std::map<std::string, std::uint64_t> planner_metrics() {
+  const util::JsonValue snap =
+      util::JsonValue::parse(obs::registry().dump_json());
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, v] : snap.at("counters").members())
+    if (name.rfind("planner.family.", 0) == 0)
+      out[name] = static_cast<std::uint64_t>(v.as_int());
+  for (const auto& [name, v] : snap.at("histograms").members())
+    if (name.rfind("planner.pass.", 0) == 0)
+      out[name] = static_cast<std::uint64_t>(v.at("count").as_int());
+  return out;
+}
+
+TEST(BaselinePin, SearchesLeaveThePlannerMetricsAlone) {
+  Fixture f = t5(1);
+  const cost::ClusterSpec cluster = cost::ClusterSpec::v100_node();
+  const auto before = planner_metrics();
+  alpa_like_search(f.g, cluster, pinned_alpa(8, 1234));
+  flexflow_like_search(f.g, cluster, pinned_flexflow(8, 99));
+  EXPECT_EQ(planner_metrics(), before)
+      << "a baseline search is not a TAP family search";
 }
 
 }  // namespace

@@ -64,7 +64,7 @@ TEST(AutoParallel, BeatsOrMatchesDataParallelCost) {
       f.tg, baselines::data_parallel_plan(f.tg, 16));
   // Cost DP the same way auto_parallel does: exposed gradient comm is what
   // the backward-compute window cannot hide.
-  cost::CostOptions copts = opts.cost;
+  cost::CostOptions copts;
   copts.overlap_window_s =
       cost::backward_compute_window(f.tg, dp, nullptr, opts.cluster);
   double dp_cost = cost::comm_cost(dp, opts.cluster, copts).total();
@@ -129,7 +129,8 @@ TEST(Visualize, ShowsPatternsAndMultiplicity) {
   TapOptions opts;
   opts.num_shards = 8;
   TapResult r = auto_parallel(f.tg, opts);
-  std::string viz = visualize_plan(f.tg, r.best_plan, r.pruning);
+  std::string viz = visualize_plan(f.tg, r.best_plan,
+                                   pruning::prune_graph(f.tg, opts.prune));
   EXPECT_NE(viz.find("(x4)"), std::string::npos);
   EXPECT_NE(viz.find("->"), std::string::npos);
   EXPECT_NE(viz.find("mha/q"), std::string::npos);

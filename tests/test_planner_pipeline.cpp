@@ -89,18 +89,6 @@ TEST(PlannerPipeline, RunPrefixStopsAfterRequestedPass) {
   EXPECT_EQ(ctx.timings[1].pass, "Prune");
 }
 
-TEST(PlannerPipeline, SingleFamilyPassCoversWholeGraph) {
-  Fixture f = t5(2);
-  PlanContext ctx;
-  ctx.tg = &f.tg;
-  ctx.opts.num_shards = 8;
-  BuildPatternTablePass().run(ctx);
-  SingleFamilyPass().run(ctx);
-  ASSERT_EQ(ctx.pruning.families.size(), 1u);
-  EXPECT_EQ(ctx.pruning.families[0].member_nodes.size(), f.tg.num_nodes());
-  EXPECT_EQ(ctx.pruning.families[0].instances.size(), 1u);
-}
-
 TEST(FamilySearchPolicy, ExplicitPoliciesDriveTheSamePipeline) {
   Fixture f = t5(2);
   TapOptions opts;

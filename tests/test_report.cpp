@@ -11,9 +11,11 @@
 #include <cstdlib>
 
 #include "baselines/expert_plans.h"
+#include "core/serialize.h"
 #include "ir/lowering.h"
 #include "models/models.h"
 #include "service/planner_service.h"
+#include "util/json.h"
 
 namespace tap::report {
 namespace {
@@ -39,7 +41,7 @@ TEST(CommLedger, ReproducesPlanCost) {
   Planned p = plan_t5(2, 8);
   cost::CommLedger ledger;
   cost::PlanCost c = cost::comm_cost(p.result.routed, p.opts.cluster,
-                                     p.opts.cost, &ledger);
+                                     cost::CostOptions{}, &ledger);
   ASSERT_FALSE(ledger.entries.empty());
   // Entry-wise attribution sums back to the scalar result.
   EXPECT_NEAR(ledger.exposed_seconds(), c.total(),
@@ -53,7 +55,7 @@ TEST(CommLedger, ReproducesPlanCost) {
   }
   // The ledger is observational: passing one must not change the result.
   cost::PlanCost bare =
-      cost::comm_cost(p.result.routed, p.opts.cluster, p.opts.cost);
+      cost::comm_cost(p.result.routed, p.opts.cluster, cost::CostOptions{});
   EXPECT_DOUBLE_EQ(bare.total(), c.total());
   EXPECT_DOUBLE_EQ(bare.backward_comm_s, c.backward_comm_s);
 }
@@ -161,6 +163,40 @@ TEST(PlanReport, ByteIdenticalAtAnyThreadCount) {
 
   EXPECT_EQ(to_json(build_report(tg, r1, o1, ropts)),
             to_json(build_report(tg, r4, o4, ropts)));
+}
+
+TEST(PlanReport, LoadedPlanReportsWhatItsSearchDid) {
+  // A plan read back from its JSON document carries no search state, so
+  // the family sections must come from (graph, options) alone: the same
+  // contributors and pruning attribution as the search that made it.
+  core::TapOptions opts;
+  opts.cluster = cost::ClusterSpec::v100_cluster(2);
+  opts.threads = 1;
+  ReportOptions ropts;
+  ropts.latency_section = false;
+  const std::pair<const char*, Graph> zoo[] = {
+      {"T5-8L", models::build_transformer(models::t5_with_layers(8))},
+      {"ResNet-50", models::build_resnet(models::resnet50())},
+      {"WideNet", models::build_moe_transformer(models::widenet())},
+  };
+  for (const auto& [name, g] : zoo) {
+    SCOPED_TRACE(name);
+    const ir::TapGraph tg = ir::lower(g);
+    const core::TapResult searched = core::auto_parallel_best_mesh(tg, opts);
+    core::TapResult loaded;
+    loaded.best_plan = core::plan_from_json(
+        tg, core::plan_to_json(tg, searched.best_plan));
+    loaded.routed = sharding::route_plan(tg, loaded.best_plan);
+    ASSERT_TRUE(loaded.routed.valid) << loaded.routed.error;
+    const util::JsonValue want = util::JsonValue::parse(
+        to_json(build_report(tg, searched, opts, ropts)));
+    const util::JsonValue got = util::JsonValue::parse(
+        to_json(build_report(tg, loaded, opts, ropts)));
+    EXPECT_GT(want.at("pruning").at("families").as_int(), 0);
+    for (const char* section :
+         {"contributors", "contributor_scopes", "pruning"})
+      EXPECT_EQ(got.at(section).dump(), want.at(section).dump()) << section;
+  }
 }
 
 TEST(PlanReport, DiffAgainstMegatron) {

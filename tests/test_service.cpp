@@ -359,7 +359,7 @@ TEST(PlannerService, SavedAndCachedPlansReadTheSearchedCatalogAtEverySweep) {
           tg, core::plan_to_json(tg, cold.best_plan));
       const sharding::RoutedPlan routed = sharding::route_plan(tg, reloaded);
       expect_same_routing(tg, cold.routed, routed);
-      cost::CostOptions copts = opts.cost;
+      cost::CostOptions copts;
       copts.overlap_window_s =
           cost::backward_compute_window(tg, routed, nullptr, opts.cluster);
       const cost::PlanCost c = cost::comm_cost(routed, opts.cluster, copts);
