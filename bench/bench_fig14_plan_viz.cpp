@@ -6,6 +6,7 @@
 // in two regimes: the paper's batch 16, and batch 4 where activations are
 // cheap relative to weights and full sharding wins.
 #include "bench_common.h"
+#include "core/planner_pipeline.h"
 #include "core/visualize.h"
 
 int main() {
@@ -20,11 +21,11 @@ int main() {
     for (const char* name : {"DP", "MHA", "FFN", "Megatron"}) {
       auto plan = baselines::named_expert_plan(name, w.tg, cluster.world());
       std::cout << "---- expert plan: " << name << " ----\n";
-      // Per-op comm annotations come from the attribution ledger the cost
-      // model fills — the same source --explain reports read.
+      // Per-op comm annotations come from the attribution ledger
+      // core::finalize_cost fills — the same source --explain reports read.
       auto routed = sharding::route_plan(w.tg, plan);
       cost::CommLedger ledger;
-      cost::comm_cost(routed, cluster, {}, &ledger);
+      core::finalize_cost(w.tg, routed, cluster, &ledger);
       // Show only the encoder block family to keep the figure readable.
       pruning::PruneResult block_only;
       for (const auto& f : pruned.families)
@@ -41,7 +42,7 @@ int main() {
     topts.cluster = cluster;
     auto tap = core::auto_parallel(w.tg, topts);
     cost::CommLedger ledger;
-    cost::comm_cost(tap.routed, cluster, {}, &ledger);
+    core::finalize_cost(w.tg, tap.routed, cluster, &ledger);
     std::cout << "---- TAP discovered best (batch " << batch << ") ----\n";
     std::cout << core::visualize_plan(w.tg, tap.best_plan,
                                       pruning::prune_graph(w.tg, topts.prune),

@@ -128,7 +128,10 @@ int main() {
     const auto routed =
         sharding::route_plan(tg, sharding::default_plan(tg, 8));
     const cost::ClusterSpec cluster;
-    mb.run("comm_cost_t5_8l", [&] { return cost::comm_cost(routed, cluster); });
+    const double window =
+        cost::backward_compute_window(tg, routed, nullptr, cluster);
+    mb.run("comm_cost_t5_8l",
+           [&] { return cost::comm_cost(routed, cluster, window); });
   }
   for (int layers : {4, 16}) {
     const ir::TapGraph& tg = t5_ir(layers);

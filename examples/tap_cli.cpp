@@ -458,7 +458,7 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    result.cost = core::finalize_cost(tg, result.routed, opts);
+    result.cost = core::finalize_cost(tg, result.routed, opts.cluster);
   } else if (!args.load_plan.empty()) {
     std::ifstream in(args.load_plan);
     if (!in) {
@@ -480,7 +480,7 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    result.cost = core::finalize_cost(tg, result.routed, opts);
+    result.cost = core::finalize_cost(tg, result.routed, opts.cluster);
     std::printf("loaded plan from %s (mesh %s)\n", args.load_plan.c_str(),
                 result.best_plan.mesh().to_string().c_str());
   } else if (args.pipeline > 1) {

@@ -7,6 +7,7 @@ WholeGraphScorer::WholeGraphScorer(const ir::TapGraph& tg, int num_shards,
     : tg_(tg),
       cluster_(cluster),
       table_(tg, num_shards, /*dp_replicas=*/1),
+      terms_(tg, nullptr, num_shards, /*dp_replicas=*/1, cluster),
       weighted_(tg.weight_nodes()) {}
 
 void WholeGraphScorer::mutate(sharding::ShardingPlan* plan,
@@ -22,7 +23,8 @@ bool WholeGraphScorer::evaluate(const sharding::ShardingPlan& plan,
   sharding::route_plan_into(tg_, plan, table_, &scratch_, &routed_);
   if (!routed_.valid) return false;
   ++cost_queries_;
-  *cost = cost::comm_cost(routed_, cluster_, cost::CostOptions{}).total();
+  *cost = cost::comm_cost(routed_, cluster_, terms_.window(routed_, table_))
+              .total();
   return true;
 }
 

@@ -3,9 +3,9 @@
 //
 // Neither baseline reduces its search space: both mutate one op-level
 // plan of the whole graph and score every trial with a full-graph route
-// and cost query, O(V+E) each. TAP instead scores folded families with the
-// backward-window overlap rule (core/family_search.h); the baselines keep
-// cost::CostOptions{}, the fraction rule.
+// and cost query, O(V+E) each; TAP scores folded families instead
+// (core/family_search.h). A trial costs what core::finalize_cost gives
+// its route, so both searches rank plans under one overlap rule.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +20,9 @@
 namespace tap::baselines {
 
 /// Scores whole plans of one op-level graph at one tp group size. Owns
-/// the group's PatternTable and one set of routing buffers, so a trial
-/// allocates nothing once the buffers have grown. Not thread-safe.
+/// the group's PatternTable, its full-graph backward-window terms and one
+/// set of routing buffers, so a trial allocates nothing once the buffers
+/// have grown. Not thread-safe.
 class WholeGraphScorer {
  public:
   WholeGraphScorer(const ir::TapGraph& tg, int num_shards,
@@ -35,10 +36,10 @@ class WholeGraphScorer {
   /// empty.
   void mutate(sharding::ShardingPlan* plan, util::Rng* rng) const;
 
-  /// Routes `plan` over the full graph and costs it with
-  /// cost::comm_cost under cost::CostOptions{}. Returns false when the
-  /// plan does not route. Counts V visited ops per call and one cost
-  /// query per plan that routes.
+  /// Routes `plan` over the full graph and sets `*cost` to the route's
+  /// core::finalize_cost total, bit for bit. Returns false when the plan
+  /// does not route. Counts V visited ops per call and one cost query per
+  /// plan that routes.
   bool evaluate(const sharding::ShardingPlan& plan, double* cost);
 
   std::int64_t ops_visited() const { return ops_visited_; }
@@ -48,6 +49,7 @@ class WholeGraphScorer {
   const ir::TapGraph& tg_;
   const cost::ClusterSpec& cluster_;
   sharding::PatternTable table_;
+  cost::BackwardWindowTerms terms_;
   std::vector<ir::GraphNodeId> weighted_;
   sharding::RoutingScratch scratch_;
   sharding::RoutedPlan routed_;

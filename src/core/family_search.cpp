@@ -101,9 +101,7 @@ bool FamilySearchContext::stage(const ShardingPlan& plan,
   sharding::RoutedPlan* steady = route(plan, scope, arena, &routed);
   if (steady == nullptr) return false;
   ++stats->cost_queries;
-  cost::CostOptions copts;
-  copts.overlap_window_s = scope.window().window(*steady, table_);
-  arena->batch.add_candidate(steady, copts);
+  arena->batch.add_candidate(steady, scope.window().window(*steady, table_));
   *weight_bytes_out = scope.weight_bytes(plan);
   return true;
 }
@@ -118,9 +116,9 @@ bool FamilySearchContext::evaluate(const ShardingPlan& plan,
       route(plan, scope, &cost::tls_cost_arena(), &work->nodes_routed);
   if (steady == nullptr) return false;
   ++stats->cost_queries;
-  cost::CostOptions copts;
-  copts.overlap_window_s = scope.window().window(*steady, table_);
-  out->comm = cost::comm_cost(*steady, opts_.cluster, copts).total();
+  out->comm = cost::comm_cost(*steady, opts_.cluster,
+                              scope.window().window(*steady, table_))
+                  .total();
   out->weight_bytes = scope.weight_bytes(plan);
   return true;
 }

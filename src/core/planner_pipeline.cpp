@@ -17,24 +17,6 @@ namespace {
 using pruning::SubgraphFamily;
 using sharding::ShardingPlan;
 
-/// The full-graph backward-window terms of the context's mesh.
-cost::BackwardWindowTerms full_graph_terms(const PlanContext& ctx) {
-  return cost::BackwardWindowTerms(ctx.graph(), nullptr, ctx.opts.num_shards,
-                                   ctx.plan.dp_replicas, ctx.opts.cluster);
-}
-
-/// finalize_cost with the routed plan's PatternTable and full-graph
-/// window terms already built.
-cost::PlanCost full_graph_cost(const sharding::RoutedPlan& routed,
-                               const cost::ClusterSpec& cluster,
-                               const sharding::PatternTable& table,
-                               const cost::BackwardWindowTerms& terms,
-                               cost::CommLedger* ledger = nullptr) {
-  cost::CostOptions copts;
-  copts.overlap_window_s = terms.window(routed, table);
-  return cost::comm_cost(routed, cluster, copts, ledger);
-}
-
 bool family_is_weighted(const ir::TapGraph& tg, const SubgraphFamily& f) {
   for (ir::GraphNodeId id : f.member_nodes)
     if (tg.node(id).has_weight()) return true;
@@ -70,12 +52,13 @@ std::string pass_metric_name(const std::string& pass) {
 
 cost::PlanCost finalize_cost(const ir::TapGraph& tg,
                              const sharding::RoutedPlan& routed,
-                             const TapOptions& opts, cost::CommLedger* ledger) {
+                             const cost::ClusterSpec& cluster,
+                             cost::CommLedger* ledger) {
   const sharding::PatternTable table(tg, routed.num_shards,
                                      routed.dp_replicas);
   const cost::BackwardWindowTerms terms(tg, nullptr, routed.num_shards,
-                                        routed.dp_replicas, opts.cluster);
-  return full_graph_cost(routed, opts.cluster, table, terms, ledger);
+                                        routed.dp_replicas, cluster);
+  return cost::comm_cost(routed, cluster, terms.window(routed, table), ledger);
 }
 
 std::size_t weighted_family_count(const ir::TapGraph& tg,
@@ -219,7 +202,8 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
   TAP_CHECK(ctx.plan.choice.size() == tg.num_nodes())
       << "GlobalRefine requires FamilySearch";
   const sharding::PatternTable& table = *ctx.table;
-  const cost::BackwardWindowTerms terms = full_graph_terms(ctx);
+  const cost::BackwardWindowTerms terms(tg, nullptr, ctx.opts.num_shards,
+                                        ctx.plan.dp_replicas, ctx.opts.cluster);
   // The current plan's route lives in ctx.routed, a probe's in `probe`;
   // an accepted probe swaps its buffer in.
   sharding::RoutingScratch scratch;
@@ -231,7 +215,8 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
     sharding::route_plan_into(tg, plan, table, &scratch, routed);
     ++routes;
     if (!routed->valid) return false;
-    *cost = full_graph_cost(*routed, ctx.opts.cluster, table, terms);
+    *cost = cost::comm_cost(*routed, ctx.opts.cluster,
+                            terms.window(*routed, table));
     return true;
   };
   const auto num_nodes = static_cast<std::int64_t>(tg.num_nodes());
@@ -298,12 +283,9 @@ void GlobalRefinePass::run(PlanContext& ctx) const {
 void FinalizeCostPass::run(PlanContext& ctx) const {
   TAP_CHECK(ctx.table.has_value() && ctx.routed.valid)
       << "FinalizeCost requires GlobalRefine";
-  if (ctx.routed_cost.has_value()) {
-    ctx.cost = *ctx.routed_cost;
-  } else {
-    ctx.cost = full_graph_cost(ctx.routed, ctx.opts.cluster, *ctx.table,
-                               full_graph_terms(ctx));
-  }
+  ctx.cost = ctx.routed_cost.has_value()
+                 ? *ctx.routed_cost
+                 : finalize_cost(ctx.graph(), ctx.routed, ctx.opts.cluster);
   ++ctx.stats.cost_queries;
 }
 

@@ -25,14 +25,14 @@
 
 namespace tap::core {
 
-/// The cost FinalizeCost gives a routed plan: cost::CostOptions{} with the
-/// overlap window set to the full-graph backward compute time (at the
-/// routed plan's mesh), fed into cost::comm_cost. GlobalRefine costs
+/// The cost FinalizeCost gives a routed plan: cost::comm_cost with the
+/// full-graph backward compute time at the routed plan's mesh as the
+/// overlap window. GlobalRefine and the baselines' WholeGraphScorer cost
 /// every route with this recipe, so a loaded, served or reported plan
 /// costs what its search did. `ledger` as for comm_cost.
 cost::PlanCost finalize_cost(const ir::TapGraph& tg,
                              const sharding::RoutedPlan& routed,
-                             const TapOptions& opts,
+                             const cost::ClusterSpec& cluster,
                              cost::CommLedger* ledger = nullptr);
 
 /// Number of weighted families in `pruning` — the unit count of the

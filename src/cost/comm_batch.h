@@ -21,14 +21,14 @@ namespace tap::cost {
 /// Candidates one CommEventBatch holds.
 inline constexpr int kCostBatchWidth = 8;
 
-/// Up to kCostBatchWidth routed candidates, each with the cost options
+/// Up to kCostBatchWidth routed candidates, each with the overlap window
 /// comm_cost needs. Lanes keep their buffers across reset(), so a
 /// refilled batch reuses their capacity.
 class CommEventBatch {
  public:
   struct Lane {
     sharding::RoutedPlan routed;
-    CostOptions opts;
+    double window_s = 0.0;
   };
 
   /// Drops all lanes; keeps their buffers.
@@ -40,8 +40,9 @@ class CommEventBatch {
   const Lane& lane(int l) const { return lane_[l]; }
 
   /// Swaps `*routed` into the next lane, so `*routed` receives that
-  /// lane's previous buffers. Precondition: !full() and routed->valid.
-  void add_candidate(sharding::RoutedPlan* routed, const CostOptions& opts);
+  /// lane's previous buffers, and sets the lane's overlap window.
+  /// Precondition: !full() and routed->valid.
+  void add_candidate(sharding::RoutedPlan* routed, double window_s);
 
  private:
   int lanes_ = 0;

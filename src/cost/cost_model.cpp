@@ -51,9 +51,10 @@ double comm_event_time(const CommEvent& e, const ClusterSpec& cluster) {
 }
 
 PlanCost comm_cost(const sharding::RoutedPlan& routed,
-                   const ClusterSpec& cluster, const CostOptions& opts,
+                   const ClusterSpec& cluster, double window_s,
                    CommLedger* ledger) {
   TAP_CHECK(routed.valid) << "cannot cost an invalid plan: " << routed.error;
+  TAP_CHECK(window_s >= 0.0) << "overlap window " << window_s;
   PlanCost cost;
   if (ledger != nullptr) {
     ledger->entries.clear();
@@ -85,10 +86,7 @@ PlanCost comm_cost(const sharding::RoutedPlan& routed,
       ledger->entries.push_back(std::move(le));
     }
   }
-  const double exposed =
-      opts.overlap_window_s >= 0.0
-          ? std::max(0.0, cost.overlappable_comm_s - opts.overlap_window_s)
-          : cost.overlappable_comm_s * opts.exposed_overlap_fraction;
+  const double exposed = std::max(0.0, cost.overlappable_comm_s - window_s);
   cost.backward_comm_s += exposed;
   if (ledger != nullptr) {
     const double frac = cost.overlappable_comm_s > 0.0

@@ -7,8 +7,9 @@
 //   * counting communicated parameters — only *trainable* weight gradients
 //     are exchanged in the backward phase (routing already filters);
 //   * gradient overlap/aggregation — weight-gradient AllReduces overlap
-//     with backward compute and are packed (§4.7.1), so only a configurable
-//     exposed fraction counts toward the plan cost;
+//     with backward compute (§4.7.1), so only the part that outlasts the
+//     backward-compute window counts toward the plan cost (one rule, for
+//     every consumer);
 //   * collective efficiency — AllGather/AllToAll pay their NCCL efficiency
 //     penalty relative to AllReduce (cost/collectives).
 #pragma once
@@ -18,20 +19,6 @@
 #include "sharding/routing.h"
 
 namespace tap::cost {
-
-struct CostOptions {
-  /// Fraction of overlappable (weight-gradient) communication time that
-  /// remains exposed after overlap with backward compute and gradient
-  /// packing. 0 = perfectly hidden, 1 = fully serial. Used only when
-  /// `overlap_window_s` is negative.
-  double exposed_overlap_fraction = 0.25;
-  /// Backward-compute time available to hide gradient collectives behind.
-  /// When >= 0, exposed overlappable comm = max(0, total − window): on a
-  /// fast intra-node fabric gradients hide almost entirely, while on
-  /// Ethernet most of the traffic is exposed — the mechanism behind
-  /// Fig. 6's DP bars growing from 8w to 16w.
-  double overlap_window_s = -1.0;
-};
 
 struct PlanCost {
   double forward_comm_s = 0.0;   ///< exposed forward-path communication
@@ -74,8 +61,8 @@ struct CommLedgerEntry {
 /// events ad hoc.
 struct CommLedger {
   std::vector<CommLedgerEntry> entries;
-  /// Fraction of overlappable comm time left exposed under the
-  /// CostOptions used (window mode or the configured fraction).
+  /// Fraction of overlappable comm time left exposed by the overlap
+  /// window comm_cost was given.
   double exposed_fraction = 0.0;
 
   /// Σ exposed_seconds == PlanCost::total() (modulo addition order).
@@ -91,11 +78,14 @@ struct CommLedger {
 
 /// Communication cost of a routed plan on `cluster`. Each collective runs
 /// over its own event's group (the routed tp group, dp group or world).
-/// When `ledger` is non-null it receives the per-collective attribution;
-/// the scalar result is unchanged (the hot search path passes nullptr and
-/// allocates nothing).
+/// The overlappable (weight-gradient) collectives hide behind `window_s`
+/// of backward compute and expose max(0, total − window_s): on Ethernet
+/// most of the traffic is exposed (Fig. 6's DP bars growing from 8w to
+/// 16w). When `ledger` is non-null it receives the per-collective
+/// attribution; the scalar result is unchanged (the hot search path
+/// passes nullptr and allocates nothing).
 PlanCost comm_cost(const sharding::RoutedPlan& routed,
-                   const ClusterSpec& cluster, const CostOptions& opts = {},
+                   const ClusterSpec& cluster, double window_s,
                    CommLedger* ledger = nullptr);
 
 /// Busy time of one routed collective over its group, count included: the
@@ -105,7 +95,7 @@ double comm_event_time(const sharding::CommEvent& e,
 
 /// Backward-pass compute time of the clusters in `members` (nullptr = the
 /// whole graph) under the routed plan's sharding, at its own mesh — the
-/// overlap window fed into CostOptions::overlap_window_s.
+/// overlap window comm_cost takes.
 double backward_compute_window(const ir::TapGraph& tg,
                                const sharding::RoutedPlan& routed,
                                const std::vector<ir::GraphNodeId>* members,

@@ -296,7 +296,7 @@ PlanReport build_report(const ir::TapGraph& tg,
   cost::CommLedger ledger;
   // FinalizeCost's recipe, so the ledger sums match TapResult::cost
   // exactly.
-  r.cost = core::finalize_cost(tg, result.routed, opts, &ledger);
+  r.cost = core::finalize_cost(tg, result.routed, opts.cluster, &ledger);
   r.exposed_fraction = ledger.exposed_fraction;
   // Algorithm 1 again, so a loaded or served plan reports what its search
   // did: pruning depends only on the graph and opts.prune.
@@ -332,9 +332,9 @@ void attach_baseline_diff(PlanReport* r, const ir::TapGraph& tg,
 
   cost::CommLedger ledger_ours, ledger_theirs;
   const cost::PlanCost cost_ours =
-      core::finalize_cost(tg, result.routed, opts, &ledger_ours);
+      core::finalize_cost(tg, result.routed, opts.cluster, &ledger_ours);
   const cost::PlanCost cost_theirs =
-      core::finalize_cost(tg, routed_theirs, opts, &ledger_theirs);
+      core::finalize_cost(tg, routed_theirs, opts.cluster, &ledger_theirs);
 
   std::vector<double> exposed_ours, exposed_theirs;
   std::vector<std::int64_t> bytes_ours, bytes_theirs;

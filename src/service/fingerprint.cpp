@@ -97,9 +97,9 @@ Fingerprint options_fingerprint(const core::TapOptions& opts) {
   u64(static_cast<std::uint64_t>(opts.num_shards));
   u64(static_cast<std::uint64_t>(opts.dp_replicas));
   u64(static_cast<std::uint64_t>(opts.prune.min_duplicate));
-  // The two cost::CostOptions fields TapOptions once carried, at the
-  // defaults every searched plan used. Hashing them as constants keeps
-  // every PlanKey, and so every cached plan's address, byte-identical.
+  // Two overlap settings the cost model no longer has, at the values every
+  // PlanKey was built with: hashing them as constants keeps every PlanKey,
+  // and so every cached plan's address, byte-identical.
   f64(0.25);  // exposed_overlap_fraction
   f64(-1.0);  // overlap_window_s
 

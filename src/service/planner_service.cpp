@@ -238,7 +238,7 @@ core::TapResult PlannerService::fallback_result(const PlanRequest& req,
   r.routed = std::move(routed);
   // FinalizeCost's recipe, as for a searched plan, so /plan and /explain
   // give a fallback the same cost.
-  r.cost = core::finalize_cost(tg, r.routed, req.opts);
+  r.cost = core::finalize_cost(tg, r.routed, req.opts.cluster);
   r.provenance.source = core::PlanSource::kFallback;
   r.provenance.fallback_reason = reason;
   return r;
@@ -500,7 +500,8 @@ std::shared_ptr<const report::PlanReport> PlannerService::explain(
     auto it = reports_.find(key);
     if (it != reports_.end()) {
       ++stats_.report_hits;
-      return it->second;
+      report_lru_.splice(report_lru_.begin(), report_lru_, it->second.lru);
+      return it->second.report;
     }
   }
   // Plan through the normal submit path (coalesced / cached), then build
@@ -520,13 +521,21 @@ std::shared_ptr<const report::PlanReport> PlannerService::explain(
     return built;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = reports_.emplace(key, std::move(built));
-  if (inserted) {
-    ++stats_.report_builds;
-  } else {
+  auto [it, inserted] = reports_.try_emplace(key);
+  if (!inserted) {
     ++stats_.report_hits;
+    return it->second.report;
   }
-  return it->second;
+  ++stats_.report_builds;
+  report_lru_.push_front(key);
+  it->second = {built, report_lru_.begin()};
+  // Bounded like the plan cache's memory tier: a long-running server
+  // would otherwise keep a report for every key it ever explained.
+  while (reports_.size() > opts_.cache.capacity) {
+    reports_.erase(report_lru_.back());
+    report_lru_.pop_back();
+  }
+  return built;
 }
 
 ServiceStats PlannerService::stats() const {

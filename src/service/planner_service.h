@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -273,7 +274,8 @@ class PlannerService {
   /// returns its explainability report. Reports are deterministic
   /// functions of the plan key, so they are cached alongside the plans:
   /// a repeated explain() returns the SAME shared report instance
-  /// (ServiceStats::report_hits) without re-simulating.
+  /// (ServiceStats::report_hits) without re-simulating. Keeps the
+  /// cache.capacity most recently explained keys' reports.
   std::shared_ptr<const report::PlanReport> explain(const PlanRequest& req);
   /// explain() under `key`, which must be key_for(req) (see submit()).
   std::shared_ptr<const report::PlanReport> explain(const PlanRequest& req,
@@ -309,14 +311,19 @@ class PlannerService {
   PlanCache cache_;
   std::shared_ptr<FamilyResultCache> families_;
 
-  mutable std::mutex mu_;  ///< guards stats_, inflight_ and reports_
+  /// A cached report and its place in report_lru_.
+  struct CachedReport {
+    std::shared_ptr<const report::PlanReport> report;
+    std::list<PlanKey>::iterator lru;
+  };
+
+  mutable std::mutex mu_;  ///< guards stats_, inflight_ and the reports
   ServiceStats stats_;
   std::unordered_map<PlanKey, std::shared_future<core::TapResult>,
                      PlanKeyHash>
       inflight_;
-  std::unordered_map<PlanKey, std::shared_ptr<const report::PlanReport>,
-                     PlanKeyHash>
-      reports_;
+  std::unordered_map<PlanKey, CachedReport, PlanKeyHash> reports_;
+  std::list<PlanKey> report_lru_;  ///< reports_' keys, most recent first
 
   /// Declared last: the pool's destructor drains queued searches before
   /// the caches and in-flight map above are torn down.

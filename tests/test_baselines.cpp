@@ -10,7 +10,9 @@
 
 #include "baselines/expert_plans.h"
 #include "baselines/flexflow_like.h"
+#include "baselines/whole_graph.h"
 #include "core/plan_context.h"
+#include "core/planner_pipeline.h"
 #include "graph/graph_builder.h"
 #include "ir/lowering.h"
 #include "models/models.h"
@@ -18,6 +20,7 @@
 #include "util/check.h"
 #include "util/hash.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace tap::baselines {
 namespace {
@@ -169,14 +172,46 @@ TEST(FlexFlowLike, DeterministicPerSeed) {
   EXPECT_EQ(a.plan_costs, b.plan_costs);
 }
 
+TEST(WholeGraphScorer, ScoresEveryTrialAsFinalizeCostDoes) {
+  // The baselines and TAP score plans under one overlap rule: a trial's
+  // cost is core::finalize_cost's total for its route, bit for bit, from
+  // the data-parallel start through a random walk of one-op mutations.
+  const Graph g = models::build_transformer(models::t5_with_layers(2));
+  ir::LoweringOptions lop;
+  lop.cluster_by_scope = false;
+  const ir::TapGraph tg = ir::lower(g, lop);
+  const cost::ClusterSpec cluster = cost::ClusterSpec::v100_cluster(2);
+  for (const int tp : {4, 8}) {
+    WholeGraphScorer scorer(tg, tp, cluster);
+    util::Rng rng(static_cast<std::uint64_t>(tp));
+    sharding::ShardingPlan plan = sharding::default_plan(tg, tp);
+    int scored = 0;
+    for (int draw = 0; draw < 40; ++draw) {
+      sharding::ShardingPlan trial = plan;
+      if (draw > 0) scorer.mutate(&trial, &rng);
+      double got = 0.0;
+      if (!scorer.evaluate(trial, &got)) continue;
+      ++scored;
+      const sharding::RoutedPlan routed = sharding::route_plan(tg, trial);
+      ASSERT_TRUE(routed.valid) << routed.error;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(
+                    core::finalize_cost(tg, routed, cluster).total()))
+          << "tp " << tp << " draw " << draw;
+      plan = std::move(trial);
+    }
+    EXPECT_GE(scored, 21) << "tp " << tp;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pinned results: every field a baseline search reports, as bits, for
-// fixed seeds. The values were recorded when the searches still ran
-// through the planner pipeline; any change to the search loop, its RNG
-// draws or its cost recipe shows up here. At these settings every search
-// keeps the data-parallel default as its best plan (each model's choice
-// digest is its all-zeros plan), so plan_costs, the cost of every
-// candidate, carries most of the pin.
+// fixed seeds. The values were recorded when the searches moved to the
+// planner's overlap rule (the full-graph backward-compute window); any
+// change to the search loop, its RNG draws or its cost recipe shows up
+// here. At these settings every search keeps the data-parallel default as
+// its best plan (each model's choice digest is its all-zeros plan), so
+// plan_costs, the cost of every candidate, carries most of the pin.
 // ---------------------------------------------------------------------------
 
 struct Pin {
@@ -248,19 +283,19 @@ TEST(BaselinePin, ResultsMatchRecordedBits) {
   const Case cases[] = {
       {"alpa t5-1l tp8 seed 1234",
        alpa_like_search(t5_1.g, cluster, pinned_alpa(8, 1234)),
-       {0x1bb112837a4c48e5ull, 0x3fa840085ada8a6eull, 0x8a99713950a74a53ull,
+       {0x1bb112837a4c48e5ull, 0x3f9e5cb27be67b9dull, 0x8df66f25901c4423ull,
         216358, 39, 3, 0x3fe8a4a71d1a80d9ull}},
       {"alpa t5-2l tp4 seed 7",
        alpa_like_search(t5_2.g, cluster, pinned_alpa(4, 7)),
-       {0x4e924f81418e9dc5ull, 0x3fb9e24b22efcfc0ull, 0x22b6a025846352f8ull,
+       {0x4e924f81418e9dc5ull, 0x3fb4436995aaf442ull, 0x6a3300896a16201cull,
         367579, 39, 3, 0x3ff313fa644f8b47ull}},
       {"flexflow t5-1l tp8 seed 99",
        flexflow_like_search(t5_1.g, cluster, pinned_flexflow(8, 99)),
-       {0x1bb112837a4c48e5ull, 0x3f9588aee3d312d9ull, 0xd5141bbf7cef7fc0ull,
+       {0x1bb112837a4c48e5ull, 0x3fa3fcbe428a24b3ull, 0xa70067ad6668c9a9ull,
         3526, 41, 41, 0x0000000000000000ull}},
       {"flexflow t5-2l tp4 seed 5",
        flexflow_like_search(t5_2.g, cluster, pinned_flexflow(4, 5)),
-       {0x4e924f81418e9dc5ull, 0x3f967b8635136df7ull, 0x79f4ba1db9c2f9b8ull,
+       {0x4e924f81418e9dc5ull, 0x0000000000000000ull, 0x8bb73931f8b17df2ull,
         6601, 41, 41, 0x0000000000000000ull}},
   };
   for (const Case& c : cases) {

@@ -312,7 +312,7 @@ TEST(CandidateStaging, StagedBatchMatchesEvaluate) {
   sharding::RoutedPlan empty;
   empty.valid = true;
   empty.num_shards = 8;
-  arena.batch.add_candidate(&empty, {});
+  arena.batch.add_candidate(&empty, 0.0);
   EXPECT_EQ(arena.batch.lanes(), 1);
   cost::comm_cost_batch(arena.batch, cost::ClusterSpec{}, arena.results);
   EXPECT_EQ(bits(arena.results[0].forward_comm_s), bits(0.0));

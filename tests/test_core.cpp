@@ -64,10 +64,11 @@ TEST(AutoParallel, BeatsOrMatchesDataParallelCost) {
       f.tg, baselines::data_parallel_plan(f.tg, 16));
   // Cost DP the same way auto_parallel does: exposed gradient comm is what
   // the backward-compute window cannot hide.
-  cost::CostOptions copts;
-  copts.overlap_window_s =
-      cost::backward_compute_window(f.tg, dp, nullptr, opts.cluster);
-  double dp_cost = cost::comm_cost(dp, opts.cluster, copts).total();
+  double dp_cost =
+      cost::comm_cost(dp, opts.cluster,
+                      cost::backward_compute_window(f.tg, dp, nullptr,
+                                                    opts.cluster))
+          .total();
   EXPECT_LE(r.cost.total(), dp_cost * 1.0001);
 }
 

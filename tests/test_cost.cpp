@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cost/flops.h"
 #include "ir/lowering.h"
 #include "models/models.h"
@@ -105,6 +107,11 @@ struct PlanFixture {
     return sharding::route_plan(tg, p);
   }
 
+  /// The full-graph overlap window of `routed` on `c`.
+  double window(const sharding::RoutedPlan& routed, const ClusterSpec& c) {
+    return backward_compute_window(tg, routed, nullptr, c);
+  }
+
   sharding::ShardingPlan megatron(int shards) {
     sharding::ShardingPlan plan = sharding::default_plan(tg, shards);
     for (const auto& n : tg.nodes()) {
@@ -139,22 +146,34 @@ TEST(CostModel, DpCostIsAllOverlappableGradients) {
   auto routed = f.route(sharding::default_plan(f.tg, 16));
   ASSERT_TRUE(routed.valid) << routed.error;
   ClusterSpec c = ClusterSpec::v100_cluster(2);
-  PlanCost cost = comm_cost(routed, c);
+  PlanCost cost = comm_cost(routed, c, f.window(routed, c));
   EXPECT_EQ(cost.forward_comm_s, 0.0);
   EXPECT_GT(cost.backward_comm_s, 0.0);
   EXPECT_GT(cost.overlappable_comm_s, cost.backward_comm_s);
 }
 
-TEST(CostModel, ExposedFractionScalesDpCost) {
+TEST(CostModel, WindowHidesOverlappableCommUpToItsLength) {
   PlanFixture f(models::build_transformer(models::t5_with_layers(2)));
   auto routed = f.route(sharding::default_plan(f.tg, 16));
+  ASSERT_TRUE(routed.valid) << routed.error;
   ClusterSpec c = ClusterSpec::v100_cluster(2);
-  CostOptions lo;
-  lo.exposed_overlap_fraction = 0.1;
-  CostOptions hi;
-  hi.exposed_overlap_fraction = 0.9;
-  EXPECT_LT(comm_cost(routed, c, lo).total(),
-            comm_cost(routed, c, hi).total());
+  // Every data-parallel event is an overlappable gradient collective, so
+  // the backward term is exactly the exposed part max(0, O - W).
+  CommLedger ledger;
+  const PlanCost serial = comm_cost(routed, c, 0.0, &ledger);
+  for (const CommLedgerEntry& e : ledger.entries) ASSERT_TRUE(e.overlappable);
+  const double o = serial.overlappable_comm_s;
+  ASSERT_GT(o, 0.0);
+  for (const double w : {0.0, o / 2, o, 2 * o}) {
+    const PlanCost cost = comm_cost(routed, c, w);
+    EXPECT_EQ(cost.forward_comm_s, 0.0) << w;
+    EXPECT_EQ(cost.overlappable_comm_s, o) << w;
+    EXPECT_EQ(cost.backward_comm_s, std::max(0.0, o - w)) << w;
+    EXPECT_EQ(cost.comm_bytes, serial.comm_bytes) << w;
+  }
+  EXPECT_EQ(comm_cost(routed, c, o / 2).total(), o / 2);
+  EXPECT_EQ(comm_cost(routed, c, 2 * o).total(), 0.0);
+  EXPECT_THROW(comm_cost(routed, c, -1.0), tap::CheckError);
 }
 
 TEST(CostModel, MegatronHasForwardComm) {
@@ -162,11 +181,12 @@ TEST(CostModel, MegatronHasForwardComm) {
   auto routed = f.route(f.megatron(16));
   ASSERT_TRUE(routed.valid) << routed.error;
   ClusterSpec c = ClusterSpec::v100_cluster(2);
-  PlanCost cost = comm_cost(routed, c);
+  PlanCost cost = comm_cost(routed, c, f.window(routed, c));
   EXPECT_GT(cost.forward_comm_s, 0.0);
   // Megatron's block weight gradients are local; only the (large, still
   // replicated) embeddings/head remain, so the overlappable pool shrinks.
-  auto dp = comm_cost(f.route(sharding::default_plan(f.tg, 16)), c);
+  auto dp_routed = f.route(sharding::default_plan(f.tg, 16));
+  auto dp = comm_cost(dp_routed, c, f.window(dp_routed, c));
   EXPECT_LT(cost.overlappable_comm_s, 0.7 * dp.overlappable_comm_s);
 }
 
@@ -177,7 +197,7 @@ TEST(CostModel, InvalidPlanRefused) {
   auto routed = f.route(plan);
   ASSERT_FALSE(routed.valid);
   ClusterSpec c;
-  EXPECT_THROW(comm_cost(routed, c), tap::CheckError);
+  EXPECT_THROW(comm_cost(routed, c, 0.0), tap::CheckError);
 }
 
 TEST(Memory, MegatronUsesLessWeightMemoryThanDp) {

@@ -51,17 +51,6 @@ CommEvent random_event(util::Rng& rng) {
   return e;
 }
 
-CostOptions random_cost_options(util::Rng& rng) {
-  CostOptions o;
-  if (rng.next_below(2) == 0) {
-    o.overlap_window_s = rng.uniform(0.0, 2.0);  // window mode
-  } else {
-    o.overlap_window_s = -1.0;  // fraction mode
-    o.exposed_overlap_fraction = rng.uniform(0.0, 1.0);
-  }
-  return o;
-}
-
 TEST(CostKernel, EmptyBatchAndEmptyLanesCostZero) {
   CommEventBatch batch;
   batch.reset();
@@ -71,7 +60,7 @@ TEST(CostKernel, EmptyBatchAndEmptyLanesCostZero) {
   RoutedPlan empty;
   empty.valid = true;
   empty.num_shards = 8;
-  batch.add_candidate(&empty, {});
+  batch.add_candidate(&empty, 0.0);
   EXPECT_EQ(batch.lanes(), 1);
   PlanCost out[kCostBatchWidth];
   comm_cost_batch(batch, ClusterSpec{}, out);
@@ -92,7 +81,7 @@ TEST(CostKernel, BatchReuseAcrossRoundsStaysBitIdentical) {
   for (int round = 0; round < 12; ++round) {
     batch.reset();
     std::vector<RoutedPlan> plans;
-    std::vector<CostOptions> opts;
+    std::vector<double> windows;
     const int lanes = (round % kCostBatchWidth) + 1;  // 1..8 lanes
     for (int l = 0; l < lanes; ++l) {
       RoutedPlan rp;
@@ -103,8 +92,8 @@ TEST(CostKernel, BatchReuseAcrossRoundsStaysBitIdentical) {
       for (std::size_t i = 0; i < depth; ++i)
         rp.comms.push_back(random_event(rng));
       plans.push_back(rp);
-      opts.push_back(random_cost_options(rng));
-      batch.add_candidate(&rp, opts.back());
+      windows.push_back(rng.uniform(0.0, 2.0));
+      batch.add_candidate(&rp, windows.back());
     }
     EXPECT_EQ(batch.lanes(), lanes);
     EXPECT_EQ(batch.full(), lanes == kCostBatchWidth);
@@ -113,7 +102,8 @@ TEST(CostKernel, BatchReuseAcrossRoundsStaysBitIdentical) {
     for (int l = 0; l < lanes; ++l) {
       const auto i = static_cast<std::size_t>(l);
       EXPECT_EQ(batch.lane(l).routed.comms.size(), plans[i].comms.size());
-      expect_cost_bits_eq(comm_cost(plans[i], cluster, opts[i]), out[l], l);
+      expect_cost_bits_eq(comm_cost(plans[i], cluster, windows[i]), out[l],
+                          l);
     }
   }
 }

@@ -33,10 +33,9 @@ bool weighted(const ir::TapGraph& tg, const pruning::SubgraphFamily& f) {
 
 cost::PlanCost full_cost(const PlanContext& ctx,
                          const sharding::RoutedPlan& routed) {
-  cost::CostOptions copts;
-  copts.overlap_window_s = cost::backward_compute_window(
-      ctx.graph(), routed, nullptr, ctx.opts.cluster);
-  return cost::comm_cost(routed, ctx.opts.cluster, copts);
+  return cost::comm_cost(routed, ctx.opts.cluster,
+                         cost::backward_compute_window(
+                             ctx.graph(), routed, nullptr, ctx.opts.cluster));
 }
 
 /// The refine loop before incremental probes: every probe, no-op reverts

@@ -40,8 +40,10 @@ Planned plan_t5(int layers, int num_shards) {
 TEST(CommLedger, ReproducesPlanCost) {
   Planned p = plan_t5(2, 8);
   cost::CommLedger ledger;
-  cost::PlanCost c = cost::comm_cost(p.result.routed, p.opts.cluster,
-                                     cost::CostOptions{}, &ledger);
+  const double window = cost::backward_compute_window(
+      p.tg, p.result.routed, nullptr, p.opts.cluster);
+  cost::PlanCost c =
+      cost::comm_cost(p.result.routed, p.opts.cluster, window, &ledger);
   ASSERT_FALSE(ledger.entries.empty());
   // Entry-wise attribution sums back to the scalar result.
   EXPECT_NEAR(ledger.exposed_seconds(), c.total(),
@@ -55,7 +57,7 @@ TEST(CommLedger, ReproducesPlanCost) {
   }
   // The ledger is observational: passing one must not change the result.
   cost::PlanCost bare =
-      cost::comm_cost(p.result.routed, p.opts.cluster, cost::CostOptions{});
+      cost::comm_cost(p.result.routed, p.opts.cluster, window);
   EXPECT_DOUBLE_EQ(bare.total(), c.total());
   EXPECT_DOUBLE_EQ(bare.backward_comm_s, c.backward_comm_s);
 }
@@ -249,6 +251,33 @@ TEST(PlannerService, ExplainCachesReports) {
   EXPECT_EQ(stats.report_builds, 1u);
   EXPECT_EQ(stats.report_hits, 1u);
   EXPECT_FALSE(first->contributors.empty());
+}
+
+TEST(PlannerService, ExplainKeepsAtMostCacheCapacityReports) {
+  Graph g = models::build_transformer(models::t5_with_layers(1));
+  ir::TapGraph tg = ir::lower(g);
+  auto request = [&](int num_shards) {
+    core::TapOptions opts;
+    opts.num_shards = num_shards;
+    opts.threads = 1;
+    return service::PlanRequest{&tg, opts, false};
+  };
+
+  service::ServiceOptions sopts;
+  sopts.request_threads = 1;
+  sopts.cache.capacity = 2;
+  service::PlannerService svc(sopts);
+  auto first = svc.explain(request(1));
+  auto second = svc.explain(request(2));
+  EXPECT_EQ(svc.explain(request(2)).get(), second.get())
+      << "a repeat within capacity returns the cached report instance";
+  svc.explain(request(4));  // the third key drops the least recent report
+  EXPECT_EQ(svc.stats().report_builds, 3u);
+  auto again = svc.explain(request(1));
+  EXPECT_EQ(report::to_json(*again), report::to_json(*first));
+  const auto stats = svc.stats();
+  EXPECT_EQ(stats.report_builds, 4u) << "the first key's report was dropped";
+  EXPECT_EQ(stats.report_hits, 1u);
 }
 
 }  // namespace

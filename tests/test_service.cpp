@@ -359,10 +359,9 @@ TEST(PlannerService, SavedAndCachedPlansReadTheSearchedCatalogAtEverySweep) {
           tg, core::plan_to_json(tg, cold.best_plan));
       const sharding::RoutedPlan routed = sharding::route_plan(tg, reloaded);
       expect_same_routing(tg, cold.routed, routed);
-      cost::CostOptions copts;
-      copts.overlap_window_s =
-          cost::backward_compute_window(tg, routed, nullptr, opts.cluster);
-      const cost::PlanCost c = cost::comm_cost(routed, opts.cluster, copts);
+      const cost::PlanCost c = cost::comm_cost(
+          routed, opts.cluster,
+          cost::backward_compute_window(tg, routed, nullptr, opts.cluster));
       EXPECT_TRUE(same_cost(c, cold.cost));
 
       const std::string cold_report = report::to_json(
