@@ -4,7 +4,7 @@
 #include <limits>
 #include <utility>
 
-#include "cost/candidate_eval.h"
+#include "cost/cost_model.h"
 #include "sharding/enumerate.h"
 #include "sharding/routing.h"
 #include "util/check.h"
@@ -24,21 +24,31 @@ FamilyScope::FamilyScope(const FamilySearchContext& ctx,
               ctx.options().dp_replicas, ctx.options().cluster) {
   const ir::TapGraph& tg = ctx.graph();
   const int shards = ctx.options().num_shards;
+  const std::vector<ir::GraphNodeId>& members = family.member_nodes;
   const std::vector<ir::GraphNodeId>& order = routing_.order;
-  for (ir::GraphNodeId id : family.member_nodes) {
+  TAP_CHECK_EQ(order.size(), members.size());
+  at_.resize(order.size());
+  position_.resize(members.size());
+  exit_ = order.size();
+  for (std::size_t j = 0; j < members.size(); ++j) {
     const auto at = std::lower_bound(
-        order.begin(), order.end(), id,
+        order.begin(), order.end(), members[j],
         [&](ir::GraphNodeId a, ir::GraphNodeId b) {
           return tg.topo_position(a) < tg.topo_position(b);
         });
-    positions_.push_back(static_cast<std::size_t>(at - order.begin()));
-    const auto& n = tg.node(id);
-    if (!n.has_weight()) {
-      first_.push_back(kUnweighted);
-      continue;
-    }
-    first_.push_back(bytes_.size());
-    for (const sharding::ShardingPattern& pat : ctx.table().at(id)) {
+    const auto p = static_cast<std::size_t>(at - order.begin());
+    position_[j] = p;
+    at_[p].window_replicated = window_.term(j, false);
+    at_[p].window_split = window_.term(j, true);
+    if (members[j] == routing_.exit) exit_ = p;
+  }
+  for (std::size_t p = 0; p < at_.size(); ++p) {
+    Position& pos = at_[p];
+    const ir::GraphNodeId id = order[p];
+    const std::vector<sharding::ShardingPattern>& row = ctx.table().at(id);
+    pos.choices = static_cast<int>(row.size());
+    pos.bytes_first = bytes_.size();
+    for (const sharding::ShardingPattern& pat : row) {
       std::int64_t total = 0;
       for (const ir::WeightOp& w : tg.weights(id)) {
         std::int64_t bytes = w.bytes;
@@ -55,16 +65,11 @@ FamilyScope::FamilyScope(const FamilySearchContext& ctx,
 
 std::int64_t FamilyScope::weight_bytes(const ShardingPlan& plan) const {
   std::int64_t total = 0;
-  for (std::size_t j = 0; j < first_.size(); ++j) {
-    total += weight_bytes(
-        j, plan.choice[static_cast<std::size_t>(family_.member_nodes[j])]);
+  for (std::size_t p = 0; p < at_.size(); ++p) {
+    const ir::GraphNodeId id = routing_.order[p];
+    total += weight_bytes(p, plan.choice[static_cast<std::size_t>(id)]);
   }
   return total;
-}
-
-std::int64_t FamilyScope::weight_bytes(std::size_t j, int choice) const {
-  if (first_[j] == kUnweighted) return 0;
-  return bytes_[first_[j] + static_cast<std::size_t>(choice)];
 }
 
 sharding::RoutedPlan* FamilySearchContext::route(const ShardingPlan& plan,
@@ -243,29 +248,27 @@ class IndexTable {
   std::uint32_t stamp_ = 1;
 };
 
-/// What a step from a state with one choice leads to.
+/// What a step from a state with one choice leads to, and what it adds
+/// to a candidate's comm_cost with the family's window: Σ exposed +
+/// max(0, Σ overlappable − Σ window) over its members' steps, up to the
+/// order of the additions.
 struct Transition {
   static constexpr std::int32_t kUnrouted = -2;
   static constexpr std::int32_t kFailed = -1;
   std::int32_t next = kUnrouted;  ///< the next state's id, or the above
   sharding::ShardSpec layout;     ///< the routed member's output layout
-  cost::StepScore score;
-};
-
-/// The positions' shape, shared by the lane and the DPs of one family.
-struct Shape {
-  std::size_t n = 0;                 ///< positions
-  std::size_t exit = 0;              ///< the exit member's position
-  std::vector<int> count;            ///< choices per position
-  std::vector<std::size_t> member;   ///< member index per position
-  std::vector<std::size_t> weight_first;  ///< per position, into weight
-  std::vector<std::int64_t> weight;  ///< weight bytes per (position, choice)
+  double exposed = 0.0;       ///< non-overlappable events' time
+  double overlappable = 0.0;  ///< overlappable events' time
+  double window = 0.0;        ///< the member's backward-window term
 };
 
 /// A family's interned frontier states and memoized transitions: one
 /// lane for the probe and every exit layout's steady state.
 struct Lane {
-  cost::FamilyStepScorer scorer;
+  const FamilyScope* scope = nullptr;
+  const sharding::PatternTable* table = nullptr;
+  const cost::ClusterSpec* cluster = nullptr;
+  sharding::FrontierRouter router;
   std::vector<sharding::FrontierState> states;  ///< first `size` in use
   std::size_t size = 0;
   std::vector<std::size_t> position;  ///< per state
@@ -273,9 +276,11 @@ struct Lane {
   std::vector<Transition> transitions;
   IndexTable index;
 
-  void bind(const FamilySearchContext& ctx, const FamilyScope& scope) {
-    scorer.bind(ctx.graph(), ctx.table(), scope.routing(), scope.window(),
-                scope.positions(), ctx.options().cluster);
+  void bind(const FamilySearchContext& ctx, const FamilyScope& family) {
+    scope = &family;
+    table = &ctx.table();
+    cluster = &ctx.options().cluster;
+    router.bind(ctx.graph(), family.routing(), ctx.table());
     size = 0;
     position.clear();
     first.clear();
@@ -284,15 +289,15 @@ struct Lane {
   }
 
   /// The id of the state before position 0 at `boundary`.
-  std::int32_t root(const sharding::ShardSpec& boundary, const Shape& shape) {
+  std::int32_t root(const sharding::ShardSpec& boundary) {
     if (states.size() == size) states.emplace_back();
-    scorer.initial(boundary, &states[size]);
-    return intern(0, shape);
+    router.initial(boundary, &states[size]);
+    return intern(0);
   }
 
   /// The id of states[size], a state before position `p`: an earlier
   /// equal state's, or its own when it is new.
-  std::int32_t intern(std::size_t p, const Shape& shape) {
+  std::int32_t intern(std::size_t p) {
     const sharding::FrontierState& state = states[size];
     const std::uint64_t hash = util::hash_combine(state.hash(), p);
     const std::int32_t found = index.find(hash, [&](std::int32_t i) {
@@ -303,28 +308,38 @@ struct Lane {
     const std::size_t id = size++;
     position.push_back(p);
     first.push_back(transitions.size());
-    transitions.resize(transitions.size() +
-                       (p < shape.n ? static_cast<std::size_t>(shape.count[p])
-                                    : 0));
+    transitions.resize(
+        transitions.size() +
+        (p < scope->size() ? static_cast<std::size_t>(scope->choices(p))
+                           : 0));
     index.insert(hash, static_cast<std::int32_t>(id));
     return static_cast<std::int32_t>(id);
   }
 
   /// Routes every choice from state `id`, on first use: one restore,
-  /// then one step per choice.
-  void expand(std::int32_t id, const Shape& shape) {
+  /// then one step per choice, each scored from the events it emitted.
+  void expand(std::int32_t id) {
     const auto at = static_cast<std::size_t>(id);
     if (transitions[first[at]].next != Transition::kUnrouted) return;
     const std::size_t p = position[at];
-    scorer.restore(states[at], p);
-    for (int c = 0; c < shape.count[p]; ++c) {
+    const std::vector<sharding::ShardingPattern>& row =
+        table->at(scope->routing().order[p]);
+    router.restore(states[at], p);
+    for (int c = 0; c < scope->choices(p); ++c) {
       // The next state is routed into the pool's first free entry, and
       // kept there when it is new.
       if (states.size() == size) states.emplace_back();
       Transition t;
-      if (scorer.step(c, &states[size], &t.score)) {
-        t.layout = scorer.layout();
-        t.next = intern(p + 1, shape);
+      if (router.step(c, &states[size])) {
+        for (const sharding::CommEvent& e : router.events()) {
+          const double time = cost::comm_event_time(e, *cluster);
+          (e.overlappable ? t.overlappable : t.exposed) += time;
+        }
+        t.window = scope->window_term(
+            p, sharding::computes_split(row[static_cast<std::size_t>(c)],
+                                        router.layout()));
+        t.layout = router.layout();
+        t.next = intern(p + 1);
       } else {
         t.next = Transition::kFailed;
       }
@@ -380,7 +395,6 @@ struct Scored {
 
 /// FrontierDpPolicy's per-thread buffers, reused across families.
 struct DpBuffers {
-  Shape shape;
   Lane lane;
   std::vector<sharding::ShardSpec> exits;
   /// Every DP's nodes and edges. dag k's layer p is nodes
@@ -512,15 +526,15 @@ void merge_labels(DpBuffers& b, std::size_t begin, std::size_t end,
 /// a valid probe prefix gives the exit member. Adds into `summary`.
 void run_dp(DpBuffers& b, std::size_t k, const sharding::ShardSpec& exit,
             std::vector<sharding::ShardSpec>* exits, DpSummary* summary) {
-  const Shape& shape = b.shape;
   Lane& lane = b.lane;
-  const std::size_t n = shape.n;
+  const FamilyScope& scope = *lane.scope;
+  const std::size_t n = scope.size();
   b.layers.resize((k + 1) * (n + 2));
   b.valid.resize(k + 1);
   std::size_t* layer = &b.layers[k * (n + 2)];
   layer[0] = b.nodes.size();
   Node root;
-  root.steady = lane.root(exit, shape);
+  root.steady = lane.root(exit);
   root.count = 1;
   root.min_weight = 0;
   b.nodes.push_back(root);
@@ -532,12 +546,12 @@ void run_dp(DpBuffers& b, std::size_t k, const sharding::ShardSpec& exit,
     double step_magnitude = 0.0;
     for (std::size_t u = begin; u < end; ++u) {
       b.nodes[u].edges_begin = b.edges.size();
-      lane.expand(b.nodes[u].probe, shape);
-      lane.expand(b.nodes[u].steady, shape);
-      for (int c = 0; c < shape.count[p]; ++c) {
+      lane.expand(b.nodes[u].probe);
+      lane.expand(b.nodes[u].steady);
+      for (int c = 0; c < scope.choices(p); ++c) {
         const Transition& probe = lane.step(b.nodes[u].probe, c);
         if (probe.next < 0) continue;
-        if (p == shape.exit) {
+        if (p == scope.exit()) {
           if (exits != nullptr &&
               std::find(exits->begin(), exits->end(), probe.layout) ==
                   exits->end())
@@ -561,16 +575,15 @@ void run_dp(DpBuffers& b, std::size_t k, const sharding::ShardSpec& exit,
           b.nodes.push_back(node);
           b.node_index.insert(hash, v);
         }
-        const cost::StepScore& score = steady.score;
-        const std::int64_t weight =
-            shape.weight[shape.weight_first[p] + static_cast<std::size_t>(c)];
-        b.edges.push_back({static_cast<std::size_t>(v), c, score.exposed,
-                           score.overlappable - score.window, weight});
+        const std::int64_t weight = scope.weight_bytes(p, c);
+        b.edges.push_back({static_cast<std::size_t>(v), c, steady.exposed,
+                           steady.overlappable - steady.window, weight});
         Node& to = b.nodes[static_cast<std::size_t>(v)];
         to.count += b.nodes[u].count;
         to.min_weight = std::min(to.min_weight, b.nodes[u].min_weight + weight);
-        step_magnitude = std::max(
-            step_magnitude, score.exposed + score.overlappable + score.window);
+        step_magnitude =
+            std::max(step_magnitude,
+                     steady.exposed + steady.overlappable + steady.window);
       }
       b.nodes[u].edges_end = b.edges.size();
     }
@@ -630,7 +643,7 @@ void run_dp(DpBuffers& b, std::size_t k, const sharding::ShardSpec& exit,
 /// weight bytes it then adds into the outputs.
 bool zero_path(const DpBuffers& b, std::size_t k, double* exposed,
                double* excess, std::int64_t* weight) {
-  const std::size_t n = b.shape.n;
+  const std::size_t n = b.lane.scope->size();
   std::size_t u = b.layers[k * (n + 2)];
   for (std::size_t p = 0; p < n; ++p) {
     const Node& node = b.nodes[u];
@@ -646,13 +659,12 @@ bool zero_path(const DpBuffers& b, std::size_t k, double* exposed,
 }
 
 /// The Algorithm 2 rank of a choice per position.
-std::int64_t path_rank(const std::vector<int>& path,
-                       const std::vector<std::size_t>& positions,
-                       const std::vector<int>& counts) {
+std::int64_t path_rank(const std::vector<int>& path, const FamilyScope& scope) {
   std::int64_t rank = 0, stride = 1;
-  for (std::size_t j = 0; j < positions.size(); ++j) {
-    rank += path[positions[j]] * stride;
-    stride *= counts[j];
+  for (std::size_t j = 0; j < scope.size(); ++j) {
+    const std::size_t p = scope.position(j);
+    rank += path[p] * stride;
+    stride *= scope.choices(p);
   }
   return rank;
 }
@@ -661,7 +673,7 @@ std::int64_t path_rank(const std::vector<int>& path,
 /// route order, whose cost-to-go bound stays within `threshold`.
 template <typename Leaf>
 void walk_band(DpBuffers& b, std::size_t k, double threshold, Leaf&& leaf) {
-  const std::size_t n = b.shape.n;
+  const std::size_t n = b.lane.scope->size();
   const std::size_t root = b.layers[k * (n + 2)];
   b.path.assign(n, 0);
   b.stack.clear();
@@ -707,15 +719,13 @@ FamilySearchOutcome FrontierDpPolicy::search(const FamilySearchContext& ctx,
   FamilySearchOutcome out;
   const FamilyScope scope(ctx, family);
   const std::vector<ir::GraphNodeId>& members = family.member_nodes;
-  const std::vector<std::size_t>& positions = scope.positions();
-  const FamilyPlanEnumerator enumerator(ctx.table(), family);
-  const std::vector<int>& counts = enumerator.counts();
   DpBuffers& b = tls_dp_buffers();
   TAP_CHECK(!members.empty()) << "a family search needs members";
 
   // Counters: every candidate is visited, member by member.
   std::int64_t total = 1;
-  for (int c : counts) {
+  for (std::size_t p = 0; p < scope.size(); ++p) {
+    const int c = scope.choices(p);
     TAP_CHECK_GE(c, 1);
     TAP_CHECK_LE(total, std::numeric_limits<std::int64_t>::max() / c)
         << "the candidate space overflows a 64-bit rank";
@@ -724,32 +734,13 @@ FamilySearchOutcome FrontierDpPolicy::search(const FamilySearchContext& ctx,
   out.stats.candidate_plans = total;
   out.stats.nodes_visited = total * static_cast<std::int64_t>(members.size());
 
-  Shape& shape = b.shape;
-  const sharding::SubgraphScope& routing = scope.routing();
-  shape.n = routing.order.size();
-  shape.count.resize(shape.n);
-  shape.member.resize(shape.n);
-  shape.weight_first.resize(shape.n);
-  shape.weight.clear();
-  shape.exit = shape.n;
-  for (std::size_t j = 0; j < members.size(); ++j) {
-    shape.count[positions[j]] = counts[j];
-    shape.member[positions[j]] = j;
-    if (members[j] == routing.exit) shape.exit = positions[j];
-  }
-  for (std::size_t p = 0; p < shape.n; ++p) {
-    shape.weight_first[p] = shape.weight.size();
-    for (int c = 0; c < shape.count[p]; ++c)
-      shape.weight.push_back(scope.weight_bytes(shape.member[p], c));
-  }
-
   // One DP per exit layout, all over one lane: the replicated one first,
   // which also finds the others.
   b.nodes.clear();
   b.edges.clear();
   b.exits.clear();
   b.lane.bind(ctx, scope);
-  b.lane.root(sharding::ShardSpec::replicate(), shape);  // the probe's: 0
+  b.lane.root(sharding::ShardSpec::replicate());  // the probe's: 0
   DpSummary summary;
   run_dp(b, 0, sharding::ShardSpec::replicate(), &b.exits, &summary);
   std::size_t dags = 1;
@@ -757,7 +748,7 @@ FamilySearchOutcome FrontierDpPolicy::search(const FamilySearchContext& ctx,
     if (exit != sharding::ShardSpec::replicate())
       run_dp(b, dags++, exit, nullptr, &summary);
   out.work.dp_steps = out.work.nodes_routed =
-      static_cast<std::int64_t>(b.lane.scorer.steps());
+      static_cast<std::int64_t>(b.lane.router.steps());
   out.stats.valid_plans = out.stats.cost_queries = summary.valid;
   if (summary.valid == 0) return out;
 
@@ -772,8 +763,8 @@ FamilySearchOutcome FrontierDpPolicy::search(const FamilySearchContext& ctx,
   auto score_path = [&](const std::vector<int>& path) {
     for (std::size_t j = 0; j < members.size(); ++j)
       scratch.choice[static_cast<std::size_t>(members[j])] =
-          path[positions[j]];
-    Scored s{path_rank(path, positions, counts), {}};
+          path[scope.position(j)];
+    Scored s{path_rank(path, scope), {}};
     TAP_CHECK(ctx.evaluate(scratch, scope, &s.score, &scored, &out.work))
         << "a DP path does not route";
     ++out.work.band_candidates;
@@ -794,7 +785,7 @@ FamilySearchOutcome FrontierDpPolicy::search(const FamilySearchContext& ctx,
         std::max(0.0, exposed + std::max(0.0, excess) - summary.error);
     if (weight == summary.min_weight &&
         lowest >= zero_lowest * (1.0 - kTolerance)) {
-      b.path.assign(shape.n, 0);
+      b.path.assign(scope.size(), 0);
       const Scored zero = score_path(b.path);
       if (lowest >= zero.score.comm * (1.0 - kTolerance) &&
           summary.min_weight >= zero.score.weight_bytes)
@@ -840,8 +831,9 @@ FamilySearchOutcome FrontierDpPolicy::search(const FamilySearchContext& ctx,
   out.found = true;
   out.choice.resize(members.size());
   for (std::size_t j = 0; j < members.size(); ++j) {
-    out.choice[j] = static_cast<int>(winner % counts[j]);
-    winner /= counts[j];
+    const int count = scope.choices(scope.position(j));
+    out.choice[j] = static_cast<int>(winner % count);
+    winner /= count;
   }
   return out;
 }

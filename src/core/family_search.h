@@ -41,12 +41,14 @@ struct FamilyScore {
 class FamilySearchContext;
 
 /// Everything scoring a candidate of one family needs that does not
-/// depend on the candidate: the members' visit order and exit member,
-/// their backward-compute window terms, and each weighted member's weight
-/// bytes per pattern. A policy builds it once per family search — so a
-/// family-cache hit never builds one — and every evaluate() call reads
-/// it, which keeps a candidate at O(members) work with no sorting, no
-/// op_time calls and no allocation (Table 2's per-candidate cost).
+/// depend on the candidate, as one table indexed by route position (the
+/// visit order routing().order): each position's number of choices, its
+/// backward-compute window terms and its weight bytes per choice, plus
+/// each member's position and the exit member's position. A policy
+/// builds it once per family search — so a family-cache hit never builds
+/// one — and every evaluate() call and FrontierDpPolicy step reads it,
+/// which keeps a candidate at O(members) work with no sorting, no op_time
+/// calls and no allocation (Table 2's per-candidate cost).
 class FamilyScope {
  public:
   FamilyScope(const FamilySearchContext& ctx,
@@ -55,27 +57,42 @@ class FamilyScope {
   const pruning::SubgraphFamily& family() const { return family_; }
   const sharding::SubgraphScope& routing() const { return routing_; }
   const cost::BackwardWindowTerms& window() const { return window_; }
-  /// Per member (aligned with family.member_nodes): its position in the
-  /// routing visit order routing().order.
-  const std::vector<std::size_t>& positions() const { return positions_; }
 
-  /// Local per-device bytes of the members' weights under `plan`'s member
-  /// choices (dp replicas never shard weights; only the tp layout
-  /// matters). `plan` must route, so every member choice is in range.
-  std::int64_t weight_bytes(const sharding::ShardingPlan& plan) const;
-  /// Member `j`'s share of weight_bytes() under pattern `choice` (0 for
+  /// Route positions, one per member.
+  std::size_t size() const { return at_.size(); }
+  /// The position of routing().exit (size() when the family has none).
+  std::size_t exit() const { return exit_; }
+  /// Member `j`'s (family.member_nodes[j]'s) position.
+  std::size_t position(std::size_t j) const { return position_[j]; }
+  /// Position `p`'s number of choices: its PatternTable row size.
+  int choices(std::size_t p) const { return at_[p].choices; }
+  /// window().term(j, split) for the member j at position `p`.
+  double window_term(std::size_t p, bool split) const {
+    return split ? at_[p].window_split : at_[p].window_replicated;
+  }
+  /// Position `p`'s local per-device weight bytes under pattern `choice`
+  /// (dp replicas never shard weights; only the tp layout matters; 0 for
   /// a member without weights).
-  std::int64_t weight_bytes(std::size_t j, int choice) const;
+  std::int64_t weight_bytes(std::size_t p, int choice) const {
+    return bytes_[at_[p].bytes_first + static_cast<std::size_t>(choice)];
+  }
+  /// The members' weight_bytes() under `plan`'s member choices. `plan`
+  /// must route, so every member choice is in range.
+  std::int64_t weight_bytes(const sharding::ShardingPlan& plan) const;
 
  private:
-  static constexpr std::size_t kUnweighted = static_cast<std::size_t>(-1);
+  struct Position {
+    int choices = 0;
+    double window_replicated = 0.0, window_split = 0.0;
+    std::size_t bytes_first = 0;  ///< into bytes_, one entry per choice
+  };
 
   const pruning::SubgraphFamily& family_;
   sharding::SubgraphScope routing_;
   cost::BackwardWindowTerms window_;
-  std::vector<std::size_t> positions_;
-  /// Per member: bytes_[first_[j] + pattern index], or kUnweighted.
-  std::vector<std::size_t> first_;
+  std::vector<Position> at_;
+  std::vector<std::size_t> position_;
+  std::size_t exit_ = 0;
   std::vector<std::int64_t> bytes_;
 };
 
@@ -200,14 +217,16 @@ class FamilySearchPolicy {
 ///
 /// A candidate's score is the steady-state route's comm_cost with the
 /// family's window: Σ exposed + max(0, Σ overlappable − Σ window) over
-/// its members' steps (cost::StepScore). Its exit layout L comes from the
-/// probe route (replicated boundary), and the steady-state route has
-/// boundary L. So the policy runs one DP per exit layout L over the joint
-/// state of two routes, the probe and the steady state at L (one when L
-/// is replicated). Each DP step restores a state and routes one member
-/// with one choice. Equal joint states have equal futures, so they merge.
-/// A prefix whose probe hands the exit member a layout other than L is
-/// dropped. Each state keeps:
+/// its members' steps. Its exit layout L comes from the probe route
+/// (replicated boundary), and the steady-state route has boundary L. So
+/// the policy runs one DP per exit layout L over the joint state of two
+/// routes, the probe and the steady state at L (one when L is
+/// replicated). Each DP step restores a state, routes one member with one
+/// choice (sharding::FrontierRouter) and sums the events it emitted,
+/// reading the member's window term and weight bytes from FamilyScope.
+/// Equal joint states have equal futures, so they merge. A prefix whose
+/// probe hands the exit member a layout other than L is dropped. Each
+/// state keeps:
 ///   * the number of prefixes that reach it, so the counters are exact
 ///     path counts. `candidate_plans` is the product of the counts,
 ///     `valid_plans` = `cost_queries` is the number of valid paths, and

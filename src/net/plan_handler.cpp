@@ -222,14 +222,21 @@ const ir::TapGraph* PlanHandler::model_for(
   const std::string key = spec.model + "/" + std::to_string(spec.layers) +
                           "/" + std::to_string(spec.classes) + "/" +
                           std::to_string(spec.batch);
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = models_.find(key);
-  if (it == models_.end()) {
-    TAP_SPAN("net.build_model", "net");
-    // The Graph is a temporary: it is freed once lowered.
-    it = models_.emplace(key, ir::lower(service::build_spec_model(spec)))
-             .first;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = models_.find(key);
+    if (it != models_.end()) return &it->second;
   }
+  // Built outside mu_, so a build never stalls the requests for models
+  // already cached; when two requests race, the first insert wins and the
+  // other build is dropped. The Graph is a temporary: it is freed once
+  // lowered.
+  ir::TapGraph built = [&] {
+    TAP_SPAN("net.build_model", "net");
+    return ir::lower(service::build_spec_model(spec));
+  }();
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = models_.emplace(key, std::move(built)).first;
   metrics().models_cached->set(static_cast<double>(models_.size()));
   return &it->second;
 }

@@ -1,6 +1,5 @@
 #include "service/plan_cache.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -42,13 +41,7 @@ CacheMetrics& cache_metrics() {
 }  // namespace
 
 PlanCache::PlanCache(PlanCacheOptions opts) : opts_(std::move(opts)) {
-  TAP_CHECK_GE(opts_.stripes, 1);
   TAP_CHECK_GE(opts_.capacity, 1u);
-  const auto stripes = static_cast<std::size_t>(opts_.stripes);
-  // Per-stripe budget; at least one entry each so a tiny capacity still
-  // caches something in every stripe.
-  stripe_capacity_ = std::max<std::size_t>(1, opts_.capacity / stripes);
-  stripes_ = std::vector<Stripe>(stripes);
   TAP_CHECK_GE(opts_.io_retries, 0);
   TAP_CHECK_GE(opts_.retry_backoff_ms, 0.0);
   if (!opts_.disk_dir.empty()) {
@@ -68,44 +61,45 @@ PlanCache::PlanCache(PlanCacheOptions opts) : opts_(std::move(opts)) {
   }
 }
 
-PlanCache::Stripe& PlanCache::stripe_for(const PlanKey& key) {
-  return stripes_[key.digest() % stripes_.size()];
-}
-
 std::optional<core::PlanRecord> PlanCache::memory_lookup(const PlanKey& key) {
-  Stripe& s = stripe_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.index.find(key);
-  if (it == s.index.end()) return std::nullopt;
-  s.lru.splice(s.lru.begin(), s.lru, it->second);  // touch
-  return it->second->second;
+  std::optional<core::PlanRecord> hit;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = index_.find(key);
+    if (it == index_.end()) return std::nullopt;
+    lru_.splice(lru_.begin(), lru_, it->second);  // touch
+    hit = it->second->second;
+    ++stats_.memory_hits;
+  }
+  cache_metrics().mem_hits->add(1);
+  if (obs::TraceSession* s = obs::active_session())
+    s->instant("cache.mem.hit", "cache");
+  return hit;
 }
 
 void PlanCache::memory_insert(const PlanKey& key,
                               const core::PlanRecord& record) {
-  Stripe& s = stripe_for(key);
   std::size_t evicted = 0;
   {
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.index.find(key);
-    if (it != s.index.end()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = index_.find(key);
+    if (it != index_.end()) {
       it->second->second = record;
-      s.lru.splice(s.lru.begin(), s.lru, it->second);
+      lru_.splice(lru_.begin(), lru_, it->second);
     } else {
-      s.lru.emplace_front(key, record);
-      s.index.emplace(key, s.lru.begin());
-      while (s.lru.size() > stripe_capacity_) {
-        s.index.erase(s.lru.back().first);
-        s.lru.pop_back();
+      lru_.emplace_front(key, record);
+      index_.emplace(key, lru_.begin());
+      while (lru_.size() > opts_.capacity) {
+        index_.erase(lru_.back().first);
+        lru_.pop_back();
         ++evicted;
       }
     }
+    ++stats_.insertions;
+    stats_.evictions += evicted;
   }
   cache_metrics().insertions->add(1);
   cache_metrics().evictions->add(evicted);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.insertions;
-  stats_.evictions += evicted;
 }
 
 std::string PlanCache::disk_path(const PlanKey& key) const {
@@ -117,7 +111,7 @@ std::string PlanCache::disk_path(const PlanKey& key) const {
 void PlanCache::count_retry(int attempt) {
   cache_metrics().retries->add(1);
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     ++stats_.retries;
   }
   if (opts_.retry_backoff_ms > 0.0) {
@@ -138,7 +132,7 @@ std::optional<core::PlanRecord> PlanCache::disk_lookup(
       if (!in) {
         // Absent file is a plain miss, not an I/O failure — no retry.
         cache_metrics().disk_misses->add(1);
-        std::lock_guard<std::mutex> lock(stats_mu_);
+        std::lock_guard<std::mutex> lock(mu_);
         ++stats_.disk_misses;
         return std::nullopt;
       }
@@ -146,7 +140,7 @@ std::optional<core::PlanRecord> PlanCache::disk_lookup(
       buf << in.rdbuf();
       core::PlanRecord record = core::plan_record_from_json(tg, buf.str());
       cache_metrics().disk_hits->add(1);
-      std::lock_guard<std::mutex> lock(stats_mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       ++stats_.disk_hits;
       return record;
     } catch (const util::FaultInjectedError&) {
@@ -158,18 +152,18 @@ std::optional<core::PlanRecord> PlanCache::disk_lookup(
       // re-searches and the insert writes a fresh file at this path.
       if (std::rename(path.c_str(), (path + ".quarantine").c_str()) == 0) {
         cache_metrics().quarantined->add(1);
-        std::lock_guard<std::mutex> lock(stats_mu_);
+        std::lock_guard<std::mutex> lock(mu_);
         ++stats_.quarantined;
       }
       cache_metrics().disk_rejects->add(1);
-      std::lock_guard<std::mutex> lock(stats_mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       ++stats_.disk_rejects;
       return std::nullopt;
     }
   }
   // Retries exhausted: the disk tier degrades to a miss, never an error.
   cache_metrics().disk_misses->add(1);
-  std::lock_guard<std::mutex> lock(stats_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   ++stats_.disk_misses;
   return std::nullopt;
 }
@@ -202,7 +196,7 @@ void PlanCache::disk_insert(const PlanKey& key,
         return;
       }
       cache_metrics().disk_writes->add(1);
-      std::lock_guard<std::mutex> lock(stats_mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       ++stats_.disk_writes;
       return;
     } catch (const util::FaultInjectedError&) {
@@ -217,19 +211,14 @@ std::optional<core::PlanRecord> PlanCache::lookup(const PlanKey& key,
                                                   Tier* tier) {
   if (tier != nullptr) *tier = Tier::kMiss;
   if (auto hit = memory_lookup(key)) {
-    cache_metrics().mem_hits->add(1);
-    if (obs::TraceSession* s = obs::active_session())
-      s->instant("cache.mem.hit", "cache");
     if (tier != nullptr) *tier = Tier::kMemory;
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.memory_hits;
     return hit;
   }
   cache_metrics().mem_misses->add(1);
   if (obs::TraceSession* s = obs::active_session())
     s->instant("cache.mem.miss", "cache");
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     ++stats_.memory_misses;
   }
   if (auto hit = disk_lookup(key, tg)) {
@@ -247,7 +236,7 @@ void PlanCache::insert(const PlanKey& key, const core::PlanRecord& record,
 }
 
 PlanCacheStats PlanCache::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return stats_;
 }
 

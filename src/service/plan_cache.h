@@ -1,8 +1,8 @@
 // PlanCache — the two-tier memoization store behind the PlannerService.
 //
-//   tier 1: a sharded in-memory LRU. Keys stripe across independent
-//           mutex-guarded segments (digest % stripes), so concurrent
-//           requests for different keys never contend on one lock.
+//   tier 1: an in-memory LRU of exactly `capacity` records behind one
+//           mutex, which guards the entries and the stats and is held
+//           for map operations only, never across disk I/O.
 //   tier 2: an optional on-disk store (one JSON file per key under
 //           `disk_dir`, named by the key's version-prefixed hex). Disk
 //           payloads round-trip through core/serialize's PlanRecord, whose
@@ -30,7 +30,6 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "core/serialize.h"
 #include "service/fingerprint.h"
@@ -38,10 +37,8 @@
 namespace tap::service {
 
 struct PlanCacheOptions {
-  /// Total in-memory entries across all stripes (LRU beyond this).
+  /// In-memory entries; the least recently used is evicted beyond this.
   std::size_t capacity = 256;
-  /// Mutex stripes for the memory tier.
-  int stripes = 8;
   /// Directory of the disk tier; empty = memory-only.
   std::string disk_dir;
   /// Extra attempts after a transient disk I/O failure (so io_retries + 1
@@ -82,6 +79,10 @@ class PlanCache {
   std::optional<core::PlanRecord> lookup(const PlanKey& key,
                                          const ir::TapGraph& tg,
                                          Tier* tier = nullptr);
+  /// The memory tier alone: a hit is counted and touched as lookup()
+  /// counts and touches it; a miss is not counted (the caller re-checks
+  /// after a lookup() that already counted it).
+  std::optional<core::PlanRecord> memory_lookup(const PlanKey& key);
 
   /// Inserts into the memory tier and (when configured) writes the disk
   /// file atomically.
@@ -96,22 +97,11 @@ class PlanCache {
   const PlanCacheOptions& options() const { return opts_; }
 
  private:
-  struct Stripe {
-    mutable std::mutex mu;
-    /// Front = most recently used.
-    std::list<std::pair<PlanKey, core::PlanRecord>> lru;
-    std::unordered_map<PlanKey,
-                       std::list<std::pair<PlanKey, core::PlanRecord>>::
-                           iterator,
-                       PlanKeyHash>
-        index;
-  };
+  using Entry = std::pair<PlanKey, core::PlanRecord>;
 
-  Stripe& stripe_for(const PlanKey& key);
   /// Counts one retry (stats + cache.retry metric) and sleeps the linear
   /// backoff for `attempt`.
   void count_retry(int attempt);
-  std::optional<core::PlanRecord> memory_lookup(const PlanKey& key);
   void memory_insert(const PlanKey& key, const core::PlanRecord& record);
   std::optional<core::PlanRecord> disk_lookup(const PlanKey& key,
                                               const ir::TapGraph& tg);
@@ -119,10 +109,10 @@ class PlanCache {
                    const ir::TapGraph& tg);
 
   PlanCacheOptions opts_;
-  std::size_t stripe_capacity_ = 0;
-  std::vector<Stripe> stripes_;
 
-  mutable std::mutex stats_mu_;
+  mutable std::mutex mu_;  ///< guards lru_, index_ and stats_
+  std::list<Entry> lru_;   ///< front = most recently used
+  std::unordered_map<PlanKey, std::list<Entry>::iterator, PlanKeyHash> index_;
   PlanCacheStats stats_;
 };
 

@@ -42,7 +42,7 @@ ServiceMetrics& service_metrics() {
   return m;
 }
 
-/// The FamilyResultCache key of one (family, options) pair: family
+/// The CachingFamilyPolicy key of one (family, options) pair: family
 /// fingerprint x options fingerprint.
 Fingerprint family_result_key(const ir::TapGraph& tg,
                               const pruning::SubgraphFamily& family,
@@ -74,43 +74,12 @@ const char* served_name(PlanTelemetry::Served served) {
 }
 
 // ---------------------------------------------------------------------------
-// FamilyResultCache
-// ---------------------------------------------------------------------------
-
-FamilyResultCache::FamilyResultCache(int stripes) {
-  TAP_CHECK_GE(stripes, 1);
-  stripes_ = std::vector<Stripe>(static_cast<std::size_t>(stripes));
-}
-
-std::optional<core::FamilySearchOutcome> FamilyResultCache::lookup(
-    const Fingerprint& key) {
-  Stripe& s = stripes_[key.digest() % stripes_.size()];
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.map.find(key);
-  if (it == s.map.end()) {
-    misses_.fetch_add(1);
-    return std::nullopt;
-  }
-  hits_.fetch_add(1);
-  return it->second;
-}
-
-void FamilyResultCache::insert(const Fingerprint& key,
-                               const core::FamilySearchOutcome& outcome) {
-  Stripe& s = stripes_[key.digest() % stripes_.size()];
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.map.emplace(key, outcome);  // first writer wins; equal key => equal value
-}
-
-// ---------------------------------------------------------------------------
 // CachingFamilyPolicy
 // ---------------------------------------------------------------------------
 
 CachingFamilyPolicy::CachingFamilyPolicy(
-    std::shared_ptr<FamilyResultCache> cache,
     std::shared_ptr<const core::FamilySearchPolicy> inner)
-    : cache_(std::move(cache)), inner_(std::move(inner)) {
-  TAP_CHECK(cache_ != nullptr);
+    : inner_(std::move(inner)) {
   if (!inner_) inner_ = std::make_shared<core::FrontierDpPolicy>();
 }
 
@@ -127,15 +96,35 @@ core::FamilySearchOutcome CachingFamilyPolicy::search(
   // search overwrites before scoring.
   const Fingerprint key =
       family_result_key(ctx.graph(), family, ctx.options());
-  if (auto hit = cache_->lookup(key)) {
-    if (!hit->found || hit->choice.size() == family.member_nodes.size()) {
-      hit->work = {};  // replayed, not searched
-      return *hit;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = outcomes_.find(key);
+    if (it == outcomes_.end()) {
+      ++misses_;
+    } else {
+      ++hits_;
+      const core::FamilySearchOutcome& hit = it->second;
+      if (!hit.found || hit.choice.size() == family.member_nodes.size()) {
+        core::FamilySearchOutcome out = hit;
+        out.work = {};  // replayed, not searched
+        return out;
+      }
     }
   }
   core::FamilySearchOutcome out = inner_->search(ctx, family, base);
-  cache_->insert(key, out);
+  std::lock_guard<std::mutex> lock(mu_);
+  outcomes_.emplace(key, out);  // first writer wins; equal key => equal value
   return out;
+}
+
+std::uint64_t CachingFamilyPolicy::hits() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return hits_;
+}
+
+std::uint64_t CachingFamilyPolicy::misses() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return misses_;
 }
 
 // ---------------------------------------------------------------------------
@@ -145,7 +134,7 @@ core::FamilySearchOutcome CachingFamilyPolicy::search(
 PlannerService::PlannerService(ServiceOptions opts)
     : opts_(std::move(opts)),
       cache_(opts_.cache),
-      families_(std::make_shared<FamilyResultCache>()),
+      families_(std::make_shared<CachingFamilyPolicy>()),
       pool_(opts_.request_threads) {}
 
 PlanKey PlannerService::key_for(const PlanRequest& req) const {
@@ -203,11 +192,10 @@ core::TapResult PlannerService::run_search(const PlanRequest& req,
   // planner failure.
   TAP_FAULT_POINT("service.search");
   if (opts_.search_override) return opts_.search_override(req);
-  const auto policy = std::make_shared<CachingFamilyPolicy>(families_, nullptr);
   return req.sweep_mesh
-             ? core::auto_parallel_best_mesh(*req.tg, req.opts, policy,
+             ? core::auto_parallel_best_mesh(*req.tg, req.opts, families_,
                                              std::move(cancel))
-             : core::auto_parallel(*req.tg, req.opts, policy,
+             : core::auto_parallel(*req.tg, req.opts, families_,
                                    std::move(cancel));
 }
 
@@ -257,29 +245,42 @@ std::shared_future<core::TapResult> PlannerService::submit(
   // counts against the budget, which is the serving-side contract.
   util::CancellationToken cancel = core::cancellation_for(req.opts);
 
-  std::optional<core::PlanRecord> hit;
-  PlanCache::Tier tier = PlanCache::Tier::kMiss;
   auto prom = std::make_shared<std::promise<core::TapResult>>();
   std::shared_future<core::TapResult> fut;
   std::uint64_t search_seq = 0;
+  // Under mu_: the in-flight search for `key` this request joins, if any.
+  const auto join = [&]() -> const std::shared_future<core::TapResult>* {
+    auto it = inflight_.find(key);
+    if (it == inflight_.end()) return nullptr;
+    ++stats_.coalesced;
+    service_metrics().coalesced->add(1);
+    if (obs::TraceSession* s = obs::active_session())
+      s->instant("service.coalesced", "service");
+    if (telem != nullptr) telem->served = PlanTelemetry::Served::kCoalesced;
+    return &it->second;
+  };
   {
-    // Coalesce/lookup/register are one atomic step: a duplicate submitted
-    // at ANY point relative to another request's lifetime lands on either
-    // the in-flight future or the cached record (the completing task
-    // inserts into the cache BEFORE erasing its in-flight entry), so
-    // `searches` counts exactly the distinct keys ever submitted.
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.requests;
-    auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
-      ++stats_.coalesced;
-      service_metrics().coalesced->add(1);
-      if (obs::TraceSession* s = obs::active_session())
-        s->instant("service.coalesced", "service");
-      if (telem != nullptr) telem->served = PlanTelemetry::Served::kCoalesced;
-      return it->second;
+    if (const auto* joined = join()) return *joined;
+  }
+  // The lookup runs outside mu_: a disk hit reads, parses and validates a
+  // file, and on an I/O fault sleeps its retry backoff, which no other
+  // request may wait on.
+  PlanCache::Tier tier = PlanCache::Tier::kMiss;
+  std::optional<core::PlanRecord> hit = cache_.lookup(key, *req.tg, &tier);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!hit) {
+      // Join/re-check/register are one atomic step: a search for `key`
+      // that completed since the checks above inserted its record BEFORE
+      // erasing its in-flight entry, so a duplicate submitted at ANY point
+      // lands on either the in-flight future or the memory tier, and
+      // `searches` counts exactly the distinct keys ever submitted.
+      if (const auto* joined = join()) return *joined;
+      hit = cache_.memory_lookup(key);
+      if (hit) tier = PlanCache::Tier::kMemory;
     }
-    hit = cache_.lookup(key, *req.tg, &tier);
     if (hit) {
       ++stats_.cache_hits;
       service_metrics().cache_hits->add(1);

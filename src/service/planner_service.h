@@ -2,7 +2,8 @@
 // plan-cache subsystem).
 //
 // A service owns a two-tier PlanCache (service/plan_cache.h), a
-// family-outcome cache, and a util::ThreadPool of request workers.
+// family-memoizing search policy, and a util::ThreadPool of request
+// workers.
 // Clients submit PlanRequests and get back shared_futures of the exact
 // TapResult a direct auto_parallel / auto_parallel_best_mesh call would
 // produce — the planner is deterministic and the cache key captures every
@@ -10,39 +11,40 @@
 // is bit-identical to searching, which the service tests enforce field by
 // field.
 //
-// Request flow, under one mutex so the outcome is deterministic:
+// Request flow:
 //   1. coalesce — an in-flight request with the same key returns the same
 //      future (single-flight: N concurrent identical requests cost ONE
 //      search, counted in ServiceStats::coalesced);
-//   2. cache hit — the stored PlanRecord is re-materialized (deterministic
-//      prune + route against the live graph) into a ready future;
-//   3. miss — the key is registered in-flight and the search runs on the
-//      pool. The completion order is: cache insert, THEN in-flight erase,
-//      THEN promise fulfilment — so at every instant a duplicate request
-//      finds either the in-flight entry or the cached record, never a gap.
-//      Hence the invariant the tests assert: searches == distinct keys.
+//   2. cache hit — a lookup outside the service mutex (a disk hit reads a
+//      file) finds the stored PlanRecord, which is re-materialized
+//      (deterministic prune + route against the live graph) into a ready
+//      future;
+//   3. miss — under the mutex, coalesce and the memory tier are checked
+//      again, then the key is registered in-flight and the search runs on
+//      the pool. The completion order is: cache insert, THEN in-flight
+//      erase, THEN promise fulfilment — so at every instant a duplicate
+//      request finds either the in-flight entry or the cached record,
+//      never a gap. Hence the invariant the tests assert: searches ==
+//      distinct keys.
 //
 // On a whole-graph miss the service still reuses work at the family level:
-// run_search installs a CachingFamilyPolicy, so a family whose fingerprint
-// was already searched (e.g. the same encoder block in a deeper build of
-// the model) is answered from memory instead of re-enumerated. This is the
-// paper's depth-independence carried across *requests*, not just across
-// instances within one graph. It is also how an edited model replans
-// incrementally: only families whose fingerprint changed are searched, and
-// the result is bit-identical to a cold search.
+// every search runs through the service's CachingFamilyPolicy, so a family
+// whose fingerprint was already searched (e.g. the same encoder block in a
+// deeper build of the model) is answered from memory instead of
+// re-enumerated. This is the paper's depth-independence carried across
+// *requests*, not just across instances within one graph. It is also how
+// an edited model replans incrementally: only families whose fingerprint
+// changed are searched, and the result is bit-identical to a cold search.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/tap.h"
 #include "report/report.h"
@@ -176,46 +178,20 @@ struct ServiceOptions {
   double shed_retry_after_ms = 1000.0;
 };
 
-/// Thread-safe Fingerprint -> FamilySearchOutcome map, mutex-striped like
-/// the PlanCache's memory tier. Unbounded: family outcomes are a few ints
-/// per distinct (family, options) pair.
-class FamilyResultCache {
- public:
-  explicit FamilyResultCache(int stripes = 8);
-
-  FamilyResultCache(const FamilyResultCache&) = delete;
-  FamilyResultCache& operator=(const FamilyResultCache&) = delete;
-
-  std::optional<core::FamilySearchOutcome> lookup(const Fingerprint& key);
-  void insert(const Fingerprint& key,
-              const core::FamilySearchOutcome& outcome);
-
-  std::uint64_t hits() const { return hits_.load(); }
-  std::uint64_t misses() const { return misses_.load(); }
-
- private:
-  struct Stripe {
-    std::mutex mu;
-    std::unordered_map<Fingerprint, core::FamilySearchOutcome,
-                       FingerprintHash>
-        map;
-  };
-
-  std::vector<Stripe> stripes_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-};
-
 /// FamilySearchPolicy decorator that memoizes outcomes by
-/// family-fingerprint x options-fingerprint. Safe for the parallel
-/// FamilySearch pass and the mesh sweep (the stripes serialize only
-/// same-stripe keys). A cached outcome whose choice does not match the
+/// family-fingerprint x options-fingerprint in one mutex-guarded map,
+/// held for map operations only, never across a search. Unbounded: family
+/// outcomes are a few ints per distinct (family, options) pair. Safe for
+/// the parallel FamilySearch pass and the mesh sweep; two threads that
+/// miss on one key both search it, and the first insert wins (equal keys
+/// give equal outcomes). A cached outcome whose choice does not match the
 /// family's member count (a fingerprint collision — never observed, but
 /// cheap to guard) falls through to the inner policy.
 class CachingFamilyPolicy final : public core::FamilySearchPolicy {
  public:
-  CachingFamilyPolicy(std::shared_ptr<FamilyResultCache> cache,
-                      std::shared_ptr<const core::FamilySearchPolicy> inner);
+  /// `inner` searches on a miss; nullptr selects core::FrontierDpPolicy.
+  explicit CachingFamilyPolicy(
+      std::shared_ptr<const core::FamilySearchPolicy> inner = nullptr);
 
   std::string name() const override;
   core::FamilySearchOutcome search(
@@ -223,9 +199,16 @@ class CachingFamilyPolicy final : public core::FamilySearchPolicy {
       const pruning::SubgraphFamily& family,
       const sharding::ShardingPlan& base) const override;
 
+  std::uint64_t hits() const;
+  std::uint64_t misses() const;
+
  private:
-  std::shared_ptr<FamilyResultCache> cache_;
   std::shared_ptr<const core::FamilySearchPolicy> inner_;
+  mutable std::mutex mu_;  ///< guards outcomes_, hits_ and misses_
+  mutable std::unordered_map<Fingerprint, core::FamilySearchOutcome,
+                             FingerprintHash>
+      outcomes_;
+  mutable std::uint64_t hits_ = 0, misses_ = 0;
 };
 
 class PlannerService {
@@ -309,7 +292,8 @@ class PlannerService {
 
   ServiceOptions opts_;
   PlanCache cache_;
-  std::shared_ptr<FamilyResultCache> families_;
+  /// Every search's family memo (run_search passes it to the planner).
+  std::shared_ptr<const CachingFamilyPolicy> families_;
 
   /// A cached report and its place in report_lru_.
   struct CachedReport {

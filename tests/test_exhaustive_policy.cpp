@@ -54,8 +54,7 @@ TEST(ExhaustivePolicy, PassCountsTheWorkASearchDid) {
   const sharding::PatternTable table(tg, 2, 8);
   const FamilySearchContext ctx(tg, opts, table);
   const sharding::ShardingPlan base = sharding::default_plan(tg, 2, 8);
-  const service::CachingFamilyPolicy caching(
-      std::make_shared<service::FamilyResultCache>(), nullptr);
+  const service::CachingFamilyPolicy caching;
   for (const pruning::SubgraphFamily& fam : pr.families) {
     if (!weighted(tg, fam)) continue;
     const FamilySearchOutcome searched = caching.search(ctx, fam, base);

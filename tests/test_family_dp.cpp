@@ -127,7 +127,6 @@ TEST(FrontierDpPolicy, MatchesExhaustiveOracleOnEveryZooMesh) {
   // and T5-Large) is walked once there.
   const auto dp = std::make_shared<FrontierDpPolicy>();
   const auto oracle = std::make_shared<service::CachingFamilyPolicy>(
-      std::make_shared<service::FamilyResultCache>(),
       std::make_shared<OraclePolicy>());
   int meshes = 0;
   std::int64_t largest = 0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
@@ -26,6 +27,7 @@
 #include "report/report.h"
 #include "sharding/routing.h"
 #include "util/check.h"
+#include "util/fault.h"
 #include "util/hash.h"
 #include "util/json.h"
 
@@ -526,6 +528,75 @@ TEST(PlannerService, SearchFailurePropagatesAndDoesNotPoison) {
   EXPECT_TRUE(ok.routed.valid);
   EXPECT_EQ(calls, 2);
   EXPECT_EQ(svc.stats().searches, 2u);
+}
+
+TEST(PlannerService, MemoryHitIsNotHeldBehindAStalledDiskRead) {
+  // A disk hit reads and validates a file outside the service mutex, so a
+  // memory hit for another key issued while that read stalls is served
+  // at once instead of waiting out the stall.
+  Graph ga = models::build_transformer(models::t5_with_layers(2));
+  Graph gb = models::build_transformer(models::t5_with_layers(1));
+  ir::TapGraph ta = ir::lower(ga), tb = ir::lower(gb);
+  core::TapOptions opts = small_cluster_opts();
+
+  TempDir dir("stall");
+  ServiceOptions sopts;
+  sopts.cache.disk_dir = dir.path;
+  sopts.request_threads = 1;
+  {
+    PlannerService seed(sopts);
+    seed.plan({&ta, opts, false});  // A's record, on disk only below
+  }
+  PlannerService svc(sopts);
+  svc.plan({&tb, opts, false});  // B, searched: in the memory tier
+
+  util::ScopedFaultInjector fault("cache.disk.read=delay:500");
+  PlanTelemetry stalled;
+  std::thread reader([&] {
+    EXPECT_TRUE(svc.plan({&ta, opts, false}, &stalled).routed.valid);
+  });
+  while (fault.injector().hits("cache.disk.read") == 0)
+    std::this_thread::yield();
+
+  PlanTelemetry quick;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(svc.plan({&tb, opts, false}, &quick).routed.valid);
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  reader.join();
+
+  EXPECT_LT(ms, 100.0);
+  EXPECT_EQ(quick.served, PlanTelemetry::Served::kMemoryHit);
+  EXPECT_EQ(stalled.served, PlanTelemetry::Served::kDiskHit);
+  EXPECT_EQ(svc.stats().searches, 1u);  // only B's first request
+}
+
+TEST(PlanCache, MemoryTierHoldsExactlyCapacityEvictingLeastRecentlyUsed) {
+  Graph g = models::build_transformer(models::t5_with_layers(1));
+  ir::TapGraph tg = ir::lower(g);
+  PlanCacheOptions copts;
+  copts.capacity = 2;
+  PlanCache cache(copts);
+  std::vector<PlanKey> keys(12);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i].graph.lo = i;
+  const core::PlanRecord record;
+
+  cache.insert(keys[0], record, tg);
+  cache.insert(keys[1], record, tg);
+  ASSERT_TRUE(cache.lookup(keys[0], tg).has_value());  // 1 is now the LRU
+  cache.insert(keys[2], record, tg);
+  EXPECT_TRUE(cache.lookup(keys[0], tg).has_value());
+  EXPECT_FALSE(cache.lookup(keys[1], tg).has_value());
+  EXPECT_TRUE(cache.lookup(keys[2], tg).has_value());
+  EXPECT_EQ(cache.stats().evictions, 1u);
+
+  for (const PlanKey& key : keys) cache.insert(key, record, tg);
+  std::size_t held = 0;
+  for (const PlanKey& key : keys) held += cache.lookup(key, tg) ? 1 : 0;
+  EXPECT_EQ(held, 2u);
+  EXPECT_TRUE(cache.lookup(keys[10], tg).has_value());
+  EXPECT_TRUE(cache.lookup(keys[11], tg).has_value());
 }
 
 // ---------------------------------------------------------------------------
