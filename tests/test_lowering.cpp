@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "core/tap.h"
+#include "front_end_digest.h"
 #include "models/models.h"
 #include "report/report.h"
 #include "service/wire.h"
@@ -241,6 +243,41 @@ TEST(TapGraph, OutlivesItsSourceGraph) {
       EXPECT_EQ(a.step_s, b.step_s) << spec.dp << "x" << spec.tp;
     }
   }
+}
+
+TEST(Lowering, ZooMatchesRecordedDigests) {
+  // testing::tap_graph_digest of every lowered front-end model, recorded
+  // before the scope table and the fingerprint memo went in: lowering
+  // must keep every TapGraph bit for bit.
+  const std::map<std::string, std::string> recorded = {
+      {"BERT", "b4b522e80fbaf30e"},
+      {"CLIP-Base", "8424855514c564a9"},
+      {"GPT-3", "618d059721e8e6b6"},
+      {"ResNet50", "f1d9dec51b4ee253"},
+      {"Switch Transformer", "be7a52201dca931f"},
+      {"T5-Large", "f10906dd19ffdbcb"},
+      {"V-MoE", "ac9b9a1bbf03bd51"},
+      {"ViT-Huge", "ea95b001c7668784"},
+      {"WideNet", "f5967862da8f4665"},
+      {"bert_24", "b4b522e80fbaf30e"},
+      {"gpt3_8", "ef98d1f8e5d6d600"},
+      {"moe_8", "edc5eba9f76f9123"},
+      {"resnet50_50", "6589ab69dddc9c52"},
+      {"t5_192", "204631d163df2b95"},
+      {"t5_24", "1e4b8fa43979c968"},
+      {"t5_2_per_op", "30452666ae1d873e"},
+      {"t5_48", "276926943ce1a14c"},
+      {"t5_8", "b9fb8266899b4ea4"},
+      {"wav2vec 2.0", "48f0e44c5a1b15fa"},
+  };
+  std::map<std::string, std::string> got;
+  for (const testing::FrontEndModel& m : testing::front_end_zoo())
+    got[m.name] = testing::tap_graph_digest(lower(m.graph));
+  LoweringOptions per_op;
+  per_op.cluster_by_scope = false;
+  got["t5_2_per_op"] = testing::tap_graph_digest(
+      lower(models::build_transformer(models::t5_with_layers(2)), per_op));
+  EXPECT_EQ(got, recorded);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
+#include "front_end_digest.h"
 #include "ir/lowering.h"
 #include "models/models.h"
 #include "util/strings.h"
@@ -157,6 +159,48 @@ TEST(Prune, EmptyGraph) {
   PruneResult r = prune_graph(tg);
   EXPECT_EQ(r.unique_subgraphs(), 0u);
   EXPECT_EQ(r.covered_nodes(), 0u);
+}
+
+TEST(Prune, ZooMatchesRecordedDigests) {
+  // testing::prune_digest of every front-end model's default pruning,
+  // and of T5-24L at four thresholds, recorded before prune_graph read
+  // the scope table: pruning must keep every family bit for bit.
+  const std::map<std::string, std::string> recorded = {
+      {"BERT", "abf4a7c79fad023b"},
+      {"CLIP-Base", "cdb49d3515c0f6c4"},
+      {"GPT-3", "db3eb60d3590b796"},
+      {"ResNet50", "b5c7254bab70eb0c"},
+      {"Switch Transformer", "c7897f415fe00a56"},
+      {"T5-Large", "66fa041d8dc11c1e"},
+      {"V-MoE", "7b36636d8d0ccf57"},
+      {"ViT-Huge", "c0be994834a3afe4"},
+      {"WideNet", "5e0a93d74521fc9e"},
+      {"bert_24", "abf4a7c79fad023b"},
+      {"gpt3_8", "4e48e4ceb9c6b585"},
+      {"moe_8", "c54cd747f60069c1"},
+      {"resnet50_50", "7c16023a9748f38c"},
+      {"t5_192", "310b2d3eeac1dab4"},
+      {"t5_24", "80701ba21630f487"},
+      {"t5_24_min1", "8b6fc02fb12821a2"},
+      {"t5_24_min2", "80701ba21630f487"},
+      {"t5_24_min25", "815a701ab1031bf4"},
+      {"t5_24_min3", "1200ec6ca249a528"},
+      {"t5_48", "afbbac913d5d4174"},
+      {"t5_8", "10f4d7539a319eb9"},
+      {"wav2vec 2.0", "0ac5a61f7d7cf089"},
+  };
+  std::map<std::string, std::string> got;
+  for (const testing::FrontEndModel& m : testing::front_end_zoo())
+    got[m.name] = testing::prune_digest(prune_graph(ir::lower(m.graph)));
+  const Graph t5 = models::build_transformer(models::t5_with_layers(24));
+  const TapGraph tg = ir::lower(t5);
+  for (int min_duplicate : {1, 2, 3, 25}) {
+    PruneOptions opts;
+    opts.min_duplicate = min_duplicate;
+    got["t5_24_min" + std::to_string(min_duplicate)] =
+        testing::prune_digest(prune_graph(tg, opts));
+  }
+  EXPECT_EQ(got, recorded);
 }
 
 }  // namespace
