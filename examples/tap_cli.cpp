@@ -1,76 +1,6 @@
-// tap_cli — command-line front-end over the whole library:
-//
-//   tap_cli [--model t5|bert|gpt3|resnet50|resnet152|moe]
-//           [--layers N] [--classes N] [--batch N]
-//           [--nodes M] [--gpus N]            cluster S(M, N)
-//           [--mesh DPxTP | --mesh auto]      device mesh (default auto)
-//           [--threads N]                     search workers (0 = auto)
-//           [--pipeline K]                    pipeline stages (§4.8)
-//           [--amp] [--recompute] [--zero1]   training techniques (§4.8)
-//           [--xla]                           fusion pass (Fig. 8)
-//           [--save-plan FILE] [--load-plan FILE]
-//           [--cache-dir DIR]                 plan-cache disk tier: serve
-//                                             repeat invocations from DIR
-//                                             instead of re-searching
-//           [--no-cache]                      bypass the PlannerService
-//           [--trace FILE]                    chrome://tracing JSON of the
-//                                             simulated step only
-//           [--profile FILE]                  one chrome://tracing JSON of
-//                                             the WHOLE run: planner pass
-//                                             spans, cache/service events
-//                                             and the simulated step on a
-//                                             single timeline
-//           [--stats FILE|-]                  obs::dump_json() metrics
-//                                             snapshot ("-" = stdout)
-//           [--viz]                           print the plan (Fig. 14 style)
-//           [--explain]                       print the plan report: top-K
-//                                             comm contributors, pruning
-//                                             savings, simulated critical
-//                                             path (report/report.h)
-//           [--diff-baseline NAME]            add a plan diff vs an expert
-//                                             baseline (dp | megatron |
-//                                             mha | ffn) to the report
-//           [--report FILE]                   write the report JSON to FILE
-//                                             (implies --explain)
-//           [--topk N]                        contributors before the
-//                                             "(other)" rollup (default 10)
-//           [--deadline-ms N]                 latency budget: return the
-//                                             best plan found within N ms
-//                                             (anytime / fallback, see the
-//                                             provenance line)
-//           [--max-checkpoints N]             deterministic anytime cutoff:
-//                                             stop the search after N
-//                                             checkpoints (reproducible at
-//                                             any --threads)
-//           [--fault SPEC]                    install a fault injector,
-//                                             e.g. cache.disk.read=throw:0.5
-//                                             (seed via TAP_FAULT_SEED)
-//           [--serve-url URL[,URL...]]        plan over HTTP instead of
-//                                             in-process: route this
-//                                             request through net::PlanClient
-//                                             to the tap_serve shard owning
-//                                             its PlanKey (one slot per
-//                                             shard id, "|"-separated
-//                                             replica URLs per slot;
-//                                             --explain fetches the
-//                                             server-side report).
-//                                             "@FILE" loads the slots from
-//                                             a fleet manifest written by
-//                                             sbin/start-shards.sh
-//           [--plan-json FILE|-]              write the canonical plan-
-//                                             response JSON (service/wire.h).
-//                                             Offline it is built in
-//                                             process; with --serve-url it
-//                                             is the verbatim server body —
-//                                             the two are byte-identical,
-//                                             which CI asserts with cmp.
-//
-// With no arguments: plans T5 with 8+8 layers for 2x8 V100s with an
-// automatic mesh sweep and prints the summary.
-//
-// Exit codes: 0 success; 2 usage error (unknown flag/model, malformed
-// value, invalid --fault spec); 1 runtime failure (unreadable input,
-// unwritable output, plan does not route).
+// tap_cli — command-line front-end over the whole library. `tap_cli
+// --help` (or -h) prints the flags, the default run and the exit codes:
+// see kUsage below.
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -103,7 +33,83 @@
 
 namespace {
 
+constexpr const char kUsage[] = R"usage(usage:
+  tap_cli [--model t5|bert|gpt3|resnet50|resnet152|moe]
+          [--layers N] [--classes N] [--batch N]
+          [--nodes M] [--gpus N]            cluster S(M, N)
+          [--mesh DPxTP | --mesh auto]      device mesh (default auto)
+          [--threads N]                     search workers (0 = auto)
+          [--pipeline K]                    pipeline stages (§4.8)
+          [--amp] [--recompute] [--zero1]   training techniques (§4.8)
+          [--xla]                           fusion pass (Fig. 8)
+          [--save-plan FILE] [--load-plan FILE]
+          [--cache-dir DIR]                 plan-cache disk tier: serve
+                                            repeat invocations from DIR
+                                            instead of re-searching
+          [--no-cache]                      bypass the PlannerService
+          [--trace FILE]                    chrome://tracing JSON of the
+                                            simulated step only
+          [--profile FILE]                  one chrome://tracing JSON of
+                                            the WHOLE run: planner pass
+                                            spans, cache/service events
+                                            and the simulated step on a
+                                            single timeline
+          [--stats FILE|-]                  obs::dump_json() metrics
+                                            snapshot ("-" = stdout)
+          [--viz]                           print the plan (Fig. 14 style)
+          [--explain]                       print the plan report: top-K
+                                            comm contributors, pruning
+                                            savings, simulated critical
+                                            path (report/report.h)
+          [--diff-baseline NAME]            add a plan diff vs an expert
+                                            baseline (dp | megatron |
+                                            mha | ffn) to the report
+          [--report FILE]                   write the report JSON to FILE
+                                            (implies --explain)
+          [--topk N]                        contributors before the
+                                            "(other)" rollup (default 10)
+          [--deadline-ms N]                 latency budget: return the
+                                            best plan found within N ms
+                                            (anytime / fallback, see the
+                                            provenance line)
+          [--max-checkpoints N]             deterministic anytime cutoff:
+                                            stop the search after N
+                                            checkpoints (reproducible at
+                                            any --threads)
+          [--fault SPEC]                    install a fault injector,
+                                            e.g. cache.disk.read=throw:0.5
+                                            (seed via TAP_FAULT_SEED)
+          [--serve-url URL[,URL...]]        plan over HTTP instead of
+                                            in-process: route this
+                                            request through net::PlanClient
+                                            to the tap_serve shard owning
+                                            its PlanKey (one slot per
+                                            shard id, "|"-separated
+                                            replica URLs per slot;
+                                            --explain fetches the
+                                            server-side report).
+                                            "@FILE" loads the slots from
+                                            a fleet manifest written by
+                                            sbin/start-shards.sh
+          [--plan-json FILE|-]              write the canonical plan-
+                                            response JSON (service/wire.h).
+                                            Offline it is built in
+                                            process; with --serve-url it
+                                            is the verbatim server body —
+                                            the two are byte-identical,
+                                            which CI asserts with cmp.
+          [--help | -h]                     print this text and exit 0
+
+With no arguments: plans T5 with 8+8 layers for 2x8 V100s with an
+automatic mesh sweep and prints the summary.
+
+Exit codes: 0 success; 2 usage error (unknown flag/model, malformed
+value, invalid --fault spec); 1 runtime failure (unreadable input,
+unwritable output, plan does not route).
+)usage";
+
 struct Args {
+  bool help = false;
   std::string model = "t5";
   int layers = 8;
   std::int64_t classes = 1000;
@@ -164,7 +170,10 @@ bool parse(int argc, char** argv, Args* a) {
   for (int i = 1; i < argc; ++i) {
     const char* f = argv[i];
     const char* v = nullptr;
-    if (!std::strcmp(f, "--model") && (v = need_value(i))) {
+    if (!std::strcmp(f, "--help") || !std::strcmp(f, "-h")) {
+      a->help = true;
+      return true;
+    } else if (!std::strcmp(f, "--model") && (v = need_value(i))) {
       a->model = v;
     } else if (!std::strcmp(f, "--layers")) {
       i32(f, need_value(i), &a->layers);
@@ -359,6 +368,10 @@ int main(int argc, char** argv) {
   using namespace tap;
   Args args;
   if (!parse(argc, argv, &args)) return 2;
+  if (args.help) {
+    std::cout << kUsage;
+    return 0;
+  }
 
   // --fault: install the injector before any planning so every site in
   // the run is covered. Seed comes from TAP_FAULT_SEED, matching the

@@ -1,34 +1,5 @@
-// tap_serve — one shard of the networked plan-serving tier (ISSUE 7):
-//
-//   tap_serve [--host H] [--port P]            default 127.0.0.1:0
-//                                              (port 0 = ephemeral; the
-//                                              bound port is printed)
-//             [--shards N] [--shard-id K]      consistent-hash layout;
-//                                              this process answers only
-//                                              the PlanKeys it owns and
-//                                              421s the rest
-//             [--cache-dir DIR]                plan-cache disk tier
-//             [--threads N]                    planner search threads
-//             [--request-threads N]            PlannerService workers
-//             [--conn-threads N]               HTTP connection workers
-//             [--max-pending N]                load-shed bound (0 = off)
-//             [--batch-admission F]            deadline-class admission:
-//                                              batch traffic (no/relaxed
-//                                              deadline) admitted up to
-//                                              F * max-pending in-flight
-//                                              searches (default 1.0 =
-//                                              classless shedding)
-//             [--drain-ms MS]                  SIGTERM drain budget
-//             [--access-log FILE]              structured JSON access log,
-//                                              one line per sampled
-//                                              request ("-" = stdout)
-//             [--log-sample N]                 log every N-th sampled
-//                                              request (default 1 = all)
-//             [--slow-ms MS]                   flight-recorder slow-request
-//                                              span-capture threshold
-//                                              (default 250)
-//             [--flight-capacity N]            flight-recorder ring slots
-//                                              (default 512)
+// tap_serve — one shard of the networked plan-serving tier.
+// `tap_serve --help` (or -h) prints the flags: see kUsage below.
 //
 // Endpoints: POST /plan, GET /explain, GET /metrics, GET /healthz,
 // GET /debug/requests?n=K
@@ -57,11 +28,45 @@
 
 namespace {
 
+constexpr const char kUsage[] = R"usage(usage:
+  tap_serve [--host H] [--port P]            default 127.0.0.1:0
+                                             (port 0 = ephemeral; the
+                                             bound port is printed)
+            [--shards N] [--shard-id K]      consistent-hash layout;
+                                             this process answers only
+                                             the PlanKeys it owns and
+                                             421s the rest
+            [--cache-dir DIR]                plan-cache disk tier
+            [--threads N]                    planner search threads
+            [--request-threads N]            PlannerService workers
+            [--conn-threads N]               HTTP connection workers
+            [--max-pending N]                load-shed bound (0 = off)
+            [--batch-admission F]            deadline-class admission:
+                                             batch traffic (no/relaxed
+                                             deadline) admitted up to
+                                             F * max-pending in-flight
+                                             searches (default 1.0 =
+                                             classless shedding)
+            [--drain-ms MS]                  SIGTERM drain budget
+            [--access-log FILE]              structured JSON access log,
+                                             one line per sampled
+                                             request ("-" = stdout)
+            [--log-sample N]                 log every N-th sampled
+                                             request (default 1 = all)
+            [--slow-ms MS]                   flight-recorder slow-request
+                                             span-capture threshold
+                                             (default 250)
+            [--flight-capacity N]            flight-recorder ring slots
+                                             (default 512)
+            [--help | -h]                    print this text and exit 0
+)usage";
+
 volatile std::sig_atomic_t g_stop = 0;
 
 void on_signal(int) { g_stop = 1; }
 
 struct Args {
+  bool help = false;
   std::string host = "127.0.0.1";
   int port = 0;
   int shards = 1;
@@ -108,7 +113,10 @@ bool parse(int argc, char** argv, Args* a) {
       *out = static_cast<int>(wide);
       return true;
     };
-    if (!std::strcmp(f, "--host")) {
+    if (!std::strcmp(f, "--help") || !std::strcmp(f, "-h")) {
+      a->help = true;
+      return true;
+    } else if (!std::strcmp(f, "--host")) {
       const char* v = value();
       if (v == nullptr) return false;
       a->host = v;
@@ -180,6 +188,10 @@ int main(int argc, char** argv) {
   using namespace tap;
   Args args;
   if (!parse(argc, argv, &args)) return 2;
+  if (args.help) {
+    std::cout << kUsage;
+    return 0;
+  }
 
   service::ServiceOptions sopts;
   sopts.cache.disk_dir = args.cache_dir;

@@ -10,14 +10,16 @@ namespace tap {
 
 NodeId Graph::add_node(Node node) {
   TAP_CHECK(!node.name.empty()) << "node name must be non-empty";
-  TAP_CHECK(find(node.name) == kInvalidNode)
-      << "duplicate node name '" << node.name << "'";
   for (NodeId in : node.inputs) {
     TAP_CHECK(in >= 0 && in < static_cast<NodeId>(nodes_.size()))
         << "node '" << node.name << "' references unknown input " << in;
   }
   node.id = static_cast<NodeId>(nodes_.size());
-  by_name_.insert(node.name, node.id);
+  const auto name_of = [this](NodeId id) -> std::string_view {
+    return nodes_[static_cast<std::size_t>(id)].name;
+  };
+  TAP_CHECK(by_name_.find_or_insert(node.name, node.id, name_of) == node.id)
+      << "duplicate node name '" << node.name << "'";
   consumers_.emplace_back();
   for (NodeId in : node.inputs)
     consumers_[static_cast<std::size_t>(in)].push_back(node.id);

@@ -1,5 +1,6 @@
 #include "ir/graph_node.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <functional>
@@ -94,8 +95,6 @@ class Interner {
 
 void TapGraph::reserve(std::size_t num_nodes) {
   nodes_.reserve(num_nodes);
-  consumers_.reserve(num_nodes);
-  by_name_.reserve(num_nodes);
 }
 
 GraphNodeId TapGraph::add_node(GraphNode n) {
@@ -105,23 +104,33 @@ GraphNodeId TapGraph::add_node(GraphNode n) {
         << "GraphNode '" << n.name << "' has unknown input " << in;
   }
   n.id = static_cast<GraphNodeId>(nodes_.size());
-  TAP_CHECK(find(n.name) == kInvalidGraphNode)
-      << "duplicate GraphNode '" << n.name << "'";
-  by_name_.insert(n.name, n.id);
-  consumers_.emplace_back();
-  for (GraphNodeId in : n.inputs)
-    consumers_[static_cast<std::size_t>(in)].push_back(n.id);
   nodes_.push_back(std::move(n));
+  consumer_begin_.clear();
   finalized_ = false;
   return nodes_.back().id;
 }
 
 void TapGraph::finalize(const Graph& source) {
   name_ = source.name();
+  consumer_begin_.assign(nodes_.size() + 1, 0);
+  for (const GraphNode& n : nodes_)
+    for (GraphNodeId in : n.inputs)
+      ++consumer_begin_[static_cast<std::size_t>(in) + 1];
+  for (std::size_t i = 1; i < consumer_begin_.size(); ++i)
+    consumer_begin_[i] += consumer_begin_[i - 1];
+  consumers_.resize(consumer_begin_.back());
+  {
+    std::vector<std::size_t> fill(consumer_begin_.begin(),
+                                  consumer_begin_.end() - 1);
+    for (const GraphNode& n : nodes_)
+      for (GraphNodeId in : n.inputs)
+        consumers_[fill[static_cast<std::size_t>(in)]++] = n.id;
+  }
   topo_order_ = topo_order();
   topo_pos_.assign(nodes_.size(), -1);
   for (std::size_t i = 0; i < topo_order_.size(); ++i)
     topo_pos_[static_cast<std::size_t>(topo_order_[i])] = static_cast<int>(i);
+  build_scopes();
   const std::size_t num_ops = source.num_nodes();
   work_classes_.clear();
   op_class_.assign(num_ops, 0);
@@ -186,6 +195,137 @@ void TapGraph::finalize(const Graph& source) {
   finalized_ = true;
 }
 
+void TapGraph::build_scopes() {
+  scopes_.clear();
+  node_scope_.assign(nodes_.size(), kNoScope);
+  // Intern each node name and, the first time a scope is seen, its
+  // parents up to the first known one. Keys are views into the names.
+  std::vector<std::string_view> names;
+  scope_index_ = util::NameIndex();
+  scope_index_.reserve(2 * nodes_.size());
+  const auto name_of = [&names](ScopeId s) {
+    return names[static_cast<std::size_t>(s)];
+  };
+  std::vector<ScopeId> chain;  // the new scopes, deepest first
+  for (const GraphNode& n : nodes_) {
+    chain.clear();
+    std::string_view str = n.name;
+    ScopeId s = kNoScope;
+    while (true) {
+      const auto next = static_cast<ScopeId>(scopes_.size());
+      s = scope_index_.find_or_insert(str, next, name_of);
+      if (s != next) break;
+      names.push_back(str);
+      scopes_.push_back({kNoScope, 0, 0, n.id,
+                         static_cast<std::uint32_t>(str.size())});
+      chain.push_back(s);
+      const std::size_t slash = str.rfind('/');
+      if (slash == std::string_view::npos) {
+        s = kNoScope;
+        break;
+      }
+      str = str.substr(0, slash);
+    }
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      Scope& sc = scopes_[static_cast<std::size_t>(*it)];
+      sc.parent = s;
+      sc.depth =
+          s == kNoScope ? 1 : scopes_[static_cast<std::size_t>(s)].depth + 1;
+      s = *it;
+    }
+    Scope& own = scopes_[static_cast<std::size_t>(s)];
+    TAP_CHECK(chain.size() > 0 ||
+              own.length != nodes_[static_cast<std::size_t>(own.node)]
+                                .name.size())
+        << "duplicate GraphNode '" << n.name << "'";
+    node_scope_[static_cast<std::size_t>(n.id)] = s;
+    own.node = n.id;
+  }
+
+  // Ranks without comparing whole strings: under one parent P, the
+  // strings are P/c for each child component c, and P/c/... below it.
+  // Everything below c shares the prefix "c/", so it sorts as one item
+  // keyed "c/", next to c's own item keyed "c". Sorting the children's
+  // items and descending into each "c/" item visits the scopes in
+  // lexicographic order.
+  const std::size_t m = scopes_.size();
+  // Children of parent p at slot p + 1 (slot 0: the depth-1 scopes).
+  std::vector<std::uint32_t> begin(m + 2, 0);
+  for (const Scope& sc : scopes_)
+    ++begin[static_cast<std::size_t>(sc.parent + 1) + 1];
+  for (std::size_t i = 1; i < begin.size(); ++i) begin[i] += begin[i - 1];
+  std::vector<ScopeId> children(m);
+  {
+    std::vector<std::uint32_t> fill(begin.begin(), begin.end() - 1);
+    for (std::size_t s = 0; s < m; ++s)
+      children[fill[static_cast<std::size_t>(scopes_[s].parent + 1)]++] =
+          static_cast<ScopeId>(s);
+  }
+  struct Item {
+    std::string_view component;
+    ScopeId scope;
+    bool below;  ///< the item of the strings below `scope`
+    /// The first 8 key bytes, big-endian, 0 past the key's end: unequal
+    /// heads order their keys.
+    std::uint64_t head = 0;
+  };
+  const auto make_item = [](std::string_view component, ScopeId scope,
+                            bool below) {
+    Item it{component, scope, below};
+    for (std::size_t j = 0; j < 8; ++j) {
+      unsigned char byte = 0;
+      if (j < component.size())
+        byte = static_cast<unsigned char>(component[j]);
+      else if (j == component.size() && below)
+        byte = '/';
+      it.head = it.head << 8 | byte;
+    }
+    return it;
+  };
+  const auto less = [](const Item& a, const Item& b) {
+    if (a.head != b.head) return a.head < b.head;
+    const std::size_t n = std::min(a.component.size(), b.component.size());
+    if (const int c = a.component.substr(0, n).compare(b.component.substr(0, n));
+        c != 0)
+      return c < 0;
+    // The next key character: the component's, the '/' of a below-item,
+    // or -1 at the end of the key.
+    const auto next = [n](const Item& x) -> int {
+      if (n < x.component.size())
+        return static_cast<unsigned char>(x.component[n]);
+      return x.below ? '/' : -1;
+    };
+    return next(a) < next(b);
+  };
+  std::vector<Item> items;
+  std::uint32_t rank = 0;
+  const auto visit = [&](const auto& self, std::size_t slot) -> void {
+    const std::size_t first = items.size();
+    const std::size_t skip =
+        slot == 0 ? 0 : scopes_[slot - 1].length + std::size_t{1};
+    for (std::uint32_t i = begin[slot]; i < begin[slot + 1]; ++i) {
+      const ScopeId c = children[i];
+      const auto ci = static_cast<std::size_t>(c);
+      const std::string_view component = names[ci].substr(skip);
+      items.push_back(make_item(component, c, false));
+      if (begin[ci + 1] != begin[ci + 2])
+        items.push_back(make_item(component, c, true));
+    }
+    std::sort(items.begin() + static_cast<std::ptrdiff_t>(first), items.end(),
+              less);
+    const std::size_t last = items.size();
+    for (std::size_t i = first; i < last; ++i) {
+      const Item it = items[i];
+      if (it.below)
+        self(self, static_cast<std::size_t>(it.scope) + 1);
+      else
+        scopes_[static_cast<std::size_t>(it.scope)].rank = rank++;
+    }
+    items.resize(first);
+  };
+  visit(visit, 0);
+}
+
 const WeightOp& TapGraph::primary_weight(GraphNodeId id) const {
   for (const WeightOp& w : weights(id))
     if (w.primary) return w;
@@ -200,14 +340,23 @@ std::size_t TapGraph::num_edges() const {
 }
 
 GraphNodeId TapGraph::find(std::string_view name) const {
-  return by_name_.find(name, [this](GraphNodeId id) -> std::string_view {
-    return nodes_[static_cast<std::size_t>(id)].name;
-  });
+  if (nodes_.empty()) return kInvalidGraphNode;
+  TAP_CHECK(finalized_) << "TapGraph::finalize() was not called";
+  const ScopeId s = scope_index_.find(
+      name, [this](ScopeId id) { return scope_name(id); });
+  if (s == kNoScope) return kInvalidGraphNode;
+  const Scope& sc = scopes_[static_cast<std::size_t>(s)];
+  return node_scope_[static_cast<std::size_t>(sc.node)] == s
+             ? sc.node
+             : kInvalidGraphNode;
 }
 
-const std::vector<GraphNodeId>& TapGraph::consumers(GraphNodeId id) const {
-  TAP_CHECK(id >= 0 && id < static_cast<GraphNodeId>(nodes_.size()));
-  return consumers_[static_cast<std::size_t>(id)];
+std::span<const GraphNodeId> TapGraph::consumers(GraphNodeId id) const {
+  TAP_CHECK(id >= 0 && static_cast<std::size_t>(id) + 1 < consumer_begin_.size())
+      << "TapGraph::finalize() was not called";
+  const std::size_t i = static_cast<std::size_t>(id);
+  return {consumers_.data() + consumer_begin_[i],
+          consumers_.data() + consumer_begin_[i + 1]};
 }
 
 std::vector<GraphNodeId> TapGraph::roots() const {
@@ -220,8 +369,7 @@ std::vector<GraphNodeId> TapGraph::roots() const {
 std::vector<GraphNodeId> TapGraph::leaves() const {
   std::vector<GraphNodeId> out;
   for (const auto& n : nodes_)
-    if (consumers_[static_cast<std::size_t>(n.id)].empty())
-      out.push_back(n.id);
+    if (consumers(n.id).empty()) out.push_back(n.id);
   return out;
 }
 
@@ -236,7 +384,7 @@ std::vector<GraphNodeId> TapGraph::topo_order() const {
     if (n.inputs.empty()) order.push_back(n.id);
   }
   for (std::size_t head = 0; head < order.size(); ++head) {
-    for (GraphNodeId c : consumers_[static_cast<std::size_t>(order[head])])
+    for (GraphNodeId c : consumers(order[head]))
       if (--indegree[static_cast<std::size_t>(c)] == 0) order.push_back(c);
   }
   TAP_CHECK_EQ(order.size(), nodes_.size()) << "TapGraph contains a cycle";

@@ -78,6 +78,27 @@ struct WeightOp {
   bool primary = false;
 };
 
+using ScopeId = std::int32_t;
+inline constexpr ScopeId kNoScope = -1;
+
+/// One name scope of a TapGraph: a node name or one of its '/'-prefixes
+/// ("t5/encoder/block_3" of "t5/encoder/block_3/mha/q"). Each distinct
+/// string is one scope, stored by TapGraph::finalize().
+struct Scope {
+  /// The scope one component up; kNoScope at depth 1.
+  ScopeId parent = kNoScope;
+  /// Number of components (util::path_depth of the string).
+  std::uint32_t depth = 0;
+  /// Position among all of the graph's scopes in lexicographic order of
+  /// their strings.
+  std::uint32_t rank = 0;
+  /// The node named by this scope when there is one, else the first node
+  /// whose name begins with it; the string is that node's name cut to
+  /// `length`.
+  GraphNodeId node = kInvalidGraphNode;
+  std::uint32_t length = 0;
+};
+
 /// The TAP IR of one model. It is self-contained: finalize() copies what
 /// the planner, cost model, simulator and report read of the source ops,
 /// so the framework graph can be freed once ir::lower returns.
@@ -89,16 +110,18 @@ class TapGraph {
   void reserve(std::size_t num_nodes);
 
   /// Appends a node, assigning its id. Inputs must already exist. The
-  /// consumer lists grow with every add; the topological order is stale
-  /// until the next finalize().
+  /// consumer lists, the topological order and the scopes are stale until
+  /// the next finalize().
   GraphNodeId add_node(GraphNode n);
 
-  /// Computes the topological order and positions, the op_work of every
-  /// member op and its work class, every node's weight ops, route_bytes
-  /// and pattern row, and keeps `source`'s name, once the graph is
-  /// complete (ir::lower calls it last with the graph it lowered). Every
-  /// const accessor is then a plain read, so a finished graph can be
-  /// shared between threads. Nothing refers to `source` afterwards.
+  /// Computes the consumer lists, the topological order and positions,
+  /// the scope table (and
+  /// checks that node names are unique), the op_work of every member op
+  /// and its work class, every node's weight ops, route_bytes and pattern
+  /// row, and keeps `source`'s name, once the graph is complete (ir::lower
+  /// calls it last with the graph it lowered). Every const accessor is
+  /// then a plain read, so a finished graph can be shared between
+  /// threads. Nothing refers to `source` afterwards.
   void finalize(const Graph& source);
 
   const std::vector<GraphNode>& nodes() const { return nodes_; }
@@ -109,9 +132,13 @@ class TapGraph {
   std::size_t num_nodes() const { return nodes_.size(); }
   std::size_t num_edges() const;
 
+  /// The node named `name`, or kInvalidGraphNode. The graph must be
+  /// finalized (a graph without nodes need not be).
   GraphNodeId find(std::string_view name) const;
 
-  const std::vector<GraphNodeId>& consumers(GraphNodeId id) const;
+  /// The nodes that read node `id`'s output, in id order, as computed by
+  /// finalize(); this and the next three need a finalized graph.
+  std::span<const GraphNodeId> consumers(GraphNodeId id) const;
   std::vector<GraphNodeId> roots() const;
   std::vector<GraphNodeId> leaves() const;
   std::vector<GraphNodeId> topo_order() const;
@@ -189,6 +216,24 @@ class TapGraph {
     return route_bytes_[static_cast<std::size_t>(id)];
   }
 
+  /// The name scopes of the node names, as computed by finalize(): every
+  /// node name and each of its '/'-prefixes, once. Pruning groups nodes
+  /// into blocks by these ids instead of re-splitting names.
+  const std::vector<Scope>& scopes() const {
+    TAP_CHECK(finalized_) << "TapGraph::finalize() was not called";
+    return scopes_;
+  }
+  /// The scope that is node `id`'s whole name.
+  ScopeId scope_of(GraphNodeId id) const {
+    TAP_CHECK(id >= 0 && static_cast<std::size_t>(id) < node_scope_.size());
+    return node_scope_[static_cast<std::size_t>(id)];
+  }
+  std::string_view scope_name(ScopeId s) const {
+    TAP_CHECK(s >= 0 && static_cast<std::size_t>(s) < scopes_.size());
+    const Scope& sc = scopes_[static_cast<std::size_t>(s)];
+    return std::string_view(node(sc.node).name).substr(0, sc.length);
+  }
+
   /// Clusters carrying at least one weight tensor.
   std::vector<GraphNodeId> weight_nodes() const;
 
@@ -201,10 +246,15 @@ class TapGraph {
   std::string to_string(std::size_t max_nodes = 50) const;
 
  private:
+  /// Fills scopes_ and node_scope_ from the node names (finalize()).
+  void build_scopes();
+
   std::string name_;
   std::vector<GraphNode> nodes_;
-  util::NameIndex by_name_;  ///< names read back from nodes_
-  std::vector<std::vector<GraphNodeId>> consumers_;
+  // Set by finalize(): node i's consumers are consumers_ from
+  // consumer_begin_[i] to consumer_begin_[i + 1].
+  std::vector<std::size_t> consumer_begin_;  ///< per node, and end
+  std::vector<GraphNodeId> consumers_;
   std::vector<GraphNodeId> topo_order_;  ///< set by finalize()
   std::vector<int> topo_pos_;
   // Set by finalize(). Node i's op classes are node_op_classes_ from
@@ -220,6 +270,9 @@ class TapGraph {
   std::vector<RouteBytes> route_bytes_;         ///< per node
   std::vector<std::uint32_t> pattern_row_;      ///< per node
   std::vector<GraphNodeId> row_nodes_;          ///< per pattern row
+  std::vector<Scope> scopes_;                   ///< per distinct scope
+  std::vector<ScopeId> node_scope_;             ///< per node
+  util::NameIndex scope_index_;  ///< scope strings, read back by scope_name
   bool finalized_ = false;
 };
 

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <numeric>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 
 #include "util/check.h"
 #include "util/hash.h"
+#include "util/name_index.h"
 #include "util/strings.h"
 
 namespace tap::ir {
@@ -129,14 +130,41 @@ std::vector<int> tarjan_scc(const std::vector<std::vector<int>>& adj,
   return comp;
 }
 
-}  // namespace
-
-std::uint64_t op_fingerprint(const Node& n, std::string_view scope) {
-  std::string_view rel = n.name;
-  if (!scope.empty() && util::starts_with(rel, scope) &&
-      rel.size() > scope.size() && rel[scope.size()] == '/') {
-    rel.remove_prefix(scope.size() + 1);
+/// The cluster keys of one lower() call, interned: ids are dense, and
+/// keys are views into strings that outlive the call's use of them.
+class Keys {
+ public:
+  int intern(std::string_view key) {
+    // Ops of one scope are mostly adjacent: try the last key first.
+    if (last_ >= 0 && names_[static_cast<std::size_t>(last_)] == key)
+      return last_;
+    const auto next = static_cast<int>(names_.size());
+    last_ = index_.find_or_insert(key, next, [this](int id) {
+      return names_[static_cast<std::size_t>(id)];
+    });
+    if (last_ == next) names_.push_back(key);
+    return last_;
   }
+  std::string_view name(int id) const {
+    return names_[static_cast<std::size_t>(id)];
+  }
+  std::size_t size() const { return names_.size(); }
+
+ private:
+  util::NameIndex index_;
+  std::vector<std::string_view> names_;
+  int last_ = -1;
+};
+
+/// `name` relative to `scope`: the rest after "scope/", else all of it.
+std::string_view relative_name(std::string_view name, std::string_view scope) {
+  if (!scope.empty() && name.size() > scope.size() &&
+      util::starts_with(name, scope) && name[scope.size()] == '/')
+    name.remove_prefix(scope.size() + 1);
+  return name;
+}
+
+std::uint64_t fingerprint(const Node& n, std::string_view rel) {
   std::uint64_t h = util::hash_u64(static_cast<std::uint64_t>(n.kind));
   h = util::hash_combine(h, util::hash_str(rel));
   if (n.weight) {
@@ -154,198 +182,307 @@ std::uint64_t op_fingerprint(const Node& n, std::string_view scope) {
   return h;
 }
 
-TapGraph lower(const Graph& g, const LoweringOptions& opts,
-               LoweringStats* stats) {
-  const std::vector<NodeId> topo = g.topo_order();
-  std::vector<int> topo_pos(g.num_nodes(), -1);
-  for (std::size_t i = 0; i < topo.size(); ++i)
-    topo_pos[static_cast<std::size_t>(topo[i])] = static_cast<int>(i);
+/// Equal in everything fingerprint() reads but the relative name.
+bool same_fingerprint_fields(const Node& a, const Node& b) {
+  if (a.kind != b.kind || a.has_weight() != b.has_weight() ||
+      a.inputs.size() != b.inputs.size() || a.output.shape != b.output.shape)
+    return false;
+  if (a.weight &&
+      (a.trainable != b.trainable || a.weight->shape != b.weight->shape))
+    return false;
+  return a.attrs == b.attrs;
+}
 
-  // 1. Trim auxiliary operators.
-  std::vector<bool> kept(g.num_nodes(), false);
-  std::size_t trimmed = 0;
-  for (const Node& n : g.nodes()) {
-    if (is_aux(n.kind)) {
-      ++trimmed;
-    } else {
-      kept[static_cast<std::size_t>(n.id)] = true;
+/// op_fingerprint within one lower() call. The ops of repeated blocks
+/// differ only in their absolute scope, so most ops find an equal op
+/// already hashed: the memo keys on a cheap hash of what fingerprint()
+/// reads and checks the whole of it for equality, so it returns the same
+/// bits. An open-addressing table, at most half full.
+class FingerprintMemo {
+ public:
+  std::uint64_t operator()(const Node& n, std::string_view scope) {
+    const std::string_view rel = relative_name(n.name, scope);
+    std::uint64_t h = mix(std::hash<std::string_view>{}(rel),
+                          static_cast<std::uint64_t>(n.kind));
+    for (std::int64_t d : n.output.shape.dims())
+      h = mix(h, static_cast<std::uint64_t>(d));
+    if (n.weight)
+      for (std::int64_t d : n.weight->shape.dims())
+        h = mix(h, static_cast<std::uint64_t>(d));
+    h = mix(h, n.inputs.size());
+    for (const auto& kv : n.attrs)
+      h = mix(h, static_cast<std::uint64_t>(kv.second));
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    Slot& s = slot(h, [&](const Slot& o) {
+      return o.hash == h && o.rel == rel && same_fingerprint_fields(*o.op, n);
+    });
+    if (s.op == nullptr) {
+      s = {h, &n, rel, fingerprint(n, rel)};
+      ++size_;
     }
+    return s.fingerprint;
   }
 
-  // 2. Initial clustering: by parent name scope (or per-op when disabled).
-  // Scope keys are views into the op names, which `g` owns.
-  std::unordered_map<std::string_view, int> scope_ids;
-  std::vector<int> scope_of(g.num_nodes(), -1);
-  std::vector<std::string_view> scope_names;
+ private:
+  struct Slot {
+    std::uint64_t hash = 0;
+    const Node* op = nullptr;  ///< nullptr = empty
+    std::string_view rel;
+    std::uint64_t fingerprint = 0;
+  };
+
+  static std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+    return (h ^ v) * 0x9e3779b97f4a7c15ull;
+  }
+
+  /// The slot of the entry that `same` accepts, else the empty slot
+  /// where it goes.
+  template <class Same>
+  Slot& slot(std::uint64_t h, const Same& same) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = (h ^ (h >> 32)) & mask;; i = (i + 1) & mask)
+      if (slots_[i].op == nullptr || same(slots_[i])) return slots_[i];
+  }
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<std::size_t>(64, 2 * old.size()), Slot{});
+    for (const Slot& o : old)
+      if (o.op != nullptr) slot(o.hash, [](const Slot&) { return false; }) = o;
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
+
+/// An op-level edge: `dst` reads `src`'s output.
+struct Edge {
+  NodeId src;
+  NodeId dst;
+};
+
+/// Kahn's order over the graph of groups, `group_of` per op (-1 for a
+/// trimmed op): groups whose producers are all emitted are emitted in
+/// topo order of their first member, and each emitted group releases its
+/// consumer groups in first-seen edge order. Shorter than `num_groups`
+/// when the group graph has a cycle.
+std::vector<int> emit_order(const std::vector<Edge>& edges,
+                            const std::vector<NodeId>& topo,
+                            const std::vector<int>& group_of,
+                            int num_groups) {
+  const auto groups = static_cast<std::size_t>(num_groups);
+  // Group edges, flat: CSR by source, each source's targets in
+  // first-seen order, duplicates dropped with a per-target stamp.
+  std::vector<std::size_t> begin(groups + 1, 0);
+  const auto for_each_edge = [&](const auto& fn) {
+    for (const Edge& e : edges) {
+      const int src = group_of[static_cast<std::size_t>(e.src)];
+      const int dst = group_of[static_cast<std::size_t>(e.dst)];
+      if (src >= 0 && dst >= 0 && src != dst)
+        fn(static_cast<std::size_t>(src), dst);
+    }
+  };
+  for_each_edge([&](std::size_t src, int) { ++begin[src + 1]; });
+  for (std::size_t i = 1; i < begin.size(); ++i) begin[i] += begin[i - 1];
+  std::vector<int> adj(begin.back());
+  {
+    std::vector<std::size_t> fill(begin.begin(), begin.end() - 1);
+    for_each_edge([&](std::size_t src, int dst) { adj[fill[src]++] = dst; });
+  }
+  std::vector<std::size_t> end(groups);
+  std::vector<int> indegree(groups, 0);
+  {
+    std::vector<int> stamp(groups, -1);
+    for (std::size_t src = 0; src < groups; ++src) {
+      std::size_t out = begin[src];
+      for (std::size_t i = begin[src]; i < begin[src + 1]; ++i) {
+        const int dst = adj[i];
+        if (stamp[static_cast<std::size_t>(dst)] == static_cast<int>(src))
+          continue;
+        stamp[static_cast<std::size_t>(dst)] = static_cast<int>(src);
+        adj[out++] = dst;
+        ++indegree[static_cast<std::size_t>(dst)];
+      }
+      end[src] = out;
+    }
+  }
+  // The order doubles as Kahn's FIFO queue, seeded with the source
+  // groups in topo order of their first member.
+  std::vector<int> order;
+  order.reserve(groups);
+  {
+    std::vector<bool> seen(groups, false);
+    for (NodeId id : topo) {
+      const int grp = group_of[static_cast<std::size_t>(id)];
+      if (grp < 0 || seen[static_cast<std::size_t>(grp)]) continue;
+      seen[static_cast<std::size_t>(grp)] = true;
+      if (indegree[static_cast<std::size_t>(grp)] == 0) order.push_back(grp);
+    }
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const auto s = static_cast<std::size_t>(order[head]);
+    for (std::size_t i = begin[s]; i < end[s]; ++i) {
+      const int c = adj[i];
+      if (--indegree[static_cast<std::size_t>(c)] == 0) order.push_back(c);
+    }
+  }
+  return order;
+}
+
+}  // namespace
+
+std::uint64_t op_fingerprint(const Node& n, std::string_view scope) {
+  return fingerprint(n, relative_name(n.name, scope));
+}
+
+TapGraph lower(const Graph& g, const LoweringOptions& opts,
+               LoweringStats* stats) {
+  const std::size_t num_ops = g.num_nodes();
+
+  // 1-3. One pass in id order, where every op's inputs come before it:
+  // collect the edges, trim auxiliary operators, intern each kept op's
+  // cluster key (its parent name scope, or the op itself when not
+  // clustering by scope), and unite it with its producers of the same
+  // key, so that the initial clusters are each scope's intra-cluster
+  // connected components. Keys are views into the op names, which `g`
+  // owns. The later walks read the flat edges, not the ops.
+  std::vector<Edge> edges;
+  edges.reserve(2 * num_ops);
+  Keys keys;
+  std::vector<int> key_of(num_ops, -1);  // -1: trimmed
+  UnionFind uf(num_ops);
+  std::size_t trimmed = 0;
   for (const Node& n : g.nodes()) {
-    if (!kept[static_cast<std::size_t>(n.id)]) continue;
+    for (NodeId in : n.inputs) edges.push_back({in, n.id});
+    if (is_aux(n.kind)) {
+      ++trimmed;
+      continue;
+    }
     std::string_view key = n.name;
     if (opts.cluster_by_scope) {
       const std::size_t slash = key.rfind('/');  // the parent scope
       if (slash != std::string_view::npos) key = key.substr(0, slash);
     }
     if (key.empty()) key = n.name;
-    auto [it, inserted] =
-        scope_ids.emplace(key, static_cast<int>(scope_names.size()));
-    if (inserted) scope_names.push_back(key);
-    scope_of[static_cast<std::size_t>(n.id)] = it->second;
+    const int k = keys.intern(key);
+    key_of[static_cast<std::size_t>(n.id)] = k;
+    for (NodeId in : n.inputs)
+      if (key_of[static_cast<std::size_t>(in)] == k)
+        uf.unite(static_cast<std::size_t>(in), static_cast<std::size_t>(n.id));
   }
-
-  // 3. Split each scope cluster into intra-cluster connected components.
-  UnionFind uf(g.num_nodes());
-  for (const Node& n : g.nodes()) {
-    if (!kept[static_cast<std::size_t>(n.id)]) continue;
-    for (NodeId in : n.inputs) {
-      if (!kept[static_cast<std::size_t>(in)]) continue;
-      if (scope_of[static_cast<std::size_t>(in)] ==
-          scope_of[static_cast<std::size_t>(n.id)]) {
-        uf.unite(static_cast<std::size_t>(in),
-                 static_cast<std::size_t>(n.id));
-      }
+  // Each op's consumers in id order (Graph::consumers), flat: op i's are
+  // consumers[consumer_begin[i], consumer_begin[i + 1]).
+  std::vector<std::size_t> consumer_begin(num_ops + 1, 0);
+  for (const Edge& e : edges) ++consumer_begin[static_cast<std::size_t>(e.src) + 1];
+  for (std::size_t i = 1; i < consumer_begin.size(); ++i)
+    consumer_begin[i] += consumer_begin[i - 1];
+  std::vector<NodeId> consumers(edges.size());
+  {
+    std::vector<std::size_t> fill(consumer_begin.begin(), consumer_begin.end() - 1);
+    for (const Edge& e : edges)
+      consumers[fill[static_cast<std::size_t>(e.src)]++] = e.dst;
+  }
+  // Graph::topo_order over the flat lists: Kahn's algorithm with `topo`
+  // as its FIFO queue.
+  std::vector<NodeId> topo;
+  topo.reserve(num_ops);
+  {
+    std::vector<int> indegree(num_ops, 0);
+    for (const Edge& e : edges) ++indegree[static_cast<std::size_t>(e.dst)];
+    for (std::size_t id = 0; id < num_ops; ++id)
+      if (indegree[id] == 0) topo.push_back(static_cast<NodeId>(id));
+    for (std::size_t head = 0; head < topo.size(); ++head) {
+      const auto op = static_cast<std::size_t>(topo[head]);
+      for (std::size_t i = consumer_begin[op]; i < consumer_begin[op + 1]; ++i)
+        if (--indegree[static_cast<std::size_t>(consumers[i])] == 0)
+          topo.push_back(consumers[i]);
     }
+    TAP_CHECK_EQ(topo.size(), num_ops) << "graph contains a cycle";
   }
-  // Component id per kept node, numbered in topo order of first member.
-  // Only same-scope ops are united, so the union-find root alone names
-  // the (scope, component) pair.
-  std::vector<int> comp_of_root(g.num_nodes(), -1);
-  std::vector<int> comp_of(g.num_nodes(), -1);
-  int num_comps = 0;
-  for (NodeId id : topo) {
-    if (!kept[static_cast<std::size_t>(id)]) continue;
-    int& comp = comp_of_root[uf.find(static_cast<std::size_t>(id))];
-    if (comp < 0) comp = num_comps++;
-    comp_of[static_cast<std::size_t>(id)] = comp;
-  }
-
-  // 4. Component-level edges, then SCC condensation (safety net).
-  std::vector<std::vector<int>> adj(static_cast<std::size_t>(num_comps));
-  for (const Node& n : g.nodes()) {
-    if (!kept[static_cast<std::size_t>(n.id)]) continue;
-    int dst = comp_of[static_cast<std::size_t>(n.id)];
-    for (NodeId in : n.inputs) {
-      if (!kept[static_cast<std::size_t>(in)]) continue;
-      int src = comp_of[static_cast<std::size_t>(in)];
-      if (src != dst) adj[static_cast<std::size_t>(src)].push_back(dst);
-    }
-  }
+  // Component id per kept op, numbered in topo order of first member.
+  // Only same-key ops are united, so the union-find root alone names the
+  // (key, component) pair.
+  std::vector<int> comp_of_root(num_ops, -1);
+  std::vector<int> group_of(num_ops, -1);  // -1: trimmed
   int num_groups = 0;
-  const std::vector<int> scc_of = tarjan_scc(adj, &num_groups);
-  // Final group per op (-1 for trimmed ops).
-  std::vector<int> group_of(g.num_nodes(), -1);
-  for (std::size_t id = 0; id < group_of.size(); ++id)
-    if (kept[id]) group_of[id] = scc_of[static_cast<std::size_t>(comp_of[id])];
-
-  // 5. Assemble final groups (ops in topo order inside each group).
-  std::vector<std::vector<NodeId>> group_ops(
-      static_cast<std::size_t>(num_groups));
   for (NodeId id : topo) {
-    const int grp = group_of[static_cast<std::size_t>(id)];
-    if (grp < 0) continue;
-    group_ops[static_cast<std::size_t>(grp)].push_back(id);
+    if (key_of[static_cast<std::size_t>(id)] < 0) continue;
+    int& comp = comp_of_root[uf.find(static_cast<std::size_t>(id))];
+    if (comp < 0) comp = num_groups++;
+    group_of[static_cast<std::size_t>(id)] = comp;
   }
 
-  // Deterministic group ordering: by topo position of first member.
-  std::vector<int> group_order;
-  for (int gi = 0; gi < num_groups; ++gi)
-    if (!group_ops[static_cast<std::size_t>(gi)].empty())
-      group_order.push_back(gi);
-  std::sort(group_order.begin(), group_order.end(), [&](int a, int b) {
-    return topo_pos[static_cast<std::size_t>(
-               group_ops[static_cast<std::size_t>(a)].front())] <
-           topo_pos[static_cast<std::size_t>(
-               group_ops[static_cast<std::size_t>(b)].front())];
-  });
-
-  // Kahn over the condensed DAG so add_node sees inputs first. Group
-  // edges are kept flat (CSR by source, each source's targets in
-  // first-seen order, duplicates dropped with a per-target stamp).
-  std::vector<std::pair<int, int>> gedges;  // (src, dst), first-seen order
-  for (const Node& n : g.nodes()) {
-    const int dst = group_of[static_cast<std::size_t>(n.id)];
-    if (dst < 0) continue;
-    for (NodeId in : n.inputs) {
-      const int src = group_of[static_cast<std::size_t>(in)];
-      if (src >= 0 && src != dst) gedges.emplace_back(src, dst);
+  // 4. The components are the groups, unless their graph has a cycle:
+  // then condense its strongly-connected components (safety net).
+  std::vector<int> order = emit_order(edges, topo, group_of, num_groups);
+  if (order.size() < static_cast<std::size_t>(num_groups)) {
+    std::vector<std::vector<int>> adj(static_cast<std::size_t>(num_groups));
+    for (const Edge& e : edges) {
+      const int src = group_of[static_cast<std::size_t>(e.src)];
+      const int dst = group_of[static_cast<std::size_t>(e.dst)];
+      if (src >= 0 && dst >= 0 && src != dst)
+        adj[static_cast<std::size_t>(src)].push_back(dst);
     }
+    const std::vector<int> scc_of = tarjan_scc(adj, &num_groups);
+    for (int& grp : group_of)
+      if (grp >= 0) grp = scc_of[static_cast<std::size_t>(grp)];
+    order = emit_order(edges, topo, group_of, num_groups);
+    TAP_CHECK_EQ(order.size(), static_cast<std::size_t>(num_groups))
+        << "condensed cluster graph is not a DAG";
   }
+
+  // 5. Each group's ops in topo order, flat: group i's are
+  // ops[ops_begin[i], ops_begin[i + 1]).
   const auto groups = static_cast<std::size_t>(num_groups);
-  std::vector<std::size_t> gadj_begin(groups + 1, 0);
-  for (const auto& [src, dst] : gedges)
-    ++gadj_begin[static_cast<std::size_t>(src) + 1];
-  for (std::size_t i = 1; i < gadj_begin.size(); ++i)
-    gadj_begin[i] += gadj_begin[i - 1];
-  std::vector<int> gadj(gedges.size());
+  std::vector<std::size_t> ops_begin(groups + 1, 0);
+  for (int grp : group_of)
+    if (grp >= 0) ++ops_begin[static_cast<std::size_t>(grp) + 1];
+  for (std::size_t i = 1; i < ops_begin.size(); ++i)
+    ops_begin[i] += ops_begin[i - 1];
+  std::vector<NodeId> group_ops(ops_begin.back());
   {
-    std::vector<std::size_t> fill(gadj_begin.begin(), gadj_begin.end() - 1);
-    for (const auto& [src, dst] : gedges)
-      gadj[fill[static_cast<std::size_t>(src)]++] = dst;
-  }
-  std::vector<std::size_t> gadj_end(groups);
-  std::vector<int> gindeg(groups, 0);
-  {
-    std::vector<int> stamp(groups, -1);
-    for (int src = 0; src < num_groups; ++src) {
-      const auto s = static_cast<std::size_t>(src);
-      std::size_t out = gadj_begin[s];
-      for (std::size_t i = gadj_begin[s]; i < gadj_begin[s + 1]; ++i) {
-        const int dst = gadj[i];
-        if (stamp[static_cast<std::size_t>(dst)] == src) continue;
-        stamp[static_cast<std::size_t>(dst)] = src;
-        gadj[out++] = dst;
-        ++gindeg[static_cast<std::size_t>(dst)];
-      }
-      gadj_end[s] = out;
+    std::vector<std::size_t> fill(ops_begin.begin(), ops_begin.end() - 1);
+    for (NodeId id : topo) {
+      const int grp = group_of[static_cast<std::size_t>(id)];
+      if (grp >= 0) group_ops[fill[static_cast<std::size_t>(grp)]++] = id;
     }
   }
-  // emit_order doubles as Kahn's FIFO queue.
-  std::vector<int> emit_order;
-  emit_order.reserve(group_order.size());
-  for (int gi : group_order)
-    if (gindeg[static_cast<std::size_t>(gi)] == 0) emit_order.push_back(gi);
-  for (std::size_t head = 0; head < emit_order.size(); ++head) {
-    const auto s = static_cast<std::size_t>(emit_order[head]);
-    for (std::size_t i = gadj_begin[s]; i < gadj_end[s]; ++i) {
-      const int c = gadj[i];
-      if (--gindeg[static_cast<std::size_t>(c)] == 0) emit_order.push_back(c);
-    }
-  }
-  TAP_CHECK_EQ(emit_order.size(), group_order.size())
-      << "condensed cluster graph is not a DAG";
 
   // 6. Name groups and materialize GraphNodes.
   TapGraph tg;
-  tg.reserve(emit_order.size());
-  // Group names as views: into `g`'s op names, or into merged_bases for
-  // the rare group whose SCC merged several scopes.
+  tg.reserve(groups);
+  // Bases of groups whose SCC merged several scopes; they join `keys`,
+  // whose ids also count the uses of each name.
   std::deque<std::string> merged_bases;
-  std::unordered_map<std::string_view, int> name_uses;
-  std::vector<GraphNodeId> group_to_node(static_cast<std::size_t>(num_groups),
-                                         kInvalidGraphNode);
+  std::vector<int> name_uses;
+  std::vector<GraphNodeId> group_to_node(groups, kInvalidGraphNode);
+  FingerprintMemo fingerprints;
+  std::vector<GraphNodeId> inputs;  // one node's, before its exact copy
   std::size_t weight_vars = 0;
-  for (int gi : emit_order) {
+  for (int gi : order) {
     GraphNode node;
-    node.ops = std::move(group_ops[static_cast<std::size_t>(gi)]);
+    const auto gs = static_cast<std::size_t>(gi);
+    node.ops.assign(group_ops.begin() + static_cast<std::ptrdiff_t>(ops_begin[gs]),
+                    group_ops.begin() + static_cast<std::ptrdiff_t>(ops_begin[gs + 1]));
     const std::vector<NodeId>& ops = node.ops;
-    // Scope name: the scope of the first member component; if the SCC
-    // merged several scopes, use their longest common prefix (folded over
-    // the members' scopes in order).
-    int last_scope = scope_of[static_cast<std::size_t>(ops.front())];
-    const std::string_view first_scope =
-        scope_names[static_cast<std::size_t>(last_scope)];
-    std::string_view base = first_scope;
+    // Scope name: the key of the first member component; if the SCC
+    // merged several keys, use their longest common prefix (folded over
+    // the members' keys in order).
+    int last_key = key_of[static_cast<std::size_t>(ops.front())];
+    int base_key = last_key;
     std::optional<std::string> merged;
     for (NodeId id : ops) {
-      const int scope = scope_of[static_cast<std::size_t>(id)];
-      if (scope == last_scope) continue;
-      last_scope = scope;
-      if (!merged.has_value()) merged.emplace(first_scope);
+      const int key = key_of[static_cast<std::size_t>(id)];
+      if (key == last_key) continue;
+      last_key = key;
+      if (!merged.has_value()) merged.emplace(keys.name(base_key));
       if (!merged->empty())
-        *merged = util::longest_common_prefix(
-            *merged, scope_names[static_cast<std::size_t>(scope)]);
+        *merged = util::longest_common_prefix(*merged, keys.name(key));
     }
     if (merged.has_value() && !merged->empty())
-      base = merged_bases.emplace_back(std::move(*merged));
-    const int uses = name_uses[base]++;
+      base_key = keys.intern(merged_bases.emplace_back(std::move(*merged)));
+    const std::string_view base = keys.name(base_key);
+    if (name_uses.size() < keys.size()) name_uses.resize(keys.size(), 0);
+    const int uses = name_uses[static_cast<std::size_t>(base_key)]++;
     node.name = base;
     if (uses > 0) {
       node.name += '#';
@@ -361,6 +498,7 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
     const Node* heaviest_weight = nullptr;
     const Node* heaviest_op = nullptr;
     std::uint64_t fp = util::kFnvOffset;
+    inputs.clear();
     for (NodeId id : ops) {
       const Node& n = g.node(id);
       if (n.has_weight()) {
@@ -374,17 +512,17 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
       if (heaviest_op == nullptr ||
           kind_weight_rank(n.kind) > kind_weight_rank(heaviest_op->kind))
         heaviest_op = &n;
-      fp = util::hash_mix_unordered(fp, op_fingerprint(n, base));
+      fp = util::hash_mix_unordered(fp, fingerprints(n, base));
       for (NodeId in : n.inputs) {
         const int src = group_of[static_cast<std::size_t>(in)];
         if (src < 0 || src == gi) continue;  // trimmed, or a member
         GraphNodeId pid = group_to_node[static_cast<std::size_t>(src)];
         TAP_CHECK(pid != kInvalidGraphNode);
-        if (std::find(node.inputs.begin(), node.inputs.end(), pid) ==
-            node.inputs.end())
-          node.inputs.push_back(pid);
+        if (std::find(inputs.begin(), inputs.end(), pid) == inputs.end())
+          inputs.push_back(pid);
       }
     }
+    node.inputs.assign(inputs.begin(), inputs.end());
     node.fingerprint = util::hash_combine(fp, ops.size());
     // Primary kind: weighted op with most params, else heaviest compute op.
     node.primary_kind =
@@ -393,9 +531,10 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
     // that has no consumer.
     NodeId out_op = ops.back();
     for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-      bool external = g.consumers(*it).empty();
-      for (NodeId c : g.consumers(*it)) {
-        const int dst = group_of[static_cast<std::size_t>(c)];
+      const auto op = static_cast<std::size_t>(*it);
+      bool external = consumer_begin[op] == consumer_begin[op + 1];
+      for (std::size_t i = consumer_begin[op]; i < consumer_begin[op + 1]; ++i) {
+        const int dst = group_of[static_cast<std::size_t>(consumers[i])];
         if (dst >= 0 && dst != gi) {
           external = true;
           break;
@@ -407,11 +546,11 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
       }
     }
     node.output = g.node(out_op).output;
-    group_to_node[static_cast<std::size_t>(gi)] = tg.add_node(std::move(node));
+    group_to_node[gs] = tg.add_node(std::move(node));
   }
 
   if (stats) {
-    stats->original_nodes = g.num_nodes();
+    stats->original_nodes = num_ops;
     stats->trimmed_aux = trimmed;
     stats->graph_nodes = tg.num_nodes();
     stats->weight_variables = weight_vars;

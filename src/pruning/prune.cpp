@@ -15,133 +15,104 @@ namespace {
 using ir::GraphNodeId;
 using ir::TapGraph;
 
-/// Every GraphNode name's '/' positions, scanned once. A name's prefix at
-/// depth d (its first d components) ends at its d-th '/', or is the whole
-/// name when it has no deeper component.
-class NamePaths {
- public:
-  explicit NamePaths(const TapGraph& tg) : tg_(tg) {
-    first_.reserve(tg.num_nodes() + 1);
-    for (const auto& n : tg.nodes()) {
-      first_.push_back(static_cast<std::uint32_t>(slashes_.size()));
-      for (std::size_t i = 0; i < n.name.size(); ++i)
-        if (n.name[i] == '/') slashes_.push_back(static_cast<std::uint32_t>(i));
-    }
-    first_.push_back(static_cast<std::uint32_t>(slashes_.size()));
-  }
-
-  /// util::path_depth of the node's name.
-  std::size_t depth(GraphNodeId id) const {
-    return slashes(id) + 1;  // names are never empty
-  }
-
-  /// Length of the name's prefix at depth d, for 1 <= d <= depth(id).
-  std::size_t prefix_length(GraphNodeId id, std::size_t d) const {
-    if (d > slashes(id)) return tg_.node(id).name.size();
-    return slashes_[first_[static_cast<std::size_t>(id)] + d - 1];
-  }
-
- private:
-  std::size_t slashes(GraphNodeId id) const {
-    const auto i = static_cast<std::size_t>(id);
-    return first_[i + 1] - first_[i];
-  }
-
-  const TapGraph& tg_;
-  std::vector<std::uint32_t> first_;    ///< per node, into slashes_
-  std::vector<std::uint32_t> slashes_;  ///< '/' offsets, node by node
-};
-
-/// One member of a block: its name relative to the block prefix ("." for
-/// the prefix itself, else the rest of the name from its '/').
-struct Member {
-  std::uint32_t block;
-  std::string_view rel;
-  GraphNodeId id;
-};
-
-/// The blocks at one depth. Once sort_blocks has run, prefixes are sorted
-/// and members sorted by (block prefix, rel, id), so block b is
-/// members[begin[b], begin[b + 1]).
+/// The blocks at one depth, in lexicographic order of their prefixes:
+/// block b is the scope prefix[b], and its members are
+/// members[begin[b], begin[b + 1]) in name order.
 struct Blocks {
-  std::vector<std::string_view> prefix;
+  std::vector<ir::ScopeId> prefix;
   std::vector<std::size_t> begin;
   std::vector<std::uint64_t> signature;
-  std::vector<Member> members;
+  std::vector<GraphNodeId> members;
 
   std::size_t size() const { return prefix.size(); }
 };
 
-/// Groups the nodes at depth >= `d` into blocks by their prefix at `d`
-/// (members in node order; sort_blocks orders them).
-void group_blocks(const TapGraph& tg, const NamePaths& paths, std::size_t d,
-                  Blocks* out) {
-  out->prefix.clear();
-  out->members.clear();
-  std::unordered_map<std::string_view, std::uint32_t> block_of;
-  block_of.reserve(tg.num_nodes());
-  for (const auto& n : tg.nodes()) {
-    if (paths.depth(n.id) < d) continue;  // shallower than blocks
-    const std::size_t len = paths.prefix_length(n.id, d);
-    const std::string_view name(n.name);
-    const std::string_view prefix = name.substr(0, len);
-    // A block's nodes are mostly adjacent: try the last node's block first.
-    std::uint32_t block = 0;
-    if (!out->members.empty() &&
-        out->prefix[out->members.back().block] == prefix) {
-      block = out->members.back().block;
-    } else {
-      auto [it, added] = block_of.emplace(
-          prefix, static_cast<std::uint32_t>(out->prefix.size()));
-      if (added) out->prefix.push_back(prefix);
-      block = it->second;
-    }
-    out->members.push_back(
-        {block, len == name.size() ? "." : name.substr(len), n.id});
-  }
+/// A member's name relative to its block prefix: "." for the prefix
+/// itself, else the rest of the name from its '/'.
+std::string_view relname(const TapGraph& tg, ir::ScopeId block,
+                         GraphNodeId id) {
+  if (tg.scope_of(id) == block) return ".";
+  return std::string_view(tg.node(id).name)
+      .substr(tg.scopes()[static_cast<std::size_t>(block)].length);
 }
 
-/// Orders group_blocks' output — blocks by prefix, members by (rel, id)
-/// within a block — and fingerprints each block's composition.
-void sort_blocks(const TapGraph& tg, Blocks* out) {
-  std::vector<std::uint32_t> order(out->prefix.size());
-  for (std::uint32_t b = 0; b < order.size(); ++b) order[b] = b;
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return out->prefix[a] < out->prefix[b];
-  });
-  std::vector<std::uint32_t> rank(order.size());
-  std::vector<std::string_view> sorted(order.size());
-  for (std::uint32_t r = 0; r < order.size(); ++r) {
-    rank[order[r]] = r;
-    sorted[r] = out->prefix[order[r]];
+/// Groups the nodes at depth >= `d` into blocks by their scope at `d`.
+/// `by_name` lists the nodes in name order, so each block's members come
+/// out in name order, which within one block is the order of their
+/// relnames ("." < "/...", and the rest compares as the whole name).
+/// `block_of` maps scopes to blocks and is left all -1.
+void group_blocks(const TapGraph& tg, const std::vector<GraphNodeId>& by_name,
+                  std::uint32_t d, std::vector<std::int32_t>* block_of,
+                  Blocks* out) {
+  const std::vector<ir::Scope>& scopes = tg.scopes();
+  const auto at = [&](ir::ScopeId s) -> const ir::Scope& {
+    return scopes[static_cast<std::size_t>(s)];
+  };
+  // The scope at depth d of each node deep enough, in by_name order.
+  std::vector<ir::ScopeId> prefix_of;
+  prefix_of.reserve(by_name.size());
+  out->prefix.clear();
+  for (GraphNodeId id : by_name) {
+    ir::ScopeId s = tg.scope_of(id);
+    if (at(s).depth < d) continue;  // shallower than blocks
+    while (at(s).depth > d) s = at(s).parent;
+    prefix_of.push_back(s);
+    std::int32_t& b = (*block_of)[static_cast<std::size_t>(s)];
+    if (b < 0) {
+      b = 0;
+      out->prefix.push_back(s);
+    }
   }
-  out->prefix.swap(sorted);
-  // Bucket the members by block rank, then sort each (small) block.
+  std::sort(out->prefix.begin(), out->prefix.end(),
+            [&](ir::ScopeId a, ir::ScopeId b) { return at(a).rank < at(b).rank; });
   out->begin.assign(out->size() + 1, 0);
-  for (Member& m : out->members) {
-    m.block = rank[m.block];
-    ++out->begin[m.block + 1];
-  }
+  for (std::size_t b = 0; b < out->size(); ++b)
+    (*block_of)[static_cast<std::size_t>(out->prefix[b])] =
+        static_cast<std::int32_t>(b);
+  for (ir::ScopeId s : prefix_of)
+    ++out->begin[static_cast<std::size_t>(
+                     (*block_of)[static_cast<std::size_t>(s)]) +
+                 1];
   for (std::size_t b = 1; b < out->begin.size(); ++b)
     out->begin[b] += out->begin[b - 1];
-  std::vector<Member> bucketed(out->members.size());
+  out->members.resize(prefix_of.size());
   std::vector<std::size_t> fill(out->begin.begin(), out->begin.end() - 1);
-  for (const Member& m : out->members) bucketed[fill[m.block]++] = m;
-  out->members.swap(bucketed);
-  const auto first = out->members.begin();
-  for (std::size_t b = 0; b < out->size(); ++b) {
-    std::sort(first + static_cast<std::ptrdiff_t>(out->begin[b]),
-              first + static_cast<std::ptrdiff_t>(out->begin[b + 1]),
-              [](const Member& x, const Member& y) {
-                return x.rel != y.rel ? x.rel < y.rel : x.id < y.id;
-              });
+  std::size_t i = 0;
+  for (GraphNodeId id : by_name) {
+    if (at(tg.scope_of(id)).depth < d) continue;
+    const ir::ScopeId s = prefix_of[i++];
+    out->members[fill[static_cast<std::size_t>(
+        (*block_of)[static_cast<std::size_t>(s)])]++] = id;
   }
+  for (ir::ScopeId s : out->prefix) (*block_of)[static_cast<std::size_t>(s)] = -1;
+}
+
+/// Whether some member count repeats `min_duplicate` times: blocks of one
+/// signature have one member count, so a depth where none does has no
+/// family to fold.
+bool counts_repeat(const Blocks& blocks, int min_duplicate) {
+  std::vector<std::size_t> counts(blocks.size());
+  for (std::size_t b = 0; b < blocks.size(); ++b)
+    counts[b] = blocks.begin[b + 1] - blocks.begin[b];
+  std::sort(counts.begin(), counts.end());
+  for (std::size_t i = 0, j = 0; i < counts.size(); i = j) {
+    while (j < counts.size() && counts[j] == counts[i]) ++j;
+    if (static_cast<int>(j - i) >= min_duplicate) return true;
+  }
+  return false;
+}
+
+/// Fingerprints each block's composition: its members' relnames and
+/// fingerprints in order, and their count.
+void sign_blocks(const TapGraph& tg, Blocks* out) {
   out->signature.assign(out->size(), 0);
   for (std::size_t b = 0; b < out->size(); ++b) {
     std::uint64_t h = util::kFnvOffset;
     for (std::size_t i = out->begin[b]; i < out->begin[b + 1]; ++i) {
-      h = util::hash_combine(h, util::hash_str(out->members[i].rel));
-      h = util::hash_combine(h, tg.node(out->members[i].id).fingerprint);
+      const GraphNodeId id = out->members[i];
+      h = util::hash_combine(
+          h, util::hash_str(relname(tg, out->prefix[b], id)));
+      h = util::hash_combine(h, tg.node(id).fingerprint);
     }
     out->signature[b] =
         util::hash_combine(h, out->begin[b + 1] - out->begin[b]);
@@ -168,25 +139,27 @@ SubgraphFamily block_family(const TapGraph& tg, const Blocks& blocks,
   const std::uint32_t first = ids.front();
   SubgraphFamily fam;
   fam.signature = blocks.signature[first];
-  fam.representative = std::string(blocks.prefix[first]);
+  fam.representative = std::string(tg.scope_name(blocks.prefix[first]));
   for (std::size_t i = blocks.begin[first]; i < blocks.begin[first + 1];
        ++i) {
-    fam.relnames.emplace_back(blocks.members[i].rel);
-    fam.member_nodes.push_back(blocks.members[i].id);
-    fam.params += tg.node(blocks.members[i].id).params;
+    const GraphNodeId id = blocks.members[i];
+    fam.relnames.emplace_back(relname(tg, blocks.prefix[first], id));
+    fam.member_nodes.push_back(id);
+    fam.params += tg.node(id).params;
   }
   for (std::uint32_t b : ids) {
-    fam.instances.emplace_back(blocks.prefix[b]);
+    fam.instances.emplace_back(tg.scope_name(blocks.prefix[b]));
     std::vector<GraphNodeId> members;
     // Guard against hash collisions: relnames must match exactly.
     TAP_CHECK_EQ(blocks.begin[b + 1] - blocks.begin[b], fam.relnames.size());
     members.reserve(fam.relnames.size());
     for (std::size_t i = blocks.begin[b], j = 0; i < blocks.begin[b + 1];
          ++i, ++j) {
-      TAP_CHECK(blocks.members[i].rel == fam.relnames[j])
+      const GraphNodeId id = blocks.members[i];
+      TAP_CHECK(relname(tg, blocks.prefix[b], id) == fam.relnames[j])
           << "signature collision between blocks '" << fam.representative
-          << "' and '" << blocks.prefix[b] << "'";
-      members.push_back(blocks.members[i].id);
+          << "' and '" << fam.instances.back() << "'";
+      members.push_back(id);
     }
     fam.instance_nodes.push_back(std::move(members));
   }
@@ -228,20 +201,36 @@ PruneResult prune_graph(const ir::TapGraph& tg, const PruneOptions& opts) {
     return result;
   }
 
-  const NamePaths paths(tg);
-  std::size_t max_depth = 0;
-  for (const auto& n : tg.nodes())
-    max_depth = std::max(max_depth, paths.depth(n.id));
+  // The nodes in name order: rank is a permutation of the scopes.
+  const std::vector<ir::Scope>& scopes = tg.scopes();
+  std::vector<GraphNodeId> by_name;
+  {
+    std::vector<GraphNodeId> at_rank(scopes.size(), ir::kInvalidGraphNode);
+    for (const auto& n : tg.nodes())
+      at_rank[scopes[static_cast<std::size_t>(tg.scope_of(n.id))].rank] = n.id;
+    by_name.reserve(tg.num_nodes());
+    for (GraphNodeId id : at_rank)
+      if (id != ir::kInvalidGraphNode) by_name.push_back(id);
+  }
+  const auto depth = [&](GraphNodeId id) {
+    return scopes[static_cast<std::size_t>(tg.scope_of(id))].depth;
+  };
+  std::uint32_t max_depth = 0;
+  for (const auto& n : tg.nodes()) max_depth = std::max(max_depth, depth(n.id));
 
   // Find the shallowest depth with a qualifying block family — these are
   // the largest repeated subgraphs ("nodeTree" + "findSimilarBlk").
   int chosen_depth = 0;
   Blocks blocks;
-  for (std::size_t d = 1; d <= max_depth && chosen_depth == 0; ++d) {
-    group_blocks(tg, paths, d, &blocks);
-    // Too few blocks for any signature to repeat often enough.
-    if (blocks.size() < static_cast<std::size_t>(opts.min_duplicate)) continue;
-    sort_blocks(tg, &blocks);
+  std::vector<std::int32_t> block_of(scopes.size(), -1);
+  for (std::uint32_t d = 1; d <= max_depth && chosen_depth == 0; ++d) {
+    group_blocks(tg, by_name, d, &block_of, &blocks);
+    // Too few blocks, or too few of one size, for any signature to
+    // repeat often enough.
+    if (blocks.size() < static_cast<std::size_t>(opts.min_duplicate) ||
+        !counts_repeat(blocks, opts.min_duplicate))
+      continue;
+    sign_blocks(tg, &blocks);
     std::unordered_map<std::uint64_t, int> sig_count;
     for (std::uint64_t sig : blocks.signature) {
       if (++sig_count[sig] >= opts.min_duplicate) {
@@ -262,7 +251,7 @@ PruneResult prune_graph(const ir::TapGraph& tg, const PruneOptions& opts) {
 
   // Nodes shallower than the fold depth become singleton families.
   for (const auto& n : tg.nodes()) {
-    if (paths.depth(n.id) < static_cast<std::size_t>(chosen_depth))
+    if (depth(n.id) < static_cast<std::uint32_t>(chosen_depth))
       result.families.push_back(singleton_family(tg, n.id));
   }
 

@@ -34,12 +34,25 @@ class NameIndex {
     }
   }
 
-  /// Stores `id` under `name`, which must not be stored yet.
-  void insert(std::string_view name, std::int32_t id) {
+  /// The id stored under `name`. When there is none, stores `id` under
+  /// it and returns `id`: one hash and one probe for a lookup and an
+  /// insert. `name_of` is only called for ids already stored.
+  template <class NameOf>
+  std::int32_t find_or_insert(std::string_view name, std::int32_t id,
+                              const NameOf& name_of) {
     if (2 * (size_ + 1) > slots_.size())
       rehash(std::max<std::size_t>(16, 2 * slots_.size()));
-    place({id, hash(name)});
-    ++size_;
+    const std::uint32_t h = hash(name);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+      Slot& s = slots_[i];
+      if (s.id < 0) {
+        s = {id, h};
+        ++size_;
+        return id;
+      }
+      if (s.hash == h && name_of(s.id) == name) return s.id;
+    }
   }
 
  private:

@@ -5,10 +5,13 @@
 #   2 = usage error (bad flag / value / model / fault spec)
 #   1 = runtime failure (unreadable input, unwritable output)
 #   0 = success
-# Usage: cli_exit_codes.sh /path/to/tap_cli
+# --help and -h print the flag list to stdout and exit 0, for tap_cli and
+# (when its path is given) tap_serve.
+# Usage: cli_exit_codes.sh /path/to/tap_cli [/path/to/tap_serve]
 set -u
 
-CLI=${1:?usage: cli_exit_codes.sh /path/to/tap_cli}
+CLI=${1:?usage: cli_exit_codes.sh /path/to/tap_cli [/path/to/tap_serve]}
+SERVE=${2:-}
 SCRATCH=$(mktemp -d)
 trap 'rm -rf "$SCRATCH"' EXIT
 FAILURES=0
@@ -70,6 +73,30 @@ expect 0 "deadline + checkpoint flags"    -- "${FAST[@]}" --deadline-ms 60000 --
 # save + load round-trip through the CLI
 expect 0 "save plan"               -- "${FAST[@]}" --save-plan "$SCRATCH/plan.json"
 expect 0 "load saved plan"         -- "${FAST[@]}" --load-plan "$SCRATCH/plan.json"
+
+# --- --help / -h: the flag list on stdout, exit 0 ------------------------
+# expect_help <binary> <flag> <a flag the list must name>
+expect_help() {
+  local bin=$1 flag=$2 names=$3
+  local out
+  out=$("$bin" "$flag" 2>/dev/null)
+  local got=$?
+  if [ "$got" -ne 0 ]; then
+    echo "FAIL [$(basename "$bin") $flag]: exit $got, want 0" >&2
+    FAILURES=$((FAILURES + 1))
+  elif ! grep -q -- "$names" <<<"$out"; then
+    echo "FAIL [$(basename "$bin") $flag]: no '$names' in the output" >&2
+    FAILURES=$((FAILURES + 1))
+  else
+    echo "ok   [$(basename "$bin") $flag]"
+  fi
+}
+expect_help "$CLI" --help --plan-json
+expect_help "$CLI" -h --plan-json
+if [ -n "$SERVE" ]; then
+  expect_help "$SERVE" --help --flight-capacity
+  expect_help "$SERVE" -h --flight-capacity
+fi
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "$FAILURES case(s) failed" >&2
