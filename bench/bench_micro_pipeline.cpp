@@ -53,9 +53,10 @@ class MicroBench {
       : table_({"bench", "calls/run", "median", "min", "p90"}),
         report_("micro_pipeline") {}
 
-  /// Times one call of `fn` and records it as `name`.
+  /// Times one call of `fn` and records it as `name`; returns the
+  /// median ms per call.
   template <typename Fn>
-  void run(const std::string& name, Fn&& fn) {
+  double run(const std::string& name, Fn&& fn) {
     util::Stopwatch once;
     keep(fn());
     const double once_ms = std::max(once.elapsed_seconds() * 1e3, 1e-6);
@@ -70,6 +71,13 @@ class MicroBench {
     table_.add_row({name, std::to_string(calls), time(s.median_ms),
                     time(s.min_ms), time(s.p90_ms)});
     report_.add(name, s);
+    return s.median_ms;
+  }
+
+  /// Records `us` microseconds per `unit` as `name` (report only).
+  void per_unit(const std::string& name, double us, const char* unit) {
+    table_.add_row({name, "", util::fmt("%.3f us/", us) + unit, "", ""});
+    report_.add(name, us);
   }
 
   void print() const { table_.print(std::cout); }
@@ -90,15 +98,21 @@ int main() {
   bench::header("Pipeline-stage micro benches", "paper Table 2");
   MicroBench mb;
 
-  for (int layers : {4, 16, 48}) {
+  // The front end per op and per GraphNode from T5-4L to T5-192L: a
+  // linear front end costs the same per unit at every depth.
+  for (int layers : {4, 8, 16, 48, 192}) {
     const Graph& g = t5_graph(layers);
-    mb.run("lowering_t5_" + std::to_string(layers) + "l",
-           [&] { return ir::lower(g); });
+    const std::string name = "lowering_t5_" + std::to_string(layers) + "l";
+    const double ms = mb.run(name, [&] { return ir::lower(g); });
+    mb.per_unit(name + "_us_per_op",
+                ms * 1e3 / static_cast<double>(g.num_nodes()), "op");
   }
-  for (int layers : {4, 16, 48}) {
+  for (int layers : {4, 8, 16, 48, 192}) {
     const ir::TapGraph& tg = t5_ir(layers);
-    mb.run("pruning_t5_" + std::to_string(layers) + "l",
-           [&] { return pruning::prune_graph(tg); });
+    const std::string name = "pruning_t5_" + std::to_string(layers) + "l";
+    const double ms = mb.run(name, [&] { return pruning::prune_graph(tg); });
+    mb.per_unit(name + "_us_per_node",
+                ms * 1e3 / static_cast<double>(tg.num_nodes()), "node");
   }
   for (int layers : {4, 16, 48}) {
     // The per-candidate evaluation: must be independent of model depth.

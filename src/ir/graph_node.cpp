@@ -132,17 +132,35 @@ void TapGraph::finalize(const Graph& source) {
     topo_pos_[static_cast<std::size_t>(topo_order_[i])] = static_cast<int>(i);
   build_scopes();
   const std::size_t num_ops = source.num_nodes();
+  // Intern the member ops' op_work in id order, one walk of the source
+  // ops in memory order, then number the classes from 0 in first-seen
+  // order of the nodes' ops.
+  constexpr std::uint32_t kNotMember = ~0u;
+  std::vector<std::uint32_t> interned(num_ops, kNotMember);
+  for (const GraphNode& n : nodes_)
+    for (NodeId op : n.ops) interned[static_cast<std::size_t>(op)] = 0;
+  std::vector<OpWork> distinct;
+  Interner works(num_ops, &distinct, work_hash, same_work);
+  for (std::size_t op = 0; op < num_ops; ++op) {
+    if (interned[op] == kNotMember) continue;
+    interned[op] = works.intern(
+        tap::op_work(source.node(static_cast<NodeId>(op)), source));
+  }
   work_classes_.clear();
   op_class_.assign(num_ops, 0);
   node_op_classes_.clear();
   node_op_classes_.reserve(num_ops);
   node_ops_.assign(1, 0);
-  Interner works(num_ops, &work_classes_, work_hash, same_work);
+  std::vector<std::uint32_t> class_of(distinct.size(), kNotMember);
   std::size_t num_weights = 0;
   for (const GraphNode& n : nodes_) {
     for (NodeId op : n.ops) {
-      const std::uint32_t c =
-          works.intern(tap::op_work(source.node(op), source));
+      const std::uint32_t d = interned[static_cast<std::size_t>(op)];
+      std::uint32_t& c = class_of[d];
+      if (c == kNotMember) {
+        c = static_cast<std::uint32_t>(work_classes_.size());
+        work_classes_.push_back(distinct[d]);
+      }
       op_class_[static_cast<std::size_t>(op)] = c;
       node_op_classes_.push_back(c);
     }

@@ -87,7 +87,8 @@ inline constexpr ScopeId kNoScope = -1;
 struct Scope {
   /// The scope one component up; kNoScope at depth 1.
   ScopeId parent = kNoScope;
-  /// Number of components (util::path_depth of the string).
+  /// Number of components: one more than the '/'s of the string (an
+  /// empty string, the prefix of "/x", is one component).
   std::uint32_t depth = 0;
   /// Position among all of the graph's scopes in lexicographic order of
   /// their strings.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
@@ -138,6 +139,83 @@ TEST(Lowering, MoeLayerIsOneCluster) {
   const Node& biggest = g.node(n.weight_ops.front());
   (void)biggest;
   EXPECT_GT(n.params, cfg.num_experts * cfg.d_model * cfg.d_ff);
+}
+
+/// Every scope string of `tg`, checked against the node names: each
+/// node name and each of its '/'-prefixes is exactly one scope, with its
+/// parent, depth and lexicographic rank.
+void expect_scopes_match_names(const TapGraph& tg) {
+  std::map<std::string, ScopeId> want;  // every prefix, sorted
+  for (const GraphNode& n : tg.nodes()) {
+    for (std::size_t i = 0; i < n.name.size(); ++i)
+      if (n.name[i] == '/') want.emplace(n.name.substr(0, i), kNoScope);
+    want.emplace(n.name, kNoScope);
+  }
+  const std::vector<Scope>& scopes = tg.scopes();
+  ASSERT_EQ(scopes.size(), want.size());
+  for (std::size_t s = 0; s < scopes.size(); ++s) {
+    const std::string name(tg.scope_name(static_cast<ScopeId>(s)));
+    ASSERT_TRUE(want.count(name)) << name;
+    EXPECT_EQ(want[name], kNoScope) << "twice: " << name;
+    want[name] = static_cast<ScopeId>(s);
+  }
+  std::uint32_t rank = 0;
+  for (const auto& [name, s] : want) {
+    const Scope& sc = scopes[static_cast<std::size_t>(s)];
+    EXPECT_EQ(sc.rank, rank++) << name;
+    EXPECT_EQ(sc.depth, std::count(name.begin(), name.end(), '/') + 1) << name;
+    const std::size_t slash = name.rfind('/');
+    if (slash == std::string::npos) {
+      EXPECT_EQ(sc.parent, kNoScope) << name;
+    } else {
+      EXPECT_EQ(tg.scope_name(sc.parent), name.substr(0, slash)) << name;
+    }
+    const std::string& owner = tg.node(sc.node).name;
+    EXPECT_TRUE(owner.size() == sc.length || owner[sc.length] == '/')
+        << name << " in " << owner;
+    // find() answers for node names only.
+    const GraphNodeId named = tg.find(name);
+    EXPECT_EQ(named, owner == name ? sc.node : kInvalidGraphNode) << name;
+  }
+  for (const GraphNode& n : tg.nodes())
+    EXPECT_EQ(tg.scope_name(tg.scope_of(n.id)), n.name);
+}
+
+TEST(TapGraph, ScopesMatchNodeNames) {
+  for (const char* model : {"t5", "moe", "resnet50"}) {
+    SCOPED_TRACE(model);
+    service::ModelSpec spec;
+    spec.model = model;
+    spec.layers = 4;
+    expect_scopes_match_names(lower(service::build_spec_model(spec)));
+  }
+  // Names whose order is not the order of a walk of the name tree: '#',
+  // '-' and '.' sort before '/', so "a/b#1" comes between "a/b" and
+  // "a/b/c", and "a-c/x" before "a/b". An empty component too.
+  Graph g("scopes");
+  const TensorSpec spec{TensorShape{4, 4}, DType::kF32};
+  const NodeId in = g.add("in", OpKind::kRelu, {}, spec);
+  for (const char* name : {"a/b/x", "a/b/y", "a/b/c/z", "a-c/x/q", "a/b.d/q",
+                           "/x/q", "a//b/q"})
+    g.add(name, OpKind::kRelu, {in}, spec);
+  const TapGraph tg = lower(g);
+  ASSERT_NE(tg.find("a/b#1"), kInvalidGraphNode);  // a/b's second component
+  expect_scopes_match_names(tg);
+}
+
+TEST(Lowering, CondensesScopeCycles) {
+  // a/z reads a/x directly and through a/sub/y, so the component {a/x,
+  // a/z} of scope "a" and the one of "a/sub" form a cycle: they condense
+  // into one node named by their common scope.
+  Graph g("cycle");
+  const TensorSpec spec{TensorShape{4, 4}, DType::kF32};
+  const NodeId x = g.add("a/x", OpKind::kRelu, {}, spec);
+  const NodeId y = g.add("a/sub/y", OpKind::kRelu, {x}, spec);
+  g.add("a/z", OpKind::kAdd, {x, y}, spec);
+  const TapGraph tg = lower(g);
+  ASSERT_EQ(tg.num_nodes(), 1u);
+  EXPECT_EQ(tg.node(0).name, "a");
+  EXPECT_EQ(tg.node(0).ops, (std::vector<NodeId>{0, 1, 2}));
 }
 
 TEST(TapGraph, RootsLeavesAndStringification) {
