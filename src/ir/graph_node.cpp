@@ -184,13 +184,14 @@ void TapGraph::finalize(const Graph& source) {
   for (const GraphNode& n : nodes_) {
     RouteBytes& b = route_bytes_[static_cast<std::size_t>(n.id)];
     b.output = n.output.size_bytes();
-    const std::size_t first = weights_.size();
-    std::size_t primary = first;
+    std::size_t primary = weights_.size();
+    std::int64_t primary_params = -1;
     for (NodeId wid : n.weight_ops) {
       const Node& w = source.node(wid);
-      if (w.weight_params() >
-          source.node(n.weight_ops[primary - first]).weight_params())
+      if (w.weight_params() > primary_params) {
         primary = weights_.size();
+        primary_params = w.weight_params();
+      }
       weights_.push_back({w.weight->size_bytes(),
                           shapes.intern(w.weight->shape), w.kind,
                           w.trainable, false});
@@ -303,9 +304,9 @@ void TapGraph::build_scopes() {
   const auto less = [](const Item& a, const Item& b) {
     if (a.head != b.head) return a.head < b.head;
     const std::size_t n = std::min(a.component.size(), b.component.size());
-    if (const int c = a.component.substr(0, n).compare(b.component.substr(0, n));
-        c != 0)
-      return c < 0;
+    const int c =
+        a.component.substr(0, n).compare(b.component.substr(0, n));
+    if (c != 0) return c < 0;
     // The next key character: the component's, the '/' of a below-item,
     // or -1 at the end of the key.
     const auto next = [n](const Item& x) -> int {
@@ -370,7 +371,8 @@ GraphNodeId TapGraph::find(std::string_view name) const {
 }
 
 std::span<const GraphNodeId> TapGraph::consumers(GraphNodeId id) const {
-  TAP_CHECK(id >= 0 && static_cast<std::size_t>(id) + 1 < consumer_begin_.size())
+  TAP_CHECK(id >= 0 &&
+            static_cast<std::size_t>(id) + 1 < consumer_begin_.size())
       << "TapGraph::finalize() was not called";
   const std::size_t i = static_cast<std::size_t>(id);
   return {consumers_.data() + consumer_begin_[i],

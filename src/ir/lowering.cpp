@@ -47,19 +47,19 @@ int kind_weight_rank(OpKind k) {
 class UnionFind {
  public:
   explicit UnionFind(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
+    std::iota(parent_.begin(), parent_.end(), 0u);
   }
-  std::size_t find(std::size_t x) {
+  std::uint32_t find(std::uint32_t x) {
     while (parent_[x] != x) {
       parent_[x] = parent_[parent_[x]];
       x = parent_[x];
     }
     return x;
   }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
+  void unite(std::uint32_t a, std::uint32_t b) { parent_[find(a)] = find(b); }
 
  private:
-  std::vector<std::size_t> parent_;
+  std::vector<std::uint32_t> parent_;
 };
 
 /// Iterative Tarjan SCC over a small adjacency list. Returns a component id
@@ -367,17 +367,20 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
     key_of[static_cast<std::size_t>(n.id)] = k;
     for (NodeId in : n.inputs)
       if (key_of[static_cast<std::size_t>(in)] == k)
-        uf.unite(static_cast<std::size_t>(in), static_cast<std::size_t>(n.id));
+        uf.unite(static_cast<std::uint32_t>(in),
+                 static_cast<std::uint32_t>(n.id));
   }
   // Each op's consumers in id order (Graph::consumers), flat: op i's are
   // consumers[consumer_begin[i], consumer_begin[i + 1]).
   std::vector<std::size_t> consumer_begin(num_ops + 1, 0);
-  for (const Edge& e : edges) ++consumer_begin[static_cast<std::size_t>(e.src) + 1];
+  for (const Edge& e : edges)
+    ++consumer_begin[static_cast<std::size_t>(e.src) + 1];
   for (std::size_t i = 1; i < consumer_begin.size(); ++i)
     consumer_begin[i] += consumer_begin[i - 1];
   std::vector<NodeId> consumers(edges.size());
   {
-    std::vector<std::size_t> fill(consumer_begin.begin(), consumer_begin.end() - 1);
+    std::vector<std::size_t> fill(consumer_begin.begin(),
+                                  consumer_begin.end() - 1);
     for (const Edge& e : edges)
       consumers[fill[static_cast<std::size_t>(e.src)]++] = e.dst;
   }
@@ -406,7 +409,7 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
   int num_groups = 0;
   for (NodeId id : topo) {
     if (key_of[static_cast<std::size_t>(id)] < 0) continue;
-    int& comp = comp_of_root[uf.find(static_cast<std::size_t>(id))];
+    int& comp = comp_of_root[uf.find(static_cast<std::uint32_t>(id))];
     if (comp < 0) comp = num_groups++;
     group_of[static_cast<std::size_t>(id)] = comp;
   }
@@ -461,8 +464,9 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
   for (int gi : order) {
     GraphNode node;
     const auto gs = static_cast<std::size_t>(gi);
-    node.ops.assign(group_ops.begin() + static_cast<std::ptrdiff_t>(ops_begin[gs]),
-                    group_ops.begin() + static_cast<std::ptrdiff_t>(ops_begin[gs + 1]));
+    node.ops.assign(
+        group_ops.begin() + static_cast<std::ptrdiff_t>(ops_begin[gs]),
+        group_ops.begin() + static_cast<std::ptrdiff_t>(ops_begin[gs + 1]));
     const std::vector<NodeId>& ops = node.ops;
     // Scope name: the key of the first member component; if the SCC
     // merged several keys, use their longest common prefix (folded over
@@ -533,7 +537,8 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
     for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
       const auto op = static_cast<std::size_t>(*it);
       bool external = consumer_begin[op] == consumer_begin[op + 1];
-      for (std::size_t i = consumer_begin[op]; i < consumer_begin[op + 1]; ++i) {
+      for (std::size_t i = consumer_begin[op]; i < consumer_begin[op + 1];
+           ++i) {
         const int dst = group_of[static_cast<std::size_t>(consumers[i])];
         if (dst >= 0 && dst != gi) {
           external = true;

@@ -4,6 +4,7 @@
 #include <map>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "util/check.h"
 #include "util/hash.h"
@@ -48,43 +49,39 @@ void group_blocks(const TapGraph& tg, const std::vector<GraphNodeId>& by_name,
   const auto at = [&](ir::ScopeId s) -> const ir::Scope& {
     return scopes[static_cast<std::size_t>(s)];
   };
-  // The scope at depth d of each node deep enough, in by_name order.
-  std::vector<ir::ScopeId> prefix_of;
-  prefix_of.reserve(by_name.size());
+  const auto block = [&](ir::ScopeId s) -> std::int32_t& {
+    return (*block_of)[static_cast<std::size_t>(s)];
+  };
+  // Each node deep enough and its scope at d, in by_name order.
+  std::vector<std::pair<ir::ScopeId, GraphNodeId>> deep;
+  deep.reserve(by_name.size());
   out->prefix.clear();
   for (GraphNodeId id : by_name) {
     ir::ScopeId s = tg.scope_of(id);
     if (at(s).depth < d) continue;  // shallower than blocks
     while (at(s).depth > d) s = at(s).parent;
-    prefix_of.push_back(s);
-    std::int32_t& b = (*block_of)[static_cast<std::size_t>(s)];
-    if (b < 0) {
-      b = 0;
+    deep.emplace_back(s, id);
+    if (block(s) < 0) {
+      block(s) = 0;
       out->prefix.push_back(s);
     }
   }
   std::sort(out->prefix.begin(), out->prefix.end(),
-            [&](ir::ScopeId a, ir::ScopeId b) { return at(a).rank < at(b).rank; });
-  out->begin.assign(out->size() + 1, 0);
+            [&](ir::ScopeId a, ir::ScopeId b) {
+              return at(a).rank < at(b).rank;
+            });
   for (std::size_t b = 0; b < out->size(); ++b)
-    (*block_of)[static_cast<std::size_t>(out->prefix[b])] =
-        static_cast<std::int32_t>(b);
-  for (ir::ScopeId s : prefix_of)
-    ++out->begin[static_cast<std::size_t>(
-                     (*block_of)[static_cast<std::size_t>(s)]) +
-                 1];
+    block(out->prefix[b]) = static_cast<std::int32_t>(b);
+  out->begin.assign(out->size() + 1, 0);
+  for (const auto& [s, id] : deep)
+    ++out->begin[static_cast<std::size_t>(block(s)) + 1];
   for (std::size_t b = 1; b < out->begin.size(); ++b)
     out->begin[b] += out->begin[b - 1];
-  out->members.resize(prefix_of.size());
+  out->members.resize(deep.size());
   std::vector<std::size_t> fill(out->begin.begin(), out->begin.end() - 1);
-  std::size_t i = 0;
-  for (GraphNodeId id : by_name) {
-    if (at(tg.scope_of(id)).depth < d) continue;
-    const ir::ScopeId s = prefix_of[i++];
-    out->members[fill[static_cast<std::size_t>(
-        (*block_of)[static_cast<std::size_t>(s)])]++] = id;
-  }
-  for (ir::ScopeId s : out->prefix) (*block_of)[static_cast<std::size_t>(s)] = -1;
+  for (const auto& [s, id] : deep)
+    out->members[fill[static_cast<std::size_t>(block(s))]++] = id;
+  for (ir::ScopeId s : out->prefix) block(s) = -1;
 }
 
 /// Whether some member count repeats `min_duplicate` times: blocks of one
