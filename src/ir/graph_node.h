@@ -116,13 +116,13 @@ class TapGraph {
   GraphNodeId add_node(GraphNode n);
 
   /// Computes the consumer lists, the topological order and positions,
-  /// the scope table (and
-  /// checks that node names are unique), the op_work of every member op
-  /// and its work class, every node's weight ops, route_bytes and pattern
-  /// row, and keeps `source`'s name, once the graph is complete (ir::lower
-  /// calls it last with the graph it lowered). Every const accessor is
-  /// then a plain read, so a finished graph can be shared between
-  /// threads. Nothing refers to `source` afterwards.
+  /// the scope table (checking that node names are unique), the op_work
+  /// of every member op and its work class, every node's weight ops,
+  /// route_bytes and pattern row, and keeps `source`'s name, once the
+  /// graph is complete (ir::lower calls it last with the graph it
+  /// lowered). Every const accessor is then a plain read, so a finished
+  /// graph can be shared between threads. Nothing refers to `source`
+  /// afterwards.
   void finalize(const Graph& source);
 
   const std::vector<GraphNode>& nodes() const { return nodes_; }
