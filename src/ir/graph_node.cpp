@@ -1,28 +1,27 @@
 #include "ir/graph_node.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <functional>
 #include <sstream>
 
 #include "util/check.h"
+#include "util/interner.h"
 #include "util/strings.h"
 
 namespace tap::ir {
 
 namespace {
 
-/// A cheap multiplicative mix: equal hashes are checked with equality.
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  return (h ^ v) * 0x9e3779b97f4a7c15ull;
-}
+using util::intern_mix;
+using util::Interner;
 
 std::uint64_t work_hash(const OpWork& w) {
   std::uint64_t flops;
   std::memcpy(&flops, &w.flops, sizeof flops);
-  return mix(mix(mix(0, static_cast<std::uint64_t>(w.kind)), flops),
-             static_cast<std::uint64_t>(w.bytes));
+  const std::uint64_t h =
+      intern_mix(intern_mix(0, static_cast<std::uint64_t>(w.kind)), flops);
+  return intern_mix(h, static_cast<std::uint64_t>(w.bytes));
 }
 
 /// Equal work, FLOPs compared bit for bit: every function of it is equal.
@@ -32,8 +31,9 @@ bool same_work(const OpWork& a, const OpWork& b) {
 }
 
 std::uint64_t shape_hash(const TensorShape& s) {
-  std::uint64_t h = mix(0, static_cast<std::uint64_t>(s.rank()));
-  for (std::int64_t d : s.dims()) h = mix(h, static_cast<std::uint64_t>(d));
+  std::uint64_t h = intern_mix(0, static_cast<std::uint64_t>(s.rank()));
+  for (std::int64_t d : s.dims())
+    h = intern_mix(h, static_cast<std::uint64_t>(d));
   return h;
 }
 
@@ -51,44 +51,11 @@ struct RowKey {
     return *input == *o.input;
   }
   std::uint64_t hash() const {
-    const std::uint64_t h =
-        mix(mix(0, static_cast<std::uint64_t>(kind)), weight_shape);
-    return input == nullptr ? mix(h, ~0ull) : mix(h, shape_hash(*input));
+    const std::uint64_t h = intern_mix(
+        intern_mix(0, static_cast<std::uint64_t>(kind)), weight_shape);
+    return input == nullptr ? intern_mix(h, ~0ull)
+                            : intern_mix(h, shape_hash(*input));
   }
-};
-
-/// Assigns each value the class of the first equal value seen: an
-/// open-addressing table of class ids over `classes`, sized for `n`
-/// values.
-template <class T, class Hash, class Eq>
-class Interner {
- public:
-  Interner(std::size_t n, std::vector<T>* classes, Hash hash, Eq eq)
-      : slots_(std::bit_ceil(2 * n + 2), 0),
-        classes_(classes),
-        hash_(hash),
-        eq_(eq) {}
-
-  std::uint32_t intern(const T& value) {
-    const std::size_t mask = slots_.size() - 1;
-    // The mixes leave equal low bits for values that differ only in high
-    // ones (shapes, byte counts, FLOP doubles), so fold the high half in.
-    const std::uint64_t h = hash_(value);
-    for (std::size_t i = (h ^ (h >> 32)) & mask;; i = (i + 1) & mask) {
-      if (slots_[i] == 0) {
-        classes_->push_back(value);
-        slots_[i] = static_cast<std::uint32_t>(classes_->size());
-        return slots_[i] - 1;
-      }
-      if (eq_((*classes_)[slots_[i] - 1], value)) return slots_[i] - 1;
-    }
-  }
-
- private:
-  std::vector<std::uint32_t> slots_;  ///< class + 1, 0 = empty
-  std::vector<T>* classes_;
-  Hash hash_;
-  Eq eq_;
 };
 
 }  // namespace
@@ -132,35 +99,17 @@ void TapGraph::finalize(const Graph& source) {
     topo_pos_[static_cast<std::size_t>(topo_order_[i])] = static_cast<int>(i);
   build_scopes();
   const std::size_t num_ops = source.num_nodes();
-  // Intern the member ops' op_work in id order, one walk of the source
-  // ops in memory order, then number the classes from 0 in first-seen
-  // order of the nodes' ops.
-  constexpr std::uint32_t kNotMember = ~0u;
-  std::vector<std::uint32_t> interned(num_ops, kNotMember);
-  for (const GraphNode& n : nodes_)
-    for (NodeId op : n.ops) interned[static_cast<std::size_t>(op)] = 0;
-  std::vector<OpWork> distinct;
-  Interner works(num_ops, &distinct, work_hash, same_work);
-  for (std::size_t op = 0; op < num_ops; ++op) {
-    if (interned[op] == kNotMember) continue;
-    interned[op] = works.intern(
-        tap::op_work(source.node(static_cast<NodeId>(op)), source));
-  }
   work_classes_.clear();
   op_class_.assign(num_ops, 0);
   node_op_classes_.clear();
   node_op_classes_.reserve(num_ops);
   node_ops_.assign(1, 0);
-  std::vector<std::uint32_t> class_of(distinct.size(), kNotMember);
+  Interner works(num_ops, &work_classes_, work_hash, same_work);
   std::size_t num_weights = 0;
   for (const GraphNode& n : nodes_) {
     for (NodeId op : n.ops) {
-      const std::uint32_t d = interned[static_cast<std::size_t>(op)];
-      std::uint32_t& c = class_of[d];
-      if (c == kNotMember) {
-        c = static_cast<std::uint32_t>(work_classes_.size());
-        work_classes_.push_back(distinct[d]);
-      }
+      const std::uint32_t c =
+          works.intern(tap::op_work(source.node(op), source));
       op_class_[static_cast<std::size_t>(op)] = c;
       node_op_classes_.push_back(c);
     }
@@ -261,88 +210,15 @@ void TapGraph::build_scopes() {
     own.node = n.id;
   }
 
-  // Ranks without comparing whole strings: under one parent P, the
-  // strings are P/c for each child component c, and P/c/... below it.
-  // Everything below c shares the prefix "c/", so it sorts as one item
-  // keyed "c/", next to c's own item keyed "c". Sorting the children's
-  // items and descending into each "c/" item visits the scopes in
-  // lexicographic order.
-  const std::size_t m = scopes_.size();
-  // Children of parent p at slot p + 1 (slot 0: the depth-1 scopes).
-  std::vector<std::uint32_t> begin(m + 2, 0);
-  for (const Scope& sc : scopes_)
-    ++begin[static_cast<std::size_t>(sc.parent + 1) + 1];
-  for (std::size_t i = 1; i < begin.size(); ++i) begin[i] += begin[i - 1];
-  std::vector<ScopeId> children(m);
-  {
-    std::vector<std::uint32_t> fill(begin.begin(), begin.end() - 1);
-    for (std::size_t s = 0; s < m; ++s)
-      children[fill[static_cast<std::size_t>(scopes_[s].parent + 1)]++] =
-          static_cast<ScopeId>(s);
-  }
-  struct Item {
-    std::string_view component;
-    ScopeId scope;
-    bool below;  ///< the item of the strings below `scope`
-    /// The first 8 key bytes, big-endian, 0 past the key's end: unequal
-    /// heads order their keys.
-    std::uint64_t head = 0;
-  };
-  const auto make_item = [](std::string_view component, ScopeId scope,
-                            bool below) {
-    Item it{component, scope, below};
-    for (std::size_t j = 0; j < 8; ++j) {
-      unsigned char byte = 0;
-      if (j < component.size())
-        byte = static_cast<unsigned char>(component[j]);
-      else if (j == component.size() && below)
-        byte = '/';
-      it.head = it.head << 8 | byte;
-    }
-    return it;
-  };
-  const auto less = [](const Item& a, const Item& b) {
-    if (a.head != b.head) return a.head < b.head;
-    const std::size_t n = std::min(a.component.size(), b.component.size());
-    const int c =
-        a.component.substr(0, n).compare(b.component.substr(0, n));
-    if (c != 0) return c < 0;
-    // The next key character: the component's, the '/' of a below-item,
-    // or -1 at the end of the key.
-    const auto next = [n](const Item& x) -> int {
-      if (n < x.component.size())
-        return static_cast<unsigned char>(x.component[n]);
-      return x.below ? '/' : -1;
-    };
-    return next(a) < next(b);
-  };
-  std::vector<Item> items;
-  std::uint32_t rank = 0;
-  const auto visit = [&](const auto& self, std::size_t slot) -> void {
-    const std::size_t first = items.size();
-    const std::size_t skip =
-        slot == 0 ? 0 : scopes_[slot - 1].length + std::size_t{1};
-    for (std::uint32_t i = begin[slot]; i < begin[slot + 1]; ++i) {
-      const ScopeId c = children[i];
-      const auto ci = static_cast<std::size_t>(c);
-      const std::string_view component = names[ci].substr(skip);
-      items.push_back(make_item(component, c, false));
-      if (begin[ci + 1] != begin[ci + 2])
-        items.push_back(make_item(component, c, true));
-    }
-    std::sort(items.begin() + static_cast<std::ptrdiff_t>(first), items.end(),
-              less);
-    const std::size_t last = items.size();
-    for (std::size_t i = first; i < last; ++i) {
-      const Item it = items[i];
-      if (it.below)
-        self(self, static_cast<std::size_t>(it.scope) + 1);
-      else
-        scopes_[static_cast<std::size_t>(it.scope)].rank = rank++;
-    }
-    items.resize(first);
-  };
-  visit(visit, 0);
+  // Rank the scopes in lexicographic order of their strings.
+  std::vector<std::pair<std::string_view, ScopeId>> by_name;
+  by_name.reserve(names.size());
+  for (std::size_t s = 0; s < names.size(); ++s)
+    by_name.emplace_back(names[s], static_cast<ScopeId>(s));
+  std::sort(by_name.begin(), by_name.end());
+  for (std::size_t r = 0; r < by_name.size(); ++r)
+    scopes_[static_cast<std::size_t>(by_name[r].second)].rank =
+        static_cast<std::uint32_t>(r);
 }
 
 const WeightOp& TapGraph::primary_weight(GraphNodeId id) const {

@@ -9,7 +9,7 @@
 
 #include "util/check.h"
 #include "util/hash.h"
-#include "util/name_index.h"
+#include "util/interner.h"
 #include "util/strings.h"
 
 namespace tap::ir {
@@ -130,32 +130,6 @@ std::vector<int> tarjan_scc(const std::vector<std::vector<int>>& adj,
   return comp;
 }
 
-/// The cluster keys of one lower() call, interned: ids are dense, and
-/// keys are views into strings that outlive the call's use of them.
-class Keys {
- public:
-  int intern(std::string_view key) {
-    // Ops of one scope are mostly adjacent: try the last key first.
-    if (last_ >= 0 && names_[static_cast<std::size_t>(last_)] == key)
-      return last_;
-    const auto next = static_cast<int>(names_.size());
-    last_ = index_.find_or_insert(key, next, [this](int id) {
-      return names_[static_cast<std::size_t>(id)];
-    });
-    if (last_ == next) names_.push_back(key);
-    return last_;
-  }
-  std::string_view name(int id) const {
-    return names_[static_cast<std::size_t>(id)];
-  }
-  std::size_t size() const { return names_.size(); }
-
- private:
-  util::NameIndex index_;
-  std::vector<std::string_view> names_;
-  int last_ = -1;
-};
-
 /// `name` relative to `scope`: the rest after "scope/", else all of it.
 std::string_view relative_name(std::string_view name, std::string_view scope) {
   if (!scope.empty() && name.size() > scope.size() &&
@@ -182,76 +156,41 @@ std::uint64_t fingerprint(const Node& n, std::string_view rel) {
   return h;
 }
 
-/// Equal in everything fingerprint() reads but the relative name.
-bool same_fingerprint_fields(const Node& a, const Node& b) {
-  if (a.kind != b.kind || a.has_weight() != b.has_weight() ||
-      a.inputs.size() != b.inputs.size() || a.output.shape != b.output.shape)
-    return false;
-  if (a.weight &&
-      (a.trainable != b.trainable || a.weight->shape != b.weight->shape))
-    return false;
-  return a.attrs == b.attrs;
-}
+/// An op and its name relative to its group's scope: everything
+/// fingerprint() reads. The ops of repeated blocks differ only in their
+/// absolute scope, so lower() interns these and hashes each class once.
+struct FingerprintKey {
+  const Node* op = nullptr;
+  std::string_view rel;
+  std::uint64_t fingerprint = 0;  ///< set once per class
 
-/// op_fingerprint within one lower() call. The ops of repeated blocks
-/// differ only in their absolute scope, so most ops find an equal op
-/// already hashed: the memo keys on a cheap hash of what fingerprint()
-/// reads and checks the whole of it for equality, so it returns the same
-/// bits. An open-addressing table, at most half full.
-class FingerprintMemo {
- public:
-  std::uint64_t operator()(const Node& n, std::string_view scope) {
-    const std::string_view rel = relative_name(n.name, scope);
-    std::uint64_t h = mix(std::hash<std::string_view>{}(rel),
-                          static_cast<std::uint64_t>(n.kind));
+  /// A cheap hash of what fingerprint() reads.
+  std::uint64_t hash() const {
+    const Node& n = *op;
+    std::uint64_t h = util::intern_mix(std::hash<std::string_view>{}(rel),
+                                       static_cast<std::uint64_t>(n.kind));
     for (std::int64_t d : n.output.shape.dims())
-      h = mix(h, static_cast<std::uint64_t>(d));
+      h = util::intern_mix(h, static_cast<std::uint64_t>(d));
     if (n.weight)
       for (std::int64_t d : n.weight->shape.dims())
-        h = mix(h, static_cast<std::uint64_t>(d));
-    h = mix(h, n.inputs.size());
+        h = util::intern_mix(h, static_cast<std::uint64_t>(d));
+    h = util::intern_mix(h, n.inputs.size());
     for (const auto& kv : n.attrs)
-      h = mix(h, static_cast<std::uint64_t>(kv.second));
-    if (2 * (size_ + 1) > slots_.size()) grow();
-    Slot& s = slot(h, [&](const Slot& o) {
-      return o.hash == h && o.rel == rel && same_fingerprint_fields(*o.op, n);
-    });
-    if (s.op == nullptr) {
-      s = {h, &n, rel, fingerprint(n, rel)};
-      ++size_;
-    }
-    return s.fingerprint;
+      h = util::intern_mix(h, static_cast<std::uint64_t>(kv.second));
+    return h;
   }
-
- private:
-  struct Slot {
-    std::uint64_t hash = 0;
-    const Node* op = nullptr;  ///< nullptr = empty
-    std::string_view rel;
-    std::uint64_t fingerprint = 0;
-  };
-
-  static std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-    return (h ^ v) * 0x9e3779b97f4a7c15ull;
+  /// Equal in everything fingerprint() reads, so equal fingerprints.
+  bool operator==(const FingerprintKey& o) const {
+    const Node& a = *op;
+    const Node& b = *o.op;
+    if (rel != o.rel || a.kind != b.kind || a.has_weight() != b.has_weight() ||
+        a.inputs.size() != b.inputs.size() || a.output.shape != b.output.shape)
+      return false;
+    if (a.weight &&
+        (a.trainable != b.trainable || a.weight->shape != b.weight->shape))
+      return false;
+    return a.attrs == b.attrs;
   }
-
-  /// The slot of the entry that `same` accepts, else the empty slot
-  /// where it goes.
-  template <class Same>
-  Slot& slot(std::uint64_t h, const Same& same) {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = (h ^ (h >> 32)) & mask;; i = (i + 1) & mask)
-      if (slots_[i].op == nullptr || same(slots_[i])) return slots_[i];
-  }
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(std::max<std::size_t>(64, 2 * old.size()), Slot{});
-    for (const Slot& o : old)
-      if (o.op != nullptr) slot(o.hash, [](const Slot&) { return false; }) = o;
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
 };
 
 /// An op-level edge: `dst` reads `src`'s output.
@@ -344,13 +283,18 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
   // clustering by scope), and unite it with its producers of the same
   // key, so that the initial clusters are each scope's intra-cluster
   // connected components. Keys are views into the op names, which `g`
-  // owns. The later walks read the flat edges, not the ops.
+  // owns. The group edges of step 4 are read from the flat edges.
   std::vector<Edge> edges;
   edges.reserve(2 * num_ops);
-  Keys keys;
+  // Key ids count uses of each name in step 6, where merged bases join
+  // them (at most one per group).
+  std::vector<std::string_view> keys;
+  util::Interner key_ids(2 * num_ops, &keys, std::hash<std::string_view>{},
+                         std::equal_to<std::string_view>());
   std::vector<int> key_of(num_ops, -1);  // -1: trimmed
   UnionFind uf(num_ops);
   std::size_t trimmed = 0;
+  int last_key = -1;
   for (const Node& n : g.nodes()) {
     for (NodeId in : n.inputs) edges.push_back({in, n.id});
     if (is_aux(n.kind)) {
@@ -363,44 +307,16 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
       if (slash != std::string_view::npos) key = key.substr(0, slash);
     }
     if (key.empty()) key = n.name;
-    const int k = keys.intern(key);
-    key_of[static_cast<std::size_t>(n.id)] = k;
+    // Ops of one scope are mostly adjacent: try the last key first.
+    if (last_key < 0 || keys[static_cast<std::size_t>(last_key)] != key)
+      last_key = static_cast<int>(key_ids.intern(key));
+    key_of[static_cast<std::size_t>(n.id)] = last_key;
     for (NodeId in : n.inputs)
-      if (key_of[static_cast<std::size_t>(in)] == k)
+      if (key_of[static_cast<std::size_t>(in)] == last_key)
         uf.unite(static_cast<std::uint32_t>(in),
                  static_cast<std::uint32_t>(n.id));
   }
-  // Each op's consumers in id order (Graph::consumers), flat: op i's are
-  // consumers[consumer_begin[i], consumer_begin[i + 1]).
-  std::vector<std::size_t> consumer_begin(num_ops + 1, 0);
-  for (const Edge& e : edges)
-    ++consumer_begin[static_cast<std::size_t>(e.src) + 1];
-  for (std::size_t i = 1; i < consumer_begin.size(); ++i)
-    consumer_begin[i] += consumer_begin[i - 1];
-  std::vector<NodeId> consumers(edges.size());
-  {
-    std::vector<std::size_t> fill(consumer_begin.begin(),
-                                  consumer_begin.end() - 1);
-    for (const Edge& e : edges)
-      consumers[fill[static_cast<std::size_t>(e.src)]++] = e.dst;
-  }
-  // Graph::topo_order over the flat lists: Kahn's algorithm with `topo`
-  // as its FIFO queue.
-  std::vector<NodeId> topo;
-  topo.reserve(num_ops);
-  {
-    std::vector<int> indegree(num_ops, 0);
-    for (const Edge& e : edges) ++indegree[static_cast<std::size_t>(e.dst)];
-    for (std::size_t id = 0; id < num_ops; ++id)
-      if (indegree[id] == 0) topo.push_back(static_cast<NodeId>(id));
-    for (std::size_t head = 0; head < topo.size(); ++head) {
-      const auto op = static_cast<std::size_t>(topo[head]);
-      for (std::size_t i = consumer_begin[op]; i < consumer_begin[op + 1]; ++i)
-        if (--indegree[static_cast<std::size_t>(consumers[i])] == 0)
-          topo.push_back(consumers[i]);
-    }
-    TAP_CHECK_EQ(topo.size(), num_ops) << "graph contains a cycle";
-  }
+  const std::vector<NodeId> topo = g.topo_order();
   // Component id per kept op, numbered in topo order of first member.
   // Only same-key ops are united, so the union-find root alone names the
   // (key, component) pair.
@@ -453,12 +369,15 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
   // 6. Name groups and materialize GraphNodes.
   TapGraph tg;
   tg.reserve(groups);
-  // Bases of groups whose SCC merged several scopes; they join `keys`,
-  // whose ids also count the uses of each name.
+  // Bases of groups whose SCC merged several scopes.
   std::deque<std::string> merged_bases;
   std::vector<int> name_uses;
   std::vector<GraphNodeId> group_to_node(groups, kInvalidGraphNode);
-  FingerprintMemo fingerprints;
+  // op_fingerprint, once per class of equal FingerprintKeys.
+  std::vector<FingerprintKey> fingerprints;
+  util::Interner fingerprint_ids(
+      num_ops, &fingerprints, [](const FingerprintKey& k) { return k.hash(); },
+      std::equal_to<FingerprintKey>());
   std::vector<GraphNodeId> inputs;  // one node's, before its exact copy
   std::size_t weight_vars = 0;
   for (int gi : order) {
@@ -471,22 +390,24 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
     // Scope name: the key of the first member component; if the SCC
     // merged several keys, use their longest common prefix (folded over
     // the members' keys in order).
-    int last_key = key_of[static_cast<std::size_t>(ops.front())];
-    int base_key = last_key;
+    int prev_key = key_of[static_cast<std::size_t>(ops.front())];
+    auto base_key = static_cast<std::uint32_t>(prev_key);
     std::optional<std::string> merged;
     for (NodeId id : ops) {
       const int key = key_of[static_cast<std::size_t>(id)];
-      if (key == last_key) continue;
-      last_key = key;
-      if (!merged.has_value()) merged.emplace(keys.name(base_key));
+      if (key == prev_key) continue;
+      prev_key = key;
+      if (!merged.has_value()) merged.emplace(keys[base_key]);
       if (!merged->empty())
-        *merged = util::longest_common_prefix(*merged, keys.name(key));
+        *merged = util::longest_common_prefix(
+            *merged, keys[static_cast<std::size_t>(key)]);
     }
     if (merged.has_value() && !merged->empty())
-      base_key = keys.intern(merged_bases.emplace_back(std::move(*merged)));
-    const std::string_view base = keys.name(base_key);
+      base_key =
+          key_ids.intern(merged_bases.emplace_back(std::move(*merged)));
+    const std::string_view base = keys[base_key];
     if (name_uses.size() < keys.size()) name_uses.resize(keys.size(), 0);
-    const int uses = name_uses[static_cast<std::size_t>(base_key)]++;
+    const int uses = name_uses[base_key]++;
     node.name = base;
     if (uses > 0) {
       node.name += '#';
@@ -516,7 +437,11 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
       if (heaviest_op == nullptr ||
           kind_weight_rank(n.kind) > kind_weight_rank(heaviest_op->kind))
         heaviest_op = &n;
-      fp = util::hash_mix_unordered(fp, fingerprints(n, base));
+      const std::size_t known = fingerprints.size();
+      FingerprintKey& f = fingerprints[fingerprint_ids.intern(
+          {&n, relative_name(n.name, base)})];
+      if (fingerprints.size() > known) f.fingerprint = fingerprint(n, f.rel);
+      fp = util::hash_mix_unordered(fp, f.fingerprint);
       for (NodeId in : n.inputs) {
         const int src = group_of[static_cast<std::size_t>(in)];
         if (src < 0 || src == gi) continue;  // trimmed, or a member
@@ -535,11 +460,10 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
     // that has no consumer.
     NodeId out_op = ops.back();
     for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-      const auto op = static_cast<std::size_t>(*it);
-      bool external = consumer_begin[op] == consumer_begin[op + 1];
-      for (std::size_t i = consumer_begin[op]; i < consumer_begin[op + 1];
-           ++i) {
-        const int dst = group_of[static_cast<std::size_t>(consumers[i])];
+      const std::vector<NodeId>& consumers = g.consumers(*it);
+      bool external = consumers.empty();
+      for (NodeId c : consumers) {
+        const int dst = group_of[static_cast<std::size_t>(c)];
         if (dst >= 0 && dst != gi) {
           external = true;
           break;
