@@ -1,8 +1,8 @@
 // Interner: assigns each value the class of the first equal value seen.
 // The classes are the distinct values in first-seen order, so a caller
-// computes a function of a value once per class. Lowering interns the
-// ops it fingerprints, and TapGraph::finalize() the op work, weight
-// shapes and pattern rows of a graph.
+// computes a function of a value once per class. Lowering interns its
+// cluster keys and the ops it fingerprints, and TapGraph::finalize() the
+// op work, weight shapes and pattern rows of a graph.
 #pragma once
 
 #include <bit>
