@@ -14,14 +14,14 @@
 // TAP_BENCH_JSON is set.
 //
 // The hit path's serialization is reported, not gated: the medians of
-// plan_response_json (every /plan response) and plan_record_from_json
-// (every disk hit validates its record) for T5-4L/24L/48L at a 2x8 mesh.
+// plan_response_json (every /plan response) and disk_file_from_json
+// (every disk hit reads its file back through plan_response_from_json)
+// for T5-4L/24L/48L at a 2x8 mesh.
 #include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
-#include "core/serialize.h"
 #include "pruning/prune.h"
 #include "service/fingerprint.h"
 #include "service/planner_service.h"
@@ -175,7 +175,7 @@ int main() {
   table.print(std::cout);
 
   // Serialization on the hit path, at the depths plan_cold plans.
-  util::Table ser({"model", "nodes", "response ms", "record parse ms"});
+  util::Table ser({"model", "nodes", "response ms", "disk parse ms"});
   for (const int layers : {4, 24, 48}) {
     service::ModelSpec spec;
     spec.layers = layers;
@@ -186,13 +186,9 @@ int main() {
     const core::TapOptions sopts = service::options_for_spec(spec, 1);
     const core::TapResult r = core::auto_parallel(tg, sopts);
     const service::PlanKey key = service::make_plan_key(tg, sopts, false);
-    core::PlanRecord record;
-    record.plan = r.best_plan;
-    record.cost = r.cost;
-    record.timings = r.pass_timings;
-    const std::string json = core::plan_record_to_json(tg, record);
+    const std::string file = service::disk_file_json(tg, key, r);
     auto respond = [&] { service::plan_response_json(tg, key, r); };
-    auto parse = [&] { core::plan_record_from_json(tg, json); };
+    auto parse = [&] { service::disk_file_from_json(tg, key, file); };
     const bench::RepeatStats response_ms = bench::repeat_ms(kRuns, respond);
     const bench::RepeatStats record_ms = bench::repeat_ms(kRuns, parse);
     ser.add_row({"T5-" + std::to_string(layers) + "L",

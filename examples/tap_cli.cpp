@@ -12,7 +12,6 @@
 
 #include "core/pipeline.h"
 #include "core/planner_pipeline.h"
-#include "core/serialize.h"
 #include "core/tap.h"
 #include "core/visualize.h"
 #include "cost/cost_model.h"
@@ -28,7 +27,6 @@
 #include "service/wire.h"
 #include "sim/simulator.h"
 #include "util/fault.h"
-#include "util/json.h"
 #include "util/strings.h"
 
 namespace {
@@ -42,7 +40,8 @@ constexpr const char kUsage[] = R"usage(usage:
           [--pipeline K]                    pipeline stages (§4.8)
           [--amp] [--recompute] [--zero1]   training techniques (§4.8)
           [--xla]                           fusion pass (Fig. 8)
-          [--save-plan FILE] [--load-plan FILE]
+          [--load-plan FILE]                plan with a --plan-json
+                                            file's plan (no search)
           [--cache-dir DIR]                 plan-cache disk tier: serve
                                             repeat invocations from DIR
                                             instead of re-searching
@@ -125,7 +124,7 @@ struct Args {
   std::int64_t deadline_ms = 0;
   std::int64_t max_checkpoints = -1;
   std::string fault_spec;
-  std::string save_plan, load_plan, trace_path, cache_dir;
+  std::string load_plan, trace_path, cache_dir;
   std::string profile_path, stats_path, report_path, diff_baseline;
   std::string serve_url, plan_json_path;
 };
@@ -201,8 +200,6 @@ bool parse(int argc, char** argv, Args* a) {
       a->xla = true;
     } else if (!std::strcmp(f, "--viz")) {
       a->viz = true;
-    } else if (!std::strcmp(f, "--save-plan") && (v = need_value(i))) {
-      a->save_plan = v;
     } else if (!std::strcmp(f, "--load-plan") && (v = need_value(i))) {
       a->load_plan = v;
     } else if (!std::strcmp(f, "--cache-dir") && (v = need_value(i))) {
@@ -268,7 +265,7 @@ bool parse(int argc, char** argv, Args* a) {
 
 /// Writes `content` to `path`, reporting failures (unwritable directory,
 /// disk full at flush) on stderr. tap_cli exits 1 when this fails — a
-/// silently empty --report/--save-plan file is worse than an error.
+/// silently empty --report/--plan-json file is worse than an error.
 bool write_file(const std::string& path, const std::string& content,
                 const char* what) {
   std::ofstream out(path, std::ios::trunc);
@@ -450,13 +447,11 @@ int main(int argc, char** argv) {
         return 1;
       }
       served_plan_body = resp.body;
-      const util::JsonValue doc = util::JsonValue::parse(resp.body);
-      result.best_plan = core::plan_from_json(tg, doc.at("plan"));
-      result.provenance.source =
-          core::plan_source_from_name(doc.at("provenance").as_string());
-      result.candidate_plans =
-          doc.at("stats").at("candidate_plans").as_int();
-      result.valid_plans = doc.at("stats").at("valid_plans").as_int();
+      service::PlanResponse served =
+          service::plan_response_from_json(tg, resp.body);
+      if (served.key != key.to_hex())
+        throw std::runtime_error("the response is for key " + served.key);
+      result = std::move(served.result);
       std::printf("served: shard %d of %d (%s), key %s\n",
                   client.shard_for(key), client.num_shards(),
                   client.url_of(client.shard_for(key)).c_str(),
@@ -471,7 +466,6 @@ int main(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    result.cost = core::finalize_cost(tg, result.routed, opts.cluster);
   } else if (!args.load_plan.empty()) {
     std::ifstream in(args.load_plan);
     if (!in) {
@@ -481,7 +475,8 @@ int main(int argc, char** argv) {
     std::stringstream buf;
     buf << in.rdbuf();
     try {
-      result.best_plan = core::plan_from_json(tg, buf.str());
+      result.best_plan =
+          service::plan_response_from_json(tg, buf.str()).result.best_plan;
     } catch (const std::exception& e) {
       std::cerr << "cannot parse plan " << args.load_plan << ": " << e.what()
                 << "\n";
@@ -671,12 +666,6 @@ int main(int argc, char** argv) {
       std::printf("plan response written to %s\n",
                   args.plan_json_path.c_str());
     }
-  }
-  if (!args.save_plan.empty()) {
-    if (!write_file(args.save_plan,
-                    core::plan_to_json(tg, result.best_plan) + "\n", "plan"))
-      return 1;
-    std::printf("plan saved to %s\n", args.save_plan.c_str());
   }
   if (!args.trace_path.empty()) {
     if (!write_file(args.trace_path, trace.to_chrome_json(), "trace"))

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <optional>
 #include <string_view>
+#include <unordered_set>
 
 #include "util/check.h"
 #include "util/hash.h"
@@ -371,7 +372,13 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
   tg.reserve(groups);
   // Bases of groups whose SCC merged several scopes.
   std::deque<std::string> merged_bases;
+  // Per key, the next "#k" suffix to try; 0 while the key names nothing.
   std::vector<int> name_uses;
+  // Keys holding '#' (none in the zoo), collected at the first "#k"
+  // name; only with such keys can a merged base equal a "#k" name given.
+  bool keys_scanned = false;
+  std::unordered_set<std::string_view> hashed_keys;
+  std::unordered_set<std::string> suffixed;
   std::vector<GraphNodeId> group_to_node(groups, kInvalidGraphNode);
   // op_fingerprint, once per class of equal FingerprintKeys.
   std::vector<FingerprintKey> fingerprints;
@@ -402,17 +409,32 @@ TapGraph lower(const Graph& g, const LoweringOptions& opts,
         *merged = util::longest_common_prefix(
             *merged, keys[static_cast<std::size_t>(key)]);
     }
-    if (merged.has_value() && !merged->empty())
+    if (merged.has_value() && !merged->empty()) {
       base_key =
           key_ids.intern(merged_bases.emplace_back(std::move(*merged)));
+      if (keys_scanned && keys[base_key].find('#') != std::string_view::npos)
+        hashed_keys.insert(keys[base_key]);
+    }
     const std::string_view base = keys[base_key];
     if (name_uses.size() < keys.size()) name_uses.resize(keys.size(), 0);
-    const int uses = name_uses[base_key]++;
+    // A scope's first component takes the scope's name, a later one the
+    // next "<base>#k" that is no key (the last '#' splits base and k, so
+    // "#k" names of distinct bases never collide).
+    int& next = name_uses[base_key];
     node.name = base;
-    if (uses > 0) {
-      node.name += '#';
-      node.name += std::to_string(uses);
+    if (next > 0 || suffixed.contains(node.name)) {
+      if (!keys_scanned) {
+        keys_scanned = true;
+        for (const std::string_view k : keys)
+          if (k.find('#') != std::string_view::npos) hashed_keys.insert(k);
+      }
+      next = std::max(next, 1);
+      do {
+        node.name.assign(base) += '#' + std::to_string(next++);
+      } while (hashed_keys.contains(node.name));
+      if (!hashed_keys.empty()) suffixed.insert(node.name);
     }
+    next = std::max(next, 1);
 
     // One pass over the members: weights, the primary-kind candidates,
     // the fingerprint (an order-independent mix of member op fingerprints,

@@ -55,10 +55,11 @@ Fingerprint family_fingerprint(const ir::TapGraph& tg,
 /// so it must not split the key space.
 Fingerprint options_fingerprint(const core::TapOptions& opts);
 
-/// Cache-key version: bump together with core::kPlanRecordVersion when
-/// fingerprint inputs change meaning (e.g. a new TapOptions field joins
-/// options_fingerprint), so old keys can never alias new ones. Version 2:
-/// the per-family candidate cutoff left the options.
+/// Cache-key version: bump together with kPlanResponseVersion
+/// (service/wire.h) when fingerprint inputs change meaning (e.g. a new
+/// TapOptions field joins options_fingerprint), so old keys can never
+/// alias new ones. Version 2: the per-family candidate cutoff left the
+/// options.
 inline constexpr std::uint32_t kPlanKeyVersion = 2;
 
 /// The complete cache key of one plan request.

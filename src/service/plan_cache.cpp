@@ -9,8 +9,10 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "service/wire.h"
 #include "util/check.h"
 #include "util/fault.h"
+#include "util/json.h"
 
 namespace tap::service {
 
@@ -38,7 +40,46 @@ CacheMetrics& cache_metrics() {
   return m;
 }
 
+PlanRecord record_of(const core::TapResult& result) {
+  return {result.best_plan,
+          result.cost,
+          {result.candidate_plans, result.valid_plans, result.nodes_visited,
+           result.cost_queries},
+          result.search_seconds};
+}
+
 }  // namespace
+
+std::string disk_file_json(const ir::TapGraph& tg, const PlanKey& key,
+                           const core::TapResult& result) {
+  util::JsonValue seconds = util::JsonValue::object();
+  seconds.set("search_seconds",
+              util::JsonValue::number(result.search_seconds));
+  return plan_response_json(tg, key, result) + '\n' + seconds.dump();
+}
+
+PlanRecord disk_file_from_json(const ir::TapGraph& tg, const PlanKey& key,
+                               std::string_view text) {
+  // The response is compact JSON, so the first '\n' ends it.
+  const std::size_t eol = text.find('\n');
+  TAP_CHECK(eol != std::string_view::npos)
+      << "plan cache file: no search_seconds line";
+  const PlanResponse response =
+      plan_response_from_json(tg, text.substr(0, eol));
+  TAP_CHECK(response.key == key.to_hex())
+      << "plan cache file: holds key " << response.key << ", not "
+      << key.to_hex();
+  TAP_CHECK(response.result.provenance.complete())
+      << "plan cache file: provenance is "
+      << core::plan_source_name(response.result.provenance.source);
+  const util::JsonValue line = util::JsonValue::parse(text.substr(eol + 1));
+  const auto& members = line.members();
+  TAP_CHECK(members.size() == 1 && members[0].first == "search_seconds")
+      << "plan cache file: second line must be {\"search_seconds\":..}";
+  PlanRecord record = record_of(response.result);
+  record.search_seconds = members[0].second.as_number();
+  return record;
+}
 
 PlanCache::PlanCache(PlanCacheOptions opts) : opts_(std::move(opts)) {
   TAP_CHECK_GE(opts_.capacity, 1u);
@@ -61,8 +102,8 @@ PlanCache::PlanCache(PlanCacheOptions opts) : opts_(std::move(opts)) {
   }
 }
 
-std::optional<core::PlanRecord> PlanCache::memory_lookup(const PlanKey& key) {
-  std::optional<core::PlanRecord> hit;
+std::optional<PlanRecord> PlanCache::memory_lookup(const PlanKey& key) {
+  std::optional<PlanRecord> hit;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
@@ -77,17 +118,16 @@ std::optional<core::PlanRecord> PlanCache::memory_lookup(const PlanKey& key) {
   return hit;
 }
 
-void PlanCache::memory_insert(const PlanKey& key,
-                              const core::PlanRecord& record) {
+void PlanCache::memory_insert(const PlanKey& key, PlanRecord record) {
   std::size_t evicted = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
     if (it != index_.end()) {
-      it->second->second = record;
+      it->second->second = std::move(record);
       lru_.splice(lru_.begin(), lru_, it->second);
     } else {
-      lru_.emplace_front(key, record);
+      lru_.emplace_front(key, std::move(record));
       index_.emplace(key, lru_.begin());
       while (lru_.size() > opts_.capacity) {
         index_.erase(lru_.back().first);
@@ -120,8 +160,8 @@ void PlanCache::count_retry(int attempt) {
   }
 }
 
-std::optional<core::PlanRecord> PlanCache::disk_lookup(
-    const PlanKey& key, const ir::TapGraph& tg) {
+std::optional<PlanRecord> PlanCache::disk_lookup(const PlanKey& key,
+                                                  const ir::TapGraph& tg) {
   const std::string path = disk_path(key);
   if (path.empty()) return std::nullopt;
   for (int attempt = 0; attempt <= opts_.io_retries; ++attempt) {
@@ -138,7 +178,7 @@ std::optional<core::PlanRecord> PlanCache::disk_lookup(
       }
       std::stringstream buf;
       buf << in.rdbuf();
-      core::PlanRecord record = core::plan_record_from_json(tg, buf.str());
+      PlanRecord record = disk_file_from_json(tg, key, buf.str());
       cache_metrics().disk_hits->add(1);
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.disk_hits;
@@ -146,7 +186,9 @@ std::optional<core::PlanRecord> PlanCache::disk_lookup(
     } catch (const util::FaultInjectedError&) {
       continue;  // transient I/O failure: retry with backoff
     } catch (const CheckError&) {
-      // Stale version, torn write, or hand-damaged file. Deterministic —
+      // Stale version, torn write, hand-damaged file, another key's
+      // document, or names this graph lacks (a renamed structural twin's
+      // file). Deterministic —
       // re-reading would reject again every request — so quarantine the
       // file (one rename) and treat the key as a miss: the caller
       // re-searches and the insert writes a fresh file at this path.
@@ -169,14 +211,14 @@ std::optional<core::PlanRecord> PlanCache::disk_lookup(
 }
 
 void PlanCache::disk_insert(const PlanKey& key,
-                            const core::PlanRecord& record,
+                            const core::TapResult& result,
                             const ir::TapGraph& tg) {
   const std::string path = disk_path(key);
   if (path.empty()) return;
   // Atomic publish: never expose a partially-written file to concurrent
   // readers (or to the next process after a crash).
   const std::string tmp = path + ".tmp";
-  const std::string json = core::plan_record_to_json(tg, record);
+  const std::string json = disk_file_json(tg, key, result);
   for (int attempt = 0; attempt <= opts_.io_retries; ++attempt) {
     if (attempt > 0) count_retry(attempt);
     try {
@@ -206,9 +248,9 @@ void PlanCache::disk_insert(const PlanKey& key,
   // Retries exhausted: the plan stays served from the memory tier.
 }
 
-std::optional<core::PlanRecord> PlanCache::lookup(const PlanKey& key,
-                                                  const ir::TapGraph& tg,
-                                                  Tier* tier) {
+std::optional<PlanRecord> PlanCache::lookup(const PlanKey& key,
+                                            const ir::TapGraph& tg,
+                                            Tier* tier) {
   if (tier != nullptr) *tier = Tier::kMiss;
   if (auto hit = memory_lookup(key)) {
     if (tier != nullptr) *tier = Tier::kMemory;
@@ -229,10 +271,10 @@ std::optional<core::PlanRecord> PlanCache::lookup(const PlanKey& key,
   return std::nullopt;
 }
 
-void PlanCache::insert(const PlanKey& key, const core::PlanRecord& record,
+void PlanCache::insert(const PlanKey& key, const core::TapResult& result,
                        const ir::TapGraph& tg) {
-  memory_insert(key, record);
-  disk_insert(key, record, tg);
+  memory_insert(key, record_of(result));
+  disk_insert(key, result, tg);
 }
 
 PlanCacheStats PlanCache::stats() const {

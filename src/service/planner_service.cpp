@@ -142,21 +142,8 @@ PlanKey PlannerService::key_for(const PlanRequest& req) const {
   return make_plan_key(*req.tg, req.opts, req.sweep_mesh);
 }
 
-core::PlanRecord PlannerService::record_of(const core::TapResult& result) {
-  core::PlanRecord record;
-  record.plan = result.best_plan;
-  record.cost = result.cost;
-  record.stats.candidate_plans = result.candidate_plans;
-  record.stats.valid_plans = result.valid_plans;
-  record.stats.nodes_visited = result.nodes_visited;
-  record.stats.cost_queries = result.cost_queries;
-  record.timings = result.pass_timings;
-  record.search_seconds = result.search_seconds;
-  return record;
-}
-
-core::TapResult PlannerService::materialize(
-    const PlanRequest& req, const core::PlanRecord& record) const {
+core::TapResult PlannerService::materialize(const PlanRequest& req,
+                                            const PlanRecord& record) const {
   core::TapResult r;
   r.best_plan = record.plan;
   // Routing is a deterministic function of (graph, plan): recomputing it
@@ -181,7 +168,6 @@ core::TapResult PlannerService::materialize(
   r.nodes_visited = record.stats.nodes_visited;
   r.cost_queries = record.stats.cost_queries;
   r.search_seconds = record.search_seconds;
-  r.pass_timings = record.timings;
   return r;
 }
 
@@ -268,7 +254,7 @@ std::shared_future<core::TapResult> PlannerService::submit(
   // file, and on an I/O fault sleeps its retry backoff, which no other
   // request may wait on.
   PlanCache::Tier tier = PlanCache::Tier::kMiss;
-  std::optional<core::PlanRecord> hit = cache_.lookup(key, *req.tg, &tier);
+  std::optional<PlanRecord> hit = cache_.lookup(key, *req.tg, &tier);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!hit) {
@@ -373,7 +359,7 @@ std::shared_future<core::TapResult> PlannerService::submit(
       // where a particular deadline happened to land, and caching it
       // would serve that degraded plan to undeadlined requests forever.
       if (result.provenance.complete())
-        cache_.insert(key, record_of(result), *task_req.tg);
+        cache_.insert(key, result, *task_req.tg);
       {
         std::lock_guard<std::mutex> lock(mu_);
         inflight_.erase(key);

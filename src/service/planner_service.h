@@ -15,10 +15,10 @@
 //   1. coalesce — an in-flight request with the same key returns the same
 //      future (single-flight: N concurrent identical requests cost ONE
 //      search, counted in ServiceStats::coalesced);
-//   2. cache hit — a lookup outside the service mutex (a disk hit reads a
-//      file) finds the stored PlanRecord, which is re-materialized
-//      (deterministic prune + route against the live graph) into a ready
-//      future;
+//   2. cache hit — a lookup outside the service mutex (a disk hit reads
+//      the key's stored /plan response back) finds the PlanRecord, which
+//      is re-materialized (deterministic prune + route against the live
+//      graph) into a ready future;
 //   3. miss — under the mutex, coalesce and the memory tier are checked
 //      again, then the key is registered in-flight and the search runs on
 //      the pool. The completion order is: cache insert, THEN in-flight
@@ -284,11 +284,11 @@ class PlannerService {
                                   const std::string& reason);
   /// Rebuilds a full TapResult from a cached record: plan/cost/stats come
   /// from the record; routing and the provenance's family count are
-  /// recomputed (both deterministic), so the hit is indistinguishable from
-  /// a cold search.
+  /// recomputed (both deterministic), so the hit equals a cold search in
+  /// every deterministic field. It ran no passes, so it has no
+  /// pass_timings.
   core::TapResult materialize(const PlanRequest& req,
-                              const core::PlanRecord& record) const;
-  static core::PlanRecord record_of(const core::TapResult& result);
+                              const PlanRecord& record) const;
 
   ServiceOptions opts_;
   PlanCache cache_;

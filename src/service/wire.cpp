@@ -2,7 +2,9 @@
 
 #include <climits>
 #include <cstdio>
+#include <initializer_list>
 #include <utility>
+#include <vector>
 
 #include "core/serialize.h"
 #include "models/models.h"
@@ -54,6 +56,22 @@ void parse_mesh_string(const std::string& mesh, ModelSpec* spec) {
       << "bad mesh '" << mesh << "' (want DPxTP or auto)";
   spec->dp = dp;
   spec->tp = tp;
+}
+
+/// The members of `doc`, which must be exactly `keys`, in that order.
+const std::vector<std::pair<std::string, util::JsonValue>>& exact_members(
+    const util::JsonValue& doc, std::initializer_list<std::string_view> keys,
+    const char* what) {
+  const auto& members = doc.members();
+  std::size_t i = 0;
+  for (const std::string_view key : keys) {
+    TAP_CHECK(i < members.size() && members[i].first == key)
+        << what << ": expected key \"" << key << "\"";
+    ++i;
+  }
+  TAP_CHECK_EQ(members.size(), keys.size())
+      << what << ": unexpected key \"" << members.back().first << "\"";
+  return members;
 }
 
 void validate(const ModelSpec& spec) {
@@ -250,6 +268,54 @@ std::string plan_response_json(const ir::TapGraph& tg, const PlanKey& key,
                                 static_cast<double>(result.cost_queries)));
   doc.set("stats", std::move(stats));
   return doc.dump();
+}
+
+PlanResponse plan_response_from_json(const ir::TapGraph& tg,
+                                     std::string_view json) {
+  const util::JsonValue doc = util::JsonValue::parse(json);
+  const auto& members = doc.members();
+  // Version gate first: a document of another version is rejected before
+  // any other member is read.
+  TAP_CHECK(!members.empty() && members[0].first == "version")
+      << "plan response: \"version\" must be the first key";
+  TAP_CHECK_EQ(members[0].second.as_int(), kPlanResponseVersion)
+      << "plan response written by incompatible code";
+  exact_members(doc,
+                {"version", "key", "mesh", "provenance", "plan", "cost",
+                 "stats"},
+                "plan response");
+
+  PlanResponse response{members[1].second.as_string(), {}};
+  core::TapResult& r = response.result;
+  r.provenance.source =
+      core::plan_source_from_name(members[3].second.as_string());
+  r.best_plan = core::plan_from_json(tg, members[4].second);
+  const std::vector<util::JsonValue>& mesh = members[2].second.items();
+  TAP_CHECK(mesh.size() == 2 && mesh[0].as_int() == r.best_plan.dp_replicas &&
+            mesh[1].as_int() == r.best_plan.num_shards)
+      << "plan response: \"mesh\" is not the plan's mesh";
+
+  const auto& cost = exact_members(
+      members[5].second,
+      {"forward_comm_s", "backward_comm_s", "overlappable_comm_s",
+       "comm_bytes", "total_s"},
+      "plan response cost");
+  r.cost.forward_comm_s = cost[0].second.as_number();
+  r.cost.backward_comm_s = cost[1].second.as_number();
+  r.cost.overlappable_comm_s = cost[2].second.as_number();
+  r.cost.comm_bytes = cost[3].second.as_int();
+  TAP_CHECK(cost[4].second.as_number() == r.cost.total())
+      << "plan response: \"total_s\" is not the cost's total";
+
+  const auto& stats = exact_members(
+      members[6].second,
+      {"candidate_plans", "valid_plans", "nodes_visited", "cost_queries"},
+      "plan response stats");
+  r.candidate_plans = stats[0].second.as_int();
+  r.valid_plans = stats[1].second.as_int();
+  r.nodes_visited = stats[2].second.as_int();
+  r.cost_queries = stats[3].second.as_int();
+  return response;
 }
 
 }  // namespace tap::service

@@ -15,7 +15,9 @@
 // times), so for a complete plan the response bytes are a pure function
 // of the PlanKey. Any shard, any transport, any cache tier: same key,
 // same bytes. The net tests and the serve-smoke CI job enforce this
-// byte-for-byte.
+// byte-for-byte. plan_response_from_json reads the same document back;
+// the disk tier of the plan cache stores it, and tap_cli writes it with
+// --plan-json and reads it with --load-plan.
 #pragma once
 
 #include <cstdint>
@@ -93,5 +95,22 @@ inline constexpr int kPlanResponseVersion = 3;
 /// between a search through a warmed service and a cold search.
 std::string plan_response_json(const ir::TapGraph& tg, const PlanKey& key,
                                const core::TapResult& result);
+
+/// A plan response read back.
+struct PlanResponse {
+  std::string key;  ///< PlanKey::to_hex() of the key it was planned under
+  /// The fields of the result plan_response_json wrote: plan, provenance
+  /// source, cost and search statistics. It is not routed.
+  core::TapResult result;
+};
+
+/// Reads a plan response against `tg`, strictly: "version" is the first
+/// key and equals kPlanResponseVersion (checked before anything else);
+/// the keys, and those of "cost" and "stats", are plan_response_json's,
+/// in its order; "mesh" is the plan's; "total_s" is the cost's total; and
+/// every pattern resolves (core::plan_from_json). Throws CheckError
+/// otherwise.
+PlanResponse plan_response_from_json(const ir::TapGraph& tg,
+                                     std::string_view json);
 
 }  // namespace tap::service

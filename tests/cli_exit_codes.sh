@@ -60,7 +60,7 @@ expect 1 "unreadable --load-plan"  -- "${FAST[@]}" --load-plan "$SCRATCH/absent.
 echo "not json" > "$SCRATCH/garbage.json"
 expect 1 "corrupt --load-plan"     -- "${FAST[@]}" --load-plan "$SCRATCH/garbage.json"
 expect 1 "unwritable --report"     -- "${FAST[@]}" --report "$SCRATCH/no/such/dir/r.json"
-expect 1 "unwritable --save-plan"  -- "${FAST[@]}" --save-plan "$SCRATCH/no/such/dir/p.json"
+expect 1 "unwritable --plan-json"  -- "${FAST[@]}" --plan-json "$SCRATCH/no/such/dir/p.json"
 expect 1 "unwritable --stats"      -- "${FAST[@]}" --stats "$SCRATCH/no/such/dir/s.json"
 
 # --- happy paths keep exiting 0 -------------------------------------------
@@ -70,9 +70,14 @@ expect 0 "report to file"          -- "${FAST[@]}" --report "$SCRATCH/report.jso
 expect 0 "valid fault spec (inert delay)" -- "${FAST[@]}" --fault service.search=delay:1:0.5
 expect 0 "deadline + checkpoint flags"    -- "${FAST[@]}" --deadline-ms 60000 --max-checkpoints 3
 
-# save + load round-trip through the CLI
-expect 0 "save plan"               -- "${FAST[@]}" --save-plan "$SCRATCH/plan.json"
-expect 0 "load saved plan"         -- "${FAST[@]}" --load-plan "$SCRATCH/plan.json"
+# --plan-json + --load-plan round trip through the CLI
+expect 0 "write plan json"         -- "${FAST[@]}" --plan-json "$SCRATCH/plan.json"
+expect 0 "load written plan"       -- "${FAST[@]}" --load-plan "$SCRATCH/plan.json"
+# The same document naming a GraphNode the model does not have.
+sed 's/"assignments":{"/"assignments":{"no\/such\/node":"dp","/' \
+  "$SCRATCH/plan.json" > "$SCRATCH/unknown_node.json"
+grep -q '"no/such/node"' "$SCRATCH/unknown_node.json" || { echo "FAIL: no unknown node written" >&2; FAILURES=$((FAILURES + 1)); }
+expect 1 "--load-plan unknown node" -- "${FAST[@]}" --load-plan "$SCRATCH/unknown_node.json"
 
 # --- --help / -h: the flag list on stdout, exit 0 ------------------------
 # expect_help <binary> <flag> <a flag the list must name>

@@ -493,30 +493,24 @@ TEST(Anytime, CrashBetweenTempFileAndRenameIsCleanedUp) {
   copts.io_retries = 0;  // one attempt: the "process died right here" model
   copts.retry_backoff_ms = 0.0;
 
-  // Grab a real record to insert.
+  // Grab a real result to insert.
   service::PlanKey key;
-  std::optional<core::PlanRecord> record;
+  core::TapResult result;
   {
-    TempDir seed_dir("crash_seed");
     service::ServiceOptions sopts;
-    sopts.cache.disk_dir = seed_dir.path;
     sopts.request_threads = 1;
     service::PlannerService svc(sopts);
-    svc.plan(req);
+    result = svc.plan(req);
     key = svc.key_for(req);
-    service::PlanCacheOptions seed_opts;
-    seed_opts.disk_dir = seed_dir.path;
-    service::PlanCache seed_cache(seed_opts);
-    record = seed_cache.lookup(key, tg);
   }
-  ASSERT_TRUE(record.has_value());
+  ASSERT_TRUE(result.provenance.complete());
 
   // Kill the writer in the crash window: temp file fully written, rename
   // never happens.
   {
     util::ScopedFaultInjector fault("cache.disk.rename=throw:1");
     service::PlanCache cache(copts);
-    cache.insert(key, *record, tg);
+    cache.insert(key, result, tg);
     EXPECT_EQ(cache.stats().disk_writes, 0u);
   }
   std::size_t tmp_files = 0, record_files = 0;
@@ -540,7 +534,7 @@ TEST(Anytime, CrashBetweenTempFileAndRenameIsCleanedUp) {
   }
 
   // And a clean insert over the swept directory works end to end.
-  cache.insert(key, *record, tg);
+  cache.insert(key, result, tg);
   EXPECT_TRUE(cache.lookup(key, tg).has_value());
 }
 

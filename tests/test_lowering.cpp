@@ -203,6 +203,29 @@ TEST(TapGraph, ScopesMatchNodeNames) {
   expect_scopes_match_names(tg);
 }
 
+TEST(Lowering, LaterComponentSkipsALiteralSuffixedScope) {
+  // Scope a/b has two components, and an op scope is literally "a/b#1":
+  // the scope keeps its name and a/b's second component takes "a/b#2".
+  Graph g("suffixes");
+  const TensorSpec spec{TensorShape{4, 4}, DType::kF32};
+  const NodeId in = g.add("in", OpKind::kRelu, {}, spec);
+  const NodeId x = g.add("a/b/x", OpKind::kRelu, {in}, spec);
+  const NodeId y = g.add("a/b/y", OpKind::kRelu, {in}, spec);
+  const NodeId q = g.add("a/b#1/q", OpKind::kRelu, {in}, spec);
+  const TapGraph tg = lower(g);
+  ASSERT_EQ(tg.num_nodes(), 4u);
+  auto owner = [&](NodeId op) {
+    for (const GraphNode& n : tg.nodes())
+      if (std::find(n.ops.begin(), n.ops.end(), op) != n.ops.end())
+        return n.name;
+    return std::string();
+  };
+  EXPECT_EQ(owner(x), "a/b");
+  EXPECT_EQ(owner(y), "a/b#2");
+  EXPECT_EQ(owner(q), "a/b#1");
+  expect_scopes_match_names(tg);
+}
+
 TEST(Lowering, CondensesScopeCycles) {
   // a/z reads a/x directly and through a/sub/y, so the component {a/x,
   // a/z} of scope "a" and the one of "a/sub" form a cycle: they condense

@@ -7,6 +7,7 @@
 #include "graph/graph_builder.h"
 #include "ir/lowering.h"
 #include "models/models.h"
+#include "service/plan_cache.h"
 #include "service/wire.h"
 #include "util/check.h"
 #include "util/json.h"
@@ -164,116 +165,147 @@ TEST(Serialize, WhitespaceTolerant) {
 }
 
 // ---------------------------------------------------------------------------
-// PlanRecord (the service plan-cache payload)
+// PlanRecord: the plan cache's disk file, a /plan response plus the
+// search_seconds line, read back through plan_response_from_json
 // ---------------------------------------------------------------------------
 
-PlanRecord searched_record(const Fixture& f) {
+struct Searched {
+  TapResult result;
+  service::PlanKey key;
+};
+
+Searched searched(const Fixture& f) {
   TapOptions opts;
   opts.cluster = cost::ClusterSpec::v100_cluster(2);
   opts.num_shards = 8;
   opts.dp_replicas = 2;
-  auto r = auto_parallel(f.tg, opts);
-  PlanRecord rec;
-  rec.plan = r.best_plan;
-  rec.cost = r.cost;
-  rec.stats = {r.candidate_plans, r.valid_plans, r.nodes_visited,
-               r.cost_queries};
-  rec.timings = r.pass_timings;
-  rec.search_seconds = r.search_seconds;
-  return rec;
+  return {auto_parallel(f.tg, opts), service::make_plan_key(f.tg, opts, false)};
 }
 
 TEST(PlanRecord, RoundTripsEverythingExactly) {
   Fixture f(2);
-  PlanRecord rec = searched_record(f);
-  ASSERT_GT(rec.stats.candidate_plans, 0);
-  ASSERT_FALSE(rec.timings.empty());
+  const auto [r, key] = searched(f);
+  ASSERT_GT(r.candidate_plans, 0);
 
-  PlanRecord back = plan_record_from_json(f.tg, plan_record_to_json(f.tg, rec));
-  EXPECT_EQ(back.plan.num_shards, rec.plan.num_shards);
-  EXPECT_EQ(back.plan.dp_replicas, rec.plan.dp_replicas);
-  EXPECT_EQ(back.plan.choice, rec.plan.choice);
+  const std::string json = service::plan_response_json(f.tg, key, r);
+  const service::PlanResponse response =
+      service::plan_response_from_json(f.tg, json);
+  EXPECT_EQ(response.key, key.to_hex());
+  EXPECT_EQ(response.result.provenance.source, PlanSource::kComplete);
+
+  const service::PlanRecord back = service::disk_file_from_json(
+      f.tg, key, service::disk_file_json(f.tg, key, r));
+  EXPECT_EQ(back.plan.num_shards, r.best_plan.num_shards);
+  EXPECT_EQ(back.plan.dp_replicas, r.best_plan.dp_replicas);
+  EXPECT_EQ(back.plan.choice, r.best_plan.choice);
   // Doubles round-trip bit-exactly (%.17g), not merely approximately.
-  EXPECT_EQ(back.cost.forward_comm_s, rec.cost.forward_comm_s);
-  EXPECT_EQ(back.cost.backward_comm_s, rec.cost.backward_comm_s);
-  EXPECT_EQ(back.search_seconds, rec.search_seconds);
-  EXPECT_EQ(back.stats.candidate_plans, rec.stats.candidate_plans);
-  EXPECT_EQ(back.stats.valid_plans, rec.stats.valid_plans);
-  EXPECT_EQ(back.stats.nodes_visited, rec.stats.nodes_visited);
-  EXPECT_EQ(back.stats.cost_queries, rec.stats.cost_queries);
-  ASSERT_EQ(back.timings.size(), rec.timings.size());
-  for (std::size_t i = 0; i < rec.timings.size(); ++i) {
-    EXPECT_EQ(back.timings[i].pass, rec.timings[i].pass);
-    EXPECT_EQ(back.timings[i].seconds, rec.timings[i].seconds);
-  }
+  EXPECT_EQ(back.cost.forward_comm_s, r.cost.forward_comm_s);
+  EXPECT_EQ(back.cost.backward_comm_s, r.cost.backward_comm_s);
+  EXPECT_EQ(back.cost.overlappable_comm_s, r.cost.overlappable_comm_s);
+  EXPECT_EQ(back.cost.comm_bytes, r.cost.comm_bytes);
+  EXPECT_EQ(back.search_seconds, r.search_seconds);
+  EXPECT_EQ(back.stats.candidate_plans, r.candidate_plans);
+  EXPECT_EQ(back.stats.valid_plans, r.valid_plans);
+  EXPECT_EQ(back.stats.nodes_visited, r.nodes_visited);
+  EXPECT_EQ(back.stats.cost_queries, r.cost_queries);
 }
 
 TEST(PlanRecord, RoundTripsAwkwardDoubles) {
   Fixture f(1);
-  PlanRecord rec;
-  rec.plan = sharding::default_plan(f.tg, 8, 2);
-  rec.cost.forward_comm_s = 0.1;  // not exactly representable
-  rec.cost.backward_comm_s = 1.0 / 3.0;
-  rec.cost.overlappable_comm_s = kInvalidPlanCost;  // "inf" round-trips
-  rec.search_seconds = 6.02214076e23;
-  rec.timings.push_back({"FamilySearch", 5e-324});  // min subnormal
-  PlanRecord back = plan_record_from_json(f.tg, plan_record_to_json(f.tg, rec));
-  EXPECT_EQ(back.cost.forward_comm_s, rec.cost.forward_comm_s);
-  EXPECT_EQ(back.cost.backward_comm_s, rec.cost.backward_comm_s);
-  EXPECT_EQ(back.cost.overlappable_comm_s, kInvalidPlanCost);
-  EXPECT_EQ(back.search_seconds, rec.search_seconds);
-  ASSERT_EQ(back.timings.size(), 1u);
-  EXPECT_EQ(back.timings[0].seconds, 5e-324);
+  const service::PlanKey key = searched(f).key;
+  TapResult r;
+  r.best_plan = sharding::default_plan(f.tg, 8, 2);
+  r.cost.forward_comm_s = 0.1;  // not exactly representable
+  r.cost.backward_comm_s = 1.0 / 3.0;
+  r.cost.overlappable_comm_s = kInvalidPlanCost;  // "inf" round-trips
+  for (const double seconds : {6.02214076e23, 5e-324}) {  // min subnormal
+    r.search_seconds = seconds;
+    const service::PlanRecord back = service::disk_file_from_json(
+        f.tg, key, service::disk_file_json(f.tg, key, r));
+    EXPECT_EQ(back.cost.forward_comm_s, r.cost.forward_comm_s);
+    EXPECT_EQ(back.cost.backward_comm_s, r.cost.backward_comm_s);
+    EXPECT_EQ(back.cost.overlappable_comm_s, kInvalidPlanCost);
+    EXPECT_EQ(back.search_seconds, seconds);
+  }
 }
 
 TEST(PlanRecord, VersionIsFirstKeyAndMismatchRejected) {
   Fixture f(1);
-  PlanRecord rec;
-  rec.plan = sharding::default_plan(f.tg, 8);
-  std::string json = plan_record_to_json(f.tg, rec);
-  ASSERT_LT(json.find("\"version\""), json.find("\"mesh\""));
+  const auto [r, key] = searched(f);
+  const std::string json = service::disk_file_json(f.tg, key, r);
+  ASSERT_EQ(json.find("{\"version\":"), 0u);
 
   // Same payload claiming a future version must be rejected up front.
-  std::string vkey = "\"version\":" + std::to_string(kPlanRecordVersion);
-  auto pos = json.find(vkey);
-  ASSERT_NE(pos, std::string::npos);
+  const std::string vkey =
+      "\"version\":" + std::to_string(service::kPlanResponseVersion);
   std::string future = json;
-  future.replace(pos, vkey.size(),
-                 "\"version\":" + std::to_string(kPlanRecordVersion + 1));
-  EXPECT_THROW(plan_record_from_json(f.tg, future), CheckError);
+  future.replace(0, 1 + vkey.size(),
+                 "{\"version\":" +
+                     std::to_string(service::kPlanResponseVersion + 1));
+  EXPECT_THROW(service::plan_response_from_json(
+                   f.tg, future.substr(0, future.find('\n'))),
+               CheckError);
+  EXPECT_THROW(service::disk_file_from_json(f.tg, key, future), CheckError);
+  // "version" anywhere but first is rejected too.
+  std::string moved = "{" + json.substr(vkey.size() + 2);  // dropped
+  moved.insert(moved.find(",\"mesh\""), "," + vkey);
+  EXPECT_THROW(service::disk_file_from_json(f.tg, key, moved), CheckError);
 }
 
 TEST(PlanRecord, MalformedAndMismatchedInputRejected) {
   Fixture f(1);
-  EXPECT_THROW(plan_record_from_json(f.tg, ""), CheckError);
-  EXPECT_THROW(plan_record_from_json(f.tg, "{"), CheckError);
-  EXPECT_THROW(plan_record_from_json(f.tg, "not json at all"), CheckError);
-  // Structurally valid JSON for a DIFFERENT graph (wrong choice count).
+  const service::PlanKey key = searched(f).key;
+  for (const char* text : {"", "{", "not json at all", "[]"}) {
+    EXPECT_THROW(service::plan_response_from_json(f.tg, text), CheckError)
+        << text;
+    EXPECT_THROW(service::disk_file_from_json(f.tg, key, text), CheckError)
+        << text;
+  }
+  // A valid document for a DIFFERENT graph: its names do not resolve.
   Fixture big(3);
-  PlanRecord rec;
-  rec.plan = sharding::default_plan(big.tg, 8);
-  std::string json = plan_record_to_json(big.tg, rec);
-  EXPECT_THROW(plan_record_from_json(f.tg, json), CheckError);
+  const auto [r, big_key] = searched(big);
+  const std::string good = service::disk_file_json(big.tg, big_key, r);
+  EXPECT_THROW(service::disk_file_from_json(f.tg, big_key, good), CheckError);
+  ASSERT_NO_THROW(service::disk_file_from_json(big.tg, big_key, good));
+  // ... and under another key.
+  EXPECT_THROW(service::disk_file_from_json(big.tg, key, good), CheckError);
 
-  // A valid record edited: an extra key, a dropped key, a choice index out
-  // of range, a zero mesh dimension, trailing content.
-  const std::string good = plan_record_to_json(big.tg, rec);
-  ASSERT_NO_THROW(plan_record_from_json(big.tg, good));
+  // The valid file edited: an extra key, a dropped key, keys out of order,
+  // an outer mesh that is not the plan's, a pattern that does not resolve,
+  // an unknown or non-complete provenance, a total that is not the sum, a
+  // missing or extended search_seconds line, trailing content.
   auto edited = [&](const std::string& from, const std::string& to) {
     std::string s = good;
     const auto pos = s.find(from);
     EXPECT_NE(pos, std::string::npos) << from;
     return s.replace(pos, from.size(), to);
   };
+  const std::string provenance = ",\"provenance\":\"complete\"";
+  std::string reordered = edited(provenance, "");
+  reordered.insert(reordered.find(",\"key\""), provenance);
+  std::string unresolved = good;  // the first assignment's pattern renamed
+  const std::size_t first = unresolved.find("\":\"",
+                                            unresolved.find("\"assignments\""));
+  unresolved.replace(first + 3, unresolved.find('"', first + 3) - first - 3,
+                     "no_such_pattern");
   const std::string bad[] = {
-      edited("\"search_seconds\"", "\"extra\":0,\"search_seconds\""),
-      edited("\"timings\":[],", ""),
-      edited("\"choice\":[0", "\"choice\":[99"),
-      edited("\"mesh\":[1,8]", "\"mesh\":[0,8]"),
+      edited(",\"stats\":", ",\"extra\":0,\"stats\":"),
+      edited(provenance, ""),
+      reordered,
+      edited("\"mesh\":[2,8]", "\"mesh\":[1,8]"),
+      unresolved,
+      edited("\"complete\"", "\"finished\""),
+      edited("\"complete\"", "\"anytime\""),
+      edited("\"total_s\":", "\"total_s\":1"),
+      edited("\"cost_queries\":", "\"queries\":"),
+      edited("\n{\"search_seconds\"", "{\"search_seconds\""),
+      edited("{\"search_seconds\":", "{\"search_seconds\":0,\"more\":"),
+      good.substr(0, good.find('\n')),
       good + "{}",
   };
   for (const std::string& json_bad : bad)
-    EXPECT_THROW(plan_record_from_json(big.tg, json_bad), CheckError)
+    EXPECT_THROW(service::disk_file_from_json(big.tg, big_key, json_bad),
+                 CheckError)
         << json_bad;
 }
 

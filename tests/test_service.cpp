@@ -25,6 +25,7 @@
 #include "ir/lowering.h"
 #include "models/models.h"
 #include "report/report.h"
+#include "service/wire.h"
 #include "sharding/routing.h"
 #include "util/check.h"
 #include "util/fault.h"
@@ -57,6 +58,18 @@ struct TempDir {
   }
   ~TempDir() { fs::remove_all(path); }
 };
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// A disk file's first line: the /plan response it stores.
+std::string first_line(const std::string& text) {
+  return text.substr(0, text.find('\n'));
+}
 
 void expect_results_identical(const core::TapResult& a,
                               const core::TapResult& b) {
@@ -236,13 +249,22 @@ TEST_P(ServiceIdentity, CachedPlanIsBitIdenticalToColdSearch) {
   EXPECT_EQ(svc.stats().cache_hits, 1u);
   EXPECT_GE(svc.cache_stats().memory_hits, 1u);
 
-  // Disk tier: a brand-new service over the same directory must serve the
-  // persisted record, still bit-identical.
+  // Disk tier: the file starts with the response bytes, and a brand-new
+  // service over the same directory serves it, still bit-identical, with
+  // the search's own search_seconds and (having run no passes) no pass
+  // timings.
+  const PlanKey key = svc.key_for(req);
+  EXPECT_EQ(first_line(read_file(svc.cache().disk_path(key))),
+            plan_response_json(tg, key, fresh));
   PlannerService svc2(sopts);
   const core::TapResult disk_hit = svc2.plan(req);
   expect_results_identical(cold, disk_hit);
   EXPECT_EQ(svc2.stats().searches, 0u);
   EXPECT_EQ(svc2.cache_stats().disk_hits, 1u);
+  ASSERT_FALSE(fresh.pass_timings.empty());
+  EXPECT_TRUE(disk_hit.pass_timings.empty());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(disk_hit.search_seconds),
+            std::bit_cast<std::uint64_t>(fresh.search_seconds));
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, ServiceIdentity, ::testing::Range(0, 4),
@@ -383,8 +405,8 @@ TEST(PlannerService, SavedAndCachedPlansReadTheSearchedCatalogAtEverySweep) {
 }
 
 TEST(PlannerService, RenamedModelServedFromCache) {
-  // The positional PlanRecord must apply to a structurally equal graph
-  // with different node names.
+  // The memory tier serves a structurally equal graph with different node
+  // names: it shares the PlanKey, and the record holds no names.
   models::TransformerConfig cfg = models::t5_with_layers(2);
   Graph a = models::build_transformer(cfg);
   cfg.name = "same_shape_other_name";
@@ -580,18 +602,18 @@ TEST(PlanCache, MemoryTierHoldsExactlyCapacityEvictingLeastRecentlyUsed) {
   PlanCache cache(copts);
   std::vector<PlanKey> keys(12);
   for (std::size_t i = 0; i < keys.size(); ++i) keys[i].graph.lo = i;
-  const core::PlanRecord record;
+  const core::TapResult result;
 
-  cache.insert(keys[0], record, tg);
-  cache.insert(keys[1], record, tg);
+  cache.insert(keys[0], result, tg);
+  cache.insert(keys[1], result, tg);
   ASSERT_TRUE(cache.lookup(keys[0], tg).has_value());  // 1 is now the LRU
-  cache.insert(keys[2], record, tg);
+  cache.insert(keys[2], result, tg);
   EXPECT_TRUE(cache.lookup(keys[0], tg).has_value());
   EXPECT_FALSE(cache.lookup(keys[1], tg).has_value());
   EXPECT_TRUE(cache.lookup(keys[2], tg).has_value());
   EXPECT_EQ(cache.stats().evictions, 1u);
 
-  for (const PlanKey& key : keys) cache.insert(key, record, tg);
+  for (const PlanKey& key : keys) cache.insert(key, result, tg);
   std::size_t held = 0;
   for (const PlanKey& key : keys) held += cache.lookup(key, tg) ? 1 : 0;
   EXPECT_EQ(held, 2u);
@@ -661,7 +683,7 @@ TEST(PlannerService, VersionMismatchedDiskFileIsRejected) {
   }
   std::string payload = buf.str();
   const std::string vkey =
-      "\"version\":" + std::to_string(core::kPlanRecordVersion);
+      "\"version\":" + std::to_string(kPlanResponseVersion);
   const auto pos = payload.find(vkey);
   ASSERT_NE(pos, std::string::npos);
   payload.replace(pos, vkey.size(), "\"version\":999");
@@ -709,18 +731,114 @@ TEST(PlannerService, VersionOneDiskRecordIsQuarantinedAndRewritten) {
     EXPECT_EQ(svc.stats().searches, 1u);
   }
   EXPECT_TRUE(fs::exists(file + ".quarantine"));
-  std::stringstream buf;
-  {
-    std::ifstream in(file);
-    buf << in.rdbuf();
-  }
-  const util::JsonValue record = util::JsonValue::parse(buf.str());
-  EXPECT_EQ(record.members().front().first, "version");
-  EXPECT_EQ(record.at("version").as_int(), core::kPlanRecordVersion);
+  const util::JsonValue response =
+      util::JsonValue::parse(first_line(read_file(file)));
+  EXPECT_EQ(response.members().front().first, "version");
+  EXPECT_EQ(response.at("version").as_int(), kPlanResponseVersion);
 
   // The rewritten record serves the next process from disk.
   PlannerService svc(sopts);
   EXPECT_TRUE(svc.plan(req).routed.valid);
+  EXPECT_EQ(svc.cache_stats().disk_hits, 1u);
+  EXPECT_EQ(svc.stats().searches, 0u);
+}
+
+TEST(PlannerService, ParentFormatDiskRecordIsQuarantinedAndRewritten) {
+  // A version-4 positional record, the disk format before the tier stored
+  // /plan responses, fails the response's version-first check: it is
+  // quarantined, the key is re-searched, and the file is rewritten with
+  // the cold result's response bytes.
+  Graph g = models::build_transformer(models::t5_with_layers(1));
+  ir::TapGraph tg = ir::lower(g);
+  core::TapOptions opts = small_cluster_opts();
+  const PlanRequest req{&tg, opts, false};
+  const core::TapResult cold = core::auto_parallel(tg, opts);
+
+  TempDir dir("version4");
+  ServiceOptions sopts;
+  sopts.cache.disk_dir = dir.path;
+  sopts.request_threads = 1;
+  PlannerService svc(sopts);
+  const PlanKey key = svc.key_for(req);
+  const std::string file = svc.cache().disk_path(key);
+  std::string choice = "0";
+  for (std::size_t i = 1; i < tg.num_nodes(); ++i) choice += ",0";
+  {
+    std::ofstream out(file, std::ios::trunc);
+    out << "{\"version\":4,\"mesh\":[2,8],\"choice\":[" << choice
+        << "],\"cost\":[0,0,0,0],\"stats\":[0,0,0,0],\"timings\":[],"
+           "\"search_seconds\":0}";
+  }
+
+  expect_results_identical(cold, svc.plan(req));
+  EXPECT_EQ(svc.cache_stats().disk_rejects, 1u);
+  EXPECT_EQ(svc.cache_stats().quarantined, 1u);
+  EXPECT_EQ(svc.stats().searches, 1u);
+  EXPECT_TRUE(fs::exists(file + ".quarantine"));
+  EXPECT_EQ(first_line(read_file(file)), plan_response_json(tg, key, cold));
+}
+
+TEST(PlannerService, DiskFileUnderAnotherKeysNameIsRejected) {
+  // One graph at two meshes: the 2x8 document resolves against the graph,
+  // so only its "key" tells it from a 1x16 document.
+  Graph g = models::build_transformer(models::t5_with_layers(1));
+  ir::TapGraph tg = ir::lower(g);
+  const core::TapOptions a = small_cluster_opts();
+  core::TapOptions b = a;
+  b.dp_replicas = 1;
+  b.num_shards = 16;
+  const PlanRequest req_a{&tg, a, false}, req_b{&tg, b, false};
+  const core::TapResult cold_b = core::auto_parallel(tg, b);
+
+  TempDir dir("other_key");
+  ServiceOptions sopts;
+  sopts.cache.disk_dir = dir.path;
+  sopts.request_threads = 1;
+  PlannerService svc(sopts);
+  svc.plan(req_a);
+  const PlanKey key_a = svc.key_for(req_a), key_b = svc.key_for(req_b);
+  const std::string file_b = svc.cache().disk_path(key_b);
+  fs::copy_file(svc.cache().disk_path(key_a), file_b);
+  const std::string copied = read_file(file_b);
+  EXPECT_NO_THROW(disk_file_from_json(tg, key_a, copied));
+  EXPECT_THROW(disk_file_from_json(tg, key_b, copied), CheckError);
+
+  PlannerService svc2(sopts);
+  expect_results_identical(cold_b, svc2.plan(req_b));
+  EXPECT_EQ(svc2.cache_stats().disk_rejects, 1u);
+  EXPECT_EQ(svc2.stats().searches, 1u);
+}
+
+TEST(PlannerService, RenamedTwinReadFromDiskIsResearched) {
+  // A disk file names GraphNodes, so a renamed structural twin (same
+  // PlanKey) cannot resolve it: the file is rejected, the twin is
+  // re-searched, and the rewritten file serves the twin from disk.
+  models::TransformerConfig cfg = models::t5_with_layers(2);
+  Graph a = models::build_transformer(cfg);
+  cfg.name = "same_shape_other_name";
+  Graph b = models::build_transformer(cfg);
+  ir::TapGraph ta = ir::lower(a), tb = ir::lower(b);
+  const core::TapOptions opts = small_cluster_opts();
+  const PlanRequest req_a{&ta, opts, false}, req_b{&tb, opts, false};
+  const core::TapResult cold_b = core::auto_parallel(tb, opts);
+
+  TempDir dir("twin");
+  ServiceOptions sopts;
+  sopts.cache.disk_dir = dir.path;
+  sopts.request_threads = 1;
+  {
+    PlannerService svc(sopts);
+    svc.plan(req_a);
+    ASSERT_EQ(svc.key_for(req_a), svc.key_for(req_b));
+  }
+  {
+    PlannerService svc(sopts);
+    expect_results_identical(cold_b, svc.plan(req_b));
+    EXPECT_EQ(svc.cache_stats().disk_rejects, 1u);
+    EXPECT_EQ(svc.stats().searches, 1u);
+  }
+  PlannerService svc(sopts);
+  expect_results_identical(cold_b, svc.plan(req_b));
   EXPECT_EQ(svc.cache_stats().disk_hits, 1u);
   EXPECT_EQ(svc.stats().searches, 0u);
 }
