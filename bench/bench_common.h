@@ -124,14 +124,17 @@ struct RepeatStats {
 };
 
 /// Runs `fn` once to warm up, then `runs` timed times, and summarizes
-/// the timed runs. One run of a shared host can be off by several times;
-/// a median of several is the figure to compare.
-template <typename Fn>
-RepeatStats repeat_ms(int runs, Fn&& fn) {
+/// the timed runs; `setup` runs untimed before every run of `fn`. One run
+/// of a shared host can be off by several times; a median of several is
+/// the figure to compare.
+template <typename Setup, typename Fn>
+RepeatStats repeat_ms(int runs, Setup&& setup, Fn&& fn) {
+  setup();
   fn();
   std::vector<double> t;
   t.reserve(static_cast<std::size_t>(std::max(1, runs)));
   for (int i = 0; i < std::max(1, runs); ++i) {
+    setup();
     util::Stopwatch sw;
     fn();
     t.push_back(sw.elapsed_seconds() * 1e3);
@@ -145,6 +148,11 @@ RepeatStats repeat_ms(int runs, Fn&& fn) {
                     : 0.5 * (t[t.size() / 2 - 1] + t[t.size() / 2]);
   s.p90_ms = t[(t.size() * 9 + 9) / 10 - 1];
   return s;
+}
+
+template <typename Fn>
+RepeatStats repeat_ms(int runs, Fn&& fn) {
+  return repeat_ms(runs, [] {}, fn);
 }
 
 inline void header(const std::string& what, const std::string& paper_ref) {

@@ -43,8 +43,9 @@ constexpr const char kUsage[] = R"usage(usage:
           [--load-plan FILE]                plan with a --plan-json
                                             file's plan (no search)
           [--cache-dir DIR]                 plan-cache disk tier: serve
-                                            repeat invocations from DIR
-                                            instead of re-searching
+                                            repeat invocations from the
+                                            log DIR/plans.log instead of
+                                            re-searching
           [--no-cache]                      bypass the PlannerService
           [--trace FILE]                    chrome://tracing JSON of the
                                             simulated step only
@@ -530,7 +531,7 @@ int main(int argc, char** argv) {
                   cs.memory_hits + cs.disk_hits > 0 ? "hit" : "miss",
                   cs.disk_hits > 0      ? "disk"
                   : cs.memory_hits > 0  ? "memory"
-                  : cs.disk_rejects > 0 ? "stale file rejected"
+                  : cs.disk_rejects > 0 ? "stale record rejected"
                                         : "searched",
                   svc.key_for({&tg, opts, sweep}).to_hex().c_str(),
                   static_cast<unsigned long long>(ss.family_hits));

@@ -36,7 +36,10 @@ constexpr const char kUsage[] = R"usage(usage:
                                              this process answers only
                                              the PlanKeys it owns and
                                              421s the rest
-            [--cache-dir DIR]                plan-cache disk tier
+            [--cache-dir DIR]                plan-cache disk tier: one
+                                             append-only log,
+                                             DIR/plans.log, written by
+                                             one process at a time
             [--threads N]                    planner search threads
             [--request-threads N]            PlannerService workers
             [--conn-threads N]               HTTP connection workers

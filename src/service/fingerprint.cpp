@@ -1,5 +1,6 @@
 #include "service/fingerprint.h"
 
+#include <charconv>
 #include <cstdio>
 #include <unordered_map>
 
@@ -141,6 +142,28 @@ std::string PlanKey::to_hex() const {
                 static_cast<unsigned long long>(options.lo),
                 sweep_mesh ? 's' : 'f');
   return buf;
+}
+
+std::optional<PlanKey> PlanKey::from_hex(std::string_view hex) {
+  // "v<version>-" then four 16-digit words, then 's' or 'f'.
+  const std::size_t words_at = hex.find('-') + 1;
+  if (words_at == 0 || hex.size() != words_at + 4 * 16 + 1) return std::nullopt;
+  std::uint64_t words[4];
+  for (int i = 0; i < 4; ++i) {
+    const char* first = hex.data() + words_at + 16 * i;
+    const auto [end, ec] = std::from_chars(first, first + 16, words[i], 16);
+    if (ec != std::errc() || end != first + 16) return std::nullopt;
+  }
+  PlanKey key;
+  key.graph.hi = words[0];
+  key.graph.lo = words[1];
+  key.options.hi = words[2];
+  key.options.lo = words[3];
+  key.sweep_mesh = hex.back() == 's';
+  // The round trip rejects another version, upper-case digits and a
+  // mode other than 's' or 'f'.
+  if (key.to_hex() != hex) return std::nullopt;
+  return key;
 }
 
 PlanKey make_plan_key(const ir::TapGraph& tg, const core::TapOptions& opts,

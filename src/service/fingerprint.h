@@ -18,7 +18,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/plan_context.h"
 #include "pruning/prune.h"
@@ -82,8 +84,11 @@ struct PlanKey {
   std::uint64_t digest() const;
 
   /// Filesystem-safe hex spelling, version-prefixed — e.g.
-  /// "v1-0123456789abcdef....json" names the disk-tier file.
+  /// "v2-0123456789abcdef...f" names a record in the disk tier's log.
   std::string to_hex() const;
+  /// The key `hex` spells, or nullopt unless it is exactly what to_hex()
+  /// prints at this kPlanKeyVersion.
+  static std::optional<PlanKey> from_hex(std::string_view hex);
 };
 
 struct PlanKeyHash {

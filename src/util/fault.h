@@ -10,6 +10,12 @@
 // e.g. "cache.disk.read=throw:0.5,service.search=delay:10:0.25".
 // P defaults to 1.
 //
+// Planner and service sites model transient failures of one step:
+//   planner.family    before each family's search (core/planner_pipeline)
+//   service.search    before a PlannerService search
+//   cache.disk.read   before a disk-tier record's pread (service/plan_cache)
+//   cache.disk.write  before a disk-tier record's append
+//
 // Serving-tier network sites (ISSUE 10) live in net/http_server.cpp and
 // model the failure modes the fleet client must survive:
 //   net.accept         fail  — accepted connection dropped before a read

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -258,28 +259,32 @@ TEST(Anytime, AnytimeResultsAreNeverCached) {
   service::ServiceOptions sopts;
   sopts.cache.disk_dir = dir.path;
   sopts.request_threads = 1;
-  service::PlannerService svc(sopts);
 
   core::TapOptions opts = small_cluster_opts();
   opts.max_checkpoints = 0;       // degrade every search to the DP default
   opts.deadline_ms = 60000;       // deadline path, but the clock never trips
-  const core::TapResult r1 = svc.plan({&tg, opts, false});
-  EXPECT_EQ(r1.provenance.source, core::PlanSource::kAnytime);
-  EXPECT_FALSE(r1.provenance.deadline_hit);
-  EXPECT_EQ(svc.stats().deadline_hits, 0u);
+  {
+    service::PlannerService svc(sopts);
+    const core::TapResult r1 = svc.plan({&tg, opts, false});
+    EXPECT_EQ(r1.provenance.source, core::PlanSource::kAnytime);
+    EXPECT_FALSE(r1.provenance.deadline_hit);
+    EXPECT_EQ(svc.stats().deadline_hits, 0u);
 
-  // A degraded plan must not be served back as if it were the real
-  // answer: the repeat request searches again instead of hitting a cache.
-  const core::TapResult r2 = svc.plan({&tg, opts, false});
-  EXPECT_EQ(svc.stats().searches, 2u);
-  EXPECT_EQ(svc.stats().cache_hits, 0u);
-  EXPECT_EQ(core::plan_to_json(tg, r1.best_plan),
-            core::plan_to_json(tg, r2.best_plan));
+    // A degraded plan must not be served back as if it were the real
+    // answer: the repeat request searches again instead of hitting a
+    // cache.
+    const core::TapResult r2 = svc.plan({&tg, opts, false});
+    EXPECT_EQ(svc.stats().searches, 2u);
+    EXPECT_EQ(svc.stats().cache_hits, 0u);
+    EXPECT_EQ(core::plan_to_json(tg, r1.best_plan),
+              core::plan_to_json(tg, r2.best_plan));
+  }
 
   // And nothing was persisted for either of them.
   service::PlannerService svc2(sopts);
   svc2.plan({&tg, opts, false});
   EXPECT_EQ(svc2.cache_stats().disk_hits, 0u);
+  EXPECT_EQ(fs::file_size(svc2.cache().log_path()), 0u);
 }
 
 TEST(Anytime, OverloadShedsOnlyNewSearches) {
@@ -332,7 +337,7 @@ TEST(Anytime, OverloadShedsOnlyNewSearches) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-injected disk tier: retries, quarantine, crash safety
+// Fault-injected disk tier: retries, quarantine, torn appends
 // ---------------------------------------------------------------------------
 
 TEST(Anytime, DiskRetriesAreCountedExactly) {
@@ -417,18 +422,13 @@ TEST(Anytime, FailedWritesDegradeSilentlyAndAreRetried) {
     EXPECT_EQ(svc.stats().cache_hits, 1u);
   }
 
-  // No record was ever published — the only debris is the torn temp file
-  // (a fault mid-write models a killed process, so the tmp stays behind),
-  // and it never shadows the real record name.
-  std::size_t tmp_files = 0, record_files = 0;
-  for (const auto& e : fs::directory_iterator(dir.path)) {
-    if (e.path().extension() == ".tmp")
-      ++tmp_files;
-    else
-      ++record_files;
-  }
-  EXPECT_EQ(record_files, 0u);
-  EXPECT_EQ(tmp_files, 1u);
+  // No record was ever published: the fault fires before the append, so
+  // the log is empty and is the directory's only file.
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir.path))
+    names.push_back(e.path().filename().string());
+  EXPECT_EQ(names, std::vector<std::string>{"plans.log"});
+  EXPECT_EQ(fs::file_size(fs::path(dir.path) / "plans.log"), 0u);
 }
 
 TEST(Anytime, CorruptFileIsQuarantinedExactlyOnce) {
@@ -438,50 +438,58 @@ TEST(Anytime, CorruptFileIsQuarantinedExactlyOnce) {
   const service::PlanRequest req{&tg, opts, false};
 
   TempDir dir("quarantine");
-  std::string file;
-  {
-    service::ServiceOptions sopts;
-    sopts.cache.disk_dir = dir.path;
-    sopts.request_threads = 1;
-    service::PlannerService svc(sopts);
-    svc.plan(req);
-    file = svc.cache().disk_path(svc.key_for(req));
-  }
-  ASSERT_TRUE(fs::exists(file));
-  {
-    std::ofstream out(file, std::ios::trunc);
-    out << "{ \"version\": 1, this is not a plan record";
-  }
-
-  const std::uint64_t quarantine0 = counter_value("cache.quarantined");
-
   service::ServiceOptions sopts;
   sopts.cache.disk_dir = dir.path;
   sopts.request_threads = 1;
-  service::PlannerService svc(sopts);
-  const service::PlanKey key = svc.key_for(req);
+  std::string log;
+  {
+    service::PlannerService svc(sopts);
+    svc.plan(req);
+    log = svc.cache().log_path();
+  }
+  const service::PlanKey key = service::make_plan_key(tg, opts, false);
+  const std::string garbage = "{ \"version\": 1, this is not a plan record";
+  {
+    std::ofstream out(log, std::ios::app | std::ios::binary);
+    out << service::plan_log_record(key, garbage);  // now the key's last
+  }
+  const std::uintmax_t logged = fs::file_size(log);
 
-  // First lookup: rejected AND moved aside so it can never be re-parsed.
+  const std::uint64_t quarantine0 = counter_value("cache.quarantined");
+  service::PlannerService svc(sopts);
+
+  // First lookup: rejected AND dropped from the index so it can never be
+  // re-parsed; its bytes stay in the log.
   EXPECT_FALSE(svc.cache().lookup(key, tg).has_value());
   EXPECT_EQ(svc.cache_stats().disk_rejects, 1u);
   EXPECT_EQ(svc.cache_stats().quarantined, 1u);
-  EXPECT_FALSE(fs::exists(file));
-  EXPECT_TRUE(fs::exists(file + ".quarantine"));
   EXPECT_EQ(counter_value("cache.quarantined"), quarantine0 + 1);
+  EXPECT_EQ(fs::file_size(log), logged);
 
-  // Second lookup: a clean miss — the quarantine happened ONCE.
-  EXPECT_FALSE(svc.cache().lookup(key, tg).has_value());
+  // Second lookup: a clean miss that reads nothing — the quarantine
+  // happened ONCE.
+  {
+    util::ScopedFaultInjector sites("cache.disk.read=throw:0");
+    EXPECT_FALSE(svc.cache().lookup(key, tg).has_value());
+    EXPECT_EQ(sites.injector().hits("cache.disk.read"), 0u);
+  }
   EXPECT_EQ(svc.cache_stats().quarantined, 1u);
   EXPECT_EQ(svc.cache_stats().disk_misses, 1u);
 
-  // A full plan() re-searches and overwrites with a good record; the
-  // quarantined copy stays aside for post-mortem.
+  // A full plan() re-searches and appends a good record; the quarantined
+  // bytes stay before it for post-mortem.
   EXPECT_TRUE(svc.plan(req).routed.valid);
-  EXPECT_TRUE(fs::exists(file));
-  EXPECT_TRUE(fs::exists(file + ".quarantine"));
+  EXPECT_EQ(svc.cache_stats().disk_writes, 1u);
+  std::string text;
+  {
+    std::ifstream in(log, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  EXPECT_GT(text.size(), logged);
+  EXPECT_NE(text.find(garbage), std::string::npos);
 }
 
-TEST(Anytime, CrashBetweenTempFileAndRenameIsCleanedUp) {
+TEST(Anytime, CrashMidAppendIsCutOffOnReopen) {
   Graph g = models::build_transformer(models::t5_with_layers(1));
   ir::TapGraph tg = ir::lower(g);
   core::TapOptions opts = small_cluster_opts();
@@ -490,7 +498,7 @@ TEST(Anytime, CrashBetweenTempFileAndRenameIsCleanedUp) {
   TempDir dir("crash");
   service::PlanCacheOptions copts;
   copts.disk_dir = dir.path;
-  copts.io_retries = 0;  // one attempt: the "process died right here" model
+  copts.io_retries = 0;
   copts.retry_backoff_ms = 0.0;
 
   // Grab a real result to insert.
@@ -504,38 +512,45 @@ TEST(Anytime, CrashBetweenTempFileAndRenameIsCleanedUp) {
     key = svc.key_for(req);
   }
   ASSERT_TRUE(result.provenance.complete());
+  service::PlanKey other = key;
+  other.sweep_mesh = true;  // a second key, logged before the crash
 
-  // Kill the writer in the crash window: temp file fully written, rename
-  // never happens.
+  // One complete record, then a process killed mid-append: the second
+  // record's header and half its payload reach the log.
+  std::string log;
+  std::uintmax_t whole = 0;
   {
-    util::ScopedFaultInjector fault("cache.disk.rename=throw:1");
     service::PlanCache cache(copts);
-    cache.insert(key, result, tg);
-    EXPECT_EQ(cache.stats().disk_writes, 0u);
+    cache.insert(other, result, tg);
+    EXPECT_EQ(cache.stats().disk_writes, 1u);
+    log = cache.log_path();
+    whole = fs::file_size(log);
   }
-  std::size_t tmp_files = 0, record_files = 0;
-  for (const auto& e : fs::directory_iterator(dir.path)) {
-    if (e.path().extension() == ".tmp")
-      ++tmp_files;
-    else
-      ++record_files;
+  const std::string torn =
+      service::plan_log_record(key, service::disk_file_json(tg, key, result));
+  {
+    std::ofstream out(log, std::ios::app | std::ios::binary);
+    out << torn.substr(0, torn.size() / 2);
   }
-  EXPECT_EQ(tmp_files, 1u);  // the torn write IS left behind
-  EXPECT_EQ(record_files, 0u);
 
-  // The next cache over this directory sweeps the debris at construction
-  // and treats the key as a plain miss — the partial file is never read.
+  // The next cache over this directory cuts the torn tail at open and
+  // treats its key as a plain miss — the partial record is never read.
   service::PlanCache cache(copts);
+  EXPECT_EQ(cache.stats().torn_tails, 1u);
+  EXPECT_EQ(fs::file_size(log), whole);
   EXPECT_FALSE(cache.lookup(key, tg).has_value());
   EXPECT_EQ(cache.stats().disk_misses, 1u);
   EXPECT_EQ(cache.stats().disk_rejects, 0u);
-  for (const auto& e : fs::directory_iterator(dir.path)) {
-    EXPECT_NE(e.path().extension(), ".tmp");
-  }
+  EXPECT_TRUE(cache.lookup(other, tg).has_value());  // the earlier record
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
 
-  // And a clean insert over the swept directory works end to end.
+  // And a clean append after the cut works end to end: it starts on the
+  // record boundary, so the log is the two whole records.
   cache.insert(key, result, tg);
   EXPECT_TRUE(cache.lookup(key, tg).has_value());
+  EXPECT_EQ(fs::file_size(log), whole + torn.size());
+  for (const auto& e : fs::directory_iterator(dir.path))
+    EXPECT_EQ(e.path().filename(), "plans.log");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // PlannerService / PlanCache / fingerprint tests — the acceptance criteria
 // of the service subsystem: cache hits are bit-identical to cold searches,
 // duplicate concurrent requests single-flight into one search, and stale
-// or damaged disk files are rejected, never misinterpreted.
+// or damaged disk records are rejected, never misinterpreted.
 #include "service/planner_service.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -66,9 +67,52 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-/// A disk file's first line: the /plan response it stores.
+/// A disk payload's first line: the /plan response it stores.
 std::string first_line(const std::string& text) {
   return text.substr(0, text.find('\n'));
+}
+
+/// One record of a disk-tier log: its header's key hex and its payload.
+struct LogRecord {
+  std::string key_hex;
+  std::string payload;
+};
+
+/// The records of the log at `path`, in order. Fails the test on a frame
+/// that does not read "<key hex> <payload bytes>\n<payload>\n".
+std::vector<LogRecord> log_records(const std::string& path) {
+  const std::string text = read_file(path);
+  std::vector<LogRecord> records;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t eol = text.find('\n', pos);
+    const std::size_t space = text.find(' ', pos);
+    EXPECT_LT(space, eol);
+    if (eol == std::string::npos || space >= eol) break;
+    const std::size_t size =
+        std::stoull(text.substr(space + 1, eol - space - 1));
+    EXPECT_LE(eol + 1 + size + 1, text.size());
+    EXPECT_EQ(text[eol + 1 + size], '\n');
+    LogRecord r{text.substr(pos, space - pos), text.substr(eol + 1, size)};
+    records.push_back(std::move(r));
+    pos = eol + 1 + size + 1;
+  }
+  return records;
+}
+
+/// The payload of `key`'s last record in the log at `path`, or "".
+std::string logged_payload(const std::string& path, const PlanKey& key) {
+  std::string payload;
+  for (const LogRecord& r : log_records(path))
+    if (r.key_hex == key.to_hex()) payload = r.payload;
+  return payload;
+}
+
+/// Appends a record of `payload` under `key`, as an insert would.
+void append_record(const std::string& path, const PlanKey& key,
+                   const std::string& payload) {
+  std::ofstream out(path, std::ios::app | std::ios::binary);
+  out << plan_log_record(key, payload);
 }
 
 void expect_results_identical(const core::TapResult& a,
@@ -237,26 +281,29 @@ TEST_P(ServiceIdentity, CachedPlanIsBitIdenticalToColdSearch) {
   ServiceOptions sopts;
   sopts.cache.disk_dir = dir.path;
   sopts.request_threads = 1;
-  PlannerService svc(sopts);
 
   const PlanRequest req{&tg, opts, c.sweep};
-  const core::TapResult fresh = svc.plan(req);
-  const core::TapResult hit = svc.plan(req);  // memory tier
+  core::TapResult fresh;
+  {
+    PlannerService svc(sopts);
+    fresh = svc.plan(req);
+    const core::TapResult hit = svc.plan(req);  // memory tier
 
-  expect_results_identical(cold, fresh);
-  expect_results_identical(cold, hit);
-  EXPECT_EQ(svc.stats().searches, 1u);
-  EXPECT_EQ(svc.stats().cache_hits, 1u);
-  EXPECT_GE(svc.cache_stats().memory_hits, 1u);
+    expect_results_identical(cold, fresh);
+    expect_results_identical(cold, hit);
+    EXPECT_EQ(svc.stats().searches, 1u);
+    EXPECT_EQ(svc.stats().cache_hits, 1u);
+    EXPECT_GE(svc.cache_stats().memory_hits, 1u);
+  }
 
-  // Disk tier: the file starts with the response bytes, and a brand-new
-  // service over the same directory serves it, still bit-identical, with
-  // the search's own search_seconds and (having run no passes) no pass
-  // timings.
-  const PlanKey key = svc.key_for(req);
-  EXPECT_EQ(first_line(read_file(svc.cache().disk_path(key))),
-            plan_response_json(tg, key, fresh));
+  // Disk tier: the key's record starts with the response bytes, and a
+  // brand-new service over the same directory serves it, still
+  // bit-identical, with the search's own search_seconds and (having run
+  // no passes) no pass timings.
   PlannerService svc2(sopts);
+  const PlanKey key = svc2.key_for(req);
+  EXPECT_EQ(first_line(logged_payload(svc2.cache().log_path(), key)),
+            plan_response_json(tg, key, fresh));
   const core::TapResult disk_hit = svc2.plan(req);
   expect_results_identical(cold, disk_hit);
   EXPECT_EQ(svc2.stats().searches, 0u);
@@ -327,11 +374,14 @@ TEST(PlannerService, HitsRouteWithTheSearchedCatalogAtEveryMesh) {
       sopts.cache.disk_dir = dir.path;
       sopts.request_threads = 1;
       const PlanRequest req{&tg, opts, false};
-      PlannerService svc(sopts);
-      svc.plan(req);
-      const core::TapResult memory_hit = svc.plan(req);
-      EXPECT_EQ(svc.stats().searches, 1u);
-      EXPECT_EQ(svc.cache_stats().memory_hits, 1u);
+      core::TapResult memory_hit;
+      {
+        PlannerService svc(sopts);
+        svc.plan(req);
+        memory_hit = svc.plan(req);
+        EXPECT_EQ(svc.stats().searches, 1u);
+        EXPECT_EQ(svc.cache_stats().memory_hits, 1u);
+      }
       PlannerService svc2(sopts);
       const core::TapResult disk_hit = svc2.plan(req);
       EXPECT_EQ(svc2.stats().searches, 0u);
@@ -375,8 +425,8 @@ TEST(PlannerService, SavedAndCachedPlansReadTheSearchedCatalogAtEverySweep) {
       sopts.cache.disk_dir = dir.path;
       sopts.request_threads = 1;
       const PlanRequest req{&tg, opts, /*sweep_mesh=*/true};
-      PlannerService svc(sopts);
-      const core::TapResult cold = svc.plan(req);
+      std::optional<PlannerService> svc(std::in_place, sopts);
+      const core::TapResult cold = svc->plan(req);
       ASSERT_TRUE(cold.routed.valid);
 
       const sharding::ShardingPlan reloaded = core::plan_from_json(
@@ -390,9 +440,10 @@ TEST(PlannerService, SavedAndCachedPlansReadTheSearchedCatalogAtEverySweep) {
 
       const std::string cold_report = report::to_json(
           report::build_report(tg, cold, opts, sopts.report));
-      expect_same_routing(tg, cold.routed, svc.plan(req).routed);
-      EXPECT_EQ(report::to_json(*svc.explain(req)), cold_report);
-      EXPECT_EQ(svc.stats().searches, 1u);
+      expect_same_routing(tg, cold.routed, svc->plan(req).routed);
+      EXPECT_EQ(report::to_json(*svc->explain(req)), cold_report);
+      EXPECT_EQ(svc->stats().searches, 1u);
+      svc.reset();  // the log's one writer closes before the next opens
       PlannerService svc2(sopts);
       expect_same_routing(tg, cold.routed, svc2.plan(req).routed);
       EXPECT_EQ(svc2.cache_stats().disk_hits, 1u);
@@ -553,9 +604,9 @@ TEST(PlannerService, SearchFailurePropagatesAndDoesNotPoison) {
 }
 
 TEST(PlannerService, MemoryHitIsNotHeldBehindAStalledDiskRead) {
-  // A disk hit reads and validates a file outside the service mutex, so a
-  // memory hit for another key issued while that read stalls is served
-  // at once instead of waiting out the stall.
+  // A disk hit reads and validates a log record outside the service and
+  // cache mutexes, so a memory hit for another key issued while that read
+  // stalls is served at once instead of waiting out the stall.
   Graph ga = models::build_transformer(models::t5_with_layers(2));
   Graph gb = models::build_transformer(models::t5_with_layers(1));
   ir::TapGraph ta = ir::lower(ga), tb = ir::lower(gb);
@@ -629,6 +680,7 @@ TEST(PlannerService, CorruptedDiskFileIsRejectedAndResearched) {
   Graph g = models::build_transformer(models::t5_with_layers(1));
   ir::TapGraph tg = ir::lower(g);
   core::TapOptions opts = small_cluster_opts();
+  const PlanRequest req{&tg, opts, false};
   const core::TapResult cold = core::auto_parallel(tg, opts);
 
   TempDir dir("corrupt");
@@ -636,26 +688,28 @@ TEST(PlannerService, CorruptedDiskFileIsRejectedAndResearched) {
   sopts.cache.disk_dir = dir.path;
   sopts.request_threads = 1;
 
-  std::string file;
+  std::string log;
   {
     PlannerService svc(sopts);
-    svc.plan({&tg, opts, false});
-    file = svc.cache().disk_path(svc.key_for({&tg, opts, false}));
+    svc.plan(req);
+    log = svc.cache().log_path();
   }
-  ASSERT_TRUE(fs::exists(file));
-  {
-    std::ofstream out(file, std::ios::trunc);
-    out << "{ \"version\": 1, garbage that is not a plan record";
-  }
+  const PlanKey key = make_plan_key(tg, opts, false);
+  ASSERT_FALSE(logged_payload(log, key).empty());
+  // The key's last record now holds garbage.
+  append_record(log, key,
+                "{ \"version\": 1, garbage that is not a plan record");
 
-  PlannerService svc(sopts);
-  const core::TapResult recovered = svc.plan({&tg, opts, false});
-  expect_results_identical(cold, recovered);
-  EXPECT_EQ(svc.cache_stats().disk_rejects, 1u);
-  EXPECT_EQ(svc.stats().searches, 1u);  // re-searched, not served garbage
-  // The re-search overwrote the damaged file with a good one.
+  {
+    PlannerService svc(sopts);
+    const core::TapResult recovered = svc.plan(req);
+    expect_results_identical(cold, recovered);
+    EXPECT_EQ(svc.cache_stats().disk_rejects, 1u);
+    EXPECT_EQ(svc.stats().searches, 1u);  // re-searched, not served garbage
+  }
+  // The re-search appended a good record that supersedes the damaged one.
   PlannerService svc3(sopts);
-  expect_results_identical(cold, svc3.plan({&tg, opts, false}));
+  expect_results_identical(cold, svc3.plan(req));
   EXPECT_EQ(svc3.stats().searches, 0u);
 }
 
@@ -669,28 +723,21 @@ TEST(PlannerService, VersionMismatchedDiskFileIsRejected) {
   sopts.cache.disk_dir = dir.path;
   sopts.request_threads = 1;
 
-  std::string file;
+  std::string log;
   {
     PlannerService svc(sopts);
     svc.plan({&tg, opts, false});
-    file = svc.cache().disk_path(svc.key_for({&tg, opts, false}));
+    log = svc.cache().log_path();
   }
-  // Rewrite the valid payload claiming a future format version.
-  std::stringstream buf;
-  {
-    std::ifstream in(file);
-    buf << in.rdbuf();
-  }
-  std::string payload = buf.str();
+  // Re-log the valid payload claiming a future format version.
+  const PlanKey key = make_plan_key(tg, opts, false);
+  std::string payload = logged_payload(log, key);
   const std::string vkey =
       "\"version\":" + std::to_string(kPlanResponseVersion);
   const auto pos = payload.find(vkey);
   ASSERT_NE(pos, std::string::npos);
   payload.replace(pos, vkey.size(), "\"version\":999");
-  {
-    std::ofstream out(file, std::ios::trunc);
-    out << payload;
-  }
+  append_record(log, key, payload);
 
   PlannerService svc(sopts);
   const core::TapResult r = svc.plan({&tg, opts, false});
@@ -710,19 +757,19 @@ TEST(PlannerService, VersionOneDiskRecordIsQuarantinedAndRewritten) {
   sopts.cache.disk_dir = dir.path;
   sopts.request_threads = 1;
 
-  std::string file;
+  std::string log;
   {
     PlannerService svc(sopts);
     svc.plan(req);
-    file = svc.cache().disk_path(svc.key_for(req));
+    log = svc.cache().log_path();
   }
   // A record as the version-1 writer spelled it.
-  {
-    std::ofstream out(file, std::ios::trunc);
-    out << "{\n  \"version\": 1,\n  \"mesh\": [2, 8],\n  \"choice\": [],\n"
-           "  \"cost\": [0, 0, 0, 0],\n  \"stats\": [0, 0, 0, 0],\n"
-           "  \"timings\": [],\n  \"search_seconds\": 0\n}\n";
-  }
+  const PlanKey key = make_plan_key(tg, opts, false);
+  const std::string v1 =
+      "{\n  \"version\": 1,\n  \"mesh\": [2, 8],\n  \"choice\": [],\n"
+      "  \"cost\": [0, 0, 0, 0],\n  \"stats\": [0, 0, 0, 0],\n"
+      "  \"timings\": [],\n  \"search_seconds\": 0\n}\n";
+  append_record(log, key, v1);
   {
     PlannerService svc(sopts);
     EXPECT_TRUE(svc.plan(req).routed.valid);
@@ -730,9 +777,14 @@ TEST(PlannerService, VersionOneDiskRecordIsQuarantinedAndRewritten) {
     EXPECT_EQ(svc.cache_stats().quarantined, 1u);
     EXPECT_EQ(svc.stats().searches, 1u);
   }
-  EXPECT_TRUE(fs::exists(file + ".quarantine"));
+  // The version-1 bytes stay in the log for post-mortem, superseded by
+  // the re-search's record.
+  const std::vector<LogRecord> records = log_records(log);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[1].payload, v1);
+  EXPECT_EQ(records[2].key_hex, key.to_hex());
   const util::JsonValue response =
-      util::JsonValue::parse(first_line(read_file(file)));
+      util::JsonValue::parse(first_line(records[2].payload));
   EXPECT_EQ(response.members().front().first, "version");
   EXPECT_EQ(response.at("version").as_int(), kPlanResponseVersion);
 
@@ -746,7 +798,7 @@ TEST(PlannerService, VersionOneDiskRecordIsQuarantinedAndRewritten) {
 TEST(PlannerService, ParentFormatDiskRecordIsQuarantinedAndRewritten) {
   // A version-4 positional record, the disk format before the tier stored
   // /plan responses, fails the response's version-first check: it is
-  // quarantined, the key is re-searched, and the file is rewritten with
+  // quarantined, the key is re-searched, and the log gains a record of
   // the cold result's response bytes.
   Graph g = models::build_transformer(models::t5_with_layers(1));
   ir::TapGraph tg = ir::lower(g);
@@ -758,24 +810,27 @@ TEST(PlannerService, ParentFormatDiskRecordIsQuarantinedAndRewritten) {
   ServiceOptions sopts;
   sopts.cache.disk_dir = dir.path;
   sopts.request_threads = 1;
-  PlannerService svc(sopts);
-  const PlanKey key = svc.key_for(req);
-  const std::string file = svc.cache().disk_path(key);
+  const PlanKey key = make_plan_key(tg, opts, false);
+  const std::string log = (fs::path(dir.path) / "plans.log").string();
   std::string choice = "0";
   for (std::size_t i = 1; i < tg.num_nodes(); ++i) choice += ",0";
-  {
-    std::ofstream out(file, std::ios::trunc);
-    out << "{\"version\":4,\"mesh\":[2,8],\"choice\":[" << choice
-        << "],\"cost\":[0,0,0,0],\"stats\":[0,0,0,0],\"timings\":[],"
-           "\"search_seconds\":0}";
-  }
+  std::ostringstream v4;
+  v4 << "{\"version\":4,\"mesh\":[2,8],\"choice\":[" << choice
+     << "],\"cost\":[0,0,0,0],\"stats\":[0,0,0,0],\"timings\":[],"
+        "\"search_seconds\":0}";
+  fs::create_directories(dir.path);
+  append_record(log, key, v4.str());
 
+  PlannerService svc(sopts);
+  EXPECT_EQ(svc.cache().log_path(), log);
   expect_results_identical(cold, svc.plan(req));
   EXPECT_EQ(svc.cache_stats().disk_rejects, 1u);
   EXPECT_EQ(svc.cache_stats().quarantined, 1u);
   EXPECT_EQ(svc.stats().searches, 1u);
-  EXPECT_TRUE(fs::exists(file + ".quarantine"));
-  EXPECT_EQ(first_line(read_file(file)), plan_response_json(tg, key, cold));
+  const std::vector<LogRecord> records = log_records(log);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].payload, v4.str());
+  EXPECT_EQ(first_line(records[1].payload), plan_response_json(tg, key, cold));
 }
 
 TEST(PlannerService, DiskFileUnderAnotherKeysNameIsRejected) {
@@ -794,12 +849,16 @@ TEST(PlannerService, DiskFileUnderAnotherKeysNameIsRejected) {
   ServiceOptions sopts;
   sopts.cache.disk_dir = dir.path;
   sopts.request_threads = 1;
-  PlannerService svc(sopts);
-  svc.plan(req_a);
-  const PlanKey key_a = svc.key_for(req_a), key_b = svc.key_for(req_b);
-  const std::string file_b = svc.cache().disk_path(key_b);
-  fs::copy_file(svc.cache().disk_path(key_a), file_b);
-  const std::string copied = read_file(file_b);
+  std::string log;
+  {
+    PlannerService svc(sopts);
+    svc.plan(req_a);
+    log = svc.cache().log_path();
+  }
+  const PlanKey key_a = make_plan_key(tg, a, false);
+  const PlanKey key_b = make_plan_key(tg, b, false);
+  const std::string copied = logged_payload(log, key_a);
+  append_record(log, key_b, copied);
   EXPECT_NO_THROW(disk_file_from_json(tg, key_a, copied));
   EXPECT_THROW(disk_file_from_json(tg, key_b, copied), CheckError);
 
@@ -810,9 +869,9 @@ TEST(PlannerService, DiskFileUnderAnotherKeysNameIsRejected) {
 }
 
 TEST(PlannerService, RenamedTwinReadFromDiskIsResearched) {
-  // A disk file names GraphNodes, so a renamed structural twin (same
-  // PlanKey) cannot resolve it: the file is rejected, the twin is
-  // re-searched, and the rewritten file serves the twin from disk.
+  // A disk record names GraphNodes, so a renamed structural twin (same
+  // PlanKey) cannot resolve it: the record is rejected, the twin is
+  // re-searched, and the superseding record serves the twin from disk.
   models::TransformerConfig cfg = models::t5_with_layers(2);
   Graph a = models::build_transformer(cfg);
   cfg.name = "same_shape_other_name";
@@ -841,6 +900,243 @@ TEST(PlannerService, RenamedTwinReadFromDiskIsResearched) {
   expect_results_identical(cold_b, svc.plan(req_b));
   EXPECT_EQ(svc.cache_stats().disk_hits, 1u);
   EXPECT_EQ(svc.stats().searches, 0u);
+}
+
+/// T5-1L at the three fixed 16-GPU meshes 2x8, 1x16 and 4x4, then the
+/// mesh sweep: four keys of one graph.
+std::vector<PlanRequest> four_requests(const ir::TapGraph& tg) {
+  std::vector<PlanRequest> reqs;
+  for (int tp : {8, 16, 4}) {
+    core::TapOptions opts = small_cluster_opts();
+    opts.num_shards = tp;
+    opts.dp_replicas = 16 / tp;
+    reqs.push_back({&tg, opts, false});
+  }
+  reqs.push_back({&tg, small_cluster_opts(), true});
+  return reqs;
+}
+
+core::TapResult cold_search(const PlanRequest& req) {
+  return req.sweep_mesh ? core::auto_parallel_best_mesh(*req.tg, req.opts)
+                        : core::auto_parallel(*req.tg, req.opts);
+}
+
+TEST(PlannerService, EveryLoggedKeyIsADiskHitAfterReopen) {
+  Graph g = models::build_transformer(models::t5_with_layers(1));
+  const ir::TapGraph tg = ir::lower(g);
+  const std::vector<PlanRequest> reqs = four_requests(tg);
+
+  TempDir dir("reopen");
+  ServiceOptions sopts;
+  sopts.cache.disk_dir = dir.path;
+  sopts.request_threads = 1;
+  std::vector<core::TapResult> searched;
+  {
+    PlannerService svc(sopts);
+    for (const PlanRequest& req : reqs) searched.push_back(svc.plan(req));
+    EXPECT_EQ(svc.cache_stats().disk_writes, reqs.size());
+    EXPECT_EQ(log_records(svc.cache().log_path()).size(), reqs.size());
+  }
+  PlannerService svc(sopts);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    SCOPED_TRACE(i);
+    const core::TapResult hit = svc.plan(reqs[i]);
+    expect_results_identical(cold_search(reqs[i]), hit);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(hit.search_seconds),
+              std::bit_cast<std::uint64_t>(searched[i].search_seconds));
+  }
+  EXPECT_EQ(svc.cache_stats().disk_hits, reqs.size());
+  EXPECT_EQ(svc.stats().searches, 0u);
+}
+
+TEST(PlannerService, TornLogTailIsCutAndItsKeyResearched) {
+  // A crash mid-append leaves the last record short. The next open cuts
+  // it off: its key is a miss and is re-searched, and every earlier key
+  // still hits.
+  Graph g = models::build_transformer(models::t5_with_layers(1));
+  const ir::TapGraph tg = ir::lower(g);
+  const std::vector<PlanRequest> reqs = four_requests(tg);
+
+  TempDir dir("torn");
+  ServiceOptions sopts;
+  sopts.cache.disk_dir = dir.path;
+  sopts.request_threads = 1;
+  std::string log;
+  {
+    PlannerService svc(sopts);
+    for (const PlanRequest& req : reqs) svc.plan(req);
+    log = svc.cache().log_path();
+  }
+  const std::uintmax_t full = fs::file_size(log);
+  const LogRecord tail = log_records(log).back();
+  const std::size_t tail_bytes =
+      plan_log_record(*PlanKey::from_hex(tail.key_hex), tail.payload).size();
+  fs::resize_file(log, full - tail.payload.size() / 2);
+
+  {
+    PlannerService svc(sopts);
+    EXPECT_EQ(svc.cache_stats().torn_tails, 1u);
+    EXPECT_EQ(fs::file_size(log), full - tail_bytes);
+    for (std::size_t i = 0; i + 1 < reqs.size(); ++i)
+      expect_results_identical(cold_search(reqs[i]), svc.plan(reqs[i]));
+    EXPECT_EQ(svc.cache_stats().disk_hits, reqs.size() - 1);
+    expect_results_identical(cold_search(reqs.back()), svc.plan(reqs.back()));
+    EXPECT_EQ(svc.cache_stats().disk_misses, 1u);
+    EXPECT_EQ(svc.cache_stats().disk_rejects, 0u);
+    EXPECT_EQ(svc.stats().searches, 1u);
+  }
+  // The re-search's record starts where the cut ended: the log is whole.
+  EXPECT_EQ(log_records(log).size(), reqs.size());
+  PlannerService svc(sopts);
+  EXPECT_EQ(svc.cache_stats().torn_tails, 0u);
+  for (const PlanRequest& req : reqs) svc.plan(req);
+  EXPECT_EQ(svc.cache_stats().disk_hits, reqs.size());
+  EXPECT_EQ(svc.stats().searches, 0u);
+}
+
+TEST(PlannerService, CorruptRecordInTheMiddleIsResearchedAndSuperseded) {
+  // Damage the second of four records in place: it is rejected and its
+  // key re-searched, the records around it still hit, and after a reopen
+  // the re-search's record wins over the damaged one.
+  Graph g = models::build_transformer(models::t5_with_layers(1));
+  const ir::TapGraph tg = ir::lower(g);
+  const std::vector<PlanRequest> reqs = four_requests(tg);
+
+  TempDir dir("middle");
+  ServiceOptions sopts;
+  sopts.cache.disk_dir = dir.path;
+  sopts.request_threads = 1;
+  std::string log;
+  {
+    PlannerService svc(sopts);
+    for (const PlanRequest& req : reqs) svc.plan(req);
+    log = svc.cache().log_path();
+  }
+  std::string text = read_file(log);
+  const std::string damaged = log_records(log)[1].payload;
+  const std::size_t at = text.find(damaged);
+  ASSERT_NE(at, std::string::npos);
+  text[at] = '!';  // the response line no longer parses
+  {
+    std::ofstream out(log, std::ios::trunc | std::ios::binary);
+    out << text;
+  }
+
+  {
+    PlannerService svc(sopts);
+    for (const PlanRequest& req : reqs)
+      expect_results_identical(cold_search(req), svc.plan(req));
+    EXPECT_EQ(svc.cache_stats().disk_hits, reqs.size() - 1);
+    EXPECT_EQ(svc.cache_stats().disk_rejects, 1u);
+    EXPECT_EQ(svc.cache_stats().quarantined, 1u);
+    EXPECT_EQ(svc.stats().searches, 1u);
+  }
+  const std::vector<LogRecord> records = log_records(log);
+  ASSERT_EQ(records.size(), reqs.size() + 1);
+  EXPECT_EQ(records.back().key_hex, records[1].key_hex);
+  PlannerService svc(sopts);
+  for (const PlanRequest& req : reqs)
+    expect_results_identical(cold_search(req), svc.plan(req));
+  EXPECT_EQ(svc.cache_stats().disk_hits, reqs.size());
+  EXPECT_EQ(svc.cache_stats().disk_rejects, 0u);
+  EXPECT_EQ(svc.stats().searches, 0u);
+}
+
+TEST(PlanCache, SecondCacheOnALockedLogRunsMemoryOnly) {
+  Graph g = models::build_transformer(models::t5_with_layers(1));
+  const ir::TapGraph tg = ir::lower(g);
+  const PlanRequest req = four_requests(tg).front();
+  const core::TapResult result = cold_search(req);
+  const PlanKey key = make_plan_key(tg, req.opts, false);
+  PlanKey other = key;
+  other.sweep_mesh = true;
+
+  TempDir dir("locked");
+  PlanCacheOptions copts;
+  copts.disk_dir = dir.path;
+  PlanCache first(copts);
+  first.insert(key, result, tg);
+  const std::string before = read_file(first.log_path());
+  {
+    PlanCache second(copts);
+    EXPECT_EQ(second.stats().lock_fallbacks, 1u);
+    EXPECT_FALSE(second.lookup(key, tg).has_value());  // no disk tier
+    second.insert(other, result, tg);
+    EXPECT_TRUE(second.lookup(other, tg).has_value());  // memory tier
+    EXPECT_EQ(second.stats().disk_writes, 0u);
+    EXPECT_EQ(second.stats().disk_hits, 0u);
+  }
+  EXPECT_EQ(read_file(first.log_path()), before);
+  EXPECT_EQ(first.stats().lock_fallbacks, 0u);
+  EXPECT_TRUE(first.lookup(key, tg).has_value());
+}
+
+TEST(PlanCache, OldLayoutFilesAreIgnored) {
+  // A directory of the one-file-per-key layout: its files are left in
+  // place, and the key is a miss, re-searched once.
+  Graph g = models::build_transformer(models::t5_with_layers(1));
+  const ir::TapGraph tg = ir::lower(g);
+  const PlanRequest req = four_requests(tg).front();
+  const core::TapResult result = cold_search(req);
+  const PlanKey key = make_plan_key(tg, req.opts, false);
+
+  TempDir dir("old_layout");
+  fs::create_directories(dir.path);
+  const std::vector<std::string> old = {key.to_hex() + ".plan.json",
+                                        key.to_hex() + ".plan.json.tmp",
+                                        "x.plan.json.quarantine"};
+  for (const std::string& name : old) {
+    std::ofstream out(fs::path(dir.path) / name);
+    out << disk_file_json(tg, key, result);
+  }
+  PlanCacheOptions copts;
+  copts.disk_dir = dir.path;
+  PlanCache cache(copts);
+  EXPECT_FALSE(cache.lookup(key, tg).has_value());
+  EXPECT_EQ(cache.stats().disk_misses, 1u);
+  EXPECT_EQ(cache.stats().disk_rejects, 0u);
+  EXPECT_EQ(cache.stats().torn_tails, 0u);
+  for (const std::string& name : old)
+    EXPECT_TRUE(fs::exists(fs::path(dir.path) / name)) << name;
+  EXPECT_EQ(fs::file_size(cache.log_path()), 0u);
+}
+
+TEST(PlanCache, MissReadsNothingAndInsertAppendsOnce) {
+  // The call pattern: a miss on an unlogged key never reaches the read
+  // site, an insert reaches the write site once, a disk hit reaches the
+  // read site once, and the directory only ever holds the log.
+  Graph g = models::build_transformer(models::t5_with_layers(1));
+  const ir::TapGraph tg = ir::lower(g);
+  const PlanRequest req = four_requests(tg).front();
+  const core::TapResult result = cold_search(req);
+  const PlanKey key = make_plan_key(tg, req.opts, false);
+
+  TempDir dir("calls");
+  PlanCacheOptions copts;
+  copts.disk_dir = dir.path;
+  util::ScopedFaultInjector sites(
+      "cache.disk.read=throw:0,cache.disk.write=throw:0");
+  auto hits = [&](const char* site) { return sites.injector().hits(site); };
+  auto only_the_log = [&] {
+    std::vector<std::string> names;
+    for (const auto& e : fs::directory_iterator(dir.path))
+      names.push_back(e.path().filename().string());
+    EXPECT_EQ(names, std::vector<std::string>{"plans.log"});
+  };
+  {
+    PlanCache cache(copts);
+    EXPECT_FALSE(cache.lookup(key, tg).has_value());
+    EXPECT_EQ(hits("cache.disk.read"), 0u);
+    EXPECT_EQ(cache.stats().disk_misses, 1u);
+    cache.insert(key, result, tg);
+    EXPECT_EQ(hits("cache.disk.write"), 1u);
+    only_the_log();
+  }
+  PlanCache cache(copts);
+  EXPECT_TRUE(cache.lookup(key, tg).has_value());
+  EXPECT_EQ(hits("cache.disk.read"), 1u);
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
+  only_the_log();
 }
 
 // ---------------------------------------------------------------------------
